@@ -1,8 +1,8 @@
-"""Deterministic training-set augmentation: mirroring, rotation, scaling.
+"""Deterministic training-set augmentation (mirroring, rotation) and scaling.
 
 Labels are invariant under every transform here. Test images are never
-augmented; scaling is a resolution change applied to the whole dataset
-rather than an extra training copy.
+augmented; :func:`scale` is the resolution change a network applies to every
+image it sees (``NetworkConfig.scale_factor``), never an extra training copy.
 """
 
 from __future__ import annotations
@@ -23,15 +23,12 @@ class AugmentPlan:
 
     mirror: bool = False
     rotations_deg: tuple[float, ...] = ()
-    scale_factor: float | None = None
 
     def __post_init__(self):
         rotations = tuple(float(a) for a in self.rotations_deg)
         for a in rotations:
             if abs(a) > MAX_ROTATION_DEG:
                 raise ValueError(f"|rotation| must be <= {MAX_ROTATION_DEG}, got {a}")
-        if self.scale_factor is not None and not 0.0 < self.scale_factor <= 1.0:
-            raise ValueError(f"scale_factor must be in (0, 1], got {self.scale_factor}")
         object.__setattr__(self, "rotations_deg", rotations)
 
 
@@ -121,16 +118,10 @@ def _box_weights(n_in: int, n_out: int) -> np.ndarray:
 
 
 def expand_set(images: list[LabeledImage], plan: AugmentPlan) -> list[LabeledImage]:
-    """Originals, then all mirrored copies, then each rotation in plan order.
-
-    If ``plan.scale_factor`` is set the whole expanded list is rescaled in
-    place of the original resolution (no extra copies are added).
-    """
+    """Originals, then all mirrored copies, then each rotation in plan order."""
     out = list(images)
     if plan.mirror:
         out.extend(mirror_lr(img) for img in images)
     for angle in plan.rotations_deg:
         out.extend(rotate(img, angle) for img in images)
-    if plan.scale_factor is not None and plan.scale_factor != 1.0:
-        out = [scale(img, plan.scale_factor) for img in out]
     return out

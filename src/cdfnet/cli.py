@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from .augment import expand_set
 from .committee import (
     accuracy,
     committee_predict,
@@ -109,9 +110,7 @@ def _cmd_extract(args) -> int:
         plan = load_fold_plan(args.folds)
         images = [images[i] for i in plan.folds[args.fold]]
     if args.augment:
-        from .pipeline import _augmented
-
-        images = _augmented(images, model.config)
+        images = expand_set(images, model.config.augment)
     descs = extract_descriptors(model, images)
     labels = None if args.labels is None else [img.label for img in images]
     _write_descriptors(args.out, descs, labels)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .augment import AugmentPlan
 from .errors import FormatError
@@ -115,10 +116,6 @@ class NetworkConfig:
             dense_preprocess=l2.dense_preprocess,
         )
 
-    def training_plan(self) -> AugmentPlan:
-        """Augment plan for training images, with the network's resolution."""
-        return replace(self.augment, scale_factor=self.scale_factor)
-
 
 def parse_fraction(text: str) -> float:
     """Float parser that also accepts 'a/b' fractions (e.g. 1/3)."""
@@ -129,62 +126,90 @@ def parse_fraction(text: str) -> float:
     return float(text)
 
 
+def _parse_bool(text: str) -> bool:
+    text = text.strip().lower()
+    if text in ("true", "1", "yes", "on"):
+        return True
+    if text in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"bad boolean {text!r}")
+
+
 def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+# INI keys that differ from their dataclass field names
+_RENAMED = {"k": "filters", "k_per_group": "filters_per_group", "n_patches": "patches"}
+_OPTIONAL_SECTIONS = ("augment", "seeds")
+
+# field type -> (parse INI text, format value as INI text)
+_CODECS = {
+    int: (int, str),
+    float: (parse_fraction, _format_float),
+    bool: (_parse_bool, lambda b: str(b).lower()),
+    str: (str, str),
+    float | None: (
+        lambda t: parse_fraction(t) if t.strip() else None,
+        lambda x: "" if x is None else _format_float(x),
+    ),
+    tuple[float, ...]: (
+        lambda t: tuple(parse_fraction(tok) for tok in t.split(",") if tok.strip()),
+        lambda xs: ", ".join(_format_float(x) for x in xs),
+    ),
+}
+
+
+def _scalar_fields(cls) -> list[tuple[str, str, type]]:
+    """(field name, INI key, field type) for the fields of cls that are not records."""
+    hints = typing.get_type_hints(cls)
+    return [
+        (f.name, _RENAMED.get(f.name, f.name), hints[f.name])
+        for f in fields(cls)
+        if not is_dataclass(hints[f.name])
+    ]
+
+
+# sub-record sections in file order after [network]: field name -> record class
+_RECORDS = {
+    name: tp for name, tp in typing.get_type_hints(NetworkConfig).items() if is_dataclass(tp)
+}
+
+
+def _section_text(record) -> dict[str, str]:
+    return {
+        key: _CODECS[tp][1](getattr(record, name))
+        for name, key, tp in _scalar_fields(type(record))
+    }
+
+
 def network_config_to_text(cfg: NetworkConfig) -> str:
     cp = configparser.ConfigParser()
-    cp["network"] = {
-        "name": cfg.name,
-        "rectifier": cfg.rectifier,
-        "scale_factor": "" if cfg.scale_factor is None else _format_float(cfg.scale_factor),
-        "descriptor_mode": cfg.descriptor_mode,
-        "svm_reg_c": _format_float(cfg.svm_reg_c),
-    }
-    l1 = cfg.layer1
-    cp["layer1"] = {
-        "filters": str(l1.k),
-        "patch_side": str(l1.patch_side),
-        "pool_side": str(l1.pool_side),
-        "pool_stride": str(l1.pool_stride),
-        "pool_alpha": _format_float(l1.pool_alpha),
-        "lcn_window": str(l1.lcn_window),
-        "lcn_sigma": _format_float(l1.lcn_sigma),
-        "zca_epsilon": _format_float(l1.zca_epsilon),
-        "patches": str(l1.n_patches),
-        "dense_preprocess": str(l1.dense_preprocess).lower(),
-    }
-    l2 = cfg.layer2
-    cp["layer2"] = {
-        "filters_per_group": str(l2.k_per_group),
-        "patch_side": str(l2.patch_side),
-        "group_size": str(l2.group_size),
-        "pool_side": str(l2.pool_side),
-        "pool_stride": str(l2.pool_stride),
-        "pool_alpha": _format_float(l2.pool_alpha),
-        "lcn_window": str(l2.lcn_window),
-        "lcn_sigma": _format_float(l2.lcn_sigma),
-        "zca_epsilon": _format_float(l2.zca_epsilon),
-        "patches": str(l2.n_patches),
-        "dense_preprocess": str(l2.dense_preprocess).lower(),
-    }
-    cp["augment"] = {
-        "mirror": str(cfg.augment.mirror).lower(),
-        "rotations_deg": ", ".join(_format_float(a) for a in cfg.augment.rotations_deg),
-        "scale_factor": ""
-        if cfg.augment.scale_factor is None
-        else _format_float(cfg.augment.scale_factor),
-    }
-    cp["seeds"] = {
-        "patches": str(cfg.seeds.patches),
-        "kmeans1": str(cfg.seeds.kmeans1),
-        "kmeans2": str(cfg.seeds.kmeans2),
-        "grouping": str(cfg.seeds.grouping),
-    }
+    cp["network"] = _section_text(cfg)
+    for name in _RECORDS:
+        cp[name] = _section_text(getattr(cfg, name))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
+
+
+def _read_section(cp: configparser.ConfigParser, section: str, cls) -> dict:
+    """Field values given in one section; absent keys keep the dataclass default."""
+    if not cp.has_section(section):
+        if section in _OPTIONAL_SECTIONS:
+            return {}
+        raise FormatError(f"bad network config: missing section [{section}]")
+    given = dict(cp.items(section))
+    values = {}
+    for name, key, tp in _scalar_fields(cls):
+        if key in given:
+            try:
+                values[name] = _CODECS[tp][0](given.pop(key))
+            except ValueError as exc:
+                raise FormatError(f"bad network config: {section}.{key}: {exc}") from exc
+    if given:
+        raise FormatError(f"bad network config: unknown key {section}.{min(given)}")
+    return values
 
 
 def network_config_from_text(text: str) -> NetworkConfig:
@@ -193,63 +218,14 @@ def network_config_from_text(text: str) -> NetworkConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise FormatError(f"bad network config: {exc}") from exc
+    unknown = set(cp.sections()) - {"network", *_RECORDS}
+    if unknown:
+        raise FormatError(f"bad network config: unknown section [{min(unknown)}]")
     try:
-        net = cp["network"]
-        l1 = cp["layer1"]
-        l2 = cp["layer2"]
-        aug = cp["augment"] if cp.has_section("augment") else {}
-        seeds = cp["seeds"] if cp.has_section("seeds") else {}
-
-        scale_text = net.get("scale_factor", "").strip()
-        rot_text = (aug.get("rotations_deg", "") or "").strip()
-        rotations = tuple(
-            parse_fraction(tok) for tok in rot_text.split(",") if tok.strip()
-        )
-        aug_scale_text = (aug.get("scale_factor", "") or "").strip()
-        return NetworkConfig(
-            name=net.get("name", "net"),
-            rectifier=net.get("rectifier", "abs"),
-            scale_factor=parse_fraction(scale_text) if scale_text else None,
-            descriptor_mode=net.get("descriptor_mode", "layer2_only"),
-            svm_reg_c=parse_fraction(net.get("svm_reg_c", "1.0")),
-            layer1=Layer1Config(
-                k=int(l1.get("filters", "300")),
-                patch_side=int(l1.get("patch_side", "16")),
-                pool_side=int(l1.get("pool_side", "12")),
-                pool_stride=int(l1.get("pool_stride", "12")),
-                pool_alpha=parse_fraction(l1.get("pool_alpha", "1.0")),
-                lcn_window=int(l1.get("lcn_window", "9")),
-                lcn_sigma=parse_fraction(l1.get("lcn_sigma", "2.25")),
-                zca_epsilon=parse_fraction(l1.get("zca_epsilon", "0.01")),
-                n_patches=int(l1.get("patches", "400000")),
-                dense_preprocess=_parse_bool(l1.get("dense_preprocess", "true")),
-            ),
-            layer2=Layer2Config(
-                k_per_group=int(l2.get("filters_per_group", "75")),
-                patch_side=int(l2.get("patch_side", "3")),
-                group_size=int(l2.get("group_size", "4")),
-                pool_side=int(l2.get("pool_side", "3")),
-                pool_stride=int(l2.get("pool_stride", "3")),
-                pool_alpha=parse_fraction(l2.get("pool_alpha", "1.0")),
-                lcn_window=int(l2.get("lcn_window", "3")),
-                lcn_sigma=parse_fraction(l2.get("lcn_sigma", "0.75")),
-                zca_epsilon=parse_fraction(l2.get("zca_epsilon", "0.1")),
-                n_patches=int(l2.get("patches", "200000")),
-                dense_preprocess=_parse_bool(l2.get("dense_preprocess", "true")),
-            ),
-            augment=AugmentPlan(
-                mirror=_parse_bool(aug.get("mirror", "false")),
-                rotations_deg=rotations,
-                scale_factor=parse_fraction(aug_scale_text) if aug_scale_text else None,
-            ),
-            seeds=Seeds(
-                patches=int(seeds.get("patches", "1")),
-                kmeans1=int(seeds.get("kmeans1", "2")),
-                kmeans2=int(seeds.get("kmeans2", "3")),
-                grouping=int(seeds.get("grouping", "4")),
-            ),
-        )
-    except (KeyError, ValueError) as exc:
+        top = _read_section(cp, "network", NetworkConfig)
+        records = {name: cls(**_read_section(cp, name, cls)) for name, cls in _RECORDS.items()}
+        return NetworkConfig(**top, **records)
+    except ValueError as exc:
         raise FormatError(f"bad network config: {exc}") from exc
 
 
@@ -261,15 +237,6 @@ def load_network_config(path) -> NetworkConfig:
 def save_network_config(path, cfg: NetworkConfig) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(network_config_to_text(cfg))
-
-
-def _parse_bool(text: str) -> bool:
-    text = text.strip().lower()
-    if text in ("true", "1", "yes", "on"):
-        return True
-    if text in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"bad boolean {text!r}")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ class LayerConfig:
     pool_alpha: float = 1.0
     lcn_window: int = 9
     lcn_sigma: float = 2.25
-    lcn_floor_mode: str = "mean_sigma"
     dense_preprocess: bool = True
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class LayerConfig:
             raise InvalidWindow(f"lcn_window must be odd and >= 3, got {self.lcn_window}")
         if self.lcn_sigma <= 0:
             raise ValueError(f"lcn_sigma must be > 0, got {self.lcn_sigma}")
-        if self.lcn_floor_mode != "mean_sigma":
-            raise ValueError(f"unsupported lcn_floor_mode {self.lcn_floor_mode!r}")
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentPlan, expand_set, scale
+from .augment import expand_set, scale
 from .committee import (
     ScoreTable,
     accuracy,
@@ -56,20 +56,8 @@ class NetworkModel:
             )
 
 
-def _resolution_factor(cfg: NetworkConfig) -> float | None:
-    """The network's working resolution (None = native)."""
-    if cfg.scale_factor is not None:
-        return cfg.scale_factor
-    return cfg.augment.scale_factor
-
-
 def _prepare_image(img: LabeledImage, factor: float | None) -> LabeledImage:
     return scale(img, factor) if factor is not None and factor != 1.0 else img
-
-
-def _augmented(images: list[LabeledImage], cfg: NetworkConfig) -> list[LabeledImage]:
-    """Mirror/rotation copies at native resolution; scaling happens later."""
-    return expand_set(images, replace(cfg.augment, scale_factor=None))
 
 
 def _to_fmset(img: LabeledImage) -> FeatureMapSet:
@@ -104,9 +92,8 @@ def _train_bank(
 
 def train_network(cfg: NetworkConfig, fold_images: list[LabeledImage]) -> NetworkModel:
     """Train both layers' filters on the (augmented) fold images."""
-    factor = _resolution_factor(cfg)
-    train_imgs = [_prepare_image(img, factor) for img in _augmented(fold_images, cfg)]
-    sets = [_to_fmset(img) for img in train_imgs]
+    augmented = expand_set(fold_images, cfg.augment)
+    sets = [_to_fmset(_prepare_image(img, cfg.scale_factor)) for img in augmented]
     input_shape = (sets[0].height, sets[0].width)
     for s in sets:
         if (s.height, s.width) != input_shape:
@@ -173,12 +160,11 @@ def extract_descriptors(
     native-resolution images.
     """
     cfg = model.config
-    factor = _resolution_factor(cfg)
     layer1_cfg = cfg.layer1_runtime()
     layer2_cfg = cfg.layer2_runtime()
     descriptors = []
     for img in images:
-        fmset = _to_fmset(_prepare_image(img, factor))
+        fmset = _to_fmset(_prepare_image(img, cfg.scale_factor))
         if (fmset.height, fmset.width) != model.input_shape:
             raise DimError(
                 f"image {img.image_id!r} is {(fmset.height, fmset.width)} after "
@@ -197,7 +183,7 @@ def extract_descriptors(
 
 def descriptor_shape(cfg: NetworkConfig, height: int, width: int):
     """Closed-form layer shapes and descriptor length for one input size."""
-    factor = _resolution_factor(cfg)
+    factor = cfg.scale_factor
     if factor is not None and factor != 1.0:
         height = max(1, round(height * factor))
         width = max(1, round(width * factor))
@@ -337,7 +323,7 @@ def train_and_score(
 ) -> tuple[NetworkModel, SvmModel, ScoreTable]:
     """One committee member on one fold: features, classifier, test scores."""
     model = train_network(cfg, fold_images)
-    aug = _augmented(fold_images, cfg)
+    aug = expand_set(fold_images, cfg.augment)
     train_descs = extract_descriptors(model, aug)
     train_labels = [img.label for img in aug]
     svm = train_ova_svm(train_descs, train_labels, reg_c=cfg.svm_reg_c)

@@ -143,12 +143,6 @@ class TestPlan:
             AugmentPlan(rotations_deg=(50.0,))
         AugmentPlan(rotations_deg=(-45.0, 45.0))
 
-    def test_scale_bound(self):
-        with pytest.raises(ValueError):
-            AugmentPlan(scale_factor=0.0)
-        with pytest.raises(ValueError):
-            AugmentPlan(scale_factor=1.01)
-
 
 class TestExpandSet:
     def _images(self, n):
@@ -186,11 +180,12 @@ class TestExpandSet:
         out = expand_set(self._images(4), plan)
         assert [im.label for im in out] == [0, 1, 0, 1] * 4
 
-    def test_scale_replaces_resolution(self):
-        plan = AugmentPlan(mirror=True, scale_factor=0.5)
+    def test_keeps_resolution(self):
+        # resolution is the network's scale_factor, applied by the pipeline
+        plan = AugmentPlan(mirror=True, rotations_deg=(10.0,))
         out = expand_set(self._images(4), plan)
-        assert len(out) == 8
-        assert all(im.pixels.shape == (3, 3) for im in out)
+        assert len(out) == 12
+        assert all(im.pixels.shape == (6, 6) for im in out)
 
     def test_deterministic(self):
         plan = AugmentPlan(mirror=True, rotations_deg=(7.0,))

@@ -1,3 +1,8 @@
+import dataclasses
+import glob
+import os
+import re
+
 import pytest
 
 from cdfnet.augment import AugmentPlan
@@ -27,13 +32,41 @@ def _full_config():
                             zca_epsilon=0.05, n_patches=12345, dense_preprocess=False),
         layer2=Layer2Config(k_per_group=10, patch_side=2, group_size=8,
                             pool_side=2, pool_stride=1, pool_alpha=2.0,
-                            lcn_window=3, lcn_sigma=0.5, zca_epsilon=0.2,
-                            n_patches=777, dense_preprocess=True),
-        augment=AugmentPlan(mirror=True, rotations_deg=(-10.0, 10.0), scale_factor=None),
+                            lcn_window=5, lcn_sigma=0.5, zca_epsilon=0.2,
+                            n_patches=777, dense_preprocess=False),
+        augment=AugmentPlan(mirror=True, rotations_deg=(-10.0, 10.0)),
         seeds=Seeds(patches=11, kmeans1=22, kmeans2=33, grouping=44),
         descriptor_mode="concat_layers",
         svm_reg_c=32.0,
     )
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED = sorted(glob.glob(os.path.join(CONFIG_DIR, "n[1-5].ini")))
+
+
+def _scalar_diffs(a, b, path=""):
+    """(dotted field path, value in a, its record's default) for each differing leaf."""
+    out = []
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(va):
+            out += _scalar_diffs(va, vb, f"{path}{f.name}.")
+        elif va != vb:
+            out.append((path + f.name, va, getattr(type(a)(), f.name)))
+    return out
+
+
+def _texts_missing_one_key(cfg):
+    """The config's text once per key line, with that line left out."""
+    lines = network_config_to_text(cfg).splitlines(keepends=True)
+    section = None
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line.strip("[]\n")
+        elif " = " in line:
+            key = line.split(" = ")[0]
+            yield pytest.param("".join(lines[:i] + lines[i + 1:]), id=f"{section}.{key}")
 
 
 class TestParseFraction:
@@ -49,7 +82,20 @@ class TestParseFraction:
 class TestRoundTrip:
     def test_full_round_trip(self):
         cfg = _full_config()
+        # each of the 32 scalar fields holds a non-default value
+        assert len(_scalar_diffs(cfg, NetworkConfig())) == 32
         assert network_config_from_text(network_config_to_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("text", _texts_missing_one_key(_full_config()))
+    def test_dropped_key_takes_default(self, text):
+        [(_, value, default)] = _scalar_diffs(network_config_from_text(text), _full_config())
+        assert value == default
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+    def test_shipped_config_is_its_own_text(self, path):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert network_config_to_text(load_network_config(path)) == text
 
     def test_defaults_round_trip(self):
         cfg = NetworkConfig()
@@ -108,6 +154,23 @@ class TestParsing:
                 "[network]\n[layer1]\ndense_preprocess = maybe\n[layer2]\n"
             )
 
+    @pytest.mark.parametrize(
+        "section, line, name",
+        [
+            ("layer1", "filter = 64", "layer1.filter"),
+            ("layer1", "pool_sise = 4", "layer1.pool_sise"),
+            ("layer2", "k_per_group = 10", "layer2.k_per_group"),
+            ("augment", "mirorr = true", "augment.mirorr"),
+            ("augment", "scale_factor = 0.5", "augment.scale_factor"),
+            ("sedes", "patches = 5", "sedes"),
+        ],
+    )
+    def test_unknown_name_rejected(self, section, line, name):
+        bodies = {"network": "", "layer1": "", "layer2": "", section: line}
+        text = "".join(f"[{s}]\n{body}\n" for s, body in bodies.items())
+        with pytest.raises(FormatError, match=re.escape(name)):
+            network_config_from_text(text)
+
 
 class TestValidation:
     def test_name_no_spaces(self):
@@ -130,14 +193,6 @@ class TestValidation:
     def test_invalid_layer_params_fail_fast(self):
         with pytest.raises(Exception):
             NetworkConfig(layer1=Layer1Config(pool_side=0))
-
-    def test_training_plan_carries_network_scale(self):
-        cfg = NetworkConfig(
-            scale_factor=0.5, augment=AugmentPlan(mirror=True, scale_factor=None)
-        )
-        plan = cfg.training_plan()
-        assert plan.mirror is True
-        assert plan.scale_factor == 0.5
 
 
 class TestSeeds:
