@@ -5,17 +5,19 @@ dictionaries, convolve + rectify + contrast-normalize + pool (twice, with a
 random grouping between the layers), classify the flattened feature maps with
 one-vs-all linear SVMs, and fuse several such networks by summing rescaled
 score vectors.
+
+The top level exports the documented API (README "Library use") and the
+types and errors it takes, returns or raises. Stage-level functions (layer,
+patches, kmeans, tensor, augment) are imported from their submodules.
 """
 
-from .augment import AugmentPlan, expand_set, mirror_lr, rotate, scale
+from .augment import AugmentPlan, expand_set
 from .committee import (
     ScoreTable,
     accuracy,
     committee_predict,
-    minmax_normalize,
     normalize_table,
     read_score_file,
-    sum_scores,
     table_predict,
     write_score_file,
 )
@@ -42,31 +44,6 @@ from .errors import (
     InvalidWindow,
     NonFiniteValue,
 )
-from .kmeans import FilterBank, KMeansResult, kmeans, sse
-from .layer import (
-    GroupAssignment,
-    LayerConfig,
-    conv_output_shape,
-    convolve_valid,
-    layer_output_shape,
-    lcn_divisive,
-    lcn_subtractive,
-    make_groups,
-    pool,
-    pool_output_shape,
-    rectify_abs,
-    rectify_on_off,
-    run_layer,
-)
-from .patches import (
-    PatchMatrix,
-    ZcaTransform,
-    apply_zca,
-    extract_patches,
-    fit_zca,
-    normalize_patch,
-    unroll_patch,
-)
 from .pipeline import (
     ExperimentReport,
     NetworkModel,
@@ -80,106 +57,57 @@ from .pipeline import (
     train_and_score,
     train_network,
 )
-from .stl10 import FoldPlan, LabeledImage, load_fold_plan, load_stl10, to_grayscale
-from .svm import (
-    Descriptor,
-    ScoreVector,
-    SvmModel,
-    cross_validate_c,
-    predict,
-    score,
-    score_many,
-    train_ova_svm,
-)
-from .tensor import ALGORITHM_ID, FeatureMapSet, SeededRng, concat_depth, tensor_slice
+from .stl10 import FoldPlan, LabeledImage, load_fold_plan, load_stl10
+from .svm import SvmModel, cross_validate_c, score_many, train_ova_svm
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHM_ID",
     "AlignmentError",
     "AugmentPlan",
     "CdfnetError",
     "ContractError",
     "DegenerateLabels",
-    "Descriptor",
     "DimError",
     "ExperimentConfig",
     "ExperimentReport",
-    "FeatureMapSet",
-    "FilterBank",
     "FoldPlan",
     "FormatError",
-    "GroupAssignment",
     "InvalidGrouping",
     "InvalidK",
     "InvalidPatchSize",
     "InvalidWindow",
-    "KMeansResult",
     "LabeledImage",
     "Layer1Config",
     "Layer2Config",
-    "LayerConfig",
     "NetworkConfig",
     "NetworkModel",
     "NonFiniteValue",
-    "PatchMatrix",
     "ScoreTable",
-    "ScoreVector",
-    "SeededRng",
     "Seeds",
     "SvmModel",
-    "ZcaTransform",
     "accuracy",
-    "apply_zca",
     "committee_predict",
-    "concat_depth",
-    "conv_output_shape",
-    "convolve_valid",
     "cross_validate_c",
     "descriptor_shape",
     "evaluate_protocol",
     "expand_set",
     "extract_descriptors",
-    "extract_patches",
-    "fit_zca",
-    "kmeans",
-    "layer_output_shape",
-    "lcn_divisive",
-    "lcn_subtractive",
     "load_experiment_config",
     "load_fold_plan",
     "load_model",
     "load_network_config",
     "load_stl10",
     "load_svm",
-    "make_groups",
-    "minmax_normalize",
-    "mirror_lr",
-    "normalize_patch",
     "normalize_table",
-    "pool",
-    "pool_output_shape",
-    "predict",
     "read_score_file",
-    "rectify_abs",
-    "rectify_on_off",
-    "rotate",
-    "run_layer",
     "save_model",
     "save_network_config",
     "save_svm",
-    "scale",
-    "score",
     "score_many",
-    "sse",
-    "sum_scores",
     "table_predict",
-    "tensor_slice",
-    "to_grayscale",
     "train_and_score",
     "train_network",
     "train_ova_svm",
-    "unroll_patch",
     "write_score_file",
 ]

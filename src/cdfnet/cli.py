@@ -45,7 +45,7 @@ from .stl10 import (
     load_stl10,
     read_stl10_labels,
 )
-from .svm import Descriptor, score_many, train_ova_svm
+from .svm import score_many, train_ova_svm
 
 logger = logging.getLogger(__name__)
 
@@ -68,16 +68,15 @@ def _fold_images(args) -> list[LabeledImage]:
     return [images[i] for i in plan.folds[args.fold]]
 
 
-def _write_descriptors(path, descriptors: list[Descriptor], labels) -> None:
-    data = np.stack([d.values for d in descriptors])
+def _write_descriptors(path, descriptors: np.ndarray, image_ids, labels) -> None:
     if labels is None:
-        labels = np.full(len(descriptors), -1.0)
-    tensors = {"descriptors": data, "labels": np.asarray(labels, dtype=np.float64)}
-    ids = "\n".join(str(d.image_id) for d in descriptors)
-    write_container(path, tensors, ids)
+        labels = np.full(len(image_ids), -1.0)
+    tensors = {"descriptors": descriptors, "labels": np.asarray(labels, dtype=np.float64)}
+    write_container(path, tensors, "\n".join(str(i) for i in image_ids))
 
 
-def _read_descriptors(path) -> tuple[list[Descriptor], np.ndarray]:
+def _read_descriptors(path) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The (n_images, dim) descriptor matrix, its image ids, and its labels."""
     tensors, ids_text = read_container(path)
     try:
         data = tensors["descriptors"]
@@ -87,8 +86,7 @@ def _read_descriptors(path) -> tuple[list[Descriptor], np.ndarray]:
     ids = ids_text.splitlines()
     if len(ids) != data.shape[0] or labels.shape[0] != data.shape[0]:
         raise FormatError(f"{path}: id/label/descriptor count mismatch")
-    descs = [Descriptor(row, image_id=int(ids[i])) for i, row in enumerate(data)]
-    return descs, labels
+    return data, [int(i) for i in ids], labels
 
 
 def _cmd_train(args) -> int:
@@ -113,13 +111,13 @@ def _cmd_extract(args) -> int:
         images = expand_set(images, model.config.augment)
     descs = extract_descriptors(model, images)
     labels = None if args.labels is None else [img.label for img in images]
-    _write_descriptors(args.out, descs, labels)
+    _write_descriptors(args.out, descs, [img.image_id for img in images], labels)
     print(f"wrote {len(descs)} descriptors to {args.out}")
     return 0
 
 
 def _cmd_svm(args) -> int:
-    descs, labels = _read_descriptors(args.descriptors)
+    descs, _, labels = _read_descriptors(args.descriptors)
     if np.any(labels < 0):
         raise FormatError(f"{args.descriptors}: labels missing, cannot train")
     model = train_ova_svm(descs, [int(v) for v in labels], reg_c=args.reg_c)
@@ -130,9 +128,9 @@ def _cmd_svm(args) -> int:
 
 def _cmd_score(args) -> int:
     svm = load_svm(args.svm)
-    descs, labels = _read_descriptors(args.descriptors)
+    descs, image_ids, labels = _read_descriptors(args.descriptors)
     raw = score_many(svm, descs)
-    table = normalize_table(args.network_id, raw, per_network=args.per_network)
+    table = normalize_table(args.network_id, image_ids, raw, per_network=args.per_network)
     write_score_file(args.out, table)
     if not np.any(labels < 0):
         acc = accuracy(table_predict(table), [int(v) for v in labels])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ContractError, FormatError
-from .svm import ScoreVector
 
 SCORE_MAGIC = "scores"
 SCORE_VERSION = "v1"
@@ -52,37 +51,23 @@ class ScoreTable:
         return self.scores.shape[1]
 
 
-def minmax_normalize(sv: ScoreVector) -> ScoreVector:
-    """Affine map of the scores onto [0, 1]; an all-equal vector maps to zeros.
-
-    All-zero output makes an uninformative network abstain rather than vote
-    for every class at once.
-    """
-    lo = float(sv.scores.min())
-    hi = float(sv.scores.max())
-    if hi == lo:
-        out = np.zeros_like(sv.scores)
-    else:
-        out = (sv.scores - lo) / (hi - lo)
-    return ScoreVector(out, normalized=True, image_id=sv.image_id)
-
-
 def normalize_table(
-    network_id: str, vectors: list[ScoreVector], per_network: bool = False
+    network_id: str, image_ids, raw: np.ndarray, per_network: bool = False
 ) -> ScoreTable:
-    """Build a normalized ScoreTable from raw score vectors.
+    """Build a normalized ScoreTable from an (n_images, n_classes) raw score matrix.
 
-    per_network=False rescales each image's scores independently (default);
-    per_network=True applies one min-max over the whole table.
+    per_network=False maps each image's row onto [0, 1] independently
+    (default); per_network=True applies one min-max over the whole table.
+    A constant row (or table) maps to zeros, so an uninformative network
+    abstains rather than voting for every class at once.
     """
-    raw = np.stack([sv.scores for sv in vectors])
-    image_ids = tuple(sv.image_id for sv in vectors)
-    if per_network:
-        lo, hi = float(raw.min()), float(raw.max())
-        scores = np.zeros_like(raw) if hi == lo else (raw - lo) / (hi - lo)
-    else:
-        scores = np.stack([minmax_normalize(sv).scores for sv in vectors])
-    return ScoreTable(network_id, image_ids, scores, normalized=True)
+    raw = np.asarray(raw, dtype=np.float64)
+    axis = None if per_network else -1
+    lo = raw.min(axis=axis, keepdims=True)
+    span = raw.max(axis=axis, keepdims=True) - lo
+    # raw - lo is exactly 0 wherever span is 0, so dividing by 1 there gives zeros
+    scores = (raw - lo) / np.where(span == 0.0, 1.0, span)
+    return ScoreTable(network_id, tuple(image_ids), scores, normalized=True)
 
 
 def _check_aligned(tables: list[ScoreTable]) -> None:

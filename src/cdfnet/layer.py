@@ -8,7 +8,6 @@ their inputs, so images can be processed in parallel without coordination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,11 @@ from .patches import apply_zca, normalize_columns, PatchMatrix
 from .tensor import FeatureMapSet, SeededRng, assert_finite
 
 RECTIFIERS = ("abs", "on_off")
+
+
+def _signed_pool_alpha(alpha: float) -> bool:
+    """True if Lp pooling with this alpha is defined on signed inputs."""
+    return alpha == 1.0 or (alpha >= 2.0 and alpha % 2.0 == 0.0)
 
 
 @dataclass(frozen=True)
@@ -40,8 +44,11 @@ class LayerConfig:
             raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {self.rectifier!r}")
         if self.pool_side < 1 or self.pool_stride < 1:
             raise ValueError("pool_side and pool_stride must be >= 1")
-        if self.pool_alpha < 1.0:
-            raise ValueError(f"pool_alpha must be >= 1, got {self.pool_alpha}")
+        if not _signed_pool_alpha(self.pool_alpha):
+            raise ValueError(
+                f"pool_alpha must be 1 or an even integer, got {self.pool_alpha}: "
+                "pooling runs after LCN, whose output is signed"
+            )
         if self.lcn_window < 3 or self.lcn_window % 2 == 0:
             raise InvalidWindow(f"lcn_window must be odd and >= 3, got {self.lcn_window}")
         if self.lcn_sigma <= 0:
@@ -202,8 +209,10 @@ def pool(fmset: FeatureMapSet, pool_side: int, stride: int, alpha: float) -> Fea
 
     Windows advance by `stride` per feature map; partial windows at the
     right/bottom edges are dropped. alpha=1 is the window sum (average
-    pooling up to a constant); large alpha approaches the window max.
-    Non-integer alpha requires non-negative inputs.
+    pooling up to a constant); large even alpha approaches the window max of |x|.
+    Any alpha other than 1 or an even integer requires non-negative inputs:
+    a fractional power of a negative value, or an odd power summing to a
+    negative value, has no real root.
     """
     if pool_side > min(fmset.height, fmset.width):
         raise InvalidWindow(
@@ -211,8 +220,8 @@ def pool(fmset: FeatureMapSet, pool_side: int, stride: int, alpha: float) -> Fea
         )
     if pool_side < 1 or stride < 1:
         raise InvalidWindow("pool_side and stride must be >= 1")
-    if alpha != math.floor(alpha) and np.any(fmset.maps < 0.0):
-        raise ValueError("non-integer pooling alpha requires non-negative inputs")
+    if not _signed_pool_alpha(alpha) and np.any(fmset.maps < 0.0):
+        raise ValueError(f"pooling alpha {alpha} requires non-negative inputs")
     windows = sliding_window_view(fmset.maps, (pool_side, pool_side), axis=(0, 1))
     windows = windows[::stride, ::stride]
     if alpha == 1.0:

@@ -20,7 +20,6 @@ from .committee import (
     accuracy,
     committee_predict,
     normalize_table,
-    sum_scores,
     table_predict,
     write_score_file,
 )
@@ -31,7 +30,7 @@ from .layer import GroupAssignment, make_groups, run_layer, layer_output_shape
 from .model_io import read_container, write_container
 from .patches import PatchMatrix, ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_columns
 from .stl10 import FoldPlan, LabeledImage
-from .svm import Descriptor, SvmModel, score_many, train_ova_svm
+from .svm import SvmModel, score_many, train_ova_svm
 from .tensor import FeatureMapSet, SeededRng, tensor_slice
 
 logger = logging.getLogger(__name__)
@@ -151,19 +150,17 @@ def train_network(cfg: NetworkConfig, fold_images: list[LabeledImage]) -> Networ
     return NetworkModel(cfg, bank1, groups, tuple(banks2), input_shape)
 
 
-def extract_descriptors(
-    model: NetworkModel, images: list[LabeledImage]
-) -> list[Descriptor]:
-    """Run both layers and flatten the final pooled maps, one per image.
+def extract_descriptors(model: NetworkModel, images: list[LabeledImage]) -> np.ndarray:
+    """Run both layers and flatten the final pooled maps into an (n_images, dim) matrix.
 
-    Images are rescaled to the model's working resolution internally; pass
-    native-resolution images.
+    Row i is the descriptor of images[i]. Images are rescaled to the model's
+    working resolution internally; pass native-resolution images.
     """
     cfg = model.config
     layer1_cfg = cfg.layer1_runtime()
     layer2_cfg = cfg.layer2_runtime()
-    descriptors = []
-    for img in images:
+    descriptors = np.empty((len(images), 0))
+    for i, img in enumerate(images):
         fmset = _to_fmset(_prepare_image(img, cfg.scale_factor))
         if (fmset.height, fmset.width) != model.input_shape:
             raise DimError(
@@ -177,7 +174,10 @@ def extract_descriptors(
             parts.append(out2.maps.ravel())
         if cfg.descriptor_mode == "concat_layers":
             parts.append(out1.maps.ravel())
-        descriptors.append(Descriptor(np.concatenate(parts), image_id=img.image_id))
+        row = np.concatenate(parts)
+        if i == 0:
+            descriptors = np.empty((len(images), row.size))
+        descriptors[i] = row
     return descriptors
 
 
@@ -324,12 +324,12 @@ def train_and_score(
     """One committee member on one fold: features, classifier, test scores."""
     model = train_network(cfg, fold_images)
     aug = expand_set(fold_images, cfg.augment)
-    train_descs = extract_descriptors(model, aug)
-    train_labels = [img.label for img in aug]
-    svm = train_ova_svm(train_descs, train_labels, reg_c=cfg.svm_reg_c)
-    test_descs = extract_descriptors(model, test_images)
-    raw = score_many(svm, test_descs)
-    table = normalize_table(cfg.name, raw, per_network=per_network_rescale)
+    svm = train_ova_svm(
+        extract_descriptors(model, aug), [img.label for img in aug], reg_c=cfg.svm_reg_c
+    )
+    raw = score_many(svm, extract_descriptors(model, test_images))
+    image_ids = [img.image_id for img in test_images]
+    table = normalize_table(cfg.name, image_ids, raw, per_network=per_network_rescale)
     return model, svm, table
 
 

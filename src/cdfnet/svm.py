@@ -27,44 +27,6 @@ DEFAULT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
-class Descriptor:
-    """Flattened final feature maps for one image."""
-
-    values: np.ndarray
-    image_id: int = -1
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).ravel()
-        assert_array_finite(values, what=f"descriptor of image {self.image_id}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-class classifier outputs for one image."""
-
-    scores: np.ndarray
-    normalized: bool = False
-    image_id: int = -1
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64).ravel()
-        if scores.size < 1:
-            raise DimError("score vector must have at least one entry")
-        if self.normalized and (scores.min() < 0.0 or scores.max() > 1.0):
-            raise ValueError("normalized scores must lie in [0, 1]")
-        object.__setattr__(self, "scores", scores)
-
-    @property
-    def n_classes(self) -> int:
-        return self.scores.size
-
-
-@dataclass(frozen=True)
 class SvmModel:
     """C binary classifiers: scores = weights @ standardized(x) + biases."""
 
@@ -147,8 +109,19 @@ def standardize_fit(values: np.ndarray):
     return mean, np.maximum(std, STD_FLOOR)
 
 
+def _as_descriptors(descriptors, dim: int | None = None) -> np.ndarray:
+    """Validate an (n_images, dim) descriptor matrix; rows come from outside."""
+    values = np.asarray(descriptors, dtype=np.float64)
+    if values.ndim != 2:
+        raise DimError(f"descriptors must be an (n_images, dim) matrix, got shape {values.shape}")
+    if dim is not None and values.shape[1] != dim:
+        raise DimError(f"descriptor dim {values.shape[1]} does not match model dim {dim}")
+    assert_array_finite(values, what="descriptors")
+    return values
+
+
 def train_ova_svm(
-    descriptors: list[Descriptor],
+    descriptors: np.ndarray,
     labels,
     reg_c: float = 1.0,
     max_epochs: int = DEFAULT_EPOCHS,
@@ -156,12 +129,14 @@ def train_ova_svm(
 ) -> SvmModel:
     """One binary L2 SVM per class over standardized descriptor features.
 
-    Class c's problem labels its images +1 and all others -1. Deterministic
-    for a given descriptor order.
+    `descriptors` is an (n_images, dim) matrix, one row per label. Class c's
+    problem labels its images +1 and all others -1. Deterministic for a
+    given row order.
     """
+    values = _as_descriptors(descriptors)
     labels = np.asarray(labels, dtype=np.int64)
-    if len(descriptors) != labels.size:
-        raise DimError(f"{len(descriptors)} descriptors but {labels.size} labels")
+    if values.shape[0] != labels.size:
+        raise DimError(f"{values.shape[0]} descriptors but {labels.size} labels")
     classes = np.unique(labels)
     if classes.size < 2:
         raise DegenerateLabels(f"need >= 2 classes, got {classes.size}")
@@ -169,11 +144,6 @@ def train_ova_svm(
         raise DegenerateLabels("labels must be non-negative")
     n_classes = int(classes.max()) + 1
 
-    dims = {d.dim for d in descriptors}
-    if len(dims) != 1:
-        raise DimError(f"descriptor dimensions differ: {sorted(dims)}")
-
-    values = np.stack([d.values for d in descriptors])
     mean, std = standardize_fit(values)
     x = (values - mean) / std
     x = np.hstack([x, np.ones((x.shape[0], 1))])  # bias feature
@@ -196,39 +166,15 @@ def train_ova_svm(
     )
 
 
-def score(model: SvmModel, descriptor: Descriptor) -> ScoreVector:
-    """Raw per-class scores w_c . standardized(x) + b_c."""
-    if descriptor.dim != model.dim:
-        raise DimError(
-            f"descriptor dim {descriptor.dim} does not match model dim {model.dim}"
-        )
-    z = (descriptor.values - model.feature_mean) / model.feature_std
-    return ScoreVector(
-        model.weights @ z + model.biases, normalized=False, image_id=descriptor.image_id
-    )
-
-
-def score_many(model: SvmModel, descriptors: list[Descriptor]) -> list[ScoreVector]:
-    values = np.stack([d.values for d in descriptors])
-    if values.shape[1] != model.dim:
-        raise DimError(
-            f"descriptor dim {values.shape[1]} does not match model dim {model.dim}"
-        )
+def score_many(model: SvmModel, descriptors: np.ndarray) -> np.ndarray:
+    """Raw scores w_c . standardized(x) + b_c as an (n_images, n_classes) matrix."""
+    values = _as_descriptors(descriptors, model.dim)
     z = (values - model.feature_mean) / model.feature_std
-    raw = z @ model.weights.T + model.biases
-    return [
-        ScoreVector(raw[i], normalized=False, image_id=d.image_id)
-        for i, d in enumerate(descriptors)
-    ]
-
-
-def predict(scores: ScoreVector) -> int:
-    """Index of the maximum score; ties go to the lowest class index."""
-    return int(np.argmax(scores.scores))
+    return z @ model.weights.T + model.biases
 
 
 def cross_validate_c(
-    descriptors: list[Descriptor],
+    descriptors: np.ndarray,
     labels,
     grid=(0.01, 0.1, 1.0, 10.0),
     n_folds: int = 5,
@@ -236,30 +182,28 @@ def cross_validate_c(
 ) -> float:
     """Pick reg_c from the grid by deterministic k-fold accuracy.
 
-    Folds are contiguous index ranges, so the split depends only on the data
-    order. Ties prefer the smaller reg_c.
+    Folds are contiguous row ranges of the descriptor matrix, so the split
+    depends only on the data order. Ties prefer the smaller reg_c.
     """
+    values = _as_descriptors(descriptors)
     labels = np.asarray(labels, dtype=np.int64)
-    n = len(descriptors)
+    n = values.shape[0]
     if n < n_folds:
         raise DimError(f"need >= {n_folds} samples for {n_folds}-fold CV")
     bounds = np.linspace(0, n, n_folds + 1, dtype=int)
     best_c, best_acc = None, -1.0
     for c in grid:
         hits = 0
-        for f in range(n_folds):
-            lo, hi = bounds[f], bounds[f + 1]
-            val_idx = list(range(lo, hi))
-            train_idx = [i for i in range(n) if not lo <= i < hi]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            held_out = slice(lo, hi)
             model = train_ova_svm(
-                [descriptors[i] for i in train_idx],
-                labels[train_idx],
+                np.delete(values, held_out, axis=0),
+                np.delete(labels, held_out),
                 reg_c=c,
                 max_epochs=max_epochs,
             )
-            for i in val_idx:
-                if predict(score(model, descriptors[i])) == labels[i]:
-                    hits += 1
+            predictions = np.argmax(score_many(model, values[held_out]), axis=1)
+            hits += int(np.sum(predictions == labels[held_out]))
         acc = hits / n
         if acc > best_acc:
             best_c, best_acc = c, acc

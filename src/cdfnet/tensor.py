@@ -93,19 +93,6 @@ def tensor_slice(fmset: FeatureMapSet, depth_indices) -> FeatureMapSet:
     return FeatureMapSet(fmset.maps[:, :, indices], fmset.source_image_id)
 
 
-def concat_depth(sets: list[FeatureMapSet]) -> FeatureMapSet:
-    """Stack several map sets of equal spatial size along depth."""
-    if not sets:
-        raise ValueError("need at least one feature-map set")
-    base = sets[0]
-    for s in sets[1:]:
-        if (s.height, s.width) != (base.height, base.width):
-            raise ValueError("spatial dimensions differ across sets")
-    return FeatureMapSet(
-        np.concatenate([s.maps for s in sets], axis=2), base.source_image_id
-    )
-
-
 def assert_finite(fmset: FeatureMapSet) -> None:
     """Raise :class:`NonFiniteValue` at the first NaN/Inf coordinate."""
     assert_array_finite(fmset.maps, what=f"feature maps of image {fmset.source_image_id}")

@@ -32,7 +32,6 @@ from cdfnet.pipeline import (
     train_network,
 )
 from cdfnet.stl10 import LabeledImage
-from cdfnet.svm import ScoreVector
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from helpers import stripe_dataset, toy_config
@@ -169,7 +168,7 @@ def test_criterion_2_shape_arithmetic():
         small = toy_config(k1=8, n_patches1=2000, n_patches2=1000)
         model = train_network(small, stripe_dataset(8, side=64, seed=7))
         descs = extract_descriptors(model, stripe_dataset(2, side=64, seed=8))
-        assert descs[0].dim == descriptor_shape(small, 64, 64)[3]
+        assert descs.shape == (2, descriptor_shape(small, 64, 64)[3])
 
         # one full-size single-image pass with random filters
         rng = np.random.default_rng(0)
@@ -194,7 +193,7 @@ def test_criterion_2_shape_arithmetic():
         assert conv.maps.shape == (81, 81, 300)
         out1 = run_layer(FeatureMapSet(img.pixels[:, :, None], 0), bank1, cfg.layer1_runtime())
         assert out1.maps.shape == (6, 6, 300)
-        assert extract_descriptors(full, [img])[0].dim == dim
+        assert extract_descriptors(full, [img]).shape == (1, dim)
 
 
 # -- criteria 3 and 5: toy benchmark + determinism -------------------------------

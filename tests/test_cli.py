@@ -7,7 +7,9 @@ import pytest
 from cdfnet.cli import main
 from cdfnet.committee import read_score_file
 from cdfnet.config import Seeds, save_network_config
-from cdfnet.pipeline import load_model
+from cdfnet.model_io import write_container
+from cdfnet.pipeline import load_model, save_svm
+from cdfnet.svm import train_ova_svm
 from cdfnet.stl10 import write_stl10_images, write_stl10_labels
 
 from helpers import micro_config, stl10_bytes, stripe_dataset
@@ -131,6 +133,30 @@ class TestChain:
         rc = run("svm", "--descriptors", unl, "--out", ws / "bad.svm")
         assert rc == 2
         assert "labels" in capsys.readouterr().err
+
+    def test_score_ids_come_from_container(self, ws):
+        x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 0.5]])
+        save_svm(ws / "tiny.svm", train_ova_svm(x, [0, 1, 0, 1]))
+        desc = ws / "ids.desc"
+        write_container(desc, {"descriptors": x, "labels": np.full(4, -1.0)}, "40\n7\n9\n1")
+        out = ws / "ids_scores.txt"
+        assert run("score", "--svm", ws / "tiny.svm", "--descriptors", desc,
+                   "--network-id", "t", "--out", out) == 0
+        assert read_score_file(out).image_ids == (40, 7, 9, 1)
+
+    @pytest.mark.parametrize("command", ["svm", "score"])
+    def test_nonfinite_descriptors_rejected(self, ws, capsys, command):
+        x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 0.5]])
+        save_svm(ws / "tiny.svm", train_ova_svm(x, [0, 1, 0, 1]))
+        x[2, 1] = np.nan
+        desc = ws / "nan.desc"
+        write_container(desc, {"descriptors": x, "labels": np.array([0.0, 1.0, 0.0, 1.0])},
+                        "0\n1\n2\n3")
+        args = {"svm": ["--out", ws / "nan.svm"],
+                "score": ["--svm", ws / "tiny.svm", "--network-id", "t", "--out", ws / "nan.txt"]}
+        assert run(command, "--descriptors", desc, *args[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite value") and "nan) in descriptors" in err
 
     def test_committee_rejects_garbage(self, ws, capsys):
         bad = ws / "garbage.txt"

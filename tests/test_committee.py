@@ -5,7 +5,6 @@ from cdfnet.committee import (
     ScoreTable,
     accuracy,
     committee_predict,
-    minmax_normalize,
     normalize_table,
     read_score_file,
     sum_scores,
@@ -13,7 +12,6 @@ from cdfnet.committee import (
     write_score_file,
 )
 from cdfnet.errors import AlignmentError, ContractError, FormatError
-from cdfnet.svm import ScoreVector
 
 
 def _table(network_id, rows, ids=None, normalized=True):
@@ -23,33 +21,45 @@ def _table(network_id, rows, ids=None, normalized=True):
     return ScoreTable(network_id, tuple(ids), rows, normalized=normalized)
 
 
+def _minmax_rows_oracle(raw, per_network):
+    """Reference for normalize_table: per-row (or whole-table) min-max as a scalar loop."""
+    if per_network:
+        lo, hi = float(raw.min()), float(raw.max())
+        return np.zeros_like(raw) if hi == lo else (raw - lo) / (hi - lo)
+    out = []
+    for row in raw:
+        lo, hi = float(row.min()), float(row.max())
+        out.append(np.zeros_like(row) if hi == lo else (row - lo) / (hi - lo))
+    return np.stack(out)
+
+
+def _minmax(row):
+    return normalize_table("n", [0], np.atleast_2d(row)).scores[0]
+
+
 class TestMinmax:
     def test_examples(self):
-        assert np.array_equal(minmax_normalize(ScoreVector(np.array([2.0, 4.0, 6.0]))).scores,
-                              [0.0, 0.5, 1.0])
-        assert np.array_equal(minmax_normalize(ScoreVector(np.array([5.0, 5.0, 5.0]))).scores,
-                              [0.0, 0.0, 0.0])
-        assert np.array_equal(minmax_normalize(ScoreVector(np.array([-1.0, 0.0]))).scores,
-                              [0.0, 1.0])
+        assert np.array_equal(_minmax([2.0, 4.0, 6.0]), [0.0, 0.5, 1.0])
+        assert np.array_equal(_minmax([5.0, 5.0, 5.0]), [0.0, 0.0, 0.0])
+        assert np.array_equal(_minmax([-1.0, 0.0]), [0.0, 1.0])
 
     def test_marks_normalized(self):
-        out = minmax_normalize(ScoreVector(np.array([3.0, -2.0]), image_id=7))
+        out = normalize_table("n", [7, 3], np.array([[3.0, -2.0], [1.0, 1.0]]))
         assert out.normalized
-        assert out.image_id == 7
+        assert out.image_ids == (7, 3)
 
     def test_preserves_ranking(self):
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            s = rng.standard_normal(8)
-            out = minmax_normalize(ScoreVector(s)).scores
-            assert np.array_equal(np.argsort(s, kind="stable"), np.argsort(out, kind="stable"))
-            assert np.argmax(out) == np.argmax(s)
+        raw = rng.standard_normal((100, 8))
+        out = normalize_table("n", range(100), raw).scores
+        for s, o in zip(raw, out):
+            assert np.array_equal(np.argsort(s, kind="stable"), np.argsort(o, kind="stable"))
+            assert np.argmax(o) == np.argmax(s)
 
     def test_range(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            out = minmax_normalize(ScoreVector(rng.standard_normal(5) * 100)).scores
-            assert out.min() == 0.0 and out.max() == 1.0
+        out = normalize_table("n", range(50), rng.standard_normal((50, 5)) * 100).scores
+        assert np.all(out.min(axis=1) == 0.0) and np.all(out.max(axis=1) == 1.0)
 
 
 class TestSum:
@@ -121,18 +131,46 @@ class TestPredict:
 
 class TestNormalizeTable:
     def test_per_image_rows_span_unit_interval(self):
-        vecs = [ScoreVector(np.array([1.0, 3.0]), image_id=0),
-                ScoreVector(np.array([10.0, 30.0]), image_id=1)]
-        t = normalize_table("n", vecs)
+        t = normalize_table("n", [0, 1], np.array([[1.0, 3.0], [10.0, 30.0]]))
         assert np.array_equal(t.scores, [[0.0, 1.0], [0.0, 1.0]])
         assert t.normalized and t.image_ids == (0, 1)
 
     def test_per_network_single_scale(self):
-        vecs = [ScoreVector(np.array([0.0, 1.0]), image_id=0),
-                ScoreVector(np.array([1.0, 3.0]), image_id=1)]
-        t = normalize_table("n", vecs, per_network=True)
+        t = normalize_table("n", [0, 1], np.array([[0.0, 1.0], [1.0, 3.0]]), per_network=True)
         # one min-max over all four values: (x - 0) / 3
         assert np.allclose(t.scores, [[0.0, 1.0 / 3.0], [1.0 / 3.0, 1.0]], atol=1e-15)
+
+    @pytest.mark.parametrize("per_network", [False, True])
+    def test_matches_per_row_oracle_bitwise(self, per_network):
+        rng = np.random.default_rng(11)
+        for trial in range(20):
+            raw = rng.standard_normal((30, 10)) * 10.0 ** rng.integers(-3, 4)
+            raw[::7] = rng.standard_normal()  # constant rows
+            if trial == 0:
+                raw[:] = 2.5  # an all-constant table
+            t = normalize_table("n", range(30), raw, per_network=per_network)
+            expect = _minmax_rows_oracle(raw, per_network)
+            assert np.array_equal(t.scores, expect)
+            assert t.scores.tobytes() == expect.tobytes()  # signed zeros too
+
+
+class TestTablePredict:
+    # one network's decision: the argmax of its (raw or rescaled) score row
+    def test_argmax(self):
+        assert table_predict(_table("n", [[0.1, 0.9, 0.3]], normalized=False)) == [1]
+
+    def test_tie_lowest_index(self):
+        assert table_predict(_table("n", [[0.5, 0.5], [-2.0, -2.0]], normalized=False)) == [0, 0]
+
+    def test_single_class(self):
+        assert table_predict(_table("n", [[7.0], [-1.0]], normalized=False)) == [0, 0]
+
+    def test_invariant_under_increasing_transform(self):
+        rng = np.random.default_rng(4)
+        s = rng.standard_normal((50, 6))
+        base = table_predict(_table("n", s, normalized=False))
+        warped = table_predict(_table("n", np.exp(2.0 * s) + 3.0, normalized=False))
+        assert base == warped
 
 
 class TestScoreFiles:

@@ -194,6 +194,21 @@ class TestValidation:
         with pytest.raises(Exception):
             NetworkConfig(layer1=Layer1Config(pool_side=0))
 
+    # LCN output is signed, so pooling is only defined for alpha 1 or even
+    @pytest.mark.parametrize("alpha", [1.5, 3.0, 0.5, 5.0])
+    @pytest.mark.parametrize("layer", ["layer1", "layer2"])
+    def test_pool_alpha_undefined_on_signed_input_rejected(self, alpha, layer):
+        layer_cls = Layer1Config if layer == "layer1" else Layer2Config
+        with pytest.raises(ValueError, match="pool_alpha"):
+            NetworkConfig(**{layer: layer_cls(pool_alpha=alpha)})
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
+    def test_pool_alpha_one_or_even_accepted(self, alpha):
+        cfg = NetworkConfig(
+            layer1=Layer1Config(pool_alpha=alpha), layer2=Layer2Config(pool_alpha=alpha)
+        )
+        assert cfg.layer1_runtime().pool_alpha == cfg.layer2_runtime().pool_alpha == alpha
+
 
 class TestSeeds:
     def test_shifted_distinct_streams(self):

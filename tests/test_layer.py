@@ -21,7 +21,7 @@ from cdfnet.layer import (
     rectify_on_off,
     run_layer,
 )
-from cdfnet.patches import ZcaTransform, fit_zca, normalize_patch, PatchMatrix, unroll_patch
+from cdfnet.patches import fit_zca, normalize_patch, PatchMatrix, unroll_patch
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 
@@ -323,6 +323,19 @@ class TestPool:
         with pytest.raises(ValueError):
             pool(x, 2, 2, 2.5)
 
+    @pytest.mark.parametrize("alpha", [3.0, 5.0])
+    def test_negative_with_odd_alpha(self, alpha):
+        # for alpha 3 the window power sum is 1 + 8 - 27 - 64 < 0: no real root
+        x = _fmset(np.array([[1.0, 2.0], [-3.0, -4.0]])[:, :, None])
+        with pytest.raises(ValueError):
+            pool(x, 2, 2, alpha)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
+    def test_signed_input_with_alpha_one_or_even(self, alpha):
+        x = np.array([[-1.0, 2.0], [-3.0, 4.0]])
+        out = pool(_fmset(x[:, :, None]), 2, 2, alpha).maps[0, 0, 0]
+        assert out == pytest.approx(np.sum(x**alpha) ** (1.0 / alpha), rel=1e-12)
+
 
 class TestMakeGroups:
     def test_partition_8_4(self):
@@ -465,6 +478,9 @@ class TestLayerConfigValidation:
             LayerConfig(pool_side=0)
         with pytest.raises(ValueError):
             LayerConfig(pool_alpha=0.5)
+        for alpha in (1.5, 3.0, 7.5):
+            with pytest.raises(ValueError):
+                LayerConfig(pool_alpha=alpha)
 
     def test_bad_lcn_window(self):
         with pytest.raises(InvalidWindow):

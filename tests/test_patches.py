@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdfnet.errors import DimError, InvalidPatchSize, NonFiniteValue
@@ -103,13 +103,18 @@ class TestNormalizePatch:
         out = normalize_patch(np.array(values))
         assert abs(out.mean()) < 1e-12
 
+    # Scaling can round a subnormal entry to zero (0.5 * 5e-324 == 0), after
+    # which the patch really is different; invariance holds only while every
+    # nonzero entry of lam * x stays a normal float.
     @given(
-        st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=16),
+        st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=2, max_size=16),
         st.floats(1e-6, 1e6),
     )
     @settings(max_examples=200, deadline=None)
     def test_scale_invariant(self, values, lam):
         x = np.array(values)
+        scaled = np.abs(lam * x)
+        assume(np.all((scaled == 0.0) | (scaled >= np.finfo(float).tiny)))
         a = normalize_patch(x)
         b = normalize_patch(lam * x)
         assert np.allclose(a, b, atol=1e-9)

@@ -3,7 +3,6 @@ import pytest
 
 from cdfnet.committee import read_score_file, sum_scores, table_predict
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds
-from cdfnet.augment import AugmentPlan
 from cdfnet.errors import DimError, FormatError, InvalidGrouping
 from cdfnet.model_io import read_container, write_container
 from cdfnet.pipeline import (
@@ -68,7 +67,8 @@ class TestTrain:
         assert l2 == (1, 1, 6)
         assert n_groups == 2
         descs = extract_descriptors(nano_model, stripe_dataset(3, side=32, seed=9))
-        assert all(d.dim == dim == 12 for d in descs)
+        assert dim == 12
+        assert descs.shape == (3, dim) and descs.dtype == np.float64
 
     def test_deterministic_retrain(self, nano_model):
         again = train_network(nano_config(), stripe_dataset(10, side=32, seed=3))
@@ -77,10 +77,9 @@ class TestTrain:
         for a, b in zip(again.banks2, nano_model.banks2):
             assert np.array_equal(a.filters, b.filters)
         probe = stripe_dataset(2, side=32, seed=11)
-        da = extract_descriptors(again, probe)
-        db = extract_descriptors(nano_model, probe)
-        for x, y in zip(da, db):
-            assert np.array_equal(x.values, y.values)
+        assert np.array_equal(
+            extract_descriptors(again, probe), extract_descriptors(nano_model, probe)
+        )
 
     def test_seed_sensitivity(self, nano_model):
         other = train_network(
@@ -119,14 +118,15 @@ class TestExtract:
         img = stripe_dataset(1, side=32, seed=17)[0]
         twin = LabeledImage(img.pixels.copy(), img.label, image_id=99)
         da, db = extract_descriptors(nano_model, [img, twin])
-        assert np.array_equal(da.values, db.values)
+        assert np.array_equal(da, db)
 
     def test_ids_and_finiteness(self, nano_model):
         imgs = stripe_dataset(3, side=32, seed=7, first_id=100)
         descs = extract_descriptors(nano_model, imgs)
-        assert [d.image_id for d in descs] == [100, 101, 102]
-        for d in descs:
-            assert np.all(np.isfinite(d.values))
+        # row i belongs to imgs[i], whatever the ids
+        for i, img in enumerate(imgs):
+            assert np.array_equal(descs[i], extract_descriptors(nano_model, [img])[0])
+        assert np.all(np.isfinite(descs))
 
     def test_concat_layers_mode(self):
         cfg = nano_config(descriptor_mode="concat_layers")
@@ -134,7 +134,7 @@ class TestExtract:
         l1, l2, n_groups, dim = descriptor_shape(cfg, 32, 32)
         assert dim == n_groups * np.prod(l2) + np.prod(l1)
         descs = extract_descriptors(model, stripe_dataset(2, side=32, seed=9))
-        assert descs[0].dim == dim
+        assert descs.shape == (2, dim)
 
     def test_scale_factor_rescales_internally(self):
         cfg = nano_config(scale_factor=0.5)
@@ -142,7 +142,7 @@ class TestExtract:
         model = train_network(cfg, native)
         assert model.input_shape == (32, 32)
         descs = extract_descriptors(model, stripe_dataset(2, side=64, seed=9))
-        assert descs[0].dim == descriptor_shape(cfg, 64, 64)[3]
+        assert descs.shape == (2, descriptor_shape(cfg, 64, 64)[3])
         # pre-scaled images no longer match after the internal rescale
         with pytest.raises(DimError):
             extract_descriptors(model, stripe_dataset(1, side=32, seed=9))
@@ -159,10 +159,9 @@ class TestModelPersistence:
         assert np.array_equal(back.bank1.filters, nano_model.bank1.filters)
         assert np.array_equal(back.bank1.whitening.matrix, nano_model.bank1.whitening.matrix)
         probe = stripe_dataset(3, side=32, seed=13)
-        da = extract_descriptors(back, probe)
-        db = extract_descriptors(nano_model, probe)
-        for x, y in zip(da, db):
-            assert np.array_equal(x.values, y.values)
+        assert np.array_equal(
+            extract_descriptors(back, probe), extract_descriptors(nano_model, probe)
+        )
 
     def test_save_is_deterministic(self, nano_model, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"

@@ -1,0 +1,71 @@
+"""README drift: the names and commands it shows must exist in the package."""
+
+import argparse
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import cdfnet
+from cdfnet.cli import build_parser
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, flags=re.M | re.S)
+
+
+def _python_imports():
+    names = []
+    for block in _blocks("python"):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "cdfnet":
+                names.extend(alias.name for alias in node.names)
+    return names
+
+
+def _sh_subcommands():
+    found = []
+    for block in _blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            command = line.split("#", 1)[0].strip()
+            match = re.match(r"cdfnet\s+(\S+)", command)
+            if match:
+                found.append(match.group(1))
+    return found
+
+
+def _parser_subcommands():
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return set(action.choices)
+    raise AssertionError("cdfnet parser has no subcommands")
+
+
+def test_readme_has_examples():
+    assert _python_imports() and _sh_subcommands()
+
+
+@pytest.mark.parametrize("name", sorted(set(_python_imports())))
+def test_python_import_is_exported(name):
+    assert name in cdfnet.__all__
+    assert hasattr(cdfnet, name)
+
+
+@pytest.mark.parametrize("command", sorted(set(_sh_subcommands())))
+def test_sh_subcommand_exists(command):
+    assert command in _parser_subcommands()
+
+
+@pytest.mark.parametrize("ref", sorted(set(re.findall(r"`cdfnet((?:\.\w+)+)", README))))
+def test_dotted_reference_resolves(ref):
+    module, _, name = f"cdfnet{ref}".rpartition(".")
+    assert hasattr(importlib.import_module(module), name), f"cdfnet{ref}"
+
+
+def test_all_names_exist():
+    missing = [name for name in cdfnet.__all__ if not hasattr(cdfnet, name)]
+    assert not missing

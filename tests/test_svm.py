@@ -2,21 +2,15 @@ import numpy as np
 import pytest
 
 from cdfnet.errors import ContractError, DegenerateLabels, DimError, NonFiniteValue
-from cdfnet.svm import (
-    Descriptor,
-    ScoreVector,
-    SvmModel,
-    _dual_cd_l2svm,
-    cross_validate_c,
-    predict,
-    score,
-    score_many,
-    train_ova_svm,
-)
+from cdfnet.svm import SvmModel, _dual_cd_l2svm, cross_validate_c, score_many, train_ova_svm
 
 
 def _descs(values):
-    return [Descriptor(np.asarray(v, dtype=np.float64), image_id=i) for i, v in enumerate(values)]
+    return np.asarray(values, dtype=np.float64)
+
+
+def _predict(model, descs):
+    return np.argmax(score_many(model, descs), axis=1).tolist()
 
 
 def _two_class_toy():
@@ -31,8 +25,7 @@ class TestTrain:
     def test_separable_toy_perfect_training_accuracy(self):
         descs, labels = _two_class_toy()
         model = train_ova_svm(descs, labels, reg_c=1.0)
-        preds = [predict(score(model, d)) for d in descs]
-        assert preds == labels
+        assert _predict(model, descs) == labels
 
     def test_single_class_rejected(self):
         descs, _ = _two_class_toy()
@@ -44,12 +37,9 @@ class TestTrain:
         # as C/n; run the solver tight enough that we see that minimizer
         descs, labels = _two_class_toy()
         model_a = train_ova_svm(descs, labels, reg_c=4.0, tol=1e-9)
-        model_b = train_ova_svm(descs + descs, labels + labels, reg_c=4.0, tol=1e-9)
+        model_b = train_ova_svm(np.vstack([descs, descs]), labels + labels, reg_c=4.0, tol=1e-9)
         probe = _descs([(0.5, 0.5), (-1.0, 2.0), (2.0, -2.0)])
-        for d in probe:
-            sa = score(model_a, d).scores
-            sb = score(model_b, d).scores
-            assert np.allclose(sa, sb, atol=1e-6)
+        assert np.allclose(score_many(model_a, probe), score_many(model_b, probe), atol=1e-6)
 
     def test_deterministic(self):
         descs, labels = _two_class_toy()
@@ -67,21 +57,20 @@ class TestTrain:
             labels.extend([c] * 30)
         model = train_ova_svm(_descs(pts), labels, reg_c=1.0)
         assert model.n_classes == 3
-        preds = [predict(score(model, d)) for d in _descs(pts)]
-        assert np.mean(np.array(preds) == np.array(labels)) == 1.0
+        assert _predict(model, _descs(pts)) == labels
 
     def test_constant_feature_is_harmless(self):
         # zero-variance dimension hits the std floor instead of dividing by 0
         descs = _descs([(1.0, -2.0), (1.0, -1.0), (1.0, 1.0), (1.0, 2.0)])
         model = train_ova_svm(descs, [0, 0, 1, 1], reg_c=1.0)
         assert np.all(np.isfinite(model.weights))
-        s = score(model, descs[0])
-        assert np.all(np.isfinite(s.scores))
+        assert np.all(np.isfinite(score_many(model, descs[:1])))
 
     def test_mismatched_dims_rejected(self):
-        descs = [Descriptor(np.zeros(3)), Descriptor(np.zeros(4))]
-        with pytest.raises(DimError):
-            train_ova_svm(descs, [0, 1], reg_c=1.0)
+        # descriptors must be one (n_images, dim) matrix
+        for bad in (np.zeros(2), np.zeros((2, 3, 1))):
+            with pytest.raises(DimError):
+                train_ova_svm(bad, [0, 1], reg_c=1.0)
 
     def test_label_count_mismatch(self):
         descs, labels = _two_class_toy()
@@ -94,8 +83,7 @@ class TestTrain:
         labels = [0 if v == 0 else 2 for v in labels]
         model = train_ova_svm(descs, labels, reg_c=1.0)
         assert model.n_classes == 3
-        preds = [predict(score(model, d)) for d in descs]
-        assert preds == labels
+        assert _predict(model, descs) == labels
 
 
 class TestObjective:
@@ -129,15 +117,15 @@ class TestScore:
 
     def test_zero_weights_gives_biases(self):
         model = self._model(np.zeros((3, 2)), [0.3, -0.1, 4.0], 2)
-        s = score(model, Descriptor(np.array([5.0, -7.0])))
-        assert np.array_equal(s.scores, [0.3, -0.1, 4.0])
-        assert not s.normalized
+        s = score_many(model, np.array([[5.0, -7.0], [0.0, 1.0]]))
+        assert np.array_equal(s, [[0.3, -0.1, 4.0], [0.3, -0.1, 4.0]])
 
     def test_one_hot_row_picks_component(self):
         model = self._model([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.0], 2)
-        s = score(model, Descriptor(np.array([2.0, 3.0])))
-        assert s.scores[0] == pytest.approx(3.5, abs=1e-15)
-        assert s.scores[1] == pytest.approx(2.0, abs=1e-15)
+        s = score_many(model, np.array([[2.0, 3.0]]))
+        assert s.shape == (1, 2)
+        assert s[0, 0] == pytest.approx(3.5, abs=1e-15)
+        assert s[0, 1] == pytest.approx(2.0, abs=1e-15)
 
     def test_dot_product_oracle(self):
         rng = np.random.default_rng(2)
@@ -146,64 +134,48 @@ class TestScore:
         mean = rng.standard_normal(6)
         std = rng.random(6) + 0.5
         model = SvmModel(weights=w, biases=b, reg_c=1.0, feature_mean=mean, feature_std=std)
-        x = rng.standard_normal(6)
-        s = score(model, Descriptor(x))
+        x = rng.standard_normal((5, 6))
+        s = score_many(model, x)
         z = (x - mean) / std
-        expect = np.array([w[c] @ z + b[c] for c in range(4)])
-        assert np.allclose(s.scores, expect, atol=1e-12)
+        expect = np.array([[w[c] @ z[i] + b[c] for c in range(4)] for i in range(5)])
+        assert np.allclose(s, expect, atol=1e-12)
 
     def test_linear_in_standardized_input(self):
         rng = np.random.default_rng(3)
         model = self._model(rng.standard_normal((3, 4)), rng.standard_normal(3), 4)
         a, b = rng.standard_normal(4), rng.standard_normal(4)
-        s_ab = score(model, Descriptor(a + b)).scores
-        s_a = score(model, Descriptor(a)).scores
-        s_b = score(model, Descriptor(b)).scores
+        s_ab, s_a, s_b = score_many(model, np.stack([a + b, a, b]))
         # with zero mean/unit std, score(a+b) + bias = score(a) + score(b)
         assert np.allclose(s_ab, s_a + s_b - model.biases, atol=1e-10)
 
     def test_dim_mismatch(self):
         model = self._model(np.zeros((2, 3)), np.zeros(2), 3)
         with pytest.raises(DimError):
-            score(model, Descriptor(np.zeros(4)))
+            score_many(model, np.zeros((1, 4)))
+        with pytest.raises(DimError):
+            score_many(model, np.zeros(3))
 
     def test_score_many_matches_loop(self):
         descs, labels = _two_class_toy()
         model = train_ova_svm(descs, labels, reg_c=1.0)
         batched = score_many(model, descs)
-        for d, sv in zip(descs, batched):
-            assert np.allclose(sv.scores, score(model, d).scores, atol=1e-12)
-            assert sv.image_id == d.image_id
-
-
-class TestPredict:
-    def test_argmax(self):
-        assert predict(ScoreVector(np.array([0.1, 0.9, 0.3]))) == 1
-
-    def test_tie_lowest_index(self):
-        assert predict(ScoreVector(np.array([0.5, 0.5]))) == 0
-
-    def test_single_class(self):
-        assert predict(ScoreVector(np.array([7.0]))) == 0
-
-    def test_invariant_under_increasing_transform(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            s = rng.standard_normal(6)
-            base = predict(ScoreVector(s))
-            warped = predict(ScoreVector(np.exp(2.0 * s) + 3.0))
-            assert base == warped
+        assert batched.shape == (len(descs), model.n_classes)
+        for i in range(len(descs)):
+            assert np.allclose(batched[i], score_many(model, descs[i : i + 1])[0], atol=1e-12)
 
 
 class TestValidation:
     def test_descriptor_rejects_nonfinite(self):
-        with pytest.raises(NonFiniteValue):
-            Descriptor(np.array([1.0, np.nan]))
-
-    def test_normalized_scores_range_checked(self):
-        with pytest.raises(ValueError):
-            ScoreVector(np.array([0.5, 1.2]), normalized=True)
-        ScoreVector(np.array([0.0, 1.0]), normalized=True)
+        descs, labels = _two_class_toy()
+        model = train_ova_svm(descs, labels, reg_c=1.0)
+        for bad in (np.nan, np.inf):
+            poisoned = descs.copy()
+            poisoned[3, 1] = bad
+            with pytest.raises(NonFiniteValue, match="in descriptors") as exc:
+                train_ova_svm(poisoned, labels, reg_c=1.0)
+            assert exc.value.coord == (3, 1)
+            with pytest.raises(NonFiniteValue):
+                score_many(model, poisoned)
 
     def test_model_needs_two_classes(self):
         with pytest.raises(DimError):

@@ -7,7 +7,6 @@ from cdfnet.tensor import (
     FeatureMapSet,
     SeededRng,
     assert_finite,
-    concat_depth,
     tensor_slice,
 )
 
@@ -128,13 +127,8 @@ class TestTensorSlice:
 
     def test_partition_reconstructs(self):
         parts = [tensor_slice(self.full, [i]) for i in range(self.full.depth)]
-        rebuilt = concat_depth(parts)
-        assert np.array_equal(rebuilt.maps, self.full.maps)
-
-
-def test_concat_requires_equal_spatial():
-    with pytest.raises(ValueError):
-        concat_depth([_fmset(np.zeros((2, 2, 1))), _fmset(np.zeros((3, 2, 1)))])
+        rebuilt = np.concatenate([p.maps for p in parts], axis=2)
+        assert np.array_equal(rebuilt, self.full.maps)
 
 
 class TestAssertFinite:
