@@ -58,13 +58,14 @@ def _apply_seed(cfg, seed):
     return replace(cfg, seeds=cfg.seeds.shifted(seed))
 
 
-def _fold_images(args) -> list[LabeledImage]:
-    images = load_stl10(args.train_x, args.train_y)
+def _select_fold(images: list[LabeledImage], args) -> list[LabeledImage]:
+    """The images of fold --fold in the --folds plan; all images without --fold."""
     if args.fold is None:
         return images
     if args.folds is None:
         raise FormatError("--fold requires --folds")
     plan = load_fold_plan(args.folds)
+    plan.check_fold(args.fold)
     return [images[i] for i in plan.folds[args.fold]]
 
 
@@ -91,7 +92,7 @@ def _read_descriptors(path) -> tuple[np.ndarray, list[int], np.ndarray]:
 
 def _cmd_train(args) -> int:
     cfg = _apply_seed(load_network_config(args.config), args.seed)
-    fold_images = _fold_images(args)
+    fold_images = _select_fold(load_stl10(args.train_x, args.train_y), args)
     logger.info("training %s on %d images", cfg.name, len(fold_images))
     model = train_network(cfg, fold_images)
     save_model(args.out, model)
@@ -101,12 +102,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_extract(args) -> int:
     model = load_model(args.model)
-    images = load_stl10(args.images, args.labels)
-    if args.fold is not None:
-        if args.folds is None:
-            raise FormatError("--fold requires --folds")
-        plan = load_fold_plan(args.folds)
-        images = [images[i] for i in plan.folds[args.fold]]
+    images = _select_fold(load_stl10(args.images, args.labels), args)
     if args.augment:
         images = expand_set(images, model.config.augment)
     descs = extract_descriptors(model, images)

@@ -13,10 +13,26 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .augment import AugmentPlan
-from .errors import FormatError
-from .layer import LayerConfig
+from .errors import FormatError, InvalidWindow
+from .layer import RECTIFIERS, _signed_pool_alpha
+from .stl10 import NUM_FOLDS
 
 DESCRIPTOR_MODES = ("layer2_only", "concat_layers")
+
+
+def _check_stages(layer) -> None:
+    """Checks on the LCN and pool fields that Layer1Config and Layer2Config share."""
+    if layer.pool_side < 1 or layer.pool_stride < 1:
+        raise ValueError("pool_side and pool_stride must be >= 1")
+    if not _signed_pool_alpha(layer.pool_alpha):
+        raise ValueError(
+            f"pool_alpha must be 1 or an even integer, got {layer.pool_alpha}: "
+            "pooling runs after LCN, whose output is signed"
+        )
+    if layer.lcn_window < 3 or layer.lcn_window % 2 == 0:
+        raise InvalidWindow(f"lcn_window must be odd and >= 3, got {layer.lcn_window}")
+    if layer.lcn_sigma <= 0:
+        raise ValueError(f"lcn_sigma must be > 0, got {layer.lcn_sigma}")
 
 
 @dataclass(frozen=True)
@@ -32,6 +48,9 @@ class Layer1Config:
     n_patches: int = 400_000
     dense_preprocess: bool = True
 
+    def __post_init__(self):
+        _check_stages(self)
+
 
 @dataclass(frozen=True)
 class Layer2Config:
@@ -46,6 +65,11 @@ class Layer2Config:
     zca_epsilon: float = 0.1
     n_patches: int = 200_000
     dense_preprocess: bool = True
+
+    def __post_init__(self):
+        _check_stages(self)
+        if self.group_size < 1:
+            raise ValueError(f"group_size must be >= 1, got {self.group_size}")
 
 
 @dataclass(frozen=True)
@@ -82,39 +106,14 @@ class NetworkConfig:
     def __post_init__(self):
         if not self.name or any(ch.isspace() for ch in self.name):
             raise ValueError(f"network name must be non-empty without spaces: {self.name!r}")
+        if self.rectifier not in RECTIFIERS:
+            raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {self.rectifier!r}")
         if self.descriptor_mode not in DESCRIPTOR_MODES:
             raise ValueError(
                 f"descriptor_mode must be one of {DESCRIPTOR_MODES}, got {self.descriptor_mode!r}"
             )
         if self.scale_factor is not None and not 0.0 < self.scale_factor <= 1.0:
             raise ValueError(f"scale_factor must be in (0, 1], got {self.scale_factor}")
-        # fail fast on invalid layer params
-        self.layer1_runtime()
-        self.layer2_runtime()
-
-    def layer1_runtime(self) -> LayerConfig:
-        l1 = self.layer1
-        return LayerConfig(
-            rectifier=self.rectifier,
-            pool_side=l1.pool_side,
-            pool_stride=l1.pool_stride,
-            pool_alpha=l1.pool_alpha,
-            lcn_window=l1.lcn_window,
-            lcn_sigma=l1.lcn_sigma,
-            dense_preprocess=l1.dense_preprocess,
-        )
-
-    def layer2_runtime(self) -> LayerConfig:
-        l2 = self.layer2
-        return LayerConfig(
-            rectifier=self.rectifier,
-            pool_side=l2.pool_side,
-            pool_stride=l2.pool_stride,
-            pool_alpha=l2.pool_alpha,
-            lcn_window=l2.lcn_window,
-            lcn_sigma=l2.lcn_sigma,
-            dense_preprocess=l2.dense_preprocess,
-        )
 
 
 def parse_fraction(text: str) -> float:
@@ -255,8 +254,16 @@ def load_experiment_config(path) -> ExperimentConfig:
     read = cp.read(path)
     if not read:
         raise FormatError(f"no such experiment config: {path}")
+    unknown = set(cp.sections()) - {"experiment"}
+    if unknown:
+        raise FormatError(f"bad experiment config {path}: unknown section [{min(unknown)}]")
     try:
         exp = cp["experiment"]
+        unknown = set(exp) - {"name", "networks", "folds"}
+        if unknown:
+            raise FormatError(
+                f"bad experiment config {path}: unknown key experiment.{min(unknown)}"
+            )
         name = exp.get("name", "experiment")
         base = os.path.dirname(os.path.abspath(path))
         networks = tuple(
@@ -266,7 +273,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         )
         folds_text = exp.get("folds", "all").strip()
         if folds_text == "all":
-            folds = tuple(range(10))
+            folds = tuple(range(NUM_FOLDS))
         else:
             folds = tuple(
                 int(t) for t in folds_text.replace(",", " ").split() if t.strip()

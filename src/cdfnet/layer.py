@@ -9,6 +9,7 @@ their inputs, so images can be processed in parallel without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,40 +20,15 @@ from .kmeans import FilterBank
 from .patches import apply_zca, normalize_columns, PatchMatrix
 from .tensor import FeatureMapSet, SeededRng, assert_finite
 
+if TYPE_CHECKING:
+    from .config import Layer1Config, Layer2Config
+
 RECTIFIERS = ("abs", "on_off")
 
 
 def _signed_pool_alpha(alpha: float) -> bool:
     """True if Lp pooling with this alpha is defined on signed inputs."""
     return alpha == 1.0 or (alpha >= 2.0 and alpha % 2.0 == 0.0)
-
-
-@dataclass(frozen=True)
-class LayerConfig:
-    """Hyperparameters for one layer's rectify/LCN/pool stages."""
-
-    rectifier: str = "abs"
-    pool_side: int = 12
-    pool_stride: int = 12
-    pool_alpha: float = 1.0
-    lcn_window: int = 9
-    lcn_sigma: float = 2.25
-    dense_preprocess: bool = True
-
-    def __post_init__(self):
-        if self.rectifier not in RECTIFIERS:
-            raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {self.rectifier!r}")
-        if self.pool_side < 1 or self.pool_stride < 1:
-            raise ValueError("pool_side and pool_stride must be >= 1")
-        if not _signed_pool_alpha(self.pool_alpha):
-            raise ValueError(
-                f"pool_alpha must be 1 or an even integer, got {self.pool_alpha}: "
-                "pooling runs after LCN, whose output is signed"
-            )
-        if self.lcn_window < 3 or self.lcn_window % 2 == 0:
-            raise InvalidWindow(f"lcn_window must be odd and >= 3, got {self.lcn_window}")
-        if self.lcn_sigma <= 0:
-            raise ValueError(f"lcn_sigma must be > 0, got {self.lcn_sigma}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +57,12 @@ class GroupAssignment:
     @property
     def group_size(self) -> int:
         return len(self.groups[0])
+
+
+def _check_fits(what: str, side: int, height: int, width: int, error=InvalidWindow) -> None:
+    """Raise `error` if a side x side window does not fit a height x width map."""
+    if side > min(height, width):
+        raise error(f"{what} {side} exceeds map size {height}x{width}")
 
 
 def conv_output_shape(height: int, width: int, patch_side: int) -> tuple[int, int]:
@@ -118,11 +100,7 @@ def convolve_valid(
         raise DimError(
             f"input depth {fmset.depth} does not match filter depth {bank.depth}"
         )
-    if bank.patch_side > min(fmset.height, fmset.width):
-        raise DimError(
-            f"filter side {bank.patch_side} exceeds map size "
-            f"{fmset.height}x{fmset.width}"
-        )
+    _check_fits("filter side", bank.patch_side, fmset.height, fmset.width, DimError)
     cols, (out_h, out_w) = dense_patches(fmset.maps, bank.patch_side)
     if dense_preprocess:
         if bank.whitening is None:
@@ -160,10 +138,7 @@ def gaussian_window(side: int, sigma: float) -> np.ndarray:
 def _check_lcn_window(fmset: FeatureMapSet, window: int) -> None:
     if window % 2 == 0 or window < 3:
         raise InvalidWindow(f"LCN window must be odd and >= 3, got {window}")
-    if window > min(fmset.height, fmset.width):
-        raise InvalidWindow(
-            f"LCN window {window} exceeds map size {fmset.height}x{fmset.width}"
-        )
+    _check_fits("LCN window", window, fmset.height, fmset.width)
 
 
 def _lcn_weighted_sum(stack: np.ndarray, window: int, sigma: float) -> np.ndarray:
@@ -214,10 +189,7 @@ def pool(fmset: FeatureMapSet, pool_side: int, stride: int, alpha: float) -> Fea
     a fractional power of a negative value, or an odd power summing to a
     negative value, has no real root.
     """
-    if pool_side > min(fmset.height, fmset.width):
-        raise InvalidWindow(
-            f"pool window {pool_side} exceeds map size {fmset.height}x{fmset.width}"
-        )
+    _check_fits("pool window", pool_side, fmset.height, fmset.width)
     if pool_side < 1 or stride < 1:
         raise InvalidWindow("pool_side and stride must be >= 1")
     if not _signed_pool_alpha(alpha) and np.any(fmset.maps < 0.0):
@@ -244,13 +216,21 @@ def make_groups(k1: int, n_k: int, rng: SeededRng) -> GroupAssignment:
     return GroupAssignment(groups)
 
 
-def run_layer(fmset: FeatureMapSet, bank: FilterBank, cfg: LayerConfig) -> FeatureMapSet:
-    """Full layer: convolve, rectify, contrast-normalize, pool."""
+def run_layer(
+    fmset: FeatureMapSet, bank: FilterBank, cfg: Layer1Config | Layer2Config, rectifier: str
+) -> FeatureMapSet:
+    """Full layer: convolve, rectify, contrast-normalize, pool.
+
+    cfg is the layer's record (``NetworkConfig.layer1`` or ``.layer2``);
+    rectifier is the network's, one of :data:`RECTIFIERS`.
+    """
     out = convolve_valid(fmset, bank, dense_preprocess=cfg.dense_preprocess)
-    if cfg.rectifier == "abs":
+    if rectifier == "abs":
         out = rectify_abs(out)
-    else:
+    elif rectifier == "on_off":
         out = rectify_on_off(out)
+    else:
+        raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {rectifier!r}")
     out = lcn_subtractive(out, cfg.lcn_window, cfg.lcn_sigma)
     out = lcn_divisive(out, cfg.lcn_window, cfg.lcn_sigma)
     out = pool(out, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)
@@ -259,11 +239,18 @@ def run_layer(fmset: FeatureMapSet, bank: FilterBank, cfg: LayerConfig) -> Featu
 
 
 def layer_output_shape(
-    height: int, width: int, bank_k: int, patch_side: int, cfg: LayerConfig
+    height: int, width: int, bank_k: int, cfg: Layer1Config | Layer2Config, rectifier: str
 ) -> tuple[int, int, int]:
-    """Closed-form output shape of :func:`run_layer` for valid configs."""
-    conv_h, conv_w = conv_output_shape(height, width, patch_side)
+    """Closed-form output shape of :func:`run_layer` on a height x width input.
+
+    Raises the window errors :func:`run_layer` would raise for that input,
+    so an impossible shape chain fails before any training.
+    """
+    _check_fits("filter side", cfg.patch_side, height, width, DimError)
+    conv_h, conv_w = conv_output_shape(height, width, cfg.patch_side)
+    _check_fits("LCN window", cfg.lcn_window, conv_h, conv_w)
+    _check_fits("pool window", cfg.pool_side, conv_h, conv_w)
     out_h = pool_output_shape(conv_h, cfg.pool_side, cfg.pool_stride)
     out_w = pool_output_shape(conv_w, cfg.pool_side, cfg.pool_stride)
-    depth = bank_k * (2 if cfg.rectifier == "on_off" else 1)
+    depth = bank_k * (2 if rectifier == "on_off" else 1)
     return out_h, out_w, depth

@@ -23,8 +23,9 @@ from .committee import (
     table_predict,
     write_score_file,
 )
-from .config import NetworkConfig, network_config_from_text, network_config_to_text
-from .errors import DimError, FormatError
+from .config import Layer1Config, Layer2Config, NetworkConfig
+from .config import network_config_from_text, network_config_to_text
+from .errors import DimError, FormatError, InvalidGrouping
 from .kmeans import FilterBank, kmeans
 from .layer import GroupAssignment, make_groups, run_layer, layer_output_shape
 from .model_io import read_container, write_container
@@ -65,24 +66,22 @@ def _to_fmset(img: LabeledImage) -> FeatureMapSet:
 
 def _train_bank(
     sets: list[FeatureMapSet],
-    patch_side: int,
-    depth: int,
-    n_patches: int,
+    layer: Layer1Config | Layer2Config,
     k: int,
-    zca_epsilon: float,
     patch_rng: SeededRng,
     kmeans_rng: SeededRng,
     layer_index: int,
 ) -> FilterBank:
-    """Sample patches, normalize, whiten, and cluster them into filters."""
-    raw = extract_patches(sets, patch_side, n_patches, patch_rng)
-    normed = PatchMatrix(normalize_columns(raw.data), patch_side, depth)
-    zca = fit_zca(normed, zca_epsilon)
+    """Sample the layer's patches from sets, normalize, whiten, and cluster them into k filters."""
+    depth = sets[0].depth
+    raw = extract_patches(sets, layer.patch_side, layer.n_patches, patch_rng)
+    normed = PatchMatrix(normalize_columns(raw.data), layer.patch_side, depth)
+    zca = fit_zca(normed, layer.zca_epsilon)
     white = apply_zca(zca, normed)
     result = kmeans(white, k, KMEANS_MAX_ITERS, kmeans_rng)
     return FilterBank(
         filters=result.centroids,
-        patch_side=patch_side,
+        patch_side=layer.patch_side,
         depth=depth,
         whitening=zca,
         layer_index=layer_index,
@@ -91,6 +90,10 @@ def _train_bank(
 
 def train_network(cfg: NetworkConfig, fold_images: list[LabeledImage]) -> NetworkModel:
     """Train both layers' filters on the (augmented) fold images."""
+    # the shape chain and the grouping depend only on the config and the
+    # image size, so settle them before the heavy work
+    l1_shape = descriptor_shape(cfg, *fold_images[0].pixels.shape)[0]
+    groups = make_groups(l1_shape[2], cfg.layer2.group_size, SeededRng(cfg.seeds.grouping))
     augmented = expand_set(fold_images, cfg.augment)
     sets = [_to_fmset(_prepare_image(img, cfg.scale_factor)) for img in augmented]
     input_shape = (sets[0].height, sets[0].width)
@@ -100,32 +103,25 @@ def train_network(cfg: NetworkConfig, fold_images: list[LabeledImage]) -> Networ
                 f"training images must share one size, got {input_shape} and "
                 f"{(s.height, s.width)}"
             )
-    # grouping depends only on the config, so settle it before the heavy work
-    depth_out = cfg.layer1.k * (2 if cfg.rectifier == "on_off" else 1)
-    groups = make_groups(depth_out, cfg.layer2.group_size, SeededRng(cfg.seeds.grouping))
 
     patches_rng = SeededRng(cfg.seeds.patches)
     logger.info("%s: training layer-1 filters (K=%d)", cfg.name, cfg.layer1.k)
     bank1 = _train_bank(
         sets,
-        patch_side=cfg.layer1.patch_side,
-        depth=1,
-        n_patches=cfg.layer1.n_patches,
+        cfg.layer1,
         k=cfg.layer1.k,
-        zca_epsilon=cfg.layer1.zca_epsilon,
         patch_rng=patches_rng.child(0),
         kmeans_rng=SeededRng(cfg.seeds.kmeans1),
         layer_index=1,
     )
 
-    layer1_cfg = cfg.layer1_runtime()
-    outputs1 = [run_layer(s, bank1, layer1_cfg) for s in sets]
+    outputs1 = [run_layer(s, bank1, cfg.layer1, cfg.rectifier) for s in sets]
     logger.info(
         "%s: layer-1 output %dx%dx%d, %d groups of %d",
         cfg.name,
         outputs1[0].height,
         outputs1[0].width,
-        depth_out,
+        outputs1[0].depth,
         groups.n_groups,
         groups.group_size,
     )
@@ -137,11 +133,8 @@ def train_network(cfg: NetworkConfig, fold_images: list[LabeledImage]) -> Networ
         banks2.append(
             _train_bank(
                 group_sets,
-                patch_side=cfg.layer2.patch_side,
-                depth=cfg.layer2.group_size,
-                n_patches=cfg.layer2.n_patches,
+                cfg.layer2,
                 k=cfg.layer2.k_per_group,
-                zca_epsilon=cfg.layer2.zca_epsilon,
                 patch_rng=patches_rng.child(1 + g),
                 kmeans_rng=kmeans2_rng.child(g),
                 layer_index=2,
@@ -157,8 +150,6 @@ def extract_descriptors(model: NetworkModel, images: list[LabeledImage]) -> np.n
     working resolution internally; pass native-resolution images.
     """
     cfg = model.config
-    layer1_cfg = cfg.layer1_runtime()
-    layer2_cfg = cfg.layer2_runtime()
     descriptors = np.empty((len(images), 0))
     for i, img in enumerate(images):
         fmset = _to_fmset(_prepare_image(img, cfg.scale_factor))
@@ -167,10 +158,10 @@ def extract_descriptors(model: NetworkModel, images: list[LabeledImage]) -> np.n
                 f"image {img.image_id!r} is {(fmset.height, fmset.width)} after "
                 f"rescaling, model was trained at {model.input_shape}"
             )
-        out1 = run_layer(fmset, model.bank1, layer1_cfg)
+        out1 = run_layer(fmset, model.bank1, cfg.layer1, cfg.rectifier)
         parts = []
         for group, bank2 in zip(model.groups.groups, model.banks2):
-            out2 = run_layer(tensor_slice(out1, group), bank2, layer2_cfg)
+            out2 = run_layer(tensor_slice(out1, group), bank2, cfg.layer2, cfg.rectifier)
             parts.append(out2.maps.ravel())
         if cfg.descriptor_mode == "concat_layers":
             parts.append(out1.maps.ravel())
@@ -182,14 +173,21 @@ def extract_descriptors(model: NetworkModel, images: list[LabeledImage]) -> np.n
 
 
 def descriptor_shape(cfg: NetworkConfig, height: int, width: int):
-    """Closed-form layer shapes and descriptor length for one input size."""
+    """Closed-form layer shapes and descriptor length for one native input size.
+
+    Raises the errors training would raise for a shape chain that cannot run.
+    """
     factor = cfg.scale_factor
     if factor is not None and factor != 1.0:
         height = max(1, round(height * factor))
         width = max(1, round(width * factor))
-    l1 = layer_output_shape(height, width, cfg.layer1.k, cfg.layer1.patch_side, cfg.layer1_runtime())
-    l2 = layer_output_shape(l1[0], l1[1], cfg.layer2.k_per_group, cfg.layer2.patch_side, cfg.layer2_runtime())
-    n_groups = l1[2] // cfg.layer2.group_size
+    l1 = layer_output_shape(height, width, cfg.layer1.k, cfg.layer1, cfg.rectifier)
+    l2 = layer_output_shape(l1[0], l1[1], cfg.layer2.k_per_group, cfg.layer2, cfg.rectifier)
+    n_groups, rest = divmod(l1[2], cfg.layer2.group_size)
+    if rest:
+        raise InvalidGrouping(
+            f"group size {cfg.layer2.group_size} does not divide {l1[2]} feature maps"
+        )
     dim = n_groups * l2[0] * l2[1] * l2[2]
     if cfg.descriptor_mode == "concat_layers":
         dim += l1[0] * l1[1] * l1[2]
@@ -199,21 +197,41 @@ def descriptor_shape(cfg: NetworkConfig, height: int, width: int):
 # -- persistence --------------------------------------------------------------
 
 
+def _bank_tensors(prefix: str, bank: FilterBank) -> dict[str, np.ndarray]:
+    """Container tensors of one filter bank and its whitening transform."""
+    return {
+        f"{prefix}/filters": bank.filters,
+        f"{prefix}/zca_mean": bank.whitening.mean,
+        f"{prefix}/zca_matrix": bank.whitening.matrix,
+        f"{prefix}/zca_epsilon": np.array([bank.whitening.epsilon]),
+    }
+
+
+def _bank_from_tensors(
+    tensors: dict[str, np.ndarray], prefix: str, patch_side: int, depth: int, layer_index: int
+) -> FilterBank:
+    """Inverse of :func:`_bank_tensors`; the shape fields come from the config."""
+    return FilterBank(
+        filters=tensors[f"{prefix}/filters"],
+        patch_side=patch_side,
+        depth=depth,
+        whitening=ZcaTransform(
+            mean=tensors[f"{prefix}/zca_mean"],
+            matrix=tensors[f"{prefix}/zca_matrix"],
+            epsilon=float(tensors[f"{prefix}/zca_epsilon"][0]),
+        ),
+        layer_index=layer_index,
+    )
+
+
 def save_model(path, model: NetworkModel) -> None:
     tensors = {
         "input_shape": np.array(model.input_shape, dtype=np.float64),
-        "layer1/filters": model.bank1.filters,
-        "layer1/zca_mean": model.bank1.whitening.mean,
-        "layer1/zca_matrix": model.bank1.whitening.matrix,
-        "layer1/zca_epsilon": np.array([model.bank1.whitening.epsilon]),
+        **_bank_tensors("layer1", model.bank1),
         "groups": np.array(model.groups.groups, dtype=np.float64),
     }
     for g, bank in enumerate(model.banks2):
-        prefix = f"layer2/g{g:04d}"
-        tensors[f"{prefix}/filters"] = bank.filters
-        tensors[f"{prefix}/zca_mean"] = bank.whitening.mean
-        tensors[f"{prefix}/zca_matrix"] = bank.whitening.matrix
-        tensors[f"{prefix}/zca_epsilon"] = np.array([bank.whitening.epsilon])
+        tensors.update(_bank_tensors(f"layer2/g{g:04d}", bank))
     write_container(path, tensors, network_config_to_text(model.config))
 
 
@@ -221,40 +239,20 @@ def load_model(path) -> NetworkModel:
     tensors, config_text = read_container(path)
     cfg = network_config_from_text(config_text)
     try:
-        bank1 = FilterBank(
-            filters=tensors["layer1/filters"],
-            patch_side=cfg.layer1.patch_side,
-            depth=1,
-            whitening=ZcaTransform(
-                mean=tensors["layer1/zca_mean"],
-                matrix=tensors["layer1/zca_matrix"],
-                epsilon=float(tensors["layer1/zca_epsilon"][0]),
-            ),
-            layer_index=1,
-        )
+        bank1 = _bank_from_tensors(tensors, "layer1", cfg.layer1.patch_side, 1, 1)
         groups = GroupAssignment(
             tuple(tuple(int(i) for i in row) for row in tensors["groups"])
         )
-        banks2 = []
-        for g in range(groups.n_groups):
-            prefix = f"layer2/g{g:04d}"
-            banks2.append(
-                FilterBank(
-                    filters=tensors[f"{prefix}/filters"],
-                    patch_side=cfg.layer2.patch_side,
-                    depth=cfg.layer2.group_size,
-                    whitening=ZcaTransform(
-                        mean=tensors[f"{prefix}/zca_mean"],
-                        matrix=tensors[f"{prefix}/zca_matrix"],
-                        epsilon=float(tensors[f"{prefix}/zca_epsilon"][0]),
-                    ),
-                    layer_index=2,
-                )
+        banks2 = tuple(
+            _bank_from_tensors(
+                tensors, f"layer2/g{g:04d}", cfg.layer2.patch_side, cfg.layer2.group_size, 2
             )
+            for g in range(groups.n_groups)
+        )
         input_shape = tuple(int(v) for v in tensors["input_shape"])
     except KeyError as exc:
         raise FormatError(f"{path}: missing tensor {exc}") from exc
-    return NetworkModel(cfg, bank1, groups, tuple(banks2), input_shape)
+    return NetworkModel(cfg, bank1, groups, banks2, input_shape)
 
 
 def save_svm(path, model: SvmModel) -> None:
@@ -353,6 +351,8 @@ def evaluate_protocol(
     if fold_indices is None:
         fold_indices = tuple(range(len(fold_plan.folds)))
     fold_indices = tuple(int(f) for f in fold_indices)
+    for fold in fold_indices:
+        fold_plan.check_fold(fold)
     test_labels = [img.label for img in test_images]
 
     if out_dir is not None:

@@ -66,6 +66,11 @@ class FoldPlan:
                     )
         object.__setattr__(self, "folds", folds)
 
+    def check_fold(self, fold: int) -> None:
+        """Raise ValueError unless fold is an index in [0, number of folds)."""
+        if not 0 <= fold < len(self.folds):
+            raise ValueError(f"fold {fold} out of range: the plan has {len(self.folds)} folds")
+
 
 def to_grayscale(r, g, b):
     """ITU-R BT.601 luma: 0.299 r + 0.587 g + 0.114 b.

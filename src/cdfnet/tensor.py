@@ -103,6 +103,6 @@ def assert_array_finite(arr: np.ndarray, what: str = "array") -> None:
     if finite.all():
         return
     flat_idx = int(np.argmin(finite))
-    coord = np.unravel_index(flat_idx, arr.shape)
-    value = arr[coord]
+    coord = tuple(int(i) for i in np.unravel_index(flat_idx, arr.shape))
+    value = float(arr[coord])
     raise NonFiniteValue(f"non-finite value {value!r} in {what} at {coord}", coord=coord)

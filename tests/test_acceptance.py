@@ -191,7 +191,7 @@ def test_criterion_2_shape_arithmetic():
         img = LabeledImage(rng.random((96, 96)), 0, image_id=0)
         conv = convolve_valid(FeatureMapSet(img.pixels[:, :, None], 0), bank1, True)
         assert conv.maps.shape == (81, 81, 300)
-        out1 = run_layer(FeatureMapSet(img.pixels[:, :, None], 0), bank1, cfg.layer1_runtime())
+        out1 = run_layer(FeatureMapSet(img.pixels[:, :, None], 0), bank1, cfg.layer1, cfg.rectifier)
         assert out1.maps.shape == (6, 6, 300)
         assert extract_descriptors(full, [img]).shape == (1, dim)
 

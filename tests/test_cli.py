@@ -156,7 +156,7 @@ class TestChain:
                 "score": ["--svm", ws / "tiny.svm", "--network-id", "t", "--out", ws / "nan.txt"]}
         assert run(command, "--descriptors", desc, *args[command]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: non-finite value") and "nan) in descriptors" in err
+        assert err == "error: non-finite value nan in descriptors at (2, 1)\n"
 
     def test_committee_rejects_garbage(self, ws, capsys):
         bad = ws / "garbage.txt"
@@ -172,6 +172,29 @@ class TestChain:
         rc = run("committee", a, b)
         assert rc == 0
         assert capsys.readouterr().out.splitlines() == ["0 0", "1 1"]
+
+
+class TestFoldRange:
+    """A fold index outside the plan exits 2, naming the fold, before any training."""
+
+    @pytest.mark.parametrize("fold", [-1, 10])
+    @pytest.mark.parametrize("command", ["train", "extract", "evaluate"])
+    def test_out_of_range(self, ws, trained_model, capsys, command, fold):
+        out = ws / f"range_{command}_{fold}"
+        args = {
+            "train": ["--config", ws / "m1.ini", "--train-x", ws / "train_X.bin",
+                      "--train-y", ws / "train_y.bin"],
+            "extract": ["--model", trained_model, "--images", ws / "train_X.bin"],
+            "evaluate": ["--config", ws / "exp.ini", "--train-x", ws / "train_X.bin",
+                         "--train-y", ws / "train_y.bin", "--test-x", ws / "test_X.bin",
+                         "--test-y", ws / "test_y.bin"],
+        }[command]
+        rc = run(command, *args, "--folds", ws / "folds.txt", "--fold", fold, "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: fold {fold} out of range: the plan has 10 folds\n"
+        )
+        assert not out.exists()
 
 
 class TestEvaluate:

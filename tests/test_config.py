@@ -193,6 +193,8 @@ class TestValidation:
     def test_invalid_layer_params_fail_fast(self):
         with pytest.raises(Exception):
             NetworkConfig(layer1=Layer1Config(pool_side=0))
+        with pytest.raises(ValueError, match="group_size"):
+            NetworkConfig(layer2=Layer2Config(group_size=0))
 
     # LCN output is signed, so pooling is only defined for alpha 1 or even
     @pytest.mark.parametrize("alpha", [1.5, 3.0, 0.5, 5.0])
@@ -207,7 +209,7 @@ class TestValidation:
         cfg = NetworkConfig(
             layer1=Layer1Config(pool_alpha=alpha), layer2=Layer2Config(pool_alpha=alpha)
         )
-        assert cfg.layer1_runtime().pool_alpha == cfg.layer2_runtime().pool_alpha == alpha
+        assert cfg.layer1.pool_alpha == cfg.layer2.pool_alpha == alpha
 
 
 class TestSeeds:
@@ -256,6 +258,20 @@ class TestExperiment:
         path = self._write(tmp_path, "[experiment]\nnetworks = a.ini\nfolds = one\n")
         with pytest.raises(FormatError):
             load_experiment_config(path)
+
+    # a misspelt key must not fall back to its default (fold -> all ten folds)
+    @pytest.mark.parametrize(
+        "body, name",
+        [
+            ("[experiment]\nnetworks = a.ini\nfold = 0\n", "experiment.fold"),
+            ("[experiment]\nnetwork = a.ini\nnetworks = a.ini\n", "experiment.network"),
+            ("[experiment]\nnetworks = a.ini\n[experiments]\nfolds = 0\n", "[experiments]"),
+        ],
+        ids=["key", "near_key", "section"],
+    )
+    def test_unknown_name_rejected(self, tmp_path, body, name):
+        with pytest.raises(FormatError, match=re.escape(name)):
+            load_experiment_config(self._write(tmp_path, body))
 
     def test_dataclass_is_plain(self):
         exp = ExperimentConfig(name="e", network_paths=("a",), folds=(0,))

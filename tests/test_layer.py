@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig
 from cdfnet.errors import DimError, InvalidGrouping, InvalidWindow
 from cdfnet.kmeans import FilterBank
 from cdfnet.layer import (
     GroupAssignment,
-    LayerConfig,
     conv_output_shape,
     convolve_valid,
     dense_patches,
@@ -390,7 +390,6 @@ class TestGroupAssignmentValidation:
 class TestRunLayer:
     def _cfg(self, **kw):
         base = dict(
-            rectifier="abs",
             pool_side=2,
             pool_stride=2,
             pool_alpha=1.0,
@@ -399,7 +398,7 @@ class TestRunLayer:
             dense_preprocess=False,
         )
         base.update(kw)
-        return LayerConfig(**base)
+        return Layer1Config(**base)
 
     def test_full_size_spatial_chain(self):
         # 96x96 input, 16x16 filters, pool 12 stride 12 -> 6x6
@@ -407,7 +406,7 @@ class TestRunLayer:
         maps = rng.random((96, 96, 1))
         bank = _bank(rng.standard_normal((256, 3)), 16, 1)
         cfg = self._cfg(pool_side=12, pool_stride=12, lcn_window=9, lcn_sigma=2.25)
-        out = run_layer(_fmset(maps), bank, cfg)
+        out = run_layer(_fmset(maps), bank, cfg, "abs")
         assert out.maps.shape == (6, 6, 3)
 
     def test_stride_8_gives_9x9(self):
@@ -415,17 +414,17 @@ class TestRunLayer:
         maps = rng.random((96, 96, 1))
         bank = _bank(rng.standard_normal((256, 2)), 16, 1)
         cfg = self._cfg(pool_side=12, pool_stride=8, lcn_window=9, lcn_sigma=2.25)
-        out = run_layer(_fmset(maps), bank, cfg)
+        out = run_layer(_fmset(maps), bank, cfg, "abs")
         assert out.maps.shape == (9, 9, 2)
 
     def test_on_off_doubles_depth(self):
         rng = np.random.default_rng(18)
         maps = rng.random((12, 12, 1))
         bank = _bank(rng.standard_normal((16, 5)), 4, 1)
-        cfg = self._cfg(rectifier="on_off", pool_side=3, pool_stride=3)
-        out = run_layer(_fmset(maps), bank, cfg)
+        cfg = self._cfg(patch_side=4, pool_side=3, pool_stride=3)
+        out = run_layer(_fmset(maps), bank, cfg, "on_off")
         assert out.depth == 10
-        assert layer_output_shape(12, 12, 5, 4, cfg) == out.maps.shape
+        assert layer_output_shape(12, 12, 5, cfg, "on_off") == out.maps.shape
 
     def test_stage_order(self):
         # run_layer must equal the hand-applied five-stage composition
@@ -433,7 +432,7 @@ class TestRunLayer:
         maps = rng.random((10, 10, 2))
         bank = _bank(rng.standard_normal((2 * 2 * 2, 4)), 2, 2)
         cfg = self._cfg()
-        out = run_layer(_fmset(maps), bank, cfg)
+        out = run_layer(_fmset(maps), bank, cfg, "abs")
         step = convolve_valid(_fmset(maps), bank, dense_preprocess=False)
         step = rectify_abs(step)
         step = lcn_subtractive(step, 3, 0.75)
@@ -459,31 +458,59 @@ class TestRunLayer:
         rng = np.random.default_rng(seed)
         maps = rng.random((h, w, 1))
         bank = _bank(rng.standard_normal((p * p, k)), p, 1)
-        cfg = self._cfg(
-            rectifier="on_off" if on_off else "abs",
-            pool_side=pool_side,
-            pool_stride=stride,
-        )
-        out = run_layer(_fmset(maps), bank, cfg)
-        assert out.maps.shape == layer_output_shape(h, w, k, p, cfg)
+        cfg = self._cfg(patch_side=p, pool_side=pool_side, pool_stride=stride)
+        rectifier = "on_off" if on_off else "abs"
+        out = run_layer(_fmset(maps), bank, cfg, rectifier)
+        assert out.maps.shape == layer_output_shape(h, w, k, cfg, rectifier)
+
+    # (input side, layer record fields, error): shape chains that cannot run
+    @pytest.mark.parametrize(
+        "side, fields, error",
+        [
+            (5, dict(patch_side=6), DimError),  # filter larger than the input
+            (8, dict(patch_side=4, lcn_window=7), InvalidWindow),  # LCN window > 5x5 conv map
+            (8, dict(patch_side=4, pool_side=6), InvalidWindow),  # pool window > 5x5 conv map
+        ],
+    )
+    def test_shape_raises_what_run_layer_raises(self, side, fields, error):
+        rng = np.random.default_rng(20)
+        cfg = self._cfg(**fields)
+        p = cfg.patch_side
+        bank = _bank(rng.standard_normal((p * p, 2)), p, 1)
+        with pytest.raises(error):
+            run_layer(_fmset(rng.random((side, side, 1))), bank, cfg, "abs")
+        with pytest.raises(error):
+            layer_output_shape(side, side, 2, cfg, "abs")
 
 
 class TestLayerConfigValidation:
+    """The stage checks: rectifier on NetworkConfig, pool and LCN on both layer records."""
+
     def test_bad_rectifier(self):
         with pytest.raises(ValueError):
-            LayerConfig(rectifier="relu")
+            NetworkConfig(rectifier="relu")
+        rng = np.random.default_rng(21)
+        bank = _bank(rng.standard_normal((4, 2)), 2, 1)
+        cfg = Layer1Config(patch_side=2, pool_side=2, pool_stride=2, lcn_window=3,
+                           dense_preprocess=False)
+        with pytest.raises(ValueError, match="rectifier"):
+            run_layer(_fmset(rng.random((8, 8, 1))), bank, cfg, "relu")
 
     def test_bad_pool(self):
-        with pytest.raises(ValueError):
-            LayerConfig(pool_side=0)
-        with pytest.raises(ValueError):
-            LayerConfig(pool_alpha=0.5)
-        for alpha in (1.5, 3.0, 7.5):
+        for record in (Layer1Config, Layer2Config):
             with pytest.raises(ValueError):
-                LayerConfig(pool_alpha=alpha)
+                record(pool_side=0)
+            with pytest.raises(ValueError):
+                record(pool_stride=0)
+            for alpha in (0.5, 1.5, 3.0, 7.5):
+                with pytest.raises(ValueError):
+                    record(pool_alpha=alpha)
 
     def test_bad_lcn_window(self):
-        with pytest.raises(InvalidWindow):
-            LayerConfig(lcn_window=4)
-        with pytest.raises(InvalidWindow):
-            LayerConfig(lcn_window=1)
+        for record in (Layer1Config, Layer2Config):
+            with pytest.raises(InvalidWindow):
+                record(lcn_window=4)
+            with pytest.raises(InvalidWindow):
+                record(lcn_window=1)
+            with pytest.raises(ValueError):
+                record(lcn_sigma=0.0)

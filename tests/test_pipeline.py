@@ -1,9 +1,14 @@
+import dataclasses
+import glob
+import os
+
 import numpy as np
 import pytest
 
+from cdfnet import pipeline
 from cdfnet.committee import read_score_file, sum_scores, table_predict
-from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds
-from cdfnet.errors import DimError, FormatError, InvalidGrouping
+from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds, load_network_config
+from cdfnet.errors import DimError, FormatError, InvalidGrouping, InvalidWindow
 from cdfnet.model_io import read_container, write_container
 from cdfnet.pipeline import (
     ExperimentReport,
@@ -107,6 +112,48 @@ class TestTrain:
                 nano_model.config, nano_model.bank1, nano_model.groups,
                 nano_model.banks2[:1], nano_model.input_shape,
             )
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+class _Reached(Exception):
+    """Raised by a stage that a test requires never to run."""
+
+
+def _never(*args, **kwargs):
+    raise _Reached
+
+
+class TestFailBeforeCompute:
+    @staticmethod
+    def _n1_with_pool_90():
+        # layer-1 convolution maps 96x96 to 81x81, so a pool window of 90 cannot fit
+        cfg = load_network_config(os.path.join(CONFIG_DIR, "n1.ini"))
+        return dataclasses.replace(
+            cfg, layer1=dataclasses.replace(cfg.layer1, pool_side=90, pool_stride=90)
+        )
+
+    def test_descriptor_shape_raises_for_impossible_chain(self):
+        with pytest.raises(InvalidWindow, match="pool window 90"):
+            descriptor_shape(self._n1_with_pool_90(), 96, 96)
+        # 300 layer-1 maps cannot form groups of 7
+        cfg = nano_config(layer1=Layer1Config(k=300), layer2=Layer2Config(group_size=7))
+        with pytest.raises(InvalidGrouping, match="group size 7"):
+            descriptor_shape(cfg, 96, 96)
+
+    def test_train_network_raises_before_patches_and_kmeans(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "extract_patches", _never)
+        monkeypatch.setattr(pipeline, "kmeans", _never)
+        with pytest.raises(InvalidWindow):
+            train_network(self._n1_with_pool_90(), stripe_dataset(2, side=96, seed=3))
+
+    @pytest.mark.parametrize(
+        "path", sorted(glob.glob(os.path.join(CONFIG_DIR, "n[1-5].ini"))), ids=os.path.basename
+    )
+    def test_shipped_config_shape_chain(self, path):
+        l1, l2, n_groups, dim = descriptor_shape(load_network_config(path), 96, 96)
+        assert min(l1) > 0 and min(l2) > 0 and n_groups > 0 and dim > 0
 
 
 class TestExtract:
@@ -274,6 +321,13 @@ class TestProtocol:
         report = evaluate_protocol(cfgs, train, test, plan, fold_indices=(1,))
         assert report.networks[0].fold_indices == (1,)
         assert len(report.networks[0].accuracies) == 1
+
+    def test_fold_out_of_range_rejected_before_training(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "train_network", _never)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5), (4, 5, 6, 7, 8, 9)), n_train=10)
+        for folds in ((0, 2), (0, -1)):
+            with pytest.raises(ValueError, match=f"fold {folds[1]} out of range"):
+                evaluate_protocol([nano_config("solo")], [], [], plan, fold_indices=folds)
 
     def test_duplicate_names_rejected(self):
         cfgs = [nano_config("same"), nano_config("same", Seeds(5, 6, 7, 8))]
