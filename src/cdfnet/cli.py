@@ -65,7 +65,7 @@ def _select_fold(images: list[LabeledImage], args) -> list[LabeledImage]:
     if args.folds is None:
         raise FormatError("--fold requires --folds")
     plan = load_fold_plan(args.folds)
-    plan.check_fold(args.fold)
+    plan.check_fold(args.fold, len(images))
     return [images[i] for i in plan.folds[args.fold]]
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ContractError, FormatError
+from .model_io import atomic_open
 
 SCORE_MAGIC = "scores"
 SCORE_VERSION = "v1"
@@ -121,9 +122,10 @@ def accuracy(predictions, labels) -> float:
 def write_score_file(path, table: ScoreTable) -> None:
     """Text format: `scores v1 <network_id> <C>` then one line per image.
 
-    Floats are written with repr, which round-trips bit-exactly.
+    Floats are written with repr, which round-trips bit-exactly. A write
+    that fails leaves any previous file at path as it was.
     """
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"{SCORE_MAGIC} {SCORE_VERSION} {table.network_id} {table.n_classes}\n")
         for i, image_id in enumerate(table.image_ids):
             row = " ".join(repr(float(v)) for v in table.scores[i])

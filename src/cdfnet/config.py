@@ -251,7 +251,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     import os
 
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise FormatError(f"bad experiment config {path}: {exc}") from exc
     if not read:
         raise FormatError(f"no such experiment config: {path}")
     unknown = set(cp.sections()) - {"experiment"}

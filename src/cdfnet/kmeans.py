@@ -8,6 +8,7 @@ seed and patch matrix reproduce the same filter bank bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,18 @@ class FilterBank:
     @property
     def k(self) -> int:
         return self.filters.shape[1]
+
+    @cached_property
+    def whitened_filters(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, c) with the whitening folded into the filters.
+
+        M is symmetric, so F^T M (x - mu) = G^T x - c with G = M F and
+        c = G^T mu. Derived once per bank and never stored in containers.
+        """
+        if self.whitening is None:
+            raise DimError("dense_preprocess requires a whitening transform")
+        g = self.whitening.matrix @ self.filters
+        return g, self.whitening.mean @ g
 
 
 @dataclass(frozen=True)
@@ -112,7 +125,8 @@ def kmeans(
     """Lloyd iterations from a k-means++ start.
 
     Stops on unchanged assignments or after max_iters. Clusters that empty
-    out are re-seeded with the point currently farthest from its centroid.
+    out are re-seeded with the point currently farthest from its centroid,
+    taken from a cluster that keeps at least one member.
     """
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
@@ -158,14 +172,18 @@ def kmeans(
 
 
 def _reseed_empty(points, labels, counts, sums, centroids, empty):
-    """Move the globally farthest point into each empty cluster in turn."""
+    """Move the farthest point into each empty cluster in turn.
+
+    The point is never the only member of its cluster, which would leave
+    that cluster empty instead; with k <= n some cluster always has two.
+    """
     d2 = np.einsum("nd,nd->n", points - centroids[labels], points - centroids[labels])
     labels = labels.copy()
     counts = counts.copy()
     sums = sums.copy()
     centroids = centroids.copy()
     for cluster in empty:
-        far = int(np.argmax(d2))
+        far = int(np.argmax(np.where(counts[labels] > 1, d2, -1.0)))
         old = labels[far]
         labels[far] = cluster
         counts[old] -= 1
@@ -173,7 +191,6 @@ def _reseed_empty(points, labels, counts, sums, centroids, empty):
         sums[old] -= points[far]
         sums[cluster] += points[far]
         centroids[cluster] = points[far]
-        d2[far] = -1.0  # do not reuse this point for another empty cluster
     return labels, counts, sums, centroids
 
 

@@ -2,8 +2,13 @@
 normalization, Lp pooling, and the random-grouping connector between layers.
 
 Stage order inside :func:`run_layer` is fixed: convolve -> rectify ->
-subtractive LCN -> divisive LCN -> pool. All stages are pure functions of
-their inputs, so images can be processed in parallel without coordination.
+subtractive LCN -> divisive LCN -> pool. The stages are private kernels on
+(..., H, W, depth) arrays that work in place where they can, on arrays
+made for them alone (a fresh convolution output or a copy); the public
+FeatureMapSet stage functions and :func:`run_layer` (one image) and
+:func:`run_groups` (all layer-2 groups of one image) are thin wrappers over
+them. The public functions are pure, so images can be processed in parallel
+without coordination.
 """
 
 from __future__ import annotations
@@ -17,13 +22,15 @@ from scipy import ndimage
 
 from .errors import DimError, InvalidGrouping, InvalidWindow
 from .kmeans import FilterBank
-from .patches import apply_zca, normalize_columns, PatchMatrix
-from .tensor import FeatureMapSet, SeededRng, assert_finite
+from .patches import _normalize_along
+from .tensor import FeatureMapSet, SeededRng, assert_array_finite, assert_finite
 
 if TYPE_CHECKING:
     from .config import Layer1Config, Layer2Config
 
 RECTIFIERS = ("abs", "on_off")
+# patches per im2col band in dense convolution: 2 MB at d = 256
+_CONV_ROWS = 1024
 
 
 def _signed_pool_alpha(alpha: float) -> bool:
@@ -74,15 +81,44 @@ def pool_output_shape(dim: int, pool_side: int, stride: int) -> int:
 
 
 def dense_patches(maps: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """All valid p x p x depth patches as columns, positions in row-major order.
+    """All valid p x p x depth patches of (..., H, W, depth) maps as rows.
 
-    Column layout matches :func:`cdfnet.patches.unroll_patch` (depth-major,
-    then rows, then columns).
+    Returns a fresh (..., positions, p*p*depth) array with positions in
+    row-major order, each row in the :func:`cdfnet.patches.unroll_patch`
+    layout (depth-major, then rows, then columns), plus the output grid.
     """
-    windows = sliding_window_view(maps, (p, p), axis=(0, 1))
-    out_h, out_w = windows.shape[0], windows.shape[1]
-    cols = windows.reshape(out_h * out_w, -1)
-    return np.ascontiguousarray(cols.T), (out_h, out_w)
+    windows = sliding_window_view(maps, (p, p), axis=(-3, -2))
+    rows = np.empty(windows.shape)
+    rows[...] = windows
+    *lead, out_h, out_w = windows.shape[:-3]
+    return rows.reshape(*lead, out_h * out_w, -1), (out_h, out_w)
+
+
+def _weights(bank: FilterBank, dense_preprocess: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(weights, offset) such that a patch row x responds x @ weights - offset."""
+    if dense_preprocess:
+        return bank.whitened_filters
+    return bank.filters, None
+
+
+def _convolve(maps, weights, offset, p: int, dense_preprocess: bool) -> np.ndarray:
+    """(..., H, W, depth) maps against (..., d, K) weights: (..., H', W', K).
+
+    Works through the output a band of rows at a time, so the patch copy
+    holds about _CONV_ROWS patches, not one per output position.
+    """
+    out_h, out_w = conv_output_shape(*maps.shape[-3:-1], p)
+    out = np.empty((*maps.shape[:-3], out_h * out_w, weights.shape[-1]))
+    band = max(1, _CONV_ROWS // out_w)
+    for top in range(0, out_h, band):
+        rows, _ = dense_patches(maps[..., top : top + band + p - 1, :, :], p)
+        if dense_preprocess:
+            _normalize_along(rows, axis=-1)
+        block = out[..., top * out_w : (top + band) * out_w, :]
+        np.matmul(rows, weights, out=block)
+        if offset is not None:
+            block -= offset
+    return out.reshape(*out.shape[:-2], out_h, out_w, out.shape[-1])
 
 
 def convolve_valid(
@@ -94,37 +130,42 @@ def convolve_valid(
     (m - p + 1, n - p + 1), stride 1. With dense_preprocess, each patch is
     patch-normalized and whitened with the bank's training-time transform
     before the dot product, so inference sees the space the filters were
-    trained in.
+    trained in; the whitening is folded into the filters
+    (:attr:`FilterBank.whitened_filters`).
     """
+    return FeatureMapSet(_convolve_image(fmset, bank, dense_preprocess), fmset.source_image_id)
+
+
+def _convolve_image(fmset: FeatureMapSet, bank: FilterBank, dense_preprocess: bool) -> np.ndarray:
+    """The maps of :func:`convolve_valid` as a new array that no one else holds."""
     if fmset.depth != bank.depth:
         raise DimError(
             f"input depth {fmset.depth} does not match filter depth {bank.depth}"
         )
     _check_fits("filter side", bank.patch_side, fmset.height, fmset.width, DimError)
-    cols, (out_h, out_w) = dense_patches(fmset.maps, bank.patch_side)
-    if dense_preprocess:
-        if bank.whitening is None:
-            raise DimError("dense_preprocess requires a whitening transform")
-        cols = normalize_columns(cols)
-        cols = apply_zca(
-            bank.whitening, PatchMatrix(cols, bank.patch_side, bank.depth)
-        ).data
-    responses = bank.filters.T @ cols  # (K, positions)
-    maps = responses.T.reshape(out_h, out_w, bank.k)
-    return FeatureMapSet(maps, fmset.source_image_id)
+    weights, offset = _weights(bank, dense_preprocess)
+    return _convolve(fmset.maps, weights, offset, bank.patch_side, dense_preprocess)
+
+
+def _rectify(maps: np.ndarray, rectifier: str) -> np.ndarray:
+    """abs in place, or a new array with the ON/OFF channels interleaved."""
+    if rectifier == "abs":
+        return np.abs(maps, out=maps)
+    if rectifier == "on_off":
+        out = np.empty((*maps.shape[:-1], 2 * maps.shape[-1]))
+        np.maximum(maps, 0.0, out=out[..., 0::2])
+        np.maximum(-maps, 0.0, out=out[..., 1::2])
+        return out
+    raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {rectifier!r}")
 
 
 def rectify_abs(fmset: FeatureMapSet) -> FeatureMapSet:
-    return FeatureMapSet(np.abs(fmset.maps), fmset.source_image_id)
+    return FeatureMapSet(_rectify(fmset.maps.copy(), "abs"), fmset.source_image_id)
 
 
 def rectify_on_off(fmset: FeatureMapSet) -> FeatureMapSet:
     """Split each map into max(0, x) and max(0, -x) channels, interleaved."""
-    h, w, depth = fmset.maps.shape
-    out = np.empty((h, w, 2 * depth), dtype=np.float64)
-    out[:, :, 0::2] = np.maximum(fmset.maps, 0.0)
-    out[:, :, 1::2] = np.maximum(-fmset.maps, 0.0)
-    return FeatureMapSet(out, fmset.source_image_id)
+    return FeatureMapSet(_rectify(fmset.maps, "on_off"), fmset.source_image_id)
 
 
 def gaussian_window(side: int, sigma: float) -> np.ndarray:
@@ -135,31 +176,52 @@ def gaussian_window(side: int, sigma: float) -> np.ndarray:
     return np.outer(g1, g1)
 
 
-def _check_lcn_window(fmset: FeatureMapSet, window: int) -> None:
+def _check_lcn_window(maps: np.ndarray, window: int) -> None:
     if window % 2 == 0 or window < 3:
         raise InvalidWindow(f"LCN window must be odd and >= 3, got {window}")
-    _check_fits("LCN window", window, fmset.height, fmset.width)
+    _check_fits("LCN window", window, *maps.shape[-3:-1])
 
 
-def _lcn_weighted_sum(stack: np.ndarray, window: int, sigma: float) -> np.ndarray:
-    """Gaussian-weighted local sum over space and all maps, weights totalling 1.
+def _lcn_weighted_sum(field: np.ndarray, depth: int, window: int, sigma: float) -> np.ndarray:
+    """Gaussian-weighted local sum of (..., H, W) depth sums, weights totalling 1.
 
     The weighting window is a single 2D Gaussian replicated across depth and
-    normalized so it sums to 1 over (depth, rows, cols); the result is one 2D
-    field. Borders reflect (symmetric half-sample padding).
+    normalized so it sums to 1 over (depth, rows, cols); each leading index
+    gets its own 2D field. Borders reflect (symmetric half-sample padding).
     """
-    depth = stack.shape[2]
     kernel = gaussian_window(window, sigma)
     kernel = kernel / (kernel.sum() * depth)
-    depth_sum = stack.sum(axis=2)
-    return ndimage.correlate(depth_sum, kernel, mode="reflect")
+    kernel = kernel.reshape((1,) * (field.ndim - 2) + kernel.shape)
+    return ndimage.correlate(field, kernel, mode="reflect")
+
+
+def _lcn_subtract(maps: np.ndarray, window: int, sigma: float) -> None:
+    """In place on (..., H, W, depth): subtract the local mean across all maps."""
+    _check_lcn_window(maps, window)
+    maps -= _lcn_weighted_sum(maps.sum(axis=-1), maps.shape[-1], window, sigma)[..., None]
+
+
+def _lcn_divide(maps: np.ndarray, window: int, sigma: float) -> None:
+    """In place on (..., H, W, depth): divide by the floored local standard deviation.
+
+    The floor is the mean local standard deviation of each leading index
+    (one image, or one group of one image); a stack whose floor is 0 is all
+    zero and stays so.
+    """
+    _check_lcn_window(maps, window)
+    energy = _lcn_weighted_sum(
+        np.einsum("...d,...d->...", maps, maps), maps.shape[-1], window, sigma
+    )
+    local_sd = np.sqrt(np.maximum(energy, 0.0))
+    floor = local_sd.mean(axis=(-2, -1), keepdims=True)
+    maps /= np.maximum(local_sd, np.where(floor == 0.0, 1.0, floor))[..., None]
 
 
 def lcn_subtractive(fmset: FeatureMapSet, window: int, sigma: float) -> FeatureMapSet:
     """Subtract the Gaussian-weighted local mean taken across all maps."""
-    _check_lcn_window(fmset, window)
-    local_mean = _lcn_weighted_sum(fmset.maps, window, sigma)
-    return FeatureMapSet(fmset.maps - local_mean[:, :, None], fmset.source_image_id)
+    maps = fmset.maps.copy()
+    _lcn_subtract(maps, window, sigma)
+    return FeatureMapSet(maps, fmset.source_image_id)
 
 
 def lcn_divisive(fmset: FeatureMapSet, window: int, sigma: float) -> FeatureMapSet:
@@ -169,14 +231,23 @@ def lcn_divisive(fmset: FeatureMapSet, window: int, sigma: float) -> FeatureMapS
     all maps; the floor c is the per-image mean of sigma_jk. An all-zero
     input stays all-zero.
     """
-    _check_lcn_window(fmset, window)
-    energy = _lcn_weighted_sum(fmset.maps**2, window, sigma)
-    local_sd = np.sqrt(np.maximum(energy, 0.0))
-    floor = float(local_sd.mean())
-    if floor == 0.0:
-        return fmset
-    denom = np.maximum(local_sd, floor)
-    return FeatureMapSet(fmset.maps / denom[:, :, None], fmset.source_image_id)
+    maps = fmset.maps.copy()
+    _lcn_divide(maps, window, sigma)
+    return FeatureMapSet(maps, fmset.source_image_id)
+
+
+def _pool(maps: np.ndarray, pool_side: int, stride: int, alpha: float) -> np.ndarray:
+    """Lp pooling of (..., H, W, depth) maps; see :func:`pool`."""
+    _check_fits("pool window", pool_side, *maps.shape[-3:-1])
+    if pool_side < 1 or stride < 1:
+        raise InvalidWindow("pool_side and stride must be >= 1")
+    if not _signed_pool_alpha(alpha) and np.any(maps < 0.0):
+        raise ValueError(f"pooling alpha {alpha} requires non-negative inputs")
+    windows = sliding_window_view(maps, (pool_side, pool_side), axis=(-3, -2))
+    windows = windows[..., ::stride, ::stride, :, :, :]
+    if alpha == 1.0:
+        return windows.sum(axis=(-2, -1))
+    return np.power(np.power(windows, alpha).sum(axis=(-2, -1)), 1.0 / alpha)
 
 
 def pool(fmset: FeatureMapSet, pool_side: int, stride: int, alpha: float) -> FeatureMapSet:
@@ -189,18 +260,7 @@ def pool(fmset: FeatureMapSet, pool_side: int, stride: int, alpha: float) -> Fea
     a fractional power of a negative value, or an odd power summing to a
     negative value, has no real root.
     """
-    _check_fits("pool window", pool_side, fmset.height, fmset.width)
-    if pool_side < 1 or stride < 1:
-        raise InvalidWindow("pool_side and stride must be >= 1")
-    if not _signed_pool_alpha(alpha) and np.any(fmset.maps < 0.0):
-        raise ValueError(f"pooling alpha {alpha} requires non-negative inputs")
-    windows = sliding_window_view(fmset.maps, (pool_side, pool_side), axis=(0, 1))
-    windows = windows[::stride, ::stride]
-    if alpha == 1.0:
-        pooled = windows.sum(axis=(-2, -1))
-    else:
-        pooled = np.power(np.power(windows, alpha).sum(axis=(-2, -1)), 1.0 / alpha)
-    return FeatureMapSet(pooled, fmset.source_image_id)
+    return FeatureMapSet(_pool(fmset.maps, pool_side, stride, alpha), fmset.source_image_id)
 
 
 def make_groups(k1: int, n_k: int, rng: SeededRng) -> GroupAssignment:
@@ -216,6 +276,14 @@ def make_groups(k1: int, n_k: int, rng: SeededRng) -> GroupAssignment:
     return GroupAssignment(groups)
 
 
+def _stages(maps: np.ndarray, cfg: Layer1Config | Layer2Config, rectifier: str) -> np.ndarray:
+    """Rectify, subtractive LCN, divisive LCN and pool; overwrites maps."""
+    maps = _rectify(maps, rectifier)
+    _lcn_subtract(maps, cfg.lcn_window, cfg.lcn_sigma)
+    _lcn_divide(maps, cfg.lcn_window, cfg.lcn_sigma)
+    return _pool(maps, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)
+
+
 def run_layer(
     fmset: FeatureMapSet, bank: FilterBank, cfg: Layer1Config | Layer2Config, rectifier: str
 ) -> FeatureMapSet:
@@ -224,17 +292,53 @@ def run_layer(
     cfg is the layer's record (``NetworkConfig.layer1`` or ``.layer2``);
     rectifier is the network's, one of :data:`RECTIFIERS`.
     """
-    out = convolve_valid(fmset, bank, dense_preprocess=cfg.dense_preprocess)
-    if rectifier == "abs":
-        out = rectify_abs(out)
-    elif rectifier == "on_off":
-        out = rectify_on_off(out)
-    else:
-        raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {rectifier!r}")
-    out = lcn_subtractive(out, cfg.lcn_window, cfg.lcn_sigma)
-    out = lcn_divisive(out, cfg.lcn_window, cfg.lcn_sigma)
-    out = pool(out, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)
+    conv = _convolve_image(fmset, bank, cfg.dense_preprocess)
+    out = FeatureMapSet(_stages(conv, cfg, rectifier), fmset.source_image_id)
     assert_finite(out)
+    return out
+
+
+def stack_weights(
+    banks: tuple[FilterBank, ...], dense_preprocess: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The convolution weights of equal-shaped banks stacked for :func:`run_groups`.
+
+    Returns (G, d, K) weights and, with dense_preprocess, (G, 1, K) offsets.
+    """
+    pairs = [_weights(bank, dense_preprocess) for bank in banks]
+    weights = np.stack([w for w, _ in pairs])
+    if not dense_preprocess:
+        return weights, None
+    return weights, np.stack([c for _, c in pairs])[:, None, :]
+
+
+def run_groups(
+    maps: np.ndarray,
+    perm: np.ndarray,
+    weights: np.ndarray,
+    offset: np.ndarray | None,
+    cfg: Layer2Config,
+    rectifier: str,
+) -> np.ndarray:
+    """Layer 2 over every group of one image's (H, W, K1) layer-1 maps at once.
+
+    perm lists the K1 map indices group after group; weights and offset come
+    from :func:`stack_weights`. Returns (G, h, w, depth): group g equals
+    :func:`run_layer` on ``tensor_slice(maps, group g)`` with bank g, up to
+    summation-order rounding, and the LCN floor is taken per group.
+    """
+    n_groups = weights.shape[0]
+    h, w = maps.shape[:2]
+    grouped = maps[:, :, perm].reshape(h, w, n_groups, -1).transpose(2, 0, 1, 3)
+    if weights.shape[1] != cfg.patch_side**2 * grouped.shape[-1]:
+        raise DimError(
+            f"layer-2 filters of dim {weights.shape[1]} do not fit groups of "
+            f"{grouped.shape[-1]} maps with patch side {cfg.patch_side}"
+        )
+    _check_fits("filter side", cfg.patch_side, h, w, DimError)
+    conv = _convolve(grouped, weights, offset, cfg.patch_side, cfg.dense_preprocess)
+    out = _stages(conv, cfg, rectifier)
+    assert_array_finite(out, what="layer-2 feature maps")
     return out
 
 

@@ -12,11 +12,17 @@ Layout (all integers little-endian):
 
 Everything is 64-bit floating point, so save/load round-trips are
 bit-exact and language neutral.
+
+:func:`atomic_open` is the all-or-nothing text writer that score files and
+reports go through.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,6 +50,30 @@ def write_container(path, tensors: dict[str, np.ndarray], config_text: str = "")
         config_bytes = config_text.encode("utf-8")
         fh.write(struct.pack("<Q", len(config_bytes)))
         fh.write(config_bytes)
+
+
+@contextmanager
+def atomic_open(path):
+    """ASCII text file handle whose content replaces path only once it is complete.
+
+    Writes go to a fresh, uniquely named temporary file beside path, which is
+    synced to disk and renamed over path when the block ends and removed if
+    the block raises, so readers see the old file or the new one, never a
+    partial one.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}")
+    # "x" refuses an existing file and, like plain open(), honours the umask
+    fh = open(tmp, "x", encoding="ascii")
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read_container(path) -> tuple[dict[str, np.ndarray], str]:

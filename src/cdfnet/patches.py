@@ -132,12 +132,22 @@ def normalize_patch(patch: np.ndarray) -> np.ndarray:
 
 def normalize_columns(data: np.ndarray) -> np.ndarray:
     """Column-wise :func:`normalize_patch` for a (dim, n) matrix."""
-    peak = np.max(np.abs(data), axis=0)
-    safe = np.where(peak == 0.0, 1.0, peak)
-    scaled = data / safe
-    out = scaled - scaled.mean(axis=0)
-    out[:, peak == 0.0] = 0.0
+    out = np.array(data, dtype=np.float64)
+    _normalize_along(out, axis=0)
     return out
+
+
+def _normalize_along(data: np.ndarray, axis: int) -> None:
+    """:func:`normalize_patch` in place on every patch lying along `axis`.
+
+    Training normalizes sampled patches as columns (axis 0); dense
+    convolution normalizes its im2col rows (axis -1). max|x| is taken as
+    max(max x, -min x), so no |x| temporary is made. A zero patch divides
+    by 1 and stays zero.
+    """
+    peak = np.maximum(data.max(axis=axis, keepdims=True), -data.min(axis=axis, keepdims=True))
+    data /= np.where(peak == 0.0, 1.0, peak)
+    data -= data.mean(axis=axis, keepdims=True)
 
 
 def fit_zca(patches: PatchMatrix, epsilon: float) -> ZcaTransform:

@@ -27,8 +27,15 @@ from .config import Layer1Config, Layer2Config, NetworkConfig
 from .config import network_config_from_text, network_config_to_text
 from .errors import DimError, FormatError, InvalidGrouping
 from .kmeans import FilterBank, kmeans
-from .layer import GroupAssignment, make_groups, run_layer, layer_output_shape
-from .model_io import read_container, write_container
+from .layer import (
+    GroupAssignment,
+    layer_output_shape,
+    make_groups,
+    run_groups,
+    run_layer,
+    stack_weights,
+)
+from .model_io import atomic_open, read_container, write_container
 from .patches import PatchMatrix, ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_columns
 from .stl10 import FoldPlan, LabeledImage
 from .svm import SvmModel, score_many, train_ova_svm
@@ -88,8 +95,10 @@ def _train_bank(
     )
 
 
-def train_network(cfg: NetworkConfig, fold_images: list[LabeledImage]) -> NetworkModel:
-    """Train both layers' filters on the (augmented) fold images."""
+def _train(
+    cfg: NetworkConfig, fold_images: list[LabeledImage]
+) -> tuple[NetworkModel, list[LabeledImage], list[FeatureMapSet]]:
+    """:func:`train_network`, also returning the augmented fold and its layer-1 outputs."""
     # the shape chain and the grouping depend only on the config and the
     # image size, so settle them before the heavy work
     l1_shape = descriptor_shape(cfg, *fold_images[0].pixels.shape)[0]
@@ -140,36 +149,58 @@ def train_network(cfg: NetworkConfig, fold_images: list[LabeledImage]) -> Networ
                 layer_index=2,
             )
         )
-    return NetworkModel(cfg, bank1, groups, tuple(banks2), input_shape)
+    model = NetworkModel(cfg, bank1, groups, tuple(banks2), input_shape)
+    return model, augmented, outputs1
+
+
+def train_network(cfg: NetworkConfig, fold_images: list[LabeledImage]) -> NetworkModel:
+    """Train both layers' filters on the (augmented) fold images."""
+    return _train(cfg, fold_images)[0]
+
+
+def _layer1_input(model: NetworkModel, img: LabeledImage) -> FeatureMapSet:
+    fmset = _to_fmset(_prepare_image(img, model.config.scale_factor))
+    if (fmset.height, fmset.width) != model.input_shape:
+        raise DimError(
+            f"image {img.image_id!r} is {(fmset.height, fmset.width)} after "
+            f"rescaling, model was trained at {model.input_shape}"
+        )
+    return fmset
+
+
+def _descriptor_rows(model: NetworkModel, outputs1, n_images: int) -> np.ndarray:
+    """Layer 2 over an iterable of layer-1 outputs; row i comes from the i-th.
+
+    Consumes outputs1 one at a time, so a generator keeps a single image's
+    layer-1 maps in memory.
+    """
+    cfg = model.config
+    perm = np.concatenate(model.groups.groups)
+    weights, offset = stack_weights(model.banks2, cfg.layer2.dense_preprocess)
+    descriptors = np.empty((n_images, 0))
+    for i, out1 in enumerate(outputs1):
+        row = run_groups(out1.maps, perm, weights, offset, cfg.layer2, cfg.rectifier).ravel()
+        if cfg.descriptor_mode == "concat_layers":
+            row = np.concatenate([row, out1.maps.ravel()])
+        if i == 0:
+            descriptors = np.empty((n_images, row.size))
+        descriptors[i] = row
+    return descriptors
 
 
 def extract_descriptors(model: NetworkModel, images: list[LabeledImage]) -> np.ndarray:
     """Run both layers and flatten the final pooled maps into an (n_images, dim) matrix.
 
     Row i is the descriptor of images[i]. Images are rescaled to the model's
-    working resolution internally; pass native-resolution images.
+    working resolution internally; pass native-resolution images. Each
+    image goes through layer 1 and then layer 2 before the next one starts.
     """
     cfg = model.config
-    descriptors = np.empty((len(images), 0))
-    for i, img in enumerate(images):
-        fmset = _to_fmset(_prepare_image(img, cfg.scale_factor))
-        if (fmset.height, fmset.width) != model.input_shape:
-            raise DimError(
-                f"image {img.image_id!r} is {(fmset.height, fmset.width)} after "
-                f"rescaling, model was trained at {model.input_shape}"
-            )
-        out1 = run_layer(fmset, model.bank1, cfg.layer1, cfg.rectifier)
-        parts = []
-        for group, bank2 in zip(model.groups.groups, model.banks2):
-            out2 = run_layer(tensor_slice(out1, group), bank2, cfg.layer2, cfg.rectifier)
-            parts.append(out2.maps.ravel())
-        if cfg.descriptor_mode == "concat_layers":
-            parts.append(out1.maps.ravel())
-        row = np.concatenate(parts)
-        if i == 0:
-            descriptors = np.empty((len(images), row.size))
-        descriptors[i] = row
-    return descriptors
+    outputs1 = (
+        run_layer(_layer1_input(model, img), model.bank1, cfg.layer1, cfg.rectifier)
+        for img in images
+    )
+    return _descriptor_rows(model, outputs1, len(images))
 
 
 def descriptor_shape(cfg: NetworkConfig, height: int, width: int):
@@ -320,11 +351,12 @@ def train_and_score(
     per_network_rescale: bool = False,
 ) -> tuple[NetworkModel, SvmModel, ScoreTable]:
     """One committee member on one fold: features, classifier, test scores."""
-    model = train_network(cfg, fold_images)
-    aug = expand_set(fold_images, cfg.augment)
-    svm = train_ova_svm(
-        extract_descriptors(model, aug), [img.label for img in aug], reg_c=cfg.svm_reg_c
-    )
+    model, aug, outputs1 = _train(cfg, fold_images)
+    labels = [img.label for img in aug]
+    train_descriptors = _descriptor_rows(model, outputs1, len(aug))
+    del aug, outputs1
+    svm = train_ova_svm(train_descriptors, labels, reg_c=cfg.svm_reg_c)
+    del train_descriptors  # hold no training data while the test set runs
     raw = score_many(svm, extract_descriptors(model, test_images))
     image_ids = [img.image_id for img in test_images]
     table = normalize_table(cfg.name, image_ids, raw, per_network=per_network_rescale)
@@ -352,7 +384,7 @@ def evaluate_protocol(
         fold_indices = tuple(range(len(fold_plan.folds)))
     fold_indices = tuple(int(f) for f in fold_indices)
     for fold in fold_indices:
-        fold_plan.check_fold(fold)
+        fold_plan.check_fold(fold, len(train_images))
     test_labels = [img.label for img in test_images]
 
     if out_dir is not None:
@@ -388,9 +420,9 @@ def evaluate_protocol(
         committee_members=tuple(names),
     )
     if out_dir is not None:
-        with open(os.path.join(out_dir, "report.txt"), "w", encoding="ascii") as fh:
+        with atomic_open(os.path.join(out_dir, "report.txt")) as fh:
             fh.write(render_report(report))
-        with open(os.path.join(out_dir, "report.csv"), "w", encoding="ascii") as fh:
+        with atomic_open(os.path.join(out_dir, "report.csv")) as fh:
             fh.write(report_csv(report))
     return report
 

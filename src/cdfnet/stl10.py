@@ -16,6 +16,7 @@ from .errors import FormatError
 
 IMAGE_SIDE = 96
 BYTES_PER_IMAGE = IMAGE_SIDE * IMAGE_SIDE * 3  # 27648
+LOAD_BLOCK = 64  # images converted to grayscale together by load_stl10
 NUM_CLASSES = 10
 NUM_FOLDS = 10
 FOLD_SIZE = 1000
@@ -66,10 +67,16 @@ class FoldPlan:
                     )
         object.__setattr__(self, "folds", folds)
 
-    def check_fold(self, fold: int) -> None:
-        """Raise ValueError unless fold is an index in [0, number of folds)."""
+    def check_fold(self, fold: int, n_images: int) -> None:
+        """Raise ValueError unless fold is in [0, number of folds) and all its
+        image indices are below n_images, the number of images loaded."""
         if not 0 <= fold < len(self.folds):
             raise ValueError(f"fold {fold} out of range: the plan has {len(self.folds)} folds")
+        for i in self.folds[fold]:
+            if i >= n_images:
+                raise ValueError(
+                    f"fold {fold} lists image {i}, but only {n_images} images were loaded"
+                )
 
 
 def to_grayscale(r, g, b):
@@ -141,8 +148,14 @@ def load_stl10(images_path, labels_path=None) -> list[LabeledImage]:
         raise FormatError(
             f"{rgb.shape[0]} images but {labels.shape[0]} labels"
         )
-    scaled = rgb.astype(np.float64) / 255.0
-    gray = to_grayscale(scaled[..., 0], scaled[..., 1], scaled[..., 2])
+    # a float RGB copy of a whole split would hold 221 KB per image at once
+    # (1.8 GB for the 8000 test images), so convert a block at a time
+    gray = np.empty(rgb.shape[:3])
+    for start in range(0, rgb.shape[0], LOAD_BLOCK):
+        scaled = rgb[start : start + LOAD_BLOCK].astype(np.float64) / 255.0
+        gray[start : start + LOAD_BLOCK] = to_grayscale(
+            scaled[..., 0], scaled[..., 1], scaled[..., 2]
+        )
     return [
         LabeledImage(gray[i], int(labels[i]), image_id=i)
         for i in range(gray.shape[0])

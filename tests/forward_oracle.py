@@ -1,0 +1,85 @@
+"""Reference forward pass: one image, one layer-2 group at a time.
+
+This is the per-image, per-group path the package used before the batched
+one: dense patches as columns, patch normalization and the ZCA applied to
+every patch before the filter product, LCN and pooling one stack at a time.
+Tests compare :func:`cdfnet.pipeline.extract_descriptors` against it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
+
+from cdfnet.layer import gaussian_window
+from cdfnet.patches import normalize_patch
+
+
+def _convolve(maps, bank, dense_preprocess):
+    p = bank.patch_side
+    windows = sliding_window_view(maps, (p, p), axis=(0, 1))
+    out_h, out_w = windows.shape[:2]
+    cols = np.ascontiguousarray(windows.reshape(out_h * out_w, -1).T)
+    if dense_preprocess:
+        cols = np.stack([normalize_patch(c) for c in cols.T], axis=1)
+        zca = bank.whitening
+        cols = zca.matrix @ (cols - zca.mean[:, None])
+    return (bank.filters.T @ cols).T.reshape(out_h, out_w, bank.k)
+
+
+def _rectify(maps, rectifier):
+    if rectifier == "abs":
+        return np.abs(maps)
+    out = np.empty(maps.shape[:2] + (2 * maps.shape[2],))
+    out[:, :, 0::2] = np.maximum(maps, 0.0)
+    out[:, :, 1::2] = np.maximum(-maps, 0.0)
+    return out
+
+
+def _weighted_sum(stack, window, sigma):
+    kernel = gaussian_window(window, sigma)
+    kernel = kernel / (kernel.sum() * stack.shape[2])
+    return ndimage.correlate(stack.sum(axis=2), kernel, mode="reflect")
+
+
+def _lcn(maps, window, sigma):
+    maps = maps - _weighted_sum(maps, window, sigma)[:, :, None]
+    local_sd = np.sqrt(np.maximum(_weighted_sum(maps**2, window, sigma), 0.0))
+    floor = float(local_sd.mean())
+    if floor == 0.0:
+        return maps
+    return maps / np.maximum(local_sd, floor)[:, :, None]
+
+
+def _pool(maps, side, stride, alpha):
+    windows = sliding_window_view(maps, (side, side), axis=(0, 1))[::stride, ::stride]
+    if alpha == 1.0:
+        return windows.sum(axis=(-2, -1))
+    return np.power(np.power(windows, alpha).sum(axis=(-2, -1)), 1.0 / alpha)
+
+
+def run_layer(maps, bank, cfg, rectifier):
+    out = _convolve(maps, bank, cfg.dense_preprocess)
+    out = _lcn(_rectify(out, rectifier), cfg.lcn_window, cfg.lcn_sigma)
+    return _pool(out, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)
+
+
+def extract_descriptors(model, images):
+    """Descriptor matrix of images, computed image by image and group by group."""
+    from cdfnet.augment import scale
+
+    cfg = model.config
+    rows = []
+    for img in images:
+        if cfg.scale_factor is not None and cfg.scale_factor != 1.0:
+            img = scale(img, cfg.scale_factor)
+        out1 = run_layer(img.pixels[:, :, None], model.bank1, cfg.layer1, cfg.rectifier)
+        parts = [
+            run_layer(out1[:, :, list(group)], bank2, cfg.layer2, cfg.rectifier).ravel()
+            for group, bank2 in zip(model.groups.groups, model.banks2)
+        ]
+        if cfg.descriptor_mode == "concat_layers":
+            parts.append(out1.ravel())
+        rows.append(np.concatenate(parts))
+    return np.array(rows)

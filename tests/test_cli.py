@@ -196,8 +196,48 @@ class TestFoldRange:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "extract", "evaluate"])
+    def test_indices_beyond_loaded_images(self, ws, trained_model, capsys, command):
+        # fold 0 lists images 0-7, the file holds 4
+        few = ws / "train4_X.bin"
+        if not few.exists():
+            write_stl10_images(few, stl10_bytes(np.stack(
+                [i.pixels for i in stripe_dataset(4, side=96, seed=3)]
+            )))
+            write_stl10_labels(ws / "train4_y.bin", [0, 1, 0, 1])
+        out = ws / f"few_{command}"
+        args = {
+            "train": ["--config", ws / "m1.ini", "--train-x", few,
+                      "--train-y", ws / "train4_y.bin"],
+            "extract": ["--model", trained_model, "--images", few],
+            "evaluate": ["--config", ws / "exp.ini", "--train-x", few,
+                         "--train-y", ws / "train4_y.bin", "--test-x", ws / "test_X.bin",
+                         "--test-y", ws / "test_y.bin"],
+        }[command]
+        rc = run(command, *args, "--folds", ws / "folds.txt", "--fold", 0, "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: fold 0 lists image 4, but only 4 images were loaded\n"
+        )
+        assert not out.exists()
+
 
 class TestEvaluate:
+    def test_experiment_parse_error(self, ws, capsys):
+        exp = ws / "dup.ini"
+        exp.write_text("[experiment]\nnetworks = m1.ini\nnetworks = m2.ini\n")
+        out = ws / "dup_run"
+        rc = run("evaluate", "--config", exp,
+                 "--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin",
+                 "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
+                 "--folds", ws / "folds.txt", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad experiment config {exp}: ")
+        assert "option 'networks' in section 'experiment' already exists" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_full_protocol(self, ws, capsys):
         out = ws / "run"
         rc = run("evaluate", "--config", ws / "exp.ini",

@@ -204,6 +204,24 @@ class TestScoreFiles:
         write_score_file(path, _table("n1", [[0.0, 1.5]], normalized=False))
         assert not read_score_file(path).normalized
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        # a table whose fourth row cannot be formatted fails midway through the write
+        class Unwritable:
+            def __float__(self):
+                raise OSError("disk full")
+
+        path = tmp_path / "s.txt"
+        write_score_file(path, _table("n1", [[0.25, 0.75]], ids=[42]))
+        before = path.read_bytes()
+        bad = _table("n1", np.full((6, 2), 0.5))
+        scores = bad.scores.astype(object)
+        scores[3, 0] = Unwritable()
+        object.__setattr__(bad, "scores", scores)
+        with pytest.raises(OSError, match="disk full"):
+            write_score_file(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.txt"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("points v1 n1 2\n0 0.5 0.5\n")

@@ -273,6 +273,11 @@ class TestExperiment:
         with pytest.raises(FormatError, match=re.escape(name)):
             load_experiment_config(self._write(tmp_path, body))
 
+    def test_parse_error_is_format_error(self, tmp_path):
+        body = "[experiment]\nnetworks = a.ini\nnetworks = b.ini\n"
+        with pytest.raises(FormatError, match="already exists"):
+            load_experiment_config(self._write(tmp_path, body))
+
     def test_dataclass_is_plain(self):
         exp = ExperimentConfig(name="e", network_paths=("a",), folds=(0,))
         assert exp.folds == (0,)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cdfnet.errors import DimError, InvalidK, NonFiniteValue
-from cdfnet.kmeans import FilterBank, kmeans, sse
-from cdfnet.patches import PatchMatrix
+from cdfnet.kmeans import FilterBank, _reseed_empty, kmeans, sse
+from cdfnet.patches import PatchMatrix, fit_zca
 from cdfnet.tensor import SeededRng
 
 
@@ -163,3 +163,51 @@ class TestFilterBank:
         bad[1, 1] = np.inf
         with pytest.raises(NonFiniteValue):
             FilterBank(bad, 2, 1)
+
+
+class TestReseed:
+    def _state(self, points, labels, centroids):
+        points = np.asarray(points, dtype=np.float64)
+        centroids = np.asarray(centroids, dtype=np.float64)
+        labels = np.asarray(labels)
+        k = centroids.shape[0]
+        counts = np.bincount(labels, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, labels, points)
+        return points, labels, counts, sums, centroids, np.flatnonzero(counts == 0)
+
+    def test_singleton_member_is_not_taken(self):
+        # the farthest point (10) is the only member of cluster 1; moving it
+        # would empty cluster 1 instead of filling cluster 2
+        state = self._state([[0.0], [10.0], [0.1], [0.3]], [0, 1, 0, 0], [[0.1], [0.0], [50.0]])
+        labels, counts, sums, centroids = _reseed_empty(*state)
+        assert np.all(counts > 0)
+        assert np.array_equal(counts, np.bincount(labels, minlength=3))
+        assert labels[1] == 1 and labels[3] == 2  # farthest point of a cluster of three
+        assert centroids[2, 0] == 0.3
+        assert np.allclose(sums[:, 0], [0.1, 10.0, 0.3])
+
+    def test_fills_every_empty_cluster(self):
+        rng = np.random.default_rng(3)
+        points = rng.standard_normal((12, 2))
+        labels = np.array([0] * 6 + [1] * 5 + [2])
+        state = self._state(points, labels, rng.standard_normal((6, 2)) * 5.0)
+        labels, counts, _, _ = _reseed_empty(*state)
+        assert np.all(counts > 0)
+        assert np.array_equal(counts, np.bincount(labels, minlength=6))
+
+
+class TestWhitenedFilters:
+    def test_matches_whitening_then_filters(self):
+        rng = np.random.default_rng(4)
+        zca = fit_zca(PatchMatrix(rng.random((8, 200)), 2, 2), 0.1)
+        bank = FilterBank(rng.standard_normal((8, 3)), 2, 2, zca)
+        g, c = bank.whitened_filters
+        x = rng.random((8, 5))
+        expect = bank.filters.T @ (zca.matrix @ (x - zca.mean[:, None]))
+        assert np.allclose(g.T @ x - c[:, None], expect, rtol=1e-12, atol=1e-12)
+        assert bank.whitened_filters[0] is g  # derived once per bank
+
+    def test_needs_whitening(self):
+        with pytest.raises(DimError):
+            FilterBank(np.ones((4, 2)), 2, 1).whitened_filters

@@ -19,10 +19,12 @@ from cdfnet.layer import (
     pool_output_shape,
     rectify_abs,
     rectify_on_off,
+    run_groups,
     run_layer,
+    stack_weights,
 )
 from cdfnet.patches import fit_zca, normalize_patch, PatchMatrix, unroll_patch
-from cdfnet.tensor import FeatureMapSet, SeededRng
+from cdfnet.tensor import FeatureMapSet, SeededRng, tensor_slice
 
 
 def _fmset(arr):
@@ -137,11 +139,11 @@ class TestConvolve:
     def test_dense_patch_positions_row_major(self):
         rng = np.random.default_rng(6)
         maps = rng.random((4, 5, 2))
-        cols, (oh, ow) = dense_patches(maps, 2)
+        rows, (oh, ow) = dense_patches(maps, 2)
         assert (oh, ow) == (3, 4)
         for j in range(oh):
             for i in range(ow):
-                assert np.array_equal(cols[:, j * ow + i], unroll_patch(maps, j, i, 2))
+                assert np.array_equal(rows[j * ow + i], unroll_patch(maps, j, i, 2))
 
 
 class TestRectify:
@@ -481,6 +483,40 @@ class TestRunLayer:
             run_layer(_fmset(rng.random((side, side, 1))), bank, cfg, "abs")
         with pytest.raises(error):
             layer_output_shape(side, side, 2, cfg, "abs")
+
+
+class TestRunGroups:
+    @pytest.mark.parametrize("rectifier", ["abs", "on_off"])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_matches_run_layer_per_group(self, rectifier, dense):
+        rng = np.random.default_rng(20)
+        maps = rng.random((7, 7, 12))
+        # groups of very different scale: the LCN floor is taken per group
+        maps[:, :, ::3] *= 50.0
+        groups = make_groups(12, 4, SeededRng(5))
+        banks = tuple(
+            _bank(
+                rng.standard_normal((36, 5)), 3, 4,
+                whitening=fit_zca(PatchMatrix(rng.random((36, 200)), 3, 4), 0.1),
+            )
+            for _ in groups.groups
+        )
+        cfg = Layer2Config(
+            k_per_group=5, patch_side=3, group_size=4, pool_side=2, pool_stride=2,
+            lcn_window=3, lcn_sigma=0.75, dense_preprocess=dense,
+        )
+        weights, offset = stack_weights(banks, dense)
+        perm = np.concatenate(groups.groups)
+        out = run_groups(maps, perm, weights, offset, cfg, rectifier)
+        for g, (group, bank) in enumerate(zip(groups.groups, banks)):
+            one = run_layer(tensor_slice(_fmset(maps), group), bank, cfg, rectifier).maps
+            assert np.allclose(out[g], one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
+
+    def test_filter_dim_must_fit_groups(self):
+        cfg = Layer2Config(k_per_group=2, patch_side=3, group_size=4, lcn_window=3)
+        weights = np.zeros((2, 27, 2))  # 3x3 filters over 3 maps, groups hold 4
+        with pytest.raises(DimError):
+            run_groups(np.ones((6, 6, 8)), np.arange(8), weights, None, cfg, "abs")
 
 
 class TestLayerConfigValidation:

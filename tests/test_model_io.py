@@ -1,10 +1,11 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from cdfnet.errors import FormatError
-from cdfnet.model_io import MAGIC, VERSION, read_container, write_container
+from cdfnet.model_io import MAGIC, VERSION, atomic_open, read_container, write_container
 
 
 def _sample_tensors():
@@ -99,3 +100,42 @@ class TestErrors:
         path.write_bytes(b"")
         with pytest.raises(FormatError):
             read_container(path)
+
+
+class TestAtomicOpen:
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("old\n")
+        with atomic_open(path) as fh:
+            fh.write("new\n")
+            assert path.read_text() == "old\n"
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.txt"]
+
+    def test_leaves_neighbouring_files_alone(self, tmp_path):
+        path = tmp_path / "r.txt"
+        neighbour = tmp_path / "r.txt.tmp"
+        neighbour.write_text("user data\n")
+        with atomic_open(path) as fh:
+            fh.write("new\n")
+        assert neighbour.read_text() == "user data\n"
+        assert path.read_text() == "new\n"
+
+    def test_overlapping_writers_each_write_whole_file(self, tmp_path):
+        path = tmp_path / "r.txt"
+        with atomic_open(path) as first:
+            first.write("first\n" * 100)
+            with atomic_open(path) as second:
+                second.write("second\n")
+            assert path.read_text() == "second\n"
+            first.write("first\n")
+        assert path.read_text() == "first\n" * 101
+        assert [p.name for p in tmp_path.iterdir()] == ["r.txt"]
+
+    def test_mode_of_a_plainly_created_file(self, tmp_path):
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+        with atomic_open(tmp_path / "r.txt") as fh:
+            fh.write("x")
+        mode = os.stat(tmp_path / "plain.txt").st_mode & 0o777
+        assert os.stat(tmp_path / "r.txt").st_mode & 0o777 == mode

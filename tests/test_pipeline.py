@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from cdfnet import pipeline
+from cdfnet.augment import AugmentPlan, expand_set
 from cdfnet.committee import read_score_file, sum_scores, table_predict
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds, load_network_config
 from cdfnet.errors import DimError, FormatError, InvalidGrouping, InvalidWindow
+from cdfnet.layer import run_layer
 from cdfnet.model_io import read_container, write_container
 from cdfnet.pipeline import (
     ExperimentReport,
@@ -29,6 +31,7 @@ from cdfnet.pipeline import (
 from cdfnet.stl10 import FoldPlan, LabeledImage
 from cdfnet.svm import SvmModel
 
+import forward_oracle
 from helpers import stripe_dataset
 
 
@@ -323,13 +326,91 @@ class TestProtocol:
         assert len(report.networks[0].accuracies) == 1
 
     def test_fold_out_of_range_rejected_before_training(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "train_network", _never)
+        monkeypatch.setattr(pipeline, "_train", _never)
         plan = FoldPlan(((0, 1, 2, 3, 4, 5), (4, 5, 6, 7, 8, 9)), n_train=10)
+        train = stripe_dataset(10, side=32, seed=3)
         for folds in ((0, 2), (0, -1)):
             with pytest.raises(ValueError, match=f"fold {folds[1]} out of range"):
-                evaluate_protocol([nano_config("solo")], [], [], plan, fold_indices=folds)
+                evaluate_protocol([nano_config("solo")], train, [], plan, fold_indices=folds)
+
+    def test_fold_beyond_loaded_images_rejected_before_training(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_train", _never)
+        plan = FoldPlan(((0, 1), (2, 3, 4, 5)), n_train=10)
+        train = stripe_dataset(4, side=32, seed=3)
+        with pytest.raises(ValueError, match="fold 1 lists image 4, but only 4 images"):
+            evaluate_protocol([nano_config("solo")], train, [], plan, fold_indices=(0, 1))
+
+    def test_failed_report_write_keeps_previous(self, tmp_path, monkeypatch):
+        def broken(report):
+            raise OSError("disk full")
+
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "report.csv").write_text("previous\n")
+        monkeypatch.setattr(pipeline, "report_csv", broken)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5),), n_train=6)
+        train = stripe_dataset(6, side=32, seed=3)
+        test = stripe_dataset(4, side=32, seed=21, first_id=500)
+        with pytest.raises(OSError, match="disk full"):
+            evaluate_protocol([nano_config("solo")], train, test, plan, out_dir=out)
+        assert (out / "report.csv").read_text() == "previous\n"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "report.csv", "report.txt", "scores_fold0_solo.txt"
+        ]
 
     def test_duplicate_names_rejected(self):
         cfgs = [nano_config("same"), nano_config("same", Seeds(5, 6, 7, 8))]
         with pytest.raises(ValueError):
             evaluate_protocol(cfgs, [], [], FoldPlan(((0,),), n_train=1))
+
+
+class TestBatchedForward:
+    """The batched forward pass against the per-image, per-group oracle."""
+
+    VARIANTS = {
+        "abs": {},
+        "on_off": dict(rectifier="on_off"),
+        "concat_layers": dict(descriptor_mode="concat_layers"),
+        "scale_factor": dict(scale_factor=0.5),
+        # layer 1 pools disjoint tiles, layer 2 overlapping windows with alpha 2
+        "pool_variants": dict(
+            layer1=dataclasses.replace(nano_config().layer1, pool_side=5, pool_stride=5),
+            layer2=dataclasses.replace(
+                nano_config().layer2, pool_side=2, pool_stride=1, pool_alpha=2.0
+            ),
+        ),
+        "no_dense_preprocess": dict(
+            layer1=dataclasses.replace(nano_config().layer1, dense_preprocess=False),
+            layer2=dataclasses.replace(nano_config().layer2, dense_preprocess=False),
+        ),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_matches_per_group_oracle(self, variant):
+        cfg = nano_config(variant, **self.VARIANTS[variant])
+        side = 64 if cfg.scale_factor else 32
+        images = stripe_dataset(6, side=side, seed=3)
+        model = train_network(cfg, images)
+        got = extract_descriptors(model, images)
+        expect = forward_oracle.extract_descriptors(model, images)
+        assert got.shape == expect.shape == (6, descriptor_shape(cfg, side, side)[3])
+        assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
+
+    def test_train_and_score_runs_each_stage_once(self, monkeypatch):
+        calls = {"expand_set": 0, "layer1": 0}
+
+        def counting_expand(images, plan):
+            calls["expand_set"] += 1
+            return expand_set(images, plan)
+
+        def counting_run_layer(fmset, bank, cfg, rectifier):
+            calls["layer1"] += bank.layer_index == 1
+            return run_layer(fmset, bank, cfg, rectifier)
+
+        monkeypatch.setattr(pipeline, "expand_set", counting_expand)
+        monkeypatch.setattr(pipeline, "run_layer", counting_run_layer)
+        cfg = nano_config(augment=AugmentPlan(mirror=True))
+        fold = stripe_dataset(6, side=32, seed=3)
+        test = stripe_dataset(4, side=32, seed=21, first_id=500)
+        train_and_score(cfg, fold, test)
+        assert calls == {"expand_set": 1, "layer1": 2 * len(fold) + len(test)}

@@ -8,6 +8,7 @@ from cdfnet.stl10 import (
     IMAGE_SIDE,
     LabeledImage,
     load_fold_plan,
+    LOAD_BLOCK,
     load_stl10,
     read_stl10_images,
     read_stl10_labels,
@@ -123,6 +124,15 @@ class TestLoadStl10:
         scaled = rgb[0].astype(np.float64) / 255.0
         expect = to_grayscale(scaled[..., 0], scaled[..., 1], scaled[..., 2])
         assert np.allclose(images[0].pixels, expect, atol=0)
+
+    def test_blocks_match_whole_split_bitwise(self, tmp_path):
+        # more images than one conversion block, last block partial
+        n = 2 * LOAD_BLOCK + 3
+        rgb = self._write(tmp_path, n)
+        scaled = rgb.astype(np.float64) / 255.0
+        expect = to_grayscale(scaled[..., 0], scaled[..., 1], scaled[..., 2])
+        images = load_stl10(tmp_path / "X.bin")
+        assert np.array_equal(np.stack([im.pixels for im in images]), expect)
 
     def test_all_white_is_ones(self, tmp_path):
         write_stl10_images(
