@@ -84,8 +84,8 @@ def dense_patches(maps: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, int]
     """All valid p x p x depth patches of (..., H, W, depth) maps as rows.
 
     Returns a fresh (..., positions, p*p*depth) array with positions in
-    row-major order, each row in the :func:`cdfnet.patches.unroll_patch`
-    layout (depth-major, then rows, then columns), plus the output grid.
+    row-major order, each row in the :mod:`cdfnet.patches` layout
+    (depth-major, then rows, then columns), plus the output grid.
     """
     windows = sliding_window_view(maps, (p, p), axis=(-3, -2))
     rows = np.empty(windows.shape)
@@ -324,7 +324,7 @@ def run_groups(
 
     perm lists the K1 map indices group after group; weights and offset come
     from :func:`stack_weights`. Returns (G, h, w, depth): group g equals
-    :func:`run_layer` on ``tensor_slice(maps, group g)`` with bank g, up to
+    :func:`run_layer` on ``maps[:, :, group g]`` with bank g, up to
     summation-order rounding, and the LCN floor is taken per group.
     """
     n_groups = weights.shape[0]

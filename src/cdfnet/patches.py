@@ -2,8 +2,8 @@
 
 A patch is a p x p x depth block unrolled into one column with depth as the
 slowest axis, then rows, then columns (C-order over (depth, row, col)).
-Training-time sampling and dense extraction at convolution time share this
-layout; see :func:`unroll_patch` and :mod:`cdfnet.layer`.
+Training-time sampling (:func:`extract_patches`) and dense extraction at
+convolution time (:func:`cdfnet.layer.dense_patches`) share this layout.
 """
 
 from __future__ import annotations
@@ -11,13 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimError, InvalidPatchSize
-from .tensor import FeatureMapSet, SeededRng, assert_array_finite
+from .tensor import SeededRng, assert_array_finite
 
 # Eigenvalues below this fraction of the largest are numerical noise and are
 # clamped before the inverse square root.
 EIGENVALUE_FLOOR = 1e-12
+# patches gathered per block by extract_patches: 2 MB of window copies at d = 256
+_GATHER_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -78,69 +81,48 @@ class ZcaTransform:
         return self.mean.size
 
 
-def unroll_patch(maps: np.ndarray, row: int, col: int, p: int) -> np.ndarray:
-    """One p x p x depth block as a column vector, depth-major layout."""
-    vol = maps[row : row + p, col : col + p, :]
-    return np.ascontiguousarray(vol.transpose(2, 0, 1)).ravel()
+def extract_patches(maps: np.ndarray, p: int, n_patches: int, rng: SeededRng) -> PatchMatrix:
+    """Sample patches of an (N, H, W, depth) stack uniformly, with replacement.
 
-
-def extract_patches(
-    sets: list[FeatureMapSet], p: int, n_patches: int, rng: SeededRng
-) -> PatchMatrix:
-    """Sample patches uniformly over (image, row, column), with replacement.
-
-    The image index is drawn first, then a valid top-left position inside
-    that image, so every image is equally likely regardless of its size.
+    The image index is drawn first, then a valid top-left row and column
+    inside it. The patches are gathered from a sliding-window view a block
+    at a time, straight into the columns of the result.
     """
-    if not sets:
-        raise ValueError("need at least one feature-map set")
+    maps = np.asarray(maps, dtype=np.float64)
+    if maps.ndim != 4 or maps.shape[0] < 1:
+        raise DimError(f"need an (N, H, W, depth) stack with N >= 1, got shape {maps.shape}")
     if n_patches < 1:
         raise ValueError(f"n_patches must be >= 1, got {n_patches}")
-    depth = sets[0].depth
-    for s in sets:
-        if s.depth != depth:
-            raise DimError("all feature-map sets must share one depth")
-        if p > min(s.height, s.width):
-            raise InvalidPatchSize(
-                f"patch side {p} exceeds map size {s.height}x{s.width}"
-            )
+    n_images, height, width, depth = maps.shape
+    if p > min(height, width):
+        raise InvalidPatchSize(f"patch side {p} exceeds map size {height}x{width}")
 
     gen = rng.generator()
-    img_idx = gen.integers(0, len(sets), size=n_patches)
-    row_u = gen.random(n_patches)
-    col_u = gen.random(n_patches)
+    img_idx = gen.integers(0, n_images, size=n_patches)
+    rows = (gen.random(n_patches) * (height - p + 1)).astype(np.intp)
+    cols = (gen.random(n_patches) * (width - p + 1)).astype(np.intp)
 
+    windows = sliding_window_view(maps, (p, p), axis=(1, 2))  # (N, h, w, depth, p, p)
     dim = p * p * depth
     data = np.empty((dim, n_patches), dtype=np.float64)
-    for j in range(n_patches):
-        s = sets[img_idx[j]]
-        row = int(row_u[j] * (s.height - p + 1))
-        col = int(col_u[j] * (s.width - p + 1))
-        data[:, j] = unroll_patch(s.maps, row, col, p)
+    for lo in range(0, n_patches, _GATHER_BLOCK):
+        hi = min(lo + _GATHER_BLOCK, n_patches)
+        block = windows[img_idx[lo:hi], rows[lo:hi], cols[lo:hi]]
+        data[:, lo:hi] = block.reshape(hi - lo, dim).T
     return PatchMatrix(data, patch_side=p, depth=depth)
 
 
-def normalize_patch(patch: np.ndarray) -> np.ndarray:
-    """Scale by 1/max|x_i|, then subtract the mean; the zero vector stays zero."""
-    patch = np.asarray(patch, dtype=np.float64)
-    peak = np.max(np.abs(patch))
-    if peak == 0.0:
-        return np.zeros_like(patch)
-    scaled = patch / peak
-    return scaled - scaled.mean()
-
-
 def normalize_columns(data: np.ndarray) -> np.ndarray:
-    """Column-wise :func:`normalize_patch` for a (dim, n) matrix."""
+    """Normalize every column of a (dim, n) matrix; see :func:`_normalize_along`."""
     out = np.array(data, dtype=np.float64)
     _normalize_along(out, axis=0)
     return out
 
 
 def _normalize_along(data: np.ndarray, axis: int) -> None:
-    """:func:`normalize_patch` in place on every patch lying along `axis`.
+    """Scale every patch lying along `axis` by 1/max|x_i|, then subtract its mean.
 
-    Training normalizes sampled patches as columns (axis 0); dense
+    Works in place. Training normalizes sampled patches as columns (axis 0); dense
     convolution normalizes its im2col rows (axis -1). max|x| is taken as
     max(max x, -min x), so no |x| temporary is made. A zero patch divides
     by 1 and stays zero.

@@ -39,7 +39,7 @@ from .model_io import atomic_open, read_container, write_container
 from .patches import PatchMatrix, ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_columns
 from .stl10 import FoldPlan, LabeledImage
 from .svm import SvmModel, score_many, train_ova_svm
-from .tensor import FeatureMapSet, SeededRng, tensor_slice
+from .tensor import FeatureMapSet, SeededRng
 
 logger = logging.getLogger(__name__)
 
@@ -67,29 +67,27 @@ def _prepare_image(img: LabeledImage, factor: float | None) -> LabeledImage:
     return scale(img, factor) if factor is not None and factor != 1.0 else img
 
 
-def _to_fmset(img: LabeledImage) -> FeatureMapSet:
-    return FeatureMapSet(img.pixels[:, :, np.newaxis], img.image_id)
-
-
 def _train_bank(
-    sets: list[FeatureMapSet],
+    maps: np.ndarray,
     layer: Layer1Config | Layer2Config,
     k: int,
     patch_rng: SeededRng,
     kmeans_rng: SeededRng,
     layer_index: int,
 ) -> FilterBank:
-    """Sample the layer's patches from sets, normalize, whiten, and cluster them into k filters."""
-    depth = sets[0].depth
-    raw = extract_patches(sets, layer.patch_side, layer.n_patches, patch_rng)
-    normed = PatchMatrix(normalize_columns(raw.data), layer.patch_side, depth)
-    zca = fit_zca(normed, layer.zca_epsilon)
-    white = apply_zca(zca, normed)
-    result = kmeans(white, k, KMEANS_MAX_ITERS, kmeans_rng)
+    """Sample the layer's patches from an (N, H, W, depth) stack, normalize,
+    whiten, and cluster them into k filters."""
+    # each step rebinds `patches`, so the raw and normalized copies are
+    # freed before k-means runs
+    patches = extract_patches(maps, layer.patch_side, layer.n_patches, patch_rng)
+    patches = PatchMatrix(normalize_columns(patches.data), layer.patch_side, patches.depth)
+    zca = fit_zca(patches, layer.zca_epsilon)
+    patches = apply_zca(zca, patches)
+    result = kmeans(patches, k, KMEANS_MAX_ITERS, kmeans_rng)
     return FilterBank(
         filters=result.centroids,
         patch_side=layer.patch_side,
-        depth=depth,
+        depth=patches.depth,
         whitening=zca,
         layer_index=layer_index,
     )
@@ -97,26 +95,31 @@ def _train_bank(
 
 def _train(
     cfg: NetworkConfig, fold_images: list[LabeledImage]
-) -> tuple[NetworkModel, list[LabeledImage], list[FeatureMapSet]]:
-    """:func:`train_network`, also returning the augmented fold and its layer-1 outputs."""
+) -> tuple[NetworkModel, list[int], np.ndarray]:
+    """:func:`train_network`, also returning the augmented fold's labels and
+    its layer-1 outputs as one (N, h, w, K1) array."""
     # the shape chain and the grouping depend only on the config and the
     # image size, so settle them before the heavy work
-    l1_shape = descriptor_shape(cfg, *fold_images[0].pixels.shape)[0]
+    input_shape = _working_shape(cfg, *fold_images[0].pixels.shape)
+    l1_shape = _layer_shapes(cfg, *input_shape)[0]
     groups = make_groups(l1_shape[2], cfg.layer2.group_size, SeededRng(cfg.seeds.grouping))
     augmented = expand_set(fold_images, cfg.augment)
-    sets = [_to_fmset(_prepare_image(img, cfg.scale_factor)) for img in augmented]
-    input_shape = (sets[0].height, sets[0].width)
-    for s in sets:
-        if (s.height, s.width) != input_shape:
+    images = np.empty((len(augmented), *input_shape, 1))
+    for i, img in enumerate(augmented):
+        pixels = _prepare_image(img, cfg.scale_factor).pixels
+        if pixels.shape != input_shape:
             raise DimError(
-                f"training images must share one size, got {input_shape} and "
-                f"{(s.height, s.width)}"
+                f"training images must share one size, got {input_shape} and {pixels.shape}"
             )
+        images[i, :, :, 0] = pixels
+    labels = [img.label for img in augmented]
+    image_ids = [img.image_id for img in augmented]
+    del augmented
 
     patches_rng = SeededRng(cfg.seeds.patches)
     logger.info("%s: training layer-1 filters (K=%d)", cfg.name, cfg.layer1.k)
     bank1 = _train_bank(
-        sets,
+        images,
         cfg.layer1,
         k=cfg.layer1.k,
         patch_rng=patches_rng.child(0),
@@ -124,33 +127,34 @@ def _train(
         layer_index=1,
     )
 
-    outputs1 = [run_layer(s, bank1, cfg.layer1, cfg.rectifier) for s in sets]
+    outputs1 = np.empty((len(images), *l1_shape))
+    for i, image_id in enumerate(image_ids):
+        outputs1[i] = run_layer(
+            FeatureMapSet(images[i], image_id), bank1, cfg.layer1, cfg.rectifier
+        ).maps
+    del images  # nothing else holds a view of the stack
     logger.info(
         "%s: layer-1 output %dx%dx%d, %d groups of %d",
         cfg.name,
-        outputs1[0].height,
-        outputs1[0].width,
-        outputs1[0].depth,
+        *l1_shape,
         groups.n_groups,
         groups.group_size,
     )
 
     kmeans2_rng = SeededRng(cfg.seeds.kmeans2)
-    banks2 = []
-    for g, group in enumerate(groups.groups):
-        group_sets = [tensor_slice(o, group) for o in outputs1]
-        banks2.append(
-            _train_bank(
-                group_sets,
-                cfg.layer2,
-                k=cfg.layer2.k_per_group,
-                patch_rng=patches_rng.child(1 + g),
-                kmeans_rng=kmeans2_rng.child(g),
-                layer_index=2,
-            )
+    banks2 = tuple(
+        _train_bank(
+            outputs1[..., list(group)],
+            cfg.layer2,
+            k=cfg.layer2.k_per_group,
+            patch_rng=patches_rng.child(1 + g),
+            kmeans_rng=kmeans2_rng.child(g),
+            layer_index=2,
         )
-    model = NetworkModel(cfg, bank1, groups, tuple(banks2), input_shape)
-    return model, augmented, outputs1
+        for g, group in enumerate(groups.groups)
+    )
+    model = NetworkModel(cfg, bank1, groups, banks2, input_shape)
+    return model, labels, outputs1
 
 
 def train_network(cfg: NetworkConfig, fold_images: list[LabeledImage]) -> NetworkModel:
@@ -159,32 +163,31 @@ def train_network(cfg: NetworkConfig, fold_images: list[LabeledImage]) -> Networ
 
 
 def _layer1_input(model: NetworkModel, img: LabeledImage) -> FeatureMapSet:
-    fmset = _to_fmset(_prepare_image(img, model.config.scale_factor))
-    if (fmset.height, fmset.width) != model.input_shape:
+    pixels = _prepare_image(img, model.config.scale_factor).pixels
+    if pixels.shape != model.input_shape:
         raise DimError(
-            f"image {img.image_id!r} is {(fmset.height, fmset.width)} after "
+            f"image {img.image_id!r} is {pixels.shape} after "
             f"rescaling, model was trained at {model.input_shape}"
         )
-    return fmset
+    return FeatureMapSet(pixels[:, :, np.newaxis], img.image_id)
 
 
 def _descriptor_rows(model: NetworkModel, outputs1, n_images: int) -> np.ndarray:
-    """Layer 2 over an iterable of layer-1 outputs; row i comes from the i-th.
+    """Layer 2 over n_images (h, w, K1) layer-1 outputs; row i comes from the i-th.
 
     Consumes outputs1 one at a time, so a generator keeps a single image's
     layer-1 maps in memory.
     """
     cfg = model.config
+    _, l2, n_groups, dim = _layer_shapes(cfg, *model.input_shape)
+    n2 = n_groups * l2[0] * l2[1] * l2[2]
     perm = np.concatenate(model.groups.groups)
     weights, offset = stack_weights(model.banks2, cfg.layer2.dense_preprocess)
-    descriptors = np.empty((n_images, 0))
-    for i, out1 in enumerate(outputs1):
-        row = run_groups(out1.maps, perm, weights, offset, cfg.layer2, cfg.rectifier).ravel()
+    descriptors = np.empty((n_images, dim))
+    for row, out1 in zip(descriptors, outputs1):
+        row[:n2] = run_groups(out1, perm, weights, offset, cfg.layer2, cfg.rectifier).ravel()
         if cfg.descriptor_mode == "concat_layers":
-            row = np.concatenate([row, out1.maps.ravel()])
-        if i == 0:
-            descriptors = np.empty((n_images, row.size))
-        descriptors[i] = row
+            row[n2:] = out1.ravel()
     return descriptors
 
 
@@ -197,10 +200,18 @@ def extract_descriptors(model: NetworkModel, images: list[LabeledImage]) -> np.n
     """
     cfg = model.config
     outputs1 = (
-        run_layer(_layer1_input(model, img), model.bank1, cfg.layer1, cfg.rectifier)
+        run_layer(_layer1_input(model, img), model.bank1, cfg.layer1, cfg.rectifier).maps
         for img in images
     )
     return _descriptor_rows(model, outputs1, len(images))
+
+
+def _working_shape(cfg: NetworkConfig, height: int, width: int) -> tuple[int, int]:
+    """Image size after the network's rescaling, as :func:`cdfnet.augment.scale` makes it."""
+    factor = cfg.scale_factor
+    if factor is not None and factor != 1.0:
+        return max(1, round(height * factor)), max(1, round(width * factor))
+    return height, width
 
 
 def descriptor_shape(cfg: NetworkConfig, height: int, width: int):
@@ -208,10 +219,11 @@ def descriptor_shape(cfg: NetworkConfig, height: int, width: int):
 
     Raises the errors training would raise for a shape chain that cannot run.
     """
-    factor = cfg.scale_factor
-    if factor is not None and factor != 1.0:
-        height = max(1, round(height * factor))
-        width = max(1, round(width * factor))
+    return _layer_shapes(cfg, *_working_shape(cfg, height, width))
+
+
+def _layer_shapes(cfg: NetworkConfig, height: int, width: int):
+    """:func:`descriptor_shape` for an input already at the working resolution."""
     l1 = layer_output_shape(height, width, cfg.layer1.k, cfg.layer1, cfg.rectifier)
     l2 = layer_output_shape(l1[0], l1[1], cfg.layer2.k_per_group, cfg.layer2, cfg.rectifier)
     n_groups, rest = divmod(l1[2], cfg.layer2.group_size)
@@ -301,8 +313,8 @@ def load_svm(path) -> SvmModel:
 
     tensors, config_text = read_container(path)
     cp = configparser.ConfigParser()
-    cp.read_string(config_text)
     try:
+        cp.read_string(config_text)
         reg_c = float(cp["svm"]["reg_c"])
         return SvmModel(
             weights=tensors["weights"],
@@ -351,10 +363,9 @@ def train_and_score(
     per_network_rescale: bool = False,
 ) -> tuple[NetworkModel, SvmModel, ScoreTable]:
     """One committee member on one fold: features, classifier, test scores."""
-    model, aug, outputs1 = _train(cfg, fold_images)
-    labels = [img.label for img in aug]
-    train_descriptors = _descriptor_rows(model, outputs1, len(aug))
-    del aug, outputs1
+    model, labels, outputs1 = _train(cfg, fold_images)
+    train_descriptors = _descriptor_rows(model, outputs1, len(labels))
+    del outputs1
     svm = train_ova_svm(train_descriptors, labels, reg_c=cfg.svm_reg_c)
     del train_descriptors  # hold no training data while the test set runs
     raw = score_many(svm, extract_descriptors(model, test_images))

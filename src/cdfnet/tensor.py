@@ -84,15 +84,6 @@ class FeatureMapSet:
         return self.maps.shape[2]
 
 
-def tensor_slice(fmset: FeatureMapSet, depth_indices) -> FeatureMapSet:
-    """Select feature maps at the given depths, preserving order."""
-    indices = list(depth_indices)
-    for i in indices:
-        if not 0 <= i < fmset.depth:
-            raise IndexError(f"depth index {i} out of range [0, {fmset.depth})")
-    return FeatureMapSet(fmset.maps[:, :, indices], fmset.source_image_id)
-
-
 def assert_finite(fmset: FeatureMapSet) -> None:
     """Raise :class:`NonFiniteValue` at the first NaN/Inf coordinate."""
     assert_array_finite(fmset.maps, what=f"feature maps of image {fmset.source_image_id}")

@@ -13,7 +13,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from cdfnet.layer import gaussian_window
-from cdfnet.patches import normalize_patch
+
+
+def normalize_patch(patch: np.ndarray) -> np.ndarray:
+    """Scale by 1/max|x_i|, then subtract the mean; the zero vector stays zero."""
+    patch = np.asarray(patch, dtype=np.float64)
+    peak = np.max(np.abs(patch))
+    if peak == 0.0:
+        return np.zeros_like(patch)
+    scaled = patch / peak
+    return scaled - scaled.mean()
 
 
 def _convolve(maps, bank, dense_preprocess):

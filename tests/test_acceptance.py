@@ -23,7 +23,7 @@ from cdfnet.layer import (
     rectify_on_off,
     run_layer,
 )
-from cdfnet.patches import PatchMatrix, ZcaTransform, apply_zca, fit_zca, normalize_patch, unroll_patch
+from cdfnet.patches import PatchMatrix, ZcaTransform, apply_zca, fit_zca, normalize_columns
 from cdfnet.pipeline import (
     NetworkModel,
     descriptor_shape,
@@ -35,6 +35,7 @@ from cdfnet.stl10 import LabeledImage
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from helpers import stripe_dataset, toy_config
+from train_oracle import unroll_patch
 
 
 @contextmanager
@@ -66,11 +67,11 @@ def _check_zca_whitening():
 def _check_patch_normalization():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        x = rng.standard_normal(rng.integers(2, 40)) * rng.uniform(0.1, 50.0)
-        y = normalize_patch(x)
+        x = rng.standard_normal((rng.integers(2, 40), 1)) * rng.uniform(0.1, 50.0)
+        y = normalize_columns(x)
         assert abs(y.mean()) <= 1e-12
         for c in (0.5, 3.0, 1e6):
-            assert np.allclose(normalize_patch(c * x), y, atol=1e-12)
+            assert np.allclose(normalize_columns(c * x), y, atol=1e-12)
 
 
 def _check_on_off_identities():

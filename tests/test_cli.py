@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cdfnet
 from cdfnet.cli import main
 from cdfnet.committee import read_score_file
 from cdfnet.config import Seeds, save_network_config
@@ -158,6 +160,28 @@ class TestChain:
         err = capsys.readouterr().err
         assert err == "error: non-finite value nan in descriptors at (2, 1)\n"
 
+    def test_score_svm_config_parse_error(self, ws, capsys):
+        x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 0.5]])
+        svm = train_ova_svm(x, [0, 1, 0, 1])
+        dup = ws / "dup.svm"
+        write_container(
+            dup,
+            {"weights": svm.weights, "biases": svm.biases,
+             "feature_mean": svm.feature_mean, "feature_std": svm.feature_std},
+            "[svm]\nreg_c = 1.0\nreg_c = 2.0\n",
+        )
+        desc = ws / "dup.desc"
+        write_container(desc, {"descriptors": x, "labels": np.full(4, -1.0)}, "0\n1\n2\n3")
+        out = ws / "dup_scores.txt"
+        rc = run("score", "--svm", dup, "--descriptors", desc, "--network-id", "t",
+                 "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dup}: bad SVM container: ")
+        assert "option 'reg_c' in section 'svm' already exists" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_committee_rejects_garbage(self, ws, capsys):
         bad = ws / "garbage.txt"
         bad.write_text("not a score file\n")
@@ -257,8 +281,12 @@ class TestEvaluate:
 
 
 def test_console_help_runs():
+    # the child imports the same cdfnet as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cdfnet.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "cdfnet.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "cdfnet.cli", "--help"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     for command in ("train", "extract", "svm", "score", "committee", "evaluate"):

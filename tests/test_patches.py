@@ -11,14 +11,17 @@ from cdfnet.patches import (
     extract_patches,
     fit_zca,
     normalize_columns,
-    normalize_patch,
-    unroll_patch,
 )
-from cdfnet.tensor import FeatureMapSet, SeededRng
+from cdfnet.tensor import SeededRng
+
+import train_oracle
+from forward_oracle import normalize_patch
+from train_oracle import unroll_patch
 
 
-def _fmset(arr, image_id=0):
-    return FeatureMapSet(np.asarray(arr, dtype=np.float64), image_id)
+def _stack(*images):
+    """(N, H, W, depth) stack of (H, W) or (H, W, depth) arrays."""
+    return np.stack([np.atleast_3d(np.asarray(a, dtype=np.float64)) for a in images])
 
 
 class TestUnroll:
@@ -27,7 +30,11 @@ class TestUnroll:
         vol = np.zeros((2, 2, 2))
         vol[:, :, 0] = [[1, 2], [3, 4]]
         vol[:, :, 1] = [[5, 6], [7, 8]]
-        assert np.array_equal(unroll_patch(vol, 0, 0, 2), [1, 2, 3, 4, 5, 6, 7, 8])
+        expect = [1, 2, 3, 4, 5, 6, 7, 8]
+        assert np.array_equal(unroll_patch(vol, 0, 0, 2), expect)
+        # a 2x2 map has one 2x2 position, so every sampled column is that patch
+        pm = extract_patches(_stack(vol), 2, 3, SeededRng(0))
+        assert np.array_equal(pm.data, np.array([expect] * 3).T)
 
     def test_matches_explicit_loop(self):
         rng = np.random.default_rng(0)
@@ -44,7 +51,7 @@ class TestUnroll:
 class TestExtractPatches:
     def test_positions_within_valid_range(self):
         base = np.arange(16, dtype=np.float64).reshape(4, 4)
-        pm = extract_patches([_fmset(base)], 2, 500, SeededRng(1))
+        pm = extract_patches(_stack(base), 2, 500, SeededRng(1))
         assert pm.data.shape == (4, 500)
         valid = set()
         for r in range(3):
@@ -55,52 +62,71 @@ class TestExtractPatches:
         assert len(seen) > 1  # sampling actually varies position
 
     def test_constant_input(self):
-        pm = extract_patches([_fmset(np.full((5, 5), 7.0))], 3, 20, SeededRng(2))
+        pm = extract_patches(_stack(np.full((5, 5), 7.0)), 3, 20, SeededRng(2))
         assert np.all(pm.data == 7.0)
 
     def test_patch_too_large(self):
         with pytest.raises(InvalidPatchSize):
-            extract_patches([_fmset(np.zeros((4, 4)))], 5, 10, SeededRng(0))
+            extract_patches(_stack(np.zeros((4, 4))), 5, 10, SeededRng(0))
 
     def test_n_patches_positive(self):
         with pytest.raises(ValueError):
-            extract_patches([_fmset(np.zeros((4, 4)))], 2, 0, SeededRng(0))
+            extract_patches(_stack(np.zeros((4, 4))), 2, 0, SeededRng(0))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 1), (0, 4, 4, 1), (1, 1, 4, 4, 1)])
+    def test_needs_nonempty_stack(self, shape):
+        with pytest.raises(DimError):
+            extract_patches(np.zeros(shape), 2, 10, SeededRng(0))
 
     def test_deterministic(self):
-        sets = [_fmset(np.random.default_rng(i).random((6, 6, 2))) for i in range(3)]
-        a = extract_patches(sets, 3, 100, SeededRng(9))
-        b = extract_patches(sets, 3, 100, SeededRng(9))
+        maps = _stack(*(np.random.default_rng(i).random((6, 6, 2)) for i in range(3)))
+        a = extract_patches(maps, 3, 100, SeededRng(9))
+        b = extract_patches(maps, 3, 100, SeededRng(9))
         assert np.array_equal(a.data, b.data)
-        c = extract_patches(sets, 3, 100, SeededRng(10))
+        c = extract_patches(maps, 3, 100, SeededRng(10))
         assert not np.array_equal(a.data, c.data)
 
     def test_depth_recorded(self):
-        pm = extract_patches([_fmset(np.zeros((6, 6, 3)))], 2, 5, SeededRng(0))
+        pm = extract_patches(_stack(np.zeros((6, 6, 3))), 2, 5, SeededRng(0))
         assert pm.depth == 3
         assert pm.patch_side == 2
         assert pm.data.shape[0] == 2 * 2 * 3
 
     def test_samples_across_images(self):
-        sets = [_fmset(np.full((4, 4), float(i))) for i in range(4)]
-        pm = extract_patches(sets, 2, 400, SeededRng(3))
+        maps = _stack(*(np.full((4, 4), float(i)) for i in range(4)))
+        pm = extract_patches(maps, 2, 400, SeededRng(3))
         assert {v for v in pm.data[0]} == {0.0, 1.0, 2.0, 3.0}
+
+    @pytest.mark.parametrize("p, depth", [(3, 1), (2, 4)])
+    def test_matches_per_patch_oracle(self, p, depth):
+        # more patches than one gather block, on non-square maps
+        maps = np.random.default_rng(8).random((5, 9, 7, depth))
+        pm = extract_patches(maps, p, 2500, SeededRng(4, (1, 2)))
+        want = train_oracle.extract_patches(list(maps), p, 2500, SeededRng(4, (1, 2)))
+        assert np.array_equal(pm.data, want.data)
+        assert pm.data.flags.c_contiguous
+
+
+def _normalize(x):
+    """The package's patch normalization on one patch."""
+    return normalize_columns(np.asarray(x, dtype=np.float64)[:, None])[:, 0]
 
 
 class TestNormalizePatch:
     def test_two_four(self):
-        assert np.allclose(normalize_patch(np.array([2.0, 4.0])), [-0.25, 0.25])
+        assert np.allclose(_normalize([2.0, 4.0]), [-0.25, 0.25])
 
     def test_zero_guard(self):
-        assert np.array_equal(normalize_patch(np.zeros(3)), np.zeros(3))
+        assert np.array_equal(_normalize(np.zeros(3)), np.zeros(3))
 
     def test_negative(self):
-        out = normalize_patch(np.array([-3.0, 1.0]))
+        out = _normalize([-3.0, 1.0])
         assert np.allclose(out, [-2.0 / 3.0, 2.0 / 3.0])
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=32))
     @settings(max_examples=200, deadline=None)
     def test_zero_mean(self, values):
-        out = normalize_patch(np.array(values))
+        out = _normalize(values)
         assert abs(out.mean()) < 1e-12
 
     # Scaling can round a subnormal entry to zero (0.5 * 5e-324 == 0), after
@@ -115,14 +141,14 @@ class TestNormalizePatch:
         x = np.array(values)
         scaled = np.abs(lam * x)
         assume(np.all((scaled == 0.0) | (scaled >= np.finfo(float).tiny)))
-        a = normalize_patch(x)
-        b = normalize_patch(lam * x)
+        a = _normalize(x)
+        b = _normalize(lam * x)
         assert np.allclose(a, b, atol=1e-9)
 
     def test_range_bounded(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            out = normalize_patch(rng.normal(0, 10, 20))
+            out = _normalize(rng.normal(0, 10, 20))
             assert np.max(np.abs(out)) <= 2.0
 
     def test_columns_match_single(self):

@@ -32,6 +32,7 @@ from cdfnet.stl10 import FoldPlan, LabeledImage
 from cdfnet.svm import SvmModel
 
 import forward_oracle
+import train_oracle
 from helpers import stripe_dataset
 
 
@@ -163,6 +164,13 @@ class TestExtract:
     def test_wrong_size_rejected(self, nano_model):
         with pytest.raises(DimError):
             extract_descriptors(nano_model, stripe_dataset(1, side=48, seed=5))
+
+    @pytest.mark.parametrize("mode", ["layer2_only", "concat_layers"])
+    def test_no_images(self, mode):
+        cfg = nano_config(descriptor_mode=mode)
+        model = train_network(cfg, stripe_dataset(8, side=32, seed=3))
+        descs = extract_descriptors(model, [])
+        assert descs.shape == (0, descriptor_shape(cfg, 32, 32)[3])
 
     def test_identical_images_identical_descriptors(self, nano_model):
         img = stripe_dataset(1, side=32, seed=17)[0]
@@ -362,6 +370,32 @@ class TestProtocol:
         cfgs = [nano_config("same"), nano_config("same", Seeds(5, 6, 7, 8))]
         with pytest.raises(ValueError):
             evaluate_protocol(cfgs, [], [], FoldPlan(((0,),), n_train=1))
+
+
+class TestStackedTraining:
+    """Training on stacked arrays against the per-image, per-group oracle, bitwise."""
+
+    VARIANTS = {
+        "abs": {},
+        "on_off": dict(rectifier="on_off"),
+        "scale_factor": dict(scale_factor=0.5),
+        "mirror_rotation": dict(augment=AugmentPlan(mirror=True, rotations_deg=(-10.0, 15.0))),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_matches_train_oracle(self, variant):
+        cfg = nano_config(variant, **self.VARIANTS[variant])
+        side = 64 if cfg.scale_factor else 32
+        images = stripe_dataset(6, side=side, seed=3)
+        got = train_network(cfg, images)
+        want = train_oracle.train_network(cfg, images)
+        assert got.input_shape == want.input_shape
+        assert got.groups == want.groups
+        for a, b in zip((got.bank1,) + got.banks2, (want.bank1,) + want.banks2, strict=True):
+            assert np.array_equal(a.filters, b.filters)
+            assert np.array_equal(a.whitening.mean, b.whitening.mean)
+            assert np.array_equal(a.whitening.matrix, b.whitening.matrix)
+            assert (a.patch_side, a.depth, a.layer_index) == (b.patch_side, b.depth, b.layer_index)
 
 
 class TestBatchedForward:

@@ -7,7 +7,6 @@ from cdfnet.tensor import (
     FeatureMapSet,
     SeededRng,
     assert_finite,
-    tensor_slice,
 )
 
 
@@ -93,42 +92,6 @@ class TestFeatureMapSet:
     def test_float64(self):
         s = FeatureMapSet(np.zeros((2, 2, 1), dtype=np.float32))
         assert s.maps.dtype == np.float64
-
-
-class TestTensorSlice:
-    def setup_method(self):
-        self.full = _fmset(np.arange(24).reshape(2, 4, 3), image_id=9)
-
-    def test_identity(self):
-        out = tensor_slice(self.full, [0, 1, 2])
-        assert np.array_equal(out.maps, self.full.maps)
-        assert out.source_image_id == 9
-
-    def test_select_last(self):
-        out = tensor_slice(self.full, [2])
-        assert out.depth == 1
-        assert np.array_equal(out.maps[:, :, 0], self.full.maps[:, :, 2])
-
-    def test_order_preserved(self):
-        out = tensor_slice(self.full, [2, 0])
-        assert np.array_equal(out.maps[:, :, 0], self.full.maps[:, :, 2])
-        assert np.array_equal(out.maps[:, :, 1], self.full.maps[:, :, 0])
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            tensor_slice(self.full, [3])
-        with pytest.raises(IndexError):
-            tensor_slice(self.full, [-1])
-
-    def test_input_unmodified(self):
-        before = self.full.maps.copy()
-        tensor_slice(self.full, [1])
-        assert np.array_equal(self.full.maps, before)
-
-    def test_partition_reconstructs(self):
-        parts = [tensor_slice(self.full, [i]) for i in range(self.full.depth)]
-        rebuilt = np.concatenate([p.maps for p in parts], axis=2)
-        assert np.array_equal(rebuilt, self.full.maps)
 
 
 class TestAssertFinite:
