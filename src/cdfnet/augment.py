@@ -90,11 +90,15 @@ def scale(img: LabeledImage, factor: float) -> LabeledImage:
     if factor == 1.0:
         return img
     h, w = img.pixels.shape
-    out_h = max(1, round(h * factor))
-    out_w = max(1, round(w * factor))
+    out_h, out_w = _scaled_shape(h, w, factor)
     wy = _box_weights(h, out_h)
     wx = _box_weights(w, out_w)
     return LabeledImage(wy @ img.pixels @ wx.T, img.label, img.image_id)
+
+
+def _scaled_shape(height: int, width: int, factor: float) -> tuple[int, int]:
+    """Image size after :func:`scale`: round(side * factor), at least 1."""
+    return max(1, round(height * factor)), max(1, round(width * factor))
 
 
 def _box_weights(n_in: int, n_out: int) -> np.ndarray:

@@ -23,7 +23,11 @@ _BLOCK = 16384
 
 @dataclass(frozen=True)
 class FilterBank:
-    """K filters as columns (patch_side^2 * depth, K) plus their whitening."""
+    """K filters as columns (..., patch_side^2 * depth, K) plus their whitening.
+
+    A leading axis stacks equal-shaped banks, one per layer-2 group; the
+    whitening then carries the same leading axis.
+    """
 
     filters: np.ndarray
     patch_side: int
@@ -34,39 +38,48 @@ class FilterBank:
     def __post_init__(self):
         filters = np.asarray(self.filters, dtype=np.float64)
         expected = self.patch_side * self.patch_side * self.depth
-        if filters.ndim != 2 or filters.shape[0] != expected:
+        if filters.ndim < 2 or filters.shape[-2] != expected:
             raise DimError(
                 f"filter bank shape {filters.shape} inconsistent with "
                 f"{self.patch_side}^2 * {self.depth} = {expected}"
             )
-        if filters.shape[1] < 1:
+        if filters.shape[-1] < 1:
             raise DimError("filter bank must contain at least one filter")
         assert_array_finite(filters, what="filter bank")
-        if self.whitening is not None and self.whitening.dim != expected:
+        if self.whitening is not None and self.whitening.mean.shape != (
+            *filters.shape[:-2], expected
+        ):
             raise DimError(
-                f"whitening dim {self.whitening.dim} does not match patch dim {expected}"
+                f"whitening mean {self.whitening.mean.shape} does not match "
+                f"filters {filters.shape}"
             )
         object.__setattr__(self, "filters", filters)
 
     @property
+    def lead(self) -> tuple[int, ...]:
+        """Shape of the stacking axes; () for a single bank."""
+        return self.filters.shape[:-2]
+
+    @property
     def dim(self) -> int:
-        return self.filters.shape[0]
+        return self.filters.shape[-2]
 
     @property
     def k(self) -> int:
-        return self.filters.shape[1]
+        return self.filters.shape[-1]
 
     @cached_property
     def whitened_filters(self) -> tuple[np.ndarray, np.ndarray]:
         """(G, c) with the whitening folded into the filters.
 
         M is symmetric, so F^T M (x - mu) = G^T x - c with G = M F and
-        c = G^T mu. Derived once per bank and never stored in containers.
+        c = mu^T G, shaped (..., 1, K). Derived once per bank and never
+        stored in containers.
         """
         if self.whitening is None:
             raise DimError("dense_preprocess requires a whitening transform")
         g = self.whitening.matrix @ self.filters
-        return g, self.whitening.mean @ g
+        return g, self.whitening.mean[..., None, :] @ g
 
 
 @dataclass(frozen=True)

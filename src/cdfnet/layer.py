@@ -1,14 +1,15 @@
 """One network layer: dense convolution, rectification, local contrast
 normalization, Lp pooling, and the random-grouping connector between layers.
 
-Stage order inside :func:`run_layer` is fixed: convolve -> rectify ->
-subtractive LCN -> divisive LCN -> pool. The stages are private kernels on
-(..., H, W, depth) arrays that work in place where they can, on arrays
-made for them alone (a fresh convolution output or a copy); the public
-FeatureMapSet stage functions and :func:`run_layer` (one image) and
-:func:`run_groups` (all layer-2 groups of one image) are thin wrappers over
-them. The public functions are pure, so images can be processed in parallel
-without coordination.
+Stage order inside the forward kernel :func:`_forward` is fixed: convolve ->
+rectify -> subtractive LCN -> divisive LCN -> pool. The stages are private
+kernels on (..., H, W, depth) arrays that work in place where they can, on
+arrays made for them alone (a fresh convolution output); a leading axis of
+the maps matches a leading axis of a stacked filter bank. :func:`run_layer`
+(one image, one bank) and :func:`run_groups` (all layer-2 groups of one
+image, the (G, d, K) bank stack) both call :func:`_forward`. The public
+functions are pure, so images can be processed in parallel without
+coordination.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy import ndimage
 from .errors import DimError, InvalidGrouping, InvalidWindow
 from .kmeans import FilterBank
 from .patches import _normalize_along
-from .tensor import FeatureMapSet, SeededRng, assert_array_finite, assert_finite
+from .tensor import FeatureMapSet, SeededRng, assert_array_finite
 
 if TYPE_CHECKING:
     from .config import Layer1Config, Layer2Config
@@ -94,57 +95,38 @@ def dense_patches(maps: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, int]
     return rows.reshape(*lead, out_h * out_w, -1), (out_h, out_w)
 
 
-def _weights(bank: FilterBank, dense_preprocess: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """(weights, offset) such that a patch row x responds x @ weights - offset."""
-    if dense_preprocess:
-        return bank.whitened_filters
-    return bank.filters, None
+def _convolve(maps: np.ndarray, bank: FilterBank, dense_preprocess: bool) -> np.ndarray:
+    """(..., H, W, depth) maps against a bank of the same leading shape: (..., H', W', K).
 
-
-def _convolve(maps, weights, offset, p: int, dense_preprocess: bool) -> np.ndarray:
-    """(..., H, W, depth) maps against (..., d, K) weights: (..., H', W', K).
-
-    Works through the output a band of rows at a time, so the patch copy
-    holds about _CONV_ROWS patches, not one per output position.
+    Every filter meets every patch position by a dot product, stride 1.
+    With dense_preprocess each patch is normalized and whitened with the
+    bank's training-time transform first, so inference sees the space the
+    filters were trained in; the whitening is folded into the filters
+    (:attr:`FilterBank.whitened_filters`). Works through a band of output
+    rows of a few leading indices at a time, so the patch copy holds about
+    _CONV_ROWS patches, not one per output position. The band's rows do
+    not depend on the leading shape, because BLAS rounds a product
+    differently when its row count changes.
     """
+    p = bank.patch_side
+    weights, offset = bank.whitened_filters if dense_preprocess else (bank.filters, None)
+    lead = maps.shape[:-3]
     out_h, out_w = conv_output_shape(*maps.shape[-3:-1], p)
-    out = np.empty((*maps.shape[:-3], out_h * out_w, weights.shape[-1]))
+    maps = maps.reshape(-1, *maps.shape[-3:])
+    weights = weights.reshape(-1, *weights.shape[-2:])
+    out = np.empty((len(maps), out_h * out_w, bank.k))
     band = max(1, _CONV_ROWS // out_w)
-    for top in range(0, out_h, band):
-        rows, _ = dense_patches(maps[..., top : top + band + p - 1, :, :], p)
-        if dense_preprocess:
-            _normalize_along(rows, axis=-1)
-        block = out[..., top * out_w : (top + band) * out_w, :]
-        np.matmul(rows, weights, out=block)
-        if offset is not None:
-            block -= offset
-    return out.reshape(*out.shape[:-2], out_h, out_w, out.shape[-1])
-
-
-def convolve_valid(
-    fmset: FeatureMapSet, bank: FilterBank, dense_preprocess: bool = False
-) -> FeatureMapSet:
-    """Apply every filter to every patch position via dot products.
-
-    Output depth is the filter count; spatial size shrinks to
-    (m - p + 1, n - p + 1), stride 1. With dense_preprocess, each patch is
-    patch-normalized and whitened with the bank's training-time transform
-    before the dot product, so inference sees the space the filters were
-    trained in; the whitening is folded into the filters
-    (:attr:`FilterBank.whitened_filters`).
-    """
-    return FeatureMapSet(_convolve_image(fmset, bank, dense_preprocess), fmset.source_image_id)
-
-
-def _convolve_image(fmset: FeatureMapSet, bank: FilterBank, dense_preprocess: bool) -> np.ndarray:
-    """The maps of :func:`convolve_valid` as a new array that no one else holds."""
-    if fmset.depth != bank.depth:
-        raise DimError(
-            f"input depth {fmset.depth} does not match filter depth {bank.depth}"
-        )
-    _check_fits("filter side", bank.patch_side, fmset.height, fmset.width, DimError)
-    weights, offset = _weights(bank, dense_preprocess)
-    return _convolve(fmset.maps, weights, offset, bank.patch_side, dense_preprocess)
+    chunk = max(1, _CONV_ROWS // (min(band, out_h) * out_w))
+    for lo in range(0, len(maps), chunk):
+        for top in range(0, out_h, band):
+            rows, _ = dense_patches(maps[lo : lo + chunk, top : top + band + p - 1], p)
+            if dense_preprocess:
+                _normalize_along(rows, axis=-1)
+            block = out[lo : lo + chunk, top * out_w : (top + band) * out_w]
+            np.matmul(rows, weights[lo : lo + chunk], out=block)
+            if offset is not None:
+                block -= offset.reshape(-1, 1, bank.k)[lo : lo + chunk]
+    return out.reshape(*lead, out_h, out_w, bank.k)
 
 
 def _rectify(maps: np.ndarray, rectifier: str) -> np.ndarray:
@@ -153,19 +135,13 @@ def _rectify(maps: np.ndarray, rectifier: str) -> np.ndarray:
         return np.abs(maps, out=maps)
     if rectifier == "on_off":
         out = np.empty((*maps.shape[:-1], 2 * maps.shape[-1]))
-        np.maximum(maps, 0.0, out=out[..., 0::2])
-        np.maximum(-maps, 0.0, out=out[..., 1::2])
+        on, off = out[..., 0::2], out[..., 1::2]
+        np.maximum(maps, 0.0, out=on)
+        # negated in place: a -maps temporary takes n5's layer 1 past the heap's
+        # trim threshold, and every image then faults its buffers in afresh
+        np.maximum(np.negative(maps, out=off), 0.0, out=off)
         return out
     raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {rectifier!r}")
-
-
-def rectify_abs(fmset: FeatureMapSet) -> FeatureMapSet:
-    return FeatureMapSet(_rectify(fmset.maps.copy(), "abs"), fmset.source_image_id)
-
-
-def rectify_on_off(fmset: FeatureMapSet) -> FeatureMapSet:
-    """Split each map into max(0, x) and max(0, -x) channels, interleaved."""
-    return FeatureMapSet(_rectify(fmset.maps, "on_off"), fmset.source_image_id)
 
 
 def gaussian_window(side: int, sigma: float) -> np.ndarray:
@@ -217,27 +193,17 @@ def _lcn_divide(maps: np.ndarray, window: int, sigma: float) -> None:
     maps /= np.maximum(local_sd, np.where(floor == 0.0, 1.0, floor))[..., None]
 
 
-def lcn_subtractive(fmset: FeatureMapSet, window: int, sigma: float) -> FeatureMapSet:
-    """Subtract the Gaussian-weighted local mean taken across all maps."""
-    maps = fmset.maps.copy()
-    _lcn_subtract(maps, window, sigma)
-    return FeatureMapSet(maps, fmset.source_image_id)
-
-
-def lcn_divisive(fmset: FeatureMapSet, window: int, sigma: float) -> FeatureMapSet:
-    """Divide by max(c, sigma_jk), the floored local standard deviation.
-
-    sigma_jk is the square root of the Gaussian-weighted local energy across
-    all maps; the floor c is the per-image mean of sigma_jk. An all-zero
-    input stays all-zero.
-    """
-    maps = fmset.maps.copy()
-    _lcn_divide(maps, window, sigma)
-    return FeatureMapSet(maps, fmset.source_image_id)
-
-
 def _pool(maps: np.ndarray, pool_side: int, stride: int, alpha: float) -> np.ndarray:
-    """Lp pooling of (..., H, W, depth) maps; see :func:`pool`."""
+    """Lp pooling y = (sum x^alpha)^(1/alpha) over pool_side windows.
+
+    Works on (..., H, W, depth) maps. Windows advance by `stride` per
+    feature map; partial windows at the right/bottom edges are dropped.
+    alpha=1 is the window sum (average pooling up to a constant); large even
+    alpha approaches the window max of |x|. Any alpha other than 1 or an
+    even integer requires non-negative inputs: a fractional power of a
+    negative value, or an odd power summing to a negative value, has no
+    real root.
+    """
     _check_fits("pool window", pool_side, *maps.shape[-3:-1])
     if pool_side < 1 or stride < 1:
         raise InvalidWindow("pool_side and stride must be >= 1")
@@ -248,19 +214,6 @@ def _pool(maps: np.ndarray, pool_side: int, stride: int, alpha: float) -> np.nda
     if alpha == 1.0:
         return windows.sum(axis=(-2, -1))
     return np.power(np.power(windows, alpha).sum(axis=(-2, -1)), 1.0 / alpha)
-
-
-def pool(fmset: FeatureMapSet, pool_side: int, stride: int, alpha: float) -> FeatureMapSet:
-    """Lp pooling y = (sum x^alpha)^(1/alpha) over pool_side windows.
-
-    Windows advance by `stride` per feature map; partial windows at the
-    right/bottom edges are dropped. alpha=1 is the window sum (average
-    pooling up to a constant); large even alpha approaches the window max of |x|.
-    Any alpha other than 1 or an even integer requires non-negative inputs:
-    a fractional power of a negative value, or an odd power summing to a
-    negative value, has no real root.
-    """
-    return FeatureMapSet(_pool(fmset.maps, pool_side, stride, alpha), fmset.source_image_id)
 
 
 def make_groups(k1: int, n_k: int, rng: SeededRng) -> GroupAssignment:
@@ -276,70 +229,59 @@ def make_groups(k1: int, n_k: int, rng: SeededRng) -> GroupAssignment:
     return GroupAssignment(groups)
 
 
-def _stages(maps: np.ndarray, cfg: Layer1Config | Layer2Config, rectifier: str) -> np.ndarray:
-    """Rectify, subtractive LCN, divisive LCN and pool; overwrites maps."""
-    maps = _rectify(maps, rectifier)
+def _forward(
+    maps: np.ndarray, bank: FilterBank, cfg: Layer1Config | Layer2Config, rectifier: str, what: str
+) -> np.ndarray:
+    """Convolve, rectify, subtractive LCN, divisive LCN and pool (..., H, W, depth) maps.
+
+    The bank's leading shape must equal the maps' leading shape. Raises
+    NonFiniteValue, naming `what`, if the output holds a NaN or Inf.
+    """
+    if bank.lead != maps.shape[:-3]:
+        raise DimError(
+            f"filter bank stacked as {bank.lead} does not fit maps of shape {maps.shape}"
+        )
+    if maps.shape[-1] != bank.depth:
+        raise DimError(
+            f"input depth {maps.shape[-1]} does not match filter depth {bank.depth}"
+        )
+    _check_fits("filter side", bank.patch_side, *maps.shape[-3:-1], DimError)
+    maps = _rectify(_convolve(maps, bank, cfg.dense_preprocess), rectifier)
     _lcn_subtract(maps, cfg.lcn_window, cfg.lcn_sigma)
     _lcn_divide(maps, cfg.lcn_window, cfg.lcn_sigma)
-    return _pool(maps, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)
+    out = _pool(maps, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)
+    assert_array_finite(out, what=what)
+    return out
 
 
 def run_layer(
     fmset: FeatureMapSet, bank: FilterBank, cfg: Layer1Config | Layer2Config, rectifier: str
 ) -> FeatureMapSet:
-    """Full layer: convolve, rectify, contrast-normalize, pool.
+    """Full layer on one image's maps: convolve, rectify, contrast-normalize, pool.
 
-    cfg is the layer's record (``NetworkConfig.layer1`` or ``.layer2``);
-    rectifier is the network's, one of :data:`RECTIFIERS`.
+    bank is a single (d, K) bank; cfg is the layer's record
+    (``NetworkConfig.layer1`` or ``.layer2``); rectifier is the network's,
+    one of :data:`RECTIFIERS`.
     """
-    conv = _convolve_image(fmset, bank, cfg.dense_preprocess)
-    out = FeatureMapSet(_stages(conv, cfg, rectifier), fmset.source_image_id)
-    assert_finite(out)
-    return out
-
-
-def stack_weights(
-    banks: tuple[FilterBank, ...], dense_preprocess: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The convolution weights of equal-shaped banks stacked for :func:`run_groups`.
-
-    Returns (G, d, K) weights and, with dense_preprocess, (G, 1, K) offsets.
-    """
-    pairs = [_weights(bank, dense_preprocess) for bank in banks]
-    weights = np.stack([w for w, _ in pairs])
-    if not dense_preprocess:
-        return weights, None
-    return weights, np.stack([c for _, c in pairs])[:, None, :]
+    out = _forward(
+        fmset.maps, bank, cfg, rectifier, f"feature maps of image {fmset.source_image_id}"
+    )
+    return FeatureMapSet(out, fmset.source_image_id)
 
 
 def run_groups(
-    maps: np.ndarray,
-    perm: np.ndarray,
-    weights: np.ndarray,
-    offset: np.ndarray | None,
-    cfg: Layer2Config,
-    rectifier: str,
+    maps: np.ndarray, perm: np.ndarray, bank: FilterBank, cfg: Layer2Config, rectifier: str
 ) -> np.ndarray:
     """Layer 2 over every group of one image's (H, W, K1) layer-1 maps at once.
 
-    perm lists the K1 map indices group after group; weights and offset come
-    from :func:`stack_weights`. Returns (G, h, w, depth): group g equals
+    perm lists the K1 map indices group after group; bank is the (G, d, K)
+    stack, bank g for group g. Returns (G, h, w, depth): group g equals
     :func:`run_layer` on ``maps[:, :, group g]`` with bank g, up to
     summation-order rounding, and the LCN floor is taken per group.
     """
-    n_groups = weights.shape[0]
     h, w = maps.shape[:2]
-    grouped = maps[:, :, perm].reshape(h, w, n_groups, -1).transpose(2, 0, 1, 3)
-    if weights.shape[1] != cfg.patch_side**2 * grouped.shape[-1]:
-        raise DimError(
-            f"layer-2 filters of dim {weights.shape[1]} do not fit groups of "
-            f"{grouped.shape[-1]} maps with patch side {cfg.patch_side}"
-        )
-    _check_fits("filter side", cfg.patch_side, h, w, DimError)
-    conv = _convolve(grouped, weights, offset, cfg.patch_side, cfg.dense_preprocess)
-    out = _stages(conv, cfg, rectifier)
-    assert_array_finite(out, what="layer-2 feature maps")
-    return out
+    grouped = maps[:, :, perm].reshape(h, w, len(bank.filters), -1).transpose(2, 0, 1, 3)
+    return _forward(grouped, bank, cfg, rectifier, "layer-2 feature maps")
 
 
 def layer_output_shape(

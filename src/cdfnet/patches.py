@@ -56,7 +56,11 @@ class PatchMatrix:
 
 @dataclass(frozen=True)
 class ZcaTransform:
-    """Whitening y = matrix @ (x - mean); matrix is symmetric PD."""
+    """Whitening y = matrix @ (x - mean); matrix is symmetric PD.
+
+    mean is (..., d) and matrix (..., d, d): a leading axis stacks one
+    transform per layer-2 group.
+    """
 
     mean: np.ndarray
     matrix: np.ndarray
@@ -65,20 +69,20 @@ class ZcaTransform:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
         matrix = np.asarray(self.matrix, dtype=np.float64)
-        if mean.ndim != 1 or matrix.shape != (mean.size, mean.size):
+        if mean.ndim < 1 or matrix.shape != mean.shape + mean.shape[-1:]:
             raise DimError(
                 f"inconsistent ZCA shapes: mean {mean.shape}, matrix {matrix.shape}"
             )
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not np.allclose(matrix, matrix.T, atol=1e-9):
+        if not np.allclose(matrix, np.swapaxes(matrix, -1, -2), atol=1e-9):
             raise ValueError("ZCA matrix must be symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        return self.mean.shape[-1]
 
 
 def extract_patches(maps: np.ndarray, p: int, n_patches: int, rng: SeededRng) -> PatchMatrix:

@@ -1,9 +1,10 @@
 """Training orchestration, model persistence, and the 10-fold protocol.
 
 A trained network is layer-1 filters (with their whitening transform), a
-random group assignment, and one layer-2 filter bank per group. Everything
-downstream of the seeds is deterministic, so a NetworkConfig plus its seeds
-reproduces models, descriptors, and score files bit for bit.
+random group assignment, and the layer-2 filter banks of all groups stacked
+into one (G, d, K) bank. Everything downstream of the seeds is
+deterministic, so a NetworkConfig plus its seeds reproduces models,
+descriptors, and score files bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import expand_set, scale
+from .augment import _scaled_shape, expand_set, scale
 from .committee import (
     ScoreTable,
     accuracy,
@@ -27,14 +28,7 @@ from .config import Layer1Config, Layer2Config, NetworkConfig
 from .config import network_config_from_text, network_config_to_text
 from .errors import DimError, FormatError, InvalidGrouping
 from .kmeans import FilterBank, kmeans
-from .layer import (
-    GroupAssignment,
-    layer_output_shape,
-    make_groups,
-    run_groups,
-    run_layer,
-    stack_weights,
-)
+from .layer import GroupAssignment, layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
 from .patches import PatchMatrix, ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_columns
 from .stl10 import FoldPlan, LabeledImage
@@ -48,23 +42,27 @@ KMEANS_MAX_ITERS = 100
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """A trained feature extractor: both layers plus the group wiring."""
+    """A trained feature extractor: both layers plus the group wiring.
+
+    bank2 stacks one bank per group of ``groups``: (G, d, K) filters.
+    """
 
     config: NetworkConfig
     bank1: FilterBank
     groups: GroupAssignment
-    banks2: tuple[FilterBank, ...]
+    bank2: FilterBank
     input_shape: tuple[int, int]
 
     def __post_init__(self):
-        if len(self.banks2) != self.groups.n_groups:
+        if self.bank2.lead != (self.groups.n_groups,):
             raise DimError(
-                f"{len(self.banks2)} layer-2 banks for {self.groups.n_groups} groups"
+                f"layer-2 filters {self.bank2.filters.shape} do not stack one bank "
+                f"for each of {self.groups.n_groups} groups"
             )
 
 
 def _prepare_image(img: LabeledImage, factor: float | None) -> LabeledImage:
-    return scale(img, factor) if factor is not None and factor != 1.0 else img
+    return scale(img, factor) if factor is not None else img
 
 
 def _train_bank(
@@ -73,24 +71,16 @@ def _train_bank(
     k: int,
     patch_rng: SeededRng,
     kmeans_rng: SeededRng,
-    layer_index: int,
-) -> FilterBank:
+) -> tuple[np.ndarray, ZcaTransform]:
     """Sample the layer's patches from an (N, H, W, depth) stack, normalize,
-    whiten, and cluster them into k filters."""
+    whiten, and cluster them into k filters; returns (filters, whitening)."""
     # each step rebinds `patches`, so the raw and normalized copies are
     # freed before k-means runs
     patches = extract_patches(maps, layer.patch_side, layer.n_patches, patch_rng)
     patches = PatchMatrix(normalize_columns(patches.data), layer.patch_side, patches.depth)
     zca = fit_zca(patches, layer.zca_epsilon)
     patches = apply_zca(zca, patches)
-    result = kmeans(patches, k, KMEANS_MAX_ITERS, kmeans_rng)
-    return FilterBank(
-        filters=result.centroids,
-        patch_side=layer.patch_side,
-        depth=patches.depth,
-        whitening=zca,
-        layer_index=layer_index,
-    )
+    return kmeans(patches, k, KMEANS_MAX_ITERS, kmeans_rng).centroids, zca
 
 
 def _train(
@@ -118,14 +108,14 @@ def _train(
 
     patches_rng = SeededRng(cfg.seeds.patches)
     logger.info("%s: training layer-1 filters (K=%d)", cfg.name, cfg.layer1.k)
-    bank1 = _train_bank(
+    filters1, zca1 = _train_bank(
         images,
         cfg.layer1,
         k=cfg.layer1.k,
         patch_rng=patches_rng.child(0),
         kmeans_rng=SeededRng(cfg.seeds.kmeans1),
-        layer_index=1,
     )
+    bank1 = FilterBank(filters1, cfg.layer1.patch_side, 1, zca1, layer_index=1)
 
     outputs1 = np.empty((len(images), *l1_shape))
     for i, image_id in enumerate(image_ids):
@@ -142,18 +132,29 @@ def _train(
     )
 
     kmeans2_rng = SeededRng(cfg.seeds.kmeans2)
-    banks2 = tuple(
+    trained = [
         _train_bank(
             outputs1[..., list(group)],
             cfg.layer2,
             k=cfg.layer2.k_per_group,
             patch_rng=patches_rng.child(1 + g),
             kmeans_rng=kmeans2_rng.child(g),
-            layer_index=2,
         )
         for g, group in enumerate(groups.groups)
+    ]
+    zca2 = ZcaTransform(
+        mean=np.stack([zca.mean for _, zca in trained]),
+        matrix=np.stack([zca.matrix for _, zca in trained]),
+        epsilon=cfg.layer2.zca_epsilon,
     )
-    model = NetworkModel(cfg, bank1, groups, banks2, input_shape)
+    bank2 = FilterBank(
+        np.stack([filters for filters, _ in trained]),
+        cfg.layer2.patch_side,
+        cfg.layer2.group_size,
+        zca2,
+        layer_index=2,
+    )
+    model = NetworkModel(cfg, bank1, groups, bank2, input_shape)
     return model, labels, outputs1
 
 
@@ -182,10 +183,9 @@ def _descriptor_rows(model: NetworkModel, outputs1, n_images: int) -> np.ndarray
     _, l2, n_groups, dim = _layer_shapes(cfg, *model.input_shape)
     n2 = n_groups * l2[0] * l2[1] * l2[2]
     perm = np.concatenate(model.groups.groups)
-    weights, offset = stack_weights(model.banks2, cfg.layer2.dense_preprocess)
     descriptors = np.empty((n_images, dim))
     for row, out1 in zip(descriptors, outputs1):
-        row[:n2] = run_groups(out1, perm, weights, offset, cfg.layer2, cfg.rectifier).ravel()
+        row[:n2] = run_groups(out1, perm, model.bank2, cfg.layer2, cfg.rectifier).ravel()
         if cfg.descriptor_mode == "concat_layers":
             row[n2:] = out1.ravel()
     return descriptors
@@ -208,10 +208,9 @@ def extract_descriptors(model: NetworkModel, images: list[LabeledImage]) -> np.n
 
 def _working_shape(cfg: NetworkConfig, height: int, width: int) -> tuple[int, int]:
     """Image size after the network's rescaling, as :func:`cdfnet.augment.scale` makes it."""
-    factor = cfg.scale_factor
-    if factor is not None and factor != 1.0:
-        return max(1, round(height * factor)), max(1, round(width * factor))
-    return height, width
+    if cfg.scale_factor is None:
+        return height, width
+    return _scaled_shape(height, width, cfg.scale_factor)
 
 
 def descriptor_shape(cfg: NetworkConfig, height: int, width: int):
@@ -241,7 +240,7 @@ def _layer_shapes(cfg: NetworkConfig, height: int, width: int):
 
 
 def _bank_tensors(prefix: str, bank: FilterBank) -> dict[str, np.ndarray]:
-    """Container tensors of one filter bank and its whitening transform."""
+    """Container tensors of a filter bank, stacked or not, and its whitening transform."""
     return {
         f"{prefix}/filters": bank.filters,
         f"{prefix}/zca_mean": bank.whitening.mean,
@@ -272,9 +271,8 @@ def save_model(path, model: NetworkModel) -> None:
         "input_shape": np.array(model.input_shape, dtype=np.float64),
         **_bank_tensors("layer1", model.bank1),
         "groups": np.array(model.groups.groups, dtype=np.float64),
+        **_bank_tensors("layer2", model.bank2),
     }
-    for g, bank in enumerate(model.banks2):
-        tensors.update(_bank_tensors(f"layer2/g{g:04d}", bank))
     write_container(path, tensors, network_config_to_text(model.config))
 
 
@@ -286,16 +284,13 @@ def load_model(path) -> NetworkModel:
         groups = GroupAssignment(
             tuple(tuple(int(i) for i in row) for row in tensors["groups"])
         )
-        banks2 = tuple(
-            _bank_from_tensors(
-                tensors, f"layer2/g{g:04d}", cfg.layer2.patch_side, cfg.layer2.group_size, 2
-            )
-            for g in range(groups.n_groups)
+        bank2 = _bank_from_tensors(
+            tensors, "layer2", cfg.layer2.patch_side, cfg.layer2.group_size, 2
         )
         input_shape = tuple(int(v) for v in tensors["input_shape"])
     except KeyError as exc:
         raise FormatError(f"{path}: missing tensor {exc}") from exc
-    return NetworkModel(cfg, bank1, groups, banks2, input_shape)
+    return NetworkModel(cfg, bank1, groups, bank2, input_shape)
 
 
 def save_svm(path, model: SvmModel) -> None:

@@ -84,12 +84,8 @@ class FeatureMapSet:
         return self.maps.shape[2]
 
 
-def assert_finite(fmset: FeatureMapSet) -> None:
-    """Raise :class:`NonFiniteValue` at the first NaN/Inf coordinate."""
-    assert_array_finite(fmset.maps, what=f"feature maps of image {fmset.source_image_id}")
-
-
 def assert_array_finite(arr: np.ndarray, what: str = "array") -> None:
+    """Raise :class:`NonFiniteValue` at the first NaN/Inf coordinate."""
     finite = np.isfinite(arr)
     if finite.all():
         return

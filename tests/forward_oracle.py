@@ -12,7 +12,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
+from cdfnet.kmeans import FilterBank
 from cdfnet.layer import gaussian_window
+from cdfnet.patches import ZcaTransform
 
 
 def normalize_patch(patch: np.ndarray) -> np.ndarray:
@@ -74,6 +76,15 @@ def run_layer(maps, bank, cfg, rectifier):
     return _pool(out, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)
 
 
+def group_bank(bank: FilterBank, g: int) -> FilterBank:
+    """Bank g of a (G, d, K) stack, with its own whitening."""
+    zca = bank.whitening
+    return FilterBank(
+        bank.filters[g], bank.patch_side, bank.depth,
+        ZcaTransform(zca.mean[g], zca.matrix[g], zca.epsilon), bank.layer_index,
+    )
+
+
 def extract_descriptors(model, images):
     """Descriptor matrix of images, computed image by image and group by group."""
     from cdfnet.augment import scale
@@ -85,8 +96,10 @@ def extract_descriptors(model, images):
             img = scale(img, cfg.scale_factor)
         out1 = run_layer(img.pixels[:, :, None], model.bank1, cfg.layer1, cfg.rectifier)
         parts = [
-            run_layer(out1[:, :, list(group)], bank2, cfg.layer2, cfg.rectifier).ravel()
-            for group, bank2 in zip(model.groups.groups, model.banks2)
+            run_layer(
+                out1[:, :, list(group)], group_bank(model.bank2, g), cfg.layer2, cfg.rectifier
+            ).ravel()
+            for g, group in enumerate(model.groups.groups)
         ]
         if cfg.descriptor_mode == "concat_layers":
             parts.append(out1.ravel())

@@ -15,12 +15,12 @@ from cdfnet.committee import accuracy, committee_predict, table_predict
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds
 from cdfnet.kmeans import FilterBank, kmeans
 from cdfnet.layer import (
+    _convolve,
+    _lcn_subtract,
+    _pool,
+    _rectify,
     conv_output_shape,
-    convolve_valid,
-    lcn_subtractive,
     make_groups,
-    pool,
-    rectify_on_off,
     run_layer,
 )
 from cdfnet.patches import PatchMatrix, ZcaTransform, apply_zca, fit_zca, normalize_columns
@@ -78,7 +78,7 @@ def _check_on_off_identities():
     rng = np.random.default_rng(2)
     for _ in range(20):
         maps = rng.standard_normal((6, 5, 3))
-        out = rectify_on_off(FeatureMapSet(maps, 0)).maps
+        out = _rectify(maps, "on_off")
         on, off = out[:, :, 0::2], out[:, :, 1::2]
         assert np.array_equal(on - off, maps)
         assert np.array_equal(on + off, np.abs(maps))
@@ -87,24 +87,23 @@ def _check_on_off_identities():
 
 def _check_lcn_constants():
     for c in (0.0, 1.0, -3.7, 100.0):
-        fmset = FeatureMapSet(np.full((12, 11, 4), c), 0)
-        out = lcn_subtractive(fmset, window=5, sigma=1.25)
-        assert np.max(np.abs(out.maps)) <= 1e-10
+        maps = np.full((12, 11, 4), c)
+        _lcn_subtract(maps, window=5, sigma=1.25)
+        assert np.max(np.abs(maps)) <= 1e-10
 
 
 def _check_pooling_limits():
     rng = np.random.default_rng(3)
     for _ in range(20):
         maps = rng.random((13, 12, 2))
-        fmset = FeatureMapSet(maps, 0)
         # alpha=1 is the plain window sum
-        summed = pool(fmset, pool_side=4, stride=3, alpha=1.0).maps
+        summed = _pool(maps, pool_side=4, stride=3, alpha=1.0)
         for i in range(summed.shape[0]):
             for j in range(summed.shape[1]):
                 win = maps[i * 3 : i * 3 + 4, j * 3 : j * 3 + 4, :]
                 assert np.allclose(summed[i, j], win.sum(axis=(0, 1)), atol=1e-12)
         # alpha=64 approximates the window max
-        maxish = pool(fmset, pool_side=4, stride=3, alpha=64.0).maps
+        maxish = _pool(maps, pool_side=4, stride=3, alpha=64.0)
         for i in range(maxish.shape[0]):
             for j in range(maxish.shape[1]):
                 win = maps[i * 3 : i * 3 + 4, j * 3 : j * 3 + 4, :]
@@ -121,7 +120,7 @@ def _check_convolution_oracle():
         k = int(rng.integers(1, 5))
         maps = rng.standard_normal((h, w, depth))
         bank = FilterBank(rng.standard_normal((p * p * depth, k)), p, depth)
-        got = convolve_valid(FeatureMapSet(maps, 0), bank).maps
+        got = _convolve(maps, bank, dense_preprocess=False)
         for i in range(h - p + 1):
             for j in range(w - p + 1):
                 patch = unroll_patch(maps, i, j, p)
@@ -179,19 +178,21 @@ def test_criterion_2_shape_arithmetic():
             ZcaTransform(np.zeros(d1), np.eye(d1), cfg.layer1.zca_epsilon), 1,
         )
         groups = make_groups(cfg.layer1.k, cfg.layer2.group_size, SeededRng(4))
+        n_groups = groups.n_groups
         d2 = cfg.layer2.patch_side**2 * cfg.layer2.group_size
-        banks2 = tuple(
-            FilterBank(
-                rng.standard_normal((d2, cfg.layer2.k_per_group)),
-                cfg.layer2.patch_side, cfg.layer2.group_size,
-                ZcaTransform(np.zeros(d2), np.eye(d2), cfg.layer2.zca_epsilon), 2,
-            )
-            for _ in range(groups.n_groups)
+        bank2 = FilterBank(
+            rng.standard_normal((n_groups, d2, cfg.layer2.k_per_group)),
+            cfg.layer2.patch_side, cfg.layer2.group_size,
+            ZcaTransform(
+                np.zeros((n_groups, d2)), np.tile(np.eye(d2), (n_groups, 1, 1)),
+                cfg.layer2.zca_epsilon,
+            ),
+            2,
         )
-        full = NetworkModel(cfg, bank1, groups, banks2, (96, 96))
+        full = NetworkModel(cfg, bank1, groups, bank2, (96, 96))
         img = LabeledImage(rng.random((96, 96)), 0, image_id=0)
-        conv = convolve_valid(FeatureMapSet(img.pixels[:, :, None], 0), bank1, True)
-        assert conv.maps.shape == (81, 81, 300)
+        conv = _convolve(img.pixels[:, :, None], bank1, dense_preprocess=True)
+        assert conv.shape == (81, 81, 300)
         out1 = run_layer(FeatureMapSet(img.pixels[:, :, None], 0), bank1, cfg.layer1, cfg.rectifier)
         assert out1.maps.shape == (6, 6, 300)
         assert extract_descriptors(full, [img]).shape == (1, dim)

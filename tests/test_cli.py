@@ -9,7 +9,7 @@ import cdfnet
 from cdfnet.cli import main
 from cdfnet.committee import read_score_file
 from cdfnet.config import Seeds, save_network_config
-from cdfnet.model_io import write_container
+from cdfnet.model_io import read_container, write_container
 from cdfnet.pipeline import load_model, save_svm
 from cdfnet.svm import train_ova_svm
 from cdfnet.stl10 import write_stl10_images, write_stl10_labels
@@ -181,6 +181,37 @@ class TestChain:
         assert "option 'reg_c' in section 'svm' already exists" in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_old_per_group_container_rejected(self, ws, trained_model, capsys):
+        # the layout before layer 2 was stored as one stack: layer2/gNNNN/* per group
+        tensors, text = read_container(trained_model)
+        old = {k: v for k, v in tensors.items() if not k.startswith("layer2/")}
+        for g in range(tensors["layer2/filters"].shape[0]):
+            for name in ("filters", "zca_mean", "zca_matrix"):
+                old[f"layer2/g{g:04d}/{name}"] = tensors[f"layer2/{name}"][g]
+            old[f"layer2/g{g:04d}/zca_epsilon"] = tensors["layer2/zca_epsilon"]
+        model = ws / "old_layout.model"
+        write_container(model, old, text)
+        rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
+                 "--out", ws / "old_layout.desc")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "layer2/filters" in err
+
+    def test_group_count_mismatch_rejected(self, ws, trained_model, capsys):
+        tensors, text = read_container(trained_model)
+        for name in ("filters", "zca_mean", "zca_matrix"):
+            stack = tensors[f"layer2/{name}"]
+            tensors[f"layer2/{name}"] = np.concatenate([stack, stack])
+        model = ws / "extra_group.model"
+        write_container(model, tensors, text)
+        rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
+                 "--out", ws / "extra_group.desc")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "groups" in err
 
     def test_committee_rejects_garbage(self, ws, capsys):
         bad = ws / "garbage.txt"

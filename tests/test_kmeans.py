@@ -3,7 +3,7 @@ import pytest
 
 from cdfnet.errors import DimError, InvalidK, NonFiniteValue
 from cdfnet.kmeans import FilterBank, _reseed_empty, kmeans, sse
-from cdfnet.patches import PatchMatrix, fit_zca
+from cdfnet.patches import PatchMatrix, ZcaTransform, fit_zca
 from cdfnet.tensor import SeededRng
 
 
@@ -205,8 +205,26 @@ class TestWhitenedFilters:
         g, c = bank.whitened_filters
         x = rng.random((8, 5))
         expect = bank.filters.T @ (zca.matrix @ (x - zca.mean[:, None]))
-        assert np.allclose(g.T @ x - c[:, None], expect, rtol=1e-12, atol=1e-12)
+        assert np.allclose(g.T @ x - c.T, expect, rtol=1e-12, atol=1e-12)
         assert bank.whitened_filters[0] is g  # derived once per bank
+
+    def test_stack_equals_each_bank_bitwise(self):
+        rng = np.random.default_rng(5)
+        zcas = [fit_zca(PatchMatrix(rng.random((8, 200)), 2, 2), 0.1) for _ in range(3)]
+        filters = rng.standard_normal((3, 8, 4))
+        means = np.stack([z.mean for z in zcas])
+        matrices = np.stack([z.matrix for z in zcas])
+        stacked = FilterBank(filters, 2, 2, ZcaTransform(means, matrices, 0.1))
+        g, c = stacked.whitened_filters
+        assert g.shape == (3, 8, 4) and c.shape == (3, 1, 4)
+        for i, zca in enumerate(zcas):
+            gi, ci = FilterBank(filters[i], 2, 2, zca).whitened_filters
+            assert np.array_equal(g[i], gi) and np.array_equal(c[i], ci)
+
+    def test_stacked_whitening_must_match_filters(self):
+        zca = ZcaTransform(np.zeros((2, 4)), np.tile(np.eye(4), (2, 1, 1)), 0.1)
+        with pytest.raises(DimError):
+            FilterBank(np.ones((3, 4, 2)), 2, 1, zca)
 
     def test_needs_whitening(self):
         with pytest.raises(DimError):

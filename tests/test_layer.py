@@ -1,29 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdfnet import layer
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig
 from cdfnet.errors import DimError, InvalidGrouping, InvalidWindow
 from cdfnet.kmeans import FilterBank
 from cdfnet.layer import (
     GroupAssignment,
+    _convolve,
+    _lcn_divide,
+    _lcn_subtract,
+    _pool,
+    _rectify,
     conv_output_shape,
-    convolve_valid,
     dense_patches,
     layer_output_shape,
-    lcn_divisive,
-    lcn_subtractive,
     make_groups,
-    pool,
     pool_output_shape,
-    rectify_abs,
-    rectify_on_off,
     run_groups,
     run_layer,
-    stack_weights,
 )
-from cdfnet.patches import fit_zca, PatchMatrix
+from cdfnet.patches import fit_zca, PatchMatrix, ZcaTransform
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from forward_oracle import normalize_patch
@@ -36,6 +37,50 @@ def _fmset(arr):
 
 def _bank(filters, p, depth, whitening=None):
     return FilterBank(np.asarray(filters, dtype=np.float64), p, depth, whitening)
+
+
+def _stack(banks):
+    """The (G, d, K) bank of equal-shaped banks, whitening stacked too."""
+    whitening = None
+    if banks[0].whitening is not None:
+        whitening = ZcaTransform(
+            np.stack([b.whitening.mean for b in banks]),
+            np.stack([b.whitening.matrix for b in banks]),
+            banks[0].whitening.epsilon,
+        )
+    return FilterBank(
+        np.stack([b.filters for b in banks]), banks[0].patch_side, banks[0].depth, whitening, 2
+    )
+
+
+def _conv(maps, bank, dense_preprocess=False):
+    return _convolve(np.asarray(maps, dtype=np.float64), bank, dense_preprocess)
+
+
+def _rect(maps, rectifier):
+    """_rectify on a copy: abs works in place."""
+    return _rectify(np.array(maps, dtype=np.float64), rectifier)
+
+
+def _lcn_sub(maps, window, sigma):
+    out = np.array(maps, dtype=np.float64)
+    _lcn_subtract(out, window, sigma)
+    return out
+
+
+def _lcn_div(maps, window, sigma):
+    out = np.array(maps, dtype=np.float64)
+    _lcn_divide(out, window, sigma)
+    return out
+
+
+def _layer1(**kw):
+    base = dict(
+        pool_side=2, pool_stride=2, pool_alpha=1.0, lcn_window=3, lcn_sigma=0.75,
+        dense_preprocess=False,
+    )
+    base.update(kw)
+    return Layer1Config(**base)
 
 
 def _conv_oracle(maps, filters, p):
@@ -57,28 +102,28 @@ class TestConvolve:
         maps = rng.random((5, 5, 1))
         delta = np.zeros((9, 1))
         delta[0, 0] = 1.0
-        out = convolve_valid(_fmset(maps), _bank(delta, 3, 1))
-        assert out.maps.shape == (3, 3, 1)
-        assert np.allclose(out.maps[:, :, 0], maps[:3, :3, 0], atol=1e-15)
+        out = _conv(maps, _bank(delta, 3, 1))
+        assert out.shape == (3, 3, 1)
+        assert np.allclose(out[:, :, 0], maps[:3, :3, 0], atol=1e-15)
 
     def test_constant_input_sums_filter(self):
         filt = np.arange(4.0).reshape(4, 1)
-        out = convolve_valid(_fmset(np.ones((5, 5, 1))), _bank(filt, 2, 1))
-        assert np.allclose(out.maps, filt.sum(), atol=1e-12)
+        out = _conv(np.ones((5, 5, 1)), _bank(filt, 2, 1))
+        assert np.allclose(out, filt.sum(), atol=1e-12)
 
     def test_random_5x5_vs_triple_loop(self):
         rng = np.random.default_rng(1)
         maps = rng.random((5, 5, 1))
         filters = rng.standard_normal((9, 4))
-        out = convolve_valid(_fmset(maps), _bank(filters, 3, 1))
-        assert np.allclose(out.maps, _conv_oracle(maps, filters, 3), atol=1e-12)
+        out = _conv(maps, _bank(filters, 3, 1))
+        assert np.allclose(out, _conv_oracle(maps, filters, 3), atol=1e-12)
 
     def test_multi_depth_vs_triple_loop(self):
         rng = np.random.default_rng(2)
         maps = rng.random((7, 6, 3))
         filters = rng.standard_normal((2 * 2 * 3, 5))
-        out = convolve_valid(_fmset(maps), _bank(filters, 2, 3))
-        assert np.allclose(out.maps, _conv_oracle(maps, filters, 2), atol=1e-12)
+        out = _conv(maps, _bank(filters, 2, 3))
+        assert np.allclose(out, _conv_oracle(maps, filters, 2), atol=1e-12)
 
     def test_many_random_instances_vs_oracle(self):
         rng = np.random.default_rng(3)
@@ -90,8 +135,8 @@ class TestConvolve:
             k = int(rng.integers(1, 5))
             maps = rng.standard_normal((h, w, depth))
             filters = rng.standard_normal((p * p * depth, k))
-            out = convolve_valid(_fmset(maps), _bank(filters, p, depth))
-            assert np.allclose(out.maps, _conv_oracle(maps, filters, p), atol=1e-12)
+            out = _conv(maps, _bank(filters, p, depth))
+            assert np.allclose(out, _conv_oracle(maps, filters, p), atol=1e-12)
 
     def test_linear_without_preprocess(self):
         rng = np.random.default_rng(4)
@@ -99,20 +144,23 @@ class TestConvolve:
         y = rng.random((6, 6, 2))
         filters = rng.standard_normal((8, 3))
         bank = _bank(filters, 2, 2)
-        lhs = convolve_valid(_fmset(2.5 * x - 1.5 * y), bank).maps
-        rhs = (
-            2.5 * convolve_valid(_fmset(x), bank).maps
-            - 1.5 * convolve_valid(_fmset(y), bank).maps
-        )
+        lhs = _conv(2.5 * x - 1.5 * y, bank)
+        rhs = 2.5 * _conv(x, bank) - 1.5 * _conv(y, bank)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
     def test_depth_mismatch(self):
         with pytest.raises(DimError):
-            convolve_valid(_fmset(np.zeros((5, 5, 2))), _bank(np.zeros((9, 1)), 3, 1))
+            run_layer(
+                _fmset(np.zeros((5, 5, 2))), _bank(np.zeros((9, 1)), 3, 1),
+                _layer1(patch_side=3), "abs",
+            )
 
     def test_filter_too_large(self):
         with pytest.raises(DimError):
-            convolve_valid(_fmset(np.zeros((4, 4, 1))), _bank(np.zeros((25, 1)), 5, 1))
+            run_layer(
+                _fmset(np.zeros((4, 4, 1))), _bank(np.zeros((25, 1)), 5, 1),
+                _layer1(patch_side=5), "abs",
+            )
 
     def test_dense_preprocess_matches_per_patch_oracle(self):
         rng = np.random.default_rng(5)
@@ -121,23 +169,19 @@ class TestConvolve:
         zca = fit_zca(train, 0.1)
         filters = rng.standard_normal((8, 3))
         bank = _bank(filters, 2, 2, whitening=zca)
-        out = convolve_valid(_fmset(maps), bank, dense_preprocess=True)
+        out = _conv(maps, bank, dense_preprocess=True)
         for j in range(5):
             for i in range(5):
                 x = normalize_patch(unroll_patch(maps, j, i, 2))
                 x = zca.matrix @ (x - zca.mean)
                 for f in range(3):
-                    assert out.maps[j, i, f] == pytest.approx(
+                    assert out[j, i, f] == pytest.approx(
                         float(x @ filters[:, f]), abs=1e-12
                     )
 
     def test_dense_preprocess_requires_whitening(self):
         with pytest.raises(DimError):
-            convolve_valid(
-                _fmset(np.zeros((5, 5, 1))),
-                _bank(np.zeros((9, 2)), 3, 1),
-                dense_preprocess=True,
-            )
+            _conv(np.zeros((5, 5, 1)), _bank(np.zeros((9, 2)), 3, 1), dense_preprocess=True)
 
     def test_dense_patch_positions_row_major(self):
         rng = np.random.default_rng(6)
@@ -151,28 +195,28 @@ class TestConvolve:
 
 class TestRectify:
     def test_abs_example(self):
-        out = rectify_abs(_fmset(np.array([[[-1.0], [2.0]]])))
-        assert np.array_equal(out.maps.ravel(), [1.0, 2.0])
+        out = _rect(np.array([[[-1.0], [2.0]]]), "abs")
+        assert np.array_equal(out.ravel(), [1.0, 2.0])
 
     def test_abs_fixed_point(self):
         x = np.abs(np.random.default_rng(7).standard_normal((3, 3, 2)))
-        assert np.array_equal(rectify_abs(_fmset(x)).maps, x)
+        assert np.array_equal(_rect(x, "abs"), x)
 
     def test_abs_even(self):
         x = np.random.default_rng(8).standard_normal((4, 4, 2))
-        a = rectify_abs(_fmset(x)).maps
-        b = rectify_abs(_fmset(-x)).maps
+        a = _rect(x, "abs")
+        b = _rect(-x, "abs")
         assert np.array_equal(a, b)
 
     def test_on_off_scalars(self):
-        out = rectify_on_off(_fmset(np.full((1, 1, 1), 3.0)))
-        assert np.array_equal(out.maps.ravel(), [3.0, 0.0])
-        out = rectify_on_off(_fmset(np.full((1, 1, 1), -2.0)))
-        assert np.array_equal(out.maps.ravel(), [0.0, 2.0])
+        out = _rect(np.full((1, 1, 1), 3.0), "on_off")
+        assert np.array_equal(out.ravel(), [3.0, 0.0])
+        out = _rect(np.full((1, 1, 1), -2.0), "on_off")
+        assert np.array_equal(out.ravel(), [0.0, 2.0])
 
     def test_on_off_identities(self):
         x = np.random.default_rng(9).standard_normal((5, 4, 3))
-        out = rectify_on_off(_fmset(x)).maps
+        out = _rect(x, "on_off")
         on, off = out[:, :, 0::2], out[:, :, 1::2]
         assert np.all(on >= 0) and np.all(off >= 0)
         assert np.array_equal(on - off, x)
@@ -180,8 +224,8 @@ class TestRectify:
         assert np.all(on * off == 0)
 
     def test_on_off_depth_doubles(self):
-        out = rectify_on_off(_fmset(np.zeros((2, 2, 5))))
-        assert out.depth == 10
+        out = _rect(np.zeros((2, 2, 5)), "on_off")
+        assert out.shape[-1] == 10
 
 
 def _gauss_field_oracle(stack, window, sigma):
@@ -206,139 +250,139 @@ def _gauss_field_oracle(stack, window, sigma):
 
 class TestLcnSubtractive:
     def test_constant_maps_to_zero(self):
-        out = lcn_subtractive(_fmset(np.full((7, 7, 3), 4.2)), 5, 1.25)
-        assert np.max(np.abs(out.maps)) <= 1e-10
+        out = _lcn_sub(np.full((7, 7, 3), 4.2), 5, 1.25)
+        assert np.max(np.abs(out)) <= 1e-10
 
     def test_impulse_vs_direct_oracle(self):
         stack = np.zeros((9, 9, 1))
         stack[4, 4, 0] = 1.0
-        out = lcn_subtractive(_fmset(stack), 5, 1.25)
+        out = _lcn_sub(stack, 5, 1.25)
         expect = stack - _gauss_field_oracle(stack, 5, 1.25)[:, :, None]
-        assert np.allclose(out.maps, expect, atol=1e-12)
+        assert np.allclose(out, expect, atol=1e-12)
 
     def test_random_vs_direct_oracle(self):
         rng = np.random.default_rng(10)
         stack = rng.standard_normal((8, 8, 2))
-        out = lcn_subtractive(_fmset(stack), 3, 0.75)
+        out = _lcn_sub(stack, 3, 0.75)
         expect = stack - _gauss_field_oracle(stack, 3, 0.75)[:, :, None]
-        assert np.allclose(out.maps, expect, atol=1e-12)
+        assert np.allclose(out, expect, atol=1e-12)
 
     def test_constant_shift_removed(self):
         rng = np.random.default_rng(11)
         stack = rng.standard_normal((8, 8, 2))
-        a = lcn_subtractive(_fmset(stack), 3, 0.75).maps
-        b = lcn_subtractive(_fmset(stack + 3.7), 3, 0.75).maps
+        a = _lcn_sub(stack, 3, 0.75)
+        b = _lcn_sub(stack + 3.7, 3, 0.75)
         assert np.allclose(a, b, atol=1e-10)
 
     def test_window_validation(self):
         with pytest.raises(InvalidWindow):
-            lcn_subtractive(_fmset(np.zeros((8, 8, 1))), 4, 1.0)
+            _lcn_sub(np.zeros((8, 8, 1)), 4, 1.0)
         with pytest.raises(InvalidWindow):
-            lcn_subtractive(_fmset(np.zeros((4, 4, 1))), 5, 1.0)
+            _lcn_sub(np.zeros((4, 4, 1)), 5, 1.0)
 
 
 class TestLcnDivisive:
     def test_all_zero_stays_zero(self):
-        out = lcn_divisive(_fmset(np.zeros((6, 6, 2))), 3, 0.75)
-        assert np.array_equal(out.maps, np.zeros((6, 6, 2)))
+        out = _lcn_div(np.zeros((6, 6, 2)), 3, 0.75)
+        assert np.array_equal(out, np.zeros((6, 6, 2)))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(12)
         v = rng.standard_normal((8, 8, 2))
-        a = lcn_divisive(_fmset(v), 3, 0.75).maps
-        b = lcn_divisive(_fmset(100.0 * v), 3, 0.75).maps
+        a = _lcn_div(v, 3, 0.75)
+        b = _lcn_div(100.0 * v, 3, 0.75)
         assert np.allclose(a, b, atol=1e-10)
 
     def test_random_vs_direct_oracle(self):
         rng = np.random.default_rng(13)
         v = rng.standard_normal((8, 8, 2))
-        out = lcn_divisive(_fmset(v), 3, 0.75)
+        out = _lcn_div(v, 3, 0.75)
         sd = np.sqrt(_gauss_field_oracle(v**2, 3, 0.75))
         c = sd.mean()
         expect = v / np.maximum(sd, c)[:, :, None]
-        assert np.allclose(out.maps, expect, atol=1e-12)
+        assert np.allclose(out, expect, atol=1e-12)
 
     def test_floor_is_mean_sigma(self):
         # far from edges, low-variance regions divide by c, not by tiny sigma
         v = np.zeros((12, 12, 1))
         v[2:4, 2:4, 0] = 5.0
-        out = lcn_divisive(_fmset(v), 3, 0.75)
+        out = _lcn_div(v, 3, 0.75)
         sd = np.sqrt(_gauss_field_oracle(v**2, 3, 0.75))
         c = sd.mean()
-        quiet = out.maps[8:, 8:, 0]
+        quiet = out[8:, 8:, 0]
         assert np.allclose(quiet, v[8:, 8:, 0] / c, atol=1e-12)
 
 
 class TestPool:
     def _window(self):
-        return _fmset(np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None])
+        return np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]
 
     def test_alpha_one_is_sum(self):
-        out = pool(self._window(), 2, 2, 1.0)
-        assert out.maps.shape == (1, 1, 1)
-        assert out.maps[0, 0, 0] == 10.0
+        out = _pool(self._window(), 2, 2, 1.0)
+        assert out.shape == (1, 1, 1)
+        assert out[0, 0, 0] == 10.0
 
     def test_alpha_large_is_max(self):
-        out = pool(self._window(), 2, 2, 64.0)
-        assert abs(out.maps[0, 0, 0] - 4.0) < 0.05
+        out = _pool(self._window(), 2, 2, 64.0)
+        assert abs(out[0, 0, 0] - 4.0) < 0.05
 
     def test_alpha_two_sqrt30(self):
-        out = pool(self._window(), 2, 2, 2.0)
-        assert out.maps[0, 0, 0] == pytest.approx(np.sqrt(30.0), rel=1e-12)
+        out = _pool(self._window(), 2, 2, 2.0)
+        assert out[0, 0, 0] == pytest.approx(np.sqrt(30.0), rel=1e-12)
 
     def test_output_shape_formula(self):
-        x = _fmset(np.zeros((81, 81, 3)))
-        assert pool(x, 12, 12, 1.0).maps.shape == (6, 6, 3)
-        assert pool(x, 12, 8, 1.0).maps.shape == (9, 9, 3)
+        x = np.zeros((81, 81, 3))
+        assert _pool(x, 12, 12, 1.0).shape == (6, 6, 3)
+        assert _pool(x, 12, 8, 1.0).shape == (9, 9, 3)
         assert pool_output_shape(81, 12, 12) == 6
         assert pool_output_shape(81, 12, 8) == 9
 
     def test_partial_windows_dropped(self):
         # 5 wide, window 2, stride 2 -> positions 0 and 2 only
-        x = _fmset(np.arange(5.0)[None, :, None] * np.ones((2, 1, 1)))
-        out = pool(x, 2, 2, 1.0)
-        assert out.maps.shape == (1, 2, 1)
-        assert np.array_equal(out.maps.ravel(), [2.0 * (0 + 1), 2.0 * (2 + 3)])
+        x = np.arange(5.0)[None, :, None] * np.ones((2, 1, 1))
+        out = _pool(x, 2, 2, 1.0)
+        assert out.shape == (1, 2, 1)
+        assert np.array_equal(out.ravel(), [2.0 * (0 + 1), 2.0 * (2 + 3)])
 
     def test_per_map_independence(self):
         # maps pool independently (up to summation-order rounding)
         rng = np.random.default_rng(14)
         stack = rng.random((6, 6, 3))
-        out = pool(_fmset(stack), 3, 3, 2.0)
+        out = _pool(stack, 3, 3, 2.0)
         for d in range(3):
-            single = pool(_fmset(stack[:, :, d : d + 1]), 3, 3, 2.0)
-            assert np.allclose(out.maps[:, :, d], single.maps[:, :, 0], atol=1e-12)
+            single = _pool(stack[:, :, d : d + 1], 3, 3, 2.0)
+            assert np.allclose(out[:, :, d], single[:, :, 0], atol=1e-12)
 
     def test_monotone_in_inputs(self):
         rng = np.random.default_rng(15)
         base = rng.random((4, 4, 1))
         for alpha in (1.0, 2.0, 7.5, 64.0):
-            ref = pool(_fmset(base), 2, 2, alpha).maps
+            ref = _pool(base, 2, 2, alpha)
             bumped = base.copy()
             bumped[1, 1, 0] += 0.5
-            out = pool(_fmset(bumped), 2, 2, alpha).maps
+            out = _pool(bumped, 2, 2, alpha)
             assert np.all(out >= ref - 1e-12)
 
     def test_window_too_large(self):
         with pytest.raises(InvalidWindow):
-            pool(_fmset(np.zeros((4, 4, 1))), 5, 1, 1.0)
+            _pool(np.zeros((4, 4, 1)), 5, 1, 1.0)
 
     def test_negative_with_fractional_alpha(self):
-        x = _fmset(np.array([[-1.0, 2.0], [3.0, 4.0]])[:, :, None])
+        x = np.array([[-1.0, 2.0], [3.0, 4.0]])[:, :, None]
         with pytest.raises(ValueError):
-            pool(x, 2, 2, 2.5)
+            _pool(x, 2, 2, 2.5)
 
     @pytest.mark.parametrize("alpha", [3.0, 5.0])
     def test_negative_with_odd_alpha(self, alpha):
         # for alpha 3 the window power sum is 1 + 8 - 27 - 64 < 0: no real root
-        x = _fmset(np.array([[1.0, 2.0], [-3.0, -4.0]])[:, :, None])
+        x = np.array([[1.0, 2.0], [-3.0, -4.0]])[:, :, None]
         with pytest.raises(ValueError):
-            pool(x, 2, 2, alpha)
+            _pool(x, 2, 2, alpha)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
     def test_signed_input_with_alpha_one_or_even(self, alpha):
         x = np.array([[-1.0, 2.0], [-3.0, 4.0]])
-        out = pool(_fmset(x[:, :, None]), 2, 2, alpha).maps[0, 0, 0]
+        out = _pool(x[:, :, None], 2, 2, alpha)[0, 0, 0]
         assert out == pytest.approx(np.sum(x**alpha) ** (1.0 / alpha), rel=1e-12)
 
 
@@ -393,24 +437,12 @@ class TestGroupAssignmentValidation:
 
 
 class TestRunLayer:
-    def _cfg(self, **kw):
-        base = dict(
-            pool_side=2,
-            pool_stride=2,
-            pool_alpha=1.0,
-            lcn_window=3,
-            lcn_sigma=0.75,
-            dense_preprocess=False,
-        )
-        base.update(kw)
-        return Layer1Config(**base)
-
     def test_full_size_spatial_chain(self):
         # 96x96 input, 16x16 filters, pool 12 stride 12 -> 6x6
         rng = np.random.default_rng(16)
         maps = rng.random((96, 96, 1))
         bank = _bank(rng.standard_normal((256, 3)), 16, 1)
-        cfg = self._cfg(pool_side=12, pool_stride=12, lcn_window=9, lcn_sigma=2.25)
+        cfg = _layer1(pool_side=12, pool_stride=12, lcn_window=9, lcn_sigma=2.25)
         out = run_layer(_fmset(maps), bank, cfg, "abs")
         assert out.maps.shape == (6, 6, 3)
 
@@ -418,7 +450,7 @@ class TestRunLayer:
         rng = np.random.default_rng(17)
         maps = rng.random((96, 96, 1))
         bank = _bank(rng.standard_normal((256, 2)), 16, 1)
-        cfg = self._cfg(pool_side=12, pool_stride=8, lcn_window=9, lcn_sigma=2.25)
+        cfg = _layer1(pool_side=12, pool_stride=8, lcn_window=9, lcn_sigma=2.25)
         out = run_layer(_fmset(maps), bank, cfg, "abs")
         assert out.maps.shape == (9, 9, 2)
 
@@ -426,7 +458,7 @@ class TestRunLayer:
         rng = np.random.default_rng(18)
         maps = rng.random((12, 12, 1))
         bank = _bank(rng.standard_normal((16, 5)), 4, 1)
-        cfg = self._cfg(patch_side=4, pool_side=3, pool_stride=3)
+        cfg = _layer1(patch_side=4, pool_side=3, pool_stride=3)
         out = run_layer(_fmset(maps), bank, cfg, "on_off")
         assert out.depth == 10
         assert layer_output_shape(12, 12, 5, cfg, "on_off") == out.maps.shape
@@ -436,14 +468,20 @@ class TestRunLayer:
         rng = np.random.default_rng(19)
         maps = rng.random((10, 10, 2))
         bank = _bank(rng.standard_normal((2 * 2 * 2, 4)), 2, 2)
-        cfg = self._cfg()
+        cfg = _layer1()
         out = run_layer(_fmset(maps), bank, cfg, "abs")
-        step = convolve_valid(_fmset(maps), bank, dense_preprocess=False)
-        step = rectify_abs(step)
-        step = lcn_subtractive(step, 3, 0.75)
-        step = lcn_divisive(step, 3, 0.75)
-        step = pool(step, 2, 2, 1.0)
-        assert np.array_equal(out.maps, step.maps)
+        step = _convolve(maps, bank, dense_preprocess=False)
+        step = _rectify(step, "abs")
+        _lcn_subtract(step, 3, 0.75)
+        _lcn_divide(step, 3, 0.75)
+        step = _pool(step, 2, 2, 1.0)
+        assert np.array_equal(out.maps, step)
+
+    def test_stacked_bank_rejected(self):
+        rng = np.random.default_rng(22)
+        bank = _bank(rng.standard_normal((2, 4, 3)), 2, 1)
+        with pytest.raises(DimError, match="stacked"):
+            run_layer(_fmset(rng.random((8, 8, 1))), bank, _layer1(patch_side=2), "abs")
 
     @given(
         st.integers(10, 24),
@@ -463,7 +501,7 @@ class TestRunLayer:
         rng = np.random.default_rng(seed)
         maps = rng.random((h, w, 1))
         bank = _bank(rng.standard_normal((p * p, k)), p, 1)
-        cfg = self._cfg(patch_side=p, pool_side=pool_side, pool_stride=stride)
+        cfg = _layer1(patch_side=p, pool_side=pool_side, pool_stride=stride)
         rectifier = "on_off" if on_off else "abs"
         out = run_layer(_fmset(maps), bank, cfg, rectifier)
         assert out.maps.shape == layer_output_shape(h, w, k, cfg, rectifier)
@@ -479,7 +517,7 @@ class TestRunLayer:
     )
     def test_shape_raises_what_run_layer_raises(self, side, fields, error):
         rng = np.random.default_rng(20)
-        cfg = self._cfg(**fields)
+        cfg = _layer1(**fields)
         p = cfg.patch_side
         bank = _bank(rng.standard_normal((p * p, 2)), p, 1)
         with pytest.raises(error):
@@ -508,18 +546,34 @@ class TestRunGroups:
             k_per_group=5, patch_side=3, group_size=4, pool_side=2, pool_stride=2,
             lcn_window=3, lcn_sigma=0.75, dense_preprocess=dense,
         )
-        weights, offset = stack_weights(banks, dense)
         perm = np.concatenate(groups.groups)
-        out = run_groups(maps, perm, weights, offset, cfg, rectifier)
+        out = run_groups(maps, perm, _stack(banks), cfg, rectifier)
         for g, (group, bank) in enumerate(zip(groups.groups, banks)):
             one = run_layer(_fmset(maps[:, :, list(group)]), bank, cfg, rectifier).maps
             assert np.allclose(out[g], one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
 
     def test_filter_dim_must_fit_groups(self):
         cfg = Layer2Config(k_per_group=2, patch_side=3, group_size=4, lcn_window=3)
-        weights = np.zeros((2, 27, 2))  # 3x3 filters over 3 maps, groups hold 4
+        bank = _bank(np.zeros((2, 27, 2)), 3, 3)  # 3x3 filters over 3 maps, groups hold 4
         with pytest.raises(DimError):
-            run_groups(np.ones((6, 6, 8)), np.arange(8), weights, None, cfg, "abs")
+            run_groups(np.ones((6, 6, 8)), np.arange(8), bank, cfg, "abs")
+
+    def test_band_holds_conv_rows_patches_over_all_groups(self, monkeypatch):
+        copies = []
+
+        def recording(maps, p):
+            rows, grid = dense_patches(maps, p)
+            copies.append(math.prod(rows.shape[:-1]))
+            return rows, grid
+
+        monkeypatch.setattr(layer, "dense_patches", recording)
+        rng = np.random.default_rng(23)
+        maps = rng.random((5, 40, 40, 2))
+        banks = [_bank(rng.standard_normal((18, 3)), 3, 2) for _ in range(5)]
+        out = _convolve(maps, _stack(banks), False)
+        assert len(copies) > 1 and max(copies) <= layer._CONV_ROWS
+        for g, bank in enumerate(banks):
+            assert np.allclose(out[g], _conv_oracle(maps[g], bank.filters, 3), atol=1e-12)
 
 
 class TestLayerConfigValidation:

@@ -10,8 +10,10 @@ from cdfnet.augment import AugmentPlan, expand_set
 from cdfnet.committee import read_score_file, sum_scores, table_predict
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds, load_network_config
 from cdfnet.errors import DimError, FormatError, InvalidGrouping, InvalidWindow
-from cdfnet.layer import run_layer
+from cdfnet.kmeans import FilterBank
+from cdfnet.layer import make_groups, run_layer
 from cdfnet.model_io import read_container, write_container
+from cdfnet.patches import PatchMatrix, ZcaTransform, fit_zca
 from cdfnet.pipeline import (
     ExperimentReport,
     NetworkModel,
@@ -30,6 +32,7 @@ from cdfnet.pipeline import (
 )
 from cdfnet.stl10 import FoldPlan, LabeledImage
 from cdfnet.svm import SvmModel
+from cdfnet.tensor import SeededRng
 
 import forward_oracle
 import train_oracle
@@ -65,9 +68,8 @@ class TestTrain:
         assert nano_model.input_shape == (32, 32)
         assert nano_model.bank1.filters.shape == (25, 8)
         assert nano_model.groups.n_groups == 2
-        assert len(nano_model.banks2) == 2
-        for bank in nano_model.banks2:
-            assert bank.filters.shape == (3 * 3 * 4, 6)
+        assert nano_model.bank2.filters.shape == (2, 3 * 3 * 4, 6)
+        assert nano_model.bank2.whitening.matrix.shape == (2, 36, 36)
 
     def test_descriptor_shape_closed_form(self, nano_model):
         cfg = nano_model.config
@@ -83,8 +85,7 @@ class TestTrain:
         again = train_network(nano_config(), stripe_dataset(10, side=32, seed=3))
         assert np.array_equal(again.bank1.filters, nano_model.bank1.filters)
         assert again.groups.groups == nano_model.groups.groups
-        for a, b in zip(again.banks2, nano_model.banks2):
-            assert np.array_equal(a.filters, b.filters)
+        assert np.array_equal(again.bank2.filters, nano_model.bank2.filters)
         probe = stripe_dataset(2, side=32, seed=11)
         assert np.array_equal(
             extract_descriptors(again, probe), extract_descriptors(nano_model, probe)
@@ -114,7 +115,7 @@ class TestTrain:
         with pytest.raises(DimError):
             NetworkModel(
                 nano_model.config, nano_model.bank1, nano_model.groups,
-                nano_model.banks2[:1], nano_model.input_shape,
+                FilterBank(nano_model.bank2.filters[:1], 3, 4), nano_model.input_shape,
             )
 
 
@@ -236,6 +237,46 @@ class TestModelPersistence:
         write_container(broken, tensors, text)
         with pytest.raises(FormatError, match="missing tensor"):
             load_model(broken)
+
+    def test_n1_container_layout(self, tmp_path):
+        # an n1-shaped model: 300 layer-1 filters, 75 groups of 4 maps
+        cfg = load_network_config(os.path.join(CONFIG_DIR, "n1.ini"))
+        rng = np.random.default_rng(1)
+        l1, l2 = cfg.layer1, cfg.layer2
+        d1, d2 = l1.patch_side**2, l2.patch_side**2 * l2.group_size
+        groups = make_groups(l1.k, l2.group_size, SeededRng(cfg.seeds.grouping))
+        g = groups.n_groups
+        zca2 = fit_zca(PatchMatrix(rng.random((d2, 100)), l2.patch_side, l2.group_size), 0.1)
+        model = NetworkModel(
+            cfg,
+            FilterBank(rng.standard_normal((d1, l1.k)), l1.patch_side, 1,
+                       ZcaTransform(np.zeros(d1), np.eye(d1), l1.zca_epsilon), 1),
+            groups,
+            FilterBank(
+                rng.standard_normal((g, d2, l2.k_per_group)), l2.patch_side, l2.group_size,
+                ZcaTransform(rng.standard_normal((g, d2)),
+                             np.tile(zca2.matrix, (g, 1, 1)), l2.zca_epsilon),
+                2,
+            ),
+            (96, 96),
+        )
+        path = tmp_path / "n1.model"
+        save_model(path, model)
+        tensors, _ = read_container(path)
+        assert list(tensors) == [
+            "input_shape",
+            "layer1/filters", "layer1/zca_mean", "layer1/zca_matrix", "layer1/zca_epsilon",
+            "groups",
+            "layer2/filters", "layer2/zca_mean", "layer2/zca_matrix", "layer2/zca_epsilon",
+        ]
+        back = load_model(path).bank2
+        want = model.bank2
+        assert back.filters.shape == (75, 36, 75)
+        assert back.filters.tobytes() == want.filters.tobytes()
+        assert back.whitening.mean.tobytes() == want.whitening.mean.tobytes()
+        assert back.whitening.matrix.tobytes() == want.whitening.matrix.tobytes()
+        assert back.whitening.epsilon == want.whitening.epsilon
+        assert (back.patch_side, back.depth, back.layer_index) == (3, 4, 2)
 
     def test_svm_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -391,7 +432,7 @@ class TestStackedTraining:
         want = train_oracle.train_network(cfg, images)
         assert got.input_shape == want.input_shape
         assert got.groups == want.groups
-        for a, b in zip((got.bank1,) + got.banks2, (want.bank1,) + want.banks2, strict=True):
+        for a, b in ((got.bank1, want.bank1), (got.bank2, want.bank2)):
             assert np.array_equal(a.filters, b.filters)
             assert np.array_equal(a.whitening.mean, b.whitening.mean)
             assert np.array_equal(a.whitening.matrix, b.whitening.matrix)

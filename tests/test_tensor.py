@@ -6,7 +6,7 @@ from cdfnet.tensor import (
     ALGORITHM_ID,
     FeatureMapSet,
     SeededRng,
-    assert_finite,
+    assert_array_finite,
 )
 
 
@@ -96,20 +96,20 @@ class TestFeatureMapSet:
 
 class TestAssertFinite:
     def test_all_zero_passes(self):
-        assert_finite(_fmset(np.zeros((2, 2, 1))))
+        assert_array_finite(np.zeros((2, 2, 1)))
 
     def test_nan_reports_coordinate(self):
         arr = np.zeros((3, 4, 2))
         arr[1, 2, 0] = np.nan
         with pytest.raises(NonFiniteValue) as exc:
-            assert_finite(_fmset(arr))
+            assert_array_finite(arr)
         assert exc.value.coord == (1, 2, 0)
 
     def test_inf_rejected(self):
         arr = np.zeros((2, 2, 1))
         arr[0, 1, 0] = np.inf
         with pytest.raises(NonFiniteValue) as exc:
-            assert_finite(_fmset(arr))
+            assert_array_finite(arr)
         assert exc.value.coord == (0, 1, 0)
 
     def test_first_offender_reported(self):
@@ -117,5 +117,5 @@ class TestAssertFinite:
         arr[0, 1, 0] = np.nan
         arr[1, 1, 0] = np.inf
         with pytest.raises(NonFiniteValue) as exc:
-            assert_finite(_fmset(arr))
+            assert_array_finite(arr)
         assert exc.value.coord == (0, 1, 0)

@@ -14,7 +14,7 @@ import numpy as np
 from cdfnet.augment import expand_set, scale
 from cdfnet.kmeans import FilterBank, kmeans
 from cdfnet.layer import make_groups, run_layer
-from cdfnet.patches import PatchMatrix, apply_zca, fit_zca, normalize_columns
+from cdfnet.patches import PatchMatrix, ZcaTransform, apply_zca, fit_zca, normalize_columns
 from cdfnet.pipeline import KMEANS_MAX_ITERS, NetworkModel
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
@@ -77,5 +77,16 @@ def train_network(cfg, fold_images) -> NetworkModel:
         )
         for g, group in enumerate(groups.groups)
     )
-    return NetworkModel(cfg, bank1, groups, banks2, maps1[0].shape[:2])
+    bank2 = FilterBank(
+        np.stack([b.filters for b in banks2]),
+        cfg.layer2.patch_side,
+        cfg.layer2.group_size,
+        ZcaTransform(
+            np.stack([b.whitening.mean for b in banks2]),
+            np.stack([b.whitening.matrix for b in banks2]),
+            cfg.layer2.zca_epsilon,
+        ),
+        2,
+    )
+    return NetworkModel(cfg, bank1, groups, bank2, maps1[0].shape[:2])
 
