@@ -29,7 +29,7 @@ from .config import (
     load_network_config,
 )
 from .errors import CdfnetError, FormatError
-from .model_io import read_container, write_container
+from .model_io import atomic_open, read_container, write_container
 from .pipeline import (
     evaluate_protocol,
     extract_descriptors,
@@ -143,7 +143,7 @@ def _cmd_committee(args) -> int:
         acc = accuracy(predictions, [int(v) for v in labels])
         print(f"committee accuracy {acc!r}")
     if args.out is not None:
-        with open(args.out, "w", encoding="ascii") as fh:
+        with atomic_open(args.out) as fh:
             for image_id, pred in zip(tables[0].image_ids, predictions):
                 fh.write(f"{image_id} {pred}\n")
         print(f"wrote predictions {args.out}")

@@ -102,7 +102,10 @@ def _assignments(points: np.ndarray, centroids: np.ndarray):
     c_norms = np.einsum("kd,kd->k", centroids, centroids)
     for start in range(0, n, _BLOCK):
         block = points[start : start + _BLOCK]
-        d2 = c_norms[None, :] - 2.0 * (block @ centroids.T)
+        # built in place: c + (-2 x.c) is exactly c - 2 x.c
+        d2 = block @ centroids.T
+        d2 *= -2.0
+        d2 += c_norms
         idx = np.argmin(d2, axis=1)
         labels[start : start + _BLOCK] = idx
         picked = d2[np.arange(block.shape[0]), idx]
@@ -114,9 +117,11 @@ def _plusplus_init(points: np.ndarray, k: int, gen: np.random.Generator) -> np.n
     """k-means++: each next center drawn with probability proportional to D^2."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    diff = np.empty_like(points)  # one buffer for every center's differences
     first = int(gen.integers(0, n))
     centers[0] = points[first]
-    d2 = np.einsum("nd,nd->n", points - centers[0], points - centers[0])
+    np.subtract(points, centers[0], out=diff)
+    d2 = np.einsum("nd,nd->n", diff, diff)
     for i in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -127,8 +132,8 @@ def _plusplus_init(points: np.ndarray, k: int, gen: np.random.Generator) -> np.n
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             idx = min(idx, n - 1)
         centers[i] = points[idx]
-        diff = points - centers[i]
-        d2 = np.minimum(d2, np.einsum("nd,nd->n", diff, diff))
+        np.subtract(points, centers[i], out=diff)
+        np.minimum(d2, np.einsum("nd,nd->n", diff, diff), out=d2)
     return centers
 
 
@@ -139,7 +144,8 @@ def kmeans(
 
     Stops on unchanged assignments or after max_iters. Clusters that empty
     out are re-seeded with the point currently farthest from its centroid,
-    taken from a cluster that keeps at least one member.
+    taken from a cluster that keeps at least one member. The patch rows are
+    clustered without a copy; centroids come back as (dim, k) filter columns.
     """
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
@@ -148,7 +154,7 @@ def kmeans(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
-    points = np.ascontiguousarray(patches.data.T)  # (n, dim)
+    points = patches.data
     gen = rng.generator()
     centroids = _plusplus_init(points, k, gen)
 
@@ -169,11 +175,8 @@ def kmeans(
 
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            labels, counts, sums, centroids = _reseed_empty(
-                points, labels, counts, sums, centroids, empty
-            )
+            _reseed_empty(points, labels, counts, sums, centroids, empty)
         nonzero = counts > 0
-        centroids = centroids.copy()
         centroids[nonzero] = sums[nonzero] / counts[nonzero, None]
 
     return KMeansResult(
@@ -185,16 +188,14 @@ def kmeans(
 
 
 def _reseed_empty(points, labels, counts, sums, centroids, empty):
-    """Move the farthest point into each empty cluster in turn.
+    """Move the farthest point into each empty cluster in turn, in place.
 
     The point is never the only member of its cluster, which would leave
     that cluster empty instead; with k <= n some cluster always has two.
     """
-    d2 = np.einsum("nd,nd->n", points - centroids[labels], points - centroids[labels])
-    labels = labels.copy()
-    counts = counts.copy()
-    sums = sums.copy()
-    centroids = centroids.copy()
+    diff = centroids[labels]
+    np.subtract(points, diff, out=diff)
+    d2 = np.einsum("nd,nd->n", diff, diff)
     for cluster in empty:
         far = int(np.argmax(np.where(counts[labels] > 1, d2, -1.0)))
         old = labels[far]
@@ -204,16 +205,3 @@ def _reseed_empty(points, labels, counts, sums, centroids, empty):
         sums[old] -= points[far]
         sums[cluster] += points[far]
         centroids[cluster] = points[far]
-    return labels, counts, sums, centroids
-
-
-def sse(patches: PatchMatrix, bank: FilterBank) -> float:
-    """Sum of squared distances from each patch to its nearest filter."""
-    if patches.dim != bank.dim:
-        raise DimError(
-            f"patch dim {patches.dim} does not match filter dim {bank.dim}"
-        )
-    _, total = _assignments(
-        np.ascontiguousarray(patches.data.T), np.ascontiguousarray(bank.filters.T)
-    )
-    return total

@@ -23,7 +23,7 @@ from scipy import ndimage
 
 from .errors import DimError, InvalidGrouping, InvalidWindow
 from .kmeans import FilterBank
-from .patches import _normalize_along
+from .patches import normalize_rows
 from .tensor import FeatureMapSet, SeededRng, assert_array_finite
 
 if TYPE_CHECKING:
@@ -121,7 +121,7 @@ def _convolve(maps: np.ndarray, bank: FilterBank, dense_preprocess: bool) -> np.
         for top in range(0, out_h, band):
             rows, _ = dense_patches(maps[lo : lo + chunk, top : top + band + p - 1], p)
             if dense_preprocess:
-                _normalize_along(rows, axis=-1)
+                normalize_rows(rows)
             block = out[lo : lo + chunk, top * out_w : (top + band) * out_w]
             np.matmul(rows, weights[lo : lo + chunk], out=block)
             if offset is not None:

@@ -13,8 +13,8 @@ Layout (all integers little-endian):
 Everything is 64-bit floating point, so save/load round-trips are
 bit-exact and language neutral.
 
-:func:`atomic_open` is the all-or-nothing text writer that score files and
-reports go through.
+:func:`atomic_open` is the all-or-nothing writer that containers, score
+files, predictions and reports go through.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ VERSION = 1
 
 
 def write_container(path, tensors: dict[str, np.ndarray], config_text: str = "") -> None:
-    """Write named tensors and a trailing text block; order is preserved."""
-    with open(path, "wb") as fh:
+    """Write named tensors and a trailing text block, all or nothing; order is preserved."""
+    with atomic_open(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(tensors)))
@@ -53,8 +53,9 @@ def write_container(path, tensors: dict[str, np.ndarray], config_text: str = "")
 
 
 @contextmanager
-def atomic_open(path):
-    """ASCII text file handle whose content replaces path only once it is complete.
+def atomic_open(path, binary: bool = False):
+    """ASCII text (or, with binary, bytes) handle whose content replaces path
+    only once it is complete.
 
     Writes go to a fresh, uniquely named temporary file beside path, which is
     synced to disk and renamed over path when the block ends and removed if
@@ -64,7 +65,7 @@ def atomic_open(path):
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{uuid.uuid4().hex}")
     # "x" refuses an existing file and, like plain open(), honours the umask
-    fh = open(tmp, "x", encoding="ascii")
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="ascii")
     try:
         with fh:
             yield fh

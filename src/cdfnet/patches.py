@@ -1,9 +1,10 @@
 """Volume-patch extraction, patch-wise normalization, and ZCA whitening.
 
-A patch is a p x p x depth block unrolled into one column with depth as the
+A patch is a p x p x depth block unrolled into one row with depth as the
 slowest axis, then rows, then columns (C-order over (depth, row, col)).
 Training-time sampling (:func:`extract_patches`) and dense extraction at
-convolution time (:func:`cdfnet.layer.dense_patches`) share this layout.
+convolution time (:func:`cdfnet.layer.dense_patches`) share this layout, and
+both normalize their rows with :func:`normalize_rows`.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ from .tensor import SeededRng, assert_array_finite
 # Eigenvalues below this fraction of the largest are numerical noise and are
 # clamped before the inverse square root.
 EIGENVALUE_FLOOR = 1e-12
-# patches gathered per block by extract_patches: 2 MB of window copies at d = 256
-_GATHER_BLOCK = 1024
 
 
 @dataclass(frozen=True)
 class PatchMatrix:
-    """Unrolled patches as columns: data is (patch_side^2 * depth, n_patches)."""
+    """Unrolled patches as rows: data is (n_patches, patch_side^2 * depth)."""
 
     data: np.ndarray
     patch_side: int
@@ -36,22 +35,22 @@ class PatchMatrix:
         if data.ndim != 2:
             raise DimError(f"patch matrix must be 2D, got ndim={data.ndim}")
         expected = self.patch_side * self.patch_side * self.depth
-        if data.shape[0] != expected:
+        if data.shape[1] != expected:
             raise DimError(
-                f"patch matrix has {data.shape[0]} rows, expected "
+                f"patch matrix has {data.shape[1]} columns, expected "
                 f"{self.patch_side}^2 * {self.depth} = {expected}"
             )
-        if data.shape[1] < 1:
+        if data.shape[0] < 1:
             raise DimError("patch matrix must contain at least one patch")
         object.__setattr__(self, "data", data)
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[1]
 
     @property
     def n_patches(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[0]
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,8 @@ def extract_patches(maps: np.ndarray, p: int, n_patches: int, rng: SeededRng) ->
     """Sample patches of an (N, H, W, depth) stack uniformly, with replacement.
 
     The image index is drawn first, then a valid top-left row and column
-    inside it. The patches are gathered from a sliding-window view a block
-    at a time, straight into the columns of the result.
+    inside it. One fancy index into a sliding-window view gathers every
+    patch, already in the row layout of the result.
     """
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim != 4 or maps.shape[0] < 1:
@@ -107,44 +106,33 @@ def extract_patches(maps: np.ndarray, p: int, n_patches: int, rng: SeededRng) ->
     cols = (gen.random(n_patches) * (width - p + 1)).astype(np.intp)
 
     windows = sliding_window_view(maps, (p, p), axis=(1, 2))  # (N, h, w, depth, p, p)
-    dim = p * p * depth
-    data = np.empty((dim, n_patches), dtype=np.float64)
-    for lo in range(0, n_patches, _GATHER_BLOCK):
-        hi = min(lo + _GATHER_BLOCK, n_patches)
-        block = windows[img_idx[lo:hi], rows[lo:hi], cols[lo:hi]]
-        data[:, lo:hi] = block.reshape(hi - lo, dim).T
+    data = windows[img_idx, rows, cols].reshape(n_patches, p * p * depth)
     return PatchMatrix(data, patch_side=p, depth=depth)
 
 
-def normalize_columns(data: np.ndarray) -> np.ndarray:
-    """Normalize every column of a (dim, n) matrix; see :func:`_normalize_along`."""
-    out = np.array(data, dtype=np.float64)
-    _normalize_along(out, axis=0)
-    return out
+def normalize_rows(data: np.ndarray) -> None:
+    """Scale every row (one patch) by 1/max|x_i|, then subtract its mean; in place.
 
-
-def _normalize_along(data: np.ndarray, axis: int) -> None:
-    """Scale every patch lying along `axis` by 1/max|x_i|, then subtract its mean.
-
-    Works in place. Training normalizes sampled patches as columns (axis 0); dense
-    convolution normalizes its im2col rows (axis -1). max|x| is taken as
-    max(max x, -min x), so no |x| temporary is made. A zero patch divides
-    by 1 and stays zero.
+    Training normalizes its sampled patches and dense convolution its im2col
+    rows with this one kernel, so both reduce a patch the same way. max|x|
+    is taken as max(max x, -min x), so no |x| temporary is made. A zero
+    patch divides by 1 and stays zero.
     """
-    peak = np.maximum(data.max(axis=axis, keepdims=True), -data.min(axis=axis, keepdims=True))
+    peak = np.maximum(data.max(axis=-1, keepdims=True), -data.min(axis=-1, keepdims=True))
     data /= np.where(peak == 0.0, 1.0, peak)
-    data -= data.mean(axis=axis, keepdims=True)
+    data -= data.mean(axis=-1, keepdims=True)
 
 
 def fit_zca(patches: PatchMatrix, epsilon: float) -> ZcaTransform:
-    """Fit V (D + eps I)^(-1/2) V^T on the column covariance of the patches."""
+    """Fit V (D + eps I)^(-1/2) V^T on the covariance of the patch rows."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     assert_array_finite(patches.data, what="patch matrix")
-    mean = patches.data.mean(axis=1)
-    centered = patches.data - mean[:, None]
+    mean = patches.data.mean(axis=0)
+    centered = patches.data - mean
     denom = max(patches.n_patches - 1, 1)
-    cov = (centered @ centered.T) / denom
+    cov = (centered.T @ centered) / denom
+    del centered  # a full patch copy, not needed for the eigendecomposition
     eigvals, eigvecs = np.linalg.eigh(cov)
     floor = EIGENVALUE_FLOOR * max(float(eigvals[-1]), 0.0)
     eigvals = np.maximum(eigvals, floor)
@@ -155,10 +143,12 @@ def fit_zca(patches: PatchMatrix, epsilon: float) -> ZcaTransform:
 
 
 def apply_zca(transform: ZcaTransform, patches: PatchMatrix) -> PatchMatrix:
-    """Whiten every column: y = matrix @ (x - mean)."""
+    """Whiten every row x into M (x - mu) as x M^T - mu M^T, so no centered
+    copy of the patches is made (the fold of :attr:`FilterBank.whitened_filters`)."""
     if patches.dim != transform.dim:
         raise DimError(
             f"patch dim {patches.dim} does not match transform dim {transform.dim}"
         )
-    data = transform.matrix @ (patches.data - transform.mean[:, None])
+    data = patches.data @ transform.matrix.T
+    data -= transform.mean @ transform.matrix.T
     return PatchMatrix(data, patches.patch_side, patches.depth)

@@ -30,7 +30,7 @@ from .errors import DimError, FormatError, InvalidGrouping
 from .kmeans import FilterBank, kmeans
 from .layer import GroupAssignment, layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
-from .patches import PatchMatrix, ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_columns
+from .patches import ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_rows
 from .stl10 import FoldPlan, LabeledImage
 from .svm import SvmModel, score_many, train_ova_svm
 from .tensor import FeatureMapSet, SeededRng
@@ -73,11 +73,11 @@ def _train_bank(
     kmeans_rng: SeededRng,
 ) -> tuple[np.ndarray, ZcaTransform]:
     """Sample the layer's patches from an (N, H, W, depth) stack, normalize,
-    whiten, and cluster them into k filters; returns (filters, whitening)."""
-    # each step rebinds `patches`, so the raw and normalized copies are
-    # freed before k-means runs
+    whiten, and cluster them into k filters; returns (filters, whitening).
+    The rows are normalized in place and whitening rebinds `patches`, so at
+    most two patch copies are alive at once."""
     patches = extract_patches(maps, layer.patch_side, layer.n_patches, patch_rng)
-    patches = PatchMatrix(normalize_columns(patches.data), layer.patch_side, patches.depth)
+    normalize_rows(patches.data)
     zca = fit_zca(patches, layer.zca_epsilon)
     patches = apply_zca(zca, patches)
     return kmeans(patches, k, KMEANS_MAX_ITERS, kmeans_rng).centroids, zca

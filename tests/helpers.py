@@ -8,6 +8,8 @@ exercising the full train/score path.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from cdfnet import AugmentPlan, LabeledImage
@@ -121,3 +123,23 @@ def stl10_bytes(images01: np.ndarray) -> np.ndarray:
     """Convert (n, 96, 96) float [0,1] images to (n, 96, 96, 3) uint8 RGB."""
     u8 = np.clip(images01 * 255.0, 0, 255).astype(np.uint8)
     return np.repeat(u8[:, :, :, None], 3, axis=3)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the most bytes its allocations held at once.
+
+    Counts what tracemalloc sees allocated during the call, numpy array
+    buffers included; memory held before the call is not counted.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak

@@ -23,7 +23,7 @@ from cdfnet.layer import (
     make_groups,
     run_layer,
 )
-from cdfnet.patches import PatchMatrix, ZcaTransform, apply_zca, fit_zca, normalize_columns
+from cdfnet.patches import PatchMatrix, ZcaTransform, apply_zca, fit_zca, normalize_rows
 from cdfnet.pipeline import (
     NetworkModel,
     descriptor_shape,
@@ -57,21 +57,24 @@ def _check_zca_whitening():
     d, n = 32, 5000
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     mix = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
-    data = mix @ rng.standard_normal((d, n)) + rng.standard_normal((d, 1))
+    data = rng.standard_normal((n, d)) @ mix + rng.standard_normal(d)
     pm = PatchMatrix(data, patch_side=4, depth=2)
     white = apply_zca(fit_zca(pm, 1e-8), pm)
-    cov = np.cov(white.data)
+    cov = np.cov(white.data, rowvar=False)
     assert np.max(np.abs(cov - np.eye(d))) < 1e-3
 
 
 def _check_patch_normalization():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        x = rng.standard_normal((rng.integers(2, 40), 1)) * rng.uniform(0.1, 50.0)
-        y = normalize_columns(x)
+        x = rng.standard_normal((1, rng.integers(2, 40))) * rng.uniform(0.1, 50.0)
+        y = x.copy()
+        normalize_rows(y)
         assert abs(y.mean()) <= 1e-12
         for c in (0.5, 3.0, 1e6):
-            assert np.allclose(normalize_columns(c * x), y, atol=1e-12)
+            z = c * x
+            normalize_rows(z)
+            assert np.allclose(z, y, atol=1e-12)
 
 
 def _check_on_off_identities():
@@ -134,7 +137,7 @@ def _check_kmeans_monotonicity():
         n = int(rng.integers(30, 80))
         side = int(rng.integers(2, 4))
         k = int(rng.integers(2, 6))
-        pm = PatchMatrix(rng.standard_normal((side * side, n)), side, 1)
+        pm = PatchMatrix(rng.standard_normal((n, side * side)), side, 1)
         result = kmeans(pm, k, max_iters=30, rng=SeededRng(seed))
         hist = np.asarray(result.sse_history)
         assert np.all(np.diff(hist) <= 1e-9 * np.maximum(np.abs(hist[:-1]), 1.0))

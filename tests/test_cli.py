@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cdfnet
+from cdfnet import cli
 from cdfnet.cli import main
 from cdfnet.committee import read_score_file
 from cdfnet.config import Seeds, save_network_config
@@ -228,6 +229,21 @@ class TestChain:
         assert rc == 0
         assert capsys.readouterr().out.splitlines() == ["0 0", "1 1"]
 
+
+    def test_failed_predictions_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        class Unprintable:
+            def __format__(self, spec):
+                raise ValueError("unprintable prediction")
+
+        scores = tmp_path / "a_scores.txt"
+        scores.write_text("scores v1 a 2\n0 1.0 0.0\n1 0.25 0.75\n")
+        preds = tmp_path / "preds.txt"
+        preds.write_text("0 1\n1 0\n")
+        # the first line is written before the second fails
+        monkeypatch.setattr(cli, "committee_predict", lambda tables: [0, Unprintable()])
+        assert run("committee", scores, "--out", preds) == 2
+        assert preds.read_bytes() == b"0 1\n1 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_scores.txt", "preds.txt"]
 
 class TestFoldRange:
     """A fold index outside the plan exits 2, naming the fold, before any training."""

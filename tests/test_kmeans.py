@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from cdfnet.errors import DimError, InvalidK, NonFiniteValue
-from cdfnet.kmeans import FilterBank, _reseed_empty, kmeans, sse
+from cdfnet.kmeans import FilterBank, _reseed_empty, kmeans
 from cdfnet.patches import PatchMatrix, ZcaTransform, fit_zca
 from cdfnet.tensor import SeededRng
 
 
-def _pm(data):
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    return PatchMatrix(data, 1, data.shape[0])
+def _pm(values):
+    """One-dimensional points as a patch matrix of (n, 1) rows."""
+    return PatchMatrix(np.asarray(values, dtype=np.float64)[:, None], 1, 1)
 
 
 def _lloyd_oracle(points, k, gen, iters=200):
@@ -33,14 +33,13 @@ def _lloyd_oracle(points, k, gen, iters=200):
 
 class TestKmeans:
     def test_two_point_masses(self):
-        pm = _pm([[0.0, 0.0, 10.0, 10.0]])
+        pm = _pm([0.0, 0.0, 10.0, 10.0])
         result = kmeans(pm, 2, 50, SeededRng(0))
         got = sorted(result.centroids.ravel())
         assert got == [0.0, 10.0]
 
     def test_k_equals_n_distinct(self):
-        pts = np.array([[0.0, 3.0, 7.0, 11.0]])
-        result = kmeans(_pm(pts), 4, 50, SeededRng(1))
+        result = kmeans(_pm([0.0, 3.0, 7.0, 11.0]), 4, 50, SeededRng(1))
         assert sorted(result.centroids.ravel()) == [0.0, 3.0, 7.0, 11.0]
         assert result.sse_history[-1] == 0.0
 
@@ -53,7 +52,7 @@ class TestKmeans:
                 rng.normal((-5, 5), 0.3, (100, 2)),
             ]
         )
-        pm = PatchMatrix(blobs.T, 1, 2)
+        pm = PatchMatrix(blobs, 1, 2)
         result = kmeans(pm, 3, 50, SeededRng(7))
         ours = result.sse_history[-1]
 
@@ -67,14 +66,14 @@ class TestKmeans:
     def test_sse_monotone_over_iterations(self):
         rng = np.random.default_rng(3)
         for seed in range(50):
-            data = rng.standard_normal((4, 120))
+            data = rng.standard_normal((120, 4))
             result = kmeans(PatchMatrix(data, 1, 4), 6, 30, SeededRng(seed))
             h = np.array(result.sse_history)
             assert np.all(np.diff(h) <= 1e-9 * np.maximum(h[:-1], 1.0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        data = rng.standard_normal((9, 500))
+        data = rng.standard_normal((500, 9))
         pm = PatchMatrix(data, 3, 1)
         a = kmeans(pm, 10, 50, SeededRng(11))
         b = kmeans(pm, 10, 50, SeededRng(11))
@@ -85,7 +84,7 @@ class TestKmeans:
 
     def test_centroids_distinct_on_distinct_data(self):
         rng = np.random.default_rng(5)
-        data = rng.standard_normal((2, 400))
+        data = rng.standard_normal((400, 2))
         result = kmeans(PatchMatrix(data, 1, 2), 8, 60, SeededRng(2))
         cols = result.centroids.T
         for i in range(8):
@@ -94,59 +93,56 @@ class TestKmeans:
 
     def test_centroids_finite(self):
         rng = np.random.default_rng(6)
-        data = rng.standard_normal((4, 100))
+        data = rng.standard_normal((100, 4))
         result = kmeans(PatchMatrix(data, 2, 1), 5, 40, SeededRng(3))
         assert np.all(np.isfinite(result.centroids))
 
     def test_k_too_large(self):
         with pytest.raises(InvalidK):
-            kmeans(_pm([[1.0, 2.0]]), 3, 10, SeededRng(0))
+            kmeans(_pm([1.0, 2.0]), 3, 10, SeededRng(0))
 
     def test_k_positive(self):
         with pytest.raises(InvalidK):
-            kmeans(_pm([[1.0, 2.0]]), 0, 10, SeededRng(0))
+            kmeans(_pm([1.0, 2.0]), 0, 10, SeededRng(0))
 
     def test_max_iters_positive(self):
         with pytest.raises(ValueError):
-            kmeans(_pm([[1.0, 2.0]]), 1, 0, SeededRng(0))
+            kmeans(_pm([1.0, 2.0]), 1, 0, SeededRng(0))
 
     def test_duplicate_points_fewer_than_k(self):
         # more clusters than distinct values still terminates and stays finite
-        pm = _pm([[1.0] * 10 + [2.0] * 10])
+        pm = _pm([1.0] * 10 + [2.0] * 10)
         result = kmeans(pm, 4, 30, SeededRng(8))
         assert np.all(np.isfinite(result.centroids))
         assert result.centroids.shape == (1, 4)
 
     def test_converges_early(self):
-        pm = _pm([[0.0, 0.1, 9.9, 10.0]])
+        pm = _pm([0.0, 0.1, 9.9, 10.0])
         result = kmeans(pm, 2, 100, SeededRng(1))
         assert result.converged
         assert result.n_iters < 100
 
 
 class TestSse:
+    """The last entry of sse_history is the SSE of the returned centroids once converged."""
+
     def test_zero_when_centroids_cover_points(self):
-        data = np.array([[0.0, 1.0, 2.0]])
-        bank = FilterBank(data, 1, 1)
-        assert sse(_pm(data), bank) == 0.0
+        result = kmeans(_pm([0.0, 1.0, 2.0]), 3, 10, SeededRng(0))
+        assert result.converged
+        assert result.sse_history[-1] == 0.0
 
     def test_single_centroid_at_mean(self):
-        bank = FilterBank(np.array([[0.0]]), 1, 1)
-        assert sse(_pm([[-1.0, 1.0]]), bank) == pytest.approx(2.0, abs=1e-12)
+        result = kmeans(_pm([-1.0, 1.0]), 1, 10, SeededRng(0))
+        assert result.sse_history[-1] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
-        data = rng.standard_normal((5, 300))
-        cent = rng.standard_normal((5, 9))
-        bank = FilterBank(cent, 1, 5)
-        d2 = ((data.T[:, None, :] - cent.T[None, :, :]) ** 2).sum(axis=2)
+        data = rng.standard_normal((300, 5))
+        result = kmeans(PatchMatrix(data, 1, 5), 9, 100, SeededRng(7))
+        assert result.converged
+        d2 = ((data[:, None, :] - result.centroids.T[None, :, :]) ** 2).sum(axis=2)
         expect = float(d2.min(axis=1).sum())
-        assert sse(PatchMatrix(data, 1, 5), bank) == pytest.approx(expect, rel=1e-12)
-
-    def test_dim_mismatch(self):
-        bank = FilterBank(np.zeros((4, 2)), 2, 1)
-        with pytest.raises(DimError):
-            sse(_pm([[1.0, 2.0]]), bank)
+        assert result.sse_history[-1] == pytest.approx(expect, rel=1e-12)
 
 
 class TestFilterBank:
@@ -180,7 +176,8 @@ class TestReseed:
         # the farthest point (10) is the only member of cluster 1; moving it
         # would empty cluster 1 instead of filling cluster 2
         state = self._state([[0.0], [10.0], [0.1], [0.3]], [0, 1, 0, 0], [[0.1], [0.0], [50.0]])
-        labels, counts, sums, centroids = _reseed_empty(*state)
+        _reseed_empty(*state)  # updates labels, counts, sums and centroids in place
+        _, labels, counts, sums, centroids, _ = state
         assert np.all(counts > 0)
         assert np.array_equal(counts, np.bincount(labels, minlength=3))
         assert labels[1] == 1 and labels[3] == 2  # farthest point of a cluster of three
@@ -192,7 +189,8 @@ class TestReseed:
         points = rng.standard_normal((12, 2))
         labels = np.array([0] * 6 + [1] * 5 + [2])
         state = self._state(points, labels, rng.standard_normal((6, 2)) * 5.0)
-        labels, counts, _, _ = _reseed_empty(*state)
+        _reseed_empty(*state)
+        _, labels, counts, _, _, _ = state
         assert np.all(counts > 0)
         assert np.array_equal(counts, np.bincount(labels, minlength=6))
 
@@ -200,7 +198,7 @@ class TestReseed:
 class TestWhitenedFilters:
     def test_matches_whitening_then_filters(self):
         rng = np.random.default_rng(4)
-        zca = fit_zca(PatchMatrix(rng.random((8, 200)), 2, 2), 0.1)
+        zca = fit_zca(PatchMatrix(rng.random((200, 8)), 2, 2), 0.1)
         bank = FilterBank(rng.standard_normal((8, 3)), 2, 2, zca)
         g, c = bank.whitened_filters
         x = rng.random((8, 5))
@@ -210,7 +208,7 @@ class TestWhitenedFilters:
 
     def test_stack_equals_each_bank_bitwise(self):
         rng = np.random.default_rng(5)
-        zcas = [fit_zca(PatchMatrix(rng.random((8, 200)), 2, 2), 0.1) for _ in range(3)]
+        zcas = [fit_zca(PatchMatrix(rng.random((200, 8)), 2, 2), 0.1) for _ in range(3)]
         filters = rng.standard_normal((3, 8, 4))
         means = np.stack([z.mean for z in zcas])
         matrices = np.stack([z.matrix for z in zcas])

@@ -165,7 +165,7 @@ class TestConvolve:
     def test_dense_preprocess_matches_per_patch_oracle(self):
         rng = np.random.default_rng(5)
         maps = rng.random((6, 6, 2))
-        train = PatchMatrix(rng.random((8, 500)), 2, 2)
+        train = PatchMatrix(rng.random((500, 8)), 2, 2)
         zca = fit_zca(train, 0.1)
         filters = rng.standard_normal((8, 3))
         bank = _bank(filters, 2, 2, whitening=zca)
@@ -538,7 +538,7 @@ class TestRunGroups:
         banks = tuple(
             _bank(
                 rng.standard_normal((36, 5)), 3, 4,
-                whitening=fit_zca(PatchMatrix(rng.random((36, 200)), 3, 4), 0.1),
+                whitening=fit_zca(PatchMatrix(rng.random((200, 36)), 3, 4), 0.1),
             )
             for _ in groups.groups
         )

@@ -132,6 +132,22 @@ class TestAtomicOpen:
         assert path.read_text() == "first\n" * 101
         assert [p.name for p in tmp_path.iterdir()] == ["r.txt"]
 
+    def test_binary_mode(self, tmp_path):
+        path = tmp_path / "r.bin"
+        with atomic_open(path, binary=True) as fh:
+            fh.write(b"\x00\xff")
+        assert path.read_bytes() == b"\x00\xff"
+
+    def test_failed_container_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.bin"
+        write_container(path, _sample_tensors(), "alpha = 1\n")
+        before = path.read_bytes()
+        # the first tensor is written before the second fails to convert
+        with pytest.raises(ValueError):
+            write_container(path, {"ok": np.ones(3), "bad": ["not", "numbers"]})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
+
     def test_mode_of_a_plainly_created_file(self, tmp_path):
         with open(tmp_path / "plain.txt", "w") as fh:
             fh.write("x")

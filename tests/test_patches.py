@@ -10,7 +10,7 @@ from cdfnet.patches import (
     apply_zca,
     extract_patches,
     fit_zca,
-    normalize_columns,
+    normalize_rows,
 )
 from cdfnet.tensor import SeededRng
 
@@ -32,9 +32,9 @@ class TestUnroll:
         vol[:, :, 1] = [[5, 6], [7, 8]]
         expect = [1, 2, 3, 4, 5, 6, 7, 8]
         assert np.array_equal(unroll_patch(vol, 0, 0, 2), expect)
-        # a 2x2 map has one 2x2 position, so every sampled column is that patch
+        # a 2x2 map has one 2x2 position, so every sampled row is that patch
         pm = extract_patches(_stack(vol), 2, 3, SeededRng(0))
-        assert np.array_equal(pm.data, np.array([expect] * 3).T)
+        assert np.array_equal(pm.data, [expect] * 3)
 
     def test_matches_explicit_loop(self):
         rng = np.random.default_rng(0)
@@ -52,12 +52,12 @@ class TestExtractPatches:
     def test_positions_within_valid_range(self):
         base = np.arange(16, dtype=np.float64).reshape(4, 4)
         pm = extract_patches(_stack(base), 2, 500, SeededRng(1))
-        assert pm.data.shape == (4, 500)
+        assert pm.data.shape == (500, 4)
         valid = set()
         for r in range(3):
             for c in range(3):
                 valid.add(tuple(unroll_patch(base[:, :, None], r, c, 2)))
-        seen = {tuple(col) for col in pm.data.T}
+        seen = {tuple(row) for row in pm.data}
         assert seen <= valid
         assert len(seen) > 1  # sampling actually varies position
 
@@ -90,16 +90,16 @@ class TestExtractPatches:
         pm = extract_patches(_stack(np.zeros((6, 6, 3))), 2, 5, SeededRng(0))
         assert pm.depth == 3
         assert pm.patch_side == 2
-        assert pm.data.shape[0] == 2 * 2 * 3
+        assert pm.data.shape[1] == 2 * 2 * 3
 
     def test_samples_across_images(self):
         maps = _stack(*(np.full((4, 4), float(i)) for i in range(4)))
         pm = extract_patches(maps, 2, 400, SeededRng(3))
-        assert {v for v in pm.data[0]} == {0.0, 1.0, 2.0, 3.0}
+        assert {v for v in pm.data[:, 0]} == {0.0, 1.0, 2.0, 3.0}
 
     @pytest.mark.parametrize("p, depth", [(3, 1), (2, 4)])
     def test_matches_per_patch_oracle(self, p, depth):
-        # more patches than one gather block, on non-square maps
+        # on non-square maps
         maps = np.random.default_rng(8).random((5, 9, 7, depth))
         pm = extract_patches(maps, p, 2500, SeededRng(4, (1, 2)))
         want = train_oracle.extract_patches(list(maps), p, 2500, SeededRng(4, (1, 2)))
@@ -109,7 +109,9 @@ class TestExtractPatches:
 
 def _normalize(x):
     """The package's patch normalization on one patch."""
-    return normalize_columns(np.asarray(x, dtype=np.float64)[:, None])[:, 0]
+    out = np.array(x, dtype=np.float64)
+    normalize_rows(out)
+    return out
 
 
 class TestNormalizePatch:
@@ -151,18 +153,27 @@ class TestNormalizePatch:
             out = _normalize(rng.normal(0, 10, 20))
             assert np.max(np.abs(out)) <= 2.0
 
-    def test_columns_match_single(self):
+    def test_rows_match_single(self):
         rng = np.random.default_rng(5)
-        data = rng.normal(0, 3, (6, 40))
-        data[:, 7] = 0.0  # zero column goes through the guard
-        cols = normalize_columns(data)
+        data = rng.normal(0, 3, (40, 6))
+        data[7] = 0.0  # zero row goes through the guard
+        rows = data.copy()
+        normalize_rows(rows)
         for j in range(40):
-            assert np.allclose(cols[:, j], normalize_patch(data[:, j]), atol=0)
+            assert np.array_equal(rows[j], normalize_patch(data[j]))
+
+    def test_in_place_on_any_leading_shape(self):
+        rng = np.random.default_rng(6)
+        data = rng.normal(0, 3, (3, 5, 6))
+        out = data.copy()
+        assert normalize_rows(out) is None
+        for idx in np.ndindex(3, 5):
+            assert np.array_equal(out[idx], normalize_patch(data[idx]))
 
 
 def _white_patches(n=5000, d=8, seed=0):
     rng = np.random.default_rng(seed)
-    return PatchMatrix(rng.standard_normal((d, n)), 1, d)
+    return PatchMatrix(rng.standard_normal((n, d)), 1, d)
 
 
 class TestFitZca:
@@ -175,8 +186,8 @@ class TestFitZca:
     def test_d2_eigendecomposition_oracle(self):
         # anisotropic scaling of the 4-point set {(1,1),(-1,-1),(1,-1),(-1,1)}
         base = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
-        data = np.diag([3.0, 0.5]) @ base
-        pm = PatchMatrix(data, 1, 2)
+        data = np.diag([3.0, 0.5]) @ base  # one column per point
+        pm = PatchMatrix(data.T, 1, 2)
         eps = 1e-8
         t = fit_zca(pm, eps)
 
@@ -195,14 +206,14 @@ class TestFitZca:
 
     def test_symmetric_positive_definite(self):
         rng = np.random.default_rng(6)
-        data = rng.standard_normal((5, 5)) @ rng.standard_normal((5, 2000))
+        data = rng.standard_normal((2000, 5)) @ rng.standard_normal((5, 5))
         t = fit_zca(PatchMatrix(data, 1, 5), 1e-6)
         assert np.allclose(t.matrix, t.matrix.T, atol=1e-9)
         assert np.all(np.linalg.eigvalsh(t.matrix) > 0)
 
     def test_nonfinite_rejected(self):
-        data = np.zeros((3, 10))
-        data[1, 4] = np.nan
+        data = np.zeros((10, 3))
+        data[4, 1] = np.nan
         with pytest.raises(NonFiniteValue):
             fit_zca(PatchMatrix(data, 1, 3), 0.01)
 
@@ -221,11 +232,11 @@ class TestApplyZca:
     def test_self_whitening_covariance(self):
         rng = np.random.default_rng(7)
         mix = rng.standard_normal((6, 6))
-        data = mix @ rng.standard_normal((6, 20000))
+        data = rng.standard_normal((20000, 6)) @ mix
         pm = PatchMatrix(data, 1, 6)
         t = fit_zca(pm, 1e-8)
         white = apply_zca(t, pm).data
-        cov = white @ white.T / (white.shape[1] - 1)
+        cov = white.T @ white / (white.shape[0] - 1)
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) < 1e-6
         assert np.allclose(np.diag(cov), 1.0, atol=1e-3)
@@ -236,20 +247,27 @@ class TestApplyZca:
             apply_zca(t, _white_patches(n=10, d=4))
 
     def test_subtracts_mean(self):
-        data = np.array([[1.0, 3.0], [2.0, 6.0]])
+        data = np.array([[1.0, 2.0], [3.0, 6.0]])
         t = ZcaTransform(np.array([1.0, 2.0]), np.eye(2), 1e-6)
         out = apply_zca(t, PatchMatrix(data, 1, 2))
-        assert np.array_equal(out.data, [[0.0, 2.0], [0.0, 4.0]])
+        assert np.array_equal(out.data, [[0.0, 0.0], [2.0, 4.0]])
+
+    def test_matches_column_form(self):
+        rng = np.random.default_rng(8)
+        pm = PatchMatrix(rng.random((300, 8)), 2, 2)
+        t = fit_zca(pm, 0.1)
+        expect = t.matrix @ (pm.data.T - t.mean[:, None])
+        assert np.allclose(apply_zca(t, pm).data, expect.T, rtol=1e-12, atol=1e-12)
 
 
 class TestPatchMatrixValidation:
     def test_row_consistency(self):
         with pytest.raises(DimError):
-            PatchMatrix(np.zeros((5, 10)), 2, 1)  # 2*2*1 = 4 != 5
+            PatchMatrix(np.zeros((10, 5)), 2, 1)  # 2*2*1 = 4 != 5
 
-    def test_needs_columns(self):
+    def test_needs_patches(self):
         with pytest.raises(DimError):
-            PatchMatrix(np.zeros((4, 0)), 2, 1)
+            PatchMatrix(np.zeros((0, 4)), 2, 1)
 
 
 class TestZcaTransformValidation:

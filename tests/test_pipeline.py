@@ -36,7 +36,7 @@ from cdfnet.tensor import SeededRng
 
 import forward_oracle
 import train_oracle
-from helpers import stripe_dataset
+from helpers import stripe_dataset, toy_config, traced_peak
 
 
 def nano_config(name="nano", seeds=Seeds(1, 2, 3, 4), **overrides):
@@ -246,7 +246,7 @@ class TestModelPersistence:
         d1, d2 = l1.patch_side**2, l2.patch_side**2 * l2.group_size
         groups = make_groups(l1.k, l2.group_size, SeededRng(cfg.seeds.grouping))
         g = groups.n_groups
-        zca2 = fit_zca(PatchMatrix(rng.random((d2, 100)), l2.patch_side, l2.group_size), 0.1)
+        zca2 = fit_zca(PatchMatrix(rng.random((100, d2)), l2.patch_side, l2.group_size), 0.1)
         model = NetworkModel(
             cfg,
             FilterBank(rng.standard_normal((d1, l1.k)), l1.patch_side, 1,
@@ -437,6 +437,47 @@ class TestStackedTraining:
             assert np.array_equal(a.whitening.mean, b.whitening.mean)
             assert np.array_equal(a.whitening.matrix, b.whitening.matrix)
             assert (a.patch_side, a.depth, a.layer_index) == (b.patch_side, b.depth, b.layer_index)
+
+
+class TestTrainBankRows:
+    """Filter learning on patch rows against the patches-as-columns path."""
+
+    @pytest.mark.parametrize("base", [0, 1, 2])
+    def test_matches_column_oracle(self, base, monkeypatch):
+        results, pairs = [], []
+        real_kmeans, real_train_bank = pipeline.kmeans, pipeline._train_bank
+
+        def recording_kmeans(*args, **kwargs):
+            results.append(real_kmeans(*args, **kwargs))
+            return results[-1]
+
+        def paired_train_bank(maps, layer, k, patch_rng, kmeans_rng):
+            got = real_train_bank(maps, layer, k, patch_rng, kmeans_rng)
+            want = train_oracle.column_train_bank(maps, layer, k, patch_rng, kmeans_rng)
+            pairs.append((got, want, results[-1]))
+            return got
+
+        monkeypatch.setattr(pipeline, "kmeans", recording_kmeans)
+        monkeypatch.setattr(pipeline, "_train_bank", paired_train_bank)
+        cfg = toy_config(seeds=Seeds().shifted(base))
+        train_network(cfg, stripe_dataset(8, side=64, seed=base))
+        assert len(pairs) == 1 + cfg.layer1.k // cfg.layer2.group_size
+        for (filters, zca), (want_filters, want_zca, want), result in pairs:
+            for a, b in ((filters, want_filters), (zca.mean, want_zca.mean),
+                         (zca.matrix, want_zca.matrix)):
+                assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+            assert (result.n_iters, result.converged) == (want.n_iters, want.converged)
+
+    def test_layer1_peaks_at_two_patch_copies(self):
+        # 5000 patches of 16 x 16: a 10 MB patch matrix
+        layer = dataclasses.replace(toy_config().layer1, patch_side=16, n_patches=5000)
+        maps = np.random.default_rng(0).random((4, 64, 64, 1))
+        copy_bytes = layer.n_patches * layer.patch_side**2 * 8
+        (filters, _), peak = traced_peak(
+            pipeline._train_bank, maps, layer, 16, SeededRng(1), SeededRng(2)
+        )
+        assert filters.shape == (256, 16)
+        assert peak <= 2.2 * copy_bytes
 
 
 class TestBatchedForward:

@@ -1,10 +1,17 @@
-"""Reference training: per-image map lists and one sampling step per patch.
+"""Reference training paths that tests compare the package against.
 
-This is the training path the package used before it held the fold as
-stacked arrays: layer 1 sampled from a list of per-image (H, W, 1) maps,
+:func:`train_network` is the path the package used before it held the fold
+as stacked arrays: layer 1 sampled from a list of per-image (H, W, 1) maps,
 each layer-2 group from a fresh list of per-image (h, w, group_size) slices,
-and every patch was unrolled on its own by :func:`unroll_patch`. Tests
-compare :func:`cdfnet.pipeline.train_network` against it bitwise.
+and every patch was unrolled on its own by :func:`unroll_patch`. Its patches
+are (n, dim) rows like the package's, and tests compare
+:func:`cdfnet.pipeline.train_network` against it bitwise.
+
+:func:`column_train_bank` is the patches-as-columns path the package used
+before its patches became rows: each patch normalized on its own by
+:func:`normalize_patch`, the ZCA fitted on the column covariance and applied
+as M (x - mu). Its sums run in another order, so tests compare
+:func:`cdfnet.pipeline._train_bank` against it within a tolerance.
 """
 
 from __future__ import annotations
@@ -12,11 +19,20 @@ from __future__ import annotations
 import numpy as np
 
 from cdfnet.augment import expand_set, scale
-from cdfnet.kmeans import FilterBank, kmeans
+from cdfnet.kmeans import FilterBank, KMeansResult, kmeans
 from cdfnet.layer import make_groups, run_layer
-from cdfnet.patches import PatchMatrix, ZcaTransform, apply_zca, fit_zca, normalize_columns
+from cdfnet.patches import (
+    EIGENVALUE_FLOOR,
+    PatchMatrix,
+    ZcaTransform,
+    apply_zca,
+    fit_zca,
+    normalize_rows,
+)
 from cdfnet.pipeline import KMEANS_MAX_ITERS, NetworkModel
 from cdfnet.tensor import FeatureMapSet, SeededRng
+
+from forward_oracle import normalize_patch
 
 
 def unroll_patch(maps: np.ndarray, row: int, col: int, p: int) -> np.ndarray:
@@ -32,21 +48,48 @@ def extract_patches(maps_list, p: int, n_patches: int, rng: SeededRng) -> PatchM
     row_u = gen.random(n_patches)
     col_u = gen.random(n_patches)
     depth = maps_list[0].shape[2]
-    data = np.empty((p * p * depth, n_patches))
+    data = np.empty((n_patches, p * p * depth))
     for j in range(n_patches):
         maps = maps_list[img_idx[j]]
         row = int(row_u[j] * (maps.shape[0] - p + 1))
         col = int(col_u[j] * (maps.shape[1] - p + 1))
-        data[:, j] = unroll_patch(maps, row, col, p)
+        data[j] = unroll_patch(maps, row, col, p)
     return PatchMatrix(data, p, depth)
 
 
 def _train_bank(maps_list, layer, k, patch_rng, kmeans_rng, layer_index) -> FilterBank:
-    raw = extract_patches(maps_list, layer.patch_side, layer.n_patches, patch_rng)
-    normed = PatchMatrix(normalize_columns(raw.data), layer.patch_side, raw.depth)
-    zca = fit_zca(normed, layer.zca_epsilon)
-    result = kmeans(apply_zca(zca, normed), k, KMEANS_MAX_ITERS, kmeans_rng)
-    return FilterBank(result.centroids, layer.patch_side, raw.depth, zca, layer_index)
+    patches = extract_patches(maps_list, layer.patch_side, layer.n_patches, patch_rng)
+    normalize_rows(patches.data)
+    zca = fit_zca(patches, layer.zca_epsilon)
+    result = kmeans(apply_zca(zca, patches), k, KMEANS_MAX_ITERS, kmeans_rng)
+    return FilterBank(result.centroids, layer.patch_side, patches.depth, zca, layer_index)
+
+
+def column_train_bank(
+    maps: np.ndarray, layer, k: int, patch_rng: SeededRng, kmeans_rng: SeededRng
+) -> tuple[np.ndarray, ZcaTransform, KMeansResult]:
+    """Filters, whitening and k-means result of one bank, patches as columns.
+
+    Samples the same patches as the package from an (N, H, W, depth) stack
+    and hands k-means the whitened columns as contiguous rows, the copy it
+    used to make of them itself.
+    """
+    rows = extract_patches(list(maps), layer.patch_side, layer.n_patches, patch_rng).data
+    cols = np.stack([normalize_patch(r) for r in rows], axis=1)  # (dim, n)
+    mean = cols.mean(axis=1)
+    centered = cols - mean[:, None]
+    cov = (centered @ centered.T) / max(cols.shape[1] - 1, 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals = np.maximum(eigvals, EIGENVALUE_FLOOR * max(float(eigvals[-1]), 0.0))
+    matrix = (eigvecs * (1.0 / np.sqrt(eigvals + layer.zca_epsilon))) @ eigvecs.T
+    zca = ZcaTransform(mean, (matrix + matrix.T) / 2.0, layer.zca_epsilon)
+    white = zca.matrix @ (cols - zca.mean[:, None])
+    depth = maps.shape[-1]
+    result = kmeans(
+        PatchMatrix(np.ascontiguousarray(white.T), layer.patch_side, depth),
+        k, KMEANS_MAX_ITERS, kmeans_rng,
+    )
+    return result.centroids, zca, result
 
 
 def train_network(cfg, fold_images) -> NetworkModel:
