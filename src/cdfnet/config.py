@@ -9,19 +9,34 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .augment import AugmentPlan
-from .errors import FormatError, InvalidWindow
-from .layer import RECTIFIERS, _signed_pool_alpha
+from .errors import FormatError, InvalidK, InvalidWindow
+from .layer import RECTIFIERS
 from .stl10 import NUM_FOLDS
 
 DESCRIPTOR_MODES = ("layer2_only", "concat_layers")
 
 
-def _check_stages(layer) -> None:
-    """Checks on the LCN and pool fields that Layer1Config and Layer2Config share."""
+def _signed_pool_alpha(alpha: float) -> bool:
+    """True if Lp pooling with this alpha is defined on signed inputs."""
+    return alpha == 1.0 or (alpha >= 2.0 and alpha % 2.0 == 0.0)
+
+
+def _check_layer(layer, k_field: str) -> None:
+    """Checks on the fields both layer records share; k_field names the filter count."""
+    k = getattr(layer, k_field)
+    if k < 1:
+        raise InvalidK(f"{k_field} must be >= 1, got {k}")
+    if layer.n_patches < k:
+        raise InvalidK(f"n_patches {layer.n_patches} is below {k_field} = {k}")
+    if layer.patch_side < 1:
+        raise ValueError(f"patch_side must be >= 1, got {layer.patch_side}")
+    if layer.zca_epsilon <= 0:
+        raise ValueError(f"zca_epsilon must be > 0, got {layer.zca_epsilon}")
     if layer.pool_side < 1 or layer.pool_stride < 1:
         raise ValueError("pool_side and pool_stride must be >= 1")
     if not _signed_pool_alpha(layer.pool_alpha):
@@ -49,7 +64,7 @@ class Layer1Config:
     dense_preprocess: bool = True
 
     def __post_init__(self):
-        _check_stages(self)
+        _check_layer(self, "k")
 
 
 @dataclass(frozen=True)
@@ -67,7 +82,7 @@ class Layer2Config:
     dense_preprocess: bool = True
 
     def __post_init__(self):
-        _check_stages(self)
+        _check_layer(self, "k_per_group")
         if self.group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {self.group_size}")
 
@@ -114,6 +129,8 @@ class NetworkConfig:
             )
         if self.scale_factor is not None and not 0.0 < self.scale_factor <= 1.0:
             raise ValueError(f"scale_factor must be in (0, 1], got {self.scale_factor}")
+        if not (math.isfinite(self.svm_reg_c) and self.svm_reg_c > 0):
+            raise ValueError(f"svm_reg_c must be finite and > 0, got {self.svm_reg_c}")
 
 
 def parse_fraction(text: str) -> float:

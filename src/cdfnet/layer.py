@@ -14,7 +14,6 @@ coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,45 +31,6 @@ if TYPE_CHECKING:
 RECTIFIERS = ("abs", "on_off")
 # patches per im2col band in dense convolution: 2 MB at d = 256
 _CONV_ROWS = 1024
-
-
-def _signed_pool_alpha(alpha: float) -> bool:
-    """True if Lp pooling with this alpha is defined on signed inputs."""
-    return alpha == 1.0 or (alpha >= 2.0 and alpha % 2.0 == 0.0)
-
-
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Partition of feature-map indices into equal groups of size n_k."""
-
-    groups: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        groups = tuple(tuple(int(i) for i in g) for g in self.groups)
-        if not groups:
-            raise InvalidGrouping("need at least one group")
-        sizes = {len(g) for g in groups}
-        if len(sizes) != 1:
-            raise InvalidGrouping(f"groups have unequal sizes {sorted(sizes)}")
-        flat = [i for g in groups for i in g]
-        total = len(flat)
-        if sorted(flat) != list(range(total)):
-            raise InvalidGrouping("groups must partition [0, K) exactly")
-        object.__setattr__(self, "groups", groups)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    @property
-    def group_size(self) -> int:
-        return len(self.groups[0])
-
-
-def _check_fits(what: str, side: int, height: int, width: int, error=InvalidWindow) -> None:
-    """Raise `error` if a side x side window does not fit a height x width map."""
-    if side > min(height, width):
-        raise error(f"{what} {side} exceeds map size {height}x{width}")
 
 
 def conv_output_shape(height: int, width: int, patch_side: int) -> tuple[int, int]:
@@ -130,18 +90,16 @@ def _convolve(maps: np.ndarray, bank: FilterBank, dense_preprocess: bool) -> np.
 
 
 def _rectify(maps: np.ndarray, rectifier: str) -> np.ndarray:
-    """abs in place, or a new array with the ON/OFF channels interleaved."""
+    """abs in place, or for on_off a new array with the ON/OFF channels interleaved."""
     if rectifier == "abs":
         return np.abs(maps, out=maps)
-    if rectifier == "on_off":
-        out = np.empty((*maps.shape[:-1], 2 * maps.shape[-1]))
-        on, off = out[..., 0::2], out[..., 1::2]
-        np.maximum(maps, 0.0, out=on)
-        # negated in place: a -maps temporary takes n5's layer 1 past the heap's
-        # trim threshold, and every image then faults its buffers in afresh
-        np.maximum(np.negative(maps, out=off), 0.0, out=off)
-        return out
-    raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {rectifier!r}")
+    out = np.empty((*maps.shape[:-1], 2 * maps.shape[-1]))
+    on, off = out[..., 0::2], out[..., 1::2]
+    np.maximum(maps, 0.0, out=on)
+    # negated in place: a -maps temporary takes n5's layer 1 past the heap's
+    # trim threshold, and every image then faults its buffers in afresh
+    np.maximum(np.negative(maps, out=off), 0.0, out=off)
+    return out
 
 
 def gaussian_window(side: int, sigma: float) -> np.ndarray:
@@ -150,12 +108,6 @@ def gaussian_window(side: int, sigma: float) -> np.ndarray:
     coords = np.arange(-half, half + 1, dtype=np.float64)
     g1 = np.exp(-(coords**2) / (2.0 * sigma * sigma))
     return np.outer(g1, g1)
-
-
-def _check_lcn_window(maps: np.ndarray, window: int) -> None:
-    if window % 2 == 0 or window < 3:
-        raise InvalidWindow(f"LCN window must be odd and >= 3, got {window}")
-    _check_fits("LCN window", window, *maps.shape[-3:-1])
 
 
 def _lcn_weighted_sum(field: np.ndarray, depth: int, window: int, sigma: float) -> np.ndarray:
@@ -173,7 +125,6 @@ def _lcn_weighted_sum(field: np.ndarray, depth: int, window: int, sigma: float) 
 
 def _lcn_subtract(maps: np.ndarray, window: int, sigma: float) -> None:
     """In place on (..., H, W, depth): subtract the local mean across all maps."""
-    _check_lcn_window(maps, window)
     maps -= _lcn_weighted_sum(maps.sum(axis=-1), maps.shape[-1], window, sigma)[..., None]
 
 
@@ -184,7 +135,6 @@ def _lcn_divide(maps: np.ndarray, window: int, sigma: float) -> None:
     (one image, or one group of one image); a stack whose floor is 0 is all
     zero and stays so.
     """
-    _check_lcn_window(maps, window)
     energy = _lcn_weighted_sum(
         np.einsum("...d,...d->...", maps, maps), maps.shape[-1], window, sigma
     )
@@ -199,16 +149,9 @@ def _pool(maps: np.ndarray, pool_side: int, stride: int, alpha: float) -> np.nda
     Works on (..., H, W, depth) maps. Windows advance by `stride` per
     feature map; partial windows at the right/bottom edges are dropped.
     alpha=1 is the window sum (average pooling up to a constant); large even
-    alpha approaches the window max of |x|. Any alpha other than 1 or an
-    even integer requires non-negative inputs: a fractional power of a
-    negative value, or an odd power summing to a negative value, has no
-    real root.
+    alpha approaches the window max of |x|. The layer records admit only
+    these alphas, which are defined on the signed LCN output.
     """
-    _check_fits("pool window", pool_side, *maps.shape[-3:-1])
-    if pool_side < 1 or stride < 1:
-        raise InvalidWindow("pool_side and stride must be >= 1")
-    if not _signed_pool_alpha(alpha) and np.any(maps < 0.0):
-        raise ValueError(f"pooling alpha {alpha} requires non-negative inputs")
     windows = sliding_window_view(maps, (pool_side, pool_side), axis=(-3, -2))
     windows = windows[..., ::stride, ::stride, :, :, :]
     if alpha == 1.0:
@@ -216,17 +159,11 @@ def _pool(maps: np.ndarray, pool_side: int, stride: int, alpha: float) -> np.nda
     return np.power(np.power(windows, alpha).sum(axis=(-2, -1)), 1.0 / alpha)
 
 
-def make_groups(k1: int, n_k: int, rng: SeededRng) -> GroupAssignment:
-    """Uniformly random partition of [0, k1) into k1/n_k groups of n_k."""
-    if k1 < 1 or n_k < 1:
-        raise InvalidGrouping("k1 and n_k must be >= 1")
-    if k1 % n_k != 0:
+def make_groups(k1: int, n_k: int, rng: SeededRng) -> np.ndarray:
+    """Uniformly random partition of [0, k1) into a (k1/n_k, n_k) table, one group a row."""
+    if k1 < 1 or n_k < 1 or k1 % n_k != 0:
         raise InvalidGrouping(f"group size {n_k} does not divide {k1} feature maps")
-    perm = rng.generator().permutation(k1)
-    groups = tuple(
-        tuple(int(i) for i in perm[g : g + n_k]) for g in range(0, k1, n_k)
-    )
-    return GroupAssignment(groups)
+    return rng.generator().permutation(k1).reshape(-1, n_k)
 
 
 def _forward(
@@ -234,7 +171,8 @@ def _forward(
 ) -> np.ndarray:
     """Convolve, rectify, subtractive LCN, divisive LCN and pool (..., H, W, depth) maps.
 
-    The bank's leading shape must equal the maps' leading shape. Raises
+    The bank's leading shape must equal the maps' and its filter side the
+    record's; the maps must pass :func:`layer_output_shape`. Raises
     NonFiniteValue, naming `what`, if the output holds a NaN or Inf.
     """
     if bank.lead != maps.shape[:-3]:
@@ -245,7 +183,9 @@ def _forward(
         raise DimError(
             f"input depth {maps.shape[-1]} does not match filter depth {bank.depth}"
         )
-    _check_fits("filter side", bank.patch_side, *maps.shape[-3:-1], DimError)
+    if bank.patch_side != cfg.patch_side:
+        raise DimError(f"filter side {bank.patch_side} is not the layer's {cfg.patch_side}")
+    layer_output_shape(*maps.shape[-3:-1], bank.k, cfg, rectifier)
     maps = _rectify(_convolve(maps, bank, cfg.dense_preprocess), rectifier)
     _lcn_subtract(maps, cfg.lcn_window, cfg.lcn_sigma)
     _lcn_divide(maps, cfg.lcn_window, cfg.lcn_sigma)
@@ -270,17 +210,17 @@ def run_layer(
 
 
 def run_groups(
-    maps: np.ndarray, perm: np.ndarray, bank: FilterBank, cfg: Layer2Config, rectifier: str
+    maps: np.ndarray, groups: np.ndarray, bank: FilterBank, cfg: Layer2Config, rectifier: str
 ) -> np.ndarray:
     """Layer 2 over every group of one image's (H, W, K1) layer-1 maps at once.
 
-    perm lists the K1 map indices group after group; bank is the (G, d, K)
-    stack, bank g for group g. Returns (G, h, w, depth): group g equals
-    :func:`run_layer` on ``maps[:, :, group g]`` with bank g, up to
-    summation-order rounding, and the LCN floor is taken per group.
+    groups is the (G, n_k) table of map indices, one group a row (see
+    :func:`make_groups`); bank is the (G, d, K) stack, bank g for group g.
+    Returns (G, h, w, depth): group g equals :func:`run_layer` on
+    ``maps[:, :, groups[g]]`` with bank g, up to summation-order rounding,
+    and the LCN floor is taken per group.
     """
-    h, w = maps.shape[:2]
-    grouped = maps[:, :, perm].reshape(h, w, len(bank.filters), -1).transpose(2, 0, 1, 3)
+    grouped = maps[:, :, groups].transpose(2, 0, 1, 3)
     return _forward(grouped, bank, cfg, rectifier, "layer-2 feature maps")
 
 
@@ -289,13 +229,18 @@ def layer_output_shape(
 ) -> tuple[int, int, int]:
     """Closed-form output shape of :func:`run_layer` on a height x width input.
 
-    Raises the window errors :func:`run_layer` would raise for that input,
-    so an impossible shape chain fails before any training.
+    Raises the errors :func:`run_layer` would raise for that input, so an
+    impossible shape chain fails before any training; it is the one check
+    that a window fits its map and that the rectifier is known.
     """
-    _check_fits("filter side", cfg.patch_side, height, width, DimError)
+    if rectifier not in RECTIFIERS:
+        raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {rectifier!r}")
+    if cfg.patch_side > min(height, width):
+        raise DimError(f"filter side {cfg.patch_side} exceeds map size {height}x{width}")
     conv_h, conv_w = conv_output_shape(height, width, cfg.patch_side)
-    _check_fits("LCN window", cfg.lcn_window, conv_h, conv_w)
-    _check_fits("pool window", cfg.pool_side, conv_h, conv_w)
+    for what, side in (("LCN window", cfg.lcn_window), ("pool window", cfg.pool_side)):
+        if side > min(conv_h, conv_w):
+            raise InvalidWindow(f"{what} {side} exceeds map size {conv_h}x{conv_w}")
     out_h = pool_output_shape(conv_h, cfg.pool_side, cfg.pool_stride)
     out_w = pool_output_shape(conv_w, cfg.pool_side, cfg.pool_stride)
     depth = bank_k * (2 if rectifier == "on_off" else 1)

@@ -1,10 +1,10 @@
 """Training orchestration, model persistence, and the 10-fold protocol.
 
 A trained network is layer-1 filters (with their whitening transform), a
-random group assignment, and the layer-2 filter banks of all groups stacked
-into one (G, d, K) bank. Everything downstream of the seeds is
-deterministic, so a NetworkConfig plus its seeds reproduces models,
-descriptors, and score files bit for bit.
+random (G, n_k) table of layer-1 map indices, one group a row, and the
+layer-2 filter banks of all groups stacked into one (G, d, K) bank.
+Everything downstream of the seeds is deterministic, so a NetworkConfig plus
+its seeds reproduces models, descriptors, and score files bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .config import Layer1Config, Layer2Config, NetworkConfig
 from .config import network_config_from_text, network_config_to_text
 from .errors import DimError, FormatError, InvalidGrouping
 from .kmeans import FilterBank, kmeans
-from .layer import GroupAssignment, layer_output_shape, make_groups, run_groups, run_layer
+from .layer import layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
 from .patches import ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_rows
 from .stl10 import FoldPlan, LabeledImage
@@ -44,21 +44,36 @@ KMEANS_MAX_ITERS = 100
 class NetworkModel:
     """A trained feature extractor: both layers plus the group wiring.
 
-    bank2 stacks one bank per group of ``groups``: (G, d, K) filters.
+    groups is the (G, n_k) integer table of layer-1 map indices, one group a
+    row, and bank2 the (G, d, K) stack of their banks; the table and both
+    banks are checked against the config, since containers come from outside.
     """
 
     config: NetworkConfig
     bank1: FilterBank
-    groups: GroupAssignment
+    groups: np.ndarray
     bank2: FilterBank
     input_shape: tuple[int, int]
 
     def __post_init__(self):
-        if self.bank2.lead != (self.groups.n_groups,):
+        l1, _, n_groups, _ = _layer_shapes(self.config, *self.input_shape)
+        table = np.asarray(self.groups)
+        if table.shape != (n_groups, self.config.layer2.group_size):
+            raise InvalidGrouping(
+                f"group table {table.shape} is not the config's "
+                f"{n_groups} groups of {self.config.layer2.group_size}"
+            )
+        # sorted, a partition of [0, K1) is 0..K1-1, which also rejects non-integers
+        if not np.array_equal(np.sort(table, axis=None), np.arange(l1[2])):
+            raise InvalidGrouping(f"groups must partition the {l1[2]} layer-1 maps exactly")
+        if (self.bank1.k, self.bank2.k) != (self.config.layer1.k, self.config.layer2.k_per_group):
+            raise DimError(f"filter counts {self.bank1.k}, {self.bank2.k} are not the config's")
+        if self.bank2.lead != (n_groups,):
             raise DimError(
                 f"layer-2 filters {self.bank2.filters.shape} do not stack one bank "
-                f"for each of {self.groups.n_groups} groups"
+                f"for each of {n_groups} groups"
             )
+        object.__setattr__(self, "groups", table.astype(np.intp))
 
 
 def _prepare_image(img: LabeledImage, factor: float | None) -> LabeledImage:
@@ -124,23 +139,19 @@ def _train(
         ).maps
     del images  # nothing else holds a view of the stack
     logger.info(
-        "%s: layer-1 output %dx%dx%d, %d groups of %d",
-        cfg.name,
-        *l1_shape,
-        groups.n_groups,
-        groups.group_size,
+        "%s: layer-1 output %dx%dx%d, %d groups of %d", cfg.name, *l1_shape, *groups.shape
     )
 
     kmeans2_rng = SeededRng(cfg.seeds.kmeans2)
     trained = [
         _train_bank(
-            outputs1[..., list(group)],
+            outputs1[..., group],
             cfg.layer2,
             k=cfg.layer2.k_per_group,
             patch_rng=patches_rng.child(1 + g),
             kmeans_rng=kmeans2_rng.child(g),
         )
-        for g, group in enumerate(groups.groups)
+        for g, group in enumerate(groups)
     ]
     zca2 = ZcaTransform(
         mean=np.stack([zca.mean for _, zca in trained]),
@@ -182,10 +193,9 @@ def _descriptor_rows(model: NetworkModel, outputs1, n_images: int) -> np.ndarray
     cfg = model.config
     _, l2, n_groups, dim = _layer_shapes(cfg, *model.input_shape)
     n2 = n_groups * l2[0] * l2[1] * l2[2]
-    perm = np.concatenate(model.groups.groups)
     descriptors = np.empty((n_images, dim))
     for row, out1 in zip(descriptors, outputs1):
-        row[:n2] = run_groups(out1, perm, model.bank2, cfg.layer2, cfg.rectifier).ravel()
+        row[:n2] = run_groups(out1, model.groups, model.bank2, cfg.layer2, cfg.rectifier).ravel()
         if cfg.descriptor_mode == "concat_layers":
             row[n2:] = out1.ravel()
     return descriptors
@@ -270,7 +280,7 @@ def save_model(path, model: NetworkModel) -> None:
     tensors = {
         "input_shape": np.array(model.input_shape, dtype=np.float64),
         **_bank_tensors("layer1", model.bank1),
-        "groups": np.array(model.groups.groups, dtype=np.float64),
+        "groups": model.groups,
         **_bank_tensors("layer2", model.bank2),
     }
     write_container(path, tensors, network_config_to_text(model.config))
@@ -281,16 +291,15 @@ def load_model(path) -> NetworkModel:
     cfg = network_config_from_text(config_text)
     try:
         bank1 = _bank_from_tensors(tensors, "layer1", cfg.layer1.patch_side, 1, 1)
-        groups = GroupAssignment(
-            tuple(tuple(int(i) for i in row) for row in tensors["groups"])
-        )
         bank2 = _bank_from_tensors(
             tensors, "layer2", cfg.layer2.patch_side, cfg.layer2.group_size, 2
         )
-        input_shape = tuple(int(v) for v in tensors["input_shape"])
+        groups, input_shape = tensors["groups"], tensors["input_shape"]
     except KeyError as exc:
         raise FormatError(f"{path}: missing tensor {exc}") from exc
-    return NetworkModel(cfg, bank1, groups, bank2, input_shape)
+    if input_shape.shape != (2,):
+        raise FormatError(f"{path}: input_shape {input_shape} is not (height, width)")
+    return NetworkModel(cfg, bank1, groups, bank2, tuple(int(v) for v in input_shape))
 
 
 def save_svm(path, model: SvmModel) -> None:

@@ -133,6 +133,8 @@ def train_ova_svm(
     problem labels its images +1 and all others -1. Deterministic for a
     given row order.
     """
+    if not (np.isfinite(reg_c) and reg_c > 0):
+        raise ValueError(f"reg_c must be finite and > 0, got {reg_c}")
     values = _as_descriptors(descriptors)
     labels = np.asarray(labels, dtype=np.int64)
     if values.shape[0] != labels.size:

@@ -28,13 +28,10 @@ class SeededRng:
 
     seed: int
     stream: tuple[int, ...] = ()
-    algorithm_id: str = ALGORITHM_ID
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.algorithm_id != ALGORITHM_ID:
-            raise ValueError(f"unknown rng algorithm {self.algorithm_id!r}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

@@ -99,7 +99,7 @@ def extract_descriptors(model, images):
             run_layer(
                 out1[:, :, list(group)], group_bank(model.bank2, g), cfg.layer2, cfg.rectifier
             ).ravel()
-            for g, group in enumerate(model.groups.groups)
+            for g, group in enumerate(model.groups)
         ]
         if cfg.descriptor_mode == "concat_layers":
             parts.append(out1.ravel())

@@ -181,7 +181,7 @@ def test_criterion_2_shape_arithmetic():
             ZcaTransform(np.zeros(d1), np.eye(d1), cfg.layer1.zca_epsilon), 1,
         )
         groups = make_groups(cfg.layer1.k, cfg.layer2.group_size, SeededRng(4))
-        n_groups = groups.n_groups
+        n_groups = len(groups)
         d2 = cfg.layer2.patch_side**2 * cfg.layer2.group_size
         bank2 = FilterBank(
             rng.standard_normal((n_groups, d2, cfg.layer2.k_per_group)),

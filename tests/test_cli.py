@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ import cdfnet
 from cdfnet import cli
 from cdfnet.cli import main
 from cdfnet.committee import read_score_file
-from cdfnet.config import Seeds, save_network_config
+from cdfnet.config import (
+    Seeds,
+    network_config_from_text,
+    network_config_to_text,
+    save_network_config,
+)
 from cdfnet.model_io import read_container, write_container
 from cdfnet.pipeline import load_model, save_svm
 from cdfnet.svm import train_ova_svm
@@ -213,6 +219,50 @@ class TestChain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "groups" in err
+
+    @pytest.mark.parametrize("reg_c", ["0", "-1", "nan", "inf"])
+    def test_svm_reg_c_rejected(self, ws, capsys, reg_c):
+        x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 0.5]])
+        desc = ws / "reg_c.desc"
+        write_container(desc, {"descriptors": x, "labels": np.array([0.0, 1.0, 0.0, 1.0])},
+                        "0\n1\n2\n3")
+        out = ws / "reg_c.svm"
+        assert run("svm", "--descriptors", desc, f"--reg-c={reg_c}", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: reg_c must be finite and > 0") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_fractional_group_index_rejected(self, ws, trained_model, capsys):
+        tensors, text = read_container(trained_model)
+        tensors["groups"][0, 0] += 0.5  # truncates back to a valid index
+        model = ws / "fractional_group.model"
+        write_container(model, tensors, text)
+        rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
+                 "--out", ws / "fractional_group.desc")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "partition" in err
+
+    def test_group_table_checked_against_config_at_load(
+        self, ws, trained_model, capsys, monkeypatch
+    ):
+        # the config asks for 8 layer-1 maps, two groups of 4; table and stack hold one
+        tensors, text = read_container(trained_model)
+        cfg = network_config_from_text(text)
+        wider = replace(cfg, layer1=replace(cfg.layer1, k=8))
+        model = ws / "one_group.model"
+        write_container(model, tensors, network_config_to_text(wider))
+
+        def never(*args):
+            raise AssertionError("extraction started")
+
+        monkeypatch.setattr(cli, "extract_descriptors", never)
+        rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
+                 "--out", ws / "one_group.desc")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: group table (1, 4) is not the config's 2 groups of 4\n"
 
     def test_committee_rejects_garbage(self, ws, capsys):
         bad = ws / "garbage.txt"

@@ -10,7 +10,6 @@ from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig
 from cdfnet.errors import DimError, InvalidGrouping, InvalidWindow
 from cdfnet.kmeans import FilterBank
 from cdfnet.layer import (
-    GroupAssignment,
     _convolve,
     _lcn_divide,
     _lcn_subtract,
@@ -275,10 +274,14 @@ class TestLcnSubtractive:
         assert np.allclose(a, b, atol=1e-10)
 
     def test_window_validation(self):
+        # the record owns the window's parity, the shape chain its fit
         with pytest.raises(InvalidWindow):
-            _lcn_sub(np.zeros((8, 8, 1)), 4, 1.0)
-        with pytest.raises(InvalidWindow):
-            _lcn_sub(np.zeros((4, 4, 1)), 5, 1.0)
+            _layer1(lcn_window=4)
+        rng = np.random.default_rng(24)
+        bank = _bank(rng.standard_normal((4, 1)), 2, 1)
+        cfg = _layer1(patch_side=2, lcn_window=5)
+        with pytest.raises(InvalidWindow, match="LCN window 5"):
+            run_layer(_fmset(np.zeros((5, 5, 1))), bank, cfg, "abs")
 
 
 class TestLcnDivisive:
@@ -364,20 +367,23 @@ class TestPool:
             assert np.all(out >= ref - 1e-12)
 
     def test_window_too_large(self):
-        with pytest.raises(InvalidWindow):
-            _pool(np.zeros((4, 4, 1)), 5, 1, 1.0)
+        rng = np.random.default_rng(25)
+        bank = _bank(rng.standard_normal((1, 1)), 1, 1)
+        cfg = _layer1(patch_side=1, pool_side=5)
+        with pytest.raises(InvalidWindow, match="pool window 5"):
+            run_layer(_fmset(np.zeros((4, 4, 1))), bank, cfg, "abs")
 
+    # LCN output is signed, so the records refuse every alpha whose Lp pool is
+    # undefined on negative inputs, and no layer can reach _pool with one
     def test_negative_with_fractional_alpha(self):
-        x = np.array([[-1.0, 2.0], [3.0, 4.0]])[:, :, None]
-        with pytest.raises(ValueError):
-            _pool(x, 2, 2, 2.5)
+        with pytest.raises(ValueError, match="signed"):
+            _layer1(pool_alpha=2.5)
 
     @pytest.mark.parametrize("alpha", [3.0, 5.0])
     def test_negative_with_odd_alpha(self, alpha):
-        # for alpha 3 the window power sum is 1 + 8 - 27 - 64 < 0: no real root
-        x = np.array([[1.0, 2.0], [-3.0, -4.0]])[:, :, None]
-        with pytest.raises(ValueError):
-            _pool(x, 2, 2, alpha)
+        # for alpha 3 the window power sum of [1, 2, -3, -4] is 1 + 8 - 27 - 64 < 0
+        with pytest.raises(ValueError, match="signed"):
+            Layer2Config(pool_alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
     def test_signed_input_with_alpha_one_or_even(self, alpha):
@@ -388,52 +394,41 @@ class TestPool:
 
 class TestMakeGroups:
     def test_partition_8_4(self):
-        ga = make_groups(8, 4, SeededRng(0))
-        assert ga.n_groups == 2
-        assert sorted(i for g in ga.groups for i in g) == list(range(8))
+        groups = make_groups(8, 4, SeededRng(0))
+        assert groups.shape == (2, 4)
+        assert np.array_equal(np.sort(groups, axis=None), np.arange(8))
 
     def test_300_filters_75_groups(self):
-        ga = make_groups(300, 4, SeededRng(1))
-        assert ga.n_groups == 75
-        assert all(len(g) == 4 for g in ga.groups)
+        assert make_groups(300, 4, SeededRng(1)).shape == (75, 4)
 
     def test_not_divisible(self):
-        with pytest.raises(InvalidGrouping):
-            make_groups(10, 4, SeededRng(0))
+        for k1, n_k in ((10, 4), (0, 4), (8, 0)):
+            with pytest.raises(InvalidGrouping):
+                make_groups(k1, n_k, SeededRng(0))
 
     def test_deterministic_and_seed_sensitive(self):
         a = make_groups(24, 4, SeededRng(5))
         b = make_groups(24, 4, SeededRng(5))
         c = make_groups(24, 4, SeededRng(6))
-        assert a.groups == b.groups
-        assert a.groups != c.groups
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_actually_shuffles(self):
-        ga = make_groups(64, 4, SeededRng(2))
-        assert ga.groups != tuple(
-            tuple(range(g, g + 4)) for g in range(0, 64, 4)
-        )
+        groups = make_groups(64, 4, SeededRng(2))
+        assert not np.array_equal(groups, np.arange(64).reshape(16, 4))
+
+    def test_rows_are_the_permutation_in_order(self):
+        # the table is the seeded permutation cut into rows, so models keep their wiring
+        perm = SeededRng(7).generator().permutation(12)
+        assert np.array_equal(make_groups(12, 3, SeededRng(7)), perm.reshape(4, 3))
 
     @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 1000))
     @settings(max_examples=100, deadline=None)
     def test_partition_property(self, n_groups, n_k, seed):
         k1 = n_groups * n_k
-        ga = make_groups(k1, n_k, SeededRng(seed))
-        flat = [i for g in ga.groups for i in g]
-        assert sorted(flat) == list(range(k1))
-        assert all(len(g) == n_k for g in ga.groups)
-
-
-class TestGroupAssignmentValidation:
-    def test_must_partition(self):
-        with pytest.raises(InvalidGrouping):
-            GroupAssignment(((0, 1), (1, 2)))
-        with pytest.raises(InvalidGrouping):
-            GroupAssignment(((0, 1), (3, 4)))
-
-    def test_equal_sizes(self):
-        with pytest.raises(InvalidGrouping):
-            GroupAssignment(((0, 1), (2,)))
+        groups = make_groups(k1, n_k, SeededRng(seed))
+        assert groups.shape == (n_groups, n_k)
+        assert np.array_equal(np.sort(groups, axis=None), np.arange(k1))
 
 
 class TestRunLayer:
@@ -468,7 +463,7 @@ class TestRunLayer:
         rng = np.random.default_rng(19)
         maps = rng.random((10, 10, 2))
         bank = _bank(rng.standard_normal((2 * 2 * 2, 4)), 2, 2)
-        cfg = _layer1()
+        cfg = _layer1(patch_side=2)
         out = run_layer(_fmset(maps), bank, cfg, "abs")
         step = _convolve(maps, bank, dense_preprocess=False)
         step = _rectify(step, "abs")
@@ -482,6 +477,24 @@ class TestRunLayer:
         bank = _bank(rng.standard_normal((2, 4, 3)), 2, 1)
         with pytest.raises(DimError, match="stacked"):
             run_layer(_fmset(rng.random((8, 8, 1))), bank, _layer1(patch_side=2), "abs")
+
+    def test_bank_side_must_be_the_records(self):
+        # a 3x3 bank under a patch_side 5 record would run, off the promised shape
+        rng = np.random.default_rng(26)
+        bank = _bank(rng.standard_normal((9, 2)), 3, 1)
+        cfg = _layer1(patch_side=5)
+        assert layer_output_shape(9, 9, 2, cfg, "abs") == (2, 2, 2)
+        with pytest.raises(DimError, match="filter side 3"):
+            run_layer(_fmset(rng.random((9, 9, 1))), bank, cfg, "abs")
+
+    def test_unknown_rectifier_fails_before_convolving(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("convolved")
+
+        monkeypatch.setattr(layer, "_convolve", never)
+        bank = _bank(np.ones((4, 2)), 2, 1)
+        with pytest.raises(ValueError, match="rectifier"):
+            run_layer(_fmset(np.ones((8, 8, 1))), bank, _layer1(patch_side=2), "relu")
 
     @given(
         st.integers(10, 24),
@@ -540,23 +553,22 @@ class TestRunGroups:
                 rng.standard_normal((36, 5)), 3, 4,
                 whitening=fit_zca(PatchMatrix(rng.random((200, 36)), 3, 4), 0.1),
             )
-            for _ in groups.groups
+            for _ in groups
         )
         cfg = Layer2Config(
             k_per_group=5, patch_side=3, group_size=4, pool_side=2, pool_stride=2,
             lcn_window=3, lcn_sigma=0.75, dense_preprocess=dense,
         )
-        perm = np.concatenate(groups.groups)
-        out = run_groups(maps, perm, _stack(banks), cfg, rectifier)
-        for g, (group, bank) in enumerate(zip(groups.groups, banks)):
-            one = run_layer(_fmset(maps[:, :, list(group)]), bank, cfg, rectifier).maps
+        out = run_groups(maps, groups, _stack(banks), cfg, rectifier)
+        for g, (group, bank) in enumerate(zip(groups, banks)):
+            one = run_layer(_fmset(maps[:, :, group]), bank, cfg, rectifier).maps
             assert np.allclose(out[g], one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
 
     def test_filter_dim_must_fit_groups(self):
         cfg = Layer2Config(k_per_group=2, patch_side=3, group_size=4, lcn_window=3)
         bank = _bank(np.zeros((2, 27, 2)), 3, 3)  # 3x3 filters over 3 maps, groups hold 4
         with pytest.raises(DimError):
-            run_groups(np.ones((6, 6, 8)), np.arange(8), bank, cfg, "abs")
+            run_groups(np.ones((6, 6, 8)), np.arange(8).reshape(2, 4), bank, cfg, "abs")
 
     def test_band_holds_conv_rows_patches_over_all_groups(self, monkeypatch):
         copies = []

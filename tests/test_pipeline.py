@@ -1,6 +1,7 @@
 import dataclasses
 import glob
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from cdfnet import pipeline
 from cdfnet.augment import AugmentPlan, expand_set
 from cdfnet.committee import read_score_file, sum_scores, table_predict
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds, load_network_config
-from cdfnet.errors import DimError, FormatError, InvalidGrouping, InvalidWindow
+from cdfnet.errors import DimError, FormatError, InvalidGrouping, InvalidK, InvalidWindow
 from cdfnet.kmeans import FilterBank
 from cdfnet.layer import make_groups, run_layer
 from cdfnet.model_io import read_container, write_container
@@ -37,6 +38,10 @@ from cdfnet.tensor import SeededRng
 import forward_oracle
 import train_oracle
 from helpers import stripe_dataset, toy_config, traced_peak
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def nano_config(name="nano", seeds=Seeds(1, 2, 3, 4), **overrides):
@@ -67,7 +72,7 @@ class TestTrain:
     def test_model_structure(self, nano_model):
         assert nano_model.input_shape == (32, 32)
         assert nano_model.bank1.filters.shape == (25, 8)
-        assert nano_model.groups.n_groups == 2
+        assert nano_model.groups.shape == (2, 4)
         assert nano_model.bank2.filters.shape == (2, 3 * 3 * 4, 6)
         assert nano_model.bank2.whitening.matrix.shape == (2, 36, 36)
 
@@ -84,7 +89,7 @@ class TestTrain:
     def test_deterministic_retrain(self, nano_model):
         again = train_network(nano_config(), stripe_dataset(10, side=32, seed=3))
         assert np.array_equal(again.bank1.filters, nano_model.bank1.filters)
-        assert again.groups.groups == nano_model.groups.groups
+        assert np.array_equal(again.groups, nano_model.groups)
         assert np.array_equal(again.bank2.filters, nano_model.bank2.filters)
         probe = stripe_dataset(2, side=32, seed=11)
         assert np.array_equal(
@@ -118,8 +123,64 @@ class TestTrain:
                 FilterBank(nano_model.bank2.filters[:1], 3, 4), nano_model.input_shape,
             )
 
+    def test_filter_counts_checked(self, nano_model):
+        # a layer-1 bank short of the config's 8 filters would index past its maps
+        m = nano_model
+        short = FilterBank(m.bank1.filters[:, :4], 5, 1, m.bank1.whitening, 1)
+        with pytest.raises(DimError, match="filter counts 4, 6"):
+            NetworkModel(m.config, short, m.groups, m.bank2, m.input_shape)
+        narrow = FilterBank(m.bank2.filters[..., :5], 3, 4, m.bank2.whitening, 2)
+        with pytest.raises(DimError, match="filter counts 8, 5"):
+            NetworkModel(m.config, m.bank1, m.groups, narrow, m.input_shape)
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+class TestGroupTable:
+    """NetworkModel checks its (G, n_k) group table against the config's shape chain."""
+
+    @staticmethod
+    def _model(base, groups):
+        return NetworkModel(base.config, base.bank1, groups, base.bank2, base.input_shape)
+
+    def test_must_partition(self, nano_model):
+        table = nano_model.groups.copy()
+        table[1, 0] = table[0, 0]  # a repeated map
+        with pytest.raises(InvalidGrouping, match="partition"):
+            self._model(nano_model, table)
+        table = nano_model.groups.copy()
+        table[table == 7] = 8  # a map the layer-1 output does not have
+        with pytest.raises(InvalidGrouping, match="partition"):
+            self._model(nano_model, table)
+        table = nano_model.groups.astype(np.float64)
+        table[0, 0] += 0.5  # not an integer
+        with pytest.raises(InvalidGrouping, match="partition"):
+            self._model(nano_model, table)
+
+    def test_shape_is_the_configs(self, nano_model):
+        # nano_config has 8 layer-1 maps in 2 groups of 4
+        for table in (nano_model.groups.reshape(4, 2), nano_model.groups.ravel()):
+            with pytest.raises(InvalidGrouping, match="2 groups of 4"):
+                self._model(nano_model, table)
+
+    def test_float_table_becomes_integers(self, nano_model):
+        model = self._model(nano_model, nano_model.groups.astype(np.float64))
+        assert model.groups.dtype.kind == "i"
+        assert np.array_equal(model.groups, nano_model.groups)
+
+    def test_earlier_container_loads_bitwise(self, tmp_path):
+        # tiny_on_off.model and its descriptors were written at commit 1a75bfb,
+        # when the group table was a tuple of tuples: an on_off network of 4
+        # layer-1 filters on 16x16 images, so 8 maps in 4 groups of 2
+        model = load_model(os.path.join(DATA_DIR, "tiny_on_off.model"))
+        assert model.groups.shape == (4, 2)
+        want = read_container(os.path.join(DATA_DIR, "tiny_on_off.desc"))[0]["descriptors"]
+        got = extract_descriptors(model, stripe_dataset(3, side=16, seed=13))
+        assert got.tobytes() == want.tobytes()
+        # and the groups tensor keeps its bytes: saving again rewrites the same file
+        save_model(tmp_path / "again.model", model)
+        original = Path(DATA_DIR, "tiny_on_off.model").read_bytes()
+        assert (tmp_path / "again.model").read_bytes() == original
+
+
 
 
 class _Reached(Exception):
@@ -152,6 +213,37 @@ class TestFailBeforeCompute:
         monkeypatch.setattr(pipeline, "kmeans", _never)
         with pytest.raises(InvalidWindow):
             train_network(self._n1_with_pool_90(), stripe_dataset(2, side=96, seed=3))
+
+    # (record, field, value, error): values a record refuses when it is built
+    @pytest.mark.parametrize(
+        "record, field, value, error",
+        [
+            ("layer1", "k", 0, InvalidK),
+            ("layer2", "k_per_group", 0, InvalidK),
+            ("layer1", "patch_side", 0, ValueError),
+            ("layer2", "patch_side", 0, ValueError),
+            ("layer1", "n_patches", 15, InvalidK),  # below k = 16
+            ("layer2", "n_patches", 15, InvalidK),  # below k_per_group = 16
+            ("layer1", "zca_epsilon", 0.0, ValueError),
+            ("layer2", "zca_epsilon", -1.0, ValueError),
+            (None, "svm_reg_c", 0.0, ValueError),
+            (None, "svm_reg_c", -1.0, ValueError),
+            (None, "svm_reg_c", float("nan"), ValueError),
+            (None, "svm_reg_c", float("inf"), ValueError),
+        ],
+    )
+    def test_bad_record_value_raises_before_patches(
+        self, monkeypatch, record, field, value, error
+    ):
+        monkeypatch.setattr(pipeline, "extract_patches", _never)
+        cfg = toy_config()
+        with pytest.raises(error, match=field):
+            if record is None:
+                cfg = dataclasses.replace(cfg, **{field: value})
+            else:
+                layer = dataclasses.replace(getattr(cfg, record), **{field: value})
+                cfg = dataclasses.replace(cfg, **{record: layer})
+            train_network(cfg, stripe_dataset(2, side=64, seed=3))
 
     @pytest.mark.parametrize(
         "path", sorted(glob.glob(os.path.join(CONFIG_DIR, "n[1-5].ini"))), ids=os.path.basename
@@ -214,7 +306,7 @@ class TestModelPersistence:
         back = load_model(path)
         assert back.config == nano_model.config
         assert back.input_shape == nano_model.input_shape
-        assert back.groups.groups == nano_model.groups.groups
+        assert np.array_equal(back.groups, nano_model.groups)
         assert np.array_equal(back.bank1.filters, nano_model.bank1.filters)
         assert np.array_equal(back.bank1.whitening.matrix, nano_model.bank1.whitening.matrix)
         probe = stripe_dataset(3, side=32, seed=13)
@@ -238,6 +330,16 @@ class TestModelPersistence:
         with pytest.raises(FormatError, match="missing tensor"):
             load_model(broken)
 
+    def test_input_shape_must_be_two_sides(self, nano_model, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(path, nano_model)
+        tensors, text = read_container(path)
+        tensors["input_shape"] = np.array([32.0, 32.0, 1.0])
+        broken = tmp_path / "three_sides.bin"
+        write_container(broken, tensors, text)
+        with pytest.raises(FormatError, match="input_shape"):
+            load_model(broken)
+
     def test_n1_container_layout(self, tmp_path):
         # an n1-shaped model: 300 layer-1 filters, 75 groups of 4 maps
         cfg = load_network_config(os.path.join(CONFIG_DIR, "n1.ini"))
@@ -245,7 +347,7 @@ class TestModelPersistence:
         l1, l2 = cfg.layer1, cfg.layer2
         d1, d2 = l1.patch_side**2, l2.patch_side**2 * l2.group_size
         groups = make_groups(l1.k, l2.group_size, SeededRng(cfg.seeds.grouping))
-        g = groups.n_groups
+        g = len(groups)
         zca2 = fit_zca(PatchMatrix(rng.random((100, d2)), l2.patch_side, l2.group_size), 0.1)
         model = NetworkModel(
             cfg,
@@ -431,7 +533,7 @@ class TestStackedTraining:
         got = train_network(cfg, images)
         want = train_oracle.train_network(cfg, images)
         assert got.input_shape == want.input_shape
-        assert got.groups == want.groups
+        assert np.array_equal(got.groups, want.groups)
         for a, b in ((got.bank1, want.bank1), (got.bank2, want.bank2)):
             assert np.array_equal(a.filters, b.filters)
             assert np.array_equal(a.whitening.mean, b.whitening.mean)

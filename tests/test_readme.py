@@ -27,26 +27,33 @@ def _python_imports():
     return names
 
 
-def _sh_subcommands():
+def _sh_commands():
+    """(subcommand, its --flags) for each `cdfnet <sub>` line of the sh blocks."""
     found = []
     for block in _blocks("sh"):
         for line in block.replace("\\\n", " ").splitlines():
             command = line.split("#", 1)[0].strip()
-            match = re.match(r"cdfnet\s+(\S+)", command)
+            match = re.match(r"cdfnet\s+(\S+)(.*)", command)
             if match:
-                found.append(match.group(1))
+                found.append((match.group(1), re.findall(r"(?<!\S)(--[\w-]+)", match.group(2))))
     return found
 
 
+def _sh_subcommands():
+    return [command for command, _ in _sh_commands()]
+
+
 def _parser_subcommands():
+    """Subcommand name -> its parser."""
     for action in build_parser()._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return set(action.choices)
+            return action.choices
     raise AssertionError("cdfnet parser has no subcommands")
 
 
 def test_readme_has_examples():
     assert _python_imports() and _sh_subcommands()
+    assert any(flags for _, flags in _sh_commands())
 
 
 @pytest.mark.parametrize("name", sorted(set(_python_imports())))
@@ -58,6 +65,14 @@ def test_python_import_is_exported(name):
 @pytest.mark.parametrize("command", sorted(set(_sh_subcommands())))
 def test_sh_subcommand_exists(command):
     assert command in _parser_subcommands()
+
+
+@pytest.mark.parametrize(
+    "command, flag", sorted({(c, f) for c, flags in _sh_commands() for f in flags})
+)
+def test_sh_flag_is_an_option(command, flag):
+    parser = _parser_subcommands().get(command)
+    assert parser is not None and flag in parser._option_string_actions, (command, flag)
 
 
 @pytest.mark.parametrize("ref", sorted(set(re.findall(r"`cdfnet((?:\.\w+)+)", README))))

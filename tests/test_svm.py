@@ -177,6 +177,12 @@ class TestValidation:
             with pytest.raises(NonFiniteValue):
                 score_many(model, poisoned)
 
+    @pytest.mark.parametrize("reg_c", [0.0, -1.0, np.nan, np.inf])
+    def test_reg_c_positive_and_finite(self, reg_c):
+        descs, labels = _two_class_toy()
+        with pytest.raises(ValueError, match="reg_c"):
+            train_ova_svm(descs, labels, reg_c=reg_c)
+
     def test_model_needs_two_classes(self):
         with pytest.raises(DimError):
             SvmModel(

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from cdfnet.errors import NonFiniteValue
-from cdfnet.tensor import (
-    ALGORITHM_ID,
-    FeatureMapSet,
-    SeededRng,
-    assert_array_finite,
-)
+from cdfnet.tensor import FeatureMapSet, SeededRng, assert_array_finite
 
 
 def test_equal_seeds_equal_streams():
@@ -50,10 +45,9 @@ def test_seed_range_checked():
     SeededRng(2**64 - 1)  # fine
 
 
-def test_algorithm_id_pinned():
-    assert SeededRng(0).algorithm_id == ALGORITHM_ID
-    with pytest.raises(ValueError):
-        SeededRng(0, algorithm_id="mt19937")
+def test_generator_is_philox():
+    # the family that tensor.ALGORITHM_ID names
+    assert isinstance(SeededRng(0).generator().bit_generator, np.random.Philox)
 
 
 def test_child_index_nonnegative():

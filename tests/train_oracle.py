@@ -118,7 +118,7 @@ def train_network(cfg, fold_images) -> NetworkModel:
             kmeans2_rng.child(g),
             2,
         )
-        for g, group in enumerate(groups.groups)
+        for g, group in enumerate(groups)
     )
     bank2 = FilterBank(
         np.stack([b.filters for b in banks2]),
