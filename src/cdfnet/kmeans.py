@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DimError, InvalidK
 from .patches import PatchMatrix, ZcaTransform
@@ -84,107 +85,205 @@ class FilterBank:
 
 @dataclass(frozen=True)
 class KMeansResult:
-    centroids: np.ndarray  # (dim, k)
-    sse_history: tuple[float, ...]  # one entry per Lloyd iteration
-    n_iters: int
-    converged: bool
+    """Centroids and convergence record of one k-means run, or of a stack of runs.
 
-
-def _assignments(points: np.ndarray, centroids: np.ndarray):
-    """Nearest centroid per point plus the summed squared distance.
-
-    points is (n, dim), centroids (k, dim). Distances use the expansion
-    ||x-c||^2 = ||x||^2 - 2 x.c + ||c||^2 evaluated blockwise.
+    From :func:`kmeans` the fields describe one run: centroids (dim, k), one
+    SSE per Lloyd iteration, and scalar counts. From :func:`kmeans_stack`
+    each field has a leading group axis: centroids (G, dim, k), one SSE tuple
+    per group and (G,) arrays; :meth:`group` takes one run out of the stack.
     """
-    n = points.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    sse = 0.0
-    c_norms = np.einsum("kd,kd->k", centroids, centroids)
-    for start in range(0, n, _BLOCK):
-        block = points[start : start + _BLOCK]
-        # built in place: c + (-2 x.c) is exactly c - 2 x.c
-        d2 = block @ centroids.T
-        d2 *= -2.0
+
+    centroids: np.ndarray
+    sse_history: tuple
+    n_iters: int | np.ndarray
+    converged: bool | np.ndarray
+    reseeds: int | np.ndarray  # points moved into clusters that emptied out
+
+    def group(self, g: int) -> "KMeansResult":
+        return KMeansResult(
+            centroids=self.centroids[g],
+            sse_history=self.sse_history[g],
+            n_iters=int(self.n_iters[g]),
+            converged=bool(self.converged[g]),
+            reseeds=int(self.reseeds[g]),
+        )
+
+
+def _assignments(points: np.ndarray, centroids: np.ndarray, block_sq: np.ndarray):
+    """Nearest centroid per point plus each group's summed squared distance.
+
+    points is (G, n, dim), centroids (G, k, dim) and block_sq (G, n_blocks)
+    the squared norms summed over each row block. Distances use the expansion
+    ||x-c||^2 = ||x||^2 - 2 x.c + ||c||^2 evaluated blockwise, so they take
+    G x min(n, _BLOCK) x k floats at a time.
+    """
+    n_groups, n, _ = points.shape
+    labels = np.empty((n_groups, n), dtype=np.int64)
+    sse = np.zeros(n_groups)
+    c_norms = np.einsum("gkd,gkd->gk", centroids, centroids)[:, None, :]
+    # scaling by -2 is exact, so x.(-2c) is exactly -2 x.c and d2 is built
+    # in place as c + (-2 x.c), exactly c - 2 x.c
+    c_cols = np.swapaxes(centroids * -2.0, 1, 2)
+    for b, start in enumerate(range(0, n, _BLOCK)):
+        block = points[:, start : start + _BLOCK]
+        d2 = block @ c_cols
         d2 += c_norms
-        idx = np.argmin(d2, axis=1)
-        labels[start : start + _BLOCK] = idx
-        picked = d2[np.arange(block.shape[0]), idx]
-        sse += float(np.sum(picked) + np.einsum("nd,nd->", block, block))
-    return labels, max(sse, 0.0)
+        idx = np.argmin(d2, axis=2)
+        labels[:, start : start + _BLOCK] = idx
+        sse += np.take_along_axis(d2, idx[..., None], axis=2)[..., 0].sum(axis=1) + block_sq[:, b]
+    return labels, np.maximum(sse, 0.0)
 
 
-def _plusplus_init(points: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
-    """k-means++: each next center drawn with probability proportional to D^2."""
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    diff = np.empty_like(points)  # one buffer for every center's differences
-    first = int(gen.integers(0, n))
-    centers[0] = points[first]
-    np.subtract(points, centers[0], out=diff)
-    d2 = np.einsum("nd,nd->n", diff, diff)
-    for i in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            # all remaining points coincide with an existing center
-            idx = int(gen.integers(0, n))
-        else:
-            r = gen.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
-            idx = min(idx, n - 1)
-        centers[i] = points[idx]
-        np.subtract(points, centers[i], out=diff)
-        np.minimum(d2, np.einsum("nd,nd->n", diff, diff), out=d2)
+def _plusplus_init(points: np.ndarray, norms: np.ndarray, k: int, gens) -> np.ndarray:
+    """k-means++ in every group: each next center drawn with probability
+    proportional to D^2, from that group's own generator.
+
+    D^2 to a new center c is ||x||^2 - 2 x.c + ||c||^2 from the precomputed
+    norms, clamped at 0, so no (n, dim) difference buffer is made. x.c and the
+    norms run through one einsum kernel, which makes D^2 exactly 0 for every
+    copy of a center, as the difference form did.
+    """
+    n_groups, n, dim = points.shape
+    rows = np.arange(n_groups)
+    centers = np.empty((n_groups, k, dim))
+    idx = np.array([gen.integers(0, n) for gen in gens], dtype=np.intp)
+    d2 = None
+    for i in range(k):
+        if i:
+            totals = d2.sum(axis=1)
+            cumulative = np.cumsum(d2, axis=1)
+            for g, gen in enumerate(gens):
+                total = float(totals[g])
+                if total <= 0.0:
+                    # all remaining points coincide with an existing center
+                    idx[g] = gen.integers(0, n)
+                else:
+                    r = gen.random() * total
+                    idx[g] = min(int(np.searchsorted(cumulative[g], r, side="right")), n - 1)
+        centers[:, i] = points[rows, idx]
+        dist = np.einsum("gnd,gd->gn", points, centers[:, i])
+        dist *= -2.0
+        dist += norms
+        dist += norms[rows, idx][:, None]
+        np.maximum(dist, 0.0, out=dist)
+        d2 = dist if d2 is None else np.minimum(d2, dist, out=d2)
     return centers
+
+
+def _cluster_sums(points: np.ndarray, labels: np.ndarray, k: int):
+    """Member counts (G, k) and coordinate sums (G, k, dim) of every cluster.
+
+    The sums are one sparse one-hot matmul over group-offset labels; each
+    cluster adds its members in point order, as np.add.at would.
+    """
+    n_groups, n, dim = points.shape
+    rows = (labels + np.arange(0, n_groups * k, k)[:, None]).ravel()
+    counts = np.bincount(rows, minlength=n_groups * k).reshape(n_groups, k)
+    one_hot = sparse.csc_array(
+        (np.ones(rows.size), rows, np.arange(rows.size + 1)), shape=(n_groups * k, rows.size)
+    )
+    sums = one_hot @ points.reshape(rows.size, dim)
+    return counts, sums.reshape(n_groups, k, dim)
+
+
+def kmeans_stack(points: np.ndarray, k: int, max_iters: int, rngs) -> KMeansResult:
+    """Lloyd iterations from a k-means++ start, for G groups of points at once.
+
+    points is (G, n, dim), one group per leading index, and rngs holds one
+    SeededRng per group. Each group draws from its own generator in the order
+    a run on that group alone would, and stops on unchanged assignments or
+    after max_iters; a group that stops leaves the batch. Clusters that empty
+    out are re-seeded with the point currently farthest from its centroid,
+    taken from a cluster that keeps at least one member. Returns (G, dim, k)
+    centroids; every group's run is also :func:`kmeans` on that group.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 3:
+        raise DimError(f"need (G, n, dim) points, got shape {points.shape}")
+    n_groups, n, dim = points.shape
+    if len(rngs) != n_groups:
+        raise ValueError(f"{len(rngs)} generators for {n_groups} groups")
+    if k < 1:
+        raise InvalidK(f"k must be >= 1, got {k}")
+    if k > n:
+        raise InvalidK(f"k={k} exceeds number of patches {n}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+
+    norms = np.einsum("gnd,gnd->gn", points, points)
+    centroids = _plusplus_init(points, norms, k, [rng.generator() for rng in rngs])
+    block_sq = np.array([
+        [np.einsum("nd,nd->", p[start : start + _BLOCK], p[start : start + _BLOCK])
+         for start in range(0, n, _BLOCK)]
+        for p in points
+    ])
+
+    final = np.empty_like(centroids)
+    history = [[] for _ in range(n_groups)]
+    converged = np.zeros(n_groups, dtype=bool)
+    reseeds = np.zeros(n_groups, dtype=np.int64)
+    active = np.arange(n_groups)  # groups still iterating; the arrays below hold only them
+    owned = False  # whether points is this call's own copy, free to reorder
+    labels = None
+    for _ in range(max_iters):
+        new_labels, sse = _assignments(points, centroids, block_sq)
+        for g, value in zip(active, sse):
+            history[g].append(float(value))
+        if labels is not None:
+            done = np.all(new_labels == labels, axis=1)
+            if done.any():
+                converged[active[done]] = True
+                final[active[done]] = centroids[done]
+                keep = ~done
+                active, centroids = active[keep], centroids[keep]
+                block_sq, new_labels = block_sq[keep], new_labels[keep]
+                if not active.size:
+                    break
+                points = _keep_groups(points, keep, owned)
+                owned = True
+        labels = new_labels
+
+        counts, sums = _cluster_sums(points, labels, k)
+        for j in np.flatnonzero(np.any(counts == 0, axis=1)):
+            empty = np.flatnonzero(counts[j] == 0)
+            _reseed_empty(points[j], labels[j], counts[j], sums[j], centroids[j], empty)
+            reseeds[active[j]] += empty.size
+        nonzero = counts > 0
+        centroids[nonzero] = sums[nonzero] / counts[nonzero][:, None]
+    final[active] = centroids
+
+    return KMeansResult(
+        centroids=np.ascontiguousarray(np.swapaxes(final, 1, 2)),
+        sse_history=tuple(tuple(h) for h in history),
+        n_iters=np.array([len(h) for h in history]),
+        converged=converged,
+        reseeds=reseeds,
+    )
+
+
+def _keep_groups(points: np.ndarray, keep: np.ndarray, owned: bool) -> np.ndarray:
+    """The groups of points that keep marks. The caller's points are copied
+    once; a copy of its own is compacted in place, moving groups forward."""
+    if not owned:
+        return points[keep]
+    kept = np.flatnonzero(keep)
+    for dst, src in enumerate(kept):
+        if dst != src:
+            points[dst] = points[src]
+    return points[: kept.size]
 
 
 def kmeans(
     patches: PatchMatrix, k: int, max_iters: int, rng: SeededRng
 ) -> KMeansResult:
-    """Lloyd iterations from a k-means++ start.
+    """Lloyd iterations from a k-means++ start on one patch matrix.
 
-    Stops on unchanged assignments or after max_iters. Clusters that empty
-    out are re-seeded with the point currently farthest from its centroid,
-    taken from a cluster that keeps at least one member. The patch rows are
-    clustered without a copy; centroids come back as (dim, k) filter columns.
+    The G = 1 call of :func:`kmeans_stack`: the patch rows are clustered
+    without a copy and the centroids come back as (dim, k) filter columns.
+    Its checks of k and max_iters guard direct calls; in training the layer
+    records own these rules and refuse such values when they are built.
     """
-    if k < 1:
-        raise InvalidK(f"k must be >= 1, got {k}")
-    if k > patches.n_patches:
-        raise InvalidK(f"k={k} exceeds number of patches {patches.n_patches}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-
-    points = patches.data
-    gen = rng.generator()
-    centroids = _plusplus_init(points, k, gen)
-
-    labels = None
-    history = []
-    converged = False
-    for _ in range(max_iters):
-        new_labels, sse = _assignments(points, centroids)
-        history.append(sse)
-        if labels is not None and np.array_equal(new_labels, labels):
-            converged = True
-            break
-        labels = new_labels
-
-        counts = np.bincount(labels, minlength=k)
-        sums = np.zeros((k, points.shape[1]), dtype=np.float64)
-        np.add.at(sums, labels, points)
-
-        empty = np.flatnonzero(counts == 0)
-        if empty.size:
-            _reseed_empty(points, labels, counts, sums, centroids, empty)
-        nonzero = counts > 0
-        centroids[nonzero] = sums[nonzero] / counts[nonzero, None]
-
-    return KMeansResult(
-        centroids=np.ascontiguousarray(centroids.T),
-        sse_history=tuple(history),
-        n_iters=len(history),
-        converged=converged,
-    )
+    return kmeans_stack(patches.data[None], k, max_iters, [rng]).group(0)
 
 
 def _reseed_empty(points, labels, counts, sums, centroids, empty):

@@ -89,7 +89,9 @@ def extract_patches(maps: np.ndarray, p: int, n_patches: int, rng: SeededRng) ->
 
     The image index is drawn first, then a valid top-left row and column
     inside it. One fancy index into a sliding-window view gathers every
-    patch, already in the row layout of the result.
+    patch, already in the row layout of the result. Its checks of n_patches
+    and the patch size guard direct calls; in training the layer records and
+    :func:`cdfnet.layer.layer_output_shape` own these rules and fail first.
     """
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim != 4 or maps.shape[0] < 1:
@@ -124,7 +126,11 @@ def normalize_rows(data: np.ndarray) -> None:
 
 
 def fit_zca(patches: PatchMatrix, epsilon: float) -> ZcaTransform:
-    """Fit V (D + eps I)^(-1/2) V^T on the covariance of the patch rows."""
+    """Fit V (D + eps I)^(-1/2) V^T on the covariance of the patch rows.
+
+    The epsilon check guards direct calls (in training the layer records own
+    the rule) and runs before sqrt(D + eps) could warn on a non-positive sum.
+    """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     assert_array_finite(patches.data, what="patch matrix")

@@ -14,12 +14,15 @@ a given data order.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateLabels, DimError
 from .tensor import assert_array_finite
+
+logger = logging.getLogger(__name__)
 
 STD_FLOOR = 1e-8
 DEFAULT_EPOCHS = 1000
@@ -72,7 +75,8 @@ def _dual_cd_l2svm(
     """Dual coordinate descent for the L2-loss SVM (LIBLINEAR-style).
 
     x is (n, d) with the bias feature already appended, y in {-1, +1}.
-    Returns (w, dual objective per epoch). Each coordinate step exactly
+    Returns (w, dual objective per epoch, whether the largest projected
+    gradient of an epoch fell below tol). Each coordinate step exactly
     minimizes the dual along one alpha_i subject to alpha_i >= 0, so the
     dual objective never increases.
     """
@@ -98,8 +102,8 @@ def _dual_cd_l2svm(
             0.5 * float(w @ w) + 0.5 * d_ii * float(alpha @ alpha) - float(alpha.sum())
         )
         if max_pg < tol:
-            break
-    return w, objectives
+            return w, objectives, True
+    return w, objectives, False
 
 
 def standardize_fit(values: np.ndarray):
@@ -156,7 +160,12 @@ def train_ova_svm(
     biases = np.zeros(n_classes, dtype=np.float64)
     for cls in range(n_classes):
         y = np.where(labels == cls, 1.0, -1.0)
-        w, _ = _dual_cd_l2svm(x, y, c_eff, max_epochs, tol)
+        w, _, converged = _dual_cd_l2svm(x, y, c_eff, max_epochs, tol)
+        if not converged:
+            logger.warning(
+                "SVM class %d: dual CD ran %d epochs without reaching tol %g",
+                cls, max_epochs, tol,
+            )
         weights[cls] = w[:-1]
         biases[cls] = w[-1]
     return SvmModel(

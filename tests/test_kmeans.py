@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from cdfnet.errors import DimError, InvalidK, NonFiniteValue
-from cdfnet.kmeans import FilterBank, _reseed_empty, kmeans
+from cdfnet.kmeans import FilterBank, _plusplus_init, _reseed_empty, kmeans, kmeans_stack
 from cdfnet.patches import PatchMatrix, ZcaTransform, fit_zca
 from cdfnet.tensor import SeededRng
+
+import train_oracle
 
 
 def _pm(values):
@@ -227,3 +229,97 @@ class TestWhitenedFilters:
     def test_needs_whitening(self):
         with pytest.raises(DimError):
             FilterBank(np.ones((4, 2)), 2, 1).whitened_filters
+
+
+class TestKmeansStack:
+    """The batched kernel against the frozen one-group-per-call k-means, group by group."""
+
+    @staticmethod
+    def _matches_oracle(points, k, max_iters, rngs):
+        got = kmeans_stack(points, k, max_iters, rngs)
+        n_groups, _, dim = points.shape
+        assert got.centroids.shape == (n_groups, dim, k)
+        wants = []
+        for g in range(n_groups):
+            want = train_oracle.per_group_kmeans(PatchMatrix(points[g], 1, dim), k, max_iters, rngs[g])
+            run = got.group(g)
+            assert np.max(np.abs(run.centroids - want.centroids)) <= 1e-9 * np.max(
+                np.abs(want.centroids)
+            )
+            assert (run.n_iters, run.converged, len(run.sse_history), run.reseeds) == (
+                want.n_iters, want.converged, len(want.sse_history), want.reseeds
+            )
+            assert np.allclose(run.sse_history, want.sse_history, rtol=1e-9, atol=0.0)
+            wants.append(want)
+        return got, wants
+
+    @pytest.mark.parametrize(
+        "n_groups, n, dim, k", [(3, 400, 9, 6), (5, 1000, 36, 75), (2, 60, 2, 12), (4, 50, 1, 3)]
+    )
+    def test_random_stacks(self, n_groups, n, dim, k):
+        points = np.random.default_rng(n).standard_normal((n_groups, n, dim))
+        rngs = [SeededRng(9).child(g) for g in range(n_groups)]
+        self._matches_oracle(points, k, 100, rngs)
+
+    def test_groups_converge_at_different_iterations(self):
+        rng = np.random.default_rng(11)
+        blobs = np.concatenate([rng.normal(c, 0.05, (100, 2)) for c in ((0, 0), (9, 0), (0, 9))])
+        points = np.stack([blobs, rng.standard_normal((300, 2)), rng.random((300, 2))])
+        got, wants = self._matches_oracle(points, 3, 100, [SeededRng(4, (g,)) for g in range(3)])
+        assert len(set(got.n_iters)) > 1  # groups left the batch at different iterations
+        assert all(w.converged for w in wants)
+
+    def test_group_that_reseeds(self):
+        # 3 distinct values for 5 clusters: k-means++ repeats values, and the
+        # clusters behind the repeated centers empty out after one assignment
+        rng = np.random.default_rng(3)
+        points = np.stack([
+            np.repeat([[0.0], [1.0], [5.0]], 10, axis=0),
+            rng.standard_normal((30, 1)),
+        ])
+        got, wants = self._matches_oracle(points, 5, 50, [SeededRng(8), SeededRng(8, (1,))])
+        assert wants[0].reseeds > 0 and got.reseeds[0] == wants[0].reseeds
+        assert np.all(np.isfinite(got.centroids))
+
+    def test_group_of_duplicate_points(self):
+        # every D^2 is 0 after the first center: the draw falls back to a uniform index
+        rng = np.random.default_rng(4)
+        points = np.stack([np.full((40, 3), 0.7), rng.standard_normal((40, 3))])
+        got, _ = self._matches_oracle(points, 4, 20, [SeededRng(2), SeededRng(3)])
+        assert np.allclose(got.centroids[0], 0.7, rtol=1e-12, atol=0.0)
+
+    def test_single_group_at_a_layer1_shape(self):
+        # toy layer 1: 20000 patches of 8 x 8, K = 16; more rows than one distance block
+        points = np.random.default_rng(5).standard_normal((1, 20_000, 64))
+        got, _ = self._matches_oracle(points, 16, 30, [SeededRng(2)])
+        single = kmeans(PatchMatrix(points[0], 8, 1), 16, 30, SeededRng(2))
+        assert np.array_equal(single.centroids, got.centroids[0])
+        assert single.sse_history == got.sse_history[0]
+
+    def test_checks_fire_once_per_call(self):
+        points = np.zeros((2, 3, 1))
+        rngs = [SeededRng(0), SeededRng(1)]
+        with pytest.raises(InvalidK, match="exceeds"):
+            kmeans_stack(points, 4, 10, rngs)
+        with pytest.raises(InvalidK):
+            kmeans_stack(points, 0, 10, rngs)
+        with pytest.raises(ValueError, match="max_iters"):
+            kmeans_stack(points, 2, 0, rngs)
+        with pytest.raises(ValueError, match="generators"):
+            kmeans_stack(points, 2, 10, rngs[:1])
+        with pytest.raises(DimError):
+            kmeans_stack(points[0], 2, 10, rngs)
+
+
+class TestPlusPlusFromNorms:
+    def test_same_centers_as_difference_form(self):
+        rng = np.random.default_rng(6)
+        for trial in range(20):
+            n, dim, k = int(rng.integers(50, 500)), int(rng.integers(1, 40)), int(rng.integers(2, 40))
+            points = rng.standard_normal((n, dim))
+            points[: n // 4] = points[n - 1]  # copies of one point
+            drawn = []
+            train_oracle.plusplus_init(points, k, SeededRng(trial).generator(), drawn)
+            norms = np.einsum("nd,nd->n", points, points)[None]
+            got = _plusplus_init(points[None], norms, k, [SeededRng(trial).generator()])
+            assert np.array_equal(got[0], points[drawn])

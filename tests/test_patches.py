@@ -220,6 +220,10 @@ class TestFitZca:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             fit_zca(_white_patches(d=2), 0.0)
+        # eigenvalues + eps < 0 would make sqrt warn, which the test settings
+        # turn into an error: the check must fire first
+        with pytest.raises(ValueError, match="epsilon"):
+            fit_zca(_white_patches(d=2), -1e6)
 
 
 class TestApplyZca:

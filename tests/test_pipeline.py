@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cdfnet import kmeans as kmeans_mod
 from cdfnet import pipeline
 from cdfnet.augment import AugmentPlan, expand_set
 from cdfnet.committee import read_score_file, sum_scores, table_predict
@@ -31,7 +32,7 @@ from cdfnet.pipeline import (
     train_and_score,
     train_network,
 )
-from cdfnet.stl10 import FoldPlan, LabeledImage
+from cdfnet.stl10 import FoldPlan, LabeledImage, load_fold_plan, load_stl10
 from cdfnet.svm import SvmModel
 from cdfnet.tensor import SeededRng
 
@@ -40,7 +41,8 @@ import train_oracle
 from helpers import stripe_dataset, toy_config, traced_peak
 
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+CONFIG_DIR = os.path.join(ROOT, "configs")
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -546,26 +548,33 @@ class TestTrainBankRows:
 
     @pytest.mark.parametrize("base", [0, 1, 2])
     def test_matches_column_oracle(self, base, monkeypatch):
-        results, pairs = [], []
-        real_kmeans, real_train_bank = pipeline.kmeans, pipeline._train_bank
+        pairs = []
+        real_train_bank, real_train_groups = pipeline._train_bank, pipeline._train_groups
 
-        def recording_kmeans(*args, **kwargs):
-            results.append(real_kmeans(*args, **kwargs))
-            return results[-1]
-
-        def paired_train_bank(maps, layer, k, patch_rng, kmeans_rng):
-            got = real_train_bank(maps, layer, k, patch_rng, kmeans_rng)
-            want = train_oracle.column_train_bank(maps, layer, k, patch_rng, kmeans_rng)
-            pairs.append((got, want, results[-1]))
+        def paired_train_bank(maps, layer, patch_rng, kmeans_rng):
+            got = real_train_bank(maps, layer, patch_rng, kmeans_rng)
+            want = train_oracle.column_train_bank(maps, layer, layer.k, patch_rng, kmeans_rng)
+            pairs.append((got, want))
             return got
 
-        monkeypatch.setattr(pipeline, "kmeans", recording_kmeans)
+        def paired_train_groups(outputs1, groups, layer, patches_rng, kmeans_rng):
+            result, zca = real_train_groups(outputs1, groups, layer, patches_rng, kmeans_rng)
+            for g, group in enumerate(groups):
+                want = train_oracle.column_train_bank(
+                    outputs1[..., group], layer, layer.k_per_group,
+                    patches_rng.child(1 + g), kmeans_rng.child(g),
+                )
+                got_zca = ZcaTransform(zca.mean[g], zca.matrix[g], zca.epsilon)
+                pairs.append(((result.group(g), got_zca), want))
+            return result, zca
+
         monkeypatch.setattr(pipeline, "_train_bank", paired_train_bank)
+        monkeypatch.setattr(pipeline, "_train_groups", paired_train_groups)
         cfg = toy_config(seeds=Seeds().shifted(base))
         train_network(cfg, stripe_dataset(8, side=64, seed=base))
         assert len(pairs) == 1 + cfg.layer1.k // cfg.layer2.group_size
-        for (filters, zca), (want_filters, want_zca, want), result in pairs:
-            for a, b in ((filters, want_filters), (zca.mean, want_zca.mean),
+        for (result, zca), (want_filters, want_zca, want) in pairs:
+            for a, b in ((result.centroids, want_filters), (zca.mean, want_zca.mean),
                          (zca.matrix, want_zca.matrix)):
                 assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
             assert (result.n_iters, result.converged) == (want.n_iters, want.converged)
@@ -575,11 +584,128 @@ class TestTrainBankRows:
         layer = dataclasses.replace(toy_config().layer1, patch_side=16, n_patches=5000)
         maps = np.random.default_rng(0).random((4, 64, 64, 1))
         copy_bytes = layer.n_patches * layer.patch_side**2 * 8
-        (filters, _), peak = traced_peak(
-            pipeline._train_bank, maps, layer, 16, SeededRng(1), SeededRng(2)
+        (result, _), peak = traced_peak(
+            pipeline._train_bank, maps, layer, SeededRng(1), SeededRng(2)
         )
-        assert filters.shape == (256, 16)
+        assert result.centroids.shape == (256, 16)
         assert peak <= 2.2 * copy_bytes
+
+
+class TestBatchedKmeans:
+    """Layer-2 groups clustered in chunks by one stacked k-means."""
+
+    @staticmethod
+    def _record_inits(monkeypatch):
+        """Check, on every k-means call training makes, that the norm-based
+        k-means++ draws the centers the difference form draws."""
+        calls = {"groups": 0}
+        real_kmeans, real_stack = pipeline.kmeans, pipeline.kmeans_stack
+
+        def check(points, k, rngs):
+            norms = np.einsum("gnd,gnd->gn", points, points)
+            got = kmeans_mod._plusplus_init(points, norms, k, [r.generator() for r in rngs])
+            for g, rng in enumerate(rngs):
+                drawn = []
+                train_oracle.plusplus_init(points[g], k, rng.generator(), drawn)
+                assert np.array_equal(got[g], points[g][drawn])
+            calls["groups"] += len(rngs)
+
+        def checked_kmeans(patches, k, max_iters, rng):
+            check(patches.data[None], k, [rng])
+            return real_kmeans(patches, k, max_iters, rng)
+
+        def checked_stack(points, k, max_iters, rngs):
+            check(points, k, rngs)
+            return real_stack(points, k, max_iters, rngs)
+
+        monkeypatch.setattr(pipeline, "kmeans", checked_kmeans)
+        monkeypatch.setattr(pipeline, "kmeans_stack", checked_stack)
+        return calls
+
+    @pytest.mark.parametrize("base", [0, 1, 2])
+    def test_same_plusplus_centers_on_toy_seeds(self, base, monkeypatch):
+        calls = self._record_inits(monkeypatch)
+        cfg = toy_config(seeds=Seeds().shifted(base))
+        train_network(cfg, stripe_dataset(8, side=64, seed=base))
+        assert calls["groups"] == 1 + cfg.layer1.k // cfg.layer2.group_size
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_plusplus_centers_on_benchmark_seeds(self, seed, monkeypatch, tmp_path):
+        # the fold_job benchmark's n1 training: its data for this seed, fold 0
+        monkeypatch.syspath_prepend(ROOT)
+        from perfbench import data, workloads
+
+        ds = data.write_dataset(str(tmp_path), seed, workloads.Workload.fold_images, 10)
+        cfg = load_network_config(
+            workloads.scaled_config(ROOT, "n1", workloads.Workload.patch_scale, str(tmp_path))
+        )
+        images = load_stl10(ds["paths"]["train_x"], ds["paths"]["train_y"])
+        fold = [images[i] for i in load_fold_plan(ds["paths"]["folds"]).folds[0]]
+        calls = self._record_inits(monkeypatch)
+        train_network(cfg, fold)
+        assert calls["groups"] == 1 + descriptor_shape(cfg, 96, 96)[2]
+
+    def test_convergence_is_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(pipeline, "KMEANS_MAX_ITERS", 1)
+        cfg = nano_config()
+        with caplog.at_level("INFO", logger="cdfnet.pipeline"):
+            train_network(cfg, stripe_dataset(6, side=32, seed=3))
+        info = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert "nano: layer-1 k-means took 1/1/1 iterations (min/median/max), 0 reseeds" in info
+        assert "nano: layer-2 k-means took 1/1/1 iterations (min/median/max), 0 reseeds" in info
+        assert warnings == [
+            "nano: layer-1 k-means stopped at 1 iterations without converging",
+            "nano: layer-2 k-means stopped at 1 iterations without converging in groups 0, 1",
+        ]
+
+    def test_converged_training_warns_nothing(self, caplog):
+        with caplog.at_level("INFO", logger="cdfnet.pipeline"):
+            train_network(nano_config(), stripe_dataset(6, side=32, seed=3))
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        assert sum("k-means took" in r.getMessage() for r in caplog.records) == 2
+
+    @staticmethod
+    def _layer2(n_patches, k):
+        return Layer2Config(
+            k_per_group=k, patch_side=3, group_size=4, pool_side=3, pool_stride=3,
+            lcn_window=3, lcn_sigma=0.75, n_patches=n_patches,
+        )
+
+    def test_chunk_of_one_group_peaks_as_one_group_did(self):
+        # more patches than a chunk's rows: every chunk is one group
+        layer = self._layer2(pipeline._CHUNK_ROWS + 1000, 16)
+        outputs1 = np.random.default_rng(0).random((6, 20, 20, 8))
+        groups = make_groups(8, 4, SeededRng(4))
+        prng, krng = SeededRng(1), SeededRng(3)
+        per_group = max(
+            traced_peak(
+                lambda g=g: train_oracle.per_group_train_bank(
+                    outputs1[..., groups[g]], layer, layer.k_per_group,
+                    prng.child(1 + g), krng.child(g),
+                )
+            )[1]
+            for g in range(len(groups))
+        )
+        (result, _), peak = traced_peak(pipeline._train_groups, outputs1, groups, layer, prng, krng)
+        assert result.centroids.shape == (2, 36, 16)
+        assert peak <= 1.1 * per_group
+
+    def test_many_small_groups_peak_in_chunk_copies(self):
+        # 16 groups of 200 patches all fit one chunk of 3200 rows
+        layer = self._layer2(200, 8)
+        outputs1 = np.random.default_rng(1).random((4, 12, 12, 64))
+        groups = make_groups(64, 4, SeededRng(4))
+        assert pipeline._CHUNK_ROWS // layer.n_patches >= len(groups)
+        chunk_bytes = len(groups) * layer.n_patches * 36 * 8
+        (result, zca), peak = traced_peak(
+            pipeline._train_groups, outputs1, groups, layer, SeededRng(1), SeededRng(3)
+        )
+        assert result.centroids.shape == (16, 36, 8)
+        out_bytes = result.centroids.nbytes + zca.mean.nbytes + zca.matrix.nbytes
+        # the chunk, the copy the batch is compacted into once groups converge,
+        # the distance block and per-group temporaries, plus the returned stacks
+        assert peak <= 2.5 * chunk_bytes + out_bytes
 
 
 class TestBatchedForward:

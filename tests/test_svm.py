@@ -93,16 +93,44 @@ class TestObjective:
         x = np.hstack([x, np.ones((60, 1))])
         y = np.where(rng.random(60) < 0.5, 1.0, -1.0)
         for c_eff in (0.01, 0.5, 10.0):
-            _, objectives = _dual_cd_l2svm(x, y, c_eff, max_epochs=50, tol=0.0)
+            _, objectives, _ = _dual_cd_l2svm(x, y, c_eff, max_epochs=50, tol=0.0)
             diffs = np.diff(objectives)
             assert np.all(diffs <= 1e-9 * np.maximum(np.abs(objectives[:-1]), 1.0))
 
     def test_converges_on_easy_problem(self):
         x = np.array([[-1.0, 1.0], [1.0, 1.0]])
         y = np.array([-1.0, 1.0])
-        w, objectives = _dual_cd_l2svm(x, y, 1.0, max_epochs=1000, tol=1e-4)
-        assert len(objectives) < 1000  # stopped early on the gradient test
+        w, objectives, converged = _dual_cd_l2svm(x, y, 1.0, max_epochs=1000, tol=1e-4)
+        assert converged and len(objectives) < 1000  # stopped early on the gradient test
         assert w[0] > 0  # separates the two points
+
+
+class TestConvergenceWarning:
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(2)
+        labels = np.arange(30) % 3
+        return rng.standard_normal((30, 4)) + labels[:, None], labels
+
+    def test_each_class_at_max_epochs_warns(self, caplog):
+        descs, labels = self._data()
+        with caplog.at_level("WARNING", logger="cdfnet.svm"):
+            model = train_ova_svm(descs, labels, reg_c=1.0, max_epochs=1)
+        messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert messages == [
+            f"SVM class {c}: dual CD ran 1 epochs without reaching tol 0.0001" for c in range(3)
+        ]
+        # the warning changes nothing about the model
+        caplog.clear()
+        again = train_ova_svm(descs, labels, reg_c=1.0, max_epochs=1)
+        assert np.array_equal(model.weights, again.weights)
+        assert np.array_equal(model.biases, again.biases)
+
+    def test_converged_classes_are_silent(self, caplog):
+        descs, labels = self._data()
+        with caplog.at_level("WARNING", logger="cdfnet.svm"):
+            train_ova_svm(descs, labels, reg_c=1.0)
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 class TestScore:

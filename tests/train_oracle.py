@@ -10,8 +10,13 @@ are (n, dim) rows like the package's, and tests compare
 :func:`column_train_bank` is the patches-as-columns path the package used
 before its patches became rows: each patch normalized on its own by
 :func:`normalize_patch`, the ZCA fitted on the column covariance and applied
-as M (x - mu). Its sums run in another order, so tests compare
-:func:`cdfnet.pipeline._train_bank` against it within a tolerance.
+as M (x - mu). Its sums run in another order, so tests compare the
+package's filter learning against it within a tolerance.
+
+:func:`per_group_kmeans` is the k-means the package ran before it clustered
+all layer-2 groups in one batch: one group per call, k-means++ distances
+from an (n, dim) difference buffer, centroid sums by ``np.add.at``. Both
+training oracles cluster with it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from cdfnet.augment import expand_set, scale
-from cdfnet.kmeans import FilterBank, KMeansResult, kmeans
+from cdfnet.kmeans import _BLOCK, FilterBank, KMeansResult
 from cdfnet.layer import make_groups, run_layer
 from cdfnet.patches import (
     EIGENVALUE_FLOOR,
@@ -29,10 +34,105 @@ from cdfnet.patches import (
     fit_zca,
     normalize_rows,
 )
+from cdfnet.patches import extract_patches as package_extract_patches
 from cdfnet.pipeline import KMEANS_MAX_ITERS, NetworkModel
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from forward_oracle import normalize_patch
+
+
+def _assignments(points: np.ndarray, centroids: np.ndarray):
+    n = points.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    sse = 0.0
+    c_norms = np.einsum("kd,kd->k", centroids, centroids)
+    for start in range(0, n, _BLOCK):
+        block = points[start : start + _BLOCK]
+        d2 = block @ centroids.T
+        d2 *= -2.0
+        d2 += c_norms
+        idx = np.argmin(d2, axis=1)
+        labels[start : start + _BLOCK] = idx
+        picked = d2[np.arange(block.shape[0]), idx]
+        sse += float(np.sum(picked) + np.einsum("nd,nd->", block, block))
+    return labels, max(sse, 0.0)
+
+
+def plusplus_init(points: np.ndarray, k: int, gen: np.random.Generator, drawn=None):
+    """k-means++ with D^2 from differences; appends each drawn index to `drawn`."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    diff = np.empty_like(points)
+    first = int(gen.integers(0, n))
+    centers[0] = points[first]
+    if drawn is not None:
+        drawn.append(first)
+    np.subtract(points, centers[0], out=diff)
+    d2 = np.einsum("nd,nd->n", diff, diff)
+    for i in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            idx = int(gen.integers(0, n))
+        else:
+            r = gen.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+            idx = min(idx, n - 1)
+        if drawn is not None:
+            drawn.append(idx)
+        centers[i] = points[idx]
+        np.subtract(points, centers[i], out=diff)
+        np.minimum(d2, np.einsum("nd,nd->n", diff, diff), out=d2)
+    return centers
+
+
+def _reseed_empty(points, labels, counts, sums, centroids, empty):
+    diff = centroids[labels]
+    np.subtract(points, diff, out=diff)
+    d2 = np.einsum("nd,nd->n", diff, diff)
+    for cluster in empty:
+        far = int(np.argmax(np.where(counts[labels] > 1, d2, -1.0)))
+        old = labels[far]
+        labels[far] = cluster
+        counts[old] -= 1
+        counts[cluster] += 1
+        sums[old] -= points[far]
+        sums[cluster] += points[far]
+        centroids[cluster] = points[far]
+
+
+def per_group_kmeans(patches: PatchMatrix, k: int, max_iters: int, rng: SeededRng) -> KMeansResult:
+    """Lloyd iterations from a k-means++ start on one patch matrix, one group
+    per call; reseeds counts the points moved into emptied clusters."""
+    points = patches.data
+    gen = rng.generator()
+    centroids = plusplus_init(points, k, gen)
+    labels = None
+    history = []
+    converged = False
+    reseeds = 0
+    for _ in range(max_iters):
+        new_labels, sse = _assignments(points, centroids)
+        history.append(sse)
+        if labels is not None and np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
+        counts = np.bincount(labels, minlength=k)
+        sums = np.zeros((k, points.shape[1]), dtype=np.float64)
+        np.add.at(sums, labels, points)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            _reseed_empty(points, labels, counts, sums, centroids, empty)
+            reseeds += empty.size
+        nonzero = counts > 0
+        centroids[nonzero] = sums[nonzero] / counts[nonzero, None]
+    return KMeansResult(
+        centroids=np.ascontiguousarray(centroids.T),
+        sse_history=tuple(history),
+        n_iters=len(history),
+        converged=converged,
+        reseeds=reseeds,
+    )
 
 
 def unroll_patch(maps: np.ndarray, row: int, col: int, p: int) -> np.ndarray:
@@ -57,11 +157,22 @@ def extract_patches(maps_list, p: int, n_patches: int, rng: SeededRng) -> PatchM
     return PatchMatrix(data, p, depth)
 
 
+def per_group_train_bank(maps, layer, k, patch_rng, kmeans_rng):
+    """One bank's (filters, whitening) as the package learned it before layer-2
+    groups were batched: its own sampling, normalizing and whitening calls,
+    then :func:`per_group_kmeans`."""
+    patches = package_extract_patches(maps, layer.patch_side, layer.n_patches, patch_rng)
+    normalize_rows(patches.data)
+    zca = fit_zca(patches, layer.zca_epsilon)
+    patches = apply_zca(zca, patches)
+    return per_group_kmeans(patches, k, KMEANS_MAX_ITERS, kmeans_rng).centroids, zca
+
+
 def _train_bank(maps_list, layer, k, patch_rng, kmeans_rng, layer_index) -> FilterBank:
     patches = extract_patches(maps_list, layer.patch_side, layer.n_patches, patch_rng)
     normalize_rows(patches.data)
     zca = fit_zca(patches, layer.zca_epsilon)
-    result = kmeans(apply_zca(zca, patches), k, KMEANS_MAX_ITERS, kmeans_rng)
+    result = per_group_kmeans(apply_zca(zca, patches), k, KMEANS_MAX_ITERS, kmeans_rng)
     return FilterBank(result.centroids, layer.patch_side, patches.depth, zca, layer_index)
 
 
@@ -85,7 +196,7 @@ def column_train_bank(
     zca = ZcaTransform(mean, (matrix + matrix.T) / 2.0, layer.zca_epsilon)
     white = zca.matrix @ (cols - zca.mean[:, None])
     depth = maps.shape[-1]
-    result = kmeans(
+    result = per_group_kmeans(
         PatchMatrix(np.ascontiguousarray(white.T), layer.patch_side, depth),
         k, KMEANS_MAX_ITERS, kmeans_rng,
     )
