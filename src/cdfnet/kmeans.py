@@ -71,16 +71,24 @@ class FilterBank:
 
     @cached_property
     def whitened_filters(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, c) with the whitening folded into the filters.
+        """(G, c) with the whitening folded into the filters, in float32.
 
         M is symmetric, so F^T M (x - mu) = G^T x - c with G = M F and
-        c = mu^T G, shaped (..., 1, K). Derived once per bank and never
-        stored in containers.
+        c = mu^T G, shaped (..., 1, K). Both are computed in float64 and
+        rounded once to the forward pass's float32. Derived once per bank
+        and never stored in containers.
         """
         if self.whitening is None:
             raise DimError("dense_preprocess requires a whitening transform")
         g = self.whitening.matrix @ self.filters
-        return g, self.whitening.mean[..., None, :] @ g
+        c = self.whitening.mean[..., None, :] @ g
+        return g.astype(np.float32), c.astype(np.float32)
+
+    @cached_property
+    def filters32(self) -> np.ndarray:
+        """The filters rounded once to float32, for a forward pass without
+        dense_preprocess."""
+        return self.filters.astype(np.float32)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ the maps matches a leading axis of a stacked filter bank. :func:`run_layer`
 image, the (G, d, K) bank stack) both call :func:`_forward`. The public
 functions are pure, so images can be processed in parallel without
 coordination.
+
+The forward pass computes in float32: the convolution rounds its input maps
+and the bank's cached filters (:attr:`FilterBank.whitened_filters`,
+:attr:`FilterBank.filters32`) once, and every later stage keeps its input's
+dtype. Filter learning and the descriptors handed to the SVM stay float64.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .errors import DimError, InvalidGrouping, InvalidWindow
 from .kmeans import FilterBank
@@ -44,12 +48,12 @@ def pool_output_shape(dim: int, pool_side: int, stride: int) -> int:
 def dense_patches(maps: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, int]]:
     """All valid p x p x depth patches of (..., H, W, depth) maps as rows.
 
-    Returns a fresh (..., positions, p*p*depth) array with positions in
-    row-major order, each row in the :mod:`cdfnet.patches` layout
-    (depth-major, then rows, then columns), plus the output grid.
+    Returns a fresh (..., positions, p*p*depth) array of the maps' dtype,
+    positions in row-major order, each row in the :mod:`cdfnet.patches`
+    layout (depth-major, then rows, then columns), plus the output grid.
     """
     windows = sliding_window_view(maps, (p, p), axis=(-3, -2))
-    rows = np.empty(windows.shape)
+    rows = np.empty(windows.shape, dtype=maps.dtype)
     rows[...] = windows
     *lead, out_h, out_w = windows.shape[:-3]
     return rows.reshape(*lead, out_h * out_w, -1), (out_h, out_w)
@@ -58,7 +62,9 @@ def dense_patches(maps: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, int]
 def _convolve(maps: np.ndarray, bank: FilterBank, dense_preprocess: bool) -> np.ndarray:
     """(..., H, W, depth) maps against a bank of the same leading shape: (..., H', W', K).
 
-    Every filter meets every patch position by a dot product, stride 1.
+    Every filter meets every patch position by a dot product, stride 1, in
+    float32: the maps are rounded once, the filters are the bank's cached
+    float32 ones, and the patch rows and the output are float32.
     With dense_preprocess each patch is normalized and whitened with the
     bank's training-time transform first, so inference sees the space the
     filters were trained in; the whitening is folded into the filters
@@ -69,12 +75,12 @@ def _convolve(maps: np.ndarray, bank: FilterBank, dense_preprocess: bool) -> np.
     differently when its row count changes.
     """
     p = bank.patch_side
-    weights, offset = bank.whitened_filters if dense_preprocess else (bank.filters, None)
+    weights, offset = bank.whitened_filters if dense_preprocess else (bank.filters32, None)
     lead = maps.shape[:-3]
     out_h, out_w = conv_output_shape(*maps.shape[-3:-1], p)
-    maps = maps.reshape(-1, *maps.shape[-3:])
+    maps = maps.reshape(-1, *maps.shape[-3:]).astype(np.float32, copy=False)
     weights = weights.reshape(-1, *weights.shape[-2:])
-    out = np.empty((len(maps), out_h * out_w, bank.k))
+    out = np.empty((len(maps), out_h * out_w, bank.k), dtype=np.float32)
     band = max(1, _CONV_ROWS // out_w)
     chunk = max(1, _CONV_ROWS // (min(band, out_h) * out_w))
     for lo in range(0, len(maps), chunk):
@@ -90,10 +96,11 @@ def _convolve(maps: np.ndarray, bank: FilterBank, dense_preprocess: bool) -> np.
 
 
 def _rectify(maps: np.ndarray, rectifier: str) -> np.ndarray:
-    """abs in place, or for on_off a new array with the ON/OFF channels interleaved."""
+    """abs in place, or for on_off a new array of the maps' dtype with the
+    ON/OFF channels interleaved."""
     if rectifier == "abs":
         return np.abs(maps, out=maps)
-    out = np.empty((*maps.shape[:-1], 2 * maps.shape[-1]))
+    out = np.empty((*maps.shape[:-1], 2 * maps.shape[-1]), dtype=maps.dtype)
     on, off = out[..., 0::2], out[..., 1::2]
     np.maximum(maps, 0.0, out=on)
     # negated in place: a -maps temporary takes n5's layer 1 past the heap's
@@ -102,25 +109,29 @@ def _rectify(maps: np.ndarray, rectifier: str) -> np.ndarray:
     return out
 
 
-def gaussian_window(side: int, sigma: float) -> np.ndarray:
-    """Unnormalized 2D Gaussian on integer offsets, side x side, side odd."""
-    half = (side - 1) // 2
-    coords = np.arange(-half, half + 1, dtype=np.float64)
-    g1 = np.exp(-(coords**2) / (2.0 * sigma * sigma))
-    return np.outer(g1, g1)
-
-
 def _lcn_weighted_sum(field: np.ndarray, depth: int, window: int, sigma: float) -> np.ndarray:
     """Gaussian-weighted local sum of (..., H, W) depth sums, weights totalling 1.
 
     The weighting window is a single 2D Gaussian replicated across depth and
     normalized so it sums to 1 over (depth, rows, cols); each leading index
-    gets its own 2D field. Borders reflect (symmetric half-sample padding).
+    gets its own 2D field. Borders reflect (symmetric half-sample padding,
+    ndimage's "reflect"). The 2D Gaussian is the outer product of a 1D one,
+    so it is applied in the field's dtype as one 1D correlation down the
+    rows and one along the columns.
     """
-    kernel = gaussian_window(window, sigma)
-    kernel = kernel / (kernel.sum() * depth)
-    kernel = kernel.reshape((1,) * (field.ndim - 2) + kernel.shape)
-    return ndimage.correlate(field, kernel, mode="reflect")
+    half = window // 2
+    taps = np.exp(-(np.arange(-half, half + 1, dtype=np.float64) ** 2) / (2.0 * sigma * sigma))
+    taps = (taps / taps.sum()).astype(field.dtype)
+    padded = np.pad(field, [(0, 0)] * (field.ndim - 2) + [(half, half)] * 2, mode="symmetric")
+    height, width = field.shape[-2:]
+    down = taps[0] * padded[..., :height, :]
+    for i in range(1, window):
+        down += taps[i] * padded[..., i : i + height, :]
+    out = taps[0] * down[..., :width]
+    for j in range(1, window):
+        out += taps[j] * down[..., j : j + width]
+    out /= depth
+    return out
 
 
 def _lcn_subtract(maps: np.ndarray, window: int, sigma: float) -> None:
@@ -133,7 +144,7 @@ def _lcn_divide(maps: np.ndarray, window: int, sigma: float) -> None:
 
     The floor is the mean local standard deviation of each leading index
     (one image, or one group of one image); a stack whose floor is 0 is all
-    zero and stays so.
+    zero and stays so. Works in the maps' dtype.
     """
     energy = _lcn_weighted_sum(
         np.einsum("...d,...d->...", maps, maps), maps.shape[-1], window, sigma
@@ -150,13 +161,16 @@ def _pool(maps: np.ndarray, pool_side: int, stride: int, alpha: float) -> np.nda
     feature map; partial windows at the right/bottom edges are dropped.
     alpha=1 is the window sum (average pooling up to a constant); large even
     alpha approaches the window max of |x|. The layer records admit only
-    these alphas, which are defined on the signed LCN output.
+    these alphas, which are defined on the signed LCN output. The result
+    has the maps' dtype; the powers are summed in float64, where float32
+    would overflow once alpha * log10|x| passes 38.
     """
     windows = sliding_window_view(maps, (pool_side, pool_side), axis=(-3, -2))
     windows = windows[..., ::stride, ::stride, :, :, :]
     if alpha == 1.0:
         return windows.sum(axis=(-2, -1))
-    return np.power(np.power(windows, alpha).sum(axis=(-2, -1)), 1.0 / alpha)
+    powers = np.power(windows, alpha, dtype=np.float64).sum(axis=(-2, -1))
+    return np.power(powers, 1.0 / alpha).astype(maps.dtype, copy=False)
 
 
 def make_groups(k1: int, n_k: int, rng: SeededRng) -> np.ndarray:

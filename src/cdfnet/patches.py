@@ -89,11 +89,13 @@ def extract_patches(maps: np.ndarray, p: int, n_patches: int, rng: SeededRng) ->
 
     The image index is drawn first, then a valid top-left row and column
     inside it. One fancy index into a sliding-window view gathers every
-    patch, already in the row layout of the result. Its checks of n_patches
-    and the patch size guard direct calls; in training the layer records and
-    :func:`cdfnet.layer.layer_output_shape` own these rules and fail first.
+    patch, already in the row layout of the result; only the gathered rows
+    are made float64, so a float32 stack of layer-1 maps is never copied
+    whole. Its checks of n_patches and the patch size guard direct calls; in
+    training the layer records and :func:`cdfnet.layer.layer_output_shape`
+    own these rules and fail first.
     """
-    maps = np.asarray(maps, dtype=np.float64)
+    maps = np.asarray(maps)
     if maps.ndim != 4 or maps.shape[0] < 1:
         raise DimError(f"need an (N, H, W, depth) stack with N >= 1, got shape {maps.shape}")
     if n_patches < 1:

@@ -179,7 +179,7 @@ def _train(
     cfg: NetworkConfig, fold_images: list[LabeledImage]
 ) -> tuple[NetworkModel, list[int], np.ndarray]:
     """:func:`train_network`, also returning the augmented fold's labels and
-    its layer-1 outputs as one (N, h, w, K1) array."""
+    its layer-1 outputs as one float32 (N, h, w, K1) array."""
     # the shape chain and the grouping depend only on the config and the
     # image size, so settle them before the heavy work
     input_shape = _working_shape(cfg, *fold_images[0].pixels.shape)
@@ -206,7 +206,7 @@ def _train(
     _log_kmeans(cfg.name, 1, result1)
     bank1 = FilterBank(result1.centroids, cfg.layer1.patch_side, 1, zca1, layer_index=1)
 
-    outputs1 = np.empty((len(images), *l1_shape))
+    outputs1 = np.empty((len(images), *l1_shape), dtype=np.float32)
     for i, image_id in enumerate(image_ids):
         outputs1[i] = run_layer(
             FeatureMapSet(images[i], image_id), bank1, cfg.layer1, cfg.rectifier

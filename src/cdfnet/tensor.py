@@ -1,7 +1,10 @@
 """Dense feature-map containers and deterministic randomness.
 
-All numeric work in this package is done in 64-bit floats so that results
-are reproducible bit-for-bit across runs and platforms.
+Filter learning, the SVM and the descriptors it reads work in 64-bit floats;
+the forward pass of both layers computes in 32-bit floats (see
+:mod:`cdfnet.layer`). Every step keeps fixed shapes and reduction orders, so
+results are reproducible bit for bit from one run to the next on one
+machine.
 """
 
 from __future__ import annotations
@@ -49,15 +52,18 @@ class SeededRng:
 class FeatureMapSet:
     """Stack of 2D feature maps for one image, shaped (height, width, depth).
 
-    Instances are immutable: the wrapped array view is marked read-only and
-    may be shared freely across threads.
+    Float32 and float64 maps keep their dtype (layer outputs are float32);
+    other numbers become floats of at least 32 bits. Instances are
+    immutable: the wrapped array view is marked read-only and may be shared
+    freely across threads.
     """
 
     maps: np.ndarray
     source_image_id: int = -1
 
     def __post_init__(self):
-        maps = np.asarray(self.maps, dtype=np.float64)
+        maps = np.asarray(self.maps)
+        maps = maps.astype(np.promote_types(maps.dtype, np.float32), copy=False)
         if maps.ndim == 2:
             maps = maps[:, :, np.newaxis]
         if maps.ndim != 3:

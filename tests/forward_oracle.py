@@ -2,8 +2,9 @@
 
 This is the per-image, per-group path the package used before the batched
 one: dense patches as columns, patch normalization and the ZCA applied to
-every patch before the filter product, LCN and pooling one stack at a time.
-Tests compare :func:`cdfnet.pipeline.extract_descriptors` against it.
+every patch before the filter product, LCN by a 2D ``ndimage.correlate`` and
+pooling one stack at a time, all in float64. Tests compare the package's
+float32 :func:`cdfnet.pipeline.extract_descriptors` against it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from cdfnet.kmeans import FilterBank
-from cdfnet.layer import gaussian_window
 from cdfnet.patches import ZcaTransform
 
 
@@ -46,6 +46,14 @@ def _rectify(maps, rectifier):
     out[:, :, 0::2] = np.maximum(maps, 0.0)
     out[:, :, 1::2] = np.maximum(-maps, 0.0)
     return out
+
+
+def gaussian_window(side, sigma):
+    """Unnormalized 2D Gaussian on integer offsets, side x side, side odd."""
+    half = (side - 1) // 2
+    coords = np.arange(-half, half + 1, dtype=np.float64)
+    g1 = np.exp(-(coords**2) / (2.0 * sigma * sigma))
+    return np.outer(g1, g1)
 
 
 def _weighted_sum(stack, window, sigma):

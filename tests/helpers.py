@@ -125,6 +125,19 @@ def stl10_bytes(images01: np.ndarray) -> np.ndarray:
     return np.repeat(u8[:, :, :, None], 3, axis=3)
 
 
+# The forward pass computes in float32, its oracles in float64. The largest
+# error measured against them is 3.2e-6 of max |oracle| (benchmark-shaped n1-n5
+# and the toy variants); the bound leaves about 10x headroom.
+FLOAT32_BOUND = 3e-5
+
+
+def assert_near_oracle(got, want, bound=FLOAT32_BOUND):
+    """got has want's shape and lies within bound * max|want| of it everywhere."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
 def traced_peak(fn, *args, **kwargs):
     """fn(*args, **kwargs) and the most bytes its allocations held at once.
 

@@ -377,6 +377,18 @@ class TestEvaluate:
         assert "members m1 m2" in (out / "report.txt").read_text()
 
 
+def test_cli_import_leaves_out_scipy_ndimage():
+    # ndimage costs every CLI process 0.2-0.5 s of start-up; LCN does without it
+    src = os.path.dirname(os.path.dirname(cdfnet.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cdfnet.cli; print('scipy.ndimage' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_help_runs():
     # the child imports the same cdfnet as this process, installed or not
     src = os.path.dirname(os.path.dirname(cdfnet.__file__))

@@ -7,6 +7,7 @@ from cdfnet.patches import PatchMatrix, ZcaTransform, fit_zca
 from cdfnet.tensor import SeededRng
 
 import train_oracle
+from helpers import assert_near_oracle
 
 
 def _pm(values):
@@ -203,10 +204,15 @@ class TestWhitenedFilters:
         zca = fit_zca(PatchMatrix(rng.random((200, 8)), 2, 2), 0.1)
         bank = FilterBank(rng.standard_normal((8, 3)), 2, 2, zca)
         g, c = bank.whitened_filters
+        # folded in float64, then rounded once to the forward pass's float32
+        assert g.dtype == c.dtype == np.float32
+        assert np.array_equal(g, (zca.matrix @ bank.filters).astype(np.float32))
         x = rng.random((8, 5))
         expect = bank.filters.T @ (zca.matrix @ (x - zca.mean[:, None]))
-        assert np.allclose(g.T @ x - c.T, expect, rtol=1e-12, atol=1e-12)
+        assert_near_oracle(g.T @ x - c.T, expect)
         assert bank.whitened_filters[0] is g  # derived once per bank
+        assert bank.filters32.dtype == np.float32 and bank.filters32 is bank.filters32
+        assert np.array_equal(bank.filters32, bank.filters.astype(np.float32))
 
     def test_stack_equals_each_bank_bitwise(self):
         rng = np.random.default_rng(5)

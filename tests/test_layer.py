@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from cdfnet import layer
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig
@@ -13,6 +14,7 @@ from cdfnet.layer import (
     _convolve,
     _lcn_divide,
     _lcn_subtract,
+    _lcn_weighted_sum,
     _pool,
     _rectify,
     conv_output_shape,
@@ -26,7 +28,8 @@ from cdfnet.layer import (
 from cdfnet.patches import fit_zca, PatchMatrix, ZcaTransform
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
-from forward_oracle import normalize_patch
+from forward_oracle import gaussian_window, normalize_patch
+from helpers import assert_near_oracle
 from train_oracle import unroll_patch
 
 
@@ -122,7 +125,8 @@ class TestConvolve:
         maps = rng.random((7, 6, 3))
         filters = rng.standard_normal((2 * 2 * 3, 5))
         out = _conv(maps, _bank(filters, 2, 3))
-        assert np.allclose(out, _conv_oracle(maps, filters, 2), atol=1e-12)
+        assert out.dtype == np.float32
+        assert_near_oracle(out, _conv_oracle(maps, filters, 2))
 
     def test_many_random_instances_vs_oracle(self):
         rng = np.random.default_rng(3)
@@ -135,7 +139,7 @@ class TestConvolve:
             maps = rng.standard_normal((h, w, depth))
             filters = rng.standard_normal((p * p * depth, k))
             out = _conv(maps, _bank(filters, p, depth))
-            assert np.allclose(out, _conv_oracle(maps, filters, p), atol=1e-12)
+            assert_near_oracle(out, _conv_oracle(maps, filters, p))
 
     def test_linear_without_preprocess(self):
         rng = np.random.default_rng(4)
@@ -169,14 +173,12 @@ class TestConvolve:
         filters = rng.standard_normal((8, 3))
         bank = _bank(filters, 2, 2, whitening=zca)
         out = _conv(maps, bank, dense_preprocess=True)
+        expect = np.empty((5, 5, 3))
         for j in range(5):
             for i in range(5):
                 x = normalize_patch(unroll_patch(maps, j, i, 2))
-                x = zca.matrix @ (x - zca.mean)
-                for f in range(3):
-                    assert out[j, i, f] == pytest.approx(
-                        float(x @ filters[:, f]), abs=1e-12
-                    )
+                expect[j, i] = (zca.matrix @ (x - zca.mean)) @ filters
+        assert_near_oracle(out, expect)
 
     def test_dense_preprocess_requires_whitening(self):
         with pytest.raises(DimError):
@@ -214,13 +216,16 @@ class TestRectify:
         assert np.array_equal(out.ravel(), [0.0, 2.0])
 
     def test_on_off_identities(self):
-        x = np.random.default_rng(9).standard_normal((5, 4, 3))
-        out = _rect(x, "on_off")
-        on, off = out[:, :, 0::2], out[:, :, 1::2]
-        assert np.all(on >= 0) and np.all(off >= 0)
-        assert np.array_equal(on - off, x)
-        assert np.array_equal(on + off, np.abs(x))
-        assert np.all(on * off == 0)
+        # exact in either float width, and the ON/OFF stack keeps the maps' dtype
+        for dtype in (np.float64, np.float32):
+            x = np.random.default_rng(9).standard_normal((5, 4, 3)).astype(dtype)
+            out = _rectify(x.copy(), "on_off")
+            assert out.dtype == dtype
+            on, off = out[:, :, 0::2], out[:, :, 1::2]
+            assert np.all(on >= 0) and np.all(off >= 0)
+            assert np.array_equal(on - off, x)
+            assert np.array_equal(on + off, np.abs(x))
+            assert np.all(on * off == 0)
 
     def test_on_off_depth_doubles(self):
         out = _rect(np.zeros((2, 2, 5)), "on_off")
@@ -273,6 +278,23 @@ class TestLcnSubtractive:
         b = _lcn_sub(stack + 3.7, 3, 0.75)
         assert np.allclose(a, b, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "shape, window, sigma",
+        [((81, 81), 9, 2.25), ((75, 27, 27), 3, 0.75), ((2, 9, 9), 9, 2.25), ((3, 5), 3, 0.75)],
+    )
+    def test_weighted_sum_matches_ndimage(self, shape, window, sigma):
+        # two 1D passes over a symmetric pad against one 2D ndimage correlate
+        field = np.random.default_rng(25).standard_normal(shape)
+        kernel = gaussian_window(window, sigma)
+        kernel = kernel / (kernel.sum() * 4)
+        expect = ndimage.correlate(
+            field, kernel.reshape((1,) * (field.ndim - 2) + kernel.shape), mode="reflect"
+        )
+        assert np.max(np.abs(_lcn_weighted_sum(field, 4, window, sigma) - expect)) <= 1e-12
+        got32 = _lcn_weighted_sum(field.astype(np.float32), 4, window, sigma)
+        assert got32.dtype == np.float32
+        assert_near_oracle(got32, expect)
+
     def test_window_validation(self):
         # the record owns the window's parity, the shape chain its fit
         with pytest.raises(InvalidWindow):
@@ -286,8 +308,11 @@ class TestLcnSubtractive:
 
 class TestLcnDivisive:
     def test_all_zero_stays_zero(self):
-        out = _lcn_div(np.zeros((6, 6, 2)), 3, 0.75)
-        assert np.array_equal(out, np.zeros((6, 6, 2)))
+        for dtype in (np.float64, np.float32):
+            out = np.zeros((6, 6, 2), dtype=dtype)
+            _lcn_divide(out, 3, 0.75)
+            assert out.dtype == dtype
+            assert np.array_equal(out, np.zeros((6, 6, 2)))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(12)
@@ -391,6 +416,13 @@ class TestPool:
         out = _pool(x[:, :, None], 2, 2, alpha)[0, 0, 0]
         assert out == pytest.approx(np.sum(x**alpha) ** (1.0 / alpha), rel=1e-12)
 
+    def test_float32_powers_do_not_overflow(self):
+        # 10^40 is beyond float32; the result is float32 all the same
+        x = np.random.default_rng(27).uniform(5.0, 10.0, (4, 4, 2))
+        out = _pool(x.astype(np.float32), 2, 2, 40.0)
+        assert out.dtype == np.float32
+        assert_near_oracle(out, _pool(x.astype(np.float32).astype(np.float64), 2, 2, 40.0))
+
 
 class TestMakeGroups:
     def test_partition_8_4(self):
@@ -471,6 +503,21 @@ class TestRunLayer:
         _lcn_divide(step, 3, 0.75)
         step = _pool(step, 2, 2, 1.0)
         assert np.array_equal(out.maps, step)
+
+    @pytest.mark.parametrize("rectifier", ["abs", "on_off"])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_float32_maps_from_rounded_input(self, rectifier, dense):
+        # the convolution rounds its input once, so float64 maps and the same
+        # maps rounded to float32 give the same float32 output
+        rng = np.random.default_rng(28)
+        maps = rng.random((12, 12, 2))
+        zca = fit_zca(PatchMatrix(rng.random((200, 18)), 3, 2), 0.1)
+        bank = _bank(rng.standard_normal((18, 4)), 3, 2, whitening=zca)
+        cfg = _layer1(patch_side=3, dense_preprocess=dense)
+        out = run_layer(_fmset(maps), bank, cfg, rectifier).maps
+        assert out.dtype == np.float32
+        rounded = FeatureMapSet(maps.astype(np.float32))
+        assert np.array_equal(out, run_layer(rounded, bank, cfg, rectifier).maps)
 
     def test_stacked_bank_rejected(self):
         rng = np.random.default_rng(22)
@@ -585,7 +632,7 @@ class TestRunGroups:
         out = _convolve(maps, _stack(banks), False)
         assert len(copies) > 1 and max(copies) <= layer._CONV_ROWS
         for g, bank in enumerate(banks):
-            assert np.allclose(out[g], _conv_oracle(maps[g], bank.filters, 3), atol=1e-12)
+            assert_near_oracle(out[g], _conv_oracle(maps[g], bank.filters, 3))
 
 
 class TestLayerConfigValidation:

@@ -16,6 +16,7 @@ from cdfnet.tensor import SeededRng
 
 import train_oracle
 from forward_oracle import normalize_patch
+from helpers import traced_peak
 from train_oracle import unroll_patch
 
 
@@ -91,6 +92,15 @@ class TestExtractPatches:
         assert pm.depth == 3
         assert pm.patch_side == 2
         assert pm.data.shape[1] == 2 * 2 * 3
+
+    def test_float32_stack_widens_only_the_sampled_rows(self):
+        # a float32 layer-1 stack of 0.5 MB, 100 patches of 3 x 3 x 8 (58 KB)
+        maps = np.random.default_rng(3).random((10, 40, 40, 8)).astype(np.float32)
+        pm, peak = traced_peak(extract_patches, maps, 3, 100, SeededRng(4))
+        assert pm.data.dtype == np.float64
+        wide = extract_patches(maps.astype(np.float64), 3, 100, SeededRng(4))
+        assert np.array_equal(pm.data, wide.data)
+        assert peak <= 4 * pm.data.nbytes  # a float64 copy of the stack would be 1 MB
 
     def test_samples_across_images(self):
         maps = _stack(*(np.full((4, 4), float(i)) for i in range(4)))

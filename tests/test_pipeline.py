@@ -38,7 +38,7 @@ from cdfnet.tensor import SeededRng
 
 import forward_oracle
 import train_oracle
-from helpers import stripe_dataset, toy_config, traced_peak
+from helpers import assert_near_oracle, stripe_dataset, toy_config, traced_peak
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -118,6 +118,11 @@ class TestTrain:
         with pytest.raises(DimError):
             train_network(nano_config(), imgs)
 
+    def test_layer1_stack_is_float32(self):
+        model, labels, outputs1 = pipeline._train(nano_config(), stripe_dataset(6, side=32, seed=3))
+        assert outputs1.dtype == np.float32
+        assert outputs1.shape == (len(labels), *descriptor_shape(model.config, 32, 32)[0])
+
     def test_banks_count_checked(self, nano_model):
         with pytest.raises(DimError):
             NetworkModel(
@@ -170,13 +175,15 @@ class TestGroupTable:
 
     def test_earlier_container_loads_bitwise(self, tmp_path):
         # tiny_on_off.model and its descriptors were written at commit 1a75bfb,
-        # when the group table was a tuple of tuples: an on_off network of 4
-        # layer-1 filters on 16x16 images, so 8 maps in 4 groups of 2
+        # when the group table was a tuple of tuples and the forward pass was
+        # float64: an on_off network of 4 layer-1 filters on 16x16 images, so
+        # 8 maps in 4 groups of 2
         model = load_model(os.path.join(DATA_DIR, "tiny_on_off.model"))
         assert model.groups.shape == (4, 2)
         want = read_container(os.path.join(DATA_DIR, "tiny_on_off.desc"))[0]["descriptors"]
         got = extract_descriptors(model, stripe_dataset(3, side=16, seed=13))
-        assert got.tobytes() == want.tobytes()
+        assert got.dtype == np.float64
+        assert_near_oracle(got, want)
         # and the groups tensor keeps its bytes: saving again rewrites the same file
         save_model(tmp_path / "again.model", model)
         original = Path(DATA_DIR, "tiny_on_off.model").read_bytes()
@@ -708,6 +715,35 @@ class TestBatchedKmeans:
         assert peak <= 2.5 * chunk_bytes + out_bytes
 
 
+class TestFloat32SmallCases:
+    """Edge inputs of the float32 forward pass; a RuntimeWarning fails the suite."""
+
+    def test_zero_image_gives_zero_descriptor(self):
+        # without dense_preprocess a zero image convolves to zero maps in both
+        # layers, so both LCN floors are 0 and the descriptor is exactly zero
+        cfg = nano_config(
+            layer1=dataclasses.replace(nano_config().layer1, dense_preprocess=False),
+            layer2=dataclasses.replace(nano_config().layer2, dense_preprocess=False),
+        )
+        model = train_network(cfg, stripe_dataset(8, side=32, seed=3))
+        zero = LabeledImage(np.zeros((32, 32)), 0, image_id=0)
+        desc = extract_descriptors(model, [zero])
+        assert desc.shape == (1, descriptor_shape(cfg, 32, 32)[3])
+        assert np.array_equal(desc, np.zeros_like(desc))
+
+    def test_constant_image_is_the_zero_image(self, nano_model):
+        # with dense_preprocess every patch of a constant image normalizes to
+        # exact zeros in float32, as a zero image's patches do, so the
+        # layer-1 response is the whitening offset alone
+        images = [
+            LabeledImage(np.full((32, 32), v), 0, image_id=i) for i, v in enumerate((0.0, 0.37, 1.0))
+        ]
+        descs = extract_descriptors(nano_model, images)
+        assert np.all(np.isfinite(descs))
+        assert np.array_equal(descs[1], descs[0]) and np.array_equal(descs[2], descs[0])
+        assert_near_oracle(descs, forward_oracle.extract_descriptors(nano_model, images))
+
+
 class TestBatchedForward:
     """The batched forward pass against the per-image, per-group oracle."""
 
@@ -738,7 +774,25 @@ class TestBatchedForward:
         got = extract_descriptors(model, images)
         expect = forward_oracle.extract_descriptors(model, images)
         assert got.shape == expect.shape == (6, descriptor_shape(cfg, side, side)[3])
-        assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
+        assert got.dtype == np.float64
+        assert_near_oracle(got, expect)
+
+    def test_on_off_matches_oracle_at_benchmark_shape(self, monkeypatch, tmp_path):
+        # n5 (ON/OFF, 600 layer-1 maps in 150 groups) on 96x96 images, trained
+        # as the test_committee benchmark trains it: fold 0 of its seed-1 data
+        monkeypatch.syspath_prepend(ROOT)
+        from perfbench import data, workloads
+
+        ds = data.write_dataset(str(tmp_path), 1, workloads.Workload.fold_images, 10)
+        cfg = load_network_config(
+            workloads.scaled_config(ROOT, "n5", workloads.TestCommittee.patch_scale, str(tmp_path))
+        )
+        images = load_stl10(ds["paths"]["train_x"], ds["paths"]["train_y"])
+        model = train_network(cfg, [images[i] for i in load_fold_plan(ds["paths"]["folds"]).folds[0]])
+        test = load_stl10(ds["paths"]["test_x"], ds["paths"]["test_y"])[:4]
+        assert_near_oracle(
+            extract_descriptors(model, test), forward_oracle.extract_descriptors(model, test)
+        )
 
     def test_train_and_score_runs_each_stage_once(self, monkeypatch):
         calls = {"expand_set": 0, "layer1": 0}

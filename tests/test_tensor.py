@@ -84,8 +84,15 @@ class TestFeatureMapSet:
             s.maps[0, 0, 0] = 1.0
 
     def test_float64(self):
-        s = FeatureMapSet(np.zeros((2, 2, 1), dtype=np.float32))
-        assert s.maps.dtype == np.float64
+        # float64 maps stay float64, integers become float64
+        for arr in (np.zeros((2, 2, 1)), np.zeros((2, 2, 1), dtype=np.int64)):
+            assert FeatureMapSet(arr).maps.dtype == np.float64
+
+    def test_float32_kept(self):
+        # layer outputs are float32 and are not widened
+        maps = np.arange(4, dtype=np.float32).reshape(2, 2, 1)
+        s = FeatureMapSet(maps)
+        assert s.maps.dtype == np.float32 and np.shares_memory(s.maps, maps)
 
 
 class TestAssertFinite:
