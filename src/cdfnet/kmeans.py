@@ -1,8 +1,10 @@
 """Filter dictionaries learned by Lloyd's k-means with k-means++ seeding.
 
+:func:`kmeans_stack` is the one k-means: it clusters a (G, n, dim) stack of
+patch rows, one independent run per group, and layer 1 is its G = 1 call.
 Centroids are used directly as convolution filters (no length
-normalization). Everything is deterministic given the SeededRng: the same
-seed and patch matrix reproduce the same filter bank bit for bit.
+normalization). Everything is deterministic given the SeededRngs: the same
+seeds and patch rows reproduce the same filter banks bit for bit.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimError, InvalidK
-from .patches import PatchMatrix, ZcaTransform
-from .tensor import SeededRng, assert_array_finite
+from .patches import ZcaTransform
+from .tensor import assert_array_finite
 
 # Points are processed in blocks so the (block x k) distance matrix stays
 # small; the block order is fixed, keeping reductions deterministic.
@@ -93,28 +94,17 @@ class FilterBank:
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Centroids and convergence record of one k-means run, or of a stack of runs.
+    """Centroids and convergence record of a stack of k-means runs.
 
-    From :func:`kmeans` the fields describe one run: centroids (dim, k), one
-    SSE per Lloyd iteration, and scalar counts. From :func:`kmeans_stack`
-    each field has a leading group axis: centroids (G, dim, k), one SSE tuple
-    per group and (G,) arrays; :meth:`group` takes one run out of the stack.
+    Each field has a leading group axis: centroids (G, dim, k), one tuple of
+    per-iteration SSEs per group, and (G,) arrays of counts and flags.
     """
 
     centroids: np.ndarray
     sse_history: tuple
-    n_iters: int | np.ndarray
-    converged: bool | np.ndarray
-    reseeds: int | np.ndarray  # points moved into clusters that emptied out
-
-    def group(self, g: int) -> "KMeansResult":
-        return KMeansResult(
-            centroids=self.centroids[g],
-            sse_history=self.sse_history[g],
-            n_iters=int(self.n_iters[g]),
-            converged=bool(self.converged[g]),
-            reseeds=int(self.reseeds[g]),
-        )
+    n_iters: np.ndarray
+    converged: np.ndarray
+    reseeds: np.ndarray  # points moved into clusters that emptied out
 
 
 def _assignments(points: np.ndarray, centroids: np.ndarray, block_sq: np.ndarray):
@@ -182,8 +172,12 @@ def _cluster_sums(points: np.ndarray, labels: np.ndarray, k: int):
     """Member counts (G, k) and coordinate sums (G, k, dim) of every cluster.
 
     The sums are one sparse one-hot matmul over group-offset labels; each
-    cluster adds its members in point order, as np.add.at would.
+    cluster adds its members in point order, as np.add.at would. scipy.sparse
+    is imported here, its one user, so the modules that only score, fuse or
+    extract never load it.
     """
+    from scipy import sparse
+
     n_groups, n, dim = points.shape
     rows = (labels + np.arange(0, n_groups * k, k)[:, None]).ravel()
     counts = np.bincount(rows, minlength=n_groups * k).reshape(n_groups, k)
@@ -203,7 +197,7 @@ def kmeans_stack(points: np.ndarray, k: int, max_iters: int, rngs) -> KMeansResu
     after max_iters; a group that stops leaves the batch. Clusters that empty
     out are re-seeded with the point currently farthest from its centroid,
     taken from a cluster that keeps at least one member. Returns (G, dim, k)
-    centroids; every group's run is also :func:`kmeans` on that group.
+    centroids; every group's run equals a run on that group alone.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 3:
@@ -279,19 +273,6 @@ def _keep_groups(points: np.ndarray, keep: np.ndarray, owned: bool) -> np.ndarra
         if dst != src:
             points[dst] = points[src]
     return points[: kept.size]
-
-
-def kmeans(
-    patches: PatchMatrix, k: int, max_iters: int, rng: SeededRng
-) -> KMeansResult:
-    """Lloyd iterations from a k-means++ start on one patch matrix.
-
-    The G = 1 call of :func:`kmeans_stack`: the patch rows are clustered
-    without a copy and the centroids come back as (dim, k) filter columns.
-    Its checks of k and max_iters guard direct calls; in training the layer
-    records own these rules and refuse such values when they are built.
-    """
-    return kmeans_stack(patches.data[None], k, max_iters, [rng]).group(0)
 
 
 def _reseed_empty(points, labels, counts, sums, centroids, empty):

@@ -4,7 +4,9 @@ A patch is a p x p x depth block unrolled into one row with depth as the
 slowest axis, then rows, then columns (C-order over (depth, row, col)).
 Training-time sampling (:func:`extract_patches`) and dense extraction at
 convolution time (:func:`cdfnet.layer.dense_patches`) share this layout, and
-both normalize their rows with :func:`normalize_rows`.
+both normalize their rows with :func:`normalize_rows`. Patches are plain
+(n, dim) float64 arrays; the ZCA fit and its application also take (G, n,
+dim) stacks, one independent set of rows per leading index.
 """
 
 from __future__ import annotations
@@ -20,37 +22,6 @@ from .tensor import SeededRng, assert_array_finite
 # Eigenvalues below this fraction of the largest are numerical noise and are
 # clamped before the inverse square root.
 EIGENVALUE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class PatchMatrix:
-    """Unrolled patches as rows: data is (n_patches, patch_side^2 * depth)."""
-
-    data: np.ndarray
-    patch_side: int
-    depth: int
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
-            raise DimError(f"patch matrix must be 2D, got ndim={data.ndim}")
-        expected = self.patch_side * self.patch_side * self.depth
-        if data.shape[1] != expected:
-            raise DimError(
-                f"patch matrix has {data.shape[1]} columns, expected "
-                f"{self.patch_side}^2 * {self.depth} = {expected}"
-            )
-        if data.shape[0] < 1:
-            raise DimError("patch matrix must contain at least one patch")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n_patches(self) -> int:
-        return self.data.shape[0]
 
 
 @dataclass(frozen=True)
@@ -84,23 +55,26 @@ class ZcaTransform:
         return self.mean.shape[-1]
 
 
-def extract_patches(maps: np.ndarray, p: int, n_patches: int, rng: SeededRng) -> PatchMatrix:
-    """Sample patches of an (N, H, W, depth) stack uniformly, with replacement.
+def extract_patches(
+    maps: np.ndarray, channels, p: int, n_patches: int, rng: SeededRng
+) -> np.ndarray:
+    """Sample patches of some channels of an (N, H, W, depth) stack uniformly,
+    with replacement; returns (n_patches, p * p * len(channels)) float64 rows.
 
     The image index is drawn first, then a valid top-left row and column
-    inside it. One fancy index into a sliding-window view gathers every
-    patch, already in the row layout of the result; only the gathered rows
-    are made float64, so a float32 stack of layer-1 maps is never copied
-    whole. Its checks of n_patches and the patch size guard direct calls; in
-    training the layer records and :func:`cdfnet.layer.layer_output_shape`
-    own these rules and fail first.
+    inside it. One broadcast fancy index into a sliding-window view gathers
+    every patch over the listed channels, already in the row layout of the
+    result, so neither the stack nor a channel subset of it is copied; only
+    the gathered rows are made float64. Its checks of n_patches and the patch
+    size guard direct calls; in training the layer records and
+    :func:`cdfnet.layer.layer_output_shape` own these rules and fail first.
     """
     maps = np.asarray(maps)
     if maps.ndim != 4 or maps.shape[0] < 1:
         raise DimError(f"need an (N, H, W, depth) stack with N >= 1, got shape {maps.shape}")
     if n_patches < 1:
         raise ValueError(f"n_patches must be >= 1, got {n_patches}")
-    n_images, height, width, depth = maps.shape
+    n_images, height, width, _ = maps.shape
     if p > min(height, width):
         raise InvalidPatchSize(f"patch side {p} exceeds map size {height}x{width}")
 
@@ -110,8 +84,8 @@ def extract_patches(maps: np.ndarray, p: int, n_patches: int, rng: SeededRng) ->
     cols = (gen.random(n_patches) * (width - p + 1)).astype(np.intp)
 
     windows = sliding_window_view(maps, (p, p), axis=(1, 2))  # (N, h, w, depth, p, p)
-    data = windows[img_idx, rows, cols].reshape(n_patches, p * p * depth)
-    return PatchMatrix(data, patch_side=p, depth=depth)
+    data = windows[img_idx[:, None], rows[:, None], cols[:, None], channels]
+    return np.asarray(data.reshape(n_patches, p * p * len(channels)), dtype=np.float64)
 
 
 def normalize_rows(data: np.ndarray) -> None:
@@ -127,36 +101,45 @@ def normalize_rows(data: np.ndarray) -> None:
     data -= data.mean(axis=-1, keepdims=True)
 
 
-def fit_zca(patches: PatchMatrix, epsilon: float) -> ZcaTransform:
-    """Fit V (D + eps I)^(-1/2) V^T on the covariance of the patch rows.
+def fit_zca(patches: np.ndarray, epsilon: float) -> ZcaTransform:
+    """Fit V (D + eps I)^(-1/2) V^T on the covariance of (..., n, d) patch rows.
 
-    The epsilon check guards direct calls (in training the layer records own
-    the rule) and runs before sqrt(D + eps) could warn on a non-positive sum.
+    A leading axis stacks independent fits, one per slice, as a layer-2
+    chunk's groups need; each slice's result equals a fit on that slice
+    alone. The epsilon check guards direct calls (in training the layer
+    records own the rule) and runs before sqrt(D + eps) could warn on a
+    non-positive sum.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    assert_array_finite(patches.data, what="patch matrix")
-    mean = patches.data.mean(axis=0)
-    centered = patches.data - mean
-    denom = max(patches.n_patches - 1, 1)
-    cov = (centered.T @ centered) / denom
+    patches = np.asarray(patches, dtype=np.float64)
+    if patches.ndim < 2 or patches.shape[-2] < 1:
+        raise DimError(f"need (..., n, d) patch rows with n >= 1, got shape {patches.shape}")
+    assert_array_finite(patches, what="patch rows")
+    mean = patches.mean(axis=-2)
+    centered = patches - mean[..., None, :]
+    cov = np.swapaxes(centered, -1, -2) @ centered
     del centered  # a full patch copy, not needed for the eigendecomposition
+    cov /= max(patches.shape[-2] - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
-    floor = EIGENVALUE_FLOOR * max(float(eigvals[-1]), 0.0)
+    floor = EIGENVALUE_FLOOR * np.maximum(eigvals[..., -1:], 0.0)
     eigvals = np.maximum(eigvals, floor)
     inv_sqrt = 1.0 / np.sqrt(eigvals + epsilon)
-    matrix = (eigvecs * inv_sqrt) @ eigvecs.T
-    matrix = (matrix + matrix.T) / 2.0
+    matrix = (eigvecs * inv_sqrt[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
+    matrix = (matrix + np.swapaxes(matrix, -1, -2)) / 2.0
     return ZcaTransform(mean=mean, matrix=matrix, epsilon=float(epsilon))
 
 
-def apply_zca(transform: ZcaTransform, patches: PatchMatrix) -> PatchMatrix:
-    """Whiten every row x into M (x - mu) as x M^T - mu M^T, so no centered
-    copy of the patches is made (the fold of :attr:`FilterBank.whitened_filters`)."""
-    if patches.dim != transform.dim:
+def apply_zca(transform: ZcaTransform, patches: np.ndarray) -> np.ndarray:
+    """Whiten (..., n, d) rows x into M (x - mu) as x M^T - mu M^T, so no
+    centered copy of the patches is made (the fold of
+    :attr:`FilterBank.whitened_filters`). A stacked transform whitens each
+    slice of a matching stack with its own mean and matrix."""
+    if patches.shape[-1] != transform.dim:
         raise DimError(
-            f"patch dim {patches.dim} does not match transform dim {transform.dim}"
+            f"patch dim {patches.shape[-1]} does not match transform dim {transform.dim}"
         )
-    data = patches.data @ transform.matrix.T
-    data -= transform.mean @ transform.matrix.T
-    return PatchMatrix(data, patches.patch_side, patches.depth)
+    matrix_t = np.swapaxes(transform.matrix, -1, -2)
+    data = patches @ matrix_t
+    data -= transform.mean[..., None, :] @ matrix_t
+    return data

@@ -27,17 +27,10 @@ from .committee import (
 from .config import Layer1Config, Layer2Config, NetworkConfig
 from .config import network_config_from_text, network_config_to_text
 from .errors import DimError, FormatError, InvalidGrouping
-from .kmeans import _BLOCK, FilterBank, KMeansResult, kmeans, kmeans_stack
+from .kmeans import _BLOCK, FilterBank, KMeansResult, kmeans_stack
 from .layer import layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
-from .patches import (
-    PatchMatrix,
-    ZcaTransform,
-    apply_zca,
-    extract_patches,
-    fit_zca,
-    normalize_rows,
-)
+from .patches import ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_rows
 from .stl10 import FoldPlan, LabeledImage
 from .svm import SvmModel, score_many, train_ova_svm
 from .tensor import FeatureMapSet, SeededRng
@@ -46,9 +39,9 @@ logger = logging.getLogger(__name__)
 
 KMEANS_MAX_ITERS = 100
 
-# Layer-2 groups are trained together in chunks of about this many patch
-# rows, a quarter of a k-means distance block; at paper scale a chunk is
-# one group, so memory stays that of training one group at a time.
+# Groups are trained together in chunks of about this many patch rows, a
+# quarter of a k-means distance block; at paper scale a chunk is one group,
+# so memory stays that of training one group at a time.
 _CHUNK_ROWS = _BLOCK // 4
 
 
@@ -92,41 +85,28 @@ def _prepare_image(img: LabeledImage, factor: float | None) -> LabeledImage:
     return scale(img, factor) if factor is not None else img
 
 
-def _train_bank(
-    maps: np.ndarray, layer: Layer1Config, patch_rng: SeededRng, kmeans_rng: SeededRng
-) -> tuple[KMeansResult, ZcaTransform]:
-    """Sample layer 1's patches from the (N, H, W, 1) image stack, normalize,
-    whiten, and cluster them into the layer's filters; returns the k-means
-    result and the whitening. The rows are normalized in place and whitening
-    rebinds `patches`, so at most two patch copies are alive at once."""
-    patches = extract_patches(maps, layer.patch_side, layer.n_patches, patch_rng)
-    normalize_rows(patches.data)
-    zca = fit_zca(patches, layer.zca_epsilon)
-    patches = apply_zca(zca, patches)
-    return kmeans(patches, layer.k, KMEANS_MAX_ITERS, kmeans_rng), zca
-
-
 def _train_groups(
-    outputs1: np.ndarray,
+    maps: np.ndarray,
     groups: np.ndarray,
-    layer: Layer2Config,
-    patches_rng: SeededRng,
-    kmeans_rng: SeededRng,
+    layer: Layer1Config | Layer2Config,
+    k: int,
+    patch_rngs: list[SeededRng],
+    kmeans_rngs: list[SeededRng],
 ) -> tuple[KMeansResult, ZcaTransform]:
-    """Layer-2 filter learning for every row of the (G, n_k) group table.
+    """Filter learning of one layer, one bank per row of the (G, n_k) channel table.
 
-    Group g samples its patches from its maps of the (N, h, w, K1) layer-1
-    stack with stream 1 + g of patches_rng and clusters them with stream g
-    of kmeans_rng. Groups go a chunk of about _CHUNK_ROWS patch rows at a
-    time: sampled into one (chunk, n, d) array, normalized in place,
-    whitened group by group in place, and clustered by one
-    :func:`kmeans_stack` call. The chunks fill preallocated (G, d, K)
-    centroid and (G, d) / (G, d, d) whitening stacks.
+    Group g samples its patches from its channels of the (N, H, W, depth)
+    stack with patch_rngs[g] and clusters them into k filters with
+    kmeans_rngs[g]; layer 1 is the one group [[0]] of the image stack.
+    Groups go a chunk of about _CHUNK_ROWS patch rows at a time: sampled into
+    one (chunk, n, d) array, normalized and whitened in place by one stacked
+    ZCA, and clustered by one :func:`kmeans_stack` call. The chunks fill
+    preallocated (G, d, k) centroid and (G, d) / (G, d, d) whitening stacks.
     """
     n_groups, depth = groups.shape
     p, n = layer.patch_side, layer.n_patches
     dim = p * p * depth
-    filters = np.empty((n_groups, dim, layer.k_per_group))
+    filters = np.empty((n_groups, dim, k))
     means = np.empty((n_groups, dim))
     matrices = np.empty((n_groups, dim, dim))
     n_iters = np.empty(n_groups, dtype=np.int64)
@@ -136,20 +116,16 @@ def _train_groups(
     per_chunk = min(max(1, _CHUNK_ROWS // n), n_groups)
     buffer = np.empty((per_chunk, n, dim))  # every chunk's patch rows, in turn
     for start in range(0, n_groups, per_chunk):
-        chunk = range(start, min(start + per_chunk, n_groups))
-        rows = buffer[: len(chunk)]
-        for j, g in enumerate(chunk):
-            rows[j] = extract_patches(outputs1[..., groups[g]], p, n, patches_rng.child(1 + g)).data
+        span = slice(start, min(start + per_chunk, n_groups))
+        rows = buffer[: span.stop - start]
+        for j, g in enumerate(range(start, span.stop)):
+            rows[j] = extract_patches(maps, groups[g], p, n, patch_rngs[g])
         normalize_rows(rows)
-        for j, g in enumerate(chunk):
-            patches = PatchMatrix(rows[j], p, depth)
-            zca = fit_zca(patches, layer.zca_epsilon)
-            means[g], matrices[g] = zca.mean, zca.matrix
-            rows[j] = apply_zca(zca, patches).data
-        result = kmeans_stack(
-            rows, layer.k_per_group, KMEANS_MAX_ITERS, [kmeans_rng.child(g) for g in chunk]
-        )
-        span = slice(start, chunk.stop)
+        zca = fit_zca(rows, layer.zca_epsilon)
+        means[span], matrices[span] = zca.mean, zca.matrix
+        rows[...] = apply_zca(zca, rows)
+        del zca  # copied into the stacks; k-means needs the memory
+        result = kmeans_stack(rows, k, KMEANS_MAX_ITERS, kmeans_rngs[span])
         filters[span], n_iters[span] = result.centroids, result.n_iters
         converged[span], reseeds[span] = result.converged, result.reseeds
         history += result.sse_history
@@ -160,13 +136,13 @@ def _train_groups(
 def _log_kmeans(name: str, layer_index: int, result: KMeansResult) -> None:
     """One INFO line of a layer's k-means iterations and reseeds, and a
     WARNING naming what stopped at KMEANS_MAX_ITERS without converging."""
-    n_iters = np.atleast_1d(result.n_iters)
+    n_iters = result.n_iters
     logger.info(
         "%s: layer-%d k-means took %d/%g/%d iterations (min/median/max), %d reseeds",
         name, layer_index, n_iters.min(), np.median(n_iters), n_iters.max(),
         np.sum(result.reseeds),
     )
-    stuck = np.flatnonzero(~np.atleast_1d(result.converged))
+    stuck = np.flatnonzero(~result.converged)
     if stuck.size:
         where = f" in groups {', '.join(map(str, stuck))}" if layer_index == 2 else ""
         logger.warning(
@@ -200,11 +176,13 @@ def _train(
 
     patches_rng = SeededRng(cfg.seeds.patches)
     logger.info("%s: training layer-1 filters (K=%d)", cfg.name, cfg.layer1.k)
-    result1, zca1 = _train_bank(
-        images, cfg.layer1, patches_rng.child(0), SeededRng(cfg.seeds.kmeans1)
+    result1, zca1 = _train_groups(
+        images, np.zeros((1, 1), dtype=np.intp), cfg.layer1, cfg.layer1.k,
+        [patches_rng.child(0)], [SeededRng(cfg.seeds.kmeans1)],
     )
     _log_kmeans(cfg.name, 1, result1)
-    bank1 = FilterBank(result1.centroids, cfg.layer1.patch_side, 1, zca1, layer_index=1)
+    zca1 = ZcaTransform(zca1.mean[0], zca1.matrix[0], zca1.epsilon)
+    bank1 = FilterBank(result1.centroids[0], cfg.layer1.patch_side, 1, zca1, layer_index=1)
 
     outputs1 = np.empty((len(images), *l1_shape), dtype=np.float32)
     for i, image_id in enumerate(image_ids):
@@ -216,8 +194,11 @@ def _train(
         "%s: layer-1 output %dx%dx%d, %d groups of %d", cfg.name, *l1_shape, *groups.shape
     )
 
+    kmeans2_rng = SeededRng(cfg.seeds.kmeans2)
     result2, zca2 = _train_groups(
-        outputs1, groups, cfg.layer2, patches_rng, SeededRng(cfg.seeds.kmeans2)
+        outputs1, groups, cfg.layer2, cfg.layer2.k_per_group,
+        [patches_rng.child(1 + g) for g in range(len(groups))],
+        [kmeans2_rng.child(g) for g in range(len(groups))],
     )
     _log_kmeans(cfg.name, 2, result2)
     bank2 = FilterBank(

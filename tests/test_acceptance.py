@@ -13,7 +13,7 @@ import pytest
 
 from cdfnet.committee import accuracy, committee_predict, table_predict
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds
-from cdfnet.kmeans import FilterBank, kmeans
+from cdfnet.kmeans import FilterBank, kmeans_stack
 from cdfnet.layer import (
     _convolve,
     _lcn_subtract,
@@ -23,7 +23,7 @@ from cdfnet.layer import (
     make_groups,
     run_layer,
 )
-from cdfnet.patches import PatchMatrix, ZcaTransform, apply_zca, fit_zca, normalize_rows
+from cdfnet.patches import ZcaTransform, apply_zca, fit_zca, normalize_rows
 from cdfnet.pipeline import (
     NetworkModel,
     descriptor_shape,
@@ -58,9 +58,8 @@ def _check_zca_whitening():
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     mix = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
     data = rng.standard_normal((n, d)) @ mix + rng.standard_normal(d)
-    pm = PatchMatrix(data, patch_side=4, depth=2)
-    white = apply_zca(fit_zca(pm, 1e-8), pm)
-    cov = np.cov(white.data, rowvar=False)
+    white = apply_zca(fit_zca(data, 1e-8), data)
+    cov = np.cov(white, rowvar=False)
     assert np.max(np.abs(cov - np.eye(d))) < 1e-3
 
 
@@ -139,9 +138,9 @@ def _check_kmeans_monotonicity():
         n = int(rng.integers(30, 80))
         side = int(rng.integers(2, 4))
         k = int(rng.integers(2, 6))
-        pm = PatchMatrix(rng.standard_normal((n, side * side)), side, 1)
-        result = kmeans(pm, k, max_iters=30, rng=SeededRng(seed))
-        hist = np.asarray(result.sse_history)
+        points = rng.standard_normal((1, n, side * side))
+        result = kmeans_stack(points, k, max_iters=30, rngs=[SeededRng(seed)])
+        hist = np.asarray(result.sse_history[0])
         assert np.all(np.diff(hist) <= 1e-9 * np.maximum(np.abs(hist[:-1]), 1.0))
 
 

@@ -378,15 +378,17 @@ class TestEvaluate:
 
 
 def test_cli_import_leaves_out_scipy_ndimage():
-    # ndimage costs every CLI process 0.2-0.5 s of start-up; LCN does without it
+    # ndimage costs every CLI process 0.2-0.5 s of start-up and LCN does
+    # without it; sparse costs ~0.2 s and only k-means loads it, when it runs
     src = os.path.dirname(os.path.dirname(cdfnet.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cdfnet.cli; print('scipy.ndimage' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for module in ("scipy.ndimage", "scipy.sparse"):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys, cdfnet.cli; print({module!r} in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", module
 
 
 def test_console_help_runs():

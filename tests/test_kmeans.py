@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cdfnet.errors import DimError, InvalidK, NonFiniteValue
-from cdfnet.kmeans import FilterBank, _plusplus_init, _reseed_empty, kmeans, kmeans_stack
-from cdfnet.patches import PatchMatrix, ZcaTransform, fit_zca
+from cdfnet.kmeans import FilterBank, _plusplus_init, _reseed_empty, kmeans_stack
+from cdfnet.patches import ZcaTransform, fit_zca
 from cdfnet.tensor import SeededRng
 
 import train_oracle
@@ -11,8 +11,18 @@ from helpers import assert_near_oracle
 
 
 def _pm(values):
-    """One-dimensional points as a patch matrix of (n, 1) rows."""
-    return PatchMatrix(np.asarray(values, dtype=np.float64)[:, None], 1, 1)
+    """One-dimensional points as (n, 1) rows."""
+    return np.asarray(values, dtype=np.float64)[:, None]
+
+
+def _one_run(points, k, max_iters, rng):
+    """One run: the G = 1 call of kmeans_stack on (n, dim) rows, as the
+    Run record of the oracle's single-group k-means."""
+    got = kmeans_stack(points[None], k, max_iters, [rng])
+    return train_oracle.Run(
+        got.centroids[0], got.sse_history[0], int(got.n_iters[0]),
+        bool(got.converged[0]), int(got.reseeds[0]),
+    )
 
 
 def _lloyd_oracle(points, k, gen, iters=200):
@@ -37,12 +47,12 @@ def _lloyd_oracle(points, k, gen, iters=200):
 class TestKmeans:
     def test_two_point_masses(self):
         pm = _pm([0.0, 0.0, 10.0, 10.0])
-        result = kmeans(pm, 2, 50, SeededRng(0))
+        result = _one_run(pm, 2, 50, SeededRng(0))
         got = sorted(result.centroids.ravel())
         assert got == [0.0, 10.0]
 
     def test_k_equals_n_distinct(self):
-        result = kmeans(_pm([0.0, 3.0, 7.0, 11.0]), 4, 50, SeededRng(1))
+        result = _one_run(_pm([0.0, 3.0, 7.0, 11.0]), 4, 50, SeededRng(1))
         assert sorted(result.centroids.ravel()) == [0.0, 3.0, 7.0, 11.0]
         assert result.sse_history[-1] == 0.0
 
@@ -55,8 +65,7 @@ class TestKmeans:
                 rng.normal((-5, 5), 0.3, (100, 2)),
             ]
         )
-        pm = PatchMatrix(blobs, 1, 2)
-        result = kmeans(pm, 3, 50, SeededRng(7))
+        result = _one_run(blobs, 3, 50, SeededRng(7))
         ours = result.sse_history[-1]
 
         best = np.inf
@@ -70,25 +79,24 @@ class TestKmeans:
         rng = np.random.default_rng(3)
         for seed in range(50):
             data = rng.standard_normal((120, 4))
-            result = kmeans(PatchMatrix(data, 1, 4), 6, 30, SeededRng(seed))
+            result = _one_run(data, 6, 30, SeededRng(seed))
             h = np.array(result.sse_history)
             assert np.all(np.diff(h) <= 1e-9 * np.maximum(h[:-1], 1.0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((500, 9))
-        pm = PatchMatrix(data, 3, 1)
-        a = kmeans(pm, 10, 50, SeededRng(11))
-        b = kmeans(pm, 10, 50, SeededRng(11))
+        a = _one_run(data, 10, 50, SeededRng(11))
+        b = _one_run(data, 10, 50, SeededRng(11))
         assert np.array_equal(a.centroids, b.centroids)
         assert a.sse_history == b.sse_history
-        c = kmeans(pm, 10, 50, SeededRng(12))
+        c = _one_run(data, 10, 50, SeededRng(12))
         assert not np.array_equal(a.centroids, c.centroids)
 
     def test_centroids_distinct_on_distinct_data(self):
         rng = np.random.default_rng(5)
         data = rng.standard_normal((400, 2))
-        result = kmeans(PatchMatrix(data, 1, 2), 8, 60, SeededRng(2))
+        result = _one_run(data, 8, 60, SeededRng(2))
         cols = result.centroids.T
         for i in range(8):
             for j in range(i + 1, 8):
@@ -97,31 +105,31 @@ class TestKmeans:
     def test_centroids_finite(self):
         rng = np.random.default_rng(6)
         data = rng.standard_normal((100, 4))
-        result = kmeans(PatchMatrix(data, 2, 1), 5, 40, SeededRng(3))
+        result = _one_run(data, 5, 40, SeededRng(3))
         assert np.all(np.isfinite(result.centroids))
 
     def test_k_too_large(self):
         with pytest.raises(InvalidK):
-            kmeans(_pm([1.0, 2.0]), 3, 10, SeededRng(0))
+            _one_run(_pm([1.0, 2.0]), 3, 10, SeededRng(0))
 
     def test_k_positive(self):
         with pytest.raises(InvalidK):
-            kmeans(_pm([1.0, 2.0]), 0, 10, SeededRng(0))
+            _one_run(_pm([1.0, 2.0]), 0, 10, SeededRng(0))
 
     def test_max_iters_positive(self):
         with pytest.raises(ValueError):
-            kmeans(_pm([1.0, 2.0]), 1, 0, SeededRng(0))
+            _one_run(_pm([1.0, 2.0]), 1, 0, SeededRng(0))
 
     def test_duplicate_points_fewer_than_k(self):
         # more clusters than distinct values still terminates and stays finite
         pm = _pm([1.0] * 10 + [2.0] * 10)
-        result = kmeans(pm, 4, 30, SeededRng(8))
+        result = _one_run(pm, 4, 30, SeededRng(8))
         assert np.all(np.isfinite(result.centroids))
         assert result.centroids.shape == (1, 4)
 
     def test_converges_early(self):
         pm = _pm([0.0, 0.1, 9.9, 10.0])
-        result = kmeans(pm, 2, 100, SeededRng(1))
+        result = _one_run(pm, 2, 100, SeededRng(1))
         assert result.converged
         assert result.n_iters < 100
 
@@ -130,18 +138,18 @@ class TestSse:
     """The last entry of sse_history is the SSE of the returned centroids once converged."""
 
     def test_zero_when_centroids_cover_points(self):
-        result = kmeans(_pm([0.0, 1.0, 2.0]), 3, 10, SeededRng(0))
+        result = _one_run(_pm([0.0, 1.0, 2.0]), 3, 10, SeededRng(0))
         assert result.converged
         assert result.sse_history[-1] == 0.0
 
     def test_single_centroid_at_mean(self):
-        result = kmeans(_pm([-1.0, 1.0]), 1, 10, SeededRng(0))
+        result = _one_run(_pm([-1.0, 1.0]), 1, 10, SeededRng(0))
         assert result.sse_history[-1] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((300, 5))
-        result = kmeans(PatchMatrix(data, 1, 5), 9, 100, SeededRng(7))
+        result = _one_run(data, 9, 100, SeededRng(7))
         assert result.converged
         d2 = ((data[:, None, :] - result.centroids.T[None, :, :]) ** 2).sum(axis=2)
         expect = float(d2.min(axis=1).sum())
@@ -201,7 +209,7 @@ class TestReseed:
 class TestWhitenedFilters:
     def test_matches_whitening_then_filters(self):
         rng = np.random.default_rng(4)
-        zca = fit_zca(PatchMatrix(rng.random((200, 8)), 2, 2), 0.1)
+        zca = fit_zca(rng.random((200, 8)), 0.1)
         bank = FilterBank(rng.standard_normal((8, 3)), 2, 2, zca)
         g, c = bank.whitened_filters
         # folded in float64, then rounded once to the forward pass's float32
@@ -216,7 +224,7 @@ class TestWhitenedFilters:
 
     def test_stack_equals_each_bank_bitwise(self):
         rng = np.random.default_rng(5)
-        zcas = [fit_zca(PatchMatrix(rng.random((200, 8)), 2, 2), 0.1) for _ in range(3)]
+        zcas = [fit_zca(rng.random((200, 8)), 0.1) for _ in range(3)]
         filters = rng.standard_normal((3, 8, 4))
         means = np.stack([z.mean for z in zcas])
         matrices = np.stack([z.matrix for z in zcas])
@@ -247,15 +255,14 @@ class TestKmeansStack:
         assert got.centroids.shape == (n_groups, dim, k)
         wants = []
         for g in range(n_groups):
-            want = train_oracle.per_group_kmeans(PatchMatrix(points[g], 1, dim), k, max_iters, rngs[g])
-            run = got.group(g)
-            assert np.max(np.abs(run.centroids - want.centroids)) <= 1e-9 * np.max(
+            want = train_oracle.per_group_kmeans(points[g], k, max_iters, rngs[g])
+            assert np.max(np.abs(got.centroids[g] - want.centroids)) <= 1e-9 * np.max(
                 np.abs(want.centroids)
             )
-            assert (run.n_iters, run.converged, len(run.sse_history), run.reseeds) == (
-                want.n_iters, want.converged, len(want.sse_history), want.reseeds
-            )
-            assert np.allclose(run.sse_history, want.sse_history, rtol=1e-9, atol=0.0)
+            assert (
+                got.n_iters[g], got.converged[g], len(got.sse_history[g]), got.reseeds[g]
+            ) == (want.n_iters, want.converged, len(want.sse_history), want.reseeds)
+            assert np.allclose(got.sse_history[g], want.sse_history, rtol=1e-9, atol=0.0)
             wants.append(want)
         return got, wants
 
@@ -297,10 +304,7 @@ class TestKmeansStack:
     def test_single_group_at_a_layer1_shape(self):
         # toy layer 1: 20000 patches of 8 x 8, K = 16; more rows than one distance block
         points = np.random.default_rng(5).standard_normal((1, 20_000, 64))
-        got, _ = self._matches_oracle(points, 16, 30, [SeededRng(2)])
-        single = kmeans(PatchMatrix(points[0], 8, 1), 16, 30, SeededRng(2))
-        assert np.array_equal(single.centroids, got.centroids[0])
-        assert single.sse_history == got.sse_history[0]
+        self._matches_oracle(points, 16, 30, [SeededRng(2)])
 
     def test_checks_fire_once_per_call(self):
         points = np.zeros((2, 3, 1))

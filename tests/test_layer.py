@@ -25,7 +25,7 @@ from cdfnet.layer import (
     run_groups,
     run_layer,
 )
-from cdfnet.patches import fit_zca, PatchMatrix, ZcaTransform
+from cdfnet.patches import fit_zca, ZcaTransform
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from forward_oracle import gaussian_window, normalize_patch
@@ -168,8 +168,7 @@ class TestConvolve:
     def test_dense_preprocess_matches_per_patch_oracle(self):
         rng = np.random.default_rng(5)
         maps = rng.random((6, 6, 2))
-        train = PatchMatrix(rng.random((500, 8)), 2, 2)
-        zca = fit_zca(train, 0.1)
+        zca = fit_zca(rng.random((500, 8)), 0.1)
         filters = rng.standard_normal((8, 3))
         bank = _bank(filters, 2, 2, whitening=zca)
         out = _conv(maps, bank, dense_preprocess=True)
@@ -511,7 +510,7 @@ class TestRunLayer:
         # maps rounded to float32 give the same float32 output
         rng = np.random.default_rng(28)
         maps = rng.random((12, 12, 2))
-        zca = fit_zca(PatchMatrix(rng.random((200, 18)), 3, 2), 0.1)
+        zca = fit_zca(rng.random((200, 18)), 0.1)
         bank = _bank(rng.standard_normal((18, 4)), 3, 2, whitening=zca)
         cfg = _layer1(patch_side=3, dense_preprocess=dense)
         out = run_layer(_fmset(maps), bank, cfg, rectifier).maps
@@ -598,7 +597,7 @@ class TestRunGroups:
         banks = tuple(
             _bank(
                 rng.standard_normal((36, 5)), 3, 4,
-                whitening=fit_zca(PatchMatrix(rng.random((200, 36)), 3, 4), 0.1),
+                whitening=fit_zca(rng.random((200, 36)), 0.1),
             )
             for _ in groups
         )

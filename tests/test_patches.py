@@ -4,14 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdfnet.errors import DimError, InvalidPatchSize, NonFiniteValue
-from cdfnet.patches import (
-    PatchMatrix,
-    ZcaTransform,
-    apply_zca,
-    extract_patches,
-    fit_zca,
-    normalize_rows,
-)
+from cdfnet.patches import ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_rows
 from cdfnet.tensor import SeededRng
 
 import train_oracle
@@ -34,8 +27,8 @@ class TestUnroll:
         expect = [1, 2, 3, 4, 5, 6, 7, 8]
         assert np.array_equal(unroll_patch(vol, 0, 0, 2), expect)
         # a 2x2 map has one 2x2 position, so every sampled row is that patch
-        pm = extract_patches(_stack(vol), 2, 3, SeededRng(0))
-        assert np.array_equal(pm.data, [expect] * 3)
+        rows = extract_patches(_stack(vol), [0, 1], 2, 3, SeededRng(0))
+        assert np.array_equal(rows, [expect] * 3)
 
     def test_matches_explicit_loop(self):
         rng = np.random.default_rng(0)
@@ -52,69 +45,73 @@ class TestUnroll:
 class TestExtractPatches:
     def test_positions_within_valid_range(self):
         base = np.arange(16, dtype=np.float64).reshape(4, 4)
-        pm = extract_patches(_stack(base), 2, 500, SeededRng(1))
-        assert pm.data.shape == (500, 4)
+        rows = extract_patches(_stack(base), [0], 2, 500, SeededRng(1))
+        assert rows.shape == (500, 4)
         valid = set()
         for r in range(3):
             for c in range(3):
                 valid.add(tuple(unroll_patch(base[:, :, None], r, c, 2)))
-        seen = {tuple(row) for row in pm.data}
+        seen = {tuple(row) for row in rows}
         assert seen <= valid
         assert len(seen) > 1  # sampling actually varies position
 
     def test_constant_input(self):
-        pm = extract_patches(_stack(np.full((5, 5), 7.0)), 3, 20, SeededRng(2))
-        assert np.all(pm.data == 7.0)
+        rows = extract_patches(_stack(np.full((5, 5), 7.0)), [0], 3, 20, SeededRng(2))
+        assert np.all(rows == 7.0)
 
     def test_patch_too_large(self):
         with pytest.raises(InvalidPatchSize):
-            extract_patches(_stack(np.zeros((4, 4))), 5, 10, SeededRng(0))
+            extract_patches(_stack(np.zeros((4, 4))), [0], 5, 10, SeededRng(0))
 
     def test_n_patches_positive(self):
         with pytest.raises(ValueError):
-            extract_patches(_stack(np.zeros((4, 4))), 2, 0, SeededRng(0))
+            extract_patches(_stack(np.zeros((4, 4))), [0], 2, 0, SeededRng(0))
 
     @pytest.mark.parametrize("shape", [(4, 4, 1), (0, 4, 4, 1), (1, 1, 4, 4, 1)])
     def test_needs_nonempty_stack(self, shape):
         with pytest.raises(DimError):
-            extract_patches(np.zeros(shape), 2, 10, SeededRng(0))
+            extract_patches(np.zeros(shape), [0], 2, 10, SeededRng(0))
 
     def test_deterministic(self):
         maps = _stack(*(np.random.default_rng(i).random((6, 6, 2)) for i in range(3)))
-        a = extract_patches(maps, 3, 100, SeededRng(9))
-        b = extract_patches(maps, 3, 100, SeededRng(9))
-        assert np.array_equal(a.data, b.data)
-        c = extract_patches(maps, 3, 100, SeededRng(10))
-        assert not np.array_equal(a.data, c.data)
+        a = extract_patches(maps, [0, 1], 3, 100, SeededRng(9))
+        b = extract_patches(maps, [0, 1], 3, 100, SeededRng(9))
+        assert np.array_equal(a, b)
+        c = extract_patches(maps, [0, 1], 3, 100, SeededRng(10))
+        assert not np.array_equal(a, c)
 
     def test_depth_recorded(self):
-        pm = extract_patches(_stack(np.zeros((6, 6, 3))), 2, 5, SeededRng(0))
-        assert pm.depth == 3
-        assert pm.patch_side == 2
-        assert pm.data.shape[1] == 2 * 2 * 3
+        # the row width is p^2 times the number of channels sampled, not the stack's depth
+        maps = _stack(np.zeros((6, 6, 3)))
+        assert extract_patches(maps, [0, 1, 2], 2, 5, SeededRng(0)).shape == (5, 2 * 2 * 3)
+        assert extract_patches(maps, [2, 0], 2, 5, SeededRng(0)).shape == (5, 2 * 2 * 2)
 
     def test_float32_stack_widens_only_the_sampled_rows(self):
         # a float32 layer-1 stack of 0.5 MB, 100 patches of 3 x 3 x 8 (58 KB)
         maps = np.random.default_rng(3).random((10, 40, 40, 8)).astype(np.float32)
-        pm, peak = traced_peak(extract_patches, maps, 3, 100, SeededRng(4))
-        assert pm.data.dtype == np.float64
-        wide = extract_patches(maps.astype(np.float64), 3, 100, SeededRng(4))
-        assert np.array_equal(pm.data, wide.data)
-        assert peak <= 4 * pm.data.nbytes  # a float64 copy of the stack would be 1 MB
+        channels = list(range(8))
+        rows, peak = traced_peak(extract_patches, maps, channels, 3, 100, SeededRng(4))
+        assert rows.dtype == np.float64
+        wide = extract_patches(maps.astype(np.float64), channels, 3, 100, SeededRng(4))
+        assert np.array_equal(rows, wide)
+        assert peak <= 4 * rows.nbytes  # a float64 copy of the stack would be 1 MB
 
     def test_samples_across_images(self):
         maps = _stack(*(np.full((4, 4), float(i)) for i in range(4)))
-        pm = extract_patches(maps, 2, 400, SeededRng(3))
-        assert {v for v in pm.data[:, 0]} == {0.0, 1.0, 2.0, 3.0}
+        rows = extract_patches(maps, [0], 2, 400, SeededRng(3))
+        assert {v for v in rows[:, 0]} == {0.0, 1.0, 2.0, 3.0}
 
     @pytest.mark.parametrize("p, depth", [(3, 1), (2, 4)])
     def test_matches_per_patch_oracle(self, p, depth):
-        # on non-square maps
+        # on non-square maps, over all channels and over a reordered subset of them
         maps = np.random.default_rng(8).random((5, 9, 7, depth))
-        pm = extract_patches(maps, p, 2500, SeededRng(4, (1, 2)))
-        want = train_oracle.extract_patches(list(maps), p, 2500, SeededRng(4, (1, 2)))
-        assert np.array_equal(pm.data, want.data)
-        assert pm.data.flags.c_contiguous
+        for channels in (list(range(depth)), list(range(depth))[::-2]):
+            rows = extract_patches(maps, channels, p, 2500, SeededRng(4, (1, 2)))
+            want = train_oracle.extract_patches(
+                list(maps[..., channels]), p, 2500, SeededRng(4, (1, 2))
+            )
+            assert np.array_equal(rows, want)
+            assert rows.flags.c_contiguous
 
 
 def _normalize(x):
@@ -183,7 +180,22 @@ class TestNormalizePatch:
 
 def _white_patches(n=5000, d=8, seed=0):
     rng = np.random.default_rng(seed)
-    return PatchMatrix(rng.standard_normal((n, d)), 1, d)
+    return rng.standard_normal((n, d))
+
+
+def _mixed_stack(n, d, n_slices=3):
+    """(n_slices, n, d) rows, each slice mixed by its own matrix and offset."""
+    rng = np.random.default_rng(n + d)
+    return np.stack([
+        rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) + rng.standard_normal(d)
+        for _ in range(n_slices)
+    ])
+
+
+def _oracle_zcas(stack, epsilon=0.1):
+    """Stacked means and matrices of the oracle's one-slice-at-a-time ZCA fits."""
+    fits = [train_oracle.fit_zca(s, epsilon) for s in stack]
+    return np.stack([f.mean for f in fits]), np.stack([f.matrix for f in fits])
 
 
 class TestFitZca:
@@ -197,9 +209,8 @@ class TestFitZca:
         # anisotropic scaling of the 4-point set {(1,1),(-1,-1),(1,-1),(-1,1)}
         base = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
         data = np.diag([3.0, 0.5]) @ base  # one column per point
-        pm = PatchMatrix(data.T, 1, 2)
         eps = 1e-8
-        t = fit_zca(pm, eps)
+        t = fit_zca(data.T, eps)
 
         centered = data - data.mean(axis=1, keepdims=True)
         cov = centered @ centered.T / (data.shape[1] - 1)
@@ -217,7 +228,7 @@ class TestFitZca:
     def test_symmetric_positive_definite(self):
         rng = np.random.default_rng(6)
         data = rng.standard_normal((2000, 5)) @ rng.standard_normal((5, 5))
-        t = fit_zca(PatchMatrix(data, 1, 5), 1e-6)
+        t = fit_zca(data, 1e-6)
         assert np.allclose(t.matrix, t.matrix.T, atol=1e-9)
         assert np.all(np.linalg.eigvalsh(t.matrix) > 0)
 
@@ -225,7 +236,7 @@ class TestFitZca:
         data = np.zeros((10, 3))
         data[4, 1] = np.nan
         with pytest.raises(NonFiniteValue):
-            fit_zca(PatchMatrix(data, 1, 3), 0.01)
+            fit_zca(data, 0.01)
 
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
@@ -235,21 +246,33 @@ class TestFitZca:
         with pytest.raises(ValueError, match="epsilon"):
             fit_zca(_white_patches(d=2), -1e6)
 
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0, 4), (4,)])
+    def test_needs_rows(self, shape):
+        with pytest.raises(DimError):
+            fit_zca(np.zeros(shape), 0.1)
+
+    @pytest.mark.parametrize("n, d", [(1000, 36), (777, 18), (200, 9)])
+    def test_stack_equals_oracle_per_slice(self, n, d):
+        stack = _mixed_stack(n, d)
+        t = fit_zca(stack, 0.1)
+        want_mean, want_matrix = _oracle_zcas(stack)
+        assert t.mean.shape == (3, d) and t.matrix.shape == (3, d, d)
+        assert np.array_equal(t.mean, want_mean)
+        assert np.array_equal(t.matrix, want_matrix)
+
 
 class TestApplyZca:
     def test_identity_transform(self):
         pm = _white_patches(n=50, d=3)
         t = ZcaTransform(np.zeros(3), np.eye(3), 1e-6)
-        out = apply_zca(t, pm)
-        assert np.array_equal(out.data, pm.data)
+        assert np.array_equal(apply_zca(t, pm), pm)
 
     def test_self_whitening_covariance(self):
         rng = np.random.default_rng(7)
         mix = rng.standard_normal((6, 6))
         data = rng.standard_normal((20000, 6)) @ mix
-        pm = PatchMatrix(data, 1, 6)
-        t = fit_zca(pm, 1e-8)
-        white = apply_zca(t, pm).data
+        t = fit_zca(data, 1e-8)
+        white = apply_zca(t, data)
         cov = white.T @ white / (white.shape[0] - 1)
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) < 1e-6
@@ -263,25 +286,22 @@ class TestApplyZca:
     def test_subtracts_mean(self):
         data = np.array([[1.0, 2.0], [3.0, 6.0]])
         t = ZcaTransform(np.array([1.0, 2.0]), np.eye(2), 1e-6)
-        out = apply_zca(t, PatchMatrix(data, 1, 2))
-        assert np.array_equal(out.data, [[0.0, 0.0], [2.0, 4.0]])
+        assert np.array_equal(apply_zca(t, data), [[0.0, 0.0], [2.0, 4.0]])
 
     def test_matches_column_form(self):
         rng = np.random.default_rng(8)
-        pm = PatchMatrix(rng.random((300, 8)), 2, 2)
-        t = fit_zca(pm, 0.1)
-        expect = t.matrix @ (pm.data.T - t.mean[:, None])
-        assert np.allclose(apply_zca(t, pm).data, expect.T, rtol=1e-12, atol=1e-12)
+        data = rng.random((300, 8))
+        t = fit_zca(data, 0.1)
+        expect = t.matrix @ (data.T - t.mean[:, None])
+        assert np.allclose(apply_zca(t, data), expect.T, rtol=1e-12, atol=1e-12)
 
-
-class TestPatchMatrixValidation:
-    def test_row_consistency(self):
-        with pytest.raises(DimError):
-            PatchMatrix(np.zeros((10, 5)), 2, 1)  # 2*2*1 = 4 != 5
-
-    def test_needs_patches(self):
-        with pytest.raises(DimError):
-            PatchMatrix(np.zeros((0, 4)), 2, 1)
+    @pytest.mark.parametrize("n, d", [(1000, 36), (777, 18), (200, 9)])
+    def test_stack_equals_oracle_per_slice(self, n, d):
+        stack = _mixed_stack(n, d)
+        t = ZcaTransform(*_oracle_zcas(stack), 0.1)
+        want = [train_oracle.apply_zca(ZcaTransform(m, a, 0.1), s)
+                for m, a, s in zip(t.mean, t.matrix, stack)]
+        assert np.array_equal(apply_zca(t, stack), want)
 
 
 class TestZcaTransformValidation:

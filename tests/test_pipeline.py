@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+# k-means imports scipy.sparse on its first call; loading it here keeps that
+# one-time import out of the traced peaks below, whatever order tests run in
+import scipy.sparse  # noqa: F401
 
 from cdfnet import kmeans as kmeans_mod
 from cdfnet import pipeline
@@ -15,7 +18,7 @@ from cdfnet.errors import DimError, FormatError, InvalidGrouping, InvalidK, Inva
 from cdfnet.kmeans import FilterBank
 from cdfnet.layer import make_groups, run_layer
 from cdfnet.model_io import read_container, write_container
-from cdfnet.patches import PatchMatrix, ZcaTransform, fit_zca
+from cdfnet.patches import ZcaTransform, fit_zca
 from cdfnet.pipeline import (
     ExperimentReport,
     NetworkModel,
@@ -219,7 +222,7 @@ class TestFailBeforeCompute:
 
     def test_train_network_raises_before_patches_and_kmeans(self, monkeypatch):
         monkeypatch.setattr(pipeline, "extract_patches", _never)
-        monkeypatch.setattr(pipeline, "kmeans", _never)
+        monkeypatch.setattr(pipeline, "kmeans_stack", _never)
         with pytest.raises(InvalidWindow):
             train_network(self._n1_with_pool_90(), stripe_dataset(2, side=96, seed=3))
 
@@ -357,7 +360,7 @@ class TestModelPersistence:
         d1, d2 = l1.patch_side**2, l2.patch_side**2 * l2.group_size
         groups = make_groups(l1.k, l2.group_size, SeededRng(cfg.seeds.grouping))
         g = len(groups)
-        zca2 = fit_zca(PatchMatrix(rng.random((100, d2)), l2.patch_side, l2.group_size), 0.1)
+        zca2 = fit_zca(rng.random((100, d2)), 0.1)
         model = NetworkModel(
             cfg,
             FilterBank(rng.standard_normal((d1, l1.k)), l1.patch_side, 1,
@@ -556,46 +559,41 @@ class TestTrainBankRows:
     @pytest.mark.parametrize("base", [0, 1, 2])
     def test_matches_column_oracle(self, base, monkeypatch):
         pairs = []
-        real_train_bank, real_train_groups = pipeline._train_bank, pipeline._train_groups
+        real_train_groups = pipeline._train_groups
 
-        def paired_train_bank(maps, layer, patch_rng, kmeans_rng):
-            got = real_train_bank(maps, layer, patch_rng, kmeans_rng)
-            want = train_oracle.column_train_bank(maps, layer, layer.k, patch_rng, kmeans_rng)
-            pairs.append((got, want))
-            return got
-
-        def paired_train_groups(outputs1, groups, layer, patches_rng, kmeans_rng):
-            result, zca = real_train_groups(outputs1, groups, layer, patches_rng, kmeans_rng)
+        def paired_train_groups(maps, groups, layer, k, patch_rngs, kmeans_rngs):
+            result, zca = real_train_groups(maps, groups, layer, k, patch_rngs, kmeans_rngs)
             for g, group in enumerate(groups):
                 want = train_oracle.column_train_bank(
-                    outputs1[..., group], layer, layer.k_per_group,
-                    patches_rng.child(1 + g), kmeans_rng.child(g),
+                    maps[..., group], layer, k, patch_rngs[g], kmeans_rngs[g]
                 )
-                got_zca = ZcaTransform(zca.mean[g], zca.matrix[g], zca.epsilon)
-                pairs.append(((result.group(g), got_zca), want))
+                pairs.append((result, zca, g, want))
             return result, zca
 
-        monkeypatch.setattr(pipeline, "_train_bank", paired_train_bank)
         monkeypatch.setattr(pipeline, "_train_groups", paired_train_groups)
         cfg = toy_config(seeds=Seeds().shifted(base))
         train_network(cfg, stripe_dataset(8, side=64, seed=base))
         assert len(pairs) == 1 + cfg.layer1.k // cfg.layer2.group_size
-        for (result, zca), (want_filters, want_zca, want) in pairs:
-            for a, b in ((result.centroids, want_filters), (zca.mean, want_zca.mean),
-                         (zca.matrix, want_zca.matrix)):
+        for result, zca, g, (want_filters, want_zca, want) in pairs:
+            for a, b in ((result.centroids[g], want_filters), (zca.mean[g], want_zca.mean),
+                         (zca.matrix[g], want_zca.matrix)):
                 assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
-            assert (result.n_iters, result.converged) == (want.n_iters, want.converged)
+            assert (result.n_iters[g], result.converged[g]) == (want.n_iters, want.converged)
 
     def test_layer1_peaks_at_two_patch_copies(self):
-        # 5000 patches of 16 x 16: a 10 MB patch matrix
+        # 5000 patches of 16 x 16: a 10 MB patch matrix, sampled from a stack
+        # smaller (0.1 MB) and larger (13 MB) than it; a copy of the stack or
+        # of a channel of it would push the larger case past the bound
         layer = dataclasses.replace(toy_config().layer1, patch_side=16, n_patches=5000)
-        maps = np.random.default_rng(0).random((4, 64, 64, 1))
         copy_bytes = layer.n_patches * layer.patch_side**2 * 8
-        (result, _), peak = traced_peak(
-            pipeline._train_bank, maps, layer, SeededRng(1), SeededRng(2)
-        )
-        assert result.centroids.shape == (256, 16)
-        assert peak <= 2.2 * copy_bytes
+        for n_images in (4, 400):
+            maps = np.random.default_rng(0).random((n_images, 64, 64, 1))
+            (result, _), peak = traced_peak(
+                pipeline._train_groups, maps, np.zeros((1, 1), dtype=np.intp), layer,
+                layer.k, [SeededRng(1)], [SeededRng(2)],
+            )
+            assert result.centroids.shape == (1, 256, 16)
+            assert peak <= 2.2 * copy_bytes
 
 
 class TestBatchedKmeans:
@@ -606,9 +604,9 @@ class TestBatchedKmeans:
         """Check, on every k-means call training makes, that the norm-based
         k-means++ draws the centers the difference form draws."""
         calls = {"groups": 0}
-        real_kmeans, real_stack = pipeline.kmeans, pipeline.kmeans_stack
+        real_stack = pipeline.kmeans_stack
 
-        def check(points, k, rngs):
+        def checked_stack(points, k, max_iters, rngs):
             norms = np.einsum("gnd,gnd->gn", points, points)
             got = kmeans_mod._plusplus_init(points, norms, k, [r.generator() for r in rngs])
             for g, rng in enumerate(rngs):
@@ -616,16 +614,8 @@ class TestBatchedKmeans:
                 train_oracle.plusplus_init(points[g], k, rng.generator(), drawn)
                 assert np.array_equal(got[g], points[g][drawn])
             calls["groups"] += len(rngs)
-
-        def checked_kmeans(patches, k, max_iters, rng):
-            check(patches.data[None], k, [rng])
-            return real_kmeans(patches, k, max_iters, rng)
-
-        def checked_stack(points, k, max_iters, rngs):
-            check(points, k, rngs)
             return real_stack(points, k, max_iters, rngs)
 
-        monkeypatch.setattr(pipeline, "kmeans", checked_kmeans)
         monkeypatch.setattr(pipeline, "kmeans_stack", checked_stack)
         return calls
 
@@ -694,7 +684,11 @@ class TestBatchedKmeans:
             )[1]
             for g in range(len(groups))
         )
-        (result, _), peak = traced_peak(pipeline._train_groups, outputs1, groups, layer, prng, krng)
+        (result, _), peak = traced_peak(
+            pipeline._train_groups, outputs1, groups, layer, layer.k_per_group,
+            [prng.child(1 + g) for g in range(len(groups))],
+            [krng.child(g) for g in range(len(groups))],
+        )
         assert result.centroids.shape == (2, 36, 16)
         assert peak <= 1.1 * per_group
 
@@ -706,7 +700,9 @@ class TestBatchedKmeans:
         assert pipeline._CHUNK_ROWS // layer.n_patches >= len(groups)
         chunk_bytes = len(groups) * layer.n_patches * 36 * 8
         (result, zca), peak = traced_peak(
-            pipeline._train_groups, outputs1, groups, layer, SeededRng(1), SeededRng(3)
+            pipeline._train_groups, outputs1, groups, layer, layer.k_per_group,
+            [SeededRng(1).child(1 + g) for g in range(len(groups))],
+            [SeededRng(3).child(g) for g in range(len(groups))],
         )
         assert result.centroids.shape == (16, 36, 8)
         out_bytes = result.centroids.nbytes + zca.mean.nbytes + zca.matrix.nbytes

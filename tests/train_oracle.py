@@ -5,7 +5,11 @@ as stacked arrays: layer 1 sampled from a list of per-image (H, W, 1) maps,
 each layer-2 group from a fresh list of per-image (h, w, group_size) slices,
 and every patch was unrolled on its own by :func:`unroll_patch`. Its patches
 are (n, dim) rows like the package's, and tests compare
-:func:`cdfnet.pipeline.train_network` against it bitwise.
+:func:`cdfnet.pipeline.train_network` against it bitwise. Each bank is
+whitened by :func:`fit_zca` and :func:`apply_zca`, the one-matrix ZCA the
+package used before its ZCA took stacks; :func:`per_group_train_bank`
+learns one bank the same way. Of the package's filter learning these share
+only :func:`cdfnet.patches.normalize_rows`.
 
 :func:`column_train_bank` is the patches-as-columns path the package used
 before its patches became rows: each patch normalized on its own by
@@ -21,20 +25,14 @@ training oracles cluster with it.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from cdfnet.augment import expand_set, scale
-from cdfnet.kmeans import _BLOCK, FilterBank, KMeansResult
+from cdfnet.kmeans import _BLOCK, FilterBank
 from cdfnet.layer import make_groups, run_layer
-from cdfnet.patches import (
-    EIGENVALUE_FLOOR,
-    PatchMatrix,
-    ZcaTransform,
-    apply_zca,
-    fit_zca,
-    normalize_rows,
-)
-from cdfnet.patches import extract_patches as package_extract_patches
+from cdfnet.patches import EIGENVALUE_FLOOR, ZcaTransform, normalize_rows
 from cdfnet.pipeline import KMEANS_MAX_ITERS, NetworkModel
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
@@ -100,10 +98,14 @@ def _reseed_empty(points, labels, counts, sums, centroids, empty):
         centroids[cluster] = points[far]
 
 
-def per_group_kmeans(patches: PatchMatrix, k: int, max_iters: int, rng: SeededRng) -> KMeansResult:
-    """Lloyd iterations from a k-means++ start on one patch matrix, one group
-    per call; reseeds counts the points moved into emptied clusters."""
-    points = patches.data
+# One run of per_group_kmeans: centroids (dim, k) and scalar counts.
+Run = namedtuple("Run", "centroids sse_history n_iters converged reseeds")
+
+
+def per_group_kmeans(points: np.ndarray, k: int, max_iters: int, rng: SeededRng) -> Run:
+    """Lloyd iterations from a k-means++ start on one (n, dim) set of patch
+    rows, one group per call; reseeds counts the points moved into emptied
+    clusters."""
     gen = rng.generator()
     centroids = plusplus_init(points, k, gen)
     labels = None
@@ -126,7 +128,7 @@ def per_group_kmeans(patches: PatchMatrix, k: int, max_iters: int, rng: SeededRn
             reseeds += empty.size
         nonzero = counts > 0
         centroids[nonzero] = sums[nonzero] / counts[nonzero, None]
-    return KMeansResult(
+    return Run(
         centroids=np.ascontiguousarray(centroids.T),
         sse_history=tuple(history),
         n_iters=len(history),
@@ -141,8 +143,9 @@ def unroll_patch(maps: np.ndarray, row: int, col: int, p: int) -> np.ndarray:
     return np.ascontiguousarray(vol.transpose(2, 0, 1)).ravel()
 
 
-def extract_patches(maps_list, p: int, n_patches: int, rng: SeededRng) -> PatchMatrix:
-    """Image index, then row and column fractions; one patch per loop step."""
+def extract_patches(maps_list, p: int, n_patches: int, rng: SeededRng) -> np.ndarray:
+    """(n_patches, dim) rows sampled from a list of (H, W, depth) maps: image
+    index, then row and column fractions; one patch per loop step."""
     gen = rng.generator()
     img_idx = gen.integers(0, len(maps_list), size=n_patches)
     row_u = gen.random(n_patches)
@@ -154,15 +157,34 @@ def extract_patches(maps_list, p: int, n_patches: int, rng: SeededRng) -> PatchM
         row = int(row_u[j] * (maps.shape[0] - p + 1))
         col = int(col_u[j] * (maps.shape[1] - p + 1))
         data[j] = unroll_patch(maps, row, col, p)
-    return PatchMatrix(data, p, depth)
+    return data
+
+
+def fit_zca(patches: np.ndarray, epsilon: float) -> ZcaTransform:
+    """V (D + eps I)^(-1/2) V^T on the covariance of one (n, dim) set of rows."""
+    mean = patches.mean(axis=0)
+    centered = patches - mean
+    cov = (centered.T @ centered) / max(patches.shape[0] - 1, 1)
+    del centered
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals = np.maximum(eigvals, EIGENVALUE_FLOOR * max(float(eigvals[-1]), 0.0))
+    matrix = (eigvecs * (1.0 / np.sqrt(eigvals + epsilon))) @ eigvecs.T
+    return ZcaTransform(mean, (matrix + matrix.T) / 2.0, float(epsilon))
+
+
+def apply_zca(transform: ZcaTransform, patches: np.ndarray) -> np.ndarray:
+    """Rows x of one (n, dim) set whitened as x M^T - mu M^T."""
+    data = patches @ transform.matrix.T
+    data -= transform.mean @ transform.matrix.T
+    return data
 
 
 def per_group_train_bank(maps, layer, k, patch_rng, kmeans_rng):
-    """One bank's (filters, whitening) as the package learned it before layer-2
-    groups were batched: its own sampling, normalizing and whitening calls,
-    then :func:`per_group_kmeans`."""
-    patches = package_extract_patches(maps, layer.patch_side, layer.n_patches, patch_rng)
-    normalize_rows(patches.data)
+    """One bank's (filters, whitening) as the package learned it before its
+    groups were batched, from an (N, H, W, depth) stack: this module's
+    sampling and whitening, then :func:`per_group_kmeans`."""
+    patches = extract_patches(list(maps), layer.patch_side, layer.n_patches, patch_rng)
+    normalize_rows(patches)
     zca = fit_zca(patches, layer.zca_epsilon)
     patches = apply_zca(zca, patches)
     return per_group_kmeans(patches, k, KMEANS_MAX_ITERS, kmeans_rng).centroids, zca
@@ -170,22 +192,23 @@ def per_group_train_bank(maps, layer, k, patch_rng, kmeans_rng):
 
 def _train_bank(maps_list, layer, k, patch_rng, kmeans_rng, layer_index) -> FilterBank:
     patches = extract_patches(maps_list, layer.patch_side, layer.n_patches, patch_rng)
-    normalize_rows(patches.data)
+    normalize_rows(patches)
     zca = fit_zca(patches, layer.zca_epsilon)
     result = per_group_kmeans(apply_zca(zca, patches), k, KMEANS_MAX_ITERS, kmeans_rng)
-    return FilterBank(result.centroids, layer.patch_side, patches.depth, zca, layer_index)
+    depth = maps_list[0].shape[2]
+    return FilterBank(result.centroids, layer.patch_side, depth, zca, layer_index)
 
 
 def column_train_bank(
     maps: np.ndarray, layer, k: int, patch_rng: SeededRng, kmeans_rng: SeededRng
-) -> tuple[np.ndarray, ZcaTransform, KMeansResult]:
+) -> tuple[np.ndarray, ZcaTransform, Run]:
     """Filters, whitening and k-means result of one bank, patches as columns.
 
     Samples the same patches as the package from an (N, H, W, depth) stack
     and hands k-means the whitened columns as contiguous rows, the copy it
     used to make of them itself.
     """
-    rows = extract_patches(list(maps), layer.patch_side, layer.n_patches, patch_rng).data
+    rows = extract_patches(list(maps), layer.patch_side, layer.n_patches, patch_rng)
     cols = np.stack([normalize_patch(r) for r in rows], axis=1)  # (dim, n)
     mean = cols.mean(axis=1)
     centered = cols - mean[:, None]
@@ -195,11 +218,7 @@ def column_train_bank(
     matrix = (eigvecs * (1.0 / np.sqrt(eigvals + layer.zca_epsilon))) @ eigvecs.T
     zca = ZcaTransform(mean, (matrix + matrix.T) / 2.0, layer.zca_epsilon)
     white = zca.matrix @ (cols - zca.mean[:, None])
-    depth = maps.shape[-1]
-    result = per_group_kmeans(
-        PatchMatrix(np.ascontiguousarray(white.T), layer.patch_side, depth),
-        k, KMEANS_MAX_ITERS, kmeans_rng,
-    )
+    result = per_group_kmeans(np.ascontiguousarray(white.T), k, KMEANS_MAX_ITERS, kmeans_rng)
     return result.centroids, zca, result
 
 
