@@ -17,8 +17,7 @@ from .augment import AugmentPlan
 from .errors import FormatError, InvalidK, InvalidWindow
 from .layer import RECTIFIERS
 from .stl10 import NUM_FOLDS
-
-DESCRIPTOR_MODES = ("layer2_only", "concat_layers")
+from .tensor import SeededRng
 
 
 def _signed_pool_alpha(alpha: float) -> bool:
@@ -61,7 +60,6 @@ class Layer1Config:
     lcn_sigma: float = 2.25
     zca_epsilon: float = 0.01
     n_patches: int = 400_000
-    dense_preprocess: bool = True
 
     def __post_init__(self):
         _check_layer(self, "k")
@@ -79,7 +77,6 @@ class Layer2Config:
     lcn_sigma: float = 0.75
     zca_epsilon: float = 0.1
     n_patches: int = 200_000
-    dense_preprocess: bool = True
 
     def __post_init__(self):
         _check_layer(self, "k_per_group")
@@ -93,6 +90,13 @@ class Seeds:
     kmeans1: int = 2
     kmeans2: int = 3
     grouping: int = 4
+
+    def __post_init__(self):
+        for f in fields(self):
+            try:
+                SeededRng(getattr(self, f.name))
+            except ValueError as exc:
+                raise ValueError(f"seeds.{f.name} = {getattr(self, f.name)}: {exc}") from None
 
     def shifted(self, base: int) -> "Seeds":
         """Derive all four seeds from one base seed (CLI --seed override)."""
@@ -115,7 +119,6 @@ class NetworkConfig:
     layer2: Layer2Config = field(default_factory=Layer2Config)
     augment: AugmentPlan = field(default_factory=AugmentPlan)
     seeds: Seeds = field(default_factory=Seeds)
-    descriptor_mode: str = "layer2_only"
     svm_reg_c: float = 1.0
 
     def __post_init__(self):
@@ -123,10 +126,6 @@ class NetworkConfig:
             raise ValueError(f"network name must be non-empty without spaces: {self.name!r}")
         if self.rectifier not in RECTIFIERS:
             raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {self.rectifier!r}")
-        if self.descriptor_mode not in DESCRIPTOR_MODES:
-            raise ValueError(
-                f"descriptor_mode must be one of {DESCRIPTOR_MODES}, got {self.descriptor_mode!r}"
-            )
         if self.scale_factor is not None and not 0.0 < self.scale_factor <= 1.0:
             raise ValueError(f"scale_factor must be in (0, 1], got {self.scale_factor}")
         if not (math.isfinite(self.svm_reg_c) and self.svm_reg_c > 0):
@@ -158,6 +157,13 @@ def _format_float(x: float) -> str:
 # INI keys that differ from their dataclass field names
 _RENAMED = {"k": "filters", "k_per_group": "filters_per_group", "n_patches": "patches"}
 _OPTIONAL_SECTIONS = ("augment", "seeds")
+# Retired options that older files still carry: each is read only in its old
+# section and only at the one value the code keeps, then dropped.
+_RETIRED = {
+    "network": {"descriptor_mode": "layer2_only"},
+    "layer1": {"dense_preprocess": True},
+    "layer2": {"dense_preprocess": True},
+}
 
 # field type -> (parse INI text, format value as INI text)
 _CODECS = {
@@ -223,6 +229,17 @@ def _read_section(cp: configparser.ConfigParser, section: str, cls) -> dict:
                 values[name] = _CODECS[tp][0](given.pop(key))
             except ValueError as exc:
                 raise FormatError(f"bad network config: {section}.{key}: {exc}") from exc
+    for key, kept in _RETIRED.get(section, {}).items():
+        parse, show = _CODECS[type(kept)]
+        try:
+            ok = parse(given.pop(key, show(kept))) == kept
+        except ValueError:
+            ok = False
+        if not ok:
+            raise FormatError(
+                f"bad network config: {section}.{key}: the option was removed; "
+                f"only {show(kept)} is still read"
+            )
     if given:
         raise FormatError(f"bad network config: unknown key {section}.{min(given)}")
     return values

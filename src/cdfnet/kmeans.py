@@ -34,7 +34,7 @@ class FilterBank:
     filters: np.ndarray
     patch_side: int
     depth: int
-    whitening: ZcaTransform | None = None
+    whitening: ZcaTransform
     layer_index: int = 0
 
     def __post_init__(self):
@@ -48,9 +48,7 @@ class FilterBank:
         if filters.shape[-1] < 1:
             raise DimError("filter bank must contain at least one filter")
         assert_array_finite(filters, what="filter bank")
-        if self.whitening is not None and self.whitening.mean.shape != (
-            *filters.shape[:-2], expected
-        ):
+        if self.whitening.mean.shape != (*filters.shape[:-2], expected):
             raise DimError(
                 f"whitening mean {self.whitening.mean.shape} does not match "
                 f"filters {filters.shape}"
@@ -79,17 +77,9 @@ class FilterBank:
         rounded once to the forward pass's float32. Derived once per bank
         and never stored in containers.
         """
-        if self.whitening is None:
-            raise DimError("dense_preprocess requires a whitening transform")
         g = self.whitening.matrix @ self.filters
         c = self.whitening.mean[..., None, :] @ g
         return g.astype(np.float32), c.astype(np.float32)
-
-    @cached_property
-    def filters32(self) -> np.ndarray:
-        """The filters rounded once to float32, for a forward pass without
-        dense_preprocess."""
-        return self.filters.astype(np.float32)
 
 
 @dataclass(frozen=True)

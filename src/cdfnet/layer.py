@@ -12,9 +12,9 @@ functions are pure, so images can be processed in parallel without
 coordination.
 
 The forward pass computes in float32: the convolution rounds its input maps
-and the bank's cached filters (:attr:`FilterBank.whitened_filters`,
-:attr:`FilterBank.filters32`) once, and every later stage keeps its input's
-dtype. Filter learning and the descriptors handed to the SVM stay float64.
+and the bank's whitened filters (:attr:`FilterBank.whitened_filters`) once,
+and every later stage keeps its input's dtype. Filter learning and the
+descriptors handed to the SVM stay float64.
 """
 
 from __future__ import annotations
@@ -59,39 +59,38 @@ def dense_patches(maps: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, int]
     return rows.reshape(*lead, out_h * out_w, -1), (out_h, out_w)
 
 
-def _convolve(maps: np.ndarray, bank: FilterBank, dense_preprocess: bool) -> np.ndarray:
+def _convolve(maps: np.ndarray, bank: FilterBank) -> np.ndarray:
     """(..., H, W, depth) maps against a bank of the same leading shape: (..., H', W', K).
 
-    Every filter meets every patch position by a dot product, stride 1, in
-    float32: the maps are rounded once, the filters are the bank's cached
-    float32 ones, and the patch rows and the output are float32.
-    With dense_preprocess each patch is normalized and whitened with the
-    bank's training-time transform first, so inference sees the space the
-    filters were trained in; the whitening is folded into the filters
-    (:attr:`FilterBank.whitened_filters`). Works through a band of output
-    rows of a few leading indices at a time, so the patch copy holds about
-    _CONV_ROWS patches, not one per output position. The band's rows do
-    not depend on the leading shape, because BLAS rounds a product
+    Every patch position, stride 1, is normalized and whitened with the
+    bank's training-time transform and then meets every filter by a dot
+    product, so inference sees the space the filters were learned in. The
+    whitening is folded into the filters (:attr:`FilterBank.whitened_filters`),
+    so a patch is normalized in place, multiplied by the folded filters and
+    shifted by their offset. All of it is float32: the maps are rounded once,
+    and the patch rows and the output are float32. Works through a band of
+    output rows of a few leading indices at a time, so the patch copy holds
+    about _CONV_ROWS patches, not one per output position. The band's rows
+    do not depend on the leading shape, because BLAS rounds a product
     differently when its row count changes.
     """
     p = bank.patch_side
-    weights, offset = bank.whitened_filters if dense_preprocess else (bank.filters32, None)
+    weights, offset = bank.whitened_filters
     lead = maps.shape[:-3]
     out_h, out_w = conv_output_shape(*maps.shape[-3:-1], p)
     maps = maps.reshape(-1, *maps.shape[-3:]).astype(np.float32, copy=False)
     weights = weights.reshape(-1, *weights.shape[-2:])
+    offset = offset.reshape(-1, 1, bank.k)
     out = np.empty((len(maps), out_h * out_w, bank.k), dtype=np.float32)
     band = max(1, _CONV_ROWS // out_w)
     chunk = max(1, _CONV_ROWS // (min(band, out_h) * out_w))
     for lo in range(0, len(maps), chunk):
         for top in range(0, out_h, band):
             rows, _ = dense_patches(maps[lo : lo + chunk, top : top + band + p - 1], p)
-            if dense_preprocess:
-                normalize_rows(rows)
+            normalize_rows(rows)
             block = out[lo : lo + chunk, top * out_w : (top + band) * out_w]
             np.matmul(rows, weights[lo : lo + chunk], out=block)
-            if offset is not None:
-                block -= offset.reshape(-1, 1, bank.k)[lo : lo + chunk]
+            block -= offset[lo : lo + chunk]
     return out.reshape(*lead, out_h, out_w, bank.k)
 
 
@@ -200,7 +199,7 @@ def _forward(
     if bank.patch_side != cfg.patch_side:
         raise DimError(f"filter side {bank.patch_side} is not the layer's {cfg.patch_side}")
     layer_output_shape(*maps.shape[-3:-1], bank.k, cfg, rectifier)
-    maps = _rectify(_convolve(maps, bank, cfg.dense_preprocess), rectifier)
+    maps = _rectify(_convolve(maps, bank), rectifier)
     _lcn_subtract(maps, cfg.lcn_window, cfg.lcn_sigma)
     _lcn_divide(maps, cfg.lcn_window, cfg.lcn_sigma)
     out = _pool(maps, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)

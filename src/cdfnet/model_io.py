@@ -19,6 +19,7 @@ files, predictions and reports go through.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import uuid
@@ -96,8 +97,7 @@ def read_container(path) -> tuple[dict[str, np.ndarray], str]:
             shape = tuple(
                 _read_struct(fh, path, "<Q")[0] for _ in range(ndim)
             )
-            n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            payload = _read_exact(fh, path, n_items * 8)
+            payload = _read_exact(fh, path, math.prod(shape) * 8)
             tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         config_len = _read_struct(fh, path, "<Q")[0]
         config_text = _read_exact(fh, path, config_len).decode("utf-8")
@@ -107,10 +107,12 @@ def read_container(path) -> tuple[dict[str, np.ndarray], str]:
 
 
 def _read_exact(fh, path, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"{path}: truncated container (wanted {n} bytes, got {len(data)})")
-    return data
+    """The next n bytes; a size that a corrupt header declares is checked
+    against the bytes left in the file before any buffer is made for it."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise FormatError(f"{path}: truncated container (wanted {n} bytes, {left} left)")
+    return fh.read(n)
 
 
 def _read_struct(fh, path, fmt: str):

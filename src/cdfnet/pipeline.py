@@ -230,13 +230,9 @@ def _descriptor_rows(model: NetworkModel, outputs1, n_images: int) -> np.ndarray
     layer-1 maps in memory.
     """
     cfg = model.config
-    _, l2, n_groups, dim = _layer_shapes(cfg, *model.input_shape)
-    n2 = n_groups * l2[0] * l2[1] * l2[2]
-    descriptors = np.empty((n_images, dim))
+    descriptors = np.empty((n_images, _layer_shapes(cfg, *model.input_shape)[3]))
     for row, out1 in zip(descriptors, outputs1):
-        row[:n2] = run_groups(out1, model.groups, model.bank2, cfg.layer2, cfg.rectifier).ravel()
-        if cfg.descriptor_mode == "concat_layers":
-            row[n2:] = out1.ravel()
+        row[:] = run_groups(out1, model.groups, model.bank2, cfg.layer2, cfg.rectifier).ravel()
     return descriptors
 
 
@@ -279,10 +275,7 @@ def _layer_shapes(cfg: NetworkConfig, height: int, width: int):
         raise InvalidGrouping(
             f"group size {cfg.layer2.group_size} does not divide {l1[2]} feature maps"
         )
-    dim = n_groups * l2[0] * l2[1] * l2[2]
-    if cfg.descriptor_mode == "concat_layers":
-        dim += l1[0] * l1[1] * l1[2]
-    return l1, l2, n_groups, dim
+    return l1, l2, n_groups, n_groups * l2[0] * l2[1] * l2[2]
 
 
 # -- persistence --------------------------------------------------------------

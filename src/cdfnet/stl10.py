@@ -19,7 +19,6 @@ BYTES_PER_IMAGE = IMAGE_SIDE * IMAGE_SIDE * 3  # 27648
 LOAD_BLOCK = 64  # images converted to grayscale together by load_stl10
 NUM_CLASSES = 10
 NUM_FOLDS = 10
-FOLD_SIZE = 1000
 TRAIN_SIZE = 5000
 
 

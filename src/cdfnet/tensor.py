@@ -15,12 +15,10 @@ import numpy as np
 
 from .errors import NonFiniteValue
 
-# Every stochastic step in the package draws from this one generator family.
-# Philox is counter-based and numpy's SeedSequence hashing is documented and
-# stable, so a (seed, stream-path) pair fully determines the draw sequence.
-ALGORITHM_ID = "philox4x64-10+numpy-seedseq"
-
-
+# Every stochastic step in the package draws from this one generator family,
+# Philox 4x64-10 seeded through numpy's SeedSequence. Philox is counter-based
+# and SeedSequence hashing is documented and stable, so a (seed, stream-path)
+# pair fully determines the draw sequence.
 @dataclass(frozen=True)
 class SeededRng:
     """A reproducible random source identified by a seed and a stream path.

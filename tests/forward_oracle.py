@@ -27,15 +27,15 @@ def normalize_patch(patch: np.ndarray) -> np.ndarray:
     return scaled - scaled.mean()
 
 
-def _convolve(maps, bank, dense_preprocess):
+def _convolve(maps, bank):
+    """(H, W, depth) maps against one (d, K) bank: every patch normalized,
+    whitened with the bank's transform, then multiplied by the filters."""
     p = bank.patch_side
     windows = sliding_window_view(maps, (p, p), axis=(0, 1))
     out_h, out_w = windows.shape[:2]
-    cols = np.ascontiguousarray(windows.reshape(out_h * out_w, -1).T)
-    if dense_preprocess:
-        cols = np.stack([normalize_patch(c) for c in cols.T], axis=1)
-        zca = bank.whitening
-        cols = zca.matrix @ (cols - zca.mean[:, None])
+    cols = np.stack([normalize_patch(c) for c in windows.reshape(out_h * out_w, -1)], axis=1)
+    zca = bank.whitening
+    cols = zca.matrix @ (cols - zca.mean[:, None])
     return (bank.filters.T @ cols).T.reshape(out_h, out_w, bank.k)
 
 
@@ -79,7 +79,7 @@ def _pool(maps, side, stride, alpha):
 
 
 def run_layer(maps, bank, cfg, rectifier):
-    out = _convolve(maps, bank, cfg.dense_preprocess)
+    out = _convolve(maps, bank)
     out = _lcn(_rectify(out, rectifier), cfg.lcn_window, cfg.lcn_sigma)
     return _pool(out, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)
 
@@ -103,13 +103,10 @@ def extract_descriptors(model, images):
         if cfg.scale_factor is not None and cfg.scale_factor != 1.0:
             img = scale(img, cfg.scale_factor)
         out1 = run_layer(img.pixels[:, :, None], model.bank1, cfg.layer1, cfg.rectifier)
-        parts = [
+        rows.append(np.concatenate([
             run_layer(
                 out1[:, :, list(group)], group_bank(model.bank2, g), cfg.layer2, cfg.rectifier
             ).ravel()
             for g, group in enumerate(model.groups)
-        ]
-        if cfg.descriptor_mode == "concat_layers":
-            parts.append(out1.ravel())
-        rows.append(np.concatenate(parts))
+        ]))
     return np.array(rows)

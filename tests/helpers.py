@@ -8,12 +8,15 @@ exercising the full train/score path.
 
 from __future__ import annotations
 
+import struct
 import tracemalloc
 
 import numpy as np
 
 from cdfnet import AugmentPlan, LabeledImage
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds
+from cdfnet.model_io import MAGIC, VERSION
+from cdfnet.patches import ZcaTransform
 
 
 def stripe_image(horizontal: bool, side: int, noise: float, rng: np.random.Generator):
@@ -117,6 +120,17 @@ def micro_config(name: str = "micro", seeds: Seeds = Seeds(1, 2, 3, 4)) -> Netwo
         seeds=seeds,
         svm_reg_c=16.0,
     )
+
+
+def identity_whitening(dim: int, lead: tuple[int, ...] = ()) -> ZcaTransform:
+    """The whitening that leaves a normalized patch as it is, stacked over lead."""
+    return ZcaTransform(np.zeros((*lead, dim)), np.broadcast_to(np.eye(dim), (*lead, dim, dim)), 0.1)
+
+
+def container_declaring(dims) -> bytes:
+    """Container bytes whose one tensor, named x, declares dims but holds no payload."""
+    header = MAGIC + struct.pack("<III", VERSION, 1, 1) + b"x" + struct.pack("<I", len(dims))
+    return header + b"".join(struct.pack("<Q", d) for d in dims)
 
 
 def stl10_bytes(images01: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from cdfnet.pipeline import (
 from cdfnet.stl10 import LabeledImage
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
+from forward_oracle import normalize_patch
 from helpers import assert_near_oracle, stripe_dataset, toy_config
 from train_oracle import unroll_patch
 
@@ -121,12 +122,13 @@ def _check_convolution_oracle():
         depth = int(rng.integers(1, 4))
         k = int(rng.integers(1, 5))
         maps = rng.standard_normal((h, w, depth))
-        bank = FilterBank(rng.standard_normal((p * p * depth, k)), p, depth)
-        got = _convolve(maps, bank, dense_preprocess=False)
+        zca = fit_zca(rng.random((200, p * p * depth)), 0.1)
+        bank = FilterBank(rng.standard_normal((p * p * depth, k)), p, depth, zca)
+        got = _convolve(maps, bank)
         want = np.empty(got.shape)
         for i in range(h - p + 1):
             for j in range(w - p + 1):
-                patch = unroll_patch(maps, i, j, p)
+                patch = zca.matrix @ (normalize_patch(unroll_patch(maps, i, j, p)) - zca.mean)
                 for f in range(k):
                     want[i, j, f] = patch @ bank.filters[:, f]
         assert_near_oracle(got, want)  # the forward pass is float32
@@ -195,7 +197,7 @@ def test_criterion_2_shape_arithmetic():
         )
         full = NetworkModel(cfg, bank1, groups, bank2, (96, 96))
         img = LabeledImage(rng.random((96, 96)), 0, image_id=0)
-        conv = _convolve(img.pixels[:, :, None], bank1, dense_preprocess=True)
+        conv = _convolve(img.pixels[:, :, None], bank1)
         assert conv.shape == (81, 81, 300)
         out1 = run_layer(FeatureMapSet(img.pixels[:, :, None], 0), bank1, cfg.layer1, cfg.rectifier)
         assert out1.maps.shape == (6, 6, 300)

@@ -21,7 +21,7 @@ from cdfnet.pipeline import load_model, save_svm
 from cdfnet.svm import train_ova_svm
 from cdfnet.stl10 import write_stl10_images, write_stl10_labels
 
-from helpers import micro_config, stl10_bytes, stripe_dataset
+from helpers import container_declaring, micro_config, stl10_bytes, stripe_dataset
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,42 @@ class TestTrain:
         rc = run("train", "--config", ws / "nope.ini", "--train-x", ws / "train_X.bin",
                  "--train-y", ws / "train_y.bin", "--out", ws / "x.model")
         assert rc == 2
+
+    @staticmethod
+    def _no_image_reads(monkeypatch):
+        def never(*args):
+            raise AssertionError("images read")
+
+        monkeypatch.setattr(cli, "load_stl10", never)
+
+    @pytest.mark.parametrize("seed", [-1, 2**62])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_out_of_range_seed_base_fails_before_images(self, ws, capsys, monkeypatch,
+                                                        command, seed):
+        # 2**62 * 4 + 3 is past the 64-bit seed range
+        self._no_image_reads(monkeypatch)
+        data = ["--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin"]
+        if command == "train":
+            rc = run("train", "--config", ws / "m1.ini", *data, "--seed", seed,
+                     "--out", ws / "x.model")
+        else:
+            rc = run("evaluate", "--config", ws / "exp.ini", *data,
+                     "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
+                     "--folds", ws / "folds.txt", "--seed", seed)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seeds.") and "64-bit" in err and err.count("\n") == 1
+
+    def test_out_of_range_config_seed_fails_at_load(self, ws, tmp_path, capsys, monkeypatch):
+        self._no_image_reads(monkeypatch)
+        text = network_config_to_text(micro_config("m1")).replace("kmeans2 = 3", "kmeans2 = -3")
+        (tmp_path / "bad.ini").write_text(text)
+        rc = run("train", "--config", tmp_path / "bad.ini", "--train-x", ws / "train_X.bin",
+                 "--train-y", ws / "train_y.bin", "--out", tmp_path / "x.model")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad network config: seeds.kmeans2 = -3")
+        assert err.count("\n") == 1
 
 
 class TestChain:
@@ -205,6 +241,16 @@ class TestChain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "layer2/filters" in err
+
+    @pytest.mark.parametrize("dims", [(2**33,), (2**61,)], ids=str)
+    def test_corrupt_header_size_rejected(self, ws, tmp_path, capsys, dims):
+        model = tmp_path / "bad.model"
+        model.write_bytes(container_declaring(dims))
+        rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
+                 "--out", tmp_path / "bad.desc")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: truncated container") and err.count("\n") == 1
 
     def test_group_count_mismatch_rejected(self, ws, trained_model, capsys):
         tensors, text = read_container(trained_model)

@@ -29,14 +29,13 @@ def _full_config():
         scale_factor=1.0 / 3.0,
         layer1=Layer1Config(k=96, patch_side=8, pool_side=4, pool_stride=4,
                             pool_alpha=4.0, lcn_window=5, lcn_sigma=1.25,
-                            zca_epsilon=0.05, n_patches=12345, dense_preprocess=False),
+                            zca_epsilon=0.05, n_patches=12345),
         layer2=Layer2Config(k_per_group=10, patch_side=2, group_size=8,
                             pool_side=2, pool_stride=1, pool_alpha=2.0,
                             lcn_window=5, lcn_sigma=0.5, zca_epsilon=0.2,
-                            n_patches=777, dense_preprocess=False),
+                            n_patches=777),
         augment=AugmentPlan(mirror=True, rotations_deg=(-10.0, 10.0)),
         seeds=Seeds(patches=11, kmeans1=22, kmeans2=33, grouping=44),
-        descriptor_mode="concat_layers",
         svm_reg_c=32.0,
     )
 
@@ -82,8 +81,8 @@ class TestParseFraction:
 class TestRoundTrip:
     def test_full_round_trip(self):
         cfg = _full_config()
-        # each of the 32 scalar fields holds a non-default value
-        assert len(_scalar_diffs(cfg, NetworkConfig())) == 32
+        # each of the 29 scalar fields holds a non-default value
+        assert len(_scalar_diffs(cfg, NetworkConfig())) == 29
         assert network_config_from_text(network_config_to_text(cfg)) == cfg
 
     @pytest.mark.parametrize("text", _texts_missing_one_key(_full_config()))
@@ -151,7 +150,7 @@ class TestParsing:
     def test_bad_bool(self):
         with pytest.raises(FormatError):
             network_config_from_text(
-                "[network]\n[layer1]\ndense_preprocess = maybe\n[layer2]\n"
+                "[network]\n[layer1]\n[layer2]\n[augment]\nmirror = maybe\n"
             )
 
     @pytest.mark.parametrize(
@@ -163,6 +162,9 @@ class TestParsing:
             ("augment", "mirorr = true", "augment.mirorr"),
             ("augment", "scale_factor = 0.5", "augment.scale_factor"),
             ("sedes", "patches = 5", "sedes"),
+            # the retired keys are read only in the sections that held them
+            ("network", "dense_preprocess = true", "network.dense_preprocess"),
+            ("layer2", "descriptor_mode = layer2_only", "layer2.descriptor_mode"),
         ],
     )
     def test_unknown_name_rejected(self, section, line, name):
@@ -180,8 +182,9 @@ class TestValidation:
             NetworkConfig(name="")
 
     def test_descriptor_mode_checked(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(descriptor_mode="layer9")
+        # the option is retired; older files may only name the kept value
+        with pytest.raises(FormatError, match="network.descriptor_mode: .*removed"):
+            network_config_from_text("[network]\ndescriptor_mode = layer9\n[layer1]\n[layer2]\n")
 
     def test_scale_factor_bounds(self):
         with pytest.raises(ValueError):
@@ -219,6 +222,62 @@ class TestSeeds:
         t = Seeds().shifted(8)
         assert len({s.patches, s.kmeans1, s.kmeans2, s.grouping,
                     t.patches, t.kmeans1, t.kmeans2, t.grouping}) == 8
+
+    @pytest.mark.parametrize("field, value", [("kmeans2", -3), ("patches", 2**64)])
+    def test_out_of_range_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"seeds.{field}"):
+            Seeds(**{field: value})
+        with pytest.raises(FormatError, match=f"seeds.{field}"):
+            network_config_from_text(f"[network]\n[layer1]\n[layer2]\n[seeds]\n{field} = {value}\n")
+
+    def test_largest_seeds_accepted(self):
+        top = 2**64 - 1
+        assert Seeds(top, top, top, top).grouping == top
+        assert Seeds().shifted((2**64 - 4) // 4).grouping == top
+
+    @pytest.mark.parametrize("base", [-1, 2**62])
+    def test_shifted_out_of_range_rejected(self, base):
+        # 2**62 * 4 + 3 is past the 64-bit range; -1 * 4 is below it
+        with pytest.raises(ValueError, match="64-bit"):
+            Seeds().shifted(base)
+
+
+def _with_retired_keys(text, value1="true", value2="true"):
+    """text with the retired keys in the places older files held them."""
+    for header, line in (
+        ("[network]\n", "descriptor_mode = layer2_only\n"),
+        ("[layer1]\n", f"dense_preprocess = {value1}\n"),
+        ("[layer2]\n", f"dense_preprocess = {value2}\n"),
+    ):
+        head, _, tail = text.partition(header)
+        text = head + header + line + tail
+    return text
+
+
+class TestRetiredKeys:
+    """dense_preprocess and descriptor_mode are gone; older files still load."""
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
+    @pytest.mark.parametrize("spelling", ["true", "yes"])
+    def test_kept_values_load_as_without(self, path, spelling):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        old = _with_retired_keys(text, spelling, spelling)
+        assert old != text
+        assert network_config_from_text(old) == network_config_from_text(text)
+
+    @pytest.mark.parametrize(
+        "values, name",
+        [
+            (dict(value1="false"), "layer1.dense_preprocess"),
+            (dict(value2="maybe"), "layer2.dense_preprocess"),
+        ],
+    )
+    def test_other_values_rejected(self, values, name):
+        # descriptor_mode's case is TestValidation::test_descriptor_mode_checked
+        text = _with_retired_keys(network_config_to_text(NetworkConfig()), **values)
+        with pytest.raises(FormatError, match=re.escape(name) + ".*removed"):
+            network_config_from_text(text)
 
 
 class TestExperiment:

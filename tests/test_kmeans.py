@@ -7,7 +7,7 @@ from cdfnet.patches import ZcaTransform, fit_zca
 from cdfnet.tensor import SeededRng
 
 import train_oracle
-from helpers import assert_near_oracle
+from helpers import assert_near_oracle, identity_whitening
 
 
 def _pm(values):
@@ -159,17 +159,17 @@ class TestSse:
 class TestFilterBank:
     def test_shape_validation(self):
         with pytest.raises(DimError):
-            FilterBank(np.zeros((5, 2)), 2, 1)  # 2*2*1 = 4 != 5
+            FilterBank(np.zeros((5, 2)), 2, 1, identity_whitening(5))  # 2*2*1 = 4 != 5
 
     def test_needs_filters(self):
         with pytest.raises(DimError):
-            FilterBank(np.zeros((4, 0)), 2, 1)
+            FilterBank(np.zeros((4, 0)), 2, 1, identity_whitening(4))
 
     def test_rejects_nonfinite(self):
         bad = np.zeros((4, 2))
         bad[1, 1] = np.inf
         with pytest.raises(NonFiniteValue):
-            FilterBank(bad, 2, 1)
+            FilterBank(bad, 2, 1, identity_whitening(4))
 
 
 class TestReseed:
@@ -219,8 +219,6 @@ class TestWhitenedFilters:
         expect = bank.filters.T @ (zca.matrix @ (x - zca.mean[:, None]))
         assert_near_oracle(g.T @ x - c.T, expect)
         assert bank.whitened_filters[0] is g  # derived once per bank
-        assert bank.filters32.dtype == np.float32 and bank.filters32 is bank.filters32
-        assert np.array_equal(bank.filters32, bank.filters.astype(np.float32))
 
     def test_stack_equals_each_bank_bitwise(self):
         rng = np.random.default_rng(5)
@@ -241,8 +239,9 @@ class TestWhitenedFilters:
             FilterBank(np.ones((3, 4, 2)), 2, 1, zca)
 
     def test_needs_whitening(self):
-        with pytest.raises(DimError):
-            FilterBank(np.ones((4, 2)), 2, 1).whitened_filters
+        # the filters only mean something in the whitened space they were learned in
+        with pytest.raises(TypeError, match="whitening"):
+            FilterBank(np.ones((4, 2)), 2, 1)
 
 
 class TestKmeansStack:

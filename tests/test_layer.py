@@ -29,7 +29,7 @@ from cdfnet.patches import fit_zca, ZcaTransform
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from forward_oracle import gaussian_window, normalize_patch
-from helpers import assert_near_oracle
+from helpers import assert_near_oracle, identity_whitening
 from train_oracle import unroll_patch
 
 
@@ -38,25 +38,27 @@ def _fmset(arr):
 
 
 def _bank(filters, p, depth, whitening=None):
-    return FilterBank(np.asarray(filters, dtype=np.float64), p, depth, whitening)
+    """A bank of the given filters; without a whitening, the identity one."""
+    filters = np.asarray(filters, dtype=np.float64)
+    if whitening is None:
+        whitening = identity_whitening(filters.shape[-2], filters.shape[:-2])
+    return FilterBank(filters, p, depth, whitening)
 
 
 def _stack(banks):
     """The (G, d, K) bank of equal-shaped banks, whitening stacked too."""
-    whitening = None
-    if banks[0].whitening is not None:
-        whitening = ZcaTransform(
-            np.stack([b.whitening.mean for b in banks]),
-            np.stack([b.whitening.matrix for b in banks]),
-            banks[0].whitening.epsilon,
-        )
+    whitening = ZcaTransform(
+        np.stack([b.whitening.mean for b in banks]),
+        np.stack([b.whitening.matrix for b in banks]),
+        banks[0].whitening.epsilon,
+    )
     return FilterBank(
         np.stack([b.filters for b in banks]), banks[0].patch_side, banks[0].depth, whitening, 2
     )
 
 
-def _conv(maps, bank, dense_preprocess=False):
-    return _convolve(np.asarray(maps, dtype=np.float64), bank, dense_preprocess)
+def _conv(maps, bank):
+    return _convolve(np.asarray(maps, dtype=np.float64), bank)
 
 
 def _rect(maps, rectifier):
@@ -79,54 +81,60 @@ def _lcn_div(maps, window, sigma):
 def _layer1(**kw):
     base = dict(
         pool_side=2, pool_stride=2, pool_alpha=1.0, lcn_window=3, lcn_sigma=0.75,
-        dense_preprocess=False,
     )
     base.update(kw)
     return Layer1Config(**base)
 
 
-def _conv_oracle(maps, filters, p):
-    """Triple-loop dot-product convolution, depth-major unroll."""
-    h, w, depth = maps.shape
-    k = filters.shape[1]
-    out = np.zeros((h - p + 1, w - p + 1, k))
+def _conv_oracle(maps, bank):
+    """Triple-loop convolution of one bank in float64, depth-major unroll:
+    each patch normalized and whitened on its own, then one dot product per
+    filter."""
+    p, zca = bank.patch_side, bank.whitening
+    h, w, _ = maps.shape
+    out = np.zeros((h - p + 1, w - p + 1, bank.k))
     for j in range(h - p + 1):
         for i in range(w - p + 1):
-            x = unroll_patch(maps, j, i, p)
-            for f in range(k):
-                out[j, i, f] = float(x @ filters[:, f])
+            x = zca.matrix @ (normalize_patch(unroll_patch(maps, j, i, p)) - zca.mean)
+            for f in range(bank.k):
+                out[j, i, f] = float(x @ bank.filters[:, f])
     return out
 
 
 class TestConvolve:
     def test_delta_filter_selects_window_corner(self):
+        # under the identity whitening, the corner of each normalized window
         rng = np.random.default_rng(0)
         maps = rng.random((5, 5, 1))
         delta = np.zeros((9, 1))
         delta[0, 0] = 1.0
         out = _conv(maps, _bank(delta, 3, 1))
         assert out.shape == (3, 3, 1)
-        assert np.allclose(out[:, :, 0], maps[:3, :3, 0], atol=1e-15)
+        corners = [[normalize_patch(maps[j : j + 3, i : i + 3, 0])[0, 0] for i in range(3)]
+                   for j in range(3)]
+        assert_near_oracle(out[:, :, 0], corners)
 
     def test_constant_input_sums_filter(self):
+        # a constant patch normalizes to zero, so the response is the offset
+        # -mu^T M F alone; with mu = -1 and M = I that is each filter's sum
         filt = np.arange(4.0).reshape(4, 1)
-        out = _conv(np.ones((5, 5, 1)), _bank(filt, 2, 1))
-        assert np.allclose(out, filt.sum(), atol=1e-12)
+        bank = _bank(filt, 2, 1, whitening=ZcaTransform(-np.ones(4), np.eye(4), 0.1))
+        out = _conv(np.full((5, 5, 1), 0.3), bank)
+        assert np.array_equal(out, np.full((4, 4, 1), filt.sum()))
 
     def test_random_5x5_vs_triple_loop(self):
         rng = np.random.default_rng(1)
         maps = rng.random((5, 5, 1))
-        filters = rng.standard_normal((9, 4))
-        out = _conv(maps, _bank(filters, 3, 1))
-        assert np.allclose(out, _conv_oracle(maps, filters, 3), atol=1e-12)
+        bank = _bank(rng.standard_normal((9, 4)), 3, 1)
+        assert_near_oracle(_conv(maps, bank), _conv_oracle(maps, bank))
 
     def test_multi_depth_vs_triple_loop(self):
         rng = np.random.default_rng(2)
         maps = rng.random((7, 6, 3))
-        filters = rng.standard_normal((2 * 2 * 3, 5))
-        out = _conv(maps, _bank(filters, 2, 3))
+        bank = _bank(rng.standard_normal((2 * 2 * 3, 5)), 2, 3)
+        out = _conv(maps, bank)
         assert out.dtype == np.float32
-        assert_near_oracle(out, _conv_oracle(maps, filters, 2))
+        assert_near_oracle(out, _conv_oracle(maps, bank))
 
     def test_many_random_instances_vs_oracle(self):
         rng = np.random.default_rng(3)
@@ -137,19 +145,13 @@ class TestConvolve:
             p = int(rng.integers(1, min(h, w) + 1))
             k = int(rng.integers(1, 5))
             maps = rng.standard_normal((h, w, depth))
-            filters = rng.standard_normal((p * p * depth, k))
-            out = _conv(maps, _bank(filters, p, depth))
-            assert_near_oracle(out, _conv_oracle(maps, filters, p))
-
-    def test_linear_without_preprocess(self):
-        rng = np.random.default_rng(4)
-        x = rng.random((6, 6, 2))
-        y = rng.random((6, 6, 2))
-        filters = rng.standard_normal((8, 3))
-        bank = _bank(filters, 2, 2)
-        lhs = _conv(2.5 * x - 1.5 * y, bank)
-        rhs = 2.5 * _conv(x, bank) - 1.5 * _conv(y, bank)
-        assert np.allclose(lhs, rhs, atol=1e-10)
+            bank = _bank(rng.standard_normal((p * p * depth, k)), p, depth)
+            out = _conv(maps, bank)
+            want = _conv_oracle(maps, bank)
+            if np.any(want):
+                assert_near_oracle(out, want)
+            else:  # one-pixel patches normalize to zero
+                assert not np.any(out)
 
     def test_depth_mismatch(self):
         with pytest.raises(DimError):
@@ -166,22 +168,20 @@ class TestConvolve:
             )
 
     def test_dense_preprocess_matches_per_patch_oracle(self):
+        # a fitted whitening; a positive rescale of the input normalizes away,
+        # and a constant input normalizes to zero patches, leaving -mu^T M F
         rng = np.random.default_rng(5)
         maps = rng.random((6, 6, 2))
         zca = fit_zca(rng.random((500, 8)), 0.1)
         filters = rng.standard_normal((8, 3))
         bank = _bank(filters, 2, 2, whitening=zca)
-        out = _conv(maps, bank, dense_preprocess=True)
-        expect = np.empty((5, 5, 3))
-        for j in range(5):
-            for i in range(5):
-                x = normalize_patch(unroll_patch(maps, j, i, 2))
-                expect[j, i] = (zca.matrix @ (x - zca.mean)) @ filters
-        assert_near_oracle(out, expect)
-
-    def test_dense_preprocess_requires_whitening(self):
-        with pytest.raises(DimError):
-            _conv(np.zeros((5, 5, 1)), _bank(np.zeros((9, 2)), 3, 1), dense_preprocess=True)
+        for x in (maps, 2.5 * maps, np.full((6, 6, 2), 0.7)):
+            expect = np.empty((5, 5, 3))
+            for j in range(5):
+                for i in range(5):
+                    patch = normalize_patch(unroll_patch(x, j, i, 2))
+                    expect[j, i] = (zca.matrix @ (patch - zca.mean)) @ filters
+            assert_near_oracle(_conv(x, bank), expect)
 
     def test_dense_patch_positions_row_major(self):
         rng = np.random.default_rng(6)
@@ -496,7 +496,7 @@ class TestRunLayer:
         bank = _bank(rng.standard_normal((2 * 2 * 2, 4)), 2, 2)
         cfg = _layer1(patch_side=2)
         out = run_layer(_fmset(maps), bank, cfg, "abs")
-        step = _convolve(maps, bank, dense_preprocess=False)
+        step = _convolve(maps, bank)
         step = _rectify(step, "abs")
         _lcn_subtract(step, 3, 0.75)
         _lcn_divide(step, 3, 0.75)
@@ -504,15 +504,16 @@ class TestRunLayer:
         assert np.array_equal(out.maps, step)
 
     @pytest.mark.parametrize("rectifier", ["abs", "on_off"])
-    @pytest.mark.parametrize("dense", [True, False])
-    def test_float32_maps_from_rounded_input(self, rectifier, dense):
+    @pytest.mark.parametrize("whitened", [True, False])
+    def test_float32_maps_from_rounded_input(self, rectifier, whitened):
         # the convolution rounds its input once, so float64 maps and the same
-        # maps rounded to float32 give the same float32 output
+        # maps rounded to float32 give the same float32 output, with a fitted
+        # whitening and with the identity one (whose filter offset is 0)
         rng = np.random.default_rng(28)
         maps = rng.random((12, 12, 2))
-        zca = fit_zca(rng.random((200, 18)), 0.1)
+        zca = fit_zca(rng.random((200, 18)), 0.1) if whitened else None
         bank = _bank(rng.standard_normal((18, 4)), 3, 2, whitening=zca)
-        cfg = _layer1(patch_side=3, dense_preprocess=dense)
+        cfg = _layer1(patch_side=3)
         out = run_layer(_fmset(maps), bank, cfg, rectifier).maps
         assert out.dtype == np.float32
         rounded = FeatureMapSet(maps.astype(np.float32))
@@ -587,8 +588,9 @@ class TestRunLayer:
 
 class TestRunGroups:
     @pytest.mark.parametrize("rectifier", ["abs", "on_off"])
-    @pytest.mark.parametrize("dense", [True, False])
-    def test_matches_run_layer_per_group(self, rectifier, dense):
+    @pytest.mark.parametrize("whitened", [True, False])
+    def test_matches_run_layer_per_group(self, rectifier, whitened):
+        # each group with a fitted whitening of its own, or all with the identity
         rng = np.random.default_rng(20)
         maps = rng.random((7, 7, 12))
         # groups of very different scale: the LCN floor is taken per group
@@ -597,13 +599,13 @@ class TestRunGroups:
         banks = tuple(
             _bank(
                 rng.standard_normal((36, 5)), 3, 4,
-                whitening=fit_zca(rng.random((200, 36)), 0.1),
+                whitening=fit_zca(rng.random((200, 36)), 0.1) if whitened else None,
             )
             for _ in groups
         )
         cfg = Layer2Config(
             k_per_group=5, patch_side=3, group_size=4, pool_side=2, pool_stride=2,
-            lcn_window=3, lcn_sigma=0.75, dense_preprocess=dense,
+            lcn_window=3, lcn_sigma=0.75,
         )
         out = run_groups(maps, groups, _stack(banks), cfg, rectifier)
         for g, (group, bank) in enumerate(zip(groups, banks)):
@@ -628,10 +630,10 @@ class TestRunGroups:
         rng = np.random.default_rng(23)
         maps = rng.random((5, 40, 40, 2))
         banks = [_bank(rng.standard_normal((18, 3)), 3, 2) for _ in range(5)]
-        out = _convolve(maps, _stack(banks), False)
+        out = _convolve(maps, _stack(banks))
         assert len(copies) > 1 and max(copies) <= layer._CONV_ROWS
         for g, bank in enumerate(banks):
-            assert_near_oracle(out[g], _conv_oracle(maps[g], bank.filters, 3))
+            assert_near_oracle(out[g], _conv_oracle(maps[g], bank))
 
 
 class TestLayerConfigValidation:
@@ -642,8 +644,7 @@ class TestLayerConfigValidation:
             NetworkConfig(rectifier="relu")
         rng = np.random.default_rng(21)
         bank = _bank(rng.standard_normal((4, 2)), 2, 1)
-        cfg = Layer1Config(patch_side=2, pool_side=2, pool_stride=2, lcn_window=3,
-                           dense_preprocess=False)
+        cfg = Layer1Config(patch_side=2, pool_side=2, pool_stride=2, lcn_window=3)
         with pytest.raises(ValueError, match="rectifier"):
             run_layer(_fmset(rng.random((8, 8, 1))), bank, cfg, "relu")
 

@@ -7,6 +7,8 @@ import pytest
 from cdfnet.errors import FormatError
 from cdfnet.model_io import MAGIC, VERSION, atomic_open, read_container, write_container
 
+from helpers import container_declaring
+
 
 def _sample_tensors():
     rng = np.random.default_rng(0)
@@ -85,6 +87,23 @@ class TestErrors:
         path = tmp_path / "h.bin"
         path.write_bytes(MAGIC + b"\x01")
         with pytest.raises(FormatError, match="truncated"):
+            read_container(path)
+
+    # 2**33 floats would be a 64 GB buffer; 2**61 and 2**32 * 2**32 overflow
+    # or wrap a 64-bit byte count
+    @pytest.mark.parametrize("dims", [(2**33,), (2**61,), (2**32, 2**32)], ids=str)
+    def test_declared_payload_beyond_file(self, tmp_path, dims):
+        path = tmp_path / "big.bin"
+        path.write_bytes(container_declaring(dims))
+        with pytest.raises(FormatError, match="truncated container"):
+            read_container(path)
+
+    def test_declared_config_beyond_file(self, tmp_path):
+        path = tmp_path / "m.bin"
+        write_container(path, {"x": np.ones(3)}, "")
+        data = path.read_bytes()
+        path.write_bytes(data[:-8] + struct.pack("<Q", 2**62))
+        with pytest.raises(FormatError, match="truncated container"):
             read_container(path)
 
     def test_trailing_bytes(self, tmp_path):

@@ -1,7 +1,6 @@
 import dataclasses
 import glob
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,10 +126,12 @@ class TestTrain:
         assert outputs1.shape == (len(labels), *descriptor_shape(model.config, 32, 32)[0])
 
     def test_banks_count_checked(self, nano_model):
-        with pytest.raises(DimError):
+        zca = nano_model.bank2.whitening
+        one = ZcaTransform(zca.mean[:1], zca.matrix[:1], zca.epsilon)
+        with pytest.raises(DimError, match="one bank"):
             NetworkModel(
                 nano_model.config, nano_model.bank1, nano_model.groups,
-                FilterBank(nano_model.bank2.filters[:1], 3, 4), nano_model.input_shape,
+                FilterBank(nano_model.bank2.filters[:1], 3, 4, one), nano_model.input_shape,
             )
 
     def test_filter_counts_checked(self, nano_model):
@@ -178,19 +179,29 @@ class TestGroupTable:
 
     def test_earlier_container_loads_bitwise(self, tmp_path):
         # tiny_on_off.model and its descriptors were written at commit 1a75bfb,
-        # when the group table was a tuple of tuples and the forward pass was
-        # float64: an on_off network of 4 layer-1 filters on 16x16 images, so
-        # 8 maps in 4 groups of 2
-        model = load_model(os.path.join(DATA_DIR, "tiny_on_off.model"))
+        # when the group table was a tuple of tuples, the forward pass was
+        # float64 and configs still named dense_preprocess and descriptor_mode:
+        # an on_off network of 4 layer-1 filters on 16x16 images, so 8 maps in
+        # 4 groups of 2
+        path = os.path.join(DATA_DIR, "tiny_on_off.model")
+        model = load_model(path)
         assert model.groups.shape == (4, 2)
         want = read_container(os.path.join(DATA_DIR, "tiny_on_off.desc"))[0]["descriptors"]
         got = extract_descriptors(model, stripe_dataset(3, side=16, seed=13))
         assert got.dtype == np.float64
         assert_near_oracle(got, want)
-        # and the groups tensor keeps its bytes: saving again rewrites the same file
+        # saving again keeps every tensor's bytes, the group table's included;
+        # only the three retired config lines are gone
         save_model(tmp_path / "again.model", model)
-        original = Path(DATA_DIR, "tiny_on_off.model").read_bytes()
-        assert (tmp_path / "again.model").read_bytes() == original
+        tensors, text = read_container(path)
+        again, again_text = read_container(tmp_path / "again.model")
+        assert list(again) == list(tensors)
+        for name, tensor in tensors.items():
+            assert again[name].tobytes() == tensor.tobytes(), name
+        retired = ("descriptor_mode = layer2_only\n", "dense_preprocess = true\n")
+        kept = [line for line in text.splitlines(keepends=True) if line not in retired]
+        assert len(kept) == len(text.splitlines()) - 3
+        assert again_text == "".join(kept)
 
 
 
@@ -270,12 +281,9 @@ class TestExtract:
         with pytest.raises(DimError):
             extract_descriptors(nano_model, stripe_dataset(1, side=48, seed=5))
 
-    @pytest.mark.parametrize("mode", ["layer2_only", "concat_layers"])
-    def test_no_images(self, mode):
-        cfg = nano_config(descriptor_mode=mode)
-        model = train_network(cfg, stripe_dataset(8, side=32, seed=3))
-        descs = extract_descriptors(model, [])
-        assert descs.shape == (0, descriptor_shape(cfg, 32, 32)[3])
+    def test_no_images(self, nano_model):
+        descs = extract_descriptors(nano_model, [])
+        assert descs.shape == (0, descriptor_shape(nano_model.config, 32, 32)[3])
 
     def test_identical_images_identical_descriptors(self, nano_model):
         img = stripe_dataset(1, side=32, seed=17)[0]
@@ -290,14 +298,6 @@ class TestExtract:
         for i, img in enumerate(imgs):
             assert np.array_equal(descs[i], extract_descriptors(nano_model, [img])[0])
         assert np.all(np.isfinite(descs))
-
-    def test_concat_layers_mode(self):
-        cfg = nano_config(descriptor_mode="concat_layers")
-        model = train_network(cfg, stripe_dataset(8, side=32, seed=3))
-        l1, l2, n_groups, dim = descriptor_shape(cfg, 32, 32)
-        assert dim == n_groups * np.prod(l2) + np.prod(l1)
-        descs = extract_descriptors(model, stripe_dataset(2, side=32, seed=9))
-        assert descs.shape == (2, dim)
 
     def test_scale_factor_rescales_internally(self):
         cfg = nano_config(scale_factor=0.5)
@@ -714,23 +714,10 @@ class TestBatchedKmeans:
 class TestFloat32SmallCases:
     """Edge inputs of the float32 forward pass; a RuntimeWarning fails the suite."""
 
-    def test_zero_image_gives_zero_descriptor(self):
-        # without dense_preprocess a zero image convolves to zero maps in both
-        # layers, so both LCN floors are 0 and the descriptor is exactly zero
-        cfg = nano_config(
-            layer1=dataclasses.replace(nano_config().layer1, dense_preprocess=False),
-            layer2=dataclasses.replace(nano_config().layer2, dense_preprocess=False),
-        )
-        model = train_network(cfg, stripe_dataset(8, side=32, seed=3))
-        zero = LabeledImage(np.zeros((32, 32)), 0, image_id=0)
-        desc = extract_descriptors(model, [zero])
-        assert desc.shape == (1, descriptor_shape(cfg, 32, 32)[3])
-        assert np.array_equal(desc, np.zeros_like(desc))
-
     def test_constant_image_is_the_zero_image(self, nano_model):
-        # with dense_preprocess every patch of a constant image normalizes to
-        # exact zeros in float32, as a zero image's patches do, so the
-        # layer-1 response is the whitening offset alone
+        # every patch of a constant image normalizes to exact zeros in
+        # float32, as a zero image's patches do, so the layer-1 response is
+        # the whitening offset alone
         images = [
             LabeledImage(np.full((32, 32), v), 0, image_id=i) for i, v in enumerate((0.0, 0.37, 1.0))
         ]
@@ -746,7 +733,6 @@ class TestBatchedForward:
     VARIANTS = {
         "abs": {},
         "on_off": dict(rectifier="on_off"),
-        "concat_layers": dict(descriptor_mode="concat_layers"),
         "scale_factor": dict(scale_factor=0.5),
         # layer 1 pools disjoint tiles, layer 2 overlapping windows with alpha 2
         "pool_variants": dict(
@@ -754,10 +740,6 @@ class TestBatchedForward:
             layer2=dataclasses.replace(
                 nano_config().layer2, pool_side=2, pool_stride=1, pool_alpha=2.0
             ),
-        ),
-        "no_dense_preprocess": dict(
-            layer1=dataclasses.replace(nano_config().layer1, dense_preprocess=False),
-            layer2=dataclasses.replace(nano_config().layer2, dense_preprocess=False),
         ),
     }
 

@@ -46,7 +46,7 @@ def test_seed_range_checked():
 
 
 def test_generator_is_philox():
-    # the family that tensor.ALGORITHM_ID names
+    # the family every stochastic step draws from
     assert isinstance(SeededRng(0).generator().bit_generator, np.random.Philox)
 
 
