@@ -27,8 +27,8 @@ class AugmentPlan:
     def __post_init__(self):
         rotations = tuple(float(a) for a in self.rotations_deg)
         for a in rotations:
-            if abs(a) > MAX_ROTATION_DEG:
-                raise ValueError(f"|rotation| must be <= {MAX_ROTATION_DEG}, got {a}")
+            if not abs(a) <= MAX_ROTATION_DEG:  # NaN fails too
+                raise ValueError(f"rotations_deg: |angle| must be <= {MAX_ROTATION_DEG}, got {a}")
         object.__setattr__(self, "rotations_deg", rotations)
 
 

@@ -2,7 +2,7 @@
 
 Six subcommands cover the pipeline end to end: `train` fits a network on one
 fold, `extract` turns images into descriptors, `svm` fits the one-vs-all
-classifier, `score` writes a normalized score table for the test set,
+classifier, `score` writes a [0, 1]-rescaled score table for the test set,
 `committee` fuses score tables, and `evaluate` runs the whole fold protocol
 for a committee described by an experiment file.
 """
@@ -126,7 +126,7 @@ def _cmd_score(args) -> int:
     svm = load_svm(args.svm)
     descs, image_ids, labels = _read_descriptors(args.descriptors)
     raw = score_many(svm, descs)
-    table = normalize_table(args.network_id, image_ids, raw, per_network=args.per_network)
+    table = normalize_table(args.network_id, image_ids, raw)
     write_score_file(args.out, table)
     if not np.any(labels < 0):
         acc = accuracy(table_predict(table), [int(v) for v in labels])
@@ -170,7 +170,6 @@ def _cmd_evaluate(args) -> int:
         plan,
         fold_indices=folds,
         out_dir=args.out,
-        per_network_rescale=args.per_network,
     )
     for section in report.networks + (report.committee,):
         print(f"{section.name} mean {section.mean!r} std {section.std!r}")
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svm", required=True, help="SVM container path")
     p.add_argument("--descriptors", required=True, help="descriptor container")
     p.add_argument("--network-id", required=True, help="network id for the table")
-    p.add_argument("--per-network", action="store_true", help="rescale over the whole table")
     p.add_argument("--out", required=True, help="score file path")
     p.set_defaults(func=_cmd_score)
 
@@ -234,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", required=True, help="fold index file")
     p.add_argument("--fold", type=int, help="run a single fold")
     p.add_argument("--seed", type=int, help="override all seeds from one base")
-    p.add_argument("--per-network", action="store_true", help="rescale per network, not per image")
     p.add_argument("--out", help="output directory for scores and reports")
     p.set_defaults(func=_cmd_evaluate)
     return parser

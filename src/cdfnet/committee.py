@@ -3,8 +3,7 @@
 Each network contributes one [0,1]-rescaled score vector per test image;
 the committee adds them up and takes the argmax. Rescaling is per image
 across its class scores, so every network contributes exactly one unit of
-dynamic range per image. A per-network mode (rescaling over the whole test
-set at once) is available for reproduction sweeps.
+dynamic range per image.
 """
 
 from __future__ import annotations
@@ -22,12 +21,11 @@ SCORE_VERSION = "v1"
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Per-test-image score vectors produced by one network."""
+    """Per-test-image score vectors produced by one network, each in [0, 1]."""
 
     network_id: str
     image_ids: tuple[int, ...]
     scores: np.ndarray  # (n_images, n_classes)
-    normalized: bool = False
 
     def __post_init__(self):
         if not self.network_id or any(ch.isspace() for ch in self.network_id):
@@ -38,8 +36,9 @@ class ScoreTable:
             raise ValueError(
                 f"scores shape {scores.shape} inconsistent with {len(image_ids)} image ids"
             )
-        if self.normalized and scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
-            raise ContractError("normalized score table has entries outside [0, 1]")
+        # written so that NaN fails it too
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
+            raise ContractError(f"table {self.network_id!r} has scores outside [0, 1]")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "image_ids", image_ids)
 
@@ -52,23 +51,19 @@ class ScoreTable:
         return self.scores.shape[1]
 
 
-def normalize_table(
-    network_id: str, image_ids, raw: np.ndarray, per_network: bool = False
-) -> ScoreTable:
-    """Build a normalized ScoreTable from an (n_images, n_classes) raw score matrix.
+def normalize_table(network_id: str, image_ids, raw: np.ndarray) -> ScoreTable:
+    """Build a ScoreTable from an (n_images, n_classes) raw score matrix.
 
-    per_network=False maps each image's row onto [0, 1] independently
-    (default); per_network=True applies one min-max over the whole table.
-    A constant row (or table) maps to zeros, so an uninformative network
-    abstains rather than voting for every class at once.
+    Each image's row is mapped onto [0, 1] independently. A constant row
+    maps to zeros, so an uninformative network abstains rather than voting
+    for every class at once.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    axis = None if per_network else -1
-    lo = raw.min(axis=axis, keepdims=True)
-    span = raw.max(axis=axis, keepdims=True) - lo
+    lo = raw.min(axis=-1, keepdims=True)
+    span = raw.max(axis=-1, keepdims=True) - lo
     # raw - lo is exactly 0 wherever span is 0, so dividing by 1 there gives zeros
     scores = (raw - lo) / np.where(span == 0.0, 1.0, span)
-    return ScoreTable(network_id, tuple(image_ids), scores, normalized=True)
+    return ScoreTable(network_id, tuple(image_ids), scores)
 
 
 def _check_aligned(tables: list[ScoreTable]) -> None:
@@ -84,25 +79,15 @@ def _check_aligned(tables: list[ScoreTable]) -> None:
             raise AlignmentError(
                 f"tables {base.network_id!r} and {t.network_id!r} disagree on class count"
             )
-    for t in tables:
-        if not t.normalized:
-            raise ContractError(f"table {t.network_id!r} is not normalized")
-
-
-def sum_scores(tables: list[ScoreTable]) -> ScoreTable:
-    """Elementwise sum of normalized tables; the output is not renormalized."""
-    _check_aligned(tables)
-    total = np.zeros_like(tables[0].scores)
-    for t in tables:
-        total += t.scores
-    member_ids = "+".join(t.network_id for t in tables)
-    return ScoreTable(member_ids, tables[0].image_ids, total, normalized=False)
 
 
 def committee_predict(tables: list[ScoreTable]) -> list[int]:
     """Per-image argmax of the summed scores; ties go to the lowest index."""
-    summed = sum_scores(tables)
-    return [int(i) for i in np.argmax(summed.scores, axis=1)]
+    _check_aligned(tables)
+    total = np.zeros_like(tables[0].scores)
+    for t in tables:
+        total += t.scores
+    return [int(i) for i in np.argmax(total, axis=1)]
 
 
 def table_predict(table: ScoreTable) -> list[int]:
@@ -144,6 +129,8 @@ def read_score_file(path) -> ScoreTable:
             n_classes = int(header[3])
         except ValueError as exc:
             raise FormatError(f"{path}: bad class count in header") from exc
+        if n_classes < 1:
+            raise FormatError(f"{path}: bad class count in header")
         image_ids = []
         rows = []
         for lineno, line in enumerate(fh, start=2):
@@ -161,6 +148,7 @@ def read_score_file(path) -> ScoreTable:
                 raise FormatError(f"{path}:{lineno}: bad token") from exc
     if not rows:
         raise FormatError(f"{path}: score file has no rows")
-    scores = np.array(rows, dtype=np.float64)
-    normalized = bool(scores.min() >= 0.0 and scores.max() <= 1.0)
-    return ScoreTable(network_id, tuple(image_ids), scores, normalized=normalized)
+    try:
+        return ScoreTable(network_id, tuple(image_ids), np.array(rows, dtype=np.float64))
+    except ContractError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -34,8 +34,8 @@ def _check_layer(layer, k_field: str) -> None:
         raise InvalidK(f"n_patches {layer.n_patches} is below {k_field} = {k}")
     if layer.patch_side < 1:
         raise ValueError(f"patch_side must be >= 1, got {layer.patch_side}")
-    if layer.zca_epsilon <= 0:
-        raise ValueError(f"zca_epsilon must be > 0, got {layer.zca_epsilon}")
+    if not (math.isfinite(layer.zca_epsilon) and layer.zca_epsilon > 0):
+        raise ValueError(f"zca_epsilon must be finite and > 0, got {layer.zca_epsilon}")
     if layer.pool_side < 1 or layer.pool_stride < 1:
         raise ValueError("pool_side and pool_stride must be >= 1")
     if not _signed_pool_alpha(layer.pool_alpha):
@@ -45,8 +45,8 @@ def _check_layer(layer, k_field: str) -> None:
         )
     if layer.lcn_window < 3 or layer.lcn_window % 2 == 0:
         raise InvalidWindow(f"lcn_window must be odd and >= 3, got {layer.lcn_window}")
-    if layer.lcn_sigma <= 0:
-        raise ValueError(f"lcn_sigma must be > 0, got {layer.lcn_sigma}")
+    if not (math.isfinite(layer.lcn_sigma) and layer.lcn_sigma > 0):
+        raise ValueError(f"lcn_sigma must be finite and > 0, got {layer.lcn_sigma}")
 
 
 @dataclass(frozen=True)
@@ -319,4 +319,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise FormatError(f"bad experiment config {path}: {exc}") from exc
     if not networks:
         raise FormatError(f"{path}: experiment lists no networks")
+    if not folds or len(set(folds)) != len(folds):
+        raise FormatError(f"{path}: experiment folds must be non-empty and distinct, got {folds}")
     return ExperimentConfig(name=name, network_paths=networks, folds=folds)

@@ -43,8 +43,8 @@ class ZcaTransform:
             raise DimError(
                 f"inconsistent ZCA shapes: mean {mean.shape}, matrix {matrix.shape}"
             )
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not np.allclose(matrix, np.swapaxes(matrix, -1, -2), atol=1e-9):
             raise ValueError("ZCA matrix must be symmetric")
         object.__setattr__(self, "mean", mean)
@@ -110,8 +110,8 @@ def fit_zca(patches: np.ndarray, epsilon: float) -> ZcaTransform:
     records own the rule) and runs before sqrt(D + eps) could warn on a
     non-positive sum.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim < 2 or patches.shape[-2] < 1:
         raise DimError(f"need (..., n, d) patch rows with n >= 1, got shape {patches.shape}")

@@ -396,7 +396,6 @@ def train_and_score(
     cfg: NetworkConfig,
     fold_images: list[LabeledImage],
     test_images: list[LabeledImage],
-    per_network_rescale: bool = False,
 ) -> tuple[NetworkModel, SvmModel, ScoreTable]:
     """One committee member on one fold: features, classifier, test scores."""
     model, labels, outputs1 = _train(cfg, fold_images)
@@ -406,7 +405,7 @@ def train_and_score(
     del train_descriptors  # hold no training data while the test set runs
     raw = score_many(svm, extract_descriptors(model, test_images))
     image_ids = [img.image_id for img in test_images]
-    table = normalize_table(cfg.name, image_ids, raw, per_network=per_network_rescale)
+    table = normalize_table(cfg.name, image_ids, raw)
     return model, svm, table
 
 
@@ -417,7 +416,6 @@ def evaluate_protocol(
     fold_plan: FoldPlan,
     fold_indices=None,
     out_dir=None,
-    per_network_rescale: bool = False,
 ) -> ExperimentReport:
     """Train each network on each fold, score the test set, fuse, aggregate.
 
@@ -430,6 +428,8 @@ def evaluate_protocol(
     if fold_indices is None:
         fold_indices = tuple(range(len(fold_plan.folds)))
     fold_indices = tuple(int(f) for f in fold_indices)
+    if not fold_indices or len(set(fold_indices)) != len(fold_indices):
+        raise ValueError(f"fold indices must be non-empty and distinct, got {fold_indices}")
     for fold in fold_indices:
         fold_plan.check_fold(fold, len(train_images))
     test_labels = [img.label for img in test_images]
@@ -444,9 +444,7 @@ def evaluate_protocol(
         tables = []
         for cfg in cfgs:
             logger.info("fold %d: network %s", fold, cfg.name)
-            _, _, table = train_and_score(
-                cfg, fold_images, test_images, per_network_rescale
-            )
+            _, _, table = train_and_score(cfg, fold_images, test_images)
             tables.append(table)
             acc = accuracy(table_predict(table), test_labels)
             per_net_acc[cfg.name].append(acc)

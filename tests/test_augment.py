@@ -141,6 +141,8 @@ class TestPlan:
     def test_angle_bound(self):
         with pytest.raises(ValueError):
             AugmentPlan(rotations_deg=(50.0,))
+        with pytest.raises(ValueError, match="rotations_deg"):
+            AugmentPlan(rotations_deg=(10.0, float("nan")))
         AugmentPlan(rotations_deg=(-45.0, 45.0))
 
 

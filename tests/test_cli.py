@@ -154,7 +154,8 @@ class TestChain:
         assert rc == 0
         table = read_score_file(scores)
         assert table.network_id == "m1"
-        assert table.normalized
+        assert np.array_equal(table.scores.min(axis=1), np.zeros(8))
+        assert np.array_equal(table.scores.max(axis=1), np.ones(8))
         assert table.image_ids == tuple(range(8))
         assert table.n_classes == 2
 
@@ -315,6 +316,28 @@ class TestChain:
         bad.write_text("not a score file\n")
         rc = run("committee", bad)
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ["1.5", "nan", "inf"])
+    def test_committee_rejects_out_of_range_scores(self, tmp_path, capsys, value):
+        a = tmp_path / "a_scores.txt"
+        a.write_text(f"scores v1 a 2\n0 1.0 0.0\n1 0.25 {value}\n")
+        assert run("committee", a) == 2
+        assert capsys.readouterr().err.startswith(f"error: {a}: table 'a' has scores outside")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["score", "--svm", "s", "--descriptors", "d", "--network-id", "n", "--out", "o"],
+            ["evaluate", "--config", "c", "--train-x", "a", "--train-y", "b",
+             "--test-x", "c", "--test-y", "d", "--folds", "f"],
+        ],
+        ids=["score", "evaluate"],
+    )
+    def test_retired_per_network_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--per-network")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --per-network" in capsys.readouterr().err
 
     def test_committee_without_out_prints_predictions(self, ws, capsys):
         a = ws / "a_scores.txt"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,25 +9,21 @@ from cdfnet.committee import (
     committee_predict,
     normalize_table,
     read_score_file,
-    sum_scores,
     table_predict,
     write_score_file,
 )
 from cdfnet.errors import AlignmentError, ContractError, FormatError
 
 
-def _table(network_id, rows, ids=None, normalized=True):
+def _table(network_id, rows, ids=None):
     rows = np.asarray(rows, dtype=np.float64)
     if ids is None:
         ids = range(rows.shape[0])
-    return ScoreTable(network_id, tuple(ids), rows, normalized=normalized)
+    return ScoreTable(network_id, tuple(ids), rows)
 
 
-def _minmax_rows_oracle(raw, per_network):
-    """Reference for normalize_table: per-row (or whole-table) min-max as a scalar loop."""
-    if per_network:
-        lo, hi = float(raw.min()), float(raw.max())
-        return np.zeros_like(raw) if hi == lo else (raw - lo) / (hi - lo)
+def _minmax_rows_oracle(raw):
+    """Reference for normalize_table: per-row min-max as a scalar loop."""
     out = []
     for row in raw:
         lo, hi = float(row.min()), float(row.max())
@@ -43,10 +41,10 @@ class TestMinmax:
         assert np.array_equal(_minmax([5.0, 5.0, 5.0]), [0.0, 0.0, 0.0])
         assert np.array_equal(_minmax([-1.0, 0.0]), [0.0, 1.0])
 
-    def test_marks_normalized(self):
+    def test_keeps_image_ids(self):
         out = normalize_table("n", [7, 3], np.array([[3.0, -2.0], [1.0, 1.0]]))
-        assert out.normalized
         assert out.image_ids == (7, 3)
+        assert np.array_equal(out.scores, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_preserves_ranking(self):
         rng = np.random.default_rng(0)
@@ -63,17 +61,15 @@ class TestMinmax:
 
 
 class TestSum:
+    """committee_predict sums the members' tables, then takes the argmax."""
+
     def test_direct_sum(self):
-        summed = sum_scores([_table("a", [[0.9, 0.1]]), _table("b", [[0.4, 0.6]])])
-        assert np.allclose(summed.scores, [[1.3, 0.7]], atol=1e-15)
-        assert table_predict(summed) == [0]
-        assert not summed.normalized
+        # 0.9 + 0.4 = 1.3 beats 0.1 + 0.6 = 0.7, though b alone votes class 1
+        assert committee_predict([_table("a", [[0.9, 0.1]]), _table("b", [[0.4, 0.6]])]) == [0]
 
     def test_identity_on_single_table(self):
         t = _table("solo", [[0.0, 1.0], [1.0, 0.5]])
-        summed = sum_scores([t])
-        assert np.array_equal(summed.scores, t.scores)
-        assert summed.image_ids == t.image_ids
+        assert committee_predict([t]) == table_predict(t) == [1, 0]
 
     def test_copies_keep_argmax(self):
         rng = np.random.default_rng(2)
@@ -83,30 +79,30 @@ class TestSum:
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
-        tables = [_table(f"n{i}", rng.random((6, 4))) for i in range(4)]
-        base = sum_scores(tables).scores
+        tables = [_table(f"n{i}", rng.random((200, 4))) for i in range(4)]
+        base = committee_predict(tables)
+        assert len(set(base)) == 4  # every class wins somewhere
         for perm in ([3, 1, 0, 2], [2, 3, 1, 0]):
-            assert np.allclose(sum_scores([tables[i] for i in perm]).scores, base, atol=1e-12)
-
-    def test_member_ids_joined(self):
-        summed = sum_scores([_table("n1", [[0.0, 1.0]]), _table("n2", [[1.0, 0.0]])])
-        assert summed.network_id == "n1+n2"
+            assert committee_predict([tables[i] for i in perm]) == base
 
     def test_image_id_mismatch(self):
         with pytest.raises(AlignmentError):
-            sum_scores([_table("a", [[0.0, 1.0]], ids=[1]), _table("b", [[0.0, 1.0]], ids=[2])])
+            committee_predict(
+                [_table("a", [[0.0, 1.0]], ids=[1]), _table("b", [[0.0, 1.0]], ids=[2])]
+            )
 
     def test_class_count_mismatch(self):
         with pytest.raises(AlignmentError):
-            sum_scores([_table("a", [[0.0, 1.0]]), _table("b", [[0.0, 1.0, 0.5]])])
+            committee_predict([_table("a", [[0.0, 1.0]]), _table("b", [[0.0, 1.0, 0.5]])])
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ContractError):
-            sum_scores([_table("a", [[0.0, 1.0]]), _table("b", [[0.0, 2.0]], normalized=False)])
+        # a member with a score outside [0, 1] cannot reach the committee
+        with pytest.raises(ContractError, match="'b'"):
+            committee_predict([_table("a", [[0.0, 1.0]]), _table("b", [[0.0, 2.0]])])
 
     def test_empty_list_rejected(self):
         with pytest.raises(AlignmentError):
-            sum_scores([])
+            committee_predict([])
 
 
 class TestPredict:
@@ -121,7 +117,7 @@ class TestPredict:
         assert committee_predict([t]) == table_predict(t)
 
     def test_tie_breaks_low(self):
-        assert table_predict(_table("t", [[0.5, 0.5, 0.2]], normalized=True)) == [0]
+        assert table_predict(_table("t", [[0.5, 0.5, 0.2]])) == [0]
 
     def test_accuracy(self):
         assert accuracy([0, 1, 2, 1], [0, 1, 1, 1]) == 0.75
@@ -133,43 +129,37 @@ class TestNormalizeTable:
     def test_per_image_rows_span_unit_interval(self):
         t = normalize_table("n", [0, 1], np.array([[1.0, 3.0], [10.0, 30.0]]))
         assert np.array_equal(t.scores, [[0.0, 1.0], [0.0, 1.0]])
-        assert t.normalized and t.image_ids == (0, 1)
+        assert t.image_ids == (0, 1)
 
-    def test_per_network_single_scale(self):
-        t = normalize_table("n", [0, 1], np.array([[0.0, 1.0], [1.0, 3.0]]), per_network=True)
-        # one min-max over all four values: (x - 0) / 3
-        assert np.allclose(t.scores, [[0.0, 1.0 / 3.0], [1.0 / 3.0, 1.0]], atol=1e-15)
-
-    @pytest.mark.parametrize("per_network", [False, True])
-    def test_matches_per_row_oracle_bitwise(self, per_network):
+    def test_matches_per_row_oracle_bitwise(self):
         rng = np.random.default_rng(11)
         for trial in range(20):
             raw = rng.standard_normal((30, 10)) * 10.0 ** rng.integers(-3, 4)
             raw[::7] = rng.standard_normal()  # constant rows
             if trial == 0:
                 raw[:] = 2.5  # an all-constant table
-            t = normalize_table("n", range(30), raw, per_network=per_network)
-            expect = _minmax_rows_oracle(raw, per_network)
+            t = normalize_table("n", range(30), raw)
+            expect = _minmax_rows_oracle(raw)
             assert np.array_equal(t.scores, expect)
             assert t.scores.tobytes() == expect.tobytes()  # signed zeros too
 
 
 class TestTablePredict:
-    # one network's decision: the argmax of its (raw or rescaled) score row
+    # one network's decision: the argmax of its rescaled score row
     def test_argmax(self):
-        assert table_predict(_table("n", [[0.1, 0.9, 0.3]], normalized=False)) == [1]
+        assert table_predict(_table("n", [[0.1, 0.9, 0.3]])) == [1]
 
     def test_tie_lowest_index(self):
-        assert table_predict(_table("n", [[0.5, 0.5], [-2.0, -2.0]], normalized=False)) == [0, 0]
+        assert table_predict(_table("n", [[0.5, 0.5], [0.0, 0.0]])) == [0, 0]
 
     def test_single_class(self):
-        assert table_predict(_table("n", [[7.0], [-1.0]], normalized=False)) == [0, 0]
+        assert table_predict(_table("n", [[1.0], [0.0]])) == [0, 0]
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(4)
-        s = rng.standard_normal((50, 6))
-        base = table_predict(_table("n", s, normalized=False))
-        warped = table_predict(_table("n", np.exp(2.0 * s) + 3.0, normalized=False))
+        s = rng.random((50, 6))
+        base = table_predict(_table("n", s))
+        warped = table_predict(_table("n", s**3))
         assert base == warped
 
 
@@ -183,7 +173,6 @@ class TestScoreFiles:
         assert back.network_id == t.network_id
         assert back.image_ids == t.image_ids
         assert np.array_equal(back.scores, t.scores)  # bit exact via repr
-        assert back.normalized
 
     def test_same_table_same_bytes(self, tmp_path):
         t = _table("net", np.random.default_rng(6).random((5, 4)))
@@ -201,8 +190,10 @@ class TestScoreFiles:
 
     def test_unnormalized_values_detected(self, tmp_path):
         path = tmp_path / "s.txt"
-        write_score_file(path, _table("n1", [[0.0, 1.5]], normalized=False))
-        assert not read_score_file(path).normalized
+        for value in ("1.5", "-0.25", "nan", "inf", "-inf"):
+            path.write_text(f"scores v1 n1 2\n0 0.5 0.5\n1 0.0 {value}\n")
+            with pytest.raises(FormatError, match=re.escape(str(path))):
+                read_score_file(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         # a table whose fourth row cannot be formatted fails midway through the write
@@ -252,6 +243,13 @@ class TestScoreFiles:
         with pytest.raises(FormatError):
             read_score_file(path)
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_bad_class_count(self, tmp_path, count):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"scores v1 n1 {count}\n0\n")
+        with pytest.raises(FormatError, match="bad class count in header"):
+            read_score_file(path)
+
 
 class TestTableValidation:
     def test_network_id_no_spaces(self):
@@ -262,8 +260,10 @@ class TestTableValidation:
 
     def test_row_count_must_match_ids(self):
         with pytest.raises(ValueError):
-            ScoreTable("n", (0, 1, 2), np.zeros((2, 4)), normalized=True)
+            ScoreTable("n", (0, 1, 2), np.zeros((2, 4)))
 
     def test_normalized_range_enforced(self):
-        with pytest.raises(ContractError):
-            _table("n", [[0.0, 1.2]])
+        for bad in (1.2, -1e-300, np.nan, np.inf, -np.inf):
+            with pytest.raises(ContractError, match="outside"):
+                _table("n", [[0.0, 1.0], [0.5, bad]])
+        _table("n", [[0.0, 1.0], [0.5, 0.5]])

@@ -207,6 +207,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="pool_alpha"):
             NetworkConfig(**{layer: layer_cls(pool_alpha=alpha)})
 
+    # NaN passes a plain `x <= 0` test, and inf would reach the LCN kernel or eigh
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("layer1", "lcn_sigma = nan"),
+            ("layer2", "lcn_sigma = nan"),
+            ("layer1", "lcn_sigma = inf"),
+            ("layer1", "zca_epsilon = nan"),
+            ("layer2", "zca_epsilon = nan"),
+            ("layer2", "zca_epsilon = inf"),
+            ("augment", "rotations_deg = nan"),
+            ("augment", "rotations_deg = -10, nan"),
+        ],
+    )
+    def test_non_finite_value_rejected_at_load(self, section, line):
+        bodies = {"network": "", "layer1": "", "layer2": "", section: line}
+        text = "".join(f"[{s}]\n{body}\n" for s, body in bodies.items())
+        with pytest.raises(FormatError, match=line.split(" = ")[0]):
+            network_config_from_text(text)
+
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
     def test_pool_alpha_one_or_even_accepted(self, alpha):
         cfg = NetworkConfig(
@@ -311,6 +331,13 @@ class TestExperiment:
     def test_no_networks(self, tmp_path):
         path = self._write(tmp_path, "[experiment]\nnetworks =\n")
         with pytest.raises(FormatError):
+            load_experiment_config(path)
+
+    # an empty list would train nothing; a repeated fold would count twice in the mean
+    @pytest.mark.parametrize("folds", ["", "2, 2", "0 1 0"])
+    def test_empty_or_repeated_folds(self, tmp_path, folds):
+        path = self._write(tmp_path, f"[experiment]\nnetworks = a.ini\nfolds = {folds}\n")
+        with pytest.raises(FormatError, match="folds"):
             load_experiment_config(path)
 
     def test_bad_fold(self, tmp_path):

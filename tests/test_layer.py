@@ -664,5 +664,6 @@ class TestLayerConfigValidation:
                 record(lcn_window=4)
             with pytest.raises(InvalidWindow):
                 record(lcn_window=1)
-            with pytest.raises(ValueError):
-                record(lcn_sigma=0.0)
+            for sigma in (0.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    record(lcn_sigma=sigma)

@@ -245,6 +245,9 @@ class TestFitZca:
         # turn into an error: the check must fire first
         with pytest.raises(ValueError, match="epsilon"):
             fit_zca(_white_patches(d=2), -1e6)
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon"):
+                fit_zca(_white_patches(d=2), eps)
 
     @pytest.mark.parametrize("shape", [(0, 4), (3, 0, 4), (4,)])
     def test_needs_rows(self, shape):
@@ -312,5 +315,6 @@ class TestZcaTransformValidation:
             ZcaTransform(np.zeros(2), m, 0.01)
 
     def test_epsilon_positive(self):
-        with pytest.raises(ValueError):
-            ZcaTransform(np.zeros(2), np.eye(2), 0.0)
+        for eps in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon"):
+                ZcaTransform(np.zeros(2), np.eye(2), eps)

@@ -11,7 +11,7 @@ import scipy.sparse  # noqa: F401
 from cdfnet import kmeans as kmeans_mod
 from cdfnet import pipeline
 from cdfnet.augment import AugmentPlan, expand_set
-from cdfnet.committee import read_score_file, sum_scores, table_predict
+from cdfnet.committee import committee_predict, read_score_file, table_predict
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds, load_network_config
 from cdfnet.errors import DimError, FormatError, InvalidGrouping, InvalidK, InvalidWindow
 from cdfnet.kmeans import FilterBank
@@ -249,6 +249,10 @@ class TestFailBeforeCompute:
             ("layer2", "n_patches", 15, InvalidK),  # below k_per_group = 16
             ("layer1", "zca_epsilon", 0.0, ValueError),
             ("layer2", "zca_epsilon", -1.0, ValueError),
+            ("layer1", "zca_epsilon", float("nan"), ValueError),
+            ("layer2", "zca_epsilon", float("inf"), ValueError),
+            ("layer1", "lcn_sigma", float("nan"), ValueError),
+            ("layer2", "lcn_sigma", float("inf"), ValueError),
             (None, "svm_reg_c", 0.0, ValueError),
             (None, "svm_reg_c", -1.0, ValueError),
             (None, "svm_reg_c", float("nan"), ValueError),
@@ -450,7 +454,7 @@ class TestProtocol:
         test = stripe_dataset(6, side=32, seed=21, first_id=500)
         _, _, table = train_and_score(cfg, train, test)
         assert table.network_id == cfg.name
-        assert table.normalized
+        assert np.all(table.scores.max(axis=1) == 1.0)
         assert table.image_ids == tuple(range(500, 506))
         assert table.n_classes == 2
 
@@ -475,8 +479,7 @@ class TestProtocol:
                 acc = np.mean(np.array(table_predict(t)) == test_labels)
                 section = next(s for s in report.networks if s.name == c.name)
                 assert acc == section.accuracies[fi]
-            fused = sum_scores(tables)
-            acc = np.mean(np.array(table_predict(fused)) == test_labels)
+            acc = np.mean(np.array(committee_predict(tables)) == test_labels)
             assert acc == report.committee.accuracies[fi]
 
     def test_fold_subset(self, tmp_path):
@@ -494,6 +497,15 @@ class TestProtocol:
         train = stripe_dataset(10, side=32, seed=3)
         for folds in ((0, 2), (0, -1)):
             with pytest.raises(ValueError, match=f"fold {folds[1]} out of range"):
+                evaluate_protocol([nano_config("solo")], train, [], plan, fold_indices=folds)
+
+    def test_empty_or_repeated_folds_rejected_before_training(self, monkeypatch):
+        # an empty list would report a NaN mean; a repeated fold would count twice
+        monkeypatch.setattr(pipeline, "_train", _never)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5), (4, 5, 6, 7, 8, 9)), n_train=10)
+        train = stripe_dataset(10, side=32, seed=3)
+        for folds in ((), (1, 1), (0, 1, 0)):
+            with pytest.raises(ValueError, match="non-empty and distinct"):
                 evaluate_protocol([nano_config("solo")], train, [], plan, fold_indices=folds)
 
     def test_fold_beyond_loaded_images_rejected_before_training(self, monkeypatch):

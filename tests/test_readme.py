@@ -39,6 +39,13 @@ def _sh_commands():
     return found
 
 
+def _prose_flags():
+    """The --flags named in backticks outside the code blocks."""
+    prose = re.sub(r"^```.*?^```", "", README, flags=re.M | re.S)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    return sorted({flag for span in spans for flag in re.findall(r"(?<![\w-])--[\w-]+", span)})
+
+
 def _sh_subcommands():
     return [command for command, _ in _sh_commands()]
 
@@ -54,6 +61,7 @@ def _parser_subcommands():
 def test_readme_has_examples():
     assert _python_imports() and _sh_subcommands()
     assert any(flags for _, flags in _sh_commands())
+    assert _prose_flags()
 
 
 @pytest.mark.parametrize("name", sorted(set(_python_imports())))
@@ -73,6 +81,12 @@ def test_sh_subcommand_exists(command):
 def test_sh_flag_is_an_option(command, flag):
     parser = _parser_subcommands().get(command)
     assert parser is not None and flag in parser._option_string_actions, (command, flag)
+
+
+@pytest.mark.parametrize("flag", _prose_flags())
+def test_prose_flag_is_an_option(flag):
+    parsers = _parser_subcommands().values()
+    assert any(flag in parser._option_string_actions for parser in parsers), flag
 
 
 @pytest.mark.parametrize("ref", sorted(set(re.findall(r"`cdfnet((?:\.\w+)+)", README))))
