@@ -77,17 +77,22 @@ def _write_descriptors(path, descriptors: np.ndarray, image_ids, labels) -> None
 
 
 def _read_descriptors(path) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """The (n_images, dim) descriptor matrix, its image ids, and its labels."""
+    """The (n_images, dim) descriptor matrix, its integer image ids, and its
+    labels: integers >= 0, or -1 for an unlabelled row."""
     tensors, ids_text = read_container(path)
     try:
         data = tensors["descriptors"]
         labels = tensors["labels"]
+        ids = [int(i) for i in ids_text.splitlines()]
     except KeyError as exc:
         raise FormatError(f"{path}: missing tensor {exc}") from exc
-    ids = ids_text.splitlines()
-    if len(ids) != data.shape[0] or labels.shape[0] != data.shape[0]:
+    except ValueError as exc:
+        raise FormatError(f"{path}: image ids must be integers: {exc}") from exc
+    if len(ids) != data.shape[0] or labels.shape != (data.shape[0],):
         raise FormatError(f"{path}: id/label/descriptor count mismatch")
-    return data, [int(i) for i in ids], labels
+    if not all(v.is_integer() and v >= -1 for v in labels.tolist()):
+        raise FormatError(f"{path}: labels must be integers >= 0, or -1 for none")
+    return data, ids, labels
 
 
 def _cmd_train(args) -> int:

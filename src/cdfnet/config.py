@@ -254,12 +254,17 @@ def network_config_from_text(text: str) -> NetworkConfig:
     unknown = set(cp.sections()) - {"network", *_RECORDS}
     if unknown:
         raise FormatError(f"bad network config: unknown section [{min(unknown)}]")
+    records = {name: _build(cp, name, cls) for name, cls in _RECORDS.items()}
+    return _build(cp, "network", NetworkConfig, **records)
+
+
+def _build(cp: configparser.ConfigParser, section: str, cls, **records):
+    """One section's record; a refused value names the section, as both layers share keys."""
+    values = _read_section(cp, section, cls)
     try:
-        top = _read_section(cp, "network", NetworkConfig)
-        records = {name: cls(**_read_section(cp, name, cls)) for name, cls in _RECORDS.items()}
-        return NetworkConfig(**top, **records)
-    except ValueError as exc:
-        raise FormatError(f"bad network config: {exc}") from exc
+        return cls(**values, **records)
+    except (ValueError, InvalidK, InvalidWindow) as exc:
+        raise FormatError(f"bad network config: {exc} (in [{section}])") from exc
 
 
 def load_network_config(path) -> NetworkConfig:

@@ -25,30 +25,23 @@ _BLOCK = 16384
 
 @dataclass(frozen=True)
 class FilterBank:
-    """K filters as columns (..., patch_side^2 * depth, K) plus their whitening.
+    """K filters as columns (..., d, K) plus their whitening.
 
+    d = p^2 * depth, with p from the layer record and depth from the maps.
     A leading axis stacks equal-shaped banks, one per layer-2 group; the
     whitening then carries the same leading axis.
     """
 
     filters: np.ndarray
-    patch_side: int
-    depth: int
     whitening: ZcaTransform
     layer_index: int = 0
 
     def __post_init__(self):
         filters = np.asarray(self.filters, dtype=np.float64)
-        expected = self.patch_side * self.patch_side * self.depth
-        if filters.ndim < 2 or filters.shape[-2] != expected:
-            raise DimError(
-                f"filter bank shape {filters.shape} inconsistent with "
-                f"{self.patch_side}^2 * {self.depth} = {expected}"
-            )
-        if filters.shape[-1] < 1:
-            raise DimError("filter bank must contain at least one filter")
+        if filters.ndim < 2 or filters.shape[-1] < 1:
+            raise DimError(f"filter bank must be (..., d, K) with K >= 1, got {filters.shape}")
         assert_array_finite(filters, what="filter bank")
-        if self.whitening.mean.shape != (*filters.shape[:-2], expected):
+        if self.whitening.mean.shape != filters.shape[:-1]:
             raise DimError(
                 f"whitening mean {self.whitening.mean.shape} does not match "
                 f"filters {filters.shape}"

@@ -59,10 +59,10 @@ def dense_patches(maps: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, int]
     return rows.reshape(*lead, out_h * out_w, -1), (out_h, out_w)
 
 
-def _convolve(maps: np.ndarray, bank: FilterBank) -> np.ndarray:
+def _convolve(maps: np.ndarray, bank: FilterBank, p: int) -> np.ndarray:
     """(..., H, W, depth) maps against a bank of the same leading shape: (..., H', W', K).
 
-    Every patch position, stride 1, is normalized and whitened with the
+    Every p x p patch position, stride 1, is normalized and whitened with the
     bank's training-time transform and then meets every filter by a dot
     product, so inference sees the space the filters were learned in. The
     whitening is folded into the filters (:attr:`FilterBank.whitened_filters`),
@@ -74,7 +74,6 @@ def _convolve(maps: np.ndarray, bank: FilterBank) -> np.ndarray:
     do not depend on the leading shape, because BLAS rounds a product
     differently when its row count changes.
     """
-    p = bank.patch_side
     weights, offset = bank.whitened_filters
     lead = maps.shape[:-3]
     out_h, out_w = conv_output_shape(*maps.shape[-3:-1], p)
@@ -184,22 +183,20 @@ def _forward(
 ) -> np.ndarray:
     """Convolve, rectify, subtractive LCN, divisive LCN and pool (..., H, W, depth) maps.
 
-    The bank's leading shape must equal the maps' and its filter side the
-    record's; the maps must pass :func:`layer_output_shape`. Raises
-    NonFiniteValue, naming `what`, if the output holds a NaN or Inf.
+    The bank's leading shape must equal the maps' and its filter dim the
+    record's patch side squared times the maps' depth; the maps must pass
+    :func:`layer_output_shape`. Raises NonFiniteValue, naming `what`, if the
+    output holds a NaN or Inf.
     """
     if bank.lead != maps.shape[:-3]:
         raise DimError(
             f"filter bank stacked as {bank.lead} does not fit maps of shape {maps.shape}"
         )
-    if maps.shape[-1] != bank.depth:
-        raise DimError(
-            f"input depth {maps.shape[-1]} does not match filter depth {bank.depth}"
-        )
-    if bank.patch_side != cfg.patch_side:
-        raise DimError(f"filter side {bank.patch_side} is not the layer's {cfg.patch_side}")
+    p, depth = cfg.patch_side, maps.shape[-1]
+    if bank.dim != p * p * depth:
+        raise DimError(f"filter dim {bank.dim} is not the layer's {p}^2 * input depth {depth}")
     layer_output_shape(*maps.shape[-3:-1], bank.k, cfg, rectifier)
-    maps = _rectify(_convolve(maps, bank), rectifier)
+    maps = _rectify(_convolve(maps, bank, p), rectifier)
     _lcn_subtract(maps, cfg.lcn_window, cfg.lcn_sigma)
     _lcn_divide(maps, cfg.lcn_window, cfg.lcn_sigma)
     out = _pool(maps, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)
@@ -213,8 +210,9 @@ def run_layer(
     """Full layer on one image's maps: convolve, rectify, contrast-normalize, pool.
 
     bank is a single (d, K) bank; cfg is the layer's record
-    (``NetworkConfig.layer1`` or ``.layer2``); rectifier is the network's,
-    one of :data:`RECTIFIERS`.
+    (``NetworkConfig.layer1`` or ``.layer2``), which gives the patch side p,
+    so d must be p^2 times the maps' depth; rectifier is the network's, one
+    of :data:`RECTIFIERS`.
     """
     out = _forward(
         fmset.maps, bank, cfg, rectifier, f"feature maps of image {fmset.source_image_id}"

@@ -79,30 +79,33 @@ def atomic_open(path, binary: bool = False):
 
 
 def read_container(path) -> tuple[dict[str, np.ndarray], str]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        version = _read_struct(fh, path, "<I")[0]
-        if version != VERSION:
-            raise FormatError(
-                f"{path}: unsupported container version {version}, expected {VERSION}"
-            )
-        count = _read_struct(fh, path, "<I")[0]
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name_len = _read_struct(fh, path, "<I")[0]
-            name = _read_exact(fh, path, name_len).decode("utf-8")
-            ndim = _read_struct(fh, path, "<I")[0]
-            shape = tuple(
-                _read_struct(fh, path, "<Q")[0] for _ in range(ndim)
-            )
-            payload = _read_exact(fh, path, math.prod(shape) * 8)
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-        config_len = _read_struct(fh, path, "<Q")[0]
-        config_text = _read_exact(fh, path, config_len).decode("utf-8")
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after config block")
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic != MAGIC:
+                raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+            version = _read_struct(fh, path, "<I")[0]
+            if version != VERSION:
+                raise FormatError(
+                    f"{path}: unsupported container version {version}, expected {VERSION}"
+                )
+            count = _read_struct(fh, path, "<I")[0]
+            tensors: dict[str, np.ndarray] = {}
+            for _ in range(count):
+                name_len = _read_struct(fh, path, "<I")[0]
+                name = _read_exact(fh, path, name_len).decode("utf-8")
+                ndim = _read_struct(fh, path, "<I")[0]
+                shape = tuple(
+                    _read_struct(fh, path, "<Q")[0] for _ in range(ndim)
+                )
+                payload = _read_exact(fh, path, math.prod(shape) * 8)
+                tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            config_len = _read_struct(fh, path, "<Q")[0]
+            config_text = _read_exact(fh, path, config_len).decode("utf-8")
+            if fh.read(1):
+                raise FormatError(f"{path}: trailing bytes after config block")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: a tensor name or the config block is not UTF-8: {exc}") from exc
     return tensors, config_text
 
 

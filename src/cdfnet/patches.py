@@ -29,12 +29,12 @@ class ZcaTransform:
     """Whitening y = matrix @ (x - mean); matrix is symmetric PD.
 
     mean is (..., d) and matrix (..., d, d): a leading axis stacks one
-    transform per layer-2 group.
+    transform per layer-2 group. The fit's epsilon is folded into matrix;
+    its value belongs to the layer record.
     """
 
     mean: np.ndarray
     matrix: np.ndarray
-    epsilon: float
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -43,8 +43,6 @@ class ZcaTransform:
             raise DimError(
                 f"inconsistent ZCA shapes: mean {mean.shape}, matrix {matrix.shape}"
             )
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not np.allclose(matrix, np.swapaxes(matrix, -1, -2), atol=1e-9):
             raise ValueError("ZCA matrix must be symmetric")
         object.__setattr__(self, "mean", mean)
@@ -127,7 +125,7 @@ def fit_zca(patches: np.ndarray, epsilon: float) -> ZcaTransform:
     inv_sqrt = 1.0 / np.sqrt(eigvals + epsilon)
     matrix = (eigvecs * inv_sqrt[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
     matrix = (matrix + np.swapaxes(matrix, -1, -2)) / 2.0
-    return ZcaTransform(mean=mean, matrix=matrix, epsilon=float(epsilon))
+    return ZcaTransform(mean=mean, matrix=matrix)
 
 
 def apply_zca(transform: ZcaTransform, patches: np.ndarray) -> np.ndarray:

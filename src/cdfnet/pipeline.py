@@ -51,7 +51,8 @@ class NetworkModel:
 
     groups is the (G, n_k) integer table of layer-1 map indices, one group a
     row, and bank2 the (G, d, K) stack of their banks; the table and both
-    banks are checked against the config, since containers come from outside.
+    banks' (d, K) are checked against the config, since containers come from
+    outside.
     """
 
     config: NetworkConfig
@@ -71,8 +72,11 @@ class NetworkModel:
         # sorted, a partition of [0, K1) is 0..K1-1, which also rejects non-integers
         if not np.array_equal(np.sort(table, axis=None), np.arange(l1[2])):
             raise InvalidGrouping(f"groups must partition the {l1[2]} layer-1 maps exactly")
-        if (self.bank1.k, self.bank2.k) != (self.config.layer1.k, self.config.layer2.k_per_group):
-            raise DimError(f"filter counts {self.bank1.k}, {self.bank2.k} are not the config's")
+        c1, c2 = self.config.layer1, self.config.layer2
+        want = ((c1.patch_side**2, c1.k), (c2.patch_side**2 * c2.group_size, c2.k_per_group))
+        got = ((self.bank1.dim, self.bank1.k), (self.bank2.dim, self.bank2.k))
+        if got != want:
+            raise DimError(f"filters (d, K) of layers 1 and 2 are {got}, the config's are {want}")
         if self.bank2.lead != (n_groups,):
             raise DimError(
                 f"layer-2 filters {self.bank2.filters.shape} do not stack one bank "
@@ -130,7 +134,7 @@ def _train_groups(
         converged[span], reseeds[span] = result.converged, result.reseeds
         history += result.sse_history
     result = KMeansResult(filters, tuple(history), n_iters, converged, reseeds)
-    return result, ZcaTransform(means, matrices, layer.zca_epsilon)
+    return result, ZcaTransform(means, matrices)
 
 
 def _log_kmeans(name: str, layer_index: int, result: KMeansResult) -> None:
@@ -181,8 +185,9 @@ def _train(
         [patches_rng.child(0)], [SeededRng(cfg.seeds.kmeans1)],
     )
     _log_kmeans(cfg.name, 1, result1)
-    zca1 = ZcaTransform(zca1.mean[0], zca1.matrix[0], zca1.epsilon)
-    bank1 = FilterBank(result1.centroids[0], cfg.layer1.patch_side, 1, zca1, layer_index=1)
+    bank1 = FilterBank(
+        result1.centroids[0], ZcaTransform(zca1.mean[0], zca1.matrix[0]), layer_index=1
+    )
 
     outputs1 = np.empty((len(images), *l1_shape), dtype=np.float32)
     for i, image_id in enumerate(image_ids):
@@ -201,9 +206,7 @@ def _train(
         [kmeans2_rng.child(g) for g in range(len(groups))],
     )
     _log_kmeans(cfg.name, 2, result2)
-    bank2 = FilterBank(
-        result2.centroids, cfg.layer2.patch_side, cfg.layer2.group_size, zca2, layer_index=2
-    )
+    bank2 = FilterBank(result2.centroids, zca2, layer_index=2)
     model = NetworkModel(cfg, bank1, groups, bank2, input_shape)
     return model, labels, outputs1
 
@@ -287,25 +290,16 @@ def _bank_tensors(prefix: str, bank: FilterBank) -> dict[str, np.ndarray]:
         f"{prefix}/filters": bank.filters,
         f"{prefix}/zca_mean": bank.whitening.mean,
         f"{prefix}/zca_matrix": bank.whitening.matrix,
-        f"{prefix}/zca_epsilon": np.array([bank.whitening.epsilon]),
     }
 
 
-def _bank_from_tensors(
-    tensors: dict[str, np.ndarray], prefix: str, patch_side: int, depth: int, layer_index: int
-) -> FilterBank:
-    """Inverse of :func:`_bank_tensors`; the shape fields come from the config."""
-    return FilterBank(
-        filters=tensors[f"{prefix}/filters"],
-        patch_side=patch_side,
-        depth=depth,
-        whitening=ZcaTransform(
-            mean=tensors[f"{prefix}/zca_mean"],
-            matrix=tensors[f"{prefix}/zca_matrix"],
-            epsilon=float(tensors[f"{prefix}/zca_epsilon"][0]),
-        ),
-        layer_index=layer_index,
-    )
+def _bank_from_tensors(tensors: dict[str, np.ndarray], prefix: str, layer_index: int) -> FilterBank:
+    """Inverse of :func:`_bank_tensors`. An older container's ``zca_epsilon``
+    tensor is ignored: epsilon is folded into ``zca_matrix``, and the config
+    block holds its value."""
+    filters = tensors[f"{prefix}/filters"]  # read first: the per-group layout lacks it
+    zca = ZcaTransform(tensors[f"{prefix}/zca_mean"], tensors[f"{prefix}/zca_matrix"])
+    return FilterBank(filters, zca, layer_index)
 
 
 def save_model(path, model: NetworkModel) -> None:
@@ -322,16 +316,15 @@ def load_model(path) -> NetworkModel:
     tensors, config_text = read_container(path)
     cfg = network_config_from_text(config_text)
     try:
-        bank1 = _bank_from_tensors(tensors, "layer1", cfg.layer1.patch_side, 1, 1)
-        bank2 = _bank_from_tensors(
-            tensors, "layer2", cfg.layer2.patch_side, cfg.layer2.group_size, 2
-        )
+        bank1 = _bank_from_tensors(tensors, "layer1", 1)
+        bank2 = _bank_from_tensors(tensors, "layer2", 2)
         groups, input_shape = tensors["groups"], tensors["input_shape"]
     except KeyError as exc:
         raise FormatError(f"{path}: missing tensor {exc}") from exc
-    if input_shape.shape != (2,):
-        raise FormatError(f"{path}: input_shape {input_shape} is not (height, width)")
-    return NetworkModel(cfg, bank1, groups, bank2, tuple(int(v) for v in input_shape))
+    sides = input_shape.tolist()
+    if input_shape.shape != (2,) or not all(v.is_integer() and v >= 1 for v in sides):
+        raise FormatError(f"{path}: input_shape {input_shape} is not integer (height, width) >= 1")
+    return NetworkModel(cfg, bank1, groups, bank2, tuple(int(v) for v in sides))
 
 
 def save_svm(path, model: SvmModel) -> None:

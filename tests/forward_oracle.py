@@ -27,10 +27,9 @@ def normalize_patch(patch: np.ndarray) -> np.ndarray:
     return scaled - scaled.mean()
 
 
-def _convolve(maps, bank):
-    """(H, W, depth) maps against one (d, K) bank: every patch normalized,
+def _convolve(maps, bank, p):
+    """(H, W, depth) maps against one (d, K) bank: every p x p patch normalized,
     whitened with the bank's transform, then multiplied by the filters."""
-    p = bank.patch_side
     windows = sliding_window_view(maps, (p, p), axis=(0, 1))
     out_h, out_w = windows.shape[:2]
     cols = np.stack([normalize_patch(c) for c in windows.reshape(out_h * out_w, -1)], axis=1)
@@ -79,7 +78,7 @@ def _pool(maps, side, stride, alpha):
 
 
 def run_layer(maps, bank, cfg, rectifier):
-    out = _convolve(maps, bank)
+    out = _convolve(maps, bank, cfg.patch_side)
     out = _lcn(_rectify(out, rectifier), cfg.lcn_window, cfg.lcn_sigma)
     return _pool(out, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)
 
@@ -87,10 +86,7 @@ def run_layer(maps, bank, cfg, rectifier):
 def group_bank(bank: FilterBank, g: int) -> FilterBank:
     """Bank g of a (G, d, K) stack, with its own whitening."""
     zca = bank.whitening
-    return FilterBank(
-        bank.filters[g], bank.patch_side, bank.depth,
-        ZcaTransform(zca.mean[g], zca.matrix[g], zca.epsilon), bank.layer_index,
-    )
+    return FilterBank(bank.filters[g], ZcaTransform(zca.mean[g], zca.matrix[g]), bank.layer_index)
 
 
 def extract_descriptors(model, images):

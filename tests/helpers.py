@@ -124,7 +124,7 @@ def micro_config(name: str = "micro", seeds: Seeds = Seeds(1, 2, 3, 4)) -> Netwo
 
 def identity_whitening(dim: int, lead: tuple[int, ...] = ()) -> ZcaTransform:
     """The whitening that leaves a normalized patch as it is, stacked over lead."""
-    return ZcaTransform(np.zeros((*lead, dim)), np.broadcast_to(np.eye(dim), (*lead, dim, dim)), 0.1)
+    return ZcaTransform(np.zeros((*lead, dim)), np.broadcast_to(np.eye(dim), (*lead, dim, dim)))
 
 
 def container_declaring(dims) -> bytes:

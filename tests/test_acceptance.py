@@ -123,8 +123,8 @@ def _check_convolution_oracle():
         k = int(rng.integers(1, 5))
         maps = rng.standard_normal((h, w, depth))
         zca = fit_zca(rng.random((200, p * p * depth)), 0.1)
-        bank = FilterBank(rng.standard_normal((p * p * depth, k)), p, depth, zca)
-        got = _convolve(maps, bank)
+        bank = FilterBank(rng.standard_normal((p * p * depth, k)), zca)
+        got = _convolve(maps, bank, p)
         want = np.empty(got.shape)
         for i in range(h - p + 1):
             for j in range(w - p + 1):
@@ -180,24 +180,19 @@ def test_criterion_2_shape_arithmetic():
         rng = np.random.default_rng(0)
         d1 = cfg.layer1.patch_side**2
         bank1 = FilterBank(
-            rng.standard_normal((d1, cfg.layer1.k)), cfg.layer1.patch_side, 1,
-            ZcaTransform(np.zeros(d1), np.eye(d1), cfg.layer1.zca_epsilon), 1,
+            rng.standard_normal((d1, cfg.layer1.k)), ZcaTransform(np.zeros(d1), np.eye(d1)), 1
         )
         groups = make_groups(cfg.layer1.k, cfg.layer2.group_size, SeededRng(4))
         n_groups = len(groups)
         d2 = cfg.layer2.patch_side**2 * cfg.layer2.group_size
         bank2 = FilterBank(
             rng.standard_normal((n_groups, d2, cfg.layer2.k_per_group)),
-            cfg.layer2.patch_side, cfg.layer2.group_size,
-            ZcaTransform(
-                np.zeros((n_groups, d2)), np.tile(np.eye(d2), (n_groups, 1, 1)),
-                cfg.layer2.zca_epsilon,
-            ),
+            ZcaTransform(np.zeros((n_groups, d2)), np.tile(np.eye(d2), (n_groups, 1, 1))),
             2,
         )
         full = NetworkModel(cfg, bank1, groups, bank2, (96, 96))
         img = LabeledImage(rng.random((96, 96)), 0, image_id=0)
-        conv = _convolve(img.pixels[:, :, None], bank1)
+        conv = _convolve(img.pixels[:, :, None], bank1, cfg.layer1.patch_side)
         assert conv.shape == (81, 81, 300)
         out1 = run_layer(FeatureMapSet(img.pixels[:, :, None], 0), bank1, cfg.layer1, cfg.rectifier)
         assert out1.maps.shape == (6, 6, 300)

@@ -190,6 +190,33 @@ class TestChain:
                    "--network-id", "t", "--out", out) == 0
         assert read_score_file(out).image_ids == (40, 7, 9, 1)
 
+    @pytest.mark.parametrize(
+        "labels, ids",
+        [
+            ([0.0, 1.5, 0.0, 1.0], "0\n1\n2\n3"),  # would train as class 1
+            ([0.0, np.nan, 0.0, 1.0], "0\n1\n2\n3"),
+            ([0.0, 1.0, -2.0, 1.0], "0\n1\n2\n3"),  # -1 is the one unlabelled mark
+            ([0.0, 1.0, 0.0, 1.0], "0\n1\n2.5\n3"),
+            ([0.0, 1.0, 0.0, 1.0], "0\n1\nseven\n3"),
+        ],
+        ids=["fractional_label", "nan_label", "label_below_-1", "fractional_id", "word_id"],
+    )
+    @pytest.mark.parametrize("command", ["svm", "score"])
+    def test_descriptor_labels_and_ids_must_be_integers(
+        self, tmp_path, capsys, command, labels, ids
+    ):
+        x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 0.5]])
+        save_svm(tmp_path / "tiny.svm", train_ova_svm(x, [0, 1, 0, 1]))
+        desc = tmp_path / "bad.desc"
+        write_container(desc, {"descriptors": x, "labels": np.array(labels)}, ids)
+        out = tmp_path / "out"
+        args = {"svm": ["--out", out],
+                "score": ["--svm", tmp_path / "tiny.svm", "--network-id", "t", "--out", out]}
+        assert run(command, "--descriptors", desc, *args[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {desc}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["svm", "score"])
     def test_nonfinite_descriptors_rejected(self, ws, capsys, command):
         x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 0.5]])
@@ -233,7 +260,6 @@ class TestChain:
         for g in range(tensors["layer2/filters"].shape[0]):
             for name in ("filters", "zca_mean", "zca_matrix"):
                 old[f"layer2/g{g:04d}/{name}"] = tensors[f"layer2/{name}"][g]
-            old[f"layer2/g{g:04d}/zca_epsilon"] = tensors["layer2/zca_epsilon"]
         model = ws / "old_layout.model"
         write_container(model, old, text)
         rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
@@ -266,6 +292,21 @@ class TestChain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "groups" in err
+
+    def test_filter_dim_checked_against_config_at_load(self, ws, trained_model, capsys):
+        # a layer-1 bank of one pixel less than the config's patch side squared
+        tensors, text = read_container(trained_model)
+        tensors["layer1/filters"] = tensors["layer1/filters"][:-1]
+        tensors["layer1/zca_mean"] = tensors["layer1/zca_mean"][:-1]
+        tensors["layer1/zca_matrix"] = tensors["layer1/zca_matrix"][:-1, :-1]
+        model = ws / "short_filters.model"
+        write_container(model, tensors, text)
+        rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
+                 "--out", ws / "short_filters.desc")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: filters (d, K) of layers 1 and 2") and err.count("\n") == 1
+        assert not (ws / "short_filters.desc").exists()
 
     @pytest.mark.parametrize("reg_c", ["0", "-1", "nan", "inf"])
     def test_svm_reg_c_rejected(self, ws, capsys, reg_c):

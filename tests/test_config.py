@@ -227,6 +227,19 @@ class TestValidation:
         with pytest.raises(FormatError, match=line.split(" = ")[0]):
             network_config_from_text(text)
 
+    # both layers share these keys, so only the section tells the lines apart
+    @pytest.mark.parametrize(
+        "line", ["lcn_sigma = nan", "zca_epsilon = 0", "pool_stride = 0", "lcn_window = 4"]
+    )
+    @pytest.mark.parametrize("section", ["layer1", "layer2"])
+    def test_record_error_names_its_section(self, section, line):
+        bodies = {"network": "", "layer1": "", "layer2": "", section: line}
+        text = "".join(f"[{s}]\n{body}\n" for s, body in bodies.items())
+        with pytest.raises(FormatError) as info:
+            network_config_from_text(text)
+        assert str(info.value).startswith("bad network config: ")
+        assert str(info.value).endswith(f"(in [{section}])")
+
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
     def test_pool_alpha_one_or_even_accepted(self, alpha):
         cfg = NetworkConfig(

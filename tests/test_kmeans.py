@@ -158,18 +158,20 @@ class TestSse:
 
 class TestFilterBank:
     def test_shape_validation(self):
+        with pytest.raises(DimError, match="whitening mean"):
+            FilterBank(np.zeros((5, 2)), identity_whitening(4))  # d = 5, whitening dim 4
         with pytest.raises(DimError):
-            FilterBank(np.zeros((5, 2)), 2, 1, identity_whitening(5))  # 2*2*1 = 4 != 5
+            FilterBank(np.zeros(5), identity_whitening(5))  # not (d, K)
 
     def test_needs_filters(self):
         with pytest.raises(DimError):
-            FilterBank(np.zeros((4, 0)), 2, 1, identity_whitening(4))
+            FilterBank(np.zeros((4, 0)), identity_whitening(4))
 
     def test_rejects_nonfinite(self):
         bad = np.zeros((4, 2))
         bad[1, 1] = np.inf
         with pytest.raises(NonFiniteValue):
-            FilterBank(bad, 2, 1, identity_whitening(4))
+            FilterBank(bad, identity_whitening(4))
 
 
 class TestReseed:
@@ -210,7 +212,7 @@ class TestWhitenedFilters:
     def test_matches_whitening_then_filters(self):
         rng = np.random.default_rng(4)
         zca = fit_zca(rng.random((200, 8)), 0.1)
-        bank = FilterBank(rng.standard_normal((8, 3)), 2, 2, zca)
+        bank = FilterBank(rng.standard_normal((8, 3)), zca)
         g, c = bank.whitened_filters
         # folded in float64, then rounded once to the forward pass's float32
         assert g.dtype == c.dtype == np.float32
@@ -226,22 +228,22 @@ class TestWhitenedFilters:
         filters = rng.standard_normal((3, 8, 4))
         means = np.stack([z.mean for z in zcas])
         matrices = np.stack([z.matrix for z in zcas])
-        stacked = FilterBank(filters, 2, 2, ZcaTransform(means, matrices, 0.1))
+        stacked = FilterBank(filters, ZcaTransform(means, matrices))
         g, c = stacked.whitened_filters
         assert g.shape == (3, 8, 4) and c.shape == (3, 1, 4)
         for i, zca in enumerate(zcas):
-            gi, ci = FilterBank(filters[i], 2, 2, zca).whitened_filters
+            gi, ci = FilterBank(filters[i], zca).whitened_filters
             assert np.array_equal(g[i], gi) and np.array_equal(c[i], ci)
 
     def test_stacked_whitening_must_match_filters(self):
-        zca = ZcaTransform(np.zeros((2, 4)), np.tile(np.eye(4), (2, 1, 1)), 0.1)
+        zca = ZcaTransform(np.zeros((2, 4)), np.tile(np.eye(4), (2, 1, 1)))
         with pytest.raises(DimError):
-            FilterBank(np.ones((3, 4, 2)), 2, 1, zca)
+            FilterBank(np.ones((3, 4, 2)), zca)
 
     def test_needs_whitening(self):
         # the filters only mean something in the whitened space they were learned in
         with pytest.raises(TypeError, match="whitening"):
-            FilterBank(np.ones((4, 2)), 2, 1)
+            FilterBank(np.ones((4, 2)))
 
 
 class TestKmeansStack:

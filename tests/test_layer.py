@@ -37,12 +37,12 @@ def _fmset(arr):
     return FeatureMapSet(np.asarray(arr, dtype=np.float64))
 
 
-def _bank(filters, p, depth, whitening=None):
+def _bank(filters, whitening=None):
     """A bank of the given filters; without a whitening, the identity one."""
     filters = np.asarray(filters, dtype=np.float64)
     if whitening is None:
         whitening = identity_whitening(filters.shape[-2], filters.shape[:-2])
-    return FilterBank(filters, p, depth, whitening)
+    return FilterBank(filters, whitening)
 
 
 def _stack(banks):
@@ -50,15 +50,12 @@ def _stack(banks):
     whitening = ZcaTransform(
         np.stack([b.whitening.mean for b in banks]),
         np.stack([b.whitening.matrix for b in banks]),
-        banks[0].whitening.epsilon,
     )
-    return FilterBank(
-        np.stack([b.filters for b in banks]), banks[0].patch_side, banks[0].depth, whitening, 2
-    )
+    return FilterBank(np.stack([b.filters for b in banks]), whitening, 2)
 
 
-def _conv(maps, bank):
-    return _convolve(np.asarray(maps, dtype=np.float64), bank)
+def _conv(maps, bank, p):
+    return _convolve(np.asarray(maps, dtype=np.float64), bank, p)
 
 
 def _rect(maps, rectifier):
@@ -86,11 +83,11 @@ def _layer1(**kw):
     return Layer1Config(**base)
 
 
-def _conv_oracle(maps, bank):
-    """Triple-loop convolution of one bank in float64, depth-major unroll:
-    each patch normalized and whitened on its own, then one dot product per
-    filter."""
-    p, zca = bank.patch_side, bank.whitening
+def _conv_oracle(maps, bank, p):
+    """Triple-loop convolution of one bank of p x p filters in float64,
+    depth-major unroll: each patch normalized and whitened on its own, then
+    one dot product per filter."""
+    zca = bank.whitening
     h, w, _ = maps.shape
     out = np.zeros((h - p + 1, w - p + 1, bank.k))
     for j in range(h - p + 1):
@@ -108,7 +105,7 @@ class TestConvolve:
         maps = rng.random((5, 5, 1))
         delta = np.zeros((9, 1))
         delta[0, 0] = 1.0
-        out = _conv(maps, _bank(delta, 3, 1))
+        out = _conv(maps, _bank(delta), 3)
         assert out.shape == (3, 3, 1)
         corners = [[normalize_patch(maps[j : j + 3, i : i + 3, 0])[0, 0] for i in range(3)]
                    for j in range(3)]
@@ -118,23 +115,23 @@ class TestConvolve:
         # a constant patch normalizes to zero, so the response is the offset
         # -mu^T M F alone; with mu = -1 and M = I that is each filter's sum
         filt = np.arange(4.0).reshape(4, 1)
-        bank = _bank(filt, 2, 1, whitening=ZcaTransform(-np.ones(4), np.eye(4), 0.1))
-        out = _conv(np.full((5, 5, 1), 0.3), bank)
+        bank = _bank(filt, ZcaTransform(-np.ones(4), np.eye(4)))
+        out = _conv(np.full((5, 5, 1), 0.3), bank, 2)
         assert np.array_equal(out, np.full((4, 4, 1), filt.sum()))
 
     def test_random_5x5_vs_triple_loop(self):
         rng = np.random.default_rng(1)
         maps = rng.random((5, 5, 1))
-        bank = _bank(rng.standard_normal((9, 4)), 3, 1)
-        assert_near_oracle(_conv(maps, bank), _conv_oracle(maps, bank))
+        bank = _bank(rng.standard_normal((9, 4)))
+        assert_near_oracle(_conv(maps, bank, 3), _conv_oracle(maps, bank, 3))
 
     def test_multi_depth_vs_triple_loop(self):
         rng = np.random.default_rng(2)
         maps = rng.random((7, 6, 3))
-        bank = _bank(rng.standard_normal((2 * 2 * 3, 5)), 2, 3)
-        out = _conv(maps, bank)
+        bank = _bank(rng.standard_normal((2 * 2 * 3, 5)))
+        out = _conv(maps, bank, 2)
         assert out.dtype == np.float32
-        assert_near_oracle(out, _conv_oracle(maps, bank))
+        assert_near_oracle(out, _conv_oracle(maps, bank, 2))
 
     def test_many_random_instances_vs_oracle(self):
         rng = np.random.default_rng(3)
@@ -145,25 +142,26 @@ class TestConvolve:
             p = int(rng.integers(1, min(h, w) + 1))
             k = int(rng.integers(1, 5))
             maps = rng.standard_normal((h, w, depth))
-            bank = _bank(rng.standard_normal((p * p * depth, k)), p, depth)
-            out = _conv(maps, bank)
-            want = _conv_oracle(maps, bank)
+            bank = _bank(rng.standard_normal((p * p * depth, k)))
+            out = _conv(maps, bank, p)
+            want = _conv_oracle(maps, bank, p)
             if np.any(want):
                 assert_near_oracle(out, want)
             else:  # one-pixel patches normalize to zero
                 assert not np.any(out)
 
     def test_depth_mismatch(self):
-        with pytest.raises(DimError):
+        # 3x3 filters over one map, fed two: d = 9 is not 3^2 * 2
+        with pytest.raises(DimError, match="filter dim 9"):
             run_layer(
-                _fmset(np.zeros((5, 5, 2))), _bank(np.zeros((9, 1)), 3, 1),
+                _fmset(np.zeros((5, 5, 2))), _bank(np.zeros((9, 1))),
                 _layer1(patch_side=3), "abs",
             )
 
     def test_filter_too_large(self):
         with pytest.raises(DimError):
             run_layer(
-                _fmset(np.zeros((4, 4, 1))), _bank(np.zeros((25, 1)), 5, 1),
+                _fmset(np.zeros((4, 4, 1))), _bank(np.zeros((25, 1))),
                 _layer1(patch_side=5), "abs",
             )
 
@@ -174,14 +172,14 @@ class TestConvolve:
         maps = rng.random((6, 6, 2))
         zca = fit_zca(rng.random((500, 8)), 0.1)
         filters = rng.standard_normal((8, 3))
-        bank = _bank(filters, 2, 2, whitening=zca)
+        bank = _bank(filters, zca)
         for x in (maps, 2.5 * maps, np.full((6, 6, 2), 0.7)):
             expect = np.empty((5, 5, 3))
             for j in range(5):
                 for i in range(5):
                     patch = normalize_patch(unroll_patch(x, j, i, 2))
                     expect[j, i] = (zca.matrix @ (patch - zca.mean)) @ filters
-            assert_near_oracle(_conv(x, bank), expect)
+            assert_near_oracle(_conv(x, bank, 2), expect)
 
     def test_dense_patch_positions_row_major(self):
         rng = np.random.default_rng(6)
@@ -299,7 +297,7 @@ class TestLcnSubtractive:
         with pytest.raises(InvalidWindow):
             _layer1(lcn_window=4)
         rng = np.random.default_rng(24)
-        bank = _bank(rng.standard_normal((4, 1)), 2, 1)
+        bank = _bank(rng.standard_normal((4, 1)))
         cfg = _layer1(patch_side=2, lcn_window=5)
         with pytest.raises(InvalidWindow, match="LCN window 5"):
             run_layer(_fmset(np.zeros((5, 5, 1))), bank, cfg, "abs")
@@ -392,7 +390,7 @@ class TestPool:
 
     def test_window_too_large(self):
         rng = np.random.default_rng(25)
-        bank = _bank(rng.standard_normal((1, 1)), 1, 1)
+        bank = _bank(rng.standard_normal((1, 1)))
         cfg = _layer1(patch_side=1, pool_side=5)
         with pytest.raises(InvalidWindow, match="pool window 5"):
             run_layer(_fmset(np.zeros((4, 4, 1))), bank, cfg, "abs")
@@ -467,7 +465,7 @@ class TestRunLayer:
         # 96x96 input, 16x16 filters, pool 12 stride 12 -> 6x6
         rng = np.random.default_rng(16)
         maps = rng.random((96, 96, 1))
-        bank = _bank(rng.standard_normal((256, 3)), 16, 1)
+        bank = _bank(rng.standard_normal((256, 3)))
         cfg = _layer1(pool_side=12, pool_stride=12, lcn_window=9, lcn_sigma=2.25)
         out = run_layer(_fmset(maps), bank, cfg, "abs")
         assert out.maps.shape == (6, 6, 3)
@@ -475,7 +473,7 @@ class TestRunLayer:
     def test_stride_8_gives_9x9(self):
         rng = np.random.default_rng(17)
         maps = rng.random((96, 96, 1))
-        bank = _bank(rng.standard_normal((256, 2)), 16, 1)
+        bank = _bank(rng.standard_normal((256, 2)))
         cfg = _layer1(pool_side=12, pool_stride=8, lcn_window=9, lcn_sigma=2.25)
         out = run_layer(_fmset(maps), bank, cfg, "abs")
         assert out.maps.shape == (9, 9, 2)
@@ -483,7 +481,7 @@ class TestRunLayer:
     def test_on_off_doubles_depth(self):
         rng = np.random.default_rng(18)
         maps = rng.random((12, 12, 1))
-        bank = _bank(rng.standard_normal((16, 5)), 4, 1)
+        bank = _bank(rng.standard_normal((16, 5)))
         cfg = _layer1(patch_side=4, pool_side=3, pool_stride=3)
         out = run_layer(_fmset(maps), bank, cfg, "on_off")
         assert out.depth == 10
@@ -493,10 +491,10 @@ class TestRunLayer:
         # run_layer must equal the hand-applied five-stage composition
         rng = np.random.default_rng(19)
         maps = rng.random((10, 10, 2))
-        bank = _bank(rng.standard_normal((2 * 2 * 2, 4)), 2, 2)
+        bank = _bank(rng.standard_normal((2 * 2 * 2, 4)))
         cfg = _layer1(patch_side=2)
         out = run_layer(_fmset(maps), bank, cfg, "abs")
-        step = _convolve(maps, bank)
+        step = _convolve(maps, bank, 2)
         step = _rectify(step, "abs")
         _lcn_subtract(step, 3, 0.75)
         _lcn_divide(step, 3, 0.75)
@@ -512,7 +510,7 @@ class TestRunLayer:
         rng = np.random.default_rng(28)
         maps = rng.random((12, 12, 2))
         zca = fit_zca(rng.random((200, 18)), 0.1) if whitened else None
-        bank = _bank(rng.standard_normal((18, 4)), 3, 2, whitening=zca)
+        bank = _bank(rng.standard_normal((18, 4)), zca)
         cfg = _layer1(patch_side=3)
         out = run_layer(_fmset(maps), bank, cfg, rectifier).maps
         assert out.dtype == np.float32
@@ -521,17 +519,17 @@ class TestRunLayer:
 
     def test_stacked_bank_rejected(self):
         rng = np.random.default_rng(22)
-        bank = _bank(rng.standard_normal((2, 4, 3)), 2, 1)
+        bank = _bank(rng.standard_normal((2, 4, 3)))
         with pytest.raises(DimError, match="stacked"):
             run_layer(_fmset(rng.random((8, 8, 1))), bank, _layer1(patch_side=2), "abs")
 
     def test_bank_side_must_be_the_records(self):
         # a 3x3 bank under a patch_side 5 record would run, off the promised shape
         rng = np.random.default_rng(26)
-        bank = _bank(rng.standard_normal((9, 2)), 3, 1)
+        bank = _bank(rng.standard_normal((9, 2)))
         cfg = _layer1(patch_side=5)
         assert layer_output_shape(9, 9, 2, cfg, "abs") == (2, 2, 2)
-        with pytest.raises(DimError, match="filter side 3"):
+        with pytest.raises(DimError, match=r"filter dim 9 is not the layer's 5\^2"):
             run_layer(_fmset(rng.random((9, 9, 1))), bank, cfg, "abs")
 
     def test_unknown_rectifier_fails_before_convolving(self, monkeypatch):
@@ -539,7 +537,7 @@ class TestRunLayer:
             raise AssertionError("convolved")
 
         monkeypatch.setattr(layer, "_convolve", never)
-        bank = _bank(np.ones((4, 2)), 2, 1)
+        bank = _bank(np.ones((4, 2)))
         with pytest.raises(ValueError, match="rectifier"):
             run_layer(_fmset(np.ones((8, 8, 1))), bank, _layer1(patch_side=2), "relu")
 
@@ -560,7 +558,7 @@ class TestRunLayer:
             return  # config invalid for the 3-wide LCN window
         rng = np.random.default_rng(seed)
         maps = rng.random((h, w, 1))
-        bank = _bank(rng.standard_normal((p * p, k)), p, 1)
+        bank = _bank(rng.standard_normal((p * p, k)))
         cfg = _layer1(patch_side=p, pool_side=pool_side, pool_stride=stride)
         rectifier = "on_off" if on_off else "abs"
         out = run_layer(_fmset(maps), bank, cfg, rectifier)
@@ -579,7 +577,7 @@ class TestRunLayer:
         rng = np.random.default_rng(20)
         cfg = _layer1(**fields)
         p = cfg.patch_side
-        bank = _bank(rng.standard_normal((p * p, 2)), p, 1)
+        bank = _bank(rng.standard_normal((p * p, 2)))
         with pytest.raises(error):
             run_layer(_fmset(rng.random((side, side, 1))), bank, cfg, "abs")
         with pytest.raises(error):
@@ -598,8 +596,8 @@ class TestRunGroups:
         groups = make_groups(12, 4, SeededRng(5))
         banks = tuple(
             _bank(
-                rng.standard_normal((36, 5)), 3, 4,
-                whitening=fit_zca(rng.random((200, 36)), 0.1) if whitened else None,
+                rng.standard_normal((36, 5)),
+                fit_zca(rng.random((200, 36)), 0.1) if whitened else None,
             )
             for _ in groups
         )
@@ -614,8 +612,8 @@ class TestRunGroups:
 
     def test_filter_dim_must_fit_groups(self):
         cfg = Layer2Config(k_per_group=2, patch_side=3, group_size=4, lcn_window=3)
-        bank = _bank(np.zeros((2, 27, 2)), 3, 3)  # 3x3 filters over 3 maps, groups hold 4
-        with pytest.raises(DimError):
+        bank = _bank(np.zeros((2, 27, 2)))  # 3x3 filters over 3 maps, groups hold 4
+        with pytest.raises(DimError, match="filter dim 27"):
             run_groups(np.ones((6, 6, 8)), np.arange(8).reshape(2, 4), bank, cfg, "abs")
 
     def test_band_holds_conv_rows_patches_over_all_groups(self, monkeypatch):
@@ -629,11 +627,11 @@ class TestRunGroups:
         monkeypatch.setattr(layer, "dense_patches", recording)
         rng = np.random.default_rng(23)
         maps = rng.random((5, 40, 40, 2))
-        banks = [_bank(rng.standard_normal((18, 3)), 3, 2) for _ in range(5)]
-        out = _convolve(maps, _stack(banks))
+        banks = [_bank(rng.standard_normal((18, 3))) for _ in range(5)]
+        out = _convolve(maps, _stack(banks), 3)
         assert len(copies) > 1 and max(copies) <= layer._CONV_ROWS
         for g, bank in enumerate(banks):
-            assert_near_oracle(out[g], _conv_oracle(maps[g], bank))
+            assert_near_oracle(out[g], _conv_oracle(maps[g], bank, 3))
 
 
 class TestLayerConfigValidation:
@@ -643,7 +641,7 @@ class TestLayerConfigValidation:
         with pytest.raises(ValueError):
             NetworkConfig(rectifier="relu")
         rng = np.random.default_rng(21)
-        bank = _bank(rng.standard_normal((4, 2)), 2, 1)
+        bank = _bank(rng.standard_normal((4, 2)))
         cfg = Layer1Config(patch_side=2, pool_side=2, pool_stride=2, lcn_window=3)
         with pytest.raises(ValueError, match="rectifier"):
             run_layer(_fmset(rng.random((8, 8, 1))), bank, cfg, "relu")

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -113,6 +114,18 @@ class TestErrors:
         padded.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             read_container(padded)
+
+    @pytest.mark.parametrize(
+        "good, bad", [(b"xy", b"x\xff"), (b"cfg", b"cf\xff")], ids=["tensor_name", "config_block"]
+    )
+    def test_undecodable_bytes(self, tmp_path, good, bad):
+        path = tmp_path / "m.bin"
+        write_container(path, {"xy": np.ones(3)}, "cfg")
+        data = path.read_bytes()
+        assert data.count(good) == 1
+        path.write_bytes(data.replace(good, bad))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: ") + ".*not UTF-8"):
+            read_container(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "none.bin"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -267,7 +269,7 @@ class TestFitZca:
 class TestApplyZca:
     def test_identity_transform(self):
         pm = _white_patches(n=50, d=3)
-        t = ZcaTransform(np.zeros(3), np.eye(3), 1e-6)
+        t = ZcaTransform(np.zeros(3), np.eye(3))
         assert np.array_equal(apply_zca(t, pm), pm)
 
     def test_self_whitening_covariance(self):
@@ -282,13 +284,13 @@ class TestApplyZca:
         assert np.allclose(np.diag(cov), 1.0, atol=1e-3)
 
     def test_dim_mismatch(self):
-        t = ZcaTransform(np.zeros(3), np.eye(3), 1e-6)
+        t = ZcaTransform(np.zeros(3), np.eye(3))
         with pytest.raises(DimError):
             apply_zca(t, _white_patches(n=10, d=4))
 
     def test_subtracts_mean(self):
         data = np.array([[1.0, 2.0], [3.0, 6.0]])
-        t = ZcaTransform(np.array([1.0, 2.0]), np.eye(2), 1e-6)
+        t = ZcaTransform(np.array([1.0, 2.0]), np.eye(2))
         assert np.array_equal(apply_zca(t, data), [[0.0, 0.0], [2.0, 4.0]])
 
     def test_matches_column_form(self):
@@ -301,8 +303,8 @@ class TestApplyZca:
     @pytest.mark.parametrize("n, d", [(1000, 36), (777, 18), (200, 9)])
     def test_stack_equals_oracle_per_slice(self, n, d):
         stack = _mixed_stack(n, d)
-        t = ZcaTransform(*_oracle_zcas(stack), 0.1)
-        want = [train_oracle.apply_zca(ZcaTransform(m, a, 0.1), s)
+        t = ZcaTransform(*_oracle_zcas(stack))
+        want = [train_oracle.apply_zca(ZcaTransform(m, a), s)
                 for m, a, s in zip(t.mean, t.matrix, stack)]
         assert np.array_equal(apply_zca(t, stack), want)
 
@@ -312,9 +314,12 @@ class TestZcaTransformValidation:
         m = np.eye(2)
         m[0, 1] = 1e-3
         with pytest.raises(ValueError):
-            ZcaTransform(np.zeros(2), m, 0.01)
+            ZcaTransform(np.zeros(2), m)
 
     def test_epsilon_positive(self):
+        # the transform holds no epsilon (it is folded into the matrix), so
+        # the rule is checked where epsilon is used, in the fit
+        assert [f.name for f in dataclasses.fields(ZcaTransform)] == ["mean", "matrix"]
         for eps in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="epsilon"):
-                ZcaTransform(np.zeros(2), np.eye(2), eps)
+                fit_zca(_white_patches(d=2), eps)

@@ -1,6 +1,7 @@
 import dataclasses
 import glob
 import os
+import re
 
 import numpy as np
 import pytest
@@ -127,22 +128,38 @@ class TestTrain:
 
     def test_banks_count_checked(self, nano_model):
         zca = nano_model.bank2.whitening
-        one = ZcaTransform(zca.mean[:1], zca.matrix[:1], zca.epsilon)
+        one = ZcaTransform(zca.mean[:1], zca.matrix[:1])
         with pytest.raises(DimError, match="one bank"):
             NetworkModel(
                 nano_model.config, nano_model.bank1, nano_model.groups,
-                FilterBank(nano_model.bank2.filters[:1], 3, 4, one), nano_model.input_shape,
+                FilterBank(nano_model.bank2.filters[:1], one), nano_model.input_shape,
             )
 
     def test_filter_counts_checked(self, nano_model):
         # a layer-1 bank short of the config's 8 filters would index past its maps
         m = nano_model
-        short = FilterBank(m.bank1.filters[:, :4], 5, 1, m.bank1.whitening, 1)
-        with pytest.raises(DimError, match="filter counts 4, 6"):
+        short = FilterBank(m.bank1.filters[:, :4], m.bank1.whitening, 1)
+        with pytest.raises(DimError, match=r"\(\(25, 4\), \(36, 6\)\), the config's"):
             NetworkModel(m.config, short, m.groups, m.bank2, m.input_shape)
-        narrow = FilterBank(m.bank2.filters[..., :5], 3, 4, m.bank2.whitening, 2)
-        with pytest.raises(DimError, match="filter counts 8, 5"):
+        narrow = FilterBank(m.bank2.filters[..., :5], m.bank2.whitening, 2)
+        with pytest.raises(DimError, match=r"\(\(25, 8\), \(36, 5\)\), the config's"):
             NetworkModel(m.config, m.bank1, m.groups, narrow, m.input_shape)
+
+    def test_filter_dims_checked(self, nano_model):
+        # the config, not the bank, holds the patch side and the group size:
+        # a 4x4 layer-1 bank or a layer-2 bank over 3 maps must not pass as the model
+        m = nano_model
+        zca1, zca2 = m.bank1.whitening, m.bank2.whitening
+        small = FilterBank(
+            m.bank1.filters[:16], ZcaTransform(zca1.mean[:16], zca1.matrix[:16, :16])
+        )
+        with pytest.raises(DimError, match=r"\(\(16, 8\), \(36, 6\)\), the config's"):
+            NetworkModel(m.config, small, m.groups, m.bank2, m.input_shape)
+        thin = FilterBank(
+            m.bank2.filters[:, :27], ZcaTransform(zca2.mean[:, :27], zca2.matrix[:, :27, :27])
+        )
+        with pytest.raises(DimError, match=r"\(\(25, 8\), \(27, 6\)\), the config's"):
+            NetworkModel(m.config, m.bank1, m.groups, thin, m.input_shape)
 
 
 class TestGroupTable:
@@ -190,14 +207,18 @@ class TestGroupTable:
         got = extract_descriptors(model, stripe_dataset(3, side=16, seed=13))
         assert got.dtype == np.float64
         assert_near_oracle(got, want)
-        # saving again keeps every tensor's bytes, the group table's included;
-        # only the three retired config lines are gone
+        # saving again keeps every other tensor's bytes, the group table's
+        # included; only the two zca_epsilon tensors (epsilon is folded into
+        # zca_matrix, and the config holds it) and the three retired config
+        # lines are gone
         save_model(tmp_path / "again.model", model)
         tensors, text = read_container(path)
         again, again_text = read_container(tmp_path / "again.model")
-        assert list(again) == list(tensors)
-        for name, tensor in tensors.items():
-            assert again[name].tobytes() == tensor.tobytes(), name
+        dropped = ("layer1/zca_epsilon", "layer2/zca_epsilon")
+        assert all(name in tensors for name in dropped)
+        assert list(again) == [name for name in tensors if name not in dropped]
+        for name, tensor in again.items():
+            assert tensors[name].tobytes() == tensor.tobytes(), name
         retired = ("descriptor_mode = layer2_only\n", "dense_preprocess = true\n")
         kept = [line for line in text.splitlines(keepends=True) if line not in retired]
         assert len(kept) == len(text.splitlines()) - 3
@@ -356,6 +377,21 @@ class TestModelPersistence:
         with pytest.raises(FormatError, match="input_shape"):
             load_model(broken)
 
+    @pytest.mark.parametrize(
+        "sides",
+        [(64.7, 64.2), (float("nan"), 32.0), (32.0, float("inf")), (0.0, 32.0), (-32.0, 32.0)],
+    )
+    def test_input_shape_must_be_integer_sides(self, nano_model, tmp_path, sides):
+        # truncating 64.7 to 64 would load a shape the model was never trained at
+        path = tmp_path / "model.bin"
+        save_model(path, nano_model)
+        tensors, text = read_container(path)
+        tensors["input_shape"] = np.array(sides)
+        broken = tmp_path / "bad_sides.bin"
+        write_container(broken, tensors, text)
+        with pytest.raises(FormatError, match=re.escape(f"{broken}: input_shape")):
+            load_model(broken)
+
     def test_n1_container_layout(self, tmp_path):
         # an n1-shaped model: 300 layer-1 filters, 75 groups of 4 maps
         cfg = load_network_config(os.path.join(CONFIG_DIR, "n1.ini"))
@@ -367,13 +403,11 @@ class TestModelPersistence:
         zca2 = fit_zca(rng.random((100, d2)), 0.1)
         model = NetworkModel(
             cfg,
-            FilterBank(rng.standard_normal((d1, l1.k)), l1.patch_side, 1,
-                       ZcaTransform(np.zeros(d1), np.eye(d1), l1.zca_epsilon), 1),
+            FilterBank(rng.standard_normal((d1, l1.k)), ZcaTransform(np.zeros(d1), np.eye(d1)), 1),
             groups,
             FilterBank(
-                rng.standard_normal((g, d2, l2.k_per_group)), l2.patch_side, l2.group_size,
-                ZcaTransform(rng.standard_normal((g, d2)),
-                             np.tile(zca2.matrix, (g, 1, 1)), l2.zca_epsilon),
+                rng.standard_normal((g, d2, l2.k_per_group)),
+                ZcaTransform(rng.standard_normal((g, d2)), np.tile(zca2.matrix, (g, 1, 1))),
                 2,
             ),
             (96, 96),
@@ -383,9 +417,9 @@ class TestModelPersistence:
         tensors, _ = read_container(path)
         assert list(tensors) == [
             "input_shape",
-            "layer1/filters", "layer1/zca_mean", "layer1/zca_matrix", "layer1/zca_epsilon",
+            "layer1/filters", "layer1/zca_mean", "layer1/zca_matrix",
             "groups",
-            "layer2/filters", "layer2/zca_mean", "layer2/zca_matrix", "layer2/zca_epsilon",
+            "layer2/filters", "layer2/zca_mean", "layer2/zca_matrix",
         ]
         back = load_model(path).bank2
         want = model.bank2
@@ -393,8 +427,7 @@ class TestModelPersistence:
         assert back.filters.tobytes() == want.filters.tobytes()
         assert back.whitening.mean.tobytes() == want.whitening.mean.tobytes()
         assert back.whitening.matrix.tobytes() == want.whitening.matrix.tobytes()
-        assert back.whitening.epsilon == want.whitening.epsilon
-        assert (back.patch_side, back.depth, back.layer_index) == (3, 4, 2)
+        assert back.layer_index == 2
 
     def test_svm_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -562,7 +595,7 @@ class TestStackedTraining:
             assert np.array_equal(a.filters, b.filters)
             assert np.array_equal(a.whitening.mean, b.whitening.mean)
             assert np.array_equal(a.whitening.matrix, b.whitening.matrix)
-            assert (a.patch_side, a.depth, a.layer_index) == (b.patch_side, b.depth, b.layer_index)
+            assert a.layer_index == b.layer_index
 
 
 class TestTrainBankRows:

@@ -6,10 +6,16 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cdfnet
 from cdfnet.cli import build_parser
+from cdfnet.kmeans import FilterBank
+from cdfnet.layer import make_groups
+from cdfnet.model_io import read_container
+from cdfnet.patches import ZcaTransform
+from cdfnet.tensor import SeededRng
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -98,3 +104,28 @@ def test_dotted_reference_resolves(ref):
 def test_all_names_exist():
     missing = [name for name in cdfnet.__all__ if not hasattr(cdfnet, name)]
     assert not missing
+
+
+def test_model_tensor_list_is_what_save_model_writes(tmp_path):
+    # README "File formats" names every tensor of a model container in full
+    listed = re.search(r"A model holds \w+ tensors: (.*?)\.\s", README, flags=re.S)
+    assert listed, "README lists no model tensors"
+    names = re.findall(r"`([^`]+)`", listed.group(1))
+    cfg = cdfnet.NetworkConfig()
+    l1, l2 = cfg.layer1, cfg.layer2
+    d1, d2 = l1.patch_side**2, l2.patch_side**2 * l2.group_size
+    groups = make_groups(l1.k, l2.group_size, SeededRng(0))
+    g = len(groups)
+    model = cdfnet.NetworkModel(
+        cfg,
+        FilterBank(np.ones((d1, l1.k)), ZcaTransform(np.zeros(d1), np.eye(d1)), 1),
+        groups,
+        FilterBank(
+            np.ones((g, d2, l2.k_per_group)),
+            ZcaTransform(np.zeros((g, d2)), np.tile(np.eye(d2), (g, 1, 1))),
+            2,
+        ),
+        (96, 96),
+    )
+    cdfnet.save_model(tmp_path / "m.model", model)
+    assert names == list(read_container(tmp_path / "m.model")[0])

@@ -169,7 +169,7 @@ def fit_zca(patches: np.ndarray, epsilon: float) -> ZcaTransform:
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals = np.maximum(eigvals, EIGENVALUE_FLOOR * max(float(eigvals[-1]), 0.0))
     matrix = (eigvecs * (1.0 / np.sqrt(eigvals + epsilon))) @ eigvecs.T
-    return ZcaTransform(mean, (matrix + matrix.T) / 2.0, float(epsilon))
+    return ZcaTransform(mean, (matrix + matrix.T) / 2.0)
 
 
 def apply_zca(transform: ZcaTransform, patches: np.ndarray) -> np.ndarray:
@@ -195,8 +195,7 @@ def _train_bank(maps_list, layer, k, patch_rng, kmeans_rng, layer_index) -> Filt
     normalize_rows(patches)
     zca = fit_zca(patches, layer.zca_epsilon)
     result = per_group_kmeans(apply_zca(zca, patches), k, KMEANS_MAX_ITERS, kmeans_rng)
-    depth = maps_list[0].shape[2]
-    return FilterBank(result.centroids, layer.patch_side, depth, zca, layer_index)
+    return FilterBank(result.centroids, zca, layer_index)
 
 
 def column_train_bank(
@@ -216,7 +215,7 @@ def column_train_bank(
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals = np.maximum(eigvals, EIGENVALUE_FLOOR * max(float(eigvals[-1]), 0.0))
     matrix = (eigvecs * (1.0 / np.sqrt(eigvals + layer.zca_epsilon))) @ eigvecs.T
-    zca = ZcaTransform(mean, (matrix + matrix.T) / 2.0, layer.zca_epsilon)
+    zca = ZcaTransform(mean, (matrix + matrix.T) / 2.0)
     white = zca.matrix @ (cols - zca.mean[:, None])
     result = per_group_kmeans(np.ascontiguousarray(white.T), k, KMEANS_MAX_ITERS, kmeans_rng)
     return result.centroids, zca, result
@@ -252,12 +251,9 @@ def train_network(cfg, fold_images) -> NetworkModel:
     )
     bank2 = FilterBank(
         np.stack([b.filters for b in banks2]),
-        cfg.layer2.patch_side,
-        cfg.layer2.group_size,
         ZcaTransform(
             np.stack([b.whitening.mean for b in banks2]),
             np.stack([b.whitening.matrix for b in banks2]),
-            cfg.layer2.zca_epsilon,
         ),
         2,
     )
