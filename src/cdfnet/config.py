@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import re
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -259,12 +260,15 @@ def network_config_from_text(text: str) -> NetworkConfig:
 
 
 def _build(cp: configparser.ConfigParser, section: str, cls, **records):
-    """One section's record; a refused value names the section, as both layers share keys."""
+    """One section's record; a refused value names the section, as both layers
+    share keys, and the keys as the file spells them, not the field names."""
     values = _read_section(cp, section, cls)
     try:
         return cls(**values, **records)
     except (ValueError, InvalidK, InvalidWindow) as exc:
-        raise FormatError(f"bad network config: {exc} (in [{section}])") from exc
+        keys = {name: key for name, key, _ in _scalar_fields(cls)}
+        message = re.sub(r"\w+", lambda m: keys.get(m.group(), m.group()), str(exc))
+        raise FormatError(f"bad network config: {message} (in [{section}])") from exc
 
 
 def load_network_config(path) -> NetworkConfig:

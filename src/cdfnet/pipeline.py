@@ -26,13 +26,13 @@ from .committee import (
 )
 from .config import Layer1Config, Layer2Config, NetworkConfig
 from .config import network_config_from_text, network_config_to_text
-from .errors import DimError, FormatError, InvalidGrouping
+from .errors import CdfnetError, DimError, FormatError, InvalidGrouping
 from .kmeans import _BLOCK, FilterBank, KMeansResult, kmeans_stack
 from .layer import layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
 from .patches import ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_rows
 from .stl10 import FoldPlan, LabeledImage
-from .svm import SvmModel, score_many, train_ova_svm
+from .svm import SvmModel, _fold_standardization, score_many, train_ova_svm
 from .tensor import FeatureMapSet, SeededRng
 
 logger = logging.getLogger(__name__)
@@ -319,25 +319,25 @@ def load_model(path) -> NetworkModel:
         bank1 = _bank_from_tensors(tensors, "layer1", 1)
         bank2 = _bank_from_tensors(tensors, "layer2", 2)
         groups, input_shape = tensors["groups"], tensors["input_shape"]
+        sides = input_shape.tolist()
+        if input_shape.shape != (2,) or not all(v.is_integer() and v >= 1 for v in sides):
+            raise ValueError(f"input_shape {input_shape} is not integer (height, width) >= 1")
+        return NetworkModel(cfg, bank1, groups, bank2, tuple(int(v) for v in sides))
     except KeyError as exc:
         raise FormatError(f"{path}: missing tensor {exc}") from exc
-    sides = input_shape.tolist()
-    if input_shape.shape != (2,) or not all(v.is_integer() and v >= 1 for v in sides):
-        raise FormatError(f"{path}: input_shape {input_shape} is not integer (height, width) >= 1")
-    return NetworkModel(cfg, bank1, groups, bank2, tuple(int(v) for v in sides))
+    except (CdfnetError, ValueError) as exc:  # the banks' and the model's own checks
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_svm(path, model: SvmModel) -> None:
-    tensors = {
-        "weights": model.weights,
-        "biases": model.biases,
-        "feature_mean": model.feature_mean,
-        "feature_std": model.feature_std,
-    }
+    tensors = {"weights": model.weights, "biases": model.biases}
     write_container(path, tensors, f"[svm]\nreg_c = {model.reg_c!r}\n")
 
 
 def load_svm(path) -> SvmModel:
+    """Inverse of :func:`save_svm`. An older container's weights act on
+    standardized descriptors and it also holds ``feature_mean`` and
+    ``feature_std``; they are folded into the weights and biases here."""
     import configparser
 
     tensors, config_text = read_container(path)
@@ -345,14 +345,18 @@ def load_svm(path) -> SvmModel:
     try:
         cp.read_string(config_text)
         reg_c = float(cp["svm"]["reg_c"])
-        return SvmModel(
-            weights=tensors["weights"],
-            biases=tensors["biases"],
-            reg_c=reg_c,
-            feature_mean=tensors["feature_mean"],
-            feature_std=tensors["feature_std"],
-        )
-    except (KeyError, configparser.Error) as exc:
+        weights, biases = tensors["weights"], tensors["biases"]
+        if "feature_mean" in tensors or "feature_std" in tensors:
+            mean, std = tensors["feature_mean"], tensors["feature_std"]
+            if not (weights.ndim == 2 and mean.shape == std.shape == weights.shape[1:]
+                    and np.all(std > 0)):
+                raise DimError(
+                    f"feature_mean {mean.shape} and feature_std {std.shape} must match "
+                    f"weights {weights.shape}, with every std > 0"
+                )
+            weights, biases = _fold_standardization(weights, biases, mean, std)
+        return SvmModel(weights=weights, biases=biases, reg_c=reg_c)
+    except (KeyError, DimError, configparser.Error) as exc:
         raise FormatError(f"{path}: bad SVM container: {exc}") from exc
 
 

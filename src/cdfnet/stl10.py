@@ -178,9 +178,3 @@ def load_fold_plan(path) -> FoldPlan:
         except ValueError as exc:
             raise FormatError(f"{path}: fold {fi} has a non-integer token") from exc
     return FoldPlan(tuple(folds), n_train=TRAIN_SIZE)
-
-
-def write_fold_plan(path, plan: FoldPlan) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for fold in plan.folds:
-            fh.write(" ".join(str(i) for i in fold) + "\n")

@@ -6,10 +6,12 @@ The primal objective for each binary problem is
     min_w  0.5 ||w||^2 + (reg_c / n) * sum_i max(0, 1 - y_i w.x_i)^2
 
 The 1/n weighting makes the solution invariant to duplicating the training
-set. Features are standardized per dimension before training; a constant
-bias feature is appended, so the bias is regularized like the weights.
-Coordinates are visited in fixed order, making training deterministic for
-a given data order.
+set. Features are standardized per dimension for training, which the dual
+solver needs for its conditioning; a constant bias feature is appended, so
+the bias is regularized like the weights. The trained classifier is folded
+back onto raw descriptors, so scoring is one matrix product. Coordinates
+are visited in fixed order, making training deterministic for a given data
+order.
 """
 
 from __future__ import annotations
@@ -31,30 +33,21 @@ DEFAULT_TOL = 1e-4
 
 @dataclass(frozen=True)
 class SvmModel:
-    """C binary classifiers: scores = weights @ standardized(x) + biases."""
+    """C binary classifiers on raw descriptors: scores = weights @ x + biases."""
 
     weights: np.ndarray  # (C, d)
     biases: np.ndarray  # (C,)
     reg_c: float
-    feature_mean: np.ndarray  # (d,)
-    feature_std: np.ndarray  # (d,), floored at STD_FLOOR
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64)
         biases = np.asarray(self.biases, dtype=np.float64)
-        feature_mean = np.asarray(self.feature_mean, dtype=np.float64)
-        feature_std = np.asarray(self.feature_std, dtype=np.float64)
-        c, d = weights.shape
-        if c < 2 or d < 1:
+        if weights.ndim != 2 or weights.shape[0] < 2 or weights.shape[1] < 1:
             raise DimError(f"need >= 2 classes and >= 1 feature, got {weights.shape}")
-        if biases.shape != (c,) or feature_mean.shape != (d,) or feature_std.shape != (d,):
-            raise DimError("inconsistent SVM model shapes")
-        if feature_std.min() <= 0.0:
-            raise ValueError("feature_std entries must be positive")
+        if biases.shape != weights.shape[:1]:
+            raise DimError(f"biases {biases.shape} do not match weights {weights.shape}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
-        object.__setattr__(self, "feature_mean", feature_mean)
-        object.__setattr__(self, "feature_std", feature_std)
 
     @property
     def n_classes(self) -> int:
@@ -106,11 +99,10 @@ def _dual_cd_l2svm(
     return w, objectives, False
 
 
-def standardize_fit(values: np.ndarray):
-    """Per-dimension mean and std (floored) over training rows."""
-    mean = values.mean(axis=0)
-    std = values.std(axis=0)
-    return mean, np.maximum(std, STD_FLOOR)
+def _fold_standardization(weights, biases, mean, std):
+    """(weights, biases) that score raw x as the given ones score (x - mean) / std."""
+    weights = weights / std
+    return weights, biases - weights @ mean
 
 
 def _as_descriptors(descriptors, dim: int | None = None) -> np.ndarray:
@@ -150,13 +142,17 @@ def train_ova_svm(
         raise DegenerateLabels("labels must be non-negative")
     n_classes = int(classes.max()) + 1
 
-    mean, std = standardize_fit(values)
-    x = (values - mean) / std
-    x = np.hstack([x, np.ones((x.shape[0], 1))])  # bias feature
+    # one (n, d + 1) design matrix: standardized features, then the bias feature
+    n, d = values.shape
+    mean = values.mean(axis=0)
+    std = np.maximum(values.std(axis=0), STD_FLOOR)
+    x = np.empty((n, d + 1))
+    np.subtract(values, mean, out=x[:, :d])
+    x[:, :d] /= std
+    x[:, d] = 1.0
 
-    n = x.shape[0]
     c_eff = reg_c / n
-    weights = np.zeros((n_classes, x.shape[1] - 1), dtype=np.float64)
+    weights = np.zeros((n_classes, d), dtype=np.float64)
     biases = np.zeros(n_classes, dtype=np.float64)
     for cls in range(n_classes):
         y = np.where(labels == cls, 1.0, -1.0)
@@ -168,20 +164,13 @@ def train_ova_svm(
             )
         weights[cls] = w[:-1]
         biases[cls] = w[-1]
-    return SvmModel(
-        weights=weights,
-        biases=biases,
-        reg_c=float(reg_c),
-        feature_mean=mean,
-        feature_std=std,
-    )
+    weights, biases = _fold_standardization(weights, biases, mean, std)
+    return SvmModel(weights=weights, biases=biases, reg_c=float(reg_c))
 
 
 def score_many(model: SvmModel, descriptors: np.ndarray) -> np.ndarray:
-    """Raw scores w_c . standardized(x) + b_c as an (n_images, n_classes) matrix."""
-    values = _as_descriptors(descriptors, model.dim)
-    z = (values - model.feature_mean) / model.feature_std
-    return z @ model.weights.T + model.biases
+    """Raw scores w_c . x + b_c as an (n_images, n_classes) matrix."""
+    return _as_descriptors(descriptors, model.dim) @ model.weights.T + model.biases
 
 
 def cross_validate_c(

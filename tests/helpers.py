@@ -133,6 +133,13 @@ def container_declaring(dims) -> bytes:
     return header + b"".join(struct.pack("<Q", d) for d in dims)
 
 
+def write_fold_plan(path, plan) -> None:
+    """A fold plan as load_fold_plan reads it: one line of image indices per fold."""
+    with open(path, "w", encoding="ascii") as fh:
+        for fold in plan.folds:
+            fh.write(" ".join(str(i) for i in fold) + "\n")
+
+
 def stl10_bytes(images01: np.ndarray) -> np.ndarray:
     """Convert (n, 96, 96) float [0,1] images to (n, 96, 96, 3) uint8 RGB."""
     u8 = np.clip(images01 * 255.0, 0, 255).astype(np.uint8)

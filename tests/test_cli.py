@@ -237,8 +237,7 @@ class TestChain:
         dup = ws / "dup.svm"
         write_container(
             dup,
-            {"weights": svm.weights, "biases": svm.biases,
-             "feature_mean": svm.feature_mean, "feature_std": svm.feature_std},
+            {"weights": svm.weights, "biases": svm.biases},
             "[svm]\nreg_c = 1.0\nreg_c = 2.0\n",
         )
         desc = ws / "dup.desc"
@@ -305,8 +304,25 @@ class TestChain:
                  "--out", ws / "short_filters.desc")
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: filters (d, K) of layers 1 and 2") and err.count("\n") == 1
+        assert err.startswith(f"error: {model}: filters (d, K) of layers 1 and 2")
+        assert err.count("\n") == 1
         assert not (ws / "short_filters.desc").exists()
+
+    @pytest.mark.parametrize("damage", ["short_filter_row", "asymmetric_zca"])
+    def test_bank_error_names_the_model_file(self, ws, trained_model, capsys, damage):
+        tensors, text = read_container(trained_model)
+        if damage == "short_filter_row":
+            tensors["layer1/filters"] = tensors["layer1/filters"][:-1]
+        else:
+            tensors["layer1/zca_matrix"][0, 1] += 1.0
+        model = ws / f"{damage}.model"
+        write_container(model, tensors, text)
+        rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
+                 "--out", ws / f"{damage}.desc")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+        assert not (ws / f"{damage}.desc").exists()
 
     @pytest.mark.parametrize("reg_c", ["0", "-1", "nan", "inf"])
     def test_svm_reg_c_rejected(self, ws, capsys, reg_c):
@@ -350,7 +366,7 @@ class TestChain:
                  "--out", ws / "one_group.desc")
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == "error: group table (1, 4) is not the config's 2 groups of 4\n"
+        assert err == f"error: {model}: group table (1, 4) is not the config's 2 groups of 4\n"
 
     def test_committee_rejects_garbage(self, ws, capsys):
         bad = ws / "garbage.txt"

@@ -240,6 +240,22 @@ class TestValidation:
         assert str(info.value).startswith("bad network config: ")
         assert str(info.value).endswith(f"(in [{section}])")
 
+    # a refused value is reported under the key the file spells, not the field name
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("layer2", "filters_per_group = 0", "filters_per_group must be >= 1, got 0"),
+            ("layer1", "filters = 0", "filters must be >= 1, got 0"),
+            ("layer1", "patches = 3", "patches 3 is below filters = 300"),
+        ],
+    )
+    def test_record_error_names_the_ini_key(self, section, line, message):
+        bodies = {"network": "", "layer1": "", "layer2": "", section: line}
+        text = "".join(f"[{s}]\n{body}\n" for s, body in bodies.items())
+        with pytest.raises(FormatError) as info:
+            network_config_from_text(text)
+        assert str(info.value) == f"bad network config: {message} (in [{section}])"
+
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
     def test_pool_alpha_one_or_even_accepted(self, alpha):
         cfg = NetworkConfig(

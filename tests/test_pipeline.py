@@ -36,7 +36,7 @@ from cdfnet.pipeline import (
     train_network,
 )
 from cdfnet.stl10 import FoldPlan, LabeledImage, load_fold_plan, load_stl10
-from cdfnet.svm import SvmModel
+from cdfnet.svm import SvmModel, score_many
 from cdfnet.tensor import SeededRng
 
 import forward_oracle
@@ -432,20 +432,77 @@ class TestModelPersistence:
     def test_svm_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         svm = SvmModel(
-            weights=rng.standard_normal((3, 7)),
-            biases=rng.standard_normal(3),
-            reg_c=0.125,
-            feature_mean=rng.standard_normal(7),
-            feature_std=rng.random(7) + 0.5,
+            weights=rng.standard_normal((3, 7)), biases=rng.standard_normal(3), reg_c=0.125
         )
         path = tmp_path / "svm.bin"
         save_svm(path, svm)
+        assert list(read_container(path)[0]) == ["weights", "biases"]
         back = load_svm(path)
         assert back.reg_c == svm.reg_c
         assert np.array_equal(back.weights, svm.weights)
         assert np.array_equal(back.biases, svm.biases)
-        assert np.array_equal(back.feature_mean, svm.feature_mean)
-        assert np.array_equal(back.feature_std, svm.feature_std)
+
+    @staticmethod
+    def _standardized_svm_container(path, **replaced):
+        """An SVM container as written before the model was folded onto raw
+        descriptors: weights on standardized features, feature_mean and
+        feature_std beside them. Returns its oracle scores of a probe."""
+        rng = np.random.default_rng(4)
+        labels = np.arange(40) % 3
+        descs = (rng.standard_normal((40, 6)) + labels[:, None]) * rng.uniform(0.5, 5.0, 6) + 20.0
+        weights, biases, mean, std = train_oracle.standardized_svm(descs, labels, 2.0)
+        tensors = {"weights": weights, "biases": biases, "feature_mean": mean, "feature_std": std}
+        tensors.update(replaced)
+        tensors = {name: v for name, v in tensors.items() if v is not None}
+        write_container(path, tensors, "[svm]\nreg_c = 2.0\n")
+        probe = descs + rng.standard_normal(descs.shape)
+        return probe, train_oracle.standardized_scores(weights, biases, mean, std, probe)
+
+    def test_standardized_svm_container_is_folded_at_load(self, tmp_path):
+        path = tmp_path / "old.svm"
+        probe, want = self._standardized_svm_container(path)
+        model = load_svm(path)
+        assert model.reg_c == 2.0
+        got = score_many(model, probe)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # saving again writes the folded form, which scores the same
+        save_svm(tmp_path / "again.svm", model)
+        assert list(read_container(tmp_path / "again.svm")[0]) == ["weights", "biases"]
+        assert np.array_equal(score_many(load_svm(tmp_path / "again.svm"), probe), got)
+
+    @pytest.mark.parametrize(
+        "replaced, message",
+        [
+            ({"feature_std": None}, "'feature_std'"),
+            ({"feature_mean": None}, "'feature_mean'"),
+            ({"feature_std": np.ones(5)}, "must match weights"),
+            ({"feature_mean": np.zeros((1, 6))}, "must match weights"),
+            ({"feature_std": np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])}, "std > 0"),
+            ({"feature_std": np.full(6, np.nan)}, "std > 0"),
+        ],
+        ids=["no_std", "no_mean", "short_std", "matrix_mean", "zero_std", "nan_std"],
+    )
+    def test_standardized_svm_container_refused(self, tmp_path, replaced, message):
+        # scoring without the standardization would be wrong with no error
+        path = tmp_path / "bad_old.svm"
+        self._standardized_svm_container(path, **replaced)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: bad SVM container")) as info:
+            load_svm(path)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("damage", ["short_filter_row", "asymmetric_zca"])
+    def test_bank_and_model_errors_name_the_file(self, tmp_path, damage):
+        tensors, text = read_container(os.path.join(DATA_DIR, "tiny_on_off.model"))
+        if damage == "short_filter_row":
+            tensors["layer1/filters"] = tensors["layer1/filters"][:-1]
+            want = "whitening mean (9,) does not match filters (8, 4)"
+        else:
+            tensors["layer1/zca_matrix"][0, 1] += 1.0
+            want = "ZCA matrix must be symmetric"
+        broken = tmp_path / f"{damage}.model"
+        write_container(broken, tensors, text)
+        with pytest.raises(FormatError, match=re.escape(f"{broken}: {want}")):
+            load_model(broken)
 
 
 class TestReportSections:

@@ -129,3 +129,13 @@ def test_model_tensor_list_is_what_save_model_writes(tmp_path):
     )
     cdfnet.save_model(tmp_path / "m.model", model)
     assert names == list(read_container(tmp_path / "m.model")[0])
+
+
+def test_svm_tensor_list_is_what_save_svm_writes(tmp_path):
+    # README "File formats" names every tensor of an SVM container in full
+    listed = re.search(r"An SVM holds \w+ tensors: (.*?)\.\s", README, flags=re.S)
+    assert listed, "README lists no SVM tensors"
+    names = re.findall(r"`([^`]+)`", listed.group(1))
+    svm = cdfnet.SvmModel(weights=np.ones((2, 3)), biases=np.zeros(2), reg_c=1.0)
+    cdfnet.save_svm(tmp_path / "m.svm", svm)
+    assert names == list(read_container(tmp_path / "m.svm")[0])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from cdfnet.errors import ContractError, DegenerateLabels, DimError, NonFiniteValue
+from cdfnet.errors import DegenerateLabels, DimError, NonFiniteValue
 from cdfnet.svm import SvmModel, _dual_cd_l2svm, cross_validate_c, score_many, train_ova_svm
+
+from helpers import traced_peak
+from train_oracle import standardized_scores, standardized_svm
 
 
 def _descs(values):
@@ -134,22 +137,20 @@ class TestConvergenceWarning:
 
 
 class TestScore:
-    def _model(self, weights, biases, dim):
+    def _model(self, weights, biases):
         return SvmModel(
             weights=np.asarray(weights, dtype=np.float64),
             biases=np.asarray(biases, dtype=np.float64),
             reg_c=1.0,
-            feature_mean=np.zeros(dim),
-            feature_std=np.ones(dim),
         )
 
     def test_zero_weights_gives_biases(self):
-        model = self._model(np.zeros((3, 2)), [0.3, -0.1, 4.0], 2)
+        model = self._model(np.zeros((3, 2)), [0.3, -0.1, 4.0])
         s = score_many(model, np.array([[5.0, -7.0], [0.0, 1.0]]))
         assert np.array_equal(s, [[0.3, -0.1, 4.0], [0.3, -0.1, 4.0]])
 
     def test_one_hot_row_picks_component(self):
-        model = self._model([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.0], 2)
+        model = self._model([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.0])
         s = score_many(model, np.array([[2.0, 3.0]]))
         assert s.shape == (1, 2)
         assert s[0, 0] == pytest.approx(3.5, abs=1e-15)
@@ -159,25 +160,22 @@ class TestScore:
         rng = np.random.default_rng(2)
         w = rng.standard_normal((4, 6))
         b = rng.standard_normal(4)
-        mean = rng.standard_normal(6)
-        std = rng.random(6) + 0.5
-        model = SvmModel(weights=w, biases=b, reg_c=1.0, feature_mean=mean, feature_std=std)
+        model = self._model(w, b)
         x = rng.standard_normal((5, 6))
         s = score_many(model, x)
-        z = (x - mean) / std
-        expect = np.array([[w[c] @ z[i] + b[c] for c in range(4)] for i in range(5)])
+        expect = np.array([[w[c] @ x[i] + b[c] for c in range(4)] for i in range(5)])
         assert np.allclose(s, expect, atol=1e-12)
 
-    def test_linear_in_standardized_input(self):
+    def test_linear_in_input(self):
         rng = np.random.default_rng(3)
-        model = self._model(rng.standard_normal((3, 4)), rng.standard_normal(3), 4)
+        model = self._model(rng.standard_normal((3, 4)), rng.standard_normal(3))
         a, b = rng.standard_normal(4), rng.standard_normal(4)
         s_ab, s_a, s_b = score_many(model, np.stack([a + b, a, b]))
-        # with zero mean/unit std, score(a+b) + bias = score(a) + score(b)
+        # score(a+b) + bias = score(a) + score(b)
         assert np.allclose(s_ab, s_a + s_b - model.biases, atol=1e-10)
 
     def test_dim_mismatch(self):
-        model = self._model(np.zeros((2, 3)), np.zeros(2), 3)
+        model = self._model(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(DimError):
             score_many(model, np.zeros((1, 4)))
         with pytest.raises(DimError):
@@ -213,23 +211,64 @@ class TestValidation:
 
     def test_model_needs_two_classes(self):
         with pytest.raises(DimError):
-            SvmModel(
-                weights=np.zeros((1, 3)),
-                biases=np.zeros(1),
-                reg_c=1.0,
-                feature_mean=np.zeros(3),
-                feature_std=np.ones(3),
-            )
+            SvmModel(weights=np.zeros((1, 3)), biases=np.zeros(1), reg_c=1.0)
 
-    def test_model_std_positive(self):
-        with pytest.raises((ValueError, ContractError)):
-            SvmModel(
-                weights=np.zeros((2, 2)),
-                biases=np.zeros(2),
-                reg_c=1.0,
-                feature_mean=np.zeros(2),
-                feature_std=np.array([1.0, 0.0]),
-            )
+    @pytest.mark.parametrize(
+        "weights, biases", [(np.zeros(3), np.zeros(1)), (np.zeros((2, 3)), np.zeros(3))]
+    )
+    def test_model_shapes_checked(self, weights, biases):
+        with pytest.raises(DimError):
+            SvmModel(weights=weights, biases=biases, reg_c=1.0)
+
+
+class TestStandardizedOracle:
+    """The model is stored on raw descriptors; the solver still runs on
+    standardized ones, so its scores are the standardized model's."""
+
+    @staticmethod
+    def _data(seed):
+        rng = np.random.default_rng(seed)
+        n, d = 60, 8
+        labels = np.arange(n) % 3
+        # features of unlike scales and offsets, one of them constant
+        scale = rng.uniform(0.1, 10.0, d)
+        offset = rng.uniform(-50.0, 50.0, d)
+        descs = (rng.standard_normal((n, d)) + labels[:, None]) * scale + offset
+        descs[:, 0] = offset[0]
+        probe = rng.standard_normal((20, d)) * scale + offset
+        return descs, labels, probe
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("reg_c", [0.5, 16.0])
+    def test_scores_match_standardized_oracle(self, seed, reg_c):
+        descs, labels, probe = self._data(seed)
+        model = train_ova_svm(descs, labels, reg_c=reg_c)
+        want = standardized_scores(*standardized_svm(descs, labels, reg_c), probe)
+        got = score_many(model, probe)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+
+class TestMemory:
+    """Peaks in copies of the (n, d) float64 descriptor matrix."""
+
+    def test_training_builds_one_design_matrix(self):
+        rng = np.random.default_rng(7)
+        descs = rng.standard_normal((200, 4000))
+        labels = np.arange(200) % 2
+        model, peak = traced_peak(train_ova_svm, descs, labels)
+        assert model.weights.shape == (2, 4000)
+        assert peak <= 1.25 * descs.nbytes
+
+    def test_scoring_copies_nothing(self):
+        rng = np.random.default_rng(8)
+        descs = rng.standard_normal((800, 4000))
+        model = train_ova_svm(descs[:100], np.arange(100) % 3)
+        scores, peak = traced_peak(score_many, model, descs)
+        assert scores.shape == (800, 3)
+        # the finiteness check's boolean mask is an eighth of the matrix
+        assert peak <= 0.25 * descs.nbytes
 
 
 class TestCrossValidate:

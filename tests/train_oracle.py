@@ -21,6 +21,12 @@ package's filter learning against it within a tolerance.
 all layer-2 groups in one batch: one group per call, k-means++ distances
 from an (n, dim) difference buffer, centroid sums by ``np.add.at``. Both
 training oracles cluster with it.
+
+:func:`standardized_svm` is the classifier the package trained before its
+SVM was stored on raw descriptors: standardized features stacked with a
+bias column, :func:`cdfnet.svm._dual_cd_l2svm` per class, and the weights
+kept on the standardized features with the per-feature mean and std beside
+them. :func:`standardized_scores` scores with them as ((x - mean) / std) w + b.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from cdfnet.kmeans import _BLOCK, FilterBank
 from cdfnet.layer import make_groups, run_layer
 from cdfnet.patches import EIGENVALUE_FLOOR, ZcaTransform, normalize_rows
 from cdfnet.pipeline import KMEANS_MAX_ITERS, NetworkModel
+from cdfnet.svm import DEFAULT_EPOCHS, DEFAULT_TOL, STD_FLOOR, _dual_cd_l2svm
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from forward_oracle import normalize_patch
@@ -259,3 +266,23 @@ def train_network(cfg, fold_images) -> NetworkModel:
     )
     return NetworkModel(cfg, bank1, groups, bank2, maps1[0].shape[:2])
 
+
+def standardized_svm(descriptors, labels, reg_c: float):
+    """(weights, biases, mean, std), the weights acting on standardized descriptors."""
+    labels = np.asarray(labels)
+    mean = descriptors.mean(axis=0)
+    std = np.maximum(descriptors.std(axis=0), STD_FLOOR)
+    x = (descriptors - mean) / std
+    x = np.hstack([x, np.ones((x.shape[0], 1))])
+    n_classes = int(labels.max()) + 1
+    weights = np.zeros((n_classes, x.shape[1] - 1))
+    biases = np.zeros(n_classes)
+    for cls in range(n_classes):
+        y = np.where(labels == cls, 1.0, -1.0)
+        w, _, _ = _dual_cd_l2svm(x, y, reg_c / len(x), DEFAULT_EPOCHS, DEFAULT_TOL)
+        weights[cls], biases[cls] = w[:-1], w[-1]
+    return weights, biases, mean, std
+
+
+def standardized_scores(weights, biases, mean, std, descriptors) -> np.ndarray:
+    return ((descriptors - mean) / std) @ weights.T + biases
