@@ -28,7 +28,7 @@ from .config import (
     load_experiment_config,
     load_network_config,
 )
-from .errors import CdfnetError, FormatError
+from .errors import CdfnetError, FormatError, naming
 from .model_io import atomic_open, read_container, write_container
 from .pipeline import (
     evaluate_protocol,
@@ -80,18 +80,14 @@ def _read_descriptors(path) -> tuple[np.ndarray, list[int], np.ndarray]:
     """The (n_images, dim) descriptor matrix, its integer image ids, and its
     labels: integers >= 0, or -1 for an unlabelled row."""
     tensors, ids_text = read_container(path)
-    try:
+    with naming(path):
         data = tensors["descriptors"]
         labels = tensors["labels"]
         ids = [int(i) for i in ids_text.splitlines()]
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing tensor {exc}") from exc
-    except ValueError as exc:
-        raise FormatError(f"{path}: image ids must be integers: {exc}") from exc
-    if len(ids) != data.shape[0] or labels.shape != (data.shape[0],):
-        raise FormatError(f"{path}: id/label/descriptor count mismatch")
-    if not all(v.is_integer() and v >= -1 for v in labels.tolist()):
-        raise FormatError(f"{path}: labels must be integers >= 0, or -1 for none")
+        if data.ndim != 2 or len(ids) != data.shape[0] or labels.shape != (data.shape[0],):
+            raise FormatError("descriptors must be (n, dim), with n image ids and n labels")
+        if not all(v.is_integer() and v >= -1 for v in labels.tolist()):
+            raise FormatError("labels must be integers >= 0, or -1 for none")
     return data, ids, labels
 
 
@@ -119,8 +115,9 @@ def _cmd_extract(args) -> int:
 
 def _cmd_svm(args) -> int:
     descs, _, labels = _read_descriptors(args.descriptors)
-    if np.any(labels < 0):
-        raise FormatError(f"{args.descriptors}: labels missing, cannot train")
+    with naming(args.descriptors):
+        if np.any(labels < 0):
+            raise FormatError("labels missing, cannot train")
     model = train_ova_svm(descs, [int(v) for v in labels], reg_c=args.reg_c)
     save_svm(args.out, model)
     print(f"wrote SVM {args.out}")
@@ -145,7 +142,8 @@ def _cmd_committee(args) -> int:
     predictions = committee_predict(tables)
     if args.labels is not None:
         labels = read_stl10_labels(args.labels)
-        acc = accuracy(predictions, [int(v) for v in labels])
+        with naming(args.labels):
+            acc = accuracy(predictions, [int(v) for v in labels])
         print(f"committee accuracy {acc!r}")
     if args.out is not None:
         with atomic_open(args.out) as fh:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ContractError, FormatError
+from .errors import AlignmentError, ContractError, FormatError, naming
 from .model_io import atomic_open
 
 SCORE_MAGIC = "scores"
@@ -118,19 +118,15 @@ def write_score_file(path, table: ScoreTable) -> None:
 
 
 def read_score_file(path) -> ScoreTable:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii") as fh, naming(path):
         header = fh.readline().split()
         if len(header) != 4 or header[0] != SCORE_MAGIC:
-            raise FormatError(f"{path}: bad score-file header")
+            raise FormatError("bad score-file header")
         if header[1] != SCORE_VERSION:
-            raise FormatError(f"{path}: unsupported score-file version {header[1]!r}")
-        network_id = header[2]
-        try:
-            n_classes = int(header[3])
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad class count in header") from exc
+            raise FormatError(f"unsupported score-file version {header[1]!r}")
+        n_classes = int(header[3])
         if n_classes < 1:
-            raise FormatError(f"{path}: bad class count in header")
+            raise FormatError("bad class count in header")
         image_ids = []
         rows = []
         for lineno, line in enumerate(fh, start=2):
@@ -139,16 +135,10 @@ def read_score_file(path) -> ScoreTable:
                 continue
             if len(tokens) != n_classes + 1:
                 raise FormatError(
-                    f"{path}:{lineno}: expected {n_classes + 1} tokens, got {len(tokens)}"
+                    f"line {lineno}: expected {n_classes + 1} tokens, got {len(tokens)}"
                 )
-            try:
-                image_ids.append(int(tokens[0]))
-                rows.append([float(t) for t in tokens[1:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad token") from exc
-    if not rows:
-        raise FormatError(f"{path}: score file has no rows")
-    try:
-        return ScoreTable(network_id, tuple(image_ids), np.array(rows, dtype=np.float64))
-    except ContractError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+            image_ids.append(int(tokens[0]))
+            rows.append([float(t) for t in tokens[1:]])
+        if not rows:
+            raise FormatError("score file has no rows")
+        return ScoreTable(header[2], tuple(image_ids), np.array(rows, dtype=np.float64))

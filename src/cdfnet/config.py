@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .augment import AugmentPlan
-from .errors import FormatError, InvalidK, InvalidWindow
+from .errors import FormatError, InvalidK, InvalidWindow, naming
 from .layer import RECTIFIERS
 from .stl10 import NUM_FOLDS
 from .tensor import SeededRng
@@ -272,7 +272,7 @@ def _build(cp: configparser.ConfigParser, section: str, cls, **records):
 
 
 def load_network_config(path) -> NetworkConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, naming(path):
         return network_config_from_text(fh.read())
 
 
@@ -294,22 +294,16 @@ def load_experiment_config(path) -> ExperimentConfig:
     import os
 
     cp = configparser.ConfigParser()
-    try:
-        read = cp.read(path)
-    except configparser.Error as exc:
-        raise FormatError(f"bad experiment config {path}: {exc}") from exc
-    if not read:
-        raise FormatError(f"no such experiment config: {path}")
-    unknown = set(cp.sections()) - {"experiment"}
-    if unknown:
-        raise FormatError(f"bad experiment config {path}: unknown section [{min(unknown)}]")
-    try:
+    with naming(path):
+        if not cp.read(path):
+            raise FormatError("no such experiment config")
+        unknown = set(cp.sections()) - {"experiment"}
+        if unknown:
+            raise FormatError(f"unknown section [{min(unknown)}]")
         exp = cp["experiment"]
         unknown = set(exp) - {"name", "networks", "folds"}
         if unknown:
-            raise FormatError(
-                f"bad experiment config {path}: unknown key experiment.{min(unknown)}"
-            )
+            raise FormatError(f"unknown key experiment.{min(unknown)}")
         name = exp.get("name", "experiment")
         base = os.path.dirname(os.path.abspath(path))
         networks = tuple(
@@ -324,10 +318,8 @@ def load_experiment_config(path) -> ExperimentConfig:
             folds = tuple(
                 int(t) for t in folds_text.replace(",", " ").split() if t.strip()
             )
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad experiment config {path}: {exc}") from exc
-    if not networks:
-        raise FormatError(f"{path}: experiment lists no networks")
-    if not folds or len(set(folds)) != len(folds):
-        raise FormatError(f"{path}: experiment folds must be non-empty and distinct, got {folds}")
+        if not networks:
+            raise FormatError("experiment lists no networks")
+        if not folds or len(set(folds)) != len(folds):
+            raise FormatError(f"experiment folds must be non-empty and distinct, got {folds}")
     return ExperimentConfig(name=name, network_paths=networks, folds=folds)

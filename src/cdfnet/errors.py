@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`naming`, the one
+place a refused input file is named."""
+
+import configparser
+from contextlib import contextmanager
 
 
 class CdfnetError(Exception):
@@ -50,3 +54,20 @@ class AlignmentError(CdfnetError):
 
 class ContractError(CdfnetError):
     """An input violates a documented precondition (e.g. unnormalized scores)."""
+
+
+@contextmanager
+def naming(path):
+    """Turn a refusal of the contents of the file at path into one
+    FormatError whose message starts with ``<path>: ``.
+
+    A KeyError, CdfnetError, ValueError (UnicodeDecodeError among them) or
+    INI syntax error raised in the block is the file's fault. Other errors,
+    such as an OSError that already names the file, pass unchanged.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing {exc}") from exc
+    except (CdfnetError, ValueError, configparser.Error) as exc:
+        raise FormatError(f"{path}: {exc}") from exc

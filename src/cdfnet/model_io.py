@@ -27,7 +27,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, naming
 
 MAGIC = b"CDFN"
 VERSION = 1
@@ -79,44 +79,37 @@ def atomic_open(path, binary: bool = False):
 
 
 def read_container(path) -> tuple[dict[str, np.ndarray], str]:
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != MAGIC:
-                raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-            version = _read_struct(fh, path, "<I")[0]
-            if version != VERSION:
-                raise FormatError(
-                    f"{path}: unsupported container version {version}, expected {VERSION}"
-                )
-            count = _read_struct(fh, path, "<I")[0]
-            tensors: dict[str, np.ndarray] = {}
-            for _ in range(count):
-                name_len = _read_struct(fh, path, "<I")[0]
-                name = _read_exact(fh, path, name_len).decode("utf-8")
-                ndim = _read_struct(fh, path, "<I")[0]
-                shape = tuple(
-                    _read_struct(fh, path, "<Q")[0] for _ in range(ndim)
-                )
-                payload = _read_exact(fh, path, math.prod(shape) * 8)
-                tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-            config_len = _read_struct(fh, path, "<Q")[0]
-            config_text = _read_exact(fh, path, config_len).decode("utf-8")
-            if fh.read(1):
-                raise FormatError(f"{path}: trailing bytes after config block")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: a tensor name or the config block is not UTF-8: {exc}") from exc
+    with open(path, "rb") as fh, naming(path):
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        version = _read_struct(fh, "<I")[0]
+        if version != VERSION:
+            raise FormatError(f"unsupported container version {version}, expected {VERSION}")
+        count = _read_struct(fh, "<I")[0]
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            name_len = _read_struct(fh, "<I")[0]
+            name = _read_exact(fh, name_len).decode("utf-8")
+            ndim = _read_struct(fh, "<I")[0]
+            shape = tuple(_read_struct(fh, "<Q")[0] for _ in range(ndim))
+            payload = _read_exact(fh, math.prod(shape) * 8)
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        config_len = _read_struct(fh, "<Q")[0]
+        config_text = _read_exact(fh, config_len).decode("utf-8")
+        if fh.read(1):
+            raise FormatError("trailing bytes after config block")
     return tensors, config_text
 
 
-def _read_exact(fh, path, n: int) -> bytes:
+def _read_exact(fh, n: int) -> bytes:
     """The next n bytes; a size that a corrupt header declares is checked
     against the bytes left in the file before any buffer is made for it."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
-        raise FormatError(f"{path}: truncated container (wanted {n} bytes, {left} left)")
+        raise FormatError(f"truncated container (wanted {n} bytes, {left} left)")
     return fh.read(n)
 
 
-def _read_struct(fh, path, fmt: str):
-    return struct.unpack(fmt, _read_exact(fh, path, struct.calcsize(fmt)))
+def _read_struct(fh, fmt: str):
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))

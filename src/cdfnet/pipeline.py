@@ -26,7 +26,7 @@ from .committee import (
 )
 from .config import Layer1Config, Layer2Config, NetworkConfig
 from .config import network_config_from_text, network_config_to_text
-from .errors import CdfnetError, DimError, FormatError, InvalidGrouping
+from .errors import DimError, InvalidGrouping, naming
 from .kmeans import _BLOCK, FilterBank, KMeansResult, kmeans_stack
 from .layer import layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
@@ -314,8 +314,8 @@ def save_model(path, model: NetworkModel) -> None:
 
 def load_model(path) -> NetworkModel:
     tensors, config_text = read_container(path)
-    cfg = network_config_from_text(config_text)
-    try:
+    with naming(path):
+        cfg = network_config_from_text(config_text)
         bank1 = _bank_from_tensors(tensors, "layer1", 1)
         bank2 = _bank_from_tensors(tensors, "layer2", 2)
         groups, input_shape = tensors["groups"], tensors["input_shape"]
@@ -323,10 +323,6 @@ def load_model(path) -> NetworkModel:
         if input_shape.shape != (2,) or not all(v.is_integer() and v >= 1 for v in sides):
             raise ValueError(f"input_shape {input_shape} is not integer (height, width) >= 1")
         return NetworkModel(cfg, bank1, groups, bank2, tuple(int(v) for v in sides))
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing tensor {exc}") from exc
-    except (CdfnetError, ValueError) as exc:  # the banks' and the model's own checks
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_svm(path, model: SvmModel) -> None:
@@ -342,7 +338,7 @@ def load_svm(path) -> SvmModel:
 
     tensors, config_text = read_container(path)
     cp = configparser.ConfigParser()
-    try:
+    with naming(path):
         cp.read_string(config_text)
         reg_c = float(cp["svm"]["reg_c"])
         weights, biases = tensors["weights"], tensors["biases"]
@@ -356,8 +352,6 @@ def load_svm(path) -> SvmModel:
                 )
             weights, biases = _fold_standardization(weights, biases, mean, std)
         return SvmModel(weights=weights, biases=biases, reg_c=reg_c)
-    except (KeyError, DimError, configparser.Error) as exc:
-        raise FormatError(f"{path}: bad SVM container: {exc}") from exc
 
 
 # -- fold protocol -------------------------------------------------------------

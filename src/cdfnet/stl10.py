@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, naming
 
 IMAGE_SIDE = 96
 BYTES_PER_IMAGE = IMAGE_SIDE * IMAGE_SIDE * 3  # 27648
@@ -89,11 +89,9 @@ def to_grayscale(r, g, b):
 def read_stl10_images(images_path) -> np.ndarray:
     """Decode an STL-10 image file to a uint8 array (n, 96, 96, 3)."""
     raw = np.fromfile(images_path, dtype=np.uint8)
-    if raw.size == 0 or raw.size % BYTES_PER_IMAGE != 0:
-        raise FormatError(
-            f"{images_path}: size {raw.size} is not a positive multiple "
-            f"of {BYTES_PER_IMAGE}"
-        )
+    with naming(images_path):
+        if raw.size == 0 or raw.size % BYTES_PER_IMAGE != 0:
+            raise FormatError(f"size {raw.size} is not a positive multiple of {BYTES_PER_IMAGE}")
     n = raw.size // BYTES_PER_IMAGE
     # (n, channel, column, row) on disk; transpose to (n, row, column, channel)
     planes = raw.reshape(n, 3, IMAGE_SIDE, IMAGE_SIDE)
@@ -112,13 +110,12 @@ def write_stl10_images(images_path, rgb: np.ndarray) -> None:
 def read_stl10_labels(labels_path) -> np.ndarray:
     """Decode an STL-10 label file to 0-based int labels."""
     raw = np.fromfile(labels_path, dtype=np.uint8)
-    if raw.size == 0:
-        raise FormatError(f"{labels_path}: empty label file")
     labels = raw.astype(np.int64) - 1
-    if labels.min() < 0 or labels.max() >= NUM_CLASSES:
-        raise FormatError(
-            f"{labels_path}: labels must be 1..{NUM_CLASSES} on disk"
-        )
+    with naming(labels_path):
+        if raw.size == 0:
+            raise FormatError("empty label file")
+        if labels.min() < 0 or labels.max() >= NUM_CLASSES:
+            raise FormatError(f"labels must be 1..{NUM_CLASSES} on disk")
     return labels
 
 
@@ -136,17 +133,17 @@ def load_stl10(images_path, labels_path=None) -> list[LabeledImage]:
     """
     paths = (images_path,) if labels_path is None else (images_path, labels_path)
     for p in paths:
-        if not os.path.exists(p):
-            raise FormatError(f"no such file: {p}")
+        with naming(p):
+            if not os.path.exists(p):
+                raise FormatError("no such file")
     rgb = read_stl10_images(images_path)
     if labels_path is None:
         labels = np.zeros(rgb.shape[0], dtype=np.int64)
     else:
         labels = read_stl10_labels(labels_path)
-    if rgb.shape[0] != labels.shape[0]:
-        raise FormatError(
-            f"{rgb.shape[0]} images but {labels.shape[0]} labels"
-        )
+        with naming(labels_path):
+            if labels.shape[0] != rgb.shape[0]:
+                raise FormatError(f"{rgb.shape[0]} images but {labels.shape[0]} labels")
     # a float RGB copy of a whole split would hold 221 KB per image at once
     # (1.8 GB for the 8000 test images), so convert a block at a time
     gray = np.empty(rgb.shape[:3])
@@ -167,14 +164,8 @@ def load_fold_plan(path) -> FoldPlan:
     The STL-10 plan has 1000 indices per line; shorter lines are accepted so
     synthetic protocols can reuse the format.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.split() for line in fh if line.strip()]
-    if len(lines) != NUM_FOLDS:
-        raise FormatError(f"{path}: expected {NUM_FOLDS} folds, got {len(lines)}")
-    folds = []
-    for fi, tokens in enumerate(lines):
-        try:
-            folds.append(tuple(int(t) for t in tokens))
-        except ValueError as exc:
-            raise FormatError(f"{path}: fold {fi} has a non-integer token") from exc
-    return FoldPlan(tuple(folds), n_train=TRAIN_SIZE)
+    with open(path, "r", encoding="ascii") as fh, naming(path):
+        folds = [tuple(int(t) for t in line.split()) for line in fh if line.strip()]
+        if len(folds) != NUM_FOLDS:
+            raise FormatError(f"expected {NUM_FOLDS} folds, got {len(folds)}")
+        return FoldPlan(tuple(folds))

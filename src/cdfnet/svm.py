@@ -40,6 +40,7 @@ class SvmModel:
     reg_c: float
 
     def __post_init__(self):
+        _check_reg_c(self.reg_c)
         weights = np.asarray(self.weights, dtype=np.float64)
         biases = np.asarray(self.biases, dtype=np.float64)
         if weights.ndim != 2 or weights.shape[0] < 2 or weights.shape[1] < 1:
@@ -56,6 +57,11 @@ class SvmModel:
     @property
     def dim(self) -> int:
         return self.weights.shape[1]
+
+
+def _check_reg_c(reg_c) -> None:
+    if not (np.isfinite(reg_c) and reg_c > 0):
+        raise ValueError(f"reg_c must be finite and > 0, got {reg_c}")
 
 
 def _dual_cd_l2svm(
@@ -129,8 +135,7 @@ def train_ova_svm(
     problem labels its images +1 and all others -1. Deterministic for a
     given row order.
     """
-    if not (np.isfinite(reg_c) and reg_c > 0):
-        raise ValueError(f"reg_c must be finite and > 0, got {reg_c}")
+    _check_reg_c(reg_c)
     values = _as_descriptors(descriptors)
     labels = np.asarray(labels, dtype=np.int64)
     if values.shape[0] != labels.size:
@@ -142,13 +147,15 @@ def train_ova_svm(
         raise DegenerateLabels("labels must be non-negative")
     n_classes = int(classes.max()) + 1
 
-    # one (n, d + 1) design matrix: standardized features, then the bias feature
+    # one (n, d + 1) design matrix: standardized features, then the bias
+    # feature; a feature constant over the rows is all zeros, so weight 0
     n, d = values.shape
     mean = values.mean(axis=0)
     std = np.maximum(values.std(axis=0), STD_FLOOR)
     x = np.empty((n, d + 1))
     np.subtract(values, mean, out=x[:, :d])
     x[:, :d] /= std
+    x[:, np.flatnonzero(std == STD_FLOOR)] = 0.0
     x[:, d] = 1.0
 
     c_eff = reg_c / n

@@ -127,7 +127,7 @@ class TestTrain:
                  "--train-y", ws / "train_y.bin", "--out", tmp_path / "x.model")
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bad network config: seeds.kmeans2 = -3")
+        assert err.startswith(f"error: {tmp_path / 'bad.ini'}: bad network config: seeds.kmeans2 = -3")
         assert err.count("\n") == 1
 
 
@@ -247,7 +247,7 @@ class TestChain:
                  "--out", out)
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {dup}: bad SVM container: ")
+        assert err.startswith(f"error: {dup}: ")
         assert "option 'reg_c' in section 'svm' already exists" in err
         assert err.count("\n") == 1
         assert not out.exists()
@@ -480,7 +480,7 @@ class TestEvaluate:
                  "--folds", ws / "folds.txt", "--out", out)
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bad experiment config {exp}: ")
+        assert err.startswith(f"error: {exp}: ")
         assert "option 'networks' in section 'experiment' already exists" in err
         assert err.count("\n") == 1
         assert not out.exists()

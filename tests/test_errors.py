@@ -1,0 +1,279 @@
+"""A refused input file is named once, at the start of the message.
+
+Every loader reports a damaged file as a FormatError whose message starts
+with ``<path>: `` and names the path exactly once, however deeply the check
+that refused it sits. The last test keeps that decision in errors.naming.
+"""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cdfnet import cli
+from cdfnet.cli import _read_descriptors, main
+from cdfnet.committee import read_score_file
+from cdfnet.config import load_experiment_config, load_network_config
+from cdfnet.errors import FormatError
+from cdfnet.model_io import read_container, write_container
+from cdfnet.pipeline import load_model, load_svm
+from cdfnet.stl10 import (
+    BYTES_PER_IMAGE,
+    load_fold_plan,
+    load_stl10,
+    read_stl10_images,
+    read_stl10_labels,
+)
+
+MODEL = Path(__file__).resolve().parent / "data" / "tiny_on_off.model"
+SRC = Path(__file__).resolve().parent.parent / "src" / "cdfnet"
+
+
+def _model(path, edit_text=lambda t: t, drop=()):
+    tensors, text = read_container(MODEL)
+    write_container(path, {k: v for k, v in tensors.items() if k not in drop}, edit_text(text))
+
+
+def _svm(path, config_text):
+    write_container(path, {"weights": np.ones((2, 3)), "biases": np.zeros(2)}, config_text)
+
+
+def _descriptors(path, labels, ids="0\n1\n2"):
+    write_container(path, {"descriptors": np.ones((3, 4)), "labels": np.asarray(labels)}, ids)
+
+
+def _folds(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _ten_folds(first):
+    return [first] + ["0 1 2"] * 9
+
+
+def _images(path, n):
+    path.write_bytes(bytes(n * BYTES_PER_IMAGE))
+
+
+def _load_stl10_pair(labels_path):
+    return load_stl10(labels_path.with_name("x.bin"), labels_path)
+
+
+# id -> (file name, write the damaged file at path, load it, part of the reason)
+CASES = {
+    "container_bad_magic": (
+        "m.bin", lambda p: p.write_bytes(b"XXXX" + bytes(20)), read_container, "bad magic",
+    ),
+    "container_truncated": (
+        "m.bin", lambda p: p.write_bytes(MODEL.read_bytes()[:-9]), read_container,
+        "truncated container",
+    ),
+    "container_name_not_utf8": (
+        "m.bin", lambda p: p.write_bytes(MODEL.read_bytes().replace(b"groups", b"gr\xffups")),
+        read_container, "'utf-8' codec can't decode",
+    ),
+    "model_missing_tensor": (
+        "m.model", lambda p: _model(p, drop=("groups",)), load_model, "missing 'groups'",
+    ),
+    "model_config_repeated_key": (
+        "m.model",
+        lambda p: _model(p, lambda t: t.replace("[layer2]\n", "[layer2]\nlcn_window = 3\n")),
+        load_model, "option 'lcn_window' in section 'layer2' already exists",
+    ),
+    "model_config_repeated_section": (
+        "m.model", lambda p: _model(p, lambda t: t + "[layer1]\n"), load_model,
+        "section 'layer1' already exists",
+    ),
+    "svm_reg_c_not_a_number": (
+        "s.svm", lambda p: _svm(p, "[svm]\nreg_c = abc\n"), load_svm,
+        "could not convert string to float: 'abc'",
+    ),
+    "svm_reg_c_nan": (
+        "s.svm", lambda p: _svm(p, "[svm]\nreg_c = nan\n"), load_svm,
+        "reg_c must be finite and > 0, got nan",
+    ),
+    "svm_reg_c_negative": (
+        "s.svm", lambda p: _svm(p, "[svm]\nreg_c = -1\n"), load_svm,
+        "reg_c must be finite and > 0, got -1.0",
+    ),
+    "svm_no_svm_section": ("s.svm", lambda p: _svm(p, ""), load_svm, "missing 'svm'"),
+    "descriptors_bad_id": (
+        "d.desc", lambda p: _descriptors(p, [0.0, 1.0, 0.0], "0\nx\n2"), _read_descriptors,
+        "invalid literal for int()",
+    ),
+    "descriptors_bad_label": (
+        "d.desc", lambda p: _descriptors(p, [0.0, -2.0, 0.0]), _read_descriptors,
+        "labels must be integers >= 0, or -1",
+    ),
+    "descriptors_label_count": (
+        "d.desc", lambda p: _descriptors(p, [0.0, 1.0]), _read_descriptors,
+        "with n image ids and n labels",
+    ),
+    "descriptors_scalar": (
+        "d.desc",
+        lambda p: write_container(p, {"descriptors": np.ones(()), "labels": np.zeros(1)}, "0"),
+        _read_descriptors, "with n image ids and n labels",
+    ),
+    "network_config_unknown_key": (
+        "n.ini", lambda p: p.write_text("[network]\n[layer1]\nfilter = 3\n[layer2]\n"),
+        load_network_config, "unknown key layer1.filter",
+    ),
+    "network_config_bad_value": (
+        "n.ini", lambda p: p.write_text("[network]\n[layer1]\nfilters = x\n[layer2]\n"),
+        load_network_config, "layer1.filters: invalid literal",
+    ),
+    "network_config_repeated_key": (
+        "n.ini", lambda p: p.write_text("[network]\nname = a\nname = b\n[layer1]\n[layer2]\n"),
+        load_network_config, "option 'name' in section 'network' already exists",
+    ),
+    "network_config_refused_record": (
+        "n.ini", lambda p: p.write_text("[network]\n[layer1]\nfilters = 0\n[layer2]\n"),
+        load_network_config, "filters must be >= 1, got 0 (in [layer1])",
+    ),
+    "experiment_no_such_file": (
+        "e.ini", lambda p: None, load_experiment_config, "no such experiment config",
+    ),
+    "experiment_unknown_section": (
+        "e.ini", lambda p: p.write_text("[experiment]\nnetworks = a.ini\n[other]\n"),
+        load_experiment_config, "unknown section [other]",
+    ),
+    "experiment_no_networks": (
+        "e.ini", lambda p: p.write_text("[experiment]\nnetworks = ,\n"),
+        load_experiment_config, "experiment lists no networks",
+    ),
+    "experiment_missing_networks": (
+        "e.ini", lambda p: p.write_text("[experiment]\nname = x\n"), load_experiment_config,
+        "missing 'networks'",
+    ),
+    "experiment_bad_fold": (
+        "e.ini", lambda p: p.write_text("[experiment]\nnetworks = a.ini\nfolds = 1 x\n"),
+        load_experiment_config, "invalid literal for int()",
+    ),
+    "scores_bad_header": (
+        "s.txt", lambda p: p.write_text("score v1 n1 2\n0 0.0 1.0\n"), read_score_file,
+        "bad score-file header",
+    ),
+    "scores_bad_token": (
+        "s.txt", lambda p: p.write_text("scores v1 n1 2\n0 0.0 x\n"), read_score_file,
+        "could not convert string to float: 'x'",
+    ),
+    "scores_outside_unit_interval": (
+        "s.txt", lambda p: p.write_text("scores v1 n1 2\n0 0.0 2.0\n"), read_score_file,
+        "has scores outside [0, 1]",
+    ),
+    "scores_not_ascii": (
+        "s.txt", lambda p: p.write_bytes(b"scores v1 n\xff 2\n0 0.0 1.0\n"), read_score_file,
+        "'ascii' codec can't decode",
+    ),
+    "fold_plan_duplicate_indices": (
+        "f.txt", lambda p: _folds(p, _ten_folds("0 1 1")), load_fold_plan,
+        "fold 0 contains duplicate indices",
+    ),
+    "fold_plan_index_out_of_range": (
+        "f.txt", lambda p: _folds(p, _ten_folds("0 9999")), load_fold_plan,
+        "fold 0 index 9999 outside [0, 5000)",
+    ),
+    "fold_plan_fold_count": (
+        "f.txt", lambda p: _folds(p, ["0 1"] * 9), load_fold_plan, "expected 10 folds, got 9",
+    ),
+    "fold_plan_bad_token": (
+        "f.txt", lambda p: _folds(p, _ten_folds("0 x")), load_fold_plan,
+        "invalid literal for int()",
+    ),
+    "stl10_images_size": (
+        "x.bin", lambda p: p.write_bytes(bytes(BYTES_PER_IMAGE + 1)), read_stl10_images,
+        f"size {BYTES_PER_IMAGE + 1} is not a positive multiple of {BYTES_PER_IMAGE}",
+    ),
+    "stl10_labels_empty": (
+        "y.bin", lambda p: p.write_bytes(b""), read_stl10_labels, "empty label file",
+    ),
+    "stl10_labels_range": (
+        "y.bin", lambda p: p.write_bytes(b"\x01\x0b"), read_stl10_labels,
+        "labels must be 1..10 on disk",
+    ),
+    "stl10_missing_labels": (
+        "y.bin", lambda p: _images(p.with_name("x.bin"), 1), _load_stl10_pair, "no such file",
+    ),
+    "stl10_label_count": (
+        "y.bin", lambda p: (_images(p.with_name("x.bin"), 3), p.write_bytes(b"\x01\x02")),
+        _load_stl10_pair, "3 images but 2 labels",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_refused_file_is_named_once_at_the_start(tmp_path, case):
+    name, damage, load, reason = CASES[case]
+    path = tmp_path / name
+    damage(path)
+    with pytest.raises(FormatError) as info:
+        load(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    assert message.count(str(path)) == 1
+    assert reason in message
+
+
+def test_evaluate_names_the_bad_member_before_reading_images(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("images read")
+
+    monkeypatch.setattr(cli, "load_stl10", never)
+    for i in range(1, 6):
+        (tmp_path / f"n{i}.ini").write_text("[network]\n[layer1]\n[layer2]\n")
+    bad = tmp_path / "n4.ini"
+    bad.write_text("[network]\n[layer1]\nfilter = 3\n[layer2]\n")
+    exp = tmp_path / "exp.ini"
+    exp.write_text("[experiment]\nnetworks = n1.ini, n2.ini, n3.ini, n4.ini, n5.ini\n")
+    data = tmp_path / "absent.bin"
+    rc = main(["evaluate", "--config", str(exp), "--train-x", str(data), "--train-y", str(data),
+               "--test-x", str(data), "--test-y", str(data), "--folds", str(data)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count(str(bad)) == 1
+    assert "unknown key layer1.filter" in err and err.count("\n") == 1
+
+
+def test_committee_names_a_labels_file_of_another_length(tmp_path, capsys):
+    scores = tmp_path / "s.txt"
+    scores.write_text("scores v1 n1 2\n0 0.0 1.0\n1 1.0 0.0\n")
+    labels = tmp_path / "y.bin"
+    labels.write_bytes(b"\x01\x02\x01")
+    assert main(["committee", str(scores), "--labels", str(labels)]) == 2
+    assert capsys.readouterr().err == f"error: {labels}: 2 predictions but 3 labels\n"
+
+
+PATH_NAMES = {"path", "images_path", "labels_path", "p"}
+
+
+def _path_formatted(call: ast.Call) -> bool:
+    """Whether a FormatError(...) call builds its message from a path: a path
+    variable anywhere in it, or an f-string that opens with `{...}: `."""
+    for arg in call.args:
+        if any(isinstance(n, ast.Name) and n.id in PATH_NAMES for n in ast.walk(arg)):
+            return True
+        if (isinstance(arg, ast.JoinedStr) and len(arg.values) > 1
+                and isinstance(arg.values[0], ast.FormattedValue)
+                and isinstance(arg.values[1], ast.Constant)
+                and arg.values[1].value.startswith(": ")):
+            return True
+    return False
+
+
+def test_only_naming_puts_a_path_in_a_format_error():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) > 10
+    found = []
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        allowed = set()
+        if source.name == "errors.py":
+            naming = next(n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "naming")
+            allowed = {id(n) for n in ast.walk(naming)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "FormatError" and id(node) not in allowed
+                    and _path_formatted(node)):
+                found.append(f"{source.name}:{node.lineno}")
+    assert found == [], f"FormatError messages built from a path outside errors.naming: {found}"

@@ -364,7 +364,7 @@ class TestModelPersistence:
         del tensors["layer1/zca_mean"]
         broken = tmp_path / "broken.bin"
         write_container(broken, tensors, text)
-        with pytest.raises(FormatError, match="missing tensor"):
+        with pytest.raises(FormatError, match=re.escape(f"{broken}: missing 'layer1/zca_mean'")):
             load_model(broken)
 
     def test_input_shape_must_be_two_sides(self, nano_model, tmp_path):
@@ -486,7 +486,7 @@ class TestModelPersistence:
         # scoring without the standardization would be wrong with no error
         path = tmp_path / "bad_old.svm"
         self._standardized_svm_container(path, **replaced)
-        with pytest.raises(FormatError, match=re.escape(f"{path}: bad SVM container")) as info:
+        with pytest.raises(FormatError, match=re.escape(f"{path}: ")) as info:
             load_svm(path)
         assert message in str(info.value)
 

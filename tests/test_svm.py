@@ -69,6 +69,19 @@ class TestTrain:
         assert np.all(np.isfinite(model.weights))
         assert np.all(np.isfinite(score_many(model, descs[:1])))
 
+    @pytest.mark.parametrize("value", [0.3, 0.1, -1 / 3])
+    def test_constant_feature_gets_weight_zero(self, value):
+        # its standardized column would be rounding error over STD_FLOOR
+        rng = np.random.default_rng(5)
+        labels = np.arange(60) % 3
+        descs = rng.standard_normal((60, 5)) + labels[:, None]
+        descs[:, 0] = value
+        model = train_ova_svm(descs, labels, reg_c=1.0)
+        assert np.all(model.weights[:, 0] == 0.0)
+        moved = descs[:10].copy()
+        moved[:, 0] += 1.0
+        assert np.array_equal(score_many(model, moved), score_many(model, descs[:10]))
+
     def test_mismatched_dims_rejected(self):
         # descriptors must be one (n_images, dim) matrix
         for bad in (np.zeros(2), np.zeros((2, 3, 1))):
@@ -209,6 +222,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="reg_c"):
             train_ova_svm(descs, labels, reg_c=reg_c)
 
+    @pytest.mark.parametrize("reg_c", [0.0, -1.0, np.nan, np.inf])
+    def test_model_reg_c_positive_and_finite(self, reg_c):
+        with pytest.raises(ValueError, match="reg_c must be finite and > 0"):
+            SvmModel(weights=np.zeros((2, 3)), biases=np.zeros(2), reg_c=reg_c)
+
     def test_model_needs_two_classes(self):
         with pytest.raises(DimError):
             SvmModel(weights=np.zeros((1, 3)), biases=np.zeros(1), reg_c=1.0)
@@ -238,7 +256,7 @@ class TestStandardizedOracle:
         probe = rng.standard_normal((20, d)) * scale + offset
         return descs, labels, probe
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("reg_c", [0.5, 16.0])
     def test_scores_match_standardized_oracle(self, seed, reg_c):
         descs, labels, probe = self._data(seed)

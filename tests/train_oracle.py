@@ -273,6 +273,7 @@ def standardized_svm(descriptors, labels, reg_c: float):
     mean = descriptors.mean(axis=0)
     std = np.maximum(descriptors.std(axis=0), STD_FLOOR)
     x = (descriptors - mean) / std
+    x[:, std == STD_FLOOR] = 0.0  # a constant feature gets weight 0
     x = np.hstack([x, np.ones((x.shape[0], 1))])
     n_classes = int(labels.max()) + 1
     weights = np.zeros((n_classes, x.shape[1] - 1))
