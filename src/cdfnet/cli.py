@@ -28,7 +28,7 @@ from .config import (
     load_experiment_config,
     load_network_config,
 )
-from .errors import CdfnetError, FormatError, naming
+from .errors import CdfnetError, DimError, FormatError, naming
 from .model_io import atomic_open, read_container, write_container
 from .pipeline import (
     evaluate_protocol,
@@ -106,7 +106,11 @@ def _cmd_extract(args) -> int:
     images = _select_fold(load_stl10(args.images, args.labels), args)
     if args.augment:
         images = expand_set(images, model.config.augment)
-    descs = extract_descriptors(model, images)
+    try:
+        descs = extract_descriptors(model, images)
+    except DimError as exc:  # images of a size the model was not trained at
+        with naming(args.images):
+            raise exc
     labels = None if args.labels is None else [img.label for img in images]
     _write_descriptors(args.out, descs, [img.image_id for img in images], labels)
     print(f"wrote {len(descs)} descriptors to {args.out}")
@@ -127,7 +131,11 @@ def _cmd_svm(args) -> int:
 def _cmd_score(args) -> int:
     svm = load_svm(args.svm)
     descs, image_ids, labels = _read_descriptors(args.descriptors)
-    raw = score_many(svm, descs)
+    try:
+        raw = score_many(svm, descs)
+    except DimError as exc:  # descriptors of another dim than the model's
+        with naming(args.descriptors):
+            raise exc
     table = normalize_table(args.network_id, image_ids, raw)
     write_score_file(args.out, table)
     if not np.any(labels < 0):

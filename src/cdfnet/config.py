@@ -18,6 +18,7 @@ from .augment import AugmentPlan
 from .errors import FormatError, InvalidK, InvalidWindow, naming
 from .layer import RECTIFIERS
 from .stl10 import NUM_FOLDS
+from .svm import _check_reg_c
 from .tensor import SeededRng
 
 
@@ -129,8 +130,7 @@ class NetworkConfig:
             raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {self.rectifier!r}")
         if self.scale_factor is not None and not 0.0 < self.scale_factor <= 1.0:
             raise ValueError(f"scale_factor must be in (0, 1], got {self.scale_factor}")
-        if not (math.isfinite(self.svm_reg_c) and self.svm_reg_c > 0):
-            raise ValueError(f"svm_reg_c must be finite and > 0, got {self.svm_reg_c}")
+        _check_reg_c(self.svm_reg_c, "svm_reg_c")
 
 
 def parse_fraction(text: str) -> float:

@@ -90,29 +90,31 @@ class KMeansResult:
     reseeds: np.ndarray  # points moved into clusters that emptied out
 
 
-def _assignments(points: np.ndarray, centroids: np.ndarray, block_sq: np.ndarray):
-    """Nearest centroid per point plus each group's summed squared distance.
+def _assignments(points: np.ndarray, centroids: np.ndarray, norms: np.ndarray):
+    """Nearest centroid per point and each point's squared distance to it.
 
-    points is (G, n, dim), centroids (G, k, dim) and block_sq (G, n_blocks)
-    the squared norms summed over each row block. Distances use the expansion
-    ||x-c||^2 = ||x||^2 - 2 x.c + ||c||^2 evaluated blockwise, so they take
-    G x min(n, _BLOCK) x k floats at a time.
+    points is (G, n, dim), centroids (G, k, dim) and norms (G, n) the squared
+    norms ||x||^2. Distances use the expansion ||x-c||^2 = ||x||^2 - 2 x.c +
+    ||c||^2 evaluated blockwise, so they take G x min(n, _BLOCK) x k floats at
+    a time. Returns (G, n) labels and (G, n) distances, clamped at 0.
     """
     n_groups, n, _ = points.shape
     labels = np.empty((n_groups, n), dtype=np.int64)
-    sse = np.zeros(n_groups)
+    dist = np.empty((n_groups, n))
     c_norms = np.einsum("gkd,gkd->gk", centroids, centroids)[:, None, :]
     # scaling by -2 is exact, so x.(-2c) is exactly -2 x.c and d2 is built
     # in place as c + (-2 x.c), exactly c - 2 x.c
     c_cols = np.swapaxes(centroids * -2.0, 1, 2)
-    for b, start in enumerate(range(0, n, _BLOCK)):
+    for start in range(0, n, _BLOCK):
         block = points[:, start : start + _BLOCK]
         d2 = block @ c_cols
         d2 += c_norms
         idx = np.argmin(d2, axis=2)
         labels[:, start : start + _BLOCK] = idx
-        sse += np.take_along_axis(d2, idx[..., None], axis=2)[..., 0].sum(axis=1) + block_sq[:, b]
-    return labels, np.maximum(sse, 0.0)
+        dist[:, start : start + _BLOCK] = np.take_along_axis(d2, idx[..., None], axis=2)[..., 0]
+    dist += norms
+    np.maximum(dist, 0.0, out=dist)
+    return labels, dist
 
 
 def _plusplus_init(points: np.ndarray, norms: np.ndarray, k: int, gens) -> np.ndarray:
@@ -177,9 +179,10 @@ def kmeans_stack(points: np.ndarray, k: int, max_iters: int, rngs) -> KMeansResu
     points is (G, n, dim), one group per leading index, and rngs holds one
     SeededRng per group. Each group draws from its own generator in the order
     a run on that group alone would, and stops on unchanged assignments or
-    after max_iters; a group that stops leaves the batch. Clusters that empty
-    out are re-seeded with the point currently farthest from its centroid,
-    taken from a cluster that keeps at least one member. Returns (G, dim, k)
+    after max_iters; a group that stops leaves the batch. Each round measures
+    every point's squared distance to its centroid once: the SSE history sums
+    it, and a cluster that empties out is re-seeded with the point farthest by
+    it, taken from a cluster that keeps at least one member. Returns (G, dim, k)
     centroids; every group's run equals a run on that group alone.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
@@ -197,22 +200,16 @@ def kmeans_stack(points: np.ndarray, k: int, max_iters: int, rngs) -> KMeansResu
 
     norms = np.einsum("gnd,gnd->gn", points, points)
     centroids = _plusplus_init(points, norms, k, [rng.generator() for rng in rngs])
-    block_sq = np.array([
-        [np.einsum("nd,nd->", p[start : start + _BLOCK], p[start : start + _BLOCK])
-         for start in range(0, n, _BLOCK)]
-        for p in points
-    ])
 
     final = np.empty_like(centroids)
     history = [[] for _ in range(n_groups)]
     converged = np.zeros(n_groups, dtype=bool)
     reseeds = np.zeros(n_groups, dtype=np.int64)
     active = np.arange(n_groups)  # groups still iterating; the arrays below hold only them
-    owned = False  # whether points is this call's own copy, free to reorder
     labels = None
     for _ in range(max_iters):
-        new_labels, sse = _assignments(points, centroids, block_sq)
-        for g, value in zip(active, sse):
+        new_labels, dist = _assignments(points, centroids, norms)
+        for g, value in zip(active, dist.sum(axis=1)):
             history[g].append(float(value))
         if labels is not None:
             done = np.all(new_labels == labels, axis=1)
@@ -221,17 +218,16 @@ def kmeans_stack(points: np.ndarray, k: int, max_iters: int, rngs) -> KMeansResu
                 final[active[done]] = centroids[done]
                 keep = ~done
                 active, centroids = active[keep], centroids[keep]
-                block_sq, new_labels = block_sq[keep], new_labels[keep]
                 if not active.size:
                     break
-                points = _keep_groups(points, keep, owned)
-                owned = True
+                points, norms = points[keep], norms[keep]
+                new_labels, dist = new_labels[keep], dist[keep]
         labels = new_labels
 
         counts, sums = _cluster_sums(points, labels, k)
         for j in np.flatnonzero(np.any(counts == 0, axis=1)):
             empty = np.flatnonzero(counts[j] == 0)
-            _reseed_empty(points[j], labels[j], counts[j], sums[j], centroids[j], empty)
+            _reseed_empty(points[j], dist[j], labels[j], counts[j], sums[j], centroids[j], empty)
             reseeds[active[j]] += empty.size
         nonzero = counts > 0
         centroids[nonzero] = sums[nonzero] / counts[nonzero][:, None]
@@ -246,29 +242,16 @@ def kmeans_stack(points: np.ndarray, k: int, max_iters: int, rngs) -> KMeansResu
     )
 
 
-def _keep_groups(points: np.ndarray, keep: np.ndarray, owned: bool) -> np.ndarray:
-    """The groups of points that keep marks. The caller's points are copied
-    once; a copy of its own is compacted in place, moving groups forward."""
-    if not owned:
-        return points[keep]
-    kept = np.flatnonzero(keep)
-    for dst, src in enumerate(kept):
-        if dst != src:
-            points[dst] = points[src]
-    return points[: kept.size]
-
-
-def _reseed_empty(points, labels, counts, sums, centroids, empty):
+def _reseed_empty(points, dist, labels, counts, sums, centroids, empty):
     """Move the farthest point into each empty cluster in turn, in place.
 
-    The point is never the only member of its cluster, which would leave
-    that cluster empty instead; with k <= n some cluster always has two.
+    dist holds each point's squared distance to its centroid, as the round's
+    assignment measured it. The point is never the only member of its
+    cluster, which would leave that cluster empty instead; with k <= n some
+    cluster always has two.
     """
-    diff = centroids[labels]
-    np.subtract(points, diff, out=diff)
-    d2 = np.einsum("nd,nd->n", diff, diff)
     for cluster in empty:
-        far = int(np.argmax(np.where(counts[labels] > 1, d2, -1.0)))
+        far = int(np.argmax(np.where(counts[labels] > 1, dist, -1.0)))
         old = labels[far]
         labels[far] = cluster
         counts[old] -= 1

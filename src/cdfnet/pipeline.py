@@ -26,7 +26,7 @@ from .committee import (
 )
 from .config import Layer1Config, Layer2Config, NetworkConfig
 from .config import network_config_from_text, network_config_to_text
-from .errors import DimError, InvalidGrouping, naming
+from .errors import CdfnetError, DimError, InvalidGrouping, naming
 from .kmeans import _BLOCK, FilterBank, KMeansResult, kmeans_stack
 from .layer import layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
@@ -423,6 +423,18 @@ def evaluate_protocol(
         raise ValueError(f"fold indices must be non-empty and distinct, got {fold_indices}")
     for fold in fold_indices:
         fold_plan.check_fold(fold, len(train_images))
+    # a member whose shape chain cannot run, or that cannot score the test
+    # set, is refused before any member trains
+    train_shape = train_images[0].pixels.shape
+    test_shapes = {img.pixels.shape for img in test_images}
+    for cfg in cfgs:
+        try:
+            descriptor_shape(cfg, *train_shape)
+            for shape in test_shapes:
+                if _working_shape(cfg, *shape) != _working_shape(cfg, *train_shape):
+                    raise DimError(f"test images are {shape}, training images {train_shape}")
+        except CdfnetError as exc:
+            raise type(exc)(f"network {cfg.name}: {exc}") from exc
     test_labels = [img.label for img in test_images]
 
     if out_dir is not None:

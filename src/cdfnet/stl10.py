@@ -98,15 +98,6 @@ def read_stl10_images(images_path) -> np.ndarray:
     return planes.transpose(0, 3, 2, 1)
 
 
-def write_stl10_images(images_path, rgb: np.ndarray) -> None:
-    """Write uint8 images (n, 96, 96, 3) in the STL-10 binary layout."""
-    rgb = np.asarray(rgb, dtype=np.uint8)
-    if rgb.ndim != 4 or rgb.shape[1:] != (IMAGE_SIDE, IMAGE_SIDE, 3):
-        raise FormatError(f"expected (n, 96, 96, 3) uint8 array, got {rgb.shape}")
-    planes = rgb.transpose(0, 3, 2, 1)
-    planes.tofile(images_path)
-
-
 def read_stl10_labels(labels_path) -> np.ndarray:
     """Decode an STL-10 label file to 0-based int labels."""
     raw = np.fromfile(labels_path, dtype=np.uint8)
@@ -117,12 +108,6 @@ def read_stl10_labels(labels_path) -> np.ndarray:
         if labels.min() < 0 or labels.max() >= NUM_CLASSES:
             raise FormatError(f"labels must be 1..{NUM_CLASSES} on disk")
     return labels
-
-
-def write_stl10_labels(labels_path, labels) -> None:
-    """Write 0-based labels as the 1-based uint8 STL-10 label file."""
-    labels = np.asarray(labels, dtype=np.int64)
-    (labels + 1).astype(np.uint8).tofile(labels_path)
 
 
 def load_stl10(images_path, labels_path=None) -> list[LabeledImage]:

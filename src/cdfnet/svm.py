@@ -59,9 +59,10 @@ class SvmModel:
         return self.weights.shape[1]
 
 
-def _check_reg_c(reg_c) -> None:
+def _check_reg_c(reg_c, name: str = "reg_c") -> None:
+    """The one rule for C, reported under the name the caller knows it by."""
     if not (np.isfinite(reg_c) and reg_c > 0):
-        raise ValueError(f"reg_c must be finite and > 0, got {reg_c}")
+        raise ValueError(f"{name} must be finite and > 0, got {reg_c}")
 
 
 def _dual_cd_l2svm(

@@ -17,6 +17,7 @@ from cdfnet import AugmentPlan, LabeledImage
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds
 from cdfnet.model_io import MAGIC, VERSION
 from cdfnet.patches import ZcaTransform
+from cdfnet.stl10 import IMAGE_SIDE
 
 
 def stripe_image(horizontal: bool, side: int, noise: float, rng: np.random.Generator):
@@ -138,6 +139,20 @@ def write_fold_plan(path, plan) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for fold in plan.folds:
             fh.write(" ".join(str(i) for i in fold) + "\n")
+
+
+def write_stl10_images(path, rgb: np.ndarray) -> None:
+    """Write uint8 images (n, 96, 96, 3) in the STL-10 binary layout, as
+    load_stl10 reads it: per image the red, green and blue planes, each
+    stored column-major."""
+    rgb = np.asarray(rgb, dtype=np.uint8)
+    assert rgb.ndim == 4 and rgb.shape[1:] == (IMAGE_SIDE, IMAGE_SIDE, 3), rgb.shape
+    rgb.transpose(0, 3, 2, 1).tofile(path)
+
+
+def write_stl10_labels(path, labels) -> None:
+    """Write 0-based labels as the 1-based uint8 STL-10 label file."""
+    (np.asarray(labels, dtype=np.int64) + 1).astype(np.uint8).tofile(path)
 
 
 def stl10_bytes(images01: np.ndarray) -> np.ndarray:

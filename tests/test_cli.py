@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cdfnet
-from cdfnet import cli
+from cdfnet import cli, pipeline
 from cdfnet.cli import main
 from cdfnet.committee import read_score_file
 from cdfnet.config import (
@@ -19,9 +19,14 @@ from cdfnet.config import (
 from cdfnet.model_io import read_container, write_container
 from cdfnet.pipeline import load_model, save_svm
 from cdfnet.svm import train_ova_svm
-from cdfnet.stl10 import write_stl10_images, write_stl10_labels
-
-from helpers import container_declaring, micro_config, stl10_bytes, stripe_dataset
+from helpers import (
+    container_declaring,
+    micro_config,
+    stl10_bytes,
+    stripe_dataset,
+    write_stl10_images,
+    write_stl10_labels,
+)
 
 
 @pytest.fixture(scope="module")
@@ -483,6 +488,24 @@ class TestEvaluate:
         assert err.startswith(f"error: {exp}: ")
         assert "option 'networks' in section 'experiment' already exists" in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_impossible_member_fails_before_training(self, ws, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(pipeline, "_train", lambda cfg, images: trained.append(cfg.name))
+        bad = micro_config("bad")
+        save_network_config(ws / "bad.ini", replace(bad, layer2=replace(bad.layer2, lcn_window=99)))
+        exp = ws / "exp_bad.ini"
+        exp.write_text("[experiment]\nname = duo\nnetworks = m1.ini, bad.ini\nfolds = 0\n")
+        out = ws / "bad_run"
+        rc = run("evaluate", "--config", exp,
+                 "--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin",
+                 "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
+                 "--folds", ws / "folds.txt", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: network bad: ") and err.count("\n") == 1
+        assert trained == []
         assert not out.exists()
 
     def test_full_protocol(self, ws, capsys):

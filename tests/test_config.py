@@ -247,6 +247,7 @@ class TestValidation:
             ("layer2", "filters_per_group = 0", "filters_per_group must be >= 1, got 0"),
             ("layer1", "filters = 0", "filters must be >= 1, got 0"),
             ("layer1", "patches = 3", "patches 3 is below filters = 300"),
+            ("network", "svm_reg_c = 0", "svm_reg_c must be finite and > 0, got 0.0"),
         ],
     )
     def test_record_error_names_the_ini_key(self, section, line, message):

@@ -15,7 +15,7 @@ from cdfnet import cli
 from cdfnet.cli import _read_descriptors, main
 from cdfnet.committee import read_score_file
 from cdfnet.config import load_experiment_config, load_network_config
-from cdfnet.errors import FormatError
+from cdfnet.errors import FormatError, NonFiniteValue
 from cdfnet.model_io import read_container, write_container
 from cdfnet.pipeline import load_model, load_svm
 from cdfnet.stl10 import (
@@ -241,6 +241,36 @@ def test_committee_names_a_labels_file_of_another_length(tmp_path, capsys):
     labels.write_bytes(b"\x01\x02\x01")
     assert main(["committee", str(scores), "--labels", str(labels)]) == 2
     assert capsys.readouterr().err == f"error: {labels}: 2 predictions but 3 labels\n"
+
+
+def test_score_names_descriptors_of_another_dim(tmp_path, capsys):
+    svm, descs = tmp_path / "s.svm", tmp_path / "d.desc"
+    _svm(svm, "[svm]\nreg_c = 1.0\n")
+    _descriptors(descs, [0, 1, 0])
+    assert main(["score", "--svm", str(svm), "--descriptors", str(descs),
+                 "--network-id", "n1", "--out", str(tmp_path / "t.txt")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {descs}: descriptor dim 4 does not match model dim 3\n"
+    )
+
+
+def test_extract_names_images_of_another_size(tmp_path, capsys, monkeypatch):
+    images = tmp_path / "x.bin"
+    _images(images, 2)
+    argv = ["extract", "--model", str(MODEL), "--images", str(images),
+            "--out", str(tmp_path / "d.desc")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {images}: image 0 is (96, 96) after rescaling, model was trained at (16, 16)\n"
+    )
+
+    # a fault of the forward pass is not the images' fault
+    def overflow(model, images):
+        raise NonFiniteValue("non-finite value inf in layer-1 output at (0, 0, 0)")
+
+    monkeypatch.setattr(cli, "extract_descriptors", overflow)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: non-finite value inf in layer-1 output at (0, 0, 0)\n"
 
 
 PATH_NAMES = {"path", "images_path", "labels_path", "p"}

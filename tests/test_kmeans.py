@@ -7,7 +7,7 @@ from cdfnet.patches import ZcaTransform, fit_zca
 from cdfnet.tensor import SeededRng
 
 import train_oracle
-from helpers import assert_near_oracle, identity_whitening
+from helpers import assert_near_oracle, identity_whitening, traced_peak
 
 
 def _pm(values):
@@ -183,14 +183,15 @@ class TestReseed:
         counts = np.bincount(labels, minlength=k)
         sums = np.zeros_like(centroids)
         np.add.at(sums, labels, points)
-        return points, labels, counts, sums, centroids, np.flatnonzero(counts == 0)
+        dist = np.sum((points - centroids[labels]) ** 2, axis=1)
+        return points, dist, labels, counts, sums, centroids, np.flatnonzero(counts == 0)
 
     def test_singleton_member_is_not_taken(self):
         # the farthest point (10) is the only member of cluster 1; moving it
         # would empty cluster 1 instead of filling cluster 2
         state = self._state([[0.0], [10.0], [0.1], [0.3]], [0, 1, 0, 0], [[0.1], [0.0], [50.0]])
         _reseed_empty(*state)  # updates labels, counts, sums and centroids in place
-        _, labels, counts, sums, centroids, _ = state
+        _, _, labels, counts, sums, centroids, _ = state
         assert np.all(counts > 0)
         assert np.array_equal(counts, np.bincount(labels, minlength=3))
         assert labels[1] == 1 and labels[3] == 2  # farthest point of a cluster of three
@@ -203,9 +204,19 @@ class TestReseed:
         labels = np.array([0] * 6 + [1] * 5 + [2])
         state = self._state(points, labels, rng.standard_normal((6, 2)) * 5.0)
         _reseed_empty(*state)
-        _, labels, counts, _, _, _ = state
+        _, _, labels, counts, _, _, _ = state
         assert np.all(counts > 0)
         assert np.array_equal(counts, np.bincount(labels, minlength=6))
+
+    def test_reseeding_run_holds_no_copy_of_the_points(self):
+        # 4 distinct rows for 8 clusters: 4 clusters empty out every round.
+        # A reseed reads the round's assignment distances, so the run holds
+        # per-point arrays and (block, k) distances, not an (n, dim) buffer.
+        points = np.repeat(np.random.default_rng(7).standard_normal((4, 64)), 15_000, axis=0)[None]
+        kmeans_stack(points[:, :100], 8, 2, [SeededRng(1)])  # warm: scipy's lazy import
+        got, peak = traced_peak(kmeans_stack, points, 8, 10, [SeededRng(1)])
+        assert got.reseeds[0] == 40
+        assert peak < 0.5 * points.nbytes
 
 
 class TestWhitenedFilters:

@@ -605,6 +605,26 @@ class TestProtocol:
         with pytest.raises(ValueError, match="fold 1 lists image 4, but only 4 images"):
             evaluate_protocol([nano_config("solo")], train, [], plan, fold_indices=(0, 1))
 
+    def test_impossible_member_or_test_size_refused_before_training(self, monkeypatch):
+        trained = []
+        real = pipeline._train
+
+        def counting(cfg, fold_images):
+            trained.append(cfg.name)
+            return real(cfg, fold_images)
+
+        monkeypatch.setattr(pipeline, "_train", counting)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5),), n_train=6)
+        train = stripe_dataset(6, side=32, seed=3)
+        test = stripe_dataset(4, side=32, seed=21, first_id=500)
+        bad = nano_config("bad", layer2=dataclasses.replace(nano_config().layer2, lcn_window=99))
+        with pytest.raises(InvalidWindow, match="^network bad: "):
+            evaluate_protocol([nano_config("good"), bad], train, test, plan)
+        small = stripe_dataset(4, side=24, seed=21, first_id=500)
+        with pytest.raises(DimError, match=r"^network good: test images are \(24, 24\)"):
+            evaluate_protocol([nano_config("good")], train, small, plan)
+        assert trained == []
+
     def test_failed_report_write_keeps_previous(self, tmp_path, monkeypatch):
         def broken(report):
             raise OSError("disk full")

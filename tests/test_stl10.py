@@ -13,11 +13,9 @@ from cdfnet.stl10 import (
     read_stl10_images,
     read_stl10_labels,
     to_grayscale,
-    write_stl10_images,
-    write_stl10_labels,
 )
 
-from helpers import write_fold_plan
+from helpers import write_fold_plan, write_stl10_images, write_stl10_labels
 
 
 class TestGrayscale:
