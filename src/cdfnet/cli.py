@@ -45,7 +45,7 @@ from .stl10 import (
     load_stl10,
     read_stl10_labels,
 )
-from .svm import score_many, train_ova_svm
+from .svm import DEFAULT_REG_C, score_many, train_ova_svm
 
 logger = logging.getLogger(__name__)
 
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("svm", help="train the one-vs-all linear SVM")
     p.add_argument("--descriptors", required=True, help="descriptor container")
-    p.add_argument("--reg-c", type=float, default=1.0, help="SVM regularization C")
+    p.add_argument("--reg-c", type=float, default=DEFAULT_REG_C, help="SVM regularization C")
     p.add_argument("--out", required=True, help="SVM container path")
     p.set_defaults(func=_cmd_svm)
 

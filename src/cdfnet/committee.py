@@ -101,6 +101,8 @@ def accuracy(predictions, labels) -> float:
         raise AlignmentError(
             f"{predictions.size} predictions but {labels.size} labels"
         )
+    if not predictions.size:
+        raise ValueError("accuracy of no predictions")
     return float(np.mean(predictions == labels))
 
 

@@ -18,7 +18,7 @@ from .augment import AugmentPlan
 from .errors import FormatError, InvalidK, InvalidWindow, naming
 from .layer import RECTIFIERS
 from .stl10 import NUM_FOLDS
-from .svm import _check_reg_c
+from .svm import DEFAULT_REG_C, _check_reg_c
 from .tensor import SeededRng
 
 
@@ -121,7 +121,7 @@ class NetworkConfig:
     layer2: Layer2Config = field(default_factory=Layer2Config)
     augment: AugmentPlan = field(default_factory=AugmentPlan)
     seeds: Seeds = field(default_factory=Seeds)
-    svm_reg_c: float = 1.0
+    svm_reg_c: float = DEFAULT_REG_C
 
     def __post_init__(self):
         if not self.name or any(ch.isspace() for ch in self.name):

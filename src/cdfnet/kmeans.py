@@ -2,20 +2,18 @@
 
 :func:`kmeans_stack` is the one k-means: it clusters a (G, n, dim) stack of
 patch rows, one independent run per group, and layer 1 is its G = 1 call.
-Centroids are used directly as convolution filters (no length
-normalization). Everything is deterministic given the SeededRngs: the same
-seeds and patch rows reproduce the same filter banks bit for bit.
+Centroids, with the whitening folded in, become a :class:`FilterBank` (no
+length normalization). Everything is deterministic given the SeededRngs:
+the same seeds and patch rows reproduce the same filter banks bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimError, InvalidK
-from .patches import ZcaTransform
 from .tensor import assert_array_finite
 
 # Points are processed in blocks so the (block x k) distance matrix stays
@@ -25,28 +23,29 @@ _BLOCK = 16384
 
 @dataclass(frozen=True)
 class FilterBank:
-    """K filters as columns (..., d, K) plus their whitening.
+    """The map a layer applies to a normalized patch row x: x F - offset.
 
-    d = p^2 * depth, with p from the layer record and depth from the maps.
-    A leading axis stacks equal-shaped banks, one per layer-2 group; the
-    whitening then carries the same leading axis.
+    filters is (..., d, K) and offset (..., K), in the forward pass's float32,
+    with the training-time whitening folded in (see :mod:`cdfnet.patches`).
+    d = p^2 * depth, with p from the layer record and depth from the maps. A
+    leading axis stacks equal-shaped banks, one per layer-2 group.
     """
 
     filters: np.ndarray
-    whitening: ZcaTransform
+    offset: np.ndarray
     layer_index: int = 0
 
     def __post_init__(self):
-        filters = np.asarray(self.filters, dtype=np.float64)
+        filters = np.asarray(self.filters, dtype=np.float32)
+        offset = np.asarray(self.offset, dtype=np.float32)
         if filters.ndim < 2 or filters.shape[-1] < 1:
             raise DimError(f"filter bank must be (..., d, K) with K >= 1, got {filters.shape}")
+        if offset.shape != filters.shape[:-2] + filters.shape[-1:]:
+            raise DimError(f"filter offset {offset.shape} does not match filters {filters.shape}")
         assert_array_finite(filters, what="filter bank")
-        if self.whitening.mean.shape != filters.shape[:-1]:
-            raise DimError(
-                f"whitening mean {self.whitening.mean.shape} does not match "
-                f"filters {filters.shape}"
-            )
+        assert_array_finite(offset, what="filter offset")
         object.__setattr__(self, "filters", filters)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def lead(self) -> tuple[int, ...]:
@@ -60,19 +59,6 @@ class FilterBank:
     @property
     def k(self) -> int:
         return self.filters.shape[-1]
-
-    @cached_property
-    def whitened_filters(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, c) with the whitening folded into the filters, in float32.
-
-        M is symmetric, so F^T M (x - mu) = G^T x - c with G = M F and
-        c = mu^T G, shaped (..., 1, K). Both are computed in float64 and
-        rounded once to the forward pass's float32. Derived once per bank
-        and never stored in containers.
-        """
-        g = self.whitening.matrix @ self.filters
-        c = self.whitening.mean[..., None, :] @ g
-        return g.astype(np.float32), c.astype(np.float32)
 
 
 @dataclass(frozen=True)
@@ -112,6 +98,7 @@ def _assignments(points: np.ndarray, centroids: np.ndarray, norms: np.ndarray):
         idx = np.argmin(d2, axis=2)
         labels[:, start : start + _BLOCK] = idx
         dist[:, start : start + _BLOCK] = np.take_along_axis(d2, idx[..., None], axis=2)[..., 0]
+        del d2  # else the next block is made while this one is still held
     dist += norms
     np.maximum(dist, 0.0, out=dist)
     return labels, dist

@@ -12,9 +12,9 @@ functions are pure, so images can be processed in parallel without
 coordination.
 
 The forward pass computes in float32: the convolution rounds its input maps
-and the bank's whitened filters (:attr:`FilterBank.whitened_filters`) once,
-and every later stage keeps its input's dtype. Filter learning and the
-descriptors handed to the SVM stay float64.
+once and applies the bank's float32 filters and offset, and every later stage
+keeps its input's dtype. Filter learning and the descriptors handed to the
+SVM stay float64.
 """
 
 from __future__ import annotations
@@ -62,24 +62,21 @@ def dense_patches(maps: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, int]
 def _convolve(maps: np.ndarray, bank: FilterBank, p: int) -> np.ndarray:
     """(..., H, W, depth) maps against a bank of the same leading shape: (..., H', W', K).
 
-    Every p x p patch position, stride 1, is normalized and whitened with the
-    bank's training-time transform and then meets every filter by a dot
-    product, so inference sees the space the filters were learned in. The
-    whitening is folded into the filters (:attr:`FilterBank.whitened_filters`),
-    so a patch is normalized in place, multiplied by the folded filters and
-    shifted by their offset. All of it is float32: the maps are rounded once,
-    and the patch rows and the output are float32. Works through a band of
+    Every p x p patch position, stride 1, is normalized in place, multiplied
+    by the bank's filters and shifted by its offset, which together carry the
+    training-time whitening, so inference sees the space the filters were
+    learned in. All of it is float32: the maps are rounded once, and the
+    patch rows and the output are float32. Works through a band of
     output rows of a few leading indices at a time, so the patch copy holds
     about _CONV_ROWS patches, not one per output position. The band's rows
     do not depend on the leading shape, because BLAS rounds a product
     differently when its row count changes.
     """
-    weights, offset = bank.whitened_filters
     lead = maps.shape[:-3]
     out_h, out_w = conv_output_shape(*maps.shape[-3:-1], p)
     maps = maps.reshape(-1, *maps.shape[-3:]).astype(np.float32, copy=False)
-    weights = weights.reshape(-1, *weights.shape[-2:])
-    offset = offset.reshape(-1, 1, bank.k)
+    weights = bank.filters.reshape(-1, bank.dim, bank.k)
+    offset = bank.offset.reshape(-1, 1, bank.k)
     out = np.empty((len(maps), out_h * out_w, bank.k), dtype=np.float32)
     band = max(1, _CONV_ROWS // out_w)
     chunk = max(1, _CONV_ROWS // (min(band, out_h) * out_w))

@@ -26,7 +26,7 @@ EIGENVALUE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ZcaTransform:
-    """Whitening y = matrix @ (x - mean); matrix is symmetric PD.
+    """Training's whitening y = matrix @ (x - mean); matrix is symmetric PD.
 
     mean is (..., d) and matrix (..., d, d): a leading axis stacks one
     transform per layer-2 group. The fit's epsilon is folded into matrix;
@@ -51,6 +51,17 @@ class ZcaTransform:
     @property
     def dim(self) -> int:
         return self.mean.shape[-1]
+
+    def fold(self, filters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(G, c) of (..., d, K) filters F learned behind this whitening, in
+        float64: M is symmetric, so F^T M (x - mu) = G^T x - c with G = M F
+        and c = mu^T G, shaped (..., K). A model stores only (G, c)."""
+        if filters.shape[:-1] != self.mean.shape:
+            raise DimError(
+                f"whitening mean {self.mean.shape} does not match filters {filters.shape}"
+            )
+        folded = self.matrix @ filters
+        return folded, (self.mean[..., None, :] @ folded)[..., 0, :]
 
 
 def extract_patches(
@@ -130,9 +141,9 @@ def fit_zca(patches: np.ndarray, epsilon: float) -> ZcaTransform:
 
 def apply_zca(transform: ZcaTransform, patches: np.ndarray) -> np.ndarray:
     """Whiten (..., n, d) rows x into M (x - mu) as x M^T - mu M^T, so no
-    centered copy of the patches is made (the fold of
-    :attr:`FilterBank.whitened_filters`). A stacked transform whitens each
-    slice of a matching stack with its own mean and matrix."""
+    centered copy of the patches is made (as :meth:`ZcaTransform.fold` does
+    for filters). A stacked transform whitens each slice of a matching stack
+    with its own mean and matrix."""
     if patches.shape[-1] != transform.dim:
         raise DimError(
             f"patch dim {patches.shape[-1]} does not match transform dim {transform.dim}"

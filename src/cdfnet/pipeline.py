@@ -1,10 +1,10 @@
 """Training orchestration, model persistence, and the 10-fold protocol.
 
-A trained network is layer-1 filters (with their whitening transform), a
-random (G, n_k) table of layer-1 map indices, one group a row, and the
-layer-2 filter banks of all groups stacked into one (G, d, K) bank.
-Everything downstream of the seeds is deterministic, so a NetworkConfig plus
-its seeds reproduces models, descriptors, and score files bit for bit.
+A trained network is a layer-1 bank (float32 filters with the ZCA whitening
+folded in, and an offset), a random (G, n_k) table of layer-1 map indices, one
+group a row, and the layer-2 banks of all groups stacked into one (G, d, K)
+bank. Everything downstream of the seeds is deterministic, so a NetworkConfig
+plus its seeds reproduces models, descriptors, and score files bit for bit.
 """
 
 from __future__ import annotations
@@ -160,6 +160,8 @@ def _train(
 ) -> tuple[NetworkModel, list[int], np.ndarray]:
     """:func:`train_network`, also returning the augmented fold's labels and
     its layer-1 outputs as one float32 (N, h, w, K1) array."""
+    if not fold_images:
+        raise ValueError("no training images")
     # the shape chain and the grouping depend only on the config and the
     # image size, so settle them before the heavy work
     input_shape = _working_shape(cfg, *fold_images[0].pixels.shape)
@@ -185,9 +187,8 @@ def _train(
         [patches_rng.child(0)], [SeededRng(cfg.seeds.kmeans1)],
     )
     _log_kmeans(cfg.name, 1, result1)
-    bank1 = FilterBank(
-        result1.centroids[0], ZcaTransform(zca1.mean[0], zca1.matrix[0]), layer_index=1
-    )
+    filters1, offset1 = zca1.fold(result1.centroids)
+    bank1 = FilterBank(filters1[0], offset1[0], layer_index=1)
 
     outputs1 = np.empty((len(images), *l1_shape), dtype=np.float32)
     for i, image_id in enumerate(image_ids):
@@ -206,7 +207,7 @@ def _train(
         [kmeans2_rng.child(g) for g in range(len(groups))],
     )
     _log_kmeans(cfg.name, 2, result2)
-    bank2 = FilterBank(result2.centroids, zca2, layer_index=2)
+    bank2 = FilterBank(*zca2.fold(result2.centroids), layer_index=2)
     model = NetworkModel(cfg, bank1, groups, bank2, input_shape)
     return model, labels, outputs1
 
@@ -285,21 +286,18 @@ def _layer_shapes(cfg: NetworkConfig, height: int, width: int):
 
 
 def _bank_tensors(prefix: str, bank: FilterBank) -> dict[str, np.ndarray]:
-    """Container tensors of a filter bank, stacked or not, and its whitening transform."""
-    return {
-        f"{prefix}/filters": bank.filters,
-        f"{prefix}/zca_mean": bank.whitening.mean,
-        f"{prefix}/zca_matrix": bank.whitening.matrix,
-    }
+    """Container tensors of a filter bank, stacked or not."""
+    return {f"{prefix}/filters": bank.filters, f"{prefix}/offset": bank.offset}
 
 
 def _bank_from_tensors(tensors: dict[str, np.ndarray], prefix: str, layer_index: int) -> FilterBank:
-    """Inverse of :func:`_bank_tensors`. An older container's ``zca_epsilon``
-    tensor is ignored: epsilon is folded into ``zca_matrix``, and the config
-    block holds its value."""
+    """Inverse of :func:`_bank_tensors`. An older container's raw filters are
+    folded with its ``zca_mean`` and ``zca_matrix`` (a ``zca_epsilon`` is ignored)."""
     filters = tensors[f"{prefix}/filters"]  # read first: the per-group layout lacks it
-    zca = ZcaTransform(tensors[f"{prefix}/zca_mean"], tensors[f"{prefix}/zca_matrix"])
-    return FilterBank(filters, zca, layer_index)
+    if {f"{prefix}/zca_mean", f"{prefix}/zca_matrix"} & tensors.keys():
+        zca = ZcaTransform(tensors[f"{prefix}/zca_mean"], tensors[f"{prefix}/zca_matrix"])
+        return FilterBank(*zca.fold(filters), layer_index)
+    return FilterBank(filters, tensors[f"{prefix}/offset"], layer_index)
 
 
 def save_model(path, model: NetworkModel) -> None:
@@ -423,6 +421,8 @@ def evaluate_protocol(
         raise ValueError(f"fold indices must be non-empty and distinct, got {fold_indices}")
     for fold in fold_indices:
         fold_plan.check_fold(fold, len(train_images))
+    if not test_images:
+        raise ValueError("the test set is empty")
     # a member whose shape chain cannot run, or that cannot score the test
     # set, is refused before any member trains
     train_shape = train_images[0].pixels.shape

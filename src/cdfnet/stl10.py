@@ -57,6 +57,8 @@ class FoldPlan:
     def __post_init__(self):
         folds = tuple(tuple(int(i) for i in fold) for fold in self.folds)
         for fi, fold in enumerate(folds):
+            if not fold:
+                raise FormatError(f"fold {fi} is empty")
             if len(set(fold)) != len(fold):
                 raise FormatError(f"fold {fi} contains duplicate indices")
             for i in fold:

@@ -29,6 +29,7 @@ logger = logging.getLogger(__name__)
 STD_FLOOR = 1e-8
 DEFAULT_EPOCHS = 1000
 DEFAULT_TOL = 1e-4
+DEFAULT_REG_C = 1.0  # C of train_ova_svm, NetworkConfig.svm_reg_c and cdfnet svm --reg-c
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def _as_descriptors(descriptors, dim: int | None = None) -> np.ndarray:
 def train_ova_svm(
     descriptors: np.ndarray,
     labels,
-    reg_c: float = 1.0,
+    reg_c: float = DEFAULT_REG_C,
     max_epochs: int = DEFAULT_EPOCHS,
     tol: float = DEFAULT_TOL,
 ) -> SvmModel:

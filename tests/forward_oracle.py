@@ -4,7 +4,10 @@ This is the per-image, per-group path the package used before the batched
 one: dense patches as columns, patch normalization and the ZCA applied to
 every patch before the filter product, LCN by a 2D ``ndimage.correlate`` and
 pooling one stack at a time, all in float64. Tests compare the package's
-float32 :func:`cdfnet.pipeline.extract_descriptors` against it.
+float32 :func:`cdfnet.pipeline.extract_descriptors` against it. A layer is
+given either raw filters with their whitening, which it applies explicitly
+(the reference for the fold), or a stored bank, whose folded filters and
+offset it applies in float64.
 """
 
 from __future__ import annotations
@@ -28,14 +31,18 @@ def normalize_patch(patch: np.ndarray) -> np.ndarray:
 
 
 def _convolve(maps, bank, p):
-    """(H, W, depth) maps against one (d, K) bank: every p x p patch normalized,
-    whitened with the bank's transform, then multiplied by the filters."""
+    """(H, W, depth) maps against one bank: every p x p patch normalized, then
+    whitened and multiplied by raw (d, K) filters for a (filters, ZcaTransform)
+    pair, or multiplied by a FilterBank's filters and shifted by its offset."""
     windows = sliding_window_view(maps, (p, p), axis=(0, 1))
     out_h, out_w = windows.shape[:2]
     cols = np.stack([normalize_patch(c) for c in windows.reshape(out_h * out_w, -1)], axis=1)
-    zca = bank.whitening
-    cols = zca.matrix @ (cols - zca.mean[:, None])
-    return (bank.filters.T @ cols).T.reshape(out_h, out_w, bank.k)
+    if isinstance(bank, FilterBank):
+        out = bank.filters.T.astype(np.float64) @ cols - bank.offset[:, None]
+    else:
+        filters, zca = bank
+        out = filters.T @ (zca.matrix @ (cols - zca.mean[:, None]))
+    return out.T.reshape(out_h, out_w, -1)
 
 
 def _rectify(maps, rectifier):
@@ -83,26 +90,32 @@ def run_layer(maps, bank, cfg, rectifier):
     return _pool(out, cfg.pool_side, cfg.pool_stride, cfg.pool_alpha)
 
 
-def group_bank(bank: FilterBank, g: int) -> FilterBank:
-    """Bank g of a (G, d, K) stack, with its own whitening."""
-    zca = bank.whitening
-    return FilterBank(bank.filters[g], ZcaTransform(zca.mean[g], zca.matrix[g]), bank.layer_index)
+def group_bank(bank, g: int):
+    """Bank g of a (G, d, K) stack: a FilterBank, or a raw (filters, whitening) pair."""
+    if isinstance(bank, FilterBank):
+        return FilterBank(bank.filters[g], bank.offset[g], bank.layer_index)
+    filters, zca = bank
+    return filters[g], ZcaTransform(zca.mean[g], zca.matrix[g])
 
 
-def extract_descriptors(model, images):
-    """Descriptor matrix of images, computed image by image and group by group."""
+def extract_descriptors(model, images, raw_banks=None):
+    """Descriptor matrix of images, computed image by image and group by group.
+
+    raw_banks, if given, is the ((filters, whitening), (filters, whitening))
+    pair of both layers before the fold, used in place of the model's banks.
+    """
     from cdfnet.augment import scale
 
     cfg = model.config
+    bank1, bank2 = raw_banks or (model.bank1, model.bank2)
     rows = []
     for img in images:
         if cfg.scale_factor is not None and cfg.scale_factor != 1.0:
             img = scale(img, cfg.scale_factor)
-        out1 = run_layer(img.pixels[:, :, None], model.bank1, cfg.layer1, cfg.rectifier)
+        out1 = run_layer(img.pixels[:, :, None], bank1, cfg.layer1, cfg.rectifier)
         rows.append(np.concatenate([
-            run_layer(
-                out1[:, :, list(group)], group_bank(model.bank2, g), cfg.layer2, cfg.rectifier
-            ).ravel()
+            run_layer(out1[:, :, list(group)], group_bank(bank2, g), cfg.layer2, cfg.rectifier)
+            .ravel()
             for g, group in enumerate(model.groups)
         ]))
     return np.array(rows)

@@ -15,6 +15,7 @@ import numpy as np
 
 from cdfnet import AugmentPlan, LabeledImage
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds
+from cdfnet.kmeans import FilterBank
 from cdfnet.model_io import MAGIC, VERSION
 from cdfnet.patches import ZcaTransform
 from cdfnet.stl10 import IMAGE_SIDE
@@ -126,6 +127,15 @@ def micro_config(name: str = "micro", seeds: Seeds = Seeds(1, 2, 3, 4)) -> Netwo
 def identity_whitening(dim: int, lead: tuple[int, ...] = ()) -> ZcaTransform:
     """The whitening that leaves a normalized patch as it is, stacked over lead."""
     return ZcaTransform(np.zeros((*lead, dim)), np.broadcast_to(np.eye(dim), (*lead, dim, dim)))
+
+
+def folded_bank(filters, whitening: ZcaTransform | None = None, layer_index: int = 0) -> FilterBank:
+    """The bank of raw (..., d, K) filters learned behind a whitening, folded
+    as training folds them; without a whitening, the identity one."""
+    filters = np.asarray(filters, dtype=np.float64)
+    if whitening is None:
+        whitening = identity_whitening(filters.shape[-2], filters.shape[:-2])
+    return FilterBank(*whitening.fold(filters), layer_index)
 
 
 def container_declaring(dims) -> bytes:

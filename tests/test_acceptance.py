@@ -13,7 +13,7 @@ import pytest
 
 from cdfnet.committee import accuracy, committee_predict, table_predict
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds
-from cdfnet.kmeans import FilterBank, kmeans_stack
+from cdfnet.kmeans import kmeans_stack
 from cdfnet.layer import (
     _convolve,
     _lcn_subtract,
@@ -23,7 +23,7 @@ from cdfnet.layer import (
     make_groups,
     run_layer,
 )
-from cdfnet.patches import ZcaTransform, apply_zca, fit_zca, normalize_rows
+from cdfnet.patches import apply_zca, fit_zca, normalize_rows
 from cdfnet.pipeline import (
     NetworkModel,
     descriptor_shape,
@@ -35,7 +35,7 @@ from cdfnet.stl10 import LabeledImage
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from forward_oracle import normalize_patch
-from helpers import assert_near_oracle, stripe_dataset, toy_config
+from helpers import assert_near_oracle, folded_bank, stripe_dataset, toy_config
 from train_oracle import unroll_patch
 
 
@@ -123,14 +123,14 @@ def _check_convolution_oracle():
         k = int(rng.integers(1, 5))
         maps = rng.standard_normal((h, w, depth))
         zca = fit_zca(rng.random((200, p * p * depth)), 0.1)
-        bank = FilterBank(rng.standard_normal((p * p * depth, k)), zca)
-        got = _convolve(maps, bank, p)
+        filters = rng.standard_normal((p * p * depth, k))
+        got = _convolve(maps, folded_bank(filters, zca), p)
         want = np.empty(got.shape)
         for i in range(h - p + 1):
             for j in range(w - p + 1):
                 patch = zca.matrix @ (normalize_patch(unroll_patch(maps, i, j, p)) - zca.mean)
                 for f in range(k):
-                    want[i, j, f] = patch @ bank.filters[:, f]
+                    want[i, j, f] = patch @ filters[:, f]
         assert_near_oracle(got, want)  # the forward pass is float32
 
 
@@ -179,16 +179,12 @@ def test_criterion_2_shape_arithmetic():
         # one full-size single-image pass with random filters
         rng = np.random.default_rng(0)
         d1 = cfg.layer1.patch_side**2
-        bank1 = FilterBank(
-            rng.standard_normal((d1, cfg.layer1.k)), ZcaTransform(np.zeros(d1), np.eye(d1)), 1
-        )
+        bank1 = folded_bank(rng.standard_normal((d1, cfg.layer1.k)), layer_index=1)
         groups = make_groups(cfg.layer1.k, cfg.layer2.group_size, SeededRng(4))
         n_groups = len(groups)
         d2 = cfg.layer2.patch_side**2 * cfg.layer2.group_size
-        bank2 = FilterBank(
-            rng.standard_normal((n_groups, d2, cfg.layer2.k_per_group)),
-            ZcaTransform(np.zeros((n_groups, d2)), np.tile(np.eye(d2), (n_groups, 1, 1))),
-            2,
+        bank2 = folded_bank(
+            rng.standard_normal((n_groups, d2, cfg.layer2.k_per_group)), layer_index=2
         )
         full = NetworkModel(cfg, bank1, groups, bank2, (96, 96))
         img = LabeledImage(rng.random((96, 96)), 0, image_id=0)

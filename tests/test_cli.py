@@ -258,12 +258,14 @@ class TestChain:
         assert not out.exists()
 
     def test_old_per_group_container_rejected(self, ws, trained_model, capsys):
-        # the layout before layer 2 was stored as one stack: layer2/gNNNN/* per group
+        # the layout before layer 2 was stored as one stack: layer2/gNNNN/* per
+        # group, each with its filters and their (here identity) whitening
         tensors, text = read_container(trained_model)
         old = {k: v for k, v in tensors.items() if not k.startswith("layer2/")}
-        for g in range(tensors["layer2/filters"].shape[0]):
-            for name in ("filters", "zca_mean", "zca_matrix"):
-                old[f"layer2/g{g:04d}/{name}"] = tensors[f"layer2/{name}"][g]
+        for g, filters in enumerate(tensors["layer2/filters"]):
+            old[f"layer2/g{g:04d}/filters"] = filters
+            old[f"layer2/g{g:04d}/zca_mean"] = np.zeros(len(filters))
+            old[f"layer2/g{g:04d}/zca_matrix"] = np.eye(len(filters))
         model = ws / "old_layout.model"
         write_container(model, old, text)
         rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
@@ -285,7 +287,7 @@ class TestChain:
 
     def test_group_count_mismatch_rejected(self, ws, trained_model, capsys):
         tensors, text = read_container(trained_model)
-        for name in ("filters", "zca_mean", "zca_matrix"):
+        for name in ("filters", "offset"):
             stack = tensors[f"layer2/{name}"]
             tensors[f"layer2/{name}"] = np.concatenate([stack, stack])
         model = ws / "extra_group.model"
@@ -301,8 +303,6 @@ class TestChain:
         # a layer-1 bank of one pixel less than the config's patch side squared
         tensors, text = read_container(trained_model)
         tensors["layer1/filters"] = tensors["layer1/filters"][:-1]
-        tensors["layer1/zca_mean"] = tensors["layer1/zca_mean"][:-1]
-        tensors["layer1/zca_matrix"] = tensors["layer1/zca_matrix"][:-1, :-1]
         model = ws / "short_filters.model"
         write_container(model, tensors, text)
         rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
@@ -318,7 +318,9 @@ class TestChain:
         tensors, text = read_container(trained_model)
         if damage == "short_filter_row":
             tensors["layer1/filters"] = tensors["layer1/filters"][:-1]
-        else:
+        else:  # the older form, whose whitening is folded at load
+            d = len(tensors["layer1/filters"])
+            tensors["layer1/zca_mean"], tensors["layer1/zca_matrix"] = np.zeros(d), np.eye(d)
             tensors["layer1/zca_matrix"][0, 1] += 1.0
         model = ws / f"{damage}.model"
         write_container(model, tensors, text)

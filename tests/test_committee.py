@@ -124,6 +124,11 @@ class TestPredict:
         with pytest.raises(AlignmentError):
             accuracy([0, 1], [0, 1, 2])
 
+    def test_accuracy_of_nothing_refused(self):
+        # the mean of no hits would be a NaN accuracy
+        with pytest.raises(ValueError, match="no predictions"):
+            accuracy([], [])
+
 
 class TestNormalizeTable:
     def test_per_image_rows_span_unit_interval(self):

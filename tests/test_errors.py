@@ -17,7 +17,7 @@ from cdfnet.committee import read_score_file
 from cdfnet.config import load_experiment_config, load_network_config
 from cdfnet.errors import FormatError, NonFiniteValue
 from cdfnet.model_io import read_container, write_container
-from cdfnet.pipeline import load_model, load_svm
+from cdfnet.pipeline import load_model, load_svm, save_model
 from cdfnet.stl10 import (
     BYTES_PER_IMAGE,
     load_fold_plan,
@@ -33,6 +33,22 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "cdfnet"
 def _model(path, edit_text=lambda t: t, drop=()):
     tensors, text = read_container(MODEL)
     write_container(path, {k: v for k, v in tensors.items() if k not in drop}, edit_text(text))
+
+
+def _folded_model(path, edit):
+    """MODEL saved again in the six-tensor form, then its tensors edited in place."""
+    save_model(path, load_model(MODEL))
+    tensors, text = read_container(path)
+    edit(tensors)
+    write_container(path, tensors, text)
+
+
+def _short_offset(tensors):
+    tensors["layer1/offset"] = tensors["layer1/offset"][:-1]
+
+
+def _nan_offset(tensors):
+    tensors["layer2/offset"][0, 1] = np.nan
 
 
 def _svm(path, config_text):
@@ -74,6 +90,18 @@ CASES = {
     ),
     "model_missing_tensor": (
         "m.model", lambda p: _model(p, drop=("groups",)), load_model, "missing 'groups'",
+    ),
+    "model_offset_wrong_shape": (
+        "m.model", lambda p: _folded_model(p, _short_offset), load_model,
+        "filter offset (3,) does not match filters (9, 4)",
+    ),
+    "model_offset_non_finite": (
+        "m.model", lambda p: _folded_model(p, _nan_offset), load_model,
+        "non-finite value nan in filter offset at (0, 1)",
+    ),
+    "model_offset_missing": (
+        "m.model", lambda p: _folded_model(p, lambda t: t.pop("layer1/offset")), load_model,
+        "missing 'layer1/offset'",
     ),
     "model_config_repeated_key": (
         "m.model",

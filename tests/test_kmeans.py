@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from cdfnet.errors import DimError, InvalidK, NonFiniteValue
-from cdfnet.kmeans import FilterBank, _plusplus_init, _reseed_empty, kmeans_stack
+from cdfnet.kmeans import FilterBank, _assignments, _plusplus_init, _reseed_empty, kmeans_stack
 from cdfnet.patches import ZcaTransform, fit_zca
 from cdfnet.tensor import SeededRng
 
 import train_oracle
-from helpers import assert_near_oracle, identity_whitening, traced_peak
+from helpers import traced_peak
 
 
 def _pm(values):
@@ -158,20 +158,38 @@ class TestSse:
 
 class TestFilterBank:
     def test_shape_validation(self):
-        with pytest.raises(DimError, match="whitening mean"):
-            FilterBank(np.zeros((5, 2)), identity_whitening(4))  # d = 5, whitening dim 4
+        with pytest.raises(DimError, match=r"filter offset \(3,\) does not match filters \(5, 2\)"):
+            FilterBank(np.zeros((5, 2)), np.zeros(3))  # K = 2, offset for 3
+        with pytest.raises(DimError, match="offset"):
+            FilterBank(np.zeros((3, 5, 2)), np.zeros(2))  # a stack needs a stacked offset
         with pytest.raises(DimError):
-            FilterBank(np.zeros(5), identity_whitening(5))  # not (d, K)
+            FilterBank(np.zeros(5), np.zeros(5))  # not (d, K)
 
     def test_needs_filters(self):
         with pytest.raises(DimError):
-            FilterBank(np.zeros((4, 0)), identity_whitening(4))
+            FilterBank(np.zeros((4, 0)), np.zeros(0))
 
     def test_rejects_nonfinite(self):
         bad = np.zeros((4, 2))
         bad[1, 1] = np.inf
-        with pytest.raises(NonFiniteValue):
-            FilterBank(bad, identity_whitening(4))
+        with pytest.raises(NonFiniteValue, match="filter bank"):
+            FilterBank(bad, np.zeros(2))
+        with pytest.raises(NonFiniteValue, match="filter offset"):
+            FilterBank(np.zeros((4, 2)), np.array([0.0, np.nan]))
+
+
+class TestAssignments:
+    def test_assignments_hold_one_distance_block(self):
+        # 60000 points make four (16384, 60) distance blocks, each 0.26 copies
+        # of the points; holding the last block while the next is made would
+        # take the peak past half a copy
+        rng = np.random.default_rng(8)
+        points = rng.standard_normal((1, 60_000, 64))
+        norms = np.einsum("gnd,gnd->gn", points, points)
+        centroids = points[:, :60].copy()
+        (labels, dist), peak = traced_peak(_assignments, points, centroids, norms)
+        assert labels.shape == dist.shape == (1, 60_000)
+        assert peak < 0.4 * points.nbytes
 
 
 class TestReseed:
@@ -220,40 +238,53 @@ class TestReseed:
 
 
 class TestWhitenedFilters:
+    """ZcaTransform.fold: a bank stores its filters with the whitening folded in."""
+
+    @staticmethod
+    def _check_fold(zca, filters, x):
+        # x F' - c on raw rows x against F^T M (x - mu), in float64
+        g, c = zca.fold(filters)
+        assert g.dtype == c.dtype == np.float64
+        assert g.shape == filters.shape and c.shape == filters.shape[:-2] + filters.shape[-1:]
+        got = x @ g - c[..., None, :]
+        centered = x - zca.mean[..., None, :]
+        want = np.einsum("...dk,...de,...ne->...nk", filters, zca.matrix, centered)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        return g, c
+
     def test_matches_whitening_then_filters(self):
         rng = np.random.default_rng(4)
         zca = fit_zca(rng.random((200, 8)), 0.1)
-        bank = FilterBank(rng.standard_normal((8, 3)), zca)
-        g, c = bank.whitened_filters
-        # folded in float64, then rounded once to the forward pass's float32
-        assert g.dtype == c.dtype == np.float32
-        assert np.array_equal(g, (zca.matrix @ bank.filters).astype(np.float32))
-        x = rng.random((8, 5))
-        expect = bank.filters.T @ (zca.matrix @ (x - zca.mean[:, None]))
-        assert_near_oracle(g.T @ x - c.T, expect)
-        assert bank.whitened_filters[0] is g  # derived once per bank
+        filters = rng.standard_normal((8, 3))
+        g, c = self._check_fold(zca, filters, rng.random((5, 8)))
+        # the bank rounds the float64 fold once to the forward pass's float32
+        bank = FilterBank(g, c)
+        assert bank.filters.dtype == bank.offset.dtype == np.float32
+        assert np.array_equal(bank.filters, g.astype(np.float32))
+        assert np.array_equal(bank.offset, c.astype(np.float32))
 
     def test_stack_equals_each_bank_bitwise(self):
         rng = np.random.default_rng(5)
         zcas = [fit_zca(rng.random((200, 8)), 0.1) for _ in range(3)]
         filters = rng.standard_normal((3, 8, 4))
-        means = np.stack([z.mean for z in zcas])
-        matrices = np.stack([z.matrix for z in zcas])
-        stacked = FilterBank(filters, ZcaTransform(means, matrices))
-        g, c = stacked.whitened_filters
-        assert g.shape == (3, 8, 4) and c.shape == (3, 1, 4)
+        stacked = ZcaTransform(np.stack([z.mean for z in zcas]), np.stack([z.matrix for z in zcas]))
+        g, c = self._check_fold(stacked, filters, rng.random((3, 5, 8)))
+        assert g.shape == (3, 8, 4) and c.shape == (3, 4)
         for i, zca in enumerate(zcas):
-            gi, ci = FilterBank(filters[i], zca).whitened_filters
+            gi, ci = zca.fold(filters[i])
             assert np.array_equal(g[i], gi) and np.array_equal(c[i], ci)
 
     def test_stacked_whitening_must_match_filters(self):
         zca = ZcaTransform(np.zeros((2, 4)), np.tile(np.eye(4), (2, 1, 1)))
-        with pytest.raises(DimError):
-            FilterBank(np.ones((3, 4, 2)), zca)
+        with pytest.raises(DimError, match="whitening mean"):
+            zca.fold(np.ones((3, 4, 2)))
+        with pytest.raises(DimError, match="whitening mean"):
+            zca.fold(np.ones((1, 4, 2)))  # would broadcast over the groups
 
     def test_needs_whitening(self):
-        # the filters only mean something in the whitened space they were learned in
-        with pytest.raises(TypeError, match="whitening"):
+        # the filters only mean something with the offset their folded
+        # whitening leaves
+        with pytest.raises(TypeError, match="offset"):
             FilterBank(np.ones((4, 2)))
 
 

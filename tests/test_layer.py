@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,29 +31,20 @@ from cdfnet.patches import fit_zca, ZcaTransform
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from forward_oracle import gaussian_window, normalize_patch
-from helpers import assert_near_oracle, identity_whitening
+from helpers import assert_near_oracle
+from helpers import folded_bank as _bank
 from train_oracle import unroll_patch
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cdfnet"
 
 
 def _fmset(arr):
     return FeatureMapSet(np.asarray(arr, dtype=np.float64))
 
 
-def _bank(filters, whitening=None):
-    """A bank of the given filters; without a whitening, the identity one."""
-    filters = np.asarray(filters, dtype=np.float64)
-    if whitening is None:
-        whitening = identity_whitening(filters.shape[-2], filters.shape[:-2])
-    return FilterBank(filters, whitening)
-
-
 def _stack(banks):
-    """The (G, d, K) bank of equal-shaped banks, whitening stacked too."""
-    whitening = ZcaTransform(
-        np.stack([b.whitening.mean for b in banks]),
-        np.stack([b.whitening.matrix for b in banks]),
-    )
-    return FilterBank(np.stack([b.filters for b in banks]), whitening, 2)
+    """The (G, d, K) bank of equal-shaped banks."""
+    return FilterBank(np.stack([b.filters for b in banks]), np.stack([b.offset for b in banks]), 2)
 
 
 def _conv(maps, bank, p):
@@ -85,16 +78,15 @@ def _layer1(**kw):
 
 def _conv_oracle(maps, bank, p):
     """Triple-loop convolution of one bank of p x p filters in float64,
-    depth-major unroll: each patch normalized and whitened on its own, then
-    one dot product per filter."""
-    zca = bank.whitening
+    depth-major unroll: each patch normalized on its own, then one dot
+    product per filter, less that filter's offset."""
     h, w, _ = maps.shape
     out = np.zeros((h - p + 1, w - p + 1, bank.k))
     for j in range(h - p + 1):
         for i in range(w - p + 1):
-            x = zca.matrix @ (normalize_patch(unroll_patch(maps, j, i, p)) - zca.mean)
+            x = normalize_patch(unroll_patch(maps, j, i, p))
             for f in range(bank.k):
-                out[j, i, f] = float(x @ bank.filters[:, f])
+                out[j, i, f] = float(x @ bank.filters[:, f]) - float(bank.offset[f])
     return out
 
 
@@ -665,3 +657,30 @@ class TestLayerConfigValidation:
             for sigma in (0.0, float("nan"), float("inf")):
                 with pytest.raises(ValueError):
                     record(lcn_sigma=sigma)
+
+
+def _identifiers(tree):
+    """Every name a module binds or reads: variables, attributes, imports,
+    arguments, keywords, functions and classes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_forward_pass_names_no_whitening():
+    # a bank is the folded map the forward pass applies; the whitening it was
+    # folded from belongs to training (cdfnet.patches, cdfnet.pipeline) alone
+    found = []
+    for name in ("layer.py", "kmeans.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        found += [f"{name}: {ident}" for ident in _identifiers(tree)
+                  if ident == "ZcaTransform" or "whiten" in ident.lower()]
+    assert found == [], f"the forward pass names the whitening: {found}"

@@ -14,6 +14,7 @@ from cdfnet import pipeline
 from cdfnet.augment import AugmentPlan, expand_set
 from cdfnet.committee import committee_predict, read_score_file, table_predict
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds, load_network_config
+from cdfnet.config import network_config_to_text
 from cdfnet.errors import DimError, FormatError, InvalidGrouping, InvalidK, InvalidWindow
 from cdfnet.kmeans import FilterBank
 from cdfnet.layer import make_groups, run_layer
@@ -41,7 +42,7 @@ from cdfnet.tensor import SeededRng
 
 import forward_oracle
 import train_oracle
-from helpers import assert_near_oracle, stripe_dataset, toy_config, traced_peak
+from helpers import assert_near_oracle, folded_bank, stripe_dataset, toy_config, traced_peak
 
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -73,13 +74,53 @@ def nano_model():
     return train_network(nano_config(), stripe_dataset(10, side=32, seed=3))
 
 
+MODEL_TENSORS = [
+    "input_shape", "layer1/filters", "layer1/offset", "groups", "layer2/filters", "layer2/offset"
+]
+
+
+def _raw_model(seed):
+    """A nano_config model of random raw filters behind fitted whitenings,
+    folded as training folds them, and the ((filters, whitening), (filters,
+    whitening)) pairs of both layers it was folded from."""
+    cfg = nano_config()
+    rng = np.random.default_rng(seed)
+    groups = make_groups(8, 4, SeededRng(cfg.seeds.grouping))
+    raw1 = (rng.standard_normal((25, 8)), fit_zca(rng.random((300, 25)), 0.1))
+    raw2 = (rng.standard_normal((2, 36, 6)), fit_zca(rng.random((2, 300, 36)), 0.1))
+    model = NetworkModel(cfg, folded_bank(*raw1, 1), groups, folded_bank(*raw2, 2), (32, 32))
+    return model, (raw1, raw2)
+
+
+def _whitened_tensors(model, raw):
+    """The eight tensors a model container held before banks were stored folded."""
+    (f1, zca1), (f2, zca2) = raw
+    return {
+        "input_shape": np.array(model.input_shape, dtype=np.float64),
+        "layer1/filters": f1, "layer1/zca_mean": zca1.mean, "layer1/zca_matrix": zca1.matrix,
+        "groups": model.groups,
+        "layer2/filters": f2, "layer2/zca_mean": zca2.mean, "layer2/zca_matrix": zca2.matrix,
+    }
+
+
+def _folded_in_memory(model, tensors):
+    """model with the banks of a whitened container's tensors, folded by the test helper."""
+    bank1, bank2 = (
+        folded_bank(tensors[f"layer{i}/filters"], ZcaTransform(
+            tensors[f"layer{i}/zca_mean"], tensors[f"layer{i}/zca_matrix"]), i)
+        for i in (1, 2)
+    )
+    return NetworkModel(model.config, bank1, model.groups, bank2, model.input_shape)
+
+
 class TestTrain:
     def test_model_structure(self, nano_model):
         assert nano_model.input_shape == (32, 32)
         assert nano_model.bank1.filters.shape == (25, 8)
         assert nano_model.groups.shape == (2, 4)
         assert nano_model.bank2.filters.shape == (2, 3 * 3 * 4, 6)
-        assert nano_model.bank2.whitening.matrix.shape == (2, 36, 36)
+        assert nano_model.bank2.offset.shape == (2, 6)
+        assert nano_model.bank1.filters.dtype == nano_model.bank2.offset.dtype == np.float32
 
     def test_descriptor_shape_closed_form(self, nano_model):
         cfg = nano_model.config
@@ -116,6 +157,10 @@ class TestTrain:
         with pytest.raises(InvalidGrouping):
             train_network(cfg, stripe_dataset(10, side=32, seed=3))
 
+    def test_no_training_images_rejected(self):
+        with pytest.raises(ValueError, match="no training images"):
+            train_network(nano_config(), [])
+
     def test_mixed_sizes_rejected(self):
         imgs = stripe_dataset(4, side=32, seed=3) + stripe_dataset(2, side=48, seed=4, first_id=50)
         with pytest.raises(DimError):
@@ -127,21 +172,20 @@ class TestTrain:
         assert outputs1.shape == (len(labels), *descriptor_shape(model.config, 32, 32)[0])
 
     def test_banks_count_checked(self, nano_model):
-        zca = nano_model.bank2.whitening
-        one = ZcaTransform(zca.mean[:1], zca.matrix[:1])
+        bank2 = nano_model.bank2
         with pytest.raises(DimError, match="one bank"):
             NetworkModel(
                 nano_model.config, nano_model.bank1, nano_model.groups,
-                FilterBank(nano_model.bank2.filters[:1], one), nano_model.input_shape,
+                FilterBank(bank2.filters[:1], bank2.offset[:1]), nano_model.input_shape,
             )
 
     def test_filter_counts_checked(self, nano_model):
         # a layer-1 bank short of the config's 8 filters would index past its maps
         m = nano_model
-        short = FilterBank(m.bank1.filters[:, :4], m.bank1.whitening, 1)
+        short = FilterBank(m.bank1.filters[:, :4], m.bank1.offset[:4], 1)
         with pytest.raises(DimError, match=r"\(\(25, 4\), \(36, 6\)\), the config's"):
             NetworkModel(m.config, short, m.groups, m.bank2, m.input_shape)
-        narrow = FilterBank(m.bank2.filters[..., :5], m.bank2.whitening, 2)
+        narrow = FilterBank(m.bank2.filters[..., :5], m.bank2.offset[..., :5], 2)
         with pytest.raises(DimError, match=r"\(\(25, 8\), \(36, 5\)\), the config's"):
             NetworkModel(m.config, m.bank1, m.groups, narrow, m.input_shape)
 
@@ -149,15 +193,10 @@ class TestTrain:
         # the config, not the bank, holds the patch side and the group size:
         # a 4x4 layer-1 bank or a layer-2 bank over 3 maps must not pass as the model
         m = nano_model
-        zca1, zca2 = m.bank1.whitening, m.bank2.whitening
-        small = FilterBank(
-            m.bank1.filters[:16], ZcaTransform(zca1.mean[:16], zca1.matrix[:16, :16])
-        )
+        small = FilterBank(m.bank1.filters[:16], m.bank1.offset)
         with pytest.raises(DimError, match=r"\(\(16, 8\), \(36, 6\)\), the config's"):
             NetworkModel(m.config, small, m.groups, m.bank2, m.input_shape)
-        thin = FilterBank(
-            m.bank2.filters[:, :27], ZcaTransform(zca2.mean[:, :27], zca2.matrix[:, :27, :27])
-        )
+        thin = FilterBank(m.bank2.filters[:, :27], m.bank2.offset)
         with pytest.raises(DimError, match=r"\(\(25, 8\), \(27, 6\)\), the config's"):
             NetworkModel(m.config, m.bank1, m.groups, thin, m.input_shape)
 
@@ -204,25 +243,47 @@ class TestGroupTable:
         model = load_model(path)
         assert model.groups.shape == (4, 2)
         want = read_container(os.path.join(DATA_DIR, "tiny_on_off.desc"))[0]["descriptors"]
-        got = extract_descriptors(model, stripe_dataset(3, side=16, seed=13))
+        probe = stripe_dataset(3, side=16, seed=13)
+        got = extract_descriptors(model, probe)
         assert got.dtype == np.float64
         assert_near_oracle(got, want)
-        # saving again keeps every other tensor's bytes, the group table's
-        # included; only the two zca_epsilon tensors (epsilon is folded into
-        # zca_matrix, and the config holds it) and the three retired config
-        # lines are gone
-        save_model(tmp_path / "again.model", model)
+        # its raw filters and whitening (epsilon folded into zca_matrix, the
+        # zca_epsilon tensors ignored) are folded at load as training folds
+        # them: the descriptors are those of the banks folded in memory
         tensors, text = read_container(path)
+        assert {"layer1/zca_epsilon", "layer2/zca_epsilon"} <= tensors.keys()
+        folded = _folded_in_memory(model, tensors)
+        assert np.array_equal(extract_descriptors(folded, probe), got)
+        # saving again writes today's six tensors, the input shape and the
+        # group table with their bytes, and drops the three retired config lines
+        save_model(tmp_path / "again.model", model)
         again, again_text = read_container(tmp_path / "again.model")
-        dropped = ("layer1/zca_epsilon", "layer2/zca_epsilon")
-        assert all(name in tensors for name in dropped)
-        assert list(again) == [name for name in tensors if name not in dropped]
-        for name, tensor in again.items():
-            assert tensors[name].tobytes() == tensor.tobytes(), name
+        assert list(again) == MODEL_TENSORS
+        for name in ("input_shape", "groups"):
+            assert tensors[name].tobytes() == again[name].tobytes(), name
+        assert np.array_equal(extract_descriptors(load_model(tmp_path / "again.model"), probe), got)
         retired = ("descriptor_mode = layer2_only\n", "dense_preprocess = true\n")
         kept = [line for line in text.splitlines(keepends=True) if line not in retired]
         assert len(kept) == len(text.splitlines()) - 3
         assert again_text == "".join(kept)
+
+    def test_whitened_container_is_folded_at_load(self, tmp_path):
+        # the eight-tensor form, written from random raw (filters, whitening)
+        model, raw = _raw_model(1)
+        path = tmp_path / "whitened.model"
+        write_container(path, _whitened_tensors(model, raw), network_config_to_text(model.config))
+        tensors = read_container(path)[0]
+        back = load_model(path)
+        probe = stripe_dataset(3, side=32, seed=13)
+        got = extract_descriptors(back, probe)
+        assert np.array_equal(got, extract_descriptors(model, probe))
+        assert np.array_equal(got, extract_descriptors(_folded_in_memory(model, tensors), probe))
+        save_model(tmp_path / "again.model", back)
+        again = read_container(tmp_path / "again.model")[0]
+        assert list(again) == MODEL_TENSORS
+        for name in ("input_shape", "groups"):
+            assert tensors[name].tobytes() == again[name].tobytes(), name
+        assert np.array_equal(extract_descriptors(load_model(tmp_path / "again.model"), probe), got)
 
 
 
@@ -345,7 +406,8 @@ class TestModelPersistence:
         assert back.input_shape == nano_model.input_shape
         assert np.array_equal(back.groups, nano_model.groups)
         assert np.array_equal(back.bank1.filters, nano_model.bank1.filters)
-        assert np.array_equal(back.bank1.whitening.matrix, nano_model.bank1.whitening.matrix)
+        assert np.array_equal(back.bank1.offset, nano_model.bank1.offset)
+        assert np.array_equal(back.bank2.offset, nano_model.bank2.offset)
         probe = stripe_dataset(3, side=32, seed=13)
         assert np.array_equal(
             extract_descriptors(back, probe), extract_descriptors(nano_model, probe)
@@ -361,10 +423,10 @@ class TestModelPersistence:
         path = tmp_path / "model.bin"
         save_model(path, nano_model)
         tensors, text = read_container(path)
-        del tensors["layer1/zca_mean"]
+        del tensors["layer1/offset"]
         broken = tmp_path / "broken.bin"
         write_container(broken, tensors, text)
-        with pytest.raises(FormatError, match=re.escape(f"{broken}: missing 'layer1/zca_mean'")):
+        with pytest.raises(FormatError, match=re.escape(f"{broken}: missing 'layer1/offset'")):
             load_model(broken)
 
     def test_input_shape_must_be_two_sides(self, nano_model, tmp_path):
@@ -403,9 +465,9 @@ class TestModelPersistence:
         zca2 = fit_zca(rng.random((100, d2)), 0.1)
         model = NetworkModel(
             cfg,
-            FilterBank(rng.standard_normal((d1, l1.k)), ZcaTransform(np.zeros(d1), np.eye(d1)), 1),
+            folded_bank(rng.standard_normal((d1, l1.k)), layer_index=1),
             groups,
-            FilterBank(
+            folded_bank(
                 rng.standard_normal((g, d2, l2.k_per_group)),
                 ZcaTransform(rng.standard_normal((g, d2)), np.tile(zca2.matrix, (g, 1, 1))),
                 2,
@@ -415,18 +477,12 @@ class TestModelPersistence:
         path = tmp_path / "n1.model"
         save_model(path, model)
         tensors, _ = read_container(path)
-        assert list(tensors) == [
-            "input_shape",
-            "layer1/filters", "layer1/zca_mean", "layer1/zca_matrix",
-            "groups",
-            "layer2/filters", "layer2/zca_mean", "layer2/zca_matrix",
-        ]
+        assert list(tensors) == MODEL_TENSORS
         back = load_model(path).bank2
         want = model.bank2
-        assert back.filters.shape == (75, 36, 75)
+        assert back.filters.shape == (75, 36, 75) and back.offset.shape == (75, 75)
         assert back.filters.tobytes() == want.filters.tobytes()
-        assert back.whitening.mean.tobytes() == want.whitening.mean.tobytes()
-        assert back.whitening.matrix.tobytes() == want.whitening.matrix.tobytes()
+        assert back.offset.tobytes() == want.offset.tobytes()
         assert back.layer_index == 2
 
     def test_svm_round_trip(self, tmp_path):
@@ -598,6 +654,14 @@ class TestProtocol:
             with pytest.raises(ValueError, match="non-empty and distinct"):
                 evaluate_protocol([nano_config("solo")], train, [], plan, fold_indices=folds)
 
+    def test_empty_test_set_rejected_before_training(self, monkeypatch):
+        # every member would train, then score nothing into NaN accuracies
+        monkeypatch.setattr(pipeline, "_train", _never)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5),), n_train=6)
+        train = stripe_dataset(6, side=32, seed=3)
+        with pytest.raises(ValueError, match="the test set is empty"):
+            evaluate_protocol([nano_config("solo")], train, [], plan)
+
     def test_fold_beyond_loaded_images_rejected_before_training(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_train", _never)
         plan = FoldPlan(((0, 1), (2, 3, 4, 5)), n_train=10)
@@ -670,8 +734,7 @@ class TestStackedTraining:
         assert np.array_equal(got.groups, want.groups)
         for a, b in ((got.bank1, want.bank1), (got.bank2, want.bank2)):
             assert np.array_equal(a.filters, b.filters)
-            assert np.array_equal(a.whitening.mean, b.whitening.mean)
-            assert np.array_equal(a.whitening.matrix, b.whitening.matrix)
+            assert np.array_equal(a.offset, b.offset)
             assert a.layer_index == b.layer_index
 
 
@@ -876,6 +939,16 @@ class TestBatchedForward:
         assert got.shape == expect.shape == (6, descriptor_shape(cfg, side, side)[3])
         assert got.dtype == np.float64
         assert_near_oracle(got, expect)
+
+    def test_folded_model_matches_explicit_whitening(self):
+        # the package folds random raw (filters, whitening) pairs; the oracle
+        # is handed the raw pairs and whitens every patch itself
+        model, raw = _raw_model(2)
+        images = stripe_dataset(4, side=32, seed=5)
+        assert_near_oracle(
+            extract_descriptors(model, images),
+            forward_oracle.extract_descriptors(model, images, raw),
+        )
 
     def test_on_off_matches_oracle_at_benchmark_shape(self, monkeypatch, tmp_path):
         # n5 (ON/OFF, 600 layer-1 maps in 150 groups) on 96x96 images, trained

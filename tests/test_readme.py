@@ -14,7 +14,6 @@ from cdfnet.cli import build_parser
 from cdfnet.kmeans import FilterBank
 from cdfnet.layer import make_groups
 from cdfnet.model_io import read_container
-from cdfnet.patches import ZcaTransform
 from cdfnet.tensor import SeededRng
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -118,13 +117,9 @@ def test_model_tensor_list_is_what_save_model_writes(tmp_path):
     g = len(groups)
     model = cdfnet.NetworkModel(
         cfg,
-        FilterBank(np.ones((d1, l1.k)), ZcaTransform(np.zeros(d1), np.eye(d1)), 1),
+        FilterBank(np.ones((d1, l1.k)), np.zeros(l1.k), 1),
         groups,
-        FilterBank(
-            np.ones((g, d2, l2.k_per_group)),
-            ZcaTransform(np.zeros((g, d2)), np.tile(np.eye(d2), (g, 1, 1))),
-            2,
-        ),
+        FilterBank(np.ones((g, d2, l2.k_per_group)), np.zeros((g, l2.k_per_group)), 2),
         (96, 96),
     )
     cdfnet.save_model(tmp_path / "m.model", model)

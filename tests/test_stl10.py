@@ -186,6 +186,11 @@ class TestFoldPlan:
         with pytest.raises(FormatError):
             load_fold_plan(path)
 
+    def test_empty_fold_rejected(self):
+        # training on it would fail on its first image, after the folds before it
+        with pytest.raises(FormatError, match="fold 0 is empty"):
+            FoldPlan(((), (0, 1)), n_train=2)
+
     def test_duplicate_index(self, tmp_path):
         lines = self._plan_lines()
         lines[3] = "1 1 2 3"

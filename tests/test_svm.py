@@ -227,6 +227,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="reg_c must be finite and > 0"):
             SvmModel(weights=np.zeros((2, 3)), biases=np.zeros(2), reg_c=reg_c)
 
+    def test_reg_c_default_is_one_constant(self):
+        # train_ova_svm, NetworkConfig.svm_reg_c and cdfnet svm --reg-c
+        import inspect
+
+        from cdfnet.cli import build_parser
+        from cdfnet.config import NetworkConfig
+        from cdfnet.svm import DEFAULT_REG_C
+
+        args = build_parser().parse_args(["svm", "--descriptors", "d", "--out", "o"])
+        defaults = (
+            inspect.signature(train_ova_svm).parameters["reg_c"].default,
+            NetworkConfig().svm_reg_c,
+            args.reg_c,
+        )
+        assert defaults == (DEFAULT_REG_C,) * 3
+
     def test_model_needs_two_classes(self):
         with pytest.raises(DimError):
             SvmModel(weights=np.zeros((1, 3)), biases=np.zeros(1), reg_c=1.0)

@@ -7,9 +7,11 @@ and every patch was unrolled on its own by :func:`unroll_patch`. Its patches
 are (n, dim) rows like the package's, and tests compare
 :func:`cdfnet.pipeline.train_network` against it bitwise. Each bank is
 whitened by :func:`fit_zca` and :func:`apply_zca`, the one-matrix ZCA the
-package used before its ZCA took stacks; :func:`per_group_train_bank`
-learns one bank the same way. Of the package's filter learning these share
-only :func:`cdfnet.patches.normalize_rows`.
+package used before its ZCA took stacks, and folded into its filters on its
+own; :func:`per_group_train_bank` learns one bank the same way. Of the
+package's filter learning these share only
+:func:`cdfnet.patches.normalize_rows` and the fold,
+:meth:`cdfnet.patches.ZcaTransform.fold`.
 
 :func:`column_train_bank` is the patches-as-columns path the package used
 before its patches became rows: each patch normalized on its own by
@@ -202,7 +204,7 @@ def _train_bank(maps_list, layer, k, patch_rng, kmeans_rng, layer_index) -> Filt
     normalize_rows(patches)
     zca = fit_zca(patches, layer.zca_epsilon)
     result = per_group_kmeans(apply_zca(zca, patches), k, KMEANS_MAX_ITERS, kmeans_rng)
-    return FilterBank(result.centroids, zca, layer_index)
+    return FilterBank(*zca.fold(result.centroids), layer_index)
 
 
 def column_train_bank(
@@ -257,12 +259,7 @@ def train_network(cfg, fold_images) -> NetworkModel:
         for g, group in enumerate(groups)
     )
     bank2 = FilterBank(
-        np.stack([b.filters for b in banks2]),
-        ZcaTransform(
-            np.stack([b.whitening.mean for b in banks2]),
-            np.stack([b.whitening.matrix for b in banks2]),
-        ),
-        2,
+        np.stack([b.filters for b in banks2]), np.stack([b.offset for b in banks2]), 2
     )
     return NetworkModel(cfg, bank1, groups, bank2, maps1[0].shape[:2])
 
