@@ -27,7 +27,7 @@ from .committee import (
 from .config import Layer1Config, Layer2Config, NetworkConfig
 from .config import network_config_from_text, network_config_to_text
 from .errors import CdfnetError, DimError, InvalidGrouping, naming
-from .kmeans import _BLOCK, FilterBank, KMeansResult, kmeans_stack
+from .kmeans import _BLOCK, FilterBank, kmeans_stack
 from .layer import layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
 from .patches import ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_rows
@@ -85,18 +85,30 @@ class NetworkModel:
         object.__setattr__(self, "groups", table.astype(np.intp))
 
 
-def _prepare_image(img: LabeledImage, factor: float | None) -> LabeledImage:
-    return scale(img, factor) if factor is not None else img
+def _layer1_input(
+    cfg: NetworkConfig, input_shape: tuple[int, int], img: LabeledImage
+) -> FeatureMapSet:
+    """img as layer 1 reads it: rescaled to the working resolution, and
+    refused if that is not input_shape. Training and the forward pass share it."""
+    pixels = img.pixels if cfg.scale_factor is None else scale(img, cfg.scale_factor).pixels
+    if pixels.shape != input_shape:
+        raise DimError(
+            f"image {img.image_id!r} is {pixels.shape} after rescaling, "
+            f"not the working size {input_shape}"
+        )
+    return FeatureMapSet(pixels, img.image_id)
 
 
-def _train_groups(
+def _learn_filters(
+    name: str,
+    layer_index: int,
     maps: np.ndarray,
     groups: np.ndarray,
     layer: Layer1Config | Layer2Config,
     k: int,
     patch_rngs: list[SeededRng],
     kmeans_rngs: list[SeededRng],
-) -> tuple[KMeansResult, ZcaTransform]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Filter learning of one layer, one bank per row of the (G, n_k) channel table.
 
     Group g samples its patches from its channels of the (N, H, W, depth)
@@ -104,19 +116,19 @@ def _train_groups(
     kmeans_rngs[g]; layer 1 is the one group [[0]] of the image stack.
     Groups go a chunk of about _CHUNK_ROWS patch rows at a time: sampled into
     one (chunk, n, d) array, normalized and whitened in place by one stacked
-    ZCA, and clustered by one :func:`kmeans_stack` call. The chunks fill
-    preallocated (G, d, k) centroid and (G, d) / (G, d, d) whitening stacks.
+    ZCA, clustered by one :func:`kmeans_stack` call, and the whitening folded
+    into the centroids. Returns the float64 (G, d, k) filters and (G, k)
+    offsets, and logs one INFO line of the k-means iterations and reseeds and
+    a WARNING naming what stopped at KMEANS_MAX_ITERS without converging.
     """
     n_groups, depth = groups.shape
     p, n = layer.patch_side, layer.n_patches
     dim = p * p * depth
     filters = np.empty((n_groups, dim, k))
-    means = np.empty((n_groups, dim))
-    matrices = np.empty((n_groups, dim, dim))
+    offsets = np.empty((n_groups, k))
     n_iters = np.empty(n_groups, dtype=np.int64)
     converged = np.empty(n_groups, dtype=bool)
-    reseeds = np.empty(n_groups, dtype=np.int64)
-    history = []
+    reseeds = 0
     per_chunk = min(max(1, _CHUNK_ROWS // n), n_groups)
     buffer = np.empty((per_chunk, n, dim))  # every chunk's patch rows, in turn
     for start in range(0, n_groups, per_chunk):
@@ -126,33 +138,23 @@ def _train_groups(
             rows[j] = extract_patches(maps, groups[g], p, n, patch_rngs[g])
         normalize_rows(rows)
         zca = fit_zca(rows, layer.zca_epsilon)
-        means[span], matrices[span] = zca.mean, zca.matrix
         rows[...] = apply_zca(zca, rows)
-        del zca  # copied into the stacks; k-means needs the memory
         result = kmeans_stack(rows, k, KMEANS_MAX_ITERS, kmeans_rngs[span])
-        filters[span], n_iters[span] = result.centroids, result.n_iters
-        converged[span], reseeds[span] = result.converged, result.reseeds
-        history += result.sse_history
-    result = KMeansResult(filters, tuple(history), n_iters, converged, reseeds)
-    return result, ZcaTransform(means, matrices)
-
-
-def _log_kmeans(name: str, layer_index: int, result: KMeansResult) -> None:
-    """One INFO line of a layer's k-means iterations and reseeds, and a
-    WARNING naming what stopped at KMEANS_MAX_ITERS without converging."""
-    n_iters = result.n_iters
+        filters[span], offsets[span] = zca.fold(result.centroids)
+        n_iters[span], converged[span] = result.n_iters, result.converged
+        reseeds += int(result.reseeds.sum())
     logger.info(
         "%s: layer-%d k-means took %d/%g/%d iterations (min/median/max), %d reseeds",
-        name, layer_index, n_iters.min(), np.median(n_iters), n_iters.max(),
-        np.sum(result.reseeds),
+        name, layer_index, n_iters.min(), np.median(n_iters), n_iters.max(), reseeds,
     )
-    stuck = np.flatnonzero(~result.converged)
+    stuck = np.flatnonzero(~converged)
     if stuck.size:
         where = f" in groups {', '.join(map(str, stuck))}" if layer_index == 2 else ""
         logger.warning(
             "%s: layer-%d k-means stopped at %d iterations without converging%s",
             name, layer_index, KMEANS_MAX_ITERS, where,
         )
+    return filters, offsets
 
 
 def _train(
@@ -170,24 +172,17 @@ def _train(
     augmented = expand_set(fold_images, cfg.augment)
     images = np.empty((len(augmented), *input_shape, 1))
     for i, img in enumerate(augmented):
-        pixels = _prepare_image(img, cfg.scale_factor).pixels
-        if pixels.shape != input_shape:
-            raise DimError(
-                f"training images must share one size, got {input_shape} and {pixels.shape}"
-            )
-        images[i, :, :, 0] = pixels
+        images[i] = _layer1_input(cfg, input_shape, img).maps
     labels = [img.label for img in augmented]
     image_ids = [img.image_id for img in augmented]
     del augmented
 
     patches_rng = SeededRng(cfg.seeds.patches)
     logger.info("%s: training layer-1 filters (K=%d)", cfg.name, cfg.layer1.k)
-    result1, zca1 = _train_groups(
-        images, np.zeros((1, 1), dtype=np.intp), cfg.layer1, cfg.layer1.k,
+    filters1, offset1 = _learn_filters(
+        cfg.name, 1, images, np.zeros((1, 1), dtype=np.intp), cfg.layer1, cfg.layer1.k,
         [patches_rng.child(0)], [SeededRng(cfg.seeds.kmeans1)],
     )
-    _log_kmeans(cfg.name, 1, result1)
-    filters1, offset1 = zca1.fold(result1.centroids)
     bank1 = FilterBank(filters1[0], offset1[0], layer_index=1)
 
     outputs1 = np.empty((len(images), *l1_shape), dtype=np.float32)
@@ -201,13 +196,11 @@ def _train(
     )
 
     kmeans2_rng = SeededRng(cfg.seeds.kmeans2)
-    result2, zca2 = _train_groups(
-        outputs1, groups, cfg.layer2, cfg.layer2.k_per_group,
+    bank2 = FilterBank(*_learn_filters(
+        cfg.name, 2, outputs1, groups, cfg.layer2, cfg.layer2.k_per_group,
         [patches_rng.child(1 + g) for g in range(len(groups))],
         [kmeans2_rng.child(g) for g in range(len(groups))],
-    )
-    _log_kmeans(cfg.name, 2, result2)
-    bank2 = FilterBank(*zca2.fold(result2.centroids), layer_index=2)
+    ), layer_index=2)
     model = NetworkModel(cfg, bank1, groups, bank2, input_shape)
     return model, labels, outputs1
 
@@ -215,16 +208,6 @@ def _train(
 def train_network(cfg: NetworkConfig, fold_images: list[LabeledImage]) -> NetworkModel:
     """Train both layers' filters on the (augmented) fold images."""
     return _train(cfg, fold_images)[0]
-
-
-def _layer1_input(model: NetworkModel, img: LabeledImage) -> FeatureMapSet:
-    pixels = _prepare_image(img, model.config.scale_factor).pixels
-    if pixels.shape != model.input_shape:
-        raise DimError(
-            f"image {img.image_id!r} is {pixels.shape} after "
-            f"rescaling, model was trained at {model.input_shape}"
-        )
-    return FeatureMapSet(pixels[:, :, np.newaxis], img.image_id)
 
 
 def _descriptor_rows(model: NetworkModel, outputs1, n_images: int) -> np.ndarray:
@@ -249,7 +232,8 @@ def extract_descriptors(model: NetworkModel, images: list[LabeledImage]) -> np.n
     """
     cfg = model.config
     outputs1 = (
-        run_layer(_layer1_input(model, img), model.bank1, cfg.layer1, cfg.rectifier).maps
+        run_layer(_layer1_input(cfg, model.input_shape, img), model.bank1, cfg.layer1,
+                  cfg.rectifier).maps
         for img in images
     )
     return _descriptor_rows(model, outputs1, len(images))

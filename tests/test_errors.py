@@ -289,7 +289,7 @@ def test_extract_names_images_of_another_size(tmp_path, capsys, monkeypatch):
             "--out", str(tmp_path / "d.desc")]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"error: {images}: image 0 is (96, 96) after rescaling, model was trained at (16, 16)\n"
+        f"error: {images}: image 0 is (96, 96) after rescaling, not the working size (16, 16)\n"
     )
 
     # a fault of the forward pass is not the images' fault

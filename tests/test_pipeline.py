@@ -12,7 +12,7 @@ import scipy.sparse  # noqa: F401
 from cdfnet import kmeans as kmeans_mod
 from cdfnet import pipeline
 from cdfnet.augment import AugmentPlan, expand_set
-from cdfnet.committee import committee_predict, read_score_file, table_predict
+from cdfnet.committee import committee_predict, normalize_table, read_score_file, table_predict
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds, load_network_config
 from cdfnet.config import network_config_to_text
 from cdfnet.errors import DimError, FormatError, InvalidGrouping, InvalidK, InvalidWindow
@@ -37,7 +37,7 @@ from cdfnet.pipeline import (
     train_network,
 )
 from cdfnet.stl10 import FoldPlan, LabeledImage, load_fold_plan, load_stl10
-from cdfnet.svm import SvmModel, score_many
+from cdfnet.svm import SvmModel, score_many, train_ova_svm
 from cdfnet.tensor import SeededRng
 
 import forward_oracle
@@ -385,6 +385,14 @@ class TestExtract:
             assert np.array_equal(descs[i], extract_descriptors(nano_model, [img])[0])
         assert np.all(np.isfinite(descs))
 
+    def test_training_refuses_as_extract_does(self, nano_model):
+        images = stripe_dataset(2, side=32, seed=5) + stripe_dataset(1, side=48, seed=5)
+        message = r"^image 0 is \(48, 48\) after rescaling, not the working size \(32, 32\)$"
+        with pytest.raises(DimError, match=message):
+            train_network(nano_config(), images)
+        with pytest.raises(DimError, match=message):
+            extract_descriptors(nano_model, images[2:])
+
     def test_scale_factor_rescales_internally(self):
         cfg = nano_config(scale_factor=0.5)
         native = stripe_dataset(8, side=64, seed=3)
@@ -604,6 +612,31 @@ class TestProtocol:
         assert table.image_ids == tuple(range(500, 506))
         assert table.n_classes == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(augment=AugmentPlan(mirror=True, rotations_deg=(10.0,))), dict(scale_factor=0.5)],
+        ids=["mirror_rotation", "scale_factor"],
+    )
+    def test_train_and_score_is_the_stage_by_stage_path(self, overrides):
+        # README's member one stage at a time, bitwise; train_and_score reads
+        # the augmented fold's layer-1 maps from training instead
+        cfg = nano_config(**overrides)
+        side = 64 if cfg.scale_factor else 32
+        fold = stripe_dataset(6, side=side, seed=3)
+        test = stripe_dataset(4, side=side, seed=21, first_id=500)
+        _, svm, table = train_and_score(cfg, fold, test)
+
+        model = train_network(cfg, fold)
+        aug = expand_set(fold, cfg.augment)
+        x_train = extract_descriptors(model, aug)
+        want_svm = train_ova_svm(x_train, [img.label for img in aug], reg_c=cfg.svm_reg_c)
+        raw = score_many(want_svm, extract_descriptors(model, test))
+        want = normalize_table(cfg.name, [img.image_id for img in test], raw)
+        assert np.array_equal(svm.weights, want_svm.weights)
+        assert np.array_equal(svm.biases, want_svm.biases)
+        assert table.image_ids == want.image_ids
+        assert np.array_equal(table.scores, want.scores)
+
     def test_evaluate_protocol_outputs(self, tmp_path):
         cfgs = [nano_config("na", Seeds(1, 2, 3, 4)), nano_config("nb", Seeds(5, 6, 7, 8))]
         train = stripe_dataset(14, side=32, seed=3)
@@ -743,27 +776,34 @@ class TestTrainBankRows:
 
     @pytest.mark.parametrize("base", [0, 1, 2])
     def test_matches_column_oracle(self, base, monkeypatch):
-        pairs = []
-        real_train_groups = pipeline._train_groups
+        pairs, runs = [], []
+        real_learn, real_stack = pipeline._learn_filters, pipeline.kmeans_stack
 
-        def paired_train_groups(maps, groups, layer, k, patch_rngs, kmeans_rngs):
-            result, zca = real_train_groups(maps, groups, layer, k, patch_rngs, kmeans_rngs)
+        def paired_learn(name, layer_index, maps, groups, layer, k, patch_rngs, kmeans_rngs):
+            filters, offsets = real_learn(
+                name, layer_index, maps, groups, layer, k, patch_rngs, kmeans_rngs
+            )
             for g, group in enumerate(groups):
                 want = train_oracle.column_train_bank(
                     maps[..., group], layer, k, patch_rngs[g], kmeans_rngs[g]
                 )
-                pairs.append((result, zca, g, want))
-            return result, zca
+                pairs.append((filters[g], offsets[g], want))
+            return filters, offsets
 
-        monkeypatch.setattr(pipeline, "_train_groups", paired_train_groups)
+        def recorded_stack(points, k, max_iters, rngs):
+            result = real_stack(points, k, max_iters, rngs)
+            runs.extend(zip(result.n_iters, result.converged))
+            return result
+
+        monkeypatch.setattr(pipeline, "_learn_filters", paired_learn)
+        monkeypatch.setattr(pipeline, "kmeans_stack", recorded_stack)
         cfg = toy_config(seeds=Seeds().shifted(base))
         train_network(cfg, stripe_dataset(8, side=64, seed=base))
-        assert len(pairs) == 1 + cfg.layer1.k // cfg.layer2.group_size
-        for result, zca, g, (want_filters, want_zca, want) in pairs:
-            for a, b in ((result.centroids[g], want_filters), (zca.mean[g], want_zca.mean),
-                         (zca.matrix[g], want_zca.matrix)):
+        assert len(pairs) == len(runs) == 1 + cfg.layer1.k // cfg.layer2.group_size
+        for (filters, offset, (want_filters, want_zca, want)), run in zip(pairs, runs):
+            for a, b in zip((filters, offset), want_zca.fold(want_filters)):
                 assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
-            assert (result.n_iters[g], result.converged[g]) == (want.n_iters, want.converged)
+            assert run == (want.n_iters, want.converged)
 
     def test_layer1_peaks_at_two_patch_copies(self):
         # 5000 patches of 16 x 16: a 10 MB patch matrix, sampled from a stack
@@ -773,11 +813,11 @@ class TestTrainBankRows:
         copy_bytes = layer.n_patches * layer.patch_side**2 * 8
         for n_images in (4, 400):
             maps = np.random.default_rng(0).random((n_images, 64, 64, 1))
-            (result, _), peak = traced_peak(
-                pipeline._train_groups, maps, np.zeros((1, 1), dtype=np.intp), layer,
+            (filters, _), peak = traced_peak(
+                pipeline._learn_filters, "x", 1, maps, np.zeros((1, 1), dtype=np.intp), layer,
                 layer.k, [SeededRng(1)], [SeededRng(2)],
             )
-            assert result.centroids.shape == (1, 256, 16)
+            assert filters.shape == (1, 256, 16)
             assert peak <= 2.2 * copy_bytes
 
 
@@ -869,12 +909,12 @@ class TestBatchedKmeans:
             )[1]
             for g in range(len(groups))
         )
-        (result, _), peak = traced_peak(
-            pipeline._train_groups, outputs1, groups, layer, layer.k_per_group,
+        (filters, _), peak = traced_peak(
+            pipeline._learn_filters, "x", 2, outputs1, groups, layer, layer.k_per_group,
             [prng.child(1 + g) for g in range(len(groups))],
             [krng.child(g) for g in range(len(groups))],
         )
-        assert result.centroids.shape == (2, 36, 16)
+        assert filters.shape == (2, 36, 16)
         assert peak <= 1.1 * per_group
 
     def test_many_small_groups_peak_in_chunk_copies(self):
@@ -884,15 +924,17 @@ class TestBatchedKmeans:
         groups = make_groups(64, 4, SeededRng(4))
         assert pipeline._CHUNK_ROWS // layer.n_patches >= len(groups)
         chunk_bytes = len(groups) * layer.n_patches * 36 * 8
-        (result, zca), peak = traced_peak(
-            pipeline._train_groups, outputs1, groups, layer, layer.k_per_group,
+        (filters, _), peak = traced_peak(
+            pipeline._learn_filters, "x", 2, outputs1, groups, layer, layer.k_per_group,
             [SeededRng(1).child(1 + g) for g in range(len(groups))],
             [SeededRng(3).child(g) for g in range(len(groups))],
         )
-        assert result.centroids.shape == (16, 36, 8)
-        out_bytes = result.centroids.nbytes + zca.mean.nbytes + zca.matrix.nbytes
+        assert filters.shape == (16, 36, 8)
+        # the returned filters, and the chunk's (16, 36) whitening means and
+        # (16, 36, 36) matrices, which are held until they are folded in
+        out_bytes = filters.nbytes + len(groups) * (36 + 36 * 36) * 8
         # the chunk, the copy the batch is compacted into once groups converge,
-        # the distance block and per-group temporaries, plus the returned stacks
+        # the distance block and per-group temporaries, plus those stacks
         assert peak <= 2.5 * chunk_bytes + out_bytes
 
 

@@ -96,8 +96,20 @@ def test_prose_flag_is_an_option(flag):
 
 @pytest.mark.parametrize("ref", sorted(set(re.findall(r"`cdfnet((?:\.\w+)+)", README))))
 def test_dotted_reference_resolves(ref):
-    module, _, name = f"cdfnet{ref}".rpartition(".")
-    assert hasattr(importlib.import_module(module), name), f"cdfnet{ref}"
+    # the longest prefix that imports as a module, then attributes, so README
+    # can name a class's method as well as a module's function
+    parts = f"cdfnet{ref}".split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module)
+            break
+        except ModuleNotFoundError as exc:  # the name itself, not an import inside it
+            if not f"{module}.".startswith(f"{exc.name}."):
+                raise
+    for name in parts[cut:]:
+        assert hasattr(obj, name), f"cdfnet{ref}"
+        obj = getattr(obj, name)
 
 
 def test_all_names_exist():
