@@ -19,6 +19,12 @@ SCORE_MAGIC = "scores"
 SCORE_VERSION = "v1"
 
 
+def _check_network_id(value: str, what: str) -> None:
+    """Refuse a name that ASCII score files and reports, split on whitespace, cannot carry."""
+    if not value or not value.isascii() or any(ch.isspace() for ch in value):
+        raise ValueError(f"{what} must be non-empty ASCII without whitespace: {value!r}")
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """Per-test-image score vectors produced by one network, each in [0, 1]."""
@@ -28,8 +34,7 @@ class ScoreTable:
     scores: np.ndarray  # (n_images, n_classes)
 
     def __post_init__(self):
-        if not self.network_id or any(ch.isspace() for ch in self.network_id):
-            raise ValueError(f"network_id must be non-empty without spaces: {self.network_id!r}")
+        _check_network_id(self.network_id, "network_id")
         scores = np.asarray(self.scores, dtype=np.float64)
         image_ids = tuple(int(i) for i in self.image_ids)
         if scores.ndim != 2 or scores.shape[0] != len(image_ids):

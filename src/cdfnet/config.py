@@ -15,6 +15,7 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .augment import AugmentPlan
+from .committee import _check_network_id
 from .errors import FormatError, InvalidK, InvalidWindow, naming
 from .layer import RECTIFIERS
 from .stl10 import NUM_FOLDS
@@ -124,8 +125,7 @@ class NetworkConfig:
     svm_reg_c: float = DEFAULT_REG_C
 
     def __post_init__(self):
-        if not self.name or any(ch.isspace() for ch in self.name):
-            raise ValueError(f"network name must be non-empty without spaces: {self.name!r}")
+        _check_network_id(self.name, "network name")
         if self.rectifier not in RECTIFIERS:
             raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {self.rectifier!r}")
         if self.scale_factor is not None and not 0.0 < self.scale_factor <= 1.0:
@@ -134,10 +134,12 @@ class NetworkConfig:
 
 
 def parse_fraction(text: str) -> float:
-    """Float parser that also accepts 'a/b' fractions (e.g. 1/3)."""
+    """Float parser that also accepts 'a/b' fractions (e.g. 1/3) with b != 0."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if float(den) == 0.0:
+            raise ValueError(f"fraction {text!r} divides by zero")
         return float(num) / float(den)
     return float(text)
 

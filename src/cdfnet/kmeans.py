@@ -2,7 +2,7 @@
 
 :func:`kmeans_stack` is the one k-means: it clusters a (G, n, dim) stack of
 patch rows, one independent run per group, and layer 1 is its G = 1 call.
-Centroids, with the whitening folded in, become a :class:`FilterBank` (no
+Centroids, with the whitening folded in, become a layer's filter bank (no
 length normalization). Everything is deterministic given the SeededRngs:
 the same seeds and patch rows reproduce the same filter banks bit for bit.
 """
@@ -14,51 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimError, InvalidK
-from .tensor import assert_array_finite
 
 # Points are processed in blocks so the (block x k) distance matrix stays
 # small; the block order is fixed, keeping reductions deterministic.
 _BLOCK = 16384
-
-
-@dataclass(frozen=True)
-class FilterBank:
-    """The map a layer applies to a normalized patch row x: x F - offset.
-
-    filters is (..., d, K) and offset (..., K), in the forward pass's float32,
-    with the training-time whitening folded in (see :mod:`cdfnet.patches`).
-    d = p^2 * depth, with p from the layer record and depth from the maps. A
-    leading axis stacks equal-shaped banks, one per layer-2 group.
-    """
-
-    filters: np.ndarray
-    offset: np.ndarray
-    layer_index: int = 0
-
-    def __post_init__(self):
-        filters = np.asarray(self.filters, dtype=np.float32)
-        offset = np.asarray(self.offset, dtype=np.float32)
-        if filters.ndim < 2 or filters.shape[-1] < 1:
-            raise DimError(f"filter bank must be (..., d, K) with K >= 1, got {filters.shape}")
-        if offset.shape != filters.shape[:-2] + filters.shape[-1:]:
-            raise DimError(f"filter offset {offset.shape} does not match filters {filters.shape}")
-        assert_array_finite(filters, what="filter bank")
-        assert_array_finite(offset, what="filter offset")
-        object.__setattr__(self, "filters", filters)
-        object.__setattr__(self, "offset", offset)
-
-    @property
-    def lead(self) -> tuple[int, ...]:
-        """Shape of the stacking axes; () for a single bank."""
-        return self.filters.shape[:-2]
-
-    @property
-    def dim(self) -> int:
-        return self.filters.shape[-2]
-
-    @property
-    def k(self) -> int:
-        return self.filters.shape[-1]
 
 
 @dataclass(frozen=True)

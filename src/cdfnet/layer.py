@@ -1,5 +1,6 @@
-"""One network layer: dense convolution, rectification, local contrast
-normalization, Lp pooling, and the random-grouping connector between layers.
+"""One network layer: its filter bank, dense convolution, rectification,
+local contrast normalization, Lp pooling, and the random-grouping connector
+between layers.
 
 Stage order inside the forward kernel :func:`_forward` is fixed: convolve ->
 rectify -> subtractive LCN -> divisive LCN -> pool. The stages are private
@@ -19,13 +20,13 @@ SVM stay float64.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimError, InvalidGrouping, InvalidWindow
-from .kmeans import FilterBank
 from .patches import normalize_rows
 from .tensor import FeatureMapSet, SeededRng, assert_array_finite
 
@@ -35,6 +36,50 @@ if TYPE_CHECKING:
 RECTIFIERS = ("abs", "on_off")
 # patches per im2col band in dense convolution: 2 MB at d = 256
 _CONV_ROWS = 1024
+
+
+@dataclass(frozen=True)
+class FilterBank:
+    """The map a layer applies to a normalized patch row x: x F - offset.
+
+    filters is (..., d, K) and offset (..., K), in the forward pass's float32,
+    with the training-time whitening folded in (see :mod:`cdfnet.patches`).
+    d = p^2 * depth, with p from the layer record and depth from the maps. A
+    leading axis stacks equal-shaped banks, one per layer-2 group.
+    """
+
+    filters: np.ndarray
+    offset: np.ndarray
+
+    def __post_init__(self):
+        filters = np.asarray(self.filters, dtype=np.float32)
+        offset = np.asarray(self.offset, dtype=np.float32)
+        if filters.ndim < 2 or filters.shape[-1] < 1:
+            raise DimError(f"filter bank must be (..., d, K) with K >= 1, got {filters.shape}")
+        if offset.shape != filters.shape[:-2] + filters.shape[-1:]:
+            raise DimError(f"filter offset {offset.shape} does not match filters {filters.shape}")
+        assert_array_finite(filters, what="filter bank")
+        assert_array_finite(offset, what="filter offset")
+        object.__setattr__(self, "filters", filters)
+        object.__setattr__(self, "offset", offset)
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        """Shape of the stacking axes; () for a single bank."""
+        return self.filters.shape[:-2]
+
+    @property
+    def dim(self) -> int:
+        return self.filters.shape[-2]
+
+    @property
+    def k(self) -> int:
+        return self.filters.shape[-1]
+
+    @property
+    def layer_index(self) -> int:
+        """1 for a single bank (:func:`run_layer`), 2 for a stack (:func:`run_groups`)."""
+        return 2 if self.lead else 1
 
 
 def conv_output_shape(height: int, width: int, patch_side: int) -> tuple[int, int]:
@@ -203,18 +248,17 @@ def _forward(
 
 def run_layer(
     fmset: FeatureMapSet, bank: FilterBank, cfg: Layer1Config | Layer2Config, rectifier: str
-) -> FeatureMapSet:
+) -> np.ndarray:
     """Full layer on one image's maps: convolve, rectify, contrast-normalize, pool.
 
     bank is a single (d, K) bank; cfg is the layer's record
     (``NetworkConfig.layer1`` or ``.layer2``), which gives the patch side p,
     so d must be p^2 times the maps' depth; rectifier is the network's, one
-    of :data:`RECTIFIERS`.
+    of :data:`RECTIFIERS`. Returns the float32 (h, w, depth) output maps.
     """
-    out = _forward(
+    return _forward(
         fmset.maps, bank, cfg, rectifier, f"feature maps of image {fmset.source_image_id}"
     )
-    return FeatureMapSet(out, fmset.source_image_id)
 
 
 def run_groups(

@@ -27,8 +27,8 @@ from .committee import (
 from .config import Layer1Config, Layer2Config, NetworkConfig
 from .config import network_config_from_text, network_config_to_text
 from .errors import CdfnetError, DimError, InvalidGrouping, naming
-from .kmeans import _BLOCK, FilterBank, kmeans_stack
-from .layer import layer_output_shape, make_groups, run_groups, run_layer
+from .kmeans import _BLOCK, kmeans_stack
+from .layer import FilterBank, layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
 from .patches import ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_rows
 from .stl10 import FoldPlan, LabeledImage
@@ -50,9 +50,9 @@ class NetworkModel:
     """A trained feature extractor: both layers plus the group wiring.
 
     groups is the (G, n_k) integer table of layer-1 map indices, one group a
-    row, and bank2 the (G, d, K) stack of their banks; the table and both
-    banks' (d, K) are checked against the config, since containers come from
-    outside.
+    row, bank1 a single (d, K) bank and bank2 the (G, d, K) stack of the
+    groups' banks; the table and both banks' (d, K) and stacking are checked
+    against the config, since containers come from outside.
     """
 
     config: NetworkConfig
@@ -77,26 +77,26 @@ class NetworkModel:
         got = ((self.bank1.dim, self.bank1.k), (self.bank2.dim, self.bank2.k))
         if got != want:
             raise DimError(f"filters (d, K) of layers 1 and 2 are {got}, the config's are {want}")
-        if self.bank2.lead != (n_groups,):
+        if (self.bank1.lead, self.bank2.lead) != ((), (n_groups,)):
             raise DimError(
-                f"layer-2 filters {self.bank2.filters.shape} do not stack one bank "
-                f"for each of {n_groups} groups"
+                f"layer-1 filters {self.bank1.filters.shape} must be one bank and layer-2 "
+                f"filters {self.bank2.filters.shape} one bank for each of {n_groups} groups"
             )
         object.__setattr__(self, "groups", table.astype(np.intp))
 
 
 def _layer1_input(
     cfg: NetworkConfig, input_shape: tuple[int, int], img: LabeledImage
-) -> FeatureMapSet:
-    """img as layer 1 reads it: rescaled to the working resolution, and
-    refused if that is not input_shape. Training and the forward pass share it."""
+) -> np.ndarray:
+    """img's pixels as layer 1 reads them: rescaled to the working resolution,
+    and refused if that is not input_shape. Training and the forward pass share it."""
     pixels = img.pixels if cfg.scale_factor is None else scale(img, cfg.scale_factor).pixels
     if pixels.shape != input_shape:
         raise DimError(
             f"image {img.image_id!r} is {pixels.shape} after rescaling, "
             f"not the working size {input_shape}"
         )
-    return FeatureMapSet(pixels, img.image_id)
+    return pixels
 
 
 def _learn_filters(
@@ -172,7 +172,7 @@ def _train(
     augmented = expand_set(fold_images, cfg.augment)
     images = np.empty((len(augmented), *input_shape, 1))
     for i, img in enumerate(augmented):
-        images[i] = _layer1_input(cfg, input_shape, img).maps
+        images[i, ..., 0] = _layer1_input(cfg, input_shape, img)
     labels = [img.label for img in augmented]
     image_ids = [img.image_id for img in augmented]
     del augmented
@@ -183,13 +183,13 @@ def _train(
         cfg.name, 1, images, np.zeros((1, 1), dtype=np.intp), cfg.layer1, cfg.layer1.k,
         [patches_rng.child(0)], [SeededRng(cfg.seeds.kmeans1)],
     )
-    bank1 = FilterBank(filters1[0], offset1[0], layer_index=1)
+    bank1 = FilterBank(filters1[0], offset1[0])
 
     outputs1 = np.empty((len(images), *l1_shape), dtype=np.float32)
     for i, image_id in enumerate(image_ids):
         outputs1[i] = run_layer(
             FeatureMapSet(images[i], image_id), bank1, cfg.layer1, cfg.rectifier
-        ).maps
+        )
     del images  # nothing else holds a view of the stack
     logger.info(
         "%s: layer-1 output %dx%dx%d, %d groups of %d", cfg.name, *l1_shape, *groups.shape
@@ -200,7 +200,7 @@ def _train(
         cfg.name, 2, outputs1, groups, cfg.layer2, cfg.layer2.k_per_group,
         [patches_rng.child(1 + g) for g in range(len(groups))],
         [kmeans2_rng.child(g) for g in range(len(groups))],
-    ), layer_index=2)
+    ))
     model = NetworkModel(cfg, bank1, groups, bank2, input_shape)
     return model, labels, outputs1
 
@@ -232,8 +232,8 @@ def extract_descriptors(model: NetworkModel, images: list[LabeledImage]) -> np.n
     """
     cfg = model.config
     outputs1 = (
-        run_layer(_layer1_input(cfg, model.input_shape, img), model.bank1, cfg.layer1,
-                  cfg.rectifier).maps
+        run_layer(FeatureMapSet(_layer1_input(cfg, model.input_shape, img), img.image_id),
+                  model.bank1, cfg.layer1, cfg.rectifier)
         for img in images
     )
     return _descriptor_rows(model, outputs1, len(images))
@@ -274,14 +274,14 @@ def _bank_tensors(prefix: str, bank: FilterBank) -> dict[str, np.ndarray]:
     return {f"{prefix}/filters": bank.filters, f"{prefix}/offset": bank.offset}
 
 
-def _bank_from_tensors(tensors: dict[str, np.ndarray], prefix: str, layer_index: int) -> FilterBank:
+def _bank_from_tensors(tensors: dict[str, np.ndarray], prefix: str) -> FilterBank:
     """Inverse of :func:`_bank_tensors`. An older container's raw filters are
     folded with its ``zca_mean`` and ``zca_matrix`` (a ``zca_epsilon`` is ignored)."""
     filters = tensors[f"{prefix}/filters"]  # read first: the per-group layout lacks it
     if {f"{prefix}/zca_mean", f"{prefix}/zca_matrix"} & tensors.keys():
         zca = ZcaTransform(tensors[f"{prefix}/zca_mean"], tensors[f"{prefix}/zca_matrix"])
-        return FilterBank(*zca.fold(filters), layer_index)
-    return FilterBank(filters, tensors[f"{prefix}/offset"], layer_index)
+        return FilterBank(*zca.fold(filters))
+    return FilterBank(filters, tensors[f"{prefix}/offset"])
 
 
 def save_model(path, model: NetworkModel) -> None:
@@ -298,8 +298,8 @@ def load_model(path) -> NetworkModel:
     tensors, config_text = read_container(path)
     with naming(path):
         cfg = network_config_from_text(config_text)
-        bank1 = _bank_from_tensors(tensors, "layer1", 1)
-        bank2 = _bank_from_tensors(tensors, "layer2", 2)
+        bank1 = _bank_from_tensors(tensors, "layer1")
+        bank2 = _bank_from_tensors(tensors, "layer2")
         groups, input_shape = tensors["groups"], tensors["input_shape"]
         sides = input_shape.tolist()
         if input_shape.shape != (2,) or not all(v.is_integer() and v >= 1 for v in sides):

@@ -72,18 +72,6 @@ class FeatureMapSet:
         view.setflags(write=False)
         object.__setattr__(self, "maps", view)
 
-    @property
-    def height(self) -> int:
-        return self.maps.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.maps.shape[1]
-
-    @property
-    def depth(self) -> int:
-        return self.maps.shape[2]
-
 
 def assert_array_finite(arr: np.ndarray, what: str = "array") -> None:
     """Raise :class:`NonFiniteValue` at the first NaN/Inf coordinate."""

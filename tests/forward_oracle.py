@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from cdfnet.kmeans import FilterBank
+from cdfnet.layer import FilterBank
 from cdfnet.patches import ZcaTransform
 
 
@@ -93,7 +93,7 @@ def run_layer(maps, bank, cfg, rectifier):
 def group_bank(bank, g: int):
     """Bank g of a (G, d, K) stack: a FilterBank, or a raw (filters, whitening) pair."""
     if isinstance(bank, FilterBank):
-        return FilterBank(bank.filters[g], bank.offset[g], bank.layer_index)
+        return FilterBank(bank.filters[g], bank.offset[g])
     filters, zca = bank
     return filters[g], ZcaTransform(zca.mean[g], zca.matrix[g])
 

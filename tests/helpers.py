@@ -15,7 +15,7 @@ import numpy as np
 
 from cdfnet import AugmentPlan, LabeledImage
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds
-from cdfnet.kmeans import FilterBank
+from cdfnet.layer import FilterBank
 from cdfnet.model_io import MAGIC, VERSION
 from cdfnet.patches import ZcaTransform
 from cdfnet.stl10 import IMAGE_SIDE
@@ -129,13 +129,13 @@ def identity_whitening(dim: int, lead: tuple[int, ...] = ()) -> ZcaTransform:
     return ZcaTransform(np.zeros((*lead, dim)), np.broadcast_to(np.eye(dim), (*lead, dim, dim)))
 
 
-def folded_bank(filters, whitening: ZcaTransform | None = None, layer_index: int = 0) -> FilterBank:
+def folded_bank(filters, whitening: ZcaTransform | None = None) -> FilterBank:
     """The bank of raw (..., d, K) filters learned behind a whitening, folded
     as training folds them; without a whitening, the identity one."""
     filters = np.asarray(filters, dtype=np.float64)
     if whitening is None:
         whitening = identity_whitening(filters.shape[-2], filters.shape[:-2])
-    return FilterBank(*whitening.fold(filters), layer_index)
+    return FilterBank(*whitening.fold(filters))
 
 
 def container_declaring(dims) -> bytes:

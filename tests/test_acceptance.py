@@ -179,19 +179,17 @@ def test_criterion_2_shape_arithmetic():
         # one full-size single-image pass with random filters
         rng = np.random.default_rng(0)
         d1 = cfg.layer1.patch_side**2
-        bank1 = folded_bank(rng.standard_normal((d1, cfg.layer1.k)), layer_index=1)
+        bank1 = folded_bank(rng.standard_normal((d1, cfg.layer1.k)))
         groups = make_groups(cfg.layer1.k, cfg.layer2.group_size, SeededRng(4))
         n_groups = len(groups)
         d2 = cfg.layer2.patch_side**2 * cfg.layer2.group_size
-        bank2 = folded_bank(
-            rng.standard_normal((n_groups, d2, cfg.layer2.k_per_group)), layer_index=2
-        )
+        bank2 = folded_bank(rng.standard_normal((n_groups, d2, cfg.layer2.k_per_group)))
         full = NetworkModel(cfg, bank1, groups, bank2, (96, 96))
         img = LabeledImage(rng.random((96, 96)), 0, image_id=0)
         conv = _convolve(img.pixels[:, :, None], bank1, cfg.layer1.patch_side)
         assert conv.shape == (81, 81, 300)
         out1 = run_layer(FeatureMapSet(img.pixels[:, :, None], 0), bank1, cfg.layer1, cfg.rectifier)
-        assert out1.maps.shape == (6, 6, 300)
+        assert out1.shape == (6, 6, 300)
         assert extract_descriptors(full, [img]).shape == (1, dim)
 
 

@@ -135,6 +135,34 @@ class TestTrain:
         assert err.startswith(f"error: {tmp_path / 'bad.ini'}: bad network config: seeds.kmeans2 = -3")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("line, reason", [
+        ("scale_factor = 1/0", "network.scale_factor: fraction '1/0' divides by zero"),
+        ("name = r\u00e9seau", "network name must be non-empty ASCII without whitespace"),
+    ], ids=["zero_denominator", "non_ascii_name"])
+    def test_bad_config_value_refused_before_training(self, ws, tmp_path, capsys, monkeypatch,
+                                                      line, reason):
+        # refused at load: no image is read and no member trains
+        self._no_image_reads(monkeypatch)
+
+        def never(*args):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(pipeline, "_train", never)
+        key = line.split(" = ")[0]
+        text = network_config_to_text(micro_config("m1"))
+        text = "\n".join(line if t.startswith(key + " =") else t for t in text.split("\n"))
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text, encoding="utf-8")
+        (tmp_path / "exp.ini").write_text("[experiment]\nnetworks = bad.ini\nfolds = 0\n")
+        rc = run("evaluate", "--config", tmp_path / "exp.ini",
+                 "--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin",
+                 "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
+                 "--folds", ws / "folds.txt")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: bad network config: ") and reason in err
+        assert err.count("\n") == 1
+
 
 class TestChain:
     def test_extract_svm_score_committee(self, ws, trained_model):

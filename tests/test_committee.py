@@ -262,6 +262,8 @@ class TestTableValidation:
             _table("bad id", [[0.0, 1.0]])
         with pytest.raises(ValueError):
             _table("", [[0.0, 1.0]])
+        with pytest.raises(ValueError, match="ASCII"):
+            _table("r\u00e9seau", [[0.0, 1.0]])
 
     def test_row_count_must_match_ids(self):
         with pytest.raises(ValueError):

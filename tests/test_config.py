@@ -77,6 +77,11 @@ class TestParseFraction:
         assert parse_fraction("1/3") == pytest.approx(1.0 / 3.0, abs=0)
         assert parse_fraction("3/4") == 0.75
 
+    @pytest.mark.parametrize("text", ["1/0", "5/0.0", "0/-0"])
+    def test_zero_denominator_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="divides by zero"):
+            parse_fraction(text)
+
 
 class TestRoundTrip:
     def test_full_round_trip(self):
@@ -180,6 +185,9 @@ class TestValidation:
             NetworkConfig(name="two words")
         with pytest.raises(ValueError):
             NetworkConfig(name="")
+        # score files and reports are ASCII
+        with pytest.raises(ValueError, match="ASCII"):
+            NetworkConfig(name="r\u00e9seau")
 
     def test_descriptor_mode_checked(self):
         # the option is retired; older files may only name the kept value

@@ -47,6 +47,12 @@ def _short_offset(tensors):
     tensors["layer1/offset"] = tensors["layer1/offset"][:-1]
 
 
+def _stacked_layer1(tensors):
+    # a stack of one bank: (d, K) matches the config, but layer 1 takes a single bank
+    for name in ("layer1/filters", "layer1/offset"):
+        tensors[name] = tensors[name][None]
+
+
 def _nan_offset(tensors):
     tensors["layer2/offset"][0, 1] = np.nan
 
@@ -99,6 +105,10 @@ CASES = {
         "m.model", lambda p: _folded_model(p, _nan_offset), load_model,
         "non-finite value nan in filter offset at (0, 1)",
     ),
+    "model_layer1_stacked": (
+        "m.model", lambda p: _folded_model(p, _stacked_layer1), load_model,
+        "layer-1 filters (1, 9, 4) must be one bank",
+    ),
     "model_offset_missing": (
         "m.model", lambda p: _folded_model(p, lambda t: t.pop("layer1/offset")), load_model,
         "missing 'layer1/offset'",
@@ -149,6 +159,10 @@ CASES = {
     "network_config_bad_value": (
         "n.ini", lambda p: p.write_text("[network]\n[layer1]\nfilters = x\n[layer2]\n"),
         load_network_config, "layer1.filters: invalid literal",
+    ),
+    "network_config_zero_denominator": (
+        "n.ini", lambda p: p.write_text("[network]\nscale_factor = 1/0\n[layer1]\n[layer2]\n"),
+        load_network_config, "network.scale_factor: fraction '1/0' divides by zero",
     ),
     "network_config_repeated_key": (
         "n.ini", lambda p: p.write_text("[network]\nname = a\nname = b\n[layer1]\n[layer2]\n"),

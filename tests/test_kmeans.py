@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cdfnet.errors import DimError, InvalidK, NonFiniteValue
-from cdfnet.kmeans import FilterBank, _assignments, _plusplus_init, _reseed_empty, kmeans_stack
+from cdfnet.kmeans import _assignments, _plusplus_init, _reseed_empty, kmeans_stack
+from cdfnet.layer import FilterBank
 from cdfnet.patches import ZcaTransform, fit_zca
 from cdfnet.tensor import SeededRng
 
@@ -164,6 +165,15 @@ class TestFilterBank:
             FilterBank(np.zeros((3, 5, 2)), np.zeros(2))  # a stack needs a stacked offset
         with pytest.raises(DimError):
             FilterBank(np.zeros(5), np.zeros(5))  # not (d, K)
+
+    def test_layer_index_is_the_stacking(self):
+        single = FilterBank(np.zeros((4, 2)), np.zeros(2))
+        stack = FilterBank(np.zeros((3, 4, 2)), np.zeros((3, 2)))
+        assert (single.layer_index, stack.layer_index) == (1, 2)
+        with pytest.raises(AttributeError):
+            single.layer_index = 2
+        with pytest.raises(TypeError):
+            FilterBank(np.zeros((4, 2)), np.zeros(2), 1)  # the stacking, not an argument
 
     def test_needs_filters(self):
         with pytest.raises(DimError):

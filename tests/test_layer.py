@@ -11,8 +11,8 @@ from scipy import ndimage
 from cdfnet import layer
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig
 from cdfnet.errors import DimError, InvalidGrouping, InvalidWindow
-from cdfnet.kmeans import FilterBank
 from cdfnet.layer import (
+    FilterBank,
     _convolve,
     _lcn_divide,
     _lcn_subtract,
@@ -44,7 +44,7 @@ def _fmset(arr):
 
 def _stack(banks):
     """The (G, d, K) bank of equal-shaped banks."""
-    return FilterBank(np.stack([b.filters for b in banks]), np.stack([b.offset for b in banks]), 2)
+    return FilterBank(np.stack([b.filters for b in banks]), np.stack([b.offset for b in banks]))
 
 
 def _conv(maps, bank, p):
@@ -460,7 +460,7 @@ class TestRunLayer:
         bank = _bank(rng.standard_normal((256, 3)))
         cfg = _layer1(pool_side=12, pool_stride=12, lcn_window=9, lcn_sigma=2.25)
         out = run_layer(_fmset(maps), bank, cfg, "abs")
-        assert out.maps.shape == (6, 6, 3)
+        assert out.shape == (6, 6, 3)
 
     def test_stride_8_gives_9x9(self):
         rng = np.random.default_rng(17)
@@ -468,7 +468,7 @@ class TestRunLayer:
         bank = _bank(rng.standard_normal((256, 2)))
         cfg = _layer1(pool_side=12, pool_stride=8, lcn_window=9, lcn_sigma=2.25)
         out = run_layer(_fmset(maps), bank, cfg, "abs")
-        assert out.maps.shape == (9, 9, 2)
+        assert out.shape == (9, 9, 2)
 
     def test_on_off_doubles_depth(self):
         rng = np.random.default_rng(18)
@@ -476,8 +476,8 @@ class TestRunLayer:
         bank = _bank(rng.standard_normal((16, 5)))
         cfg = _layer1(patch_side=4, pool_side=3, pool_stride=3)
         out = run_layer(_fmset(maps), bank, cfg, "on_off")
-        assert out.depth == 10
-        assert layer_output_shape(12, 12, 5, cfg, "on_off") == out.maps.shape
+        assert out.shape[2] == 10
+        assert layer_output_shape(12, 12, 5, cfg, "on_off") == out.shape
 
     def test_stage_order(self):
         # run_layer must equal the hand-applied five-stage composition
@@ -491,7 +491,7 @@ class TestRunLayer:
         _lcn_subtract(step, 3, 0.75)
         _lcn_divide(step, 3, 0.75)
         step = _pool(step, 2, 2, 1.0)
-        assert np.array_equal(out.maps, step)
+        assert np.array_equal(out, step)
 
     @pytest.mark.parametrize("rectifier", ["abs", "on_off"])
     @pytest.mark.parametrize("whitened", [True, False])
@@ -504,10 +504,10 @@ class TestRunLayer:
         zca = fit_zca(rng.random((200, 18)), 0.1) if whitened else None
         bank = _bank(rng.standard_normal((18, 4)), zca)
         cfg = _layer1(patch_side=3)
-        out = run_layer(_fmset(maps), bank, cfg, rectifier).maps
+        out = run_layer(_fmset(maps), bank, cfg, rectifier)
         assert out.dtype == np.float32
         rounded = FeatureMapSet(maps.astype(np.float32))
-        assert np.array_equal(out, run_layer(rounded, bank, cfg, rectifier).maps)
+        assert np.array_equal(out, run_layer(rounded, bank, cfg, rectifier))
 
     def test_stacked_bank_rejected(self):
         rng = np.random.default_rng(22)
@@ -554,7 +554,7 @@ class TestRunLayer:
         cfg = _layer1(patch_side=p, pool_side=pool_side, pool_stride=stride)
         rectifier = "on_off" if on_off else "abs"
         out = run_layer(_fmset(maps), bank, cfg, rectifier)
-        assert out.maps.shape == layer_output_shape(h, w, k, cfg, rectifier)
+        assert out.shape == layer_output_shape(h, w, k, cfg, rectifier)
 
     # (input side, layer record fields, error): shape chains that cannot run
     @pytest.mark.parametrize(
@@ -599,7 +599,7 @@ class TestRunGroups:
         )
         out = run_groups(maps, groups, _stack(banks), cfg, rectifier)
         for g, (group, bank) in enumerate(zip(groups, banks)):
-            one = run_layer(_fmset(maps[:, :, group]), bank, cfg, rectifier).maps
+            one = run_layer(_fmset(maps[:, :, group]), bank, cfg, rectifier)
             assert np.allclose(out[g], one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
 
     def test_filter_dim_must_fit_groups(self):

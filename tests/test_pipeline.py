@@ -16,8 +16,7 @@ from cdfnet.committee import committee_predict, normalize_table, read_score_file
 from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds, load_network_config
 from cdfnet.config import network_config_to_text
 from cdfnet.errors import DimError, FormatError, InvalidGrouping, InvalidK, InvalidWindow
-from cdfnet.kmeans import FilterBank
-from cdfnet.layer import make_groups, run_layer
+from cdfnet.layer import FilterBank, make_groups, run_layer
 from cdfnet.model_io import read_container, write_container
 from cdfnet.patches import ZcaTransform, fit_zca
 from cdfnet.pipeline import (
@@ -88,7 +87,7 @@ def _raw_model(seed):
     groups = make_groups(8, 4, SeededRng(cfg.seeds.grouping))
     raw1 = (rng.standard_normal((25, 8)), fit_zca(rng.random((300, 25)), 0.1))
     raw2 = (rng.standard_normal((2, 36, 6)), fit_zca(rng.random((2, 300, 36)), 0.1))
-    model = NetworkModel(cfg, folded_bank(*raw1, 1), groups, folded_bank(*raw2, 2), (32, 32))
+    model = NetworkModel(cfg, folded_bank(*raw1), groups, folded_bank(*raw2), (32, 32))
     return model, (raw1, raw2)
 
 
@@ -107,7 +106,7 @@ def _folded_in_memory(model, tensors):
     """model with the banks of a whitened container's tensors, folded by the test helper."""
     bank1, bank2 = (
         folded_bank(tensors[f"layer{i}/filters"], ZcaTransform(
-            tensors[f"layer{i}/zca_mean"], tensors[f"layer{i}/zca_matrix"]), i)
+            tensors[f"layer{i}/zca_mean"], tensors[f"layer{i}/zca_matrix"]))
         for i in (1, 2)
     )
     return NetworkModel(model.config, bank1, model.groups, bank2, model.input_shape)
@@ -182,10 +181,10 @@ class TestTrain:
     def test_filter_counts_checked(self, nano_model):
         # a layer-1 bank short of the config's 8 filters would index past its maps
         m = nano_model
-        short = FilterBank(m.bank1.filters[:, :4], m.bank1.offset[:4], 1)
+        short = FilterBank(m.bank1.filters[:, :4], m.bank1.offset[:4])
         with pytest.raises(DimError, match=r"\(\(25, 4\), \(36, 6\)\), the config's"):
             NetworkModel(m.config, short, m.groups, m.bank2, m.input_shape)
-        narrow = FilterBank(m.bank2.filters[..., :5], m.bank2.offset[..., :5], 2)
+        narrow = FilterBank(m.bank2.filters[..., :5], m.bank2.offset[..., :5])
         with pytest.raises(DimError, match=r"\(\(25, 8\), \(36, 5\)\), the config's"):
             NetworkModel(m.config, m.bank1, m.groups, narrow, m.input_shape)
 
@@ -473,12 +472,11 @@ class TestModelPersistence:
         zca2 = fit_zca(rng.random((100, d2)), 0.1)
         model = NetworkModel(
             cfg,
-            folded_bank(rng.standard_normal((d1, l1.k)), layer_index=1),
+            folded_bank(rng.standard_normal((d1, l1.k))),
             groups,
             folded_bank(
                 rng.standard_normal((g, d2, l2.k_per_group)),
                 ZcaTransform(rng.standard_normal((g, d2)), np.tile(zca2.matrix, (g, 1, 1))),
-                2,
             ),
             (96, 96),
         )

@@ -11,7 +11,7 @@ import pytest
 
 import cdfnet
 from cdfnet.cli import build_parser
-from cdfnet.kmeans import FilterBank
+from cdfnet.layer import FilterBank
 from cdfnet.layer import make_groups
 from cdfnet.model_io import read_container
 from cdfnet.tensor import SeededRng
@@ -129,9 +129,9 @@ def test_model_tensor_list_is_what_save_model_writes(tmp_path):
     g = len(groups)
     model = cdfnet.NetworkModel(
         cfg,
-        FilterBank(np.ones((d1, l1.k)), np.zeros(l1.k), 1),
+        FilterBank(np.ones((d1, l1.k)), np.zeros(l1.k)),
         groups,
-        FilterBank(np.ones((g, d2, l2.k_per_group)), np.zeros((g, l2.k_per_group)), 2),
+        FilterBank(np.ones((g, d2, l2.k_per_group)), np.zeros((g, l2.k_per_group))),
         (96, 96),
     )
     cdfnet.save_model(tmp_path / "m.model", model)

@@ -60,13 +60,9 @@ def _fmset(arr, image_id=-1):
 
 
 class TestFeatureMapSet:
-    def test_dims(self):
-        s = _fmset(np.zeros((4, 5, 3)))
-        assert (s.height, s.width, s.depth) == (4, 5, 3)
-
     def test_2d_promoted_to_depth_one(self):
         s = _fmset(np.zeros((4, 5)))
-        assert s.depth == 1
+        assert s.maps.shape == (4, 5, 1)
 
     def test_rejects_bad_ndim(self):
         with pytest.raises(ValueError):

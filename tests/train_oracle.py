@@ -38,8 +38,8 @@ from collections import namedtuple
 import numpy as np
 
 from cdfnet.augment import expand_set, scale
-from cdfnet.kmeans import _BLOCK, FilterBank
-from cdfnet.layer import make_groups, run_layer
+from cdfnet.kmeans import _BLOCK
+from cdfnet.layer import FilterBank, make_groups, run_layer
 from cdfnet.patches import EIGENVALUE_FLOOR, ZcaTransform, normalize_rows
 from cdfnet.pipeline import KMEANS_MAX_ITERS, NetworkModel
 from cdfnet.svm import DEFAULT_EPOCHS, DEFAULT_TOL, STD_FLOOR, _dual_cd_l2svm
@@ -199,12 +199,12 @@ def per_group_train_bank(maps, layer, k, patch_rng, kmeans_rng):
     return per_group_kmeans(patches, k, KMEANS_MAX_ITERS, kmeans_rng).centroids, zca
 
 
-def _train_bank(maps_list, layer, k, patch_rng, kmeans_rng, layer_index) -> FilterBank:
+def _train_bank(maps_list, layer, k, patch_rng, kmeans_rng) -> FilterBank:
     patches = extract_patches(maps_list, layer.patch_side, layer.n_patches, patch_rng)
     normalize_rows(patches)
     zca = fit_zca(patches, layer.zca_epsilon)
     result = per_group_kmeans(apply_zca(zca, patches), k, KMEANS_MAX_ITERS, kmeans_rng)
-    return FilterBank(*zca.fold(result.centroids), layer_index)
+    return FilterBank(*zca.fold(result.centroids))
 
 
 def column_train_bank(
@@ -241,10 +241,10 @@ def train_network(cfg, fold_images) -> NetworkModel:
 
     patches_rng = SeededRng(cfg.seeds.patches)
     bank1 = _train_bank(
-        maps1, cfg.layer1, cfg.layer1.k, patches_rng.child(0), SeededRng(cfg.seeds.kmeans1), 1
+        maps1, cfg.layer1, cfg.layer1.k, patches_rng.child(0), SeededRng(cfg.seeds.kmeans1)
     )
     outputs1 = [
-        run_layer(FeatureMapSet(m), bank1, cfg.layer1, cfg.rectifier).maps for m in maps1
+        run_layer(FeatureMapSet(m), bank1, cfg.layer1, cfg.rectifier) for m in maps1
     ]
     kmeans2_rng = SeededRng(cfg.seeds.kmeans2)
     banks2 = tuple(
@@ -254,13 +254,10 @@ def train_network(cfg, fold_images) -> NetworkModel:
             cfg.layer2.k_per_group,
             patches_rng.child(1 + g),
             kmeans2_rng.child(g),
-            2,
         )
         for g, group in enumerate(groups)
     )
-    bank2 = FilterBank(
-        np.stack([b.filters for b in banks2]), np.stack([b.offset for b in banks2]), 2
-    )
+    bank2 = FilterBank(np.stack([b.filters for b in banks2]), np.stack([b.offset for b in banks2]))
     return NetworkModel(cfg, bank1, groups, bank2, maps1[0].shape[:2])
 
 
