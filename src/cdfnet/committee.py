@@ -8,6 +8,7 @@ dynamic range per image.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,12 @@ SCORE_VERSION = "v1"
 
 
 def _check_network_id(value: str, what: str) -> None:
-    """Refuse a name that ASCII score files and reports, split on whitespace, cannot carry."""
-    if not value or not value.isascii() or any(ch.isspace() for ch in value):
-        raise ValueError(f"{what} must be non-empty ASCII without whitespace: {value!r}")
+    """Refuse a name that whitespace-split ASCII files, or a file name, cannot carry."""
+    seps = {"/", os.sep, os.altsep}
+    if not value or not value.isascii() or any(ch.isspace() or ch in seps for ch in value):
+        raise ValueError(
+            f"{what} must be non-empty ASCII without whitespace or path separators: {value!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,16 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 import re
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .augment import AugmentPlan
 from .committee import _check_network_id
 from .errors import FormatError, InvalidK, InvalidWindow, naming
 from .layer import RECTIFIERS
+from .model_io import atomic_open
 from .stl10 import NUM_FOLDS
 from .svm import DEFAULT_REG_C, _check_reg_c
 from .tensor import SeededRng
@@ -158,7 +160,8 @@ def _format_float(x: float) -> str:
 
 
 # INI keys that differ from their dataclass field names
-_RENAMED = {"k": "filters", "k_per_group": "filters_per_group", "n_patches": "patches"}
+_RENAMED = {"k": "filters", "k_per_group": "filters_per_group", "n_patches": "patches",
+            "network_paths": "networks"}
 _OPTIONAL_SECTIONS = ("augment", "seeds")
 # Retired options that older files still carry: each is read only in its old
 # section and only at the one value the code keeps, then dropped.
@@ -181,6 +184,13 @@ _CODECS = {
     tuple[float, ...]: (
         lambda t: tuple(parse_fraction(tok) for tok in t.split(",") if tok.strip()),
         lambda xs: ", ".join(_format_float(x) for x in xs),
+    ),
+    tuple[str, ...]: (lambda t: tuple(s.strip() for s in t.split(",") if s.strip()), ", ".join),
+    # fold indices: "all" is every fold, else integers split on commas or spaces
+    tuple[int, ...]: (
+        lambda t: tuple(range(NUM_FOLDS)) if t.strip() == "all"
+        else tuple(map(int, t.replace(",", " ").split())),
+        lambda xs: ", ".join(map(str, xs)),
     ),
 }
 
@@ -223,7 +233,7 @@ def _read_section(cp: configparser.ConfigParser, section: str, cls) -> dict:
     if not cp.has_section(section):
         if section in _OPTIONAL_SECTIONS:
             return {}
-        raise FormatError(f"bad network config: missing section [{section}]")
+        raise FormatError(f"missing section [{section}]")
     given = dict(cp.items(section))
     values = {}
     for name, key, tp in _scalar_fields(cls):
@@ -231,7 +241,7 @@ def _read_section(cp: configparser.ConfigParser, section: str, cls) -> dict:
             try:
                 values[name] = _CODECS[tp][0](given.pop(key))
             except ValueError as exc:
-                raise FormatError(f"bad network config: {section}.{key}: {exc}") from exc
+                raise FormatError(f"{section}.{key}: {exc}") from exc
     for key, kept in _RETIRED.get(section, {}).items():
         parse, show = _CODECS[type(kept)]
         try:
@@ -240,25 +250,30 @@ def _read_section(cp: configparser.ConfigParser, section: str, cls) -> dict:
             ok = False
         if not ok:
             raise FormatError(
-                f"bad network config: {section}.{key}: the option was removed; "
-                f"only {show(kept)} is still read"
+                f"{section}.{key}: the option was removed; only {show(kept)} is still read"
             )
     if given:
-        raise FormatError(f"bad network config: unknown key {section}.{min(given)}")
+        raise FormatError(f"unknown key {section}.{min(given)}")
     return values
 
 
-def network_config_from_text(text: str) -> NetworkConfig:
+def _parse(text: str, sections: set[str]) -> configparser.ConfigParser:
+    """The INI text of a network or experiment file, whose sections must be among sections."""
     cp = configparser.ConfigParser()
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise FormatError(f"bad network config: {exc}") from exc
-    unknown = set(cp.sections()) - {"network", *_RECORDS}
+    cp.read_string(text)
+    unknown = set(cp.sections()) - sections
     if unknown:
-        raise FormatError(f"bad network config: unknown section [{min(unknown)}]")
-    records = {name: _build(cp, name, cls) for name, cls in _RECORDS.items()}
-    return _build(cp, "network", NetworkConfig, **records)
+        raise FormatError(f"unknown section [{min(unknown)}]")
+    return cp
+
+
+def network_config_from_text(text: str) -> NetworkConfig:
+    try:
+        cp = _parse(text, {"network", *_RECORDS})
+        records = {name: _build(cp, name, cls) for name, cls in _RECORDS.items()}
+        return _build(cp, "network", NetworkConfig, **records)
+    except (FormatError, configparser.Error) as exc:
+        raise FormatError(f"bad network config: {exc}") from exc
 
 
 def _build(cp: configparser.ConfigParser, section: str, cls, **records):
@@ -270,7 +285,7 @@ def _build(cp: configparser.ConfigParser, section: str, cls, **records):
     except (ValueError, InvalidK, InvalidWindow) as exc:
         keys = {name: key for name, key, _ in _scalar_fields(cls)}
         message = re.sub(r"\w+", lambda m: keys.get(m.group(), m.group()), str(exc))
-        raise FormatError(f"bad network config: {message} (in [{section}])") from exc
+        raise FormatError(f"{message} (in [{section}])") from exc
 
 
 def load_network_config(path) -> NetworkConfig:
@@ -279,7 +294,8 @@ def load_network_config(path) -> NetworkConfig:
 
 
 def save_network_config(path, cfg: NetworkConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    # the name rule keeps config text ASCII
+    with atomic_open(path) as fh:
         fh.write(network_config_to_text(cfg))
 
 
@@ -287,41 +303,20 @@ def save_network_config(path, cfg: NetworkConfig) -> None:
 class ExperimentConfig:
     """A committee experiment: member configs and which folds to run."""
 
-    name: str
-    network_paths: tuple[str, ...]
-    folds: tuple[int, ...]  # indices into the fold plan
+    name: str = "experiment"
+    network_paths: tuple[str, ...] = ()
+    folds: tuple[int, ...] = tuple(range(NUM_FOLDS))  # indices into the fold plan
+
+    def __post_init__(self):
+        if not self.network_paths:
+            raise ValueError("experiment lists no networks")
+        if not self.folds or len(set(self.folds)) != len(self.folds):
+            raise ValueError(f"experiment folds must be non-empty and distinct, got {self.folds}")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    import os
-
-    cp = configparser.ConfigParser()
-    with naming(path):
-        if not cp.read(path):
-            raise FormatError("no such experiment config")
-        unknown = set(cp.sections()) - {"experiment"}
-        if unknown:
-            raise FormatError(f"unknown section [{min(unknown)}]")
-        exp = cp["experiment"]
-        unknown = set(exp) - {"name", "networks", "folds"}
-        if unknown:
-            raise FormatError(f"unknown key experiment.{min(unknown)}")
-        name = exp.get("name", "experiment")
-        base = os.path.dirname(os.path.abspath(path))
-        networks = tuple(
-            os.path.join(base, tok.strip())
-            for tok in exp["networks"].split(",")
-            if tok.strip()
-        )
-        folds_text = exp.get("folds", "all").strip()
-        if folds_text == "all":
-            folds = tuple(range(NUM_FOLDS))
-        else:
-            folds = tuple(
-                int(t) for t in folds_text.replace(",", " ").split() if t.strip()
-            )
-        if not networks:
-            raise FormatError("experiment lists no networks")
-        if not folds or len(set(folds)) != len(folds):
-            raise FormatError(f"experiment folds must be non-empty and distinct, got {folds}")
-    return ExperimentConfig(name=name, network_paths=networks, folds=folds)
+    """The experiment file at path, its network paths taken relative to the file."""
+    with open(path, "r", encoding="utf-8") as fh, naming(path):
+        exp = _build(_parse(fh.read(), {"experiment"}), "experiment", ExperimentConfig)
+    base = os.path.dirname(os.path.abspath(path))
+    return replace(exp, network_paths=tuple(os.path.join(base, p) for p in exp.network_paths))

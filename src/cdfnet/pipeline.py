@@ -396,8 +396,9 @@ def evaluate_protocol(
     and the accuracy CSV are persisted there.
     """
     names = [cfg.name for cfg in cfgs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"network names must be unique, got {names}")
+    # "committee" names the committee's own report section
+    if len(set(names)) != len(names) or "committee" in names:
+        raise ValueError(f"network names must be unique and not 'committee', got {names}")
     if fold_indices is None:
         fold_indices = tuple(range(len(fold_plan.folds)))
     fold_indices = tuple(int(f) for f in fold_indices)
@@ -463,7 +464,7 @@ def render_report(report: ExperimentReport) -> str:
     lines = []
     for section in report.networks + (report.committee,):
         lines.append(f"[{section.name}]")
-        if section.name == "committee":
+        if section is report.committee:
             lines.append("members " + " ".join(report.committee_members))
         for fold, acc in zip(section.fold_indices, section.accuracies):
             lines.append(f"fold {fold} accuracy {acc!r}")

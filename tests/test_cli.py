@@ -138,7 +138,8 @@ class TestTrain:
     @pytest.mark.parametrize("line, reason", [
         ("scale_factor = 1/0", "network.scale_factor: fraction '1/0' divides by zero"),
         ("name = r\u00e9seau", "network name must be non-empty ASCII without whitespace"),
-    ], ids=["zero_denominator", "non_ascii_name"])
+        ("name = a/b", "without whitespace or path separators: 'a/b' (in [network])"),
+    ], ids=["zero_denominator", "non_ascii_name", "path_separator_name"])
     def test_bad_config_value_refused_before_training(self, ws, tmp_path, capsys, monkeypatch,
                                                       line, reason):
         # refused at load: no image is read and no member trains

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from cdfnet import config as config_mod
 from cdfnet.augment import AugmentPlan
 from cdfnet.config import (
     ExperimentConfig,
@@ -110,6 +111,21 @@ class TestRoundTrip:
         path = tmp_path / "net.ini"
         save_network_config(path, cfg)
         assert load_network_config(path) == cfg
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.ini"
+        save_network_config(path, NetworkConfig())
+        before = path.read_bytes()
+
+        def broken(cfg):
+            raise RuntimeError("disk gone")
+
+        # the text is made while the file is open, so this fails partway
+        monkeypatch.setattr(config_mod, "network_config_to_text", broken)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            save_network_config(path, _full_config())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["net.ini"]
 
     def test_text_is_stable(self):
         cfg = _full_config()
@@ -363,8 +379,20 @@ class TestExperiment:
         assert load_experiment_config(path).folds == (0, 1, 2)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FormatError):
-            load_experiment_config(tmp_path / "nope.ini")
+        path = tmp_path / "nope.ini"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
+            load_experiment_config(path)
+
+    # README runs both files
+    @pytest.mark.parametrize(
+        "name, networks, folds",
+        [("stl10_committee.ini", ("n1", "n2", "n3", "n4", "n5"), tuple(range(10))),
+         ("n1_only.ini", ("n1",), (0,))],
+    )
+    def test_shipped_experiment(self, name, networks, folds):
+        exp = load_experiment_config(os.path.join(CONFIG_DIR, name))
+        assert tuple(load_network_config(p).name for p in exp.network_paths) == networks
+        assert exp.folds == folds
 
     def test_no_networks(self, tmp_path):
         path = self._write(tmp_path, "[experiment]\nnetworks =\n")
@@ -405,3 +433,12 @@ class TestExperiment:
     def test_dataclass_is_plain(self):
         exp = ExperimentConfig(name="e", network_paths=("a",), folds=(0,))
         assert exp.folds == (0,)
+
+    @pytest.mark.parametrize(
+        "kwargs, reason",
+        [(dict(), "lists no networks"), (dict(network_paths=("a",), folds=(1, 1)), "distinct")],
+        ids=["no_networks", "repeated_fold"],
+    )
+    def test_record_checks_itself(self, kwargs, reason):
+        with pytest.raises(ValueError, match=reason):
+            ExperimentConfig(**kwargs)

@@ -172,8 +172,12 @@ CASES = {
         "n.ini", lambda p: p.write_text("[network]\n[layer1]\nfilters = 0\n[layer2]\n"),
         load_network_config, "filters must be >= 1, got 0 (in [layer1])",
     ),
-    "experiment_no_such_file": (
-        "e.ini", lambda p: None, load_experiment_config, "no such experiment config",
+    # the name is joined into score-file paths
+    "network_config_path_separator": (
+        "n.ini", lambda p: p.write_text("[network]\nname = a/b\n[layer1]\n[layer2]\n"),
+        load_network_config,
+        "bad network config: network name must be non-empty ASCII without whitespace "
+        "or path separators: 'a/b' (in [network])",
     ),
     "experiment_unknown_section": (
         "e.ini", lambda p: p.write_text("[experiment]\nnetworks = a.ini\n[other]\n"),
@@ -185,11 +189,11 @@ CASES = {
     ),
     "experiment_missing_networks": (
         "e.ini", lambda p: p.write_text("[experiment]\nname = x\n"), load_experiment_config,
-        "missing 'networks'",
+        "experiment lists no networks (in [experiment])",
     ),
     "experiment_bad_fold": (
         "e.ini", lambda p: p.write_text("[experiment]\nnetworks = a.ini\nfolds = 1 x\n"),
-        load_experiment_config, "invalid literal for int()",
+        load_experiment_config, "experiment.folds: invalid literal for int()",
     ),
     "scores_bad_header": (
         "s.txt", lambda p: p.write_text("score v1 n1 2\n0 0.0 1.0\n"), read_score_file,
@@ -254,6 +258,22 @@ def test_refused_file_is_named_once_at_the_start(tmp_path, case):
     assert message.startswith(f"{path}: ")
     assert message.count(str(path)) == 1
     assert reason in message
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unopenable_experiment_file_reports_the_system_error(tmp_path, capsys, kind):
+    # the OSError already names the path, so it is not a FormatError
+    path = tmp_path / "e.ini"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(OSError) as info:
+        load_experiment_config(path)
+    assert not isinstance(info.value, FormatError) and str(path) in str(info.value)
+    data = str(tmp_path / "absent.bin")
+    rc = main(["evaluate", "--config", str(path), "--train-x", data, "--train-y", data,
+               "--test-x", data, "--test-y", data, "--folds", data])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 def test_evaluate_names_the_bad_member_before_reading_images(tmp_path, capsys, monkeypatch):

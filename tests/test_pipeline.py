@@ -587,6 +587,15 @@ class TestReportSections:
         assert "members a b" in text
         assert "fold 0 accuracy 0.8" in text
 
+    def test_member_named_committee_gets_no_members_line(self):
+        # the committee's section is the report's committee, whatever its members are named
+        report = ExperimentReport(
+            networks=(ReportSection("committee", (0,), (0.5,)),),
+            committee=ReportSection("committee", (0,), (0.6,)),
+            committee_members=("committee",),
+        )
+        assert render_report(report).count("members") == 1
+
     def test_csv_layout(self):
         report = ExperimentReport(
             networks=(ReportSection("a", (0, 1), (0.5, 0.6)),),
@@ -684,6 +693,16 @@ class TestProtocol:
         for folds in ((), (1, 1), (0, 1, 0)):
             with pytest.raises(ValueError, match="non-empty and distinct"):
                 evaluate_protocol([nano_config("solo")], train, [], plan, fold_indices=folds)
+
+    def test_member_named_committee_rejected_before_training(self, monkeypatch):
+        # its report section and CSV rows would read as the committee's own
+        monkeypatch.setattr(pipeline, "_train", _never)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5),), n_train=6)
+        train = stripe_dataset(6, side=32, seed=3)
+        test = stripe_dataset(4, side=32, seed=21, first_id=500)
+        cfgs = [nano_config("na"), nano_config("committee", Seeds(5, 6, 7, 8))]
+        with pytest.raises(ValueError, match="not 'committee'"):
+            evaluate_protocol(cfgs, train, test, plan)
 
     def test_empty_test_set_rejected_before_training(self, monkeypatch):
         # every member would train, then score nothing into NaN accuracies
