@@ -9,9 +9,10 @@ The 1/n weighting makes the solution invariant to duplicating the training
 set. Features are standardized per dimension for training, which the dual
 solver needs for its conditioning; a constant bias feature is appended, so
 the bias is regularized like the weights. The trained classifier is folded
-back onto raw descriptors, so scoring is one matrix product. Coordinates
-are visited in fixed order, making training deterministic for a given data
-order.
+back onto raw descriptors, so scoring is one matrix product. Each epoch
+visits the rows in a fresh permutation (Hsieh et al., ICML 2008, section
+3.1), drawn from a fixed stream per class, so training is deterministic for
+a given data order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, DimError
-from .tensor import assert_array_finite
+from .tensor import SeededRng, assert_array_finite
 
 logger = logging.getLogger(__name__)
 
@@ -30,6 +31,8 @@ STD_FLOOR = 1e-8
 DEFAULT_EPOCHS = 1000
 DEFAULT_TOL = 1e-4
 DEFAULT_REG_C = 1.0  # C of train_ova_svm, NetworkConfig.svm_reg_c and cdfnet svm --reg-c
+# class c's solver visits the rows in orders drawn from SeededRng(ROW_ORDER_SEED).child(c)
+ROW_ORDER_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -72,39 +75,49 @@ def _dual_cd_l2svm(
     c_eff: float,
     max_epochs: int,
     tol: float,
+    rng: SeededRng,
 ):
     """Dual coordinate descent for the L2-loss SVM (LIBLINEAR-style).
 
     x is (n, d) with the bias feature already appended, y in {-1, +1}.
-    Returns (w, dual objective per epoch, whether the largest projected
-    gradient of an epoch fell below tol). Each coordinate step exactly
-    minimizes the dual along one alpha_i subject to alpha_i >= 0, so the
-    dual objective never increases.
+    Each epoch visits the rows in a fresh permutation drawn from `rng`.
+    Returns (w, dual objective per epoch, the largest projected gradient of
+    the last epoch); training stopped early when that is below tol. Each
+    coordinate step exactly minimizes the dual along one alpha_i subject
+    to alpha_i >= 0, so the dual objective never increases.
     """
     n = x.shape[0]
     d_ii = 1.0 / (2.0 * c_eff)
-    q_ii = np.einsum("nd,nd->n", x, x) + d_ii
-    alpha = np.zeros(n, dtype=np.float64)
+    # per-row Python floats and row views: indexing numpy arrays in the
+    # inner loop costs more than a step's scalar arithmetic
+    q_ii = (np.einsum("nd,nd->n", x, x) + d_ii).tolist()
+    signs = y.tolist()
+    rows = list(x)
+    alpha = [0.0] * n
     w = np.zeros(x.shape[1], dtype=np.float64)
+    gen = rng.generator()
     objectives = []
+    max_pg = np.inf
     for _ in range(max_epochs):
         max_pg = 0.0
-        for i in range(n):
-            g = y[i] * (w @ x[i]) - 1.0 + d_ii * alpha[i]
-            pg = min(g, 0.0) if alpha[i] == 0.0 else g
+        for i in gen.permutation(n).tolist():
+            a, y_i, row = alpha[i], signs[i], rows[i]
+            g = y_i * float(w @ row) - 1.0 + d_ii * a
+            pg = min(g, 0.0) if a == 0.0 else g
             if pg != 0.0:
                 max_pg = max(max_pg, abs(pg))
-                new_alpha = max(alpha[i] - g / q_ii[i], 0.0)
-                delta = new_alpha - alpha[i]
+                new_alpha = max(a - g / q_ii[i], 0.0)
+                delta = new_alpha - a
                 if delta != 0.0:
-                    w += (delta * y[i]) * x[i]
+                    w += (delta * y_i) * row
                     alpha[i] = new_alpha
+        alphas = np.array(alpha)
         objectives.append(
-            0.5 * float(w @ w) + 0.5 * d_ii * float(alpha @ alpha) - float(alpha.sum())
+            0.5 * float(w @ w) + 0.5 * d_ii * float(alphas @ alphas) - float(alphas.sum())
         )
         if max_pg < tol:
-            return w, objectives, True
-    return w, objectives, False
+            break
+    return w, objectives, max_pg
 
 
 def _fold_standardization(weights, biases, mean, std):
@@ -134,8 +147,9 @@ def train_ova_svm(
     """One binary L2 SVM per class over standardized descriptor features.
 
     `descriptors` is an (n_images, dim) matrix, one row per label. Class c's
-    problem labels its images +1 and all others -1. Deterministic for a
-    given row order.
+    problem labels its images +1 and all others -1, and its solver visits
+    the rows in the order of ``SeededRng(ROW_ORDER_SEED).child(c)``.
+    Deterministic for a given row order.
     """
     _check_reg_c(reg_c)
     values = _as_descriptors(descriptors)
@@ -165,11 +179,14 @@ def train_ova_svm(
     biases = np.zeros(n_classes, dtype=np.float64)
     for cls in range(n_classes):
         y = np.where(labels == cls, 1.0, -1.0)
-        w, _, converged = _dual_cd_l2svm(x, y, c_eff, max_epochs, tol)
-        if not converged:
+        w, _, max_pg = _dual_cd_l2svm(
+            x, y, c_eff, max_epochs, tol, SeededRng(ROW_ORDER_SEED).child(cls)
+        )
+        if max_pg >= tol:
             logger.warning(
-                "SVM class %d: dual CD ran %d epochs without reaching tol %g",
-                cls, max_epochs, tol,
+                "SVM class %d: dual CD ran %d epochs without reaching tol %g"
+                " (max projected gradient %.3g)",
+                cls, max_epochs, tol, max_pg,
             )
         weights[cls] = w[:-1]
         biases[cls] = w[-1]
@@ -187,12 +204,14 @@ def cross_validate_c(
     labels,
     grid=(0.01, 0.1, 1.0, 10.0),
     n_folds: int = 5,
-    max_epochs: int = 200,
 ) -> float:
     """Pick reg_c from the grid by deterministic k-fold accuracy.
 
     Folds are contiguous row ranges of the descriptor matrix, so the split
-    depends only on the data order. Ties prefer the smaller reg_c.
+    depends only on the data order. Pass one row per image: ``expand_set``
+    puts the originals first and then their copies, so with augmented
+    descriptors each held-out image's copies would stay in training. Each
+    fit uses ``train_ova_svm``'s defaults. Ties prefer the smaller reg_c.
     """
     values = _as_descriptors(descriptors)
     labels = np.asarray(labels, dtype=np.int64)
@@ -209,7 +228,6 @@ def cross_validate_c(
                 np.delete(values, held_out, axis=0),
                 np.delete(labels, held_out),
                 reg_c=c,
-                max_epochs=max_epochs,
             )
             predictions = np.argmax(score_many(model, values[held_out]), axis=1)
             hits += int(np.sum(predictions == labels[held_out]))

@@ -255,7 +255,8 @@ def _committee_member(name, seeds, pool1, alpha=1.0):
     )
 
 
-def test_criterion_4_committee_dominance():
+def test_criterion_4_committee_dominance(caplog):
+    caplog.set_level("WARNING", logger="cdfnet.svm")
     with _criterion(4, "committee >= best member in >= 9/10 runs"):
         members = [
             _committee_member("c1", Seeds(11, 12, 13, 14), (8, 5)),
@@ -278,6 +279,9 @@ def test_criterion_4_committee_dominance():
             committee = accuracy(committee_predict(tables), labels)
             wins += committee >= best
         assert wins >= 9, f"committee dominated in only {wins}/10 repetitions"
+        # every member SVM class reached the solver's tol before its epoch cap
+        capped = [r.getMessage() for r in caplog.records if r.name == "cdfnet.svm"]
+        assert capped == []
 
 
 # -- criterion 6: full-dataset reproduction (opt-in) ------------------------------

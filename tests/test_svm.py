@@ -1,11 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from cdfnet.errors import DegenerateLabels, DimError, NonFiniteValue
-from cdfnet.svm import SvmModel, _dual_cd_l2svm, cross_validate_c, score_many, train_ova_svm
+from cdfnet.svm import (
+    DEFAULT_TOL, SvmModel, _dual_cd_l2svm, cross_validate_c, score_many, train_ova_svm,
+)
+from cdfnet.tensor import SeededRng
 
 from helpers import traced_peak
-from train_oracle import standardized_scores, standardized_svm
+from train_oracle import primal_objectives, primal_svm, standardized_scores, standardized_svm
 
 
 def _descs(values):
@@ -14,6 +19,12 @@ def _descs(values):
 
 def _predict(model, descs):
     return np.argmax(score_many(model, descs), axis=1).tolist()
+
+
+def _three_class_toy():
+    rng = np.random.default_rng(0)
+    centers = np.array([(0.0, 5.0), (5.0, -3.0), (-5.0, -3.0)])
+    return np.concatenate([c + rng.normal(0, 0.4, (30, 2)) for c in centers]), np.arange(90) // 30
 
 
 def _two_class_toy():
@@ -52,15 +63,10 @@ class TestTrain:
         assert np.array_equal(a.biases, b.biases)
 
     def test_three_classes(self):
-        rng = np.random.default_rng(0)
-        centers = np.array([(0.0, 5.0), (5.0, -3.0), (-5.0, -3.0)])
-        pts, labels = [], []
-        for c, center in enumerate(centers):
-            pts.extend(center + rng.normal(0, 0.4, (30, 2)))
-            labels.extend([c] * 30)
-        model = train_ova_svm(_descs(pts), labels, reg_c=1.0)
+        descs, labels = _three_class_toy()
+        model = train_ova_svm(descs, labels, reg_c=1.0)
         assert model.n_classes == 3
-        assert _predict(model, _descs(pts)) == labels
+        assert _predict(model, descs) == labels.tolist()
 
     def test_constant_feature_is_harmless(self):
         # zero-variance dimension hits the std floor instead of dividing by 0
@@ -109,15 +115,15 @@ class TestObjective:
         x = np.hstack([x, np.ones((60, 1))])
         y = np.where(rng.random(60) < 0.5, 1.0, -1.0)
         for c_eff in (0.01, 0.5, 10.0):
-            _, objectives, _ = _dual_cd_l2svm(x, y, c_eff, max_epochs=50, tol=0.0)
+            _, objectives, _ = _dual_cd_l2svm(x, y, c_eff, 50, 0.0, SeededRng(0))
             diffs = np.diff(objectives)
             assert np.all(diffs <= 1e-9 * np.maximum(np.abs(objectives[:-1]), 1.0))
 
     def test_converges_on_easy_problem(self):
         x = np.array([[-1.0, 1.0], [1.0, 1.0]])
         y = np.array([-1.0, 1.0])
-        w, objectives, converged = _dual_cd_l2svm(x, y, 1.0, max_epochs=1000, tol=1e-4)
-        assert converged and len(objectives) < 1000  # stopped early on the gradient test
+        w, objectives, max_pg = _dual_cd_l2svm(x, y, 1.0, 1000, 1e-4, SeededRng(0))
+        assert max_pg < 1e-4 and len(objectives) < 1000  # stopped early on the gradient test
         assert w[0] > 0  # separates the two points
 
 
@@ -133,9 +139,14 @@ class TestConvergenceWarning:
         with caplog.at_level("WARNING", logger="cdfnet.svm"):
             model = train_ova_svm(descs, labels, reg_c=1.0, max_epochs=1)
         messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert messages == [
-            f"SVM class {c}: dual CD ran 1 epochs without reaching tol 0.0001" for c in range(3)
-        ]
+        pattern = (
+            r"SVM class (\d+): dual CD ran 1 epochs without reaching tol 0\.0001"
+            r" \(max projected gradient (\S+)\)"
+        )
+        matches = [re.fullmatch(pattern, m) for m in messages]
+        assert all(matches), messages
+        assert [int(m[1]) for m in matches] == [0, 1, 2]
+        assert all(float(m[2]) >= 1e-4 for m in matches)
         # the warning changes nothing about the model
         caplog.clear()
         again = train_ova_svm(descs, labels, reg_c=1.0, max_epochs=1)
@@ -282,6 +293,53 @@ class TestStandardizedOracle:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+
+
+def _svm_fit_shaped():
+    # as many rows and dims as one svm_fit fold: class means plus noise;
+    # visiting the rows in fixed order stops over 1e-7 short on this set
+    rng = np.random.default_rng(0)
+    labels = np.arange(100) % 10
+    means = rng.standard_normal((10, 5625))
+    return means[labels] + rng.standard_normal((100, 5625)), labels
+
+
+_ORACLE_SETS = {
+    "two_class": lambda: (*_two_class_toy(), 1.0),
+    "three_class": lambda: (*_three_class_toy(), 1.0),
+    "standardized": lambda: (*TestStandardizedOracle._data(0)[:2], 16.0),
+    "svm_fit_shaped": lambda: (*_svm_fit_shaped(), 1.0),
+}
+
+
+class TestPrimalOracle:
+    """The solver reaches the optimum of the primal objective that an
+    L-BFGS-B solve, sharing no code with it, finds on the same design
+    matrix."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_SETS))
+    def test_reaches_primal_optimum(self, name):
+        descs, labels, reg_c = _ORACLE_SETS[name]()
+        model = train_ova_svm(descs, labels, reg_c=reg_c)
+        *oracle, optimum = primal_svm(descs, labels, reg_c)
+        gap = primal_objectives(model, descs, labels) - optimum
+        assert np.all(np.abs(gap) <= 1e-7 * optimum), gap / optimum
+        want = standardized_scores(*oracle, descs)
+        assert np.array_equal(np.argmax(score_many(model, descs), axis=1), np.argmax(want, axis=1))
+
+    # at the default tol the stop rule itself leaves the toys' scores
+    # 3e-6 to 2e-5 of max|score| from the optimum, in either visiting order
+    @pytest.mark.parametrize(
+        "name, tol",
+        [("two_class", 1e-6), ("three_class", 1e-6), ("standardized", 1e-6),
+         ("svm_fit_shaped", DEFAULT_TOL)],
+    )
+    def test_scores_match_primal_optimum(self, name, tol):
+        descs, labels, reg_c = _ORACLE_SETS[name]()
+        model = train_ova_svm(descs, labels, reg_c=reg_c, tol=tol)
+        want = standardized_scores(*primal_svm(descs, labels, reg_c)[:4], descs)
+        got = score_many(model, descs)
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
 
 class TestMemory:

@@ -26,9 +26,17 @@ training oracles cluster with it.
 
 :func:`standardized_svm` is the classifier the package trained before its
 SVM was stored on raw descriptors: standardized features stacked with a
-bias column, :func:`cdfnet.svm._dual_cd_l2svm` per class, and the weights
-kept on the standardized features with the per-feature mean and std beside
-them. :func:`standardized_scores` scores with them as ((x - mean) / std) w + b.
+bias column, :func:`cdfnet.svm._dual_cd_l2svm` per class on the package's
+per-class row-order stream, and the weights kept on the standardized
+features with the per-feature mean and std beside them.
+:func:`standardized_scores` scores with them as ((x - mean) / std) w + b.
+
+:func:`primal_svm` solves the same per-class objective without the
+package's solver: scipy's L-BFGS-B on the primal, with its analytic
+gradient, over the same standardized design matrix.
+:func:`primal_objectives` evaluates that objective for a trained
+:class:`cdfnet.svm.SvmModel`, so tests compare the package's optimum with
+the oracle's.
 """
 
 from __future__ import annotations
@@ -36,13 +44,14 @@ from __future__ import annotations
 from collections import namedtuple
 
 import numpy as np
+from scipy.optimize import minimize
 
 from cdfnet.augment import expand_set, scale
 from cdfnet.kmeans import _BLOCK
 from cdfnet.layer import FilterBank, make_groups, run_layer
 from cdfnet.patches import EIGENVALUE_FLOOR, ZcaTransform, normalize_rows
 from cdfnet.pipeline import KMEANS_MAX_ITERS, NetworkModel
-from cdfnet.svm import DEFAULT_EPOCHS, DEFAULT_TOL, STD_FLOOR, _dual_cd_l2svm
+from cdfnet.svm import DEFAULT_EPOCHS, DEFAULT_TOL, ROW_ORDER_SEED, STD_FLOOR, _dual_cd_l2svm
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from forward_oracle import normalize_patch
@@ -261,23 +270,76 @@ def train_network(cfg, fold_images) -> NetworkModel:
     return NetworkModel(cfg, bank1, groups, bank2, maps1[0].shape[:2])
 
 
-def standardized_svm(descriptors, labels, reg_c: float):
-    """(weights, biases, mean, std), the weights acting on standardized descriptors."""
-    labels = np.asarray(labels)
+def _design(descriptors):
+    """(standardized descriptors with a bias column, mean, std)."""
     mean = descriptors.mean(axis=0)
     std = np.maximum(descriptors.std(axis=0), STD_FLOOR)
     x = (descriptors - mean) / std
     x[:, std == STD_FLOOR] = 0.0  # a constant feature gets weight 0
-    x = np.hstack([x, np.ones((x.shape[0], 1))])
+    return np.hstack([x, np.ones((x.shape[0], 1))]), mean, std
+
+
+def standardized_svm(descriptors, labels, reg_c: float):
+    """(weights, biases, mean, std), the weights acting on standardized descriptors."""
+    labels = np.asarray(labels)
+    x, mean, std = _design(descriptors)
     n_classes = int(labels.max()) + 1
     weights = np.zeros((n_classes, x.shape[1] - 1))
     biases = np.zeros(n_classes)
     for cls in range(n_classes):
         y = np.where(labels == cls, 1.0, -1.0)
-        w, _, _ = _dual_cd_l2svm(x, y, reg_c / len(x), DEFAULT_EPOCHS, DEFAULT_TOL)
+        rng = SeededRng(ROW_ORDER_SEED).child(cls)
+        w, _, _ = _dual_cd_l2svm(x, y, reg_c / len(x), DEFAULT_EPOCHS, DEFAULT_TOL, rng)
         weights[cls], biases[cls] = w[:-1], w[-1]
     return weights, biases, mean, std
 
 
 def standardized_scores(weights, biases, mean, std, descriptors) -> np.ndarray:
     return ((descriptors - mean) / std) @ weights.T + biases
+
+
+def _primal(w, x, y, c_eff):
+    """0.5 ||w||^2 + c_eff * sum max(0, 1 - y w.x)^2 and its gradient."""
+    slack = np.maximum(1.0 - y * (x @ w), 0.0)
+    value = 0.5 * float(w @ w) + c_eff * float(slack @ slack)
+    return value, w - (2.0 * c_eff) * (x.T @ (y * slack))
+
+
+def primal_svm(descriptors, labels, reg_c: float):
+    """(weights, biases, mean, std, objectives) like :func:`standardized_svm`,
+    each class solved in the primal by L-BFGS-B to a gradient of ~1e-9.
+
+    The optimum is a combination of the design matrix's rows, so each class
+    is solved in an orthonormal basis of their span: the same objective in
+    min(n, d + 1) coordinates instead of d + 1.
+    """
+    labels = np.asarray(labels)
+    x, mean, std = _design(descriptors)
+    basis, r = np.linalg.qr(x.T)  # x = r^T basis^T, basis (d + 1, n) orthonormal
+    n_classes = int(labels.max()) + 1
+    weights = np.zeros((n_classes, x.shape[1] - 1))
+    biases = np.zeros(n_classes)
+    objectives = np.zeros(n_classes)
+    for cls in range(n_classes):
+        y = np.where(labels == cls, 1.0, -1.0)
+        result = minimize(
+            _primal, np.zeros(r.shape[0]), args=(r.T, y, reg_c / len(x)), jac=True,
+            method="L-BFGS-B", options={"maxiter": 20000, "ftol": 0.0, "gtol": 1e-10},
+        )
+        w = basis @ result.x
+        weights[cls], biases[cls] = w[:-1], w[-1]
+        objectives[cls] = result.fun
+    return weights, biases, mean, std, objectives
+
+
+def primal_objectives(model, descriptors, labels) -> np.ndarray:
+    """Each class's primal objective at a raw-descriptor model's weights,
+    unfolded onto the standardized design matrix of the training rows."""
+    labels = np.asarray(labels)
+    x, mean, std = _design(descriptors)
+    objectives = np.zeros(model.n_classes)
+    for cls in range(model.n_classes):
+        w = np.append(model.weights[cls] * std, model.biases[cls] + model.weights[cls] @ mean)
+        y = np.where(labels == cls, 1.0, -1.0)
+        objectives[cls] = _primal(w, x, y, model.reg_c / len(x))[0]
+    return objectives
