@@ -13,21 +13,20 @@ functions are pure, so images can be processed in parallel without
 coordination.
 
 The forward pass computes in float32: the convolution rounds its input maps
-once and applies the bank's float32 filters and offset, and every later stage
-keeps its input's dtype. Filter learning and the descriptors handed to the
-SVM stay float64.
+once and applies the bank's float32 centered filters and offset, and every
+later stage keeps its input's dtype. Filter learning and the descriptors
+handed to the SVM stay float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimError, InvalidGrouping, InvalidWindow
-from .patches import normalize_rows
 from .tensor import FeatureMapSet, SeededRng, assert_array_finite
 
 if TYPE_CHECKING:
@@ -46,10 +45,19 @@ class FilterBank:
     with the training-time whitening folded in (see :mod:`cdfnet.patches`).
     d = p^2 * depth, with p from the layer record and depth from the maps. A
     leading axis stacks equal-shaped banks, one per layer-2 group.
+
+    centered is derived from filters, not given: W_c = F - mean_d(F), each
+    column less its mean over d, computed in float64 from the float32 filters
+    and stored as float32, so a bank and its saved-and-loaded copy hold the
+    same bits. A normalized row x^ = x / peak - mean(x / peak) has zero mean,
+    so x^ F = x^ W_c; the columns of W_c sum to 0, so (x - c) W_c = x W_c for
+    any scalar c. The forward pass applies the bank to a raw row x as
+    ((x - c) W_c) / peak - offset, with peak = max|x|.
     """
 
     filters: np.ndarray
     offset: np.ndarray
+    centered: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         filters = np.asarray(self.filters, dtype=np.float32)
@@ -60,8 +68,12 @@ class FilterBank:
             raise DimError(f"filter offset {offset.shape} does not match filters {filters.shape}")
         assert_array_finite(filters, what="filter bank")
         assert_array_finite(offset, what="filter offset")
+        # the float64 loop works in buffered chunks, with no float64 copy of filters
+        centered = np.empty_like(filters)
+        np.subtract(filters, filters.mean(axis=-2, keepdims=True, dtype=np.float64), out=centered)
         object.__setattr__(self, "filters", filters)
         object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "centered", centered)
 
     @property
     def lead(self) -> tuple[int, ...]:
@@ -104,23 +116,67 @@ def dense_patches(maps: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, int]
     return rows.reshape(*lead, out_h * out_w, -1), (out_h, out_w)
 
 
+def _sliding_max(values: np.ndarray, p: int, axis: int) -> np.ndarray:
+    """Max over every run of p neighbours along axis; that axis shrinks by p - 1.
+
+    Doubles the covered width with one np.maximum of two shifted views per
+    step, then closes the remainder with one more, so it makes O(log p)
+    passes over the array.
+    """
+
+    def part(arr, start, stop):
+        return arr[(slice(None),) * (axis % arr.ndim) + (slice(start, stop),)]
+
+    width = 1
+    while 2 * width <= p:
+        values = np.maximum(part(values, 0, -width), part(values, width, None))
+        width *= 2
+    rest = p - width
+    if rest:
+        values = np.maximum(part(values, 0, -rest), part(values, rest, None))
+    return values
+
+
+def _window_peaks(maps: np.ndarray, p: int) -> np.ndarray:
+    """max|x| over each p x p x depth window of (L, H, W, depth) maps, 1 where it is 0.
+
+    Each position's max(max x, -min x) over depth, then a separable sliding
+    max down the rows and along the columns: (L, H', W').
+    """
+    peaks = np.maximum(maps.max(axis=-1), -maps.min(axis=-1))
+    peaks = _sliding_max(_sliding_max(peaks, p, axis=-2), p, axis=-1)
+    peaks[peaks == 0.0] = 1.0
+    return peaks
+
+
 def _convolve(maps: np.ndarray, bank: FilterBank, p: int) -> np.ndarray:
     """(..., H, W, depth) maps against a bank of the same leading shape: (..., H', W', K).
 
-    Every p x p patch position, stride 1, is normalized in place, multiplied
-    by the bank's filters and shifted by its offset, which together carry the
-    training-time whitening, so inference sees the space the filters were
-    learned in. All of it is float32: the maps are rounded once, and the
-    patch rows and the output are float32. Works through a band of
-    output rows of a few leading indices at a time, so the patch copy holds
-    about _CONV_ROWS patches, not one per output position. The band's rows
-    do not depend on the leading shape, because BLAS rounds a product
-    differently when its row count changes.
+    Every p x p patch position, stride 1, gets the response of its
+    normalized row x^ = x / peak - mean(x / peak) (peak = max|x| over the
+    window) to the bank's filters, less the offset; the filters and offset
+    carry the training-time whitening, so inference sees the space the
+    filters were learned in. The rows are not normalized: with the bank's
+    column-centered filters W_c, x^ F = ((x - c) W_c) / peak for any scalar c
+    (see :class:`FilterBank`). So the maps are shifted by their midrange c,
+    one scalar per leading index, which keeps a constant image at exactly
+    -offset and scales the product's rounding with the pixels' spread, not
+    their level; the raw shifted patches are multiplied by W_c, and each
+    output row is divided by its window's peak, from a sliding max over the
+    maps. All of it is float32: the maps are rounded once, and the patch
+    rows and the output are float32. Works through a band of output rows of
+    a few leading indices at a time, so the patch copy holds about
+    _CONV_ROWS patches, not one per output position. The band's rows do not
+    depend on the leading shape, because BLAS rounds a product differently
+    when its row count changes.
     """
     lead = maps.shape[:-3]
     out_h, out_w = conv_output_shape(*maps.shape[-3:-1], p)
     maps = maps.reshape(-1, *maps.shape[-3:]).astype(np.float32, copy=False)
-    weights = bank.filters.reshape(-1, bank.dim, bank.k)
+    peaks = _window_peaks(maps, p).reshape(len(maps), -1, 1)
+    midrange = 0.5 * maps.max(axis=(1, 2, 3)) + 0.5 * maps.min(axis=(1, 2, 3))
+    maps = maps - midrange[:, None, None, None]
+    weights = bank.centered.reshape(-1, bank.dim, bank.k)
     offset = bank.offset.reshape(-1, 1, bank.k)
     out = np.empty((len(maps), out_h * out_w, bank.k), dtype=np.float32)
     band = max(1, _CONV_ROWS // out_w)
@@ -128,9 +184,10 @@ def _convolve(maps: np.ndarray, bank: FilterBank, p: int) -> np.ndarray:
     for lo in range(0, len(maps), chunk):
         for top in range(0, out_h, band):
             rows, _ = dense_patches(maps[lo : lo + chunk, top : top + band + p - 1], p)
-            normalize_rows(rows)
-            block = out[lo : lo + chunk, top * out_w : (top + band) * out_w]
+            positions = slice(top * out_w, (top + band) * out_w)
+            block = out[lo : lo + chunk, positions]
             np.matmul(rows, weights[lo : lo + chunk], out=block)
+            block /= peaks[lo : lo + chunk, positions]
             block -= offset[lo : lo + chunk]
     return out.reshape(*lead, out_h, out_w, bank.k)
 

@@ -3,10 +3,16 @@
 A patch is a p x p x depth block unrolled into one row with depth as the
 slowest axis, then rows, then columns (C-order over (depth, row, col)).
 Training-time sampling (:func:`extract_patches`) and dense extraction at
-convolution time (:func:`cdfnet.layer.dense_patches`) share this layout, and
-both normalize their rows with :func:`normalize_rows`. Patches are plain
-(n, dim) float64 arrays; the ZCA fit and its application also take (G, n,
-dim) stacks, one independent set of rows per leading index.
+convolution time (:func:`cdfnet.layer.dense_patches`) share this layout.
+Training normalizes its rows with :func:`normalize_rows`; the convolution
+never does. A normalized row x^ = x / peak - mean(x / peak) has zero mean, so
+its product with filters F equals its product with the column-centered
+W_c = F - mean_d(F), and since the columns of W_c sum to 0,
+x^ F = ((x - c) W_c) / peak for any scalar c: the convolution multiplies raw
+rows by W_c and divides each response by its window's peak (see
+:class:`cdfnet.layer.FilterBank`). Patches are plain (n, dim) float64
+arrays; the ZCA fit and its application also take (G, n, dim) stacks, one
+independent set of rows per leading index.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .tensor import SeededRng, assert_array_finite
 # Eigenvalues below this fraction of the largest are numerical noise and are
 # clamped before the inverse square root.
 EIGENVALUE_FLOOR = 1e-12
+# rows per block of the whitening's passes over a patch matrix: 8 MB at d = 256
+_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -100,10 +108,10 @@ def extract_patches(
 def normalize_rows(data: np.ndarray) -> None:
     """Scale every row (one patch) by 1/max|x_i|, then subtract its mean; in place.
 
-    Training normalizes its sampled patches and dense convolution its im2col
-    rows with this one kernel, so both reduce a patch the same way. max|x|
-    is taken as max(max x, -min x), so no |x| temporary is made. A zero
-    patch divides by 1 and stays zero.
+    Training normalizes its sampled patches with this kernel; the dense
+    convolution gets the same responses from raw rows (see the module
+    docstring). max|x| is taken as max(max x, -min x), so no |x| temporary is
+    made. A zero patch divides by 1 and stays zero.
     """
     peak = np.maximum(data.max(axis=-1, keepdims=True), -data.min(axis=-1, keepdims=True))
     data /= np.where(peak == 0.0, 1.0, peak)
@@ -115,21 +123,28 @@ def fit_zca(patches: np.ndarray, epsilon: float) -> ZcaTransform:
 
     A leading axis stacks independent fits, one per slice, as a layer-2
     chunk's groups need; each slice's result equals a fit on that slice
-    alone. The epsilon check guards direct calls (in training the layer
-    records own the rule) and runs before sqrt(D + eps) could warn on a
-    non-positive sum.
+    alone. The rows are checked and their covariance summed _ROW_BLOCK rows
+    at a time, so neither a centered copy nor a boolean mask of the whole
+    matrix is made. The epsilon check guards direct calls (in training the
+    layer records own the rule) and runs before sqrt(D + eps) could warn on
+    a non-positive sum.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim < 2 or patches.shape[-2] < 1:
         raise DimError(f"need (..., n, d) patch rows with n >= 1, got shape {patches.shape}")
-    assert_array_finite(patches, what="patch rows")
+    n = patches.shape[-2]
+    blocks = [patches[..., lo : lo + _ROW_BLOCK, :] for lo in range(0, n, _ROW_BLOCK)]
+    if not all(np.isfinite(block).all() for block in blocks):
+        assert_array_finite(patches, what="patch rows")  # names the first bad value
     mean = patches.mean(axis=-2)
-    centered = patches - mean[..., None, :]
-    cov = np.swapaxes(centered, -1, -2) @ centered
-    del centered  # a full patch copy, not needed for the eigendecomposition
-    cov /= max(patches.shape[-2] - 1, 1)
+    cov = np.zeros(patches.shape[:-2] + patches.shape[-1:] * 2)
+    for block in blocks:
+        centered = block - mean[..., None, :]
+        cov += np.swapaxes(centered, -1, -2) @ centered
+        del centered  # so that one centered block is alive at a time
+    cov /= max(n - 1, 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     floor = EIGENVALUE_FLOOR * np.maximum(eigvals[..., -1:], 0.0)
     eigvals = np.maximum(eigvals, floor)

@@ -30,7 +30,7 @@ from .errors import CdfnetError, DimError, InvalidGrouping, naming
 from .kmeans import _BLOCK, kmeans_stack
 from .layer import FilterBank, layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
-from .patches import ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_rows
+from .patches import _ROW_BLOCK, ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_rows
 from .stl10 import FoldPlan, LabeledImage
 from .svm import SvmModel, _fold_standardization, score_many, train_ova_svm
 from .tensor import FeatureMapSet, SeededRng
@@ -115,11 +115,12 @@ def _learn_filters(
     stack with patch_rngs[g] and clusters them into k filters with
     kmeans_rngs[g]; layer 1 is the one group [[0]] of the image stack.
     Groups go a chunk of about _CHUNK_ROWS patch rows at a time: sampled into
-    one (chunk, n, d) array, normalized and whitened in place by one stacked
-    ZCA, clustered by one :func:`kmeans_stack` call, and the whitening folded
-    into the centroids. Returns the float64 (G, d, k) filters and (G, k)
-    offsets, and logs one INFO line of the k-means iterations and reseeds and
-    a WARNING naming what stopped at KMEANS_MAX_ITERS without converging.
+    one (chunk, n, d) array, normalized in place, whitened by one stacked ZCA
+    written back _ROW_BLOCK rows at a time, clustered by one
+    :func:`kmeans_stack` call, and the whitening folded into the centroids.
+    Returns the float64 (G, d, k) filters and (G, k) offsets, and logs one
+    INFO line of the k-means iterations and reseeds and a WARNING naming
+    what stopped at KMEANS_MAX_ITERS without converging.
     """
     n_groups, depth = groups.shape
     p, n = layer.patch_side, layer.n_patches
@@ -130,19 +131,26 @@ def _learn_filters(
     converged = np.empty(n_groups, dtype=bool)
     reseeds = 0
     per_chunk = min(max(1, _CHUNK_ROWS // n), n_groups)
-    buffer = np.empty((per_chunk, n, dim))  # every chunk's patch rows, in turn
+    # chunks of several groups share one buffer; a one-group chunk's sample
+    # is its own, so that chunk holds one copy of its patch rows, not two
+    buffer = np.empty((per_chunk, n, dim)) if per_chunk > 1 else None
     for start in range(0, n_groups, per_chunk):
         span = slice(start, min(start + per_chunk, n_groups))
-        rows = buffer[: span.stop - start]
-        for j, g in enumerate(range(start, span.stop)):
-            rows[j] = extract_patches(maps, groups[g], p, n, patch_rngs[g])
+        if buffer is None:
+            rows = extract_patches(maps, groups[start], p, n, patch_rngs[start])[None]
+        else:
+            rows = buffer[: span.stop - start]
+            for j, g in enumerate(range(start, span.stop)):
+                rows[j] = extract_patches(maps, groups[g], p, n, patch_rngs[g])
         normalize_rows(rows)
         zca = fit_zca(rows, layer.zca_epsilon)
-        rows[...] = apply_zca(zca, rows)
+        for lo in range(0, n, _ROW_BLOCK):
+            rows[:, lo : lo + _ROW_BLOCK] = apply_zca(zca, rows[:, lo : lo + _ROW_BLOCK])
         result = kmeans_stack(rows, k, KMEANS_MAX_ITERS, kmeans_rngs[span])
         filters[span], offsets[span] = zca.fold(result.centroids)
         n_iters[span], converged[span] = result.n_iters, result.converged
         reseeds += int(result.reseeds.sum())
+        del rows  # free before the next chunk is sampled, or two samples coexist
     logger.info(
         "%s: layer-%d k-means took %d/%g/%d iterations (min/median/max), %d reseeds",
         name, layer_index, n_iters.min(), np.median(n_iters), n_iters.max(), reseeds,

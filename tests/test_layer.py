@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from cdfnet import layer
@@ -30,6 +31,7 @@ from cdfnet.layer import (
 from cdfnet.patches import fit_zca, ZcaTransform
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
+import forward_oracle
 from forward_oracle import gaussian_window, normalize_patch
 from helpers import assert_near_oracle
 from helpers import folded_bank as _bank
@@ -181,6 +183,78 @@ class TestConvolve:
         for j in range(oh):
             for i in range(ow):
                 assert np.array_equal(rows[j * ow + i], unroll_patch(maps, j, i, 2))
+
+
+class TestCenteredConvolution:
+    """Raw patches against centered filters, scaled by each window's peak,
+    checked against the float64 normalize-then-multiply oracle."""
+
+    @staticmethod
+    def _whitened_bank(rng, d, k, lead=()):
+        zcas = [fit_zca(rng.random((400, d)), 0.1) for _ in range(math.prod(lead))]
+        banks = [_bank(rng.standard_normal((d, k)), zca) for zca in zcas]
+        return banks[0] if not lead else _stack(banks)
+
+    @pytest.mark.parametrize("side", [1, 2, 5, 9])
+    def test_sliding_max_matches_window_view(self, side):
+        values = np.random.default_rng(30).standard_normal((2, side, side + 3))
+        for axis in (-2, -1):
+            for p in range(1, values.shape[axis] + 1):
+                want = sliding_window_view(values, p, axis=axis).max(axis=-1)
+                assert np.array_equal(layer._sliding_max(values, p, axis), want), (axis, p)
+
+    def test_near_saturated_image_with_flat_block(self):
+        # pixels crowd 1, and one block is exactly flat: a product on the
+        # unshifted rows would round at the level 1, not at the spread 0.02
+        rng = np.random.default_rng(31)
+        maps = 0.98 + 0.02 * rng.random((24, 24, 1))
+        maps[4:16, 6:18] = 0.98
+        bank = self._whitened_bank(rng, 64, 6)
+        assert_near_oracle(_conv(maps, bank, 8), forward_oracle._convolve(maps, bank, 8))
+
+    def test_zero_image_is_the_offset(self):
+        rng = np.random.default_rng(32)
+        bank = self._whitened_bank(rng, 25, 4)
+        out = _conv(np.zeros((9, 9, 1)), bank, 5)
+        assert np.array_equal(out, np.broadcast_to(-bank.offset, out.shape))
+
+    def test_signed_stack_with_a_zero_group(self):
+        # layer-2 shaped: signed maps, one bank per group, one group all zero
+        rng = np.random.default_rng(33)
+        maps = rng.standard_normal((3, 9, 9, 4))
+        maps[1] = 0.0
+        bank = self._whitened_bank(rng, 36, 5, lead=(3,))
+        out = _conv(maps, bank, 3)
+        for g in range(3):
+            want = forward_oracle._convolve(maps[g], forward_oracle.group_bank(bank, g), 3)
+            assert_near_oracle(out[g], want)
+        assert np.array_equal(out[1], np.broadcast_to(-bank.offset[1], out[1].shape))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_peak_on_the_windows_last_row_and_column(self, sign):
+        # one spike far above the rest sets max|x| of every window holding it;
+        # the window with top-left (2, 3) holds it in its last row and column
+        rng = np.random.default_rng(34)
+        maps = 0.1 * rng.random((10, 11, 2))
+        maps[6, 7, 1] = 3.0 * sign
+        bank = self._whitened_bank(rng, 50, 3)
+        assert_near_oracle(_conv(maps, bank, 5), forward_oracle._convolve(maps, bank, 5))
+
+    def test_centered_filters_derived_from_the_stored_ones(self):
+        # derived in float64 from the float32 filters, so rebuilding a bank
+        # from its filters and offset, as loading a model does, gives its bits
+        rng = np.random.default_rng(35)
+        bank = self._whitened_bank(rng, 18, 4, lead=(2,))
+        wide = bank.filters.astype(np.float64)
+        want = (wide - wide.mean(axis=-2, keepdims=True)).astype(np.float32)
+        assert bank.centered.dtype == np.float32
+        assert np.array_equal(bank.centered, want)
+        assert np.array_equal(FilterBank(bank.filters, bank.offset).centered, bank.centered)
+        assert np.max(np.abs(bank.centered.sum(axis=-2))) <= 1e-5 * np.max(np.abs(wide))
+
+    def test_convolution_does_not_normalize_rows(self):
+        tree = ast.parse((SRC / "layer.py").read_text(encoding="utf-8"))
+        assert "normalize_rows" not in set(_identifiers(tree))
 
 
 class TestRectify:

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdfnet.errors import DimError, InvalidPatchSize, NonFiniteValue
-from cdfnet.patches import ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_rows
+from cdfnet.patches import _ROW_BLOCK, ZcaTransform, apply_zca, extract_patches, fit_zca
+from cdfnet.patches import normalize_rows
 from cdfnet.tensor import SeededRng
 
 import train_oracle
@@ -264,6 +265,34 @@ class TestFitZca:
         assert t.mean.shape == (3, d) and t.matrix.shape == (3, d, d)
         assert np.array_equal(t.mean, want_mean)
         assert np.array_equal(t.matrix, want_matrix)
+
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_blocked_fit_matches_direct_centered_fit(self, lead):
+        # several row blocks and a short last one, far from zero mean, against
+        # one centered float64 product over all rows
+        rng = np.random.default_rng(9)
+        n, d = 3 * _ROW_BLOCK + 123, 12
+        stack = rng.standard_normal((*lead, n, d)) @ rng.standard_normal((d, d)) + 5.0
+        t = fit_zca(stack, 0.1)
+        for mean, matrix, rows in zip(t.mean.reshape(-1, d), t.matrix.reshape(-1, d, d),
+                                      stack.reshape(-1, n, d)):
+            want = train_oracle.fit_zca(rows, 0.1)
+            assert np.max(np.abs(mean - want.mean)) <= 1e-12 * np.max(np.abs(want.mean))
+            assert np.max(np.abs(matrix - want.matrix)) <= 1e-12 * np.max(np.abs(want.matrix))
+
+    @pytest.mark.parametrize("shape", [(40000, 64), (2, 30000, 32)])
+    def test_holds_a_fraction_of_its_input(self, shape):
+        # no centered copy and no boolean mask of the whole matrix: row blocks only
+        data = np.random.default_rng(10).random(shape)
+        _, peak = traced_peak(fit_zca, data, 0.1)
+        assert peak <= 0.2 * data.nbytes
+
+    def test_nonfinite_in_a_later_block_named_by_its_coordinate(self):
+        data = np.zeros((2 * _ROW_BLOCK, 3))
+        data[_ROW_BLOCK + 5, 1] = np.inf
+        with pytest.raises(NonFiniteValue, match=rf"at \({_ROW_BLOCK + 5}, 1\)"):
+            fit_zca(data, 0.01)
 
 
 class TestApplyZca:

@@ -837,6 +837,43 @@ class TestTrainBankRows:
             assert filters.shape == (1, 256, 16)
             assert peak <= 2.2 * copy_bytes
 
+    @staticmethod
+    def _no_kmeans(points, k, max_iters, rngs):
+        """kmeans_stack's result shape, at no cost: k-means blocks are its own."""
+        n_groups = len(points)
+        return kmeans_mod.KMeansResult(
+            np.zeros((n_groups, points.shape[-1], k)), ((),) * n_groups,
+            np.ones(n_groups, dtype=np.int64), np.ones(n_groups, dtype=bool),
+            np.zeros(n_groups, dtype=np.int64),
+        )
+
+    def test_layer1_whitens_within_one_patch_copy(self, monkeypatch):
+        # 40000 patches of 8 x 8, 20 MB: sampling, normalization, the ZCA fit
+        # and whitening together hold the one patch matrix and a few row blocks
+        monkeypatch.setattr(pipeline, "kmeans_stack", self._no_kmeans)
+        layer = dataclasses.replace(toy_config().layer1, patch_side=8, n_patches=40000)
+        maps = np.random.default_rng(0).random((8, 64, 64, 1))
+        (filters, _), peak = traced_peak(
+            pipeline._learn_filters, "x", 1, maps, np.zeros((1, 1), dtype=np.intp), layer,
+            layer.k, [SeededRng(1)], [SeededRng(2)],
+        )
+        assert filters.shape == (1, 64, 16)
+        assert peak <= 1.3 * layer.n_patches * 64 * 8
+
+    def test_layer2_groups_sampled_one_at_a_time(self, monkeypatch):
+        # groups of 60000 patches are chunks of one: each is sampled from the
+        # float32 stack (a float32 gather, then its float64 rows) after the
+        # previous group's rows are freed
+        monkeypatch.setattr(pipeline, "kmeans_stack", self._no_kmeans)
+        layer = dataclasses.replace(toy_config().layer2, n_patches=60000)
+        maps = np.random.default_rng(0).random((40, 20, 20, 8)).astype(np.float32)
+        (filters, _), peak = traced_peak(
+            pipeline._learn_filters, "x", 2, maps, np.arange(8).reshape(2, 4), layer,
+            layer.k_per_group, [SeededRng(1), SeededRng(2)], [SeededRng(3), SeededRng(4)],
+        )
+        assert filters.shape == (2, 36, 16)
+        assert peak <= 1.7 * layer.n_patches * 36 * 8
+
 
 class TestBatchedKmeans:
     """Layer-2 groups clustered in chunks by one stacked k-means."""
@@ -959,9 +996,9 @@ class TestFloat32SmallCases:
     """Edge inputs of the float32 forward pass; a RuntimeWarning fails the suite."""
 
     def test_constant_image_is_the_zero_image(self, nano_model):
-        # every patch of a constant image normalizes to exact zeros in
-        # float32, as a zero image's patches do, so the layer-1 response is
-        # the whitening offset alone
+        # a constant image less its midrange is exactly zero in float32, as a
+        # zero image is, so every raw patch times the centered filters is
+        # exactly zero and the layer-1 response is the whitening offset alone
         images = [
             LabeledImage(np.full((32, 32), v), 0, image_id=i) for i, v in enumerate((0.0, 0.37, 1.0))
         ]
