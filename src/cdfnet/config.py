@@ -163,13 +163,6 @@ def _format_float(x: float) -> str:
 _RENAMED = {"k": "filters", "k_per_group": "filters_per_group", "n_patches": "patches",
             "network_paths": "networks"}
 _OPTIONAL_SECTIONS = ("augment", "seeds")
-# Retired options that older files still carry: each is read only in its old
-# section and only at the one value the code keeps, then dropped.
-_RETIRED = {
-    "network": {"descriptor_mode": "layer2_only"},
-    "layer1": {"dense_preprocess": True},
-    "layer2": {"dense_preprocess": True},
-}
 
 # field type -> (parse INI text, format value as INI text)
 _CODECS = {
@@ -242,16 +235,6 @@ def _read_section(cp: configparser.ConfigParser, section: str, cls) -> dict:
                 values[name] = _CODECS[tp][0](given.pop(key))
             except ValueError as exc:
                 raise FormatError(f"{section}.{key}: {exc}") from exc
-    for key, kept in _RETIRED.get(section, {}).items():
-        parse, show = _CODECS[type(kept)]
-        try:
-            ok = parse(given.pop(key, show(kept))) == kept
-        except ValueError:
-            ok = False
-        if not ok:
-            raise FormatError(
-                f"{section}.{key}: the option was removed; only {show(kept)} is still read"
-            )
     if given:
         raise FormatError(f"unknown key {section}.{min(given)}")
     return values

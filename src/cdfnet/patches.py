@@ -79,10 +79,10 @@ def extract_patches(
     with replacement; returns (n_patches, p * p * len(channels)) float64 rows.
 
     The image index is drawn first, then a valid top-left row and column
-    inside it. One broadcast fancy index into a sliding-window view gathers
-    every patch over the listed channels, already in the row layout of the
-    result, so neither the stack nor a channel subset of it is copied; only
-    the gathered rows are made float64. Its checks of n_patches and the patch
+    inside it. A broadcast fancy index into a sliding-window view gathers
+    _ROW_BLOCK patches at a time over the listed channels, in the row layout
+    of the float64 result they are written into, so neither the stack nor a
+    channel subset of it is copied. Its checks of n_patches and the patch
     size guard direct calls; in training the layer records and
     :func:`cdfnet.layer.layer_output_shape` own these rules and fail first.
     """
@@ -101,8 +101,11 @@ def extract_patches(
     cols = (gen.random(n_patches) * (width - p + 1)).astype(np.intp)
 
     windows = sliding_window_view(maps, (p, p), axis=(1, 2))  # (N, h, w, depth, p, p)
-    data = windows[img_idx[:, None], rows[:, None], cols[:, None], channels]
-    return np.asarray(data.reshape(n_patches, p * p * len(channels)), dtype=np.float64)
+    data = np.empty((n_patches, len(channels), p, p))
+    for lo in range(0, n_patches, _ROW_BLOCK):
+        at = slice(lo, lo + _ROW_BLOCK)
+        data[at] = windows[img_idx[at, None], rows[at, None], cols[at, None], channels]
+    return data.reshape(n_patches, p * p * len(channels))
 
 
 def normalize_rows(data: np.ndarray) -> None:

@@ -9,6 +9,7 @@ plus its seeds reproduces models, descriptors, and score files bit for bit.
 
 from __future__ import annotations
 
+import configparser
 import logging
 import os
 from dataclasses import dataclass
@@ -26,13 +27,13 @@ from .committee import (
 )
 from .config import Layer1Config, Layer2Config, NetworkConfig
 from .config import network_config_from_text, network_config_to_text
-from .errors import CdfnetError, DimError, InvalidGrouping, naming
+from .errors import CdfnetError, DimError, FormatError, InvalidGrouping, naming
 from .kmeans import _BLOCK, kmeans_stack
 from .layer import FilterBank, layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
-from .patches import _ROW_BLOCK, ZcaTransform, apply_zca, extract_patches, fit_zca, normalize_rows
+from .patches import _ROW_BLOCK, apply_zca, extract_patches, fit_zca, normalize_rows
 from .stl10 import FoldPlan, LabeledImage
-from .svm import SvmModel, _fold_standardization, score_many, train_ova_svm
+from .svm import SvmModel, score_many, train_ova_svm
 from .tensor import FeatureMapSet, SeededRng
 
 logger = logging.getLogger(__name__)
@@ -277,37 +278,35 @@ def _layer_shapes(cfg: NetworkConfig, height: int, width: int):
 # -- persistence --------------------------------------------------------------
 
 
-def _bank_tensors(prefix: str, bank: FilterBank) -> dict[str, np.ndarray]:
-    """Container tensors of a filter bank, stacked or not."""
-    return {f"{prefix}/filters": bank.filters, f"{prefix}/offset": bank.offset}
+# a container's tensors in file order; a container that holds any other
+# tensor was written by an earlier version, and its model must be retrained
+_MODEL_TENSORS = (
+    "input_shape", "layer1/filters", "layer1/offset", "groups", "layer2/filters", "layer2/offset"
+)
+_SVM_TENSORS = ("weights", "biases")
 
 
-def _bank_from_tensors(tensors: dict[str, np.ndarray], prefix: str) -> FilterBank:
-    """Inverse of :func:`_bank_tensors`. An older container's raw filters are
-    folded with its ``zca_mean`` and ``zca_matrix`` (a ``zca_epsilon`` is ignored)."""
-    filters = tensors[f"{prefix}/filters"]  # read first: the per-group layout lacks it
-    if {f"{prefix}/zca_mean", f"{prefix}/zca_matrix"} & tensors.keys():
-        zca = ZcaTransform(tensors[f"{prefix}/zca_mean"], tensors[f"{prefix}/zca_matrix"])
-        return FilterBank(*zca.fold(filters))
-    return FilterBank(filters, tensors[f"{prefix}/offset"])
+def _refuse_earlier_layouts(tensors: dict[str, np.ndarray], names: tuple[str, ...]) -> None:
+    extra = [name for name in tensors if name not in names]
+    if extra:
+        raise FormatError(f"written by an earlier version (tensor {extra[0]!r}); retrain it")
 
 
 def save_model(path, model: NetworkModel) -> None:
-    tensors = {
-        "input_shape": np.array(model.input_shape, dtype=np.float64),
-        **_bank_tensors("layer1", model.bank1),
-        "groups": model.groups,
-        **_bank_tensors("layer2", model.bank2),
-    }
-    write_container(path, tensors, network_config_to_text(model.config))
+    values = (
+        np.array(model.input_shape, dtype=np.float64), model.bank1.filters, model.bank1.offset,
+        model.groups, model.bank2.filters, model.bank2.offset,
+    )
+    write_container(path, dict(zip(_MODEL_TENSORS, values)), network_config_to_text(model.config))
 
 
 def load_model(path) -> NetworkModel:
     tensors, config_text = read_container(path)
     with naming(path):
+        _refuse_earlier_layouts(tensors, _MODEL_TENSORS)
         cfg = network_config_from_text(config_text)
-        bank1 = _bank_from_tensors(tensors, "layer1")
-        bank2 = _bank_from_tensors(tensors, "layer2")
+        bank1 = FilterBank(tensors["layer1/filters"], tensors["layer1/offset"])
+        bank2 = FilterBank(tensors["layer2/filters"], tensors["layer2/offset"])
         groups, input_shape = tensors["groups"], tensors["input_shape"]
         sides = input_shape.tolist()
         if input_shape.shape != (2,) or not all(v.is_integer() and v >= 1 for v in sides):
@@ -316,32 +315,18 @@ def load_model(path) -> NetworkModel:
 
 
 def save_svm(path, model: SvmModel) -> None:
-    tensors = {"weights": model.weights, "biases": model.biases}
+    tensors = dict(zip(_SVM_TENSORS, (model.weights, model.biases)))
     write_container(path, tensors, f"[svm]\nreg_c = {model.reg_c!r}\n")
 
 
 def load_svm(path) -> SvmModel:
-    """Inverse of :func:`save_svm`. An older container's weights act on
-    standardized descriptors and it also holds ``feature_mean`` and
-    ``feature_std``; they are folded into the weights and biases here."""
-    import configparser
-
+    """Inverse of :func:`save_svm`."""
     tensors, config_text = read_container(path)
     cp = configparser.ConfigParser()
     with naming(path):
+        _refuse_earlier_layouts(tensors, _SVM_TENSORS)
         cp.read_string(config_text)
-        reg_c = float(cp["svm"]["reg_c"])
-        weights, biases = tensors["weights"], tensors["biases"]
-        if "feature_mean" in tensors or "feature_std" in tensors:
-            mean, std = tensors["feature_mean"], tensors["feature_std"]
-            if not (weights.ndim == 2 and mean.shape == std.shape == weights.shape[1:]
-                    and np.all(std > 0)):
-                raise DimError(
-                    f"feature_mean {mean.shape} and feature_std {std.shape} must match "
-                    f"weights {weights.shape}, with every std > 0"
-                )
-            weights, biases = _fold_standardization(weights, biases, mean, std)
-        return SvmModel(weights=weights, biases=biases, reg_c=reg_c)
+        return SvmModel(tensors["weights"], tensors["biases"], float(cp["svm"]["reg_c"]))
 
 
 # -- fold protocol -------------------------------------------------------------

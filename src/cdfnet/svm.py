@@ -120,12 +120,6 @@ def _dual_cd_l2svm(
     return w, objectives, max_pg
 
 
-def _fold_standardization(weights, biases, mean, std):
-    """(weights, biases) that score raw x as the given ones score (x - mean) / std."""
-    weights = weights / std
-    return weights, biases - weights @ mean
-
-
 def _as_descriptors(descriptors, dim: int | None = None) -> np.ndarray:
     """Validate an (n_images, dim) descriptor matrix; rows come from outside."""
     values = np.asarray(descriptors, dtype=np.float64)
@@ -190,7 +184,9 @@ def train_ova_svm(
             )
         weights[cls] = w[:-1]
         biases[cls] = w[-1]
-    weights, biases = _fold_standardization(weights, biases, mean, std)
+    # scores raw x as the trained classifier scores (x - mean) / std
+    weights /= std
+    biases -= weights @ mean
     return SvmModel(weights=weights, biases=biases, reg_c=float(reg_c))
 
 
@@ -213,6 +209,9 @@ def cross_validate_c(
     descriptors each held-out image's copies would stay in training. Each
     fit uses ``train_ova_svm``'s defaults. Ties prefer the smaller reg_c.
     """
+    grid = tuple(grid)
+    if not grid or n_folds < 2:
+        raise ValueError(f"need a non-empty grid and n_folds >= 2, got {grid} and {n_folds}")
     values = _as_descriptors(descriptors)
     labels = np.asarray(labels, dtype=np.int64)
     n = values.shape[0]

@@ -286,24 +286,6 @@ class TestChain:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    def test_old_per_group_container_rejected(self, ws, trained_model, capsys):
-        # the layout before layer 2 was stored as one stack: layer2/gNNNN/* per
-        # group, each with its filters and their (here identity) whitening
-        tensors, text = read_container(trained_model)
-        old = {k: v for k, v in tensors.items() if not k.startswith("layer2/")}
-        for g, filters in enumerate(tensors["layer2/filters"]):
-            old[f"layer2/g{g:04d}/filters"] = filters
-            old[f"layer2/g{g:04d}/zca_mean"] = np.zeros(len(filters))
-            old[f"layer2/g{g:04d}/zca_matrix"] = np.eye(len(filters))
-        model = ws / "old_layout.model"
-        write_container(model, old, text)
-        rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
-                 "--out", ws / "old_layout.desc")
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "layer2/filters" in err
-
     @pytest.mark.parametrize("dims", [(2**33,), (2**61,)], ids=str)
     def test_corrupt_header_size_rejected(self, ws, tmp_path, capsys, dims):
         model = tmp_path / "bad.model"
@@ -341,24 +323,6 @@ class TestChain:
         assert err.startswith(f"error: {model}: filters (d, K) of layers 1 and 2")
         assert err.count("\n") == 1
         assert not (ws / "short_filters.desc").exists()
-
-    @pytest.mark.parametrize("damage", ["short_filter_row", "asymmetric_zca"])
-    def test_bank_error_names_the_model_file(self, ws, trained_model, capsys, damage):
-        tensors, text = read_container(trained_model)
-        if damage == "short_filter_row":
-            tensors["layer1/filters"] = tensors["layer1/filters"][:-1]
-        else:  # the older form, whose whitening is folded at load
-            d = len(tensors["layer1/filters"])
-            tensors["layer1/zca_mean"], tensors["layer1/zca_matrix"] = np.zeros(d), np.eye(d)
-            tensors["layer1/zca_matrix"][0, 1] += 1.0
-        model = ws / f"{damage}.model"
-        write_container(model, tensors, text)
-        rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
-                 "--out", ws / f"{damage}.desc")
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
-        assert not (ws / f"{damage}.desc").exists()
 
     @pytest.mark.parametrize("reg_c", ["0", "-1", "nan", "inf"])
     def test_svm_reg_c_rejected(self, ws, capsys, reg_c):

@@ -183,9 +183,11 @@ class TestParsing:
             ("augment", "mirorr = true", "augment.mirorr"),
             ("augment", "scale_factor = 0.5", "augment.scale_factor"),
             ("sedes", "patches = 5", "sedes"),
-            # the retired keys are read only in the sections that held them
+            # retired keys are unknown, also in the sections that held them
             ("network", "dense_preprocess = true", "network.dense_preprocess"),
             ("layer2", "descriptor_mode = layer2_only", "layer2.descriptor_mode"),
+            ("layer1", "dense_preprocess = true", "layer1.dense_preprocess"),
+            ("network", "descriptor_mode = layer2_only", "network.descriptor_mode"),
         ],
     )
     def test_unknown_name_rejected(self, section, line, name):
@@ -204,11 +206,6 @@ class TestValidation:
         # score files and reports are ASCII
         with pytest.raises(ValueError, match="ASCII"):
             NetworkConfig(name="r\u00e9seau")
-
-    def test_descriptor_mode_checked(self):
-        # the option is retired; older files may only name the kept value
-        with pytest.raises(FormatError, match="network.descriptor_mode: .*removed"):
-            network_config_from_text("[network]\ndescriptor_mode = layer9\n[layer1]\n[layer2]\n")
 
     def test_scale_factor_bounds(self):
         with pytest.raises(ValueError):
@@ -314,44 +311,6 @@ class TestSeeds:
         # 2**62 * 4 + 3 is past the 64-bit range; -1 * 4 is below it
         with pytest.raises(ValueError, match="64-bit"):
             Seeds().shifted(base)
-
-
-def _with_retired_keys(text, value1="true", value2="true"):
-    """text with the retired keys in the places older files held them."""
-    for header, line in (
-        ("[network]\n", "descriptor_mode = layer2_only\n"),
-        ("[layer1]\n", f"dense_preprocess = {value1}\n"),
-        ("[layer2]\n", f"dense_preprocess = {value2}\n"),
-    ):
-        head, _, tail = text.partition(header)
-        text = head + header + line + tail
-    return text
-
-
-class TestRetiredKeys:
-    """dense_preprocess and descriptor_mode are gone; older files still load."""
-
-    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
-    @pytest.mark.parametrize("spelling", ["true", "yes"])
-    def test_kept_values_load_as_without(self, path, spelling):
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        old = _with_retired_keys(text, spelling, spelling)
-        assert old != text
-        assert network_config_from_text(old) == network_config_from_text(text)
-
-    @pytest.mark.parametrize(
-        "values, name",
-        [
-            (dict(value1="false"), "layer1.dense_preprocess"),
-            (dict(value2="maybe"), "layer2.dense_preprocess"),
-        ],
-    )
-    def test_other_values_rejected(self, values, name):
-        # descriptor_mode's case is TestValidation::test_descriptor_mode_checked
-        text = _with_retired_keys(network_config_to_text(NetworkConfig()), **values)
-        with pytest.raises(FormatError, match=re.escape(name) + ".*removed"):
-            network_config_from_text(text)
 
 
 class TestExperiment:

@@ -17,7 +17,7 @@ from cdfnet.committee import read_score_file
 from cdfnet.config import load_experiment_config, load_network_config
 from cdfnet.errors import FormatError, NonFiniteValue
 from cdfnet.model_io import read_container, write_container
-from cdfnet.pipeline import load_model, load_svm, save_model
+from cdfnet.pipeline import load_model, load_svm
 from cdfnet.stl10 import (
     BYTES_PER_IMAGE,
     load_fold_plan,
@@ -30,17 +30,46 @@ MODEL = Path(__file__).resolve().parent / "data" / "tiny_on_off.model"
 SRC = Path(__file__).resolve().parent.parent / "src" / "cdfnet"
 
 
-def _model(path, edit_text=lambda t: t, drop=()):
+def _model(path, edit=lambda tensors: None, edit_text=lambda text: text):
+    """MODEL with its tensors edited in place and its config text edited."""
     tensors, text = read_container(MODEL)
-    write_container(path, {k: v for k, v in tensors.items() if k not in drop}, edit_text(text))
-
-
-def _folded_model(path, edit):
-    """MODEL saved again in the six-tensor form, then its tensors edited in place."""
-    save_model(path, load_model(MODEL))
-    tensors, text = read_container(path)
     edit(tensors)
-    write_container(path, tensors, text)
+    write_container(path, tensors, edit_text(text))
+
+
+def _whitened(tensors, epsilon=False):
+    """The eight-tensor layout of an earlier version: each layer's raw filters
+    with an (identity) zca_mean and zca_matrix in place of its offset; with
+    epsilon, the ten-tensor layout, which adds each layer's zca_epsilon."""
+    old = {}
+    for name, value in tensors.items():
+        layer, _, kind = name.partition("/")
+        if kind != "offset":
+            old[name] = value
+            continue
+        d = tensors[f"{layer}/filters"].shape[-2]
+        old[f"{layer}/zca_mean"] = np.zeros(value.shape[:-1] + (d,))
+        old[f"{layer}/zca_matrix"] = np.zeros(value.shape[:-1] + (d, d)) + np.eye(d)
+        if epsilon:
+            old[f"{layer}/zca_epsilon"] = np.array([0.1])
+    tensors.clear()
+    tensors.update(old)
+
+
+def _retired_keys(text):
+    """text with a retired option in the section that held it."""
+    return text.replace("[layer1]\n", "[layer1]\ndense_preprocess = true\n")
+
+
+def _per_group(tensors):
+    """The layout of an earlier version, before layer 2 was one stack:
+    layer2/gNNNN/* per group, each its filters and (identity) whitening."""
+    stack = tensors.pop("layer2/filters")
+    del tensors["layer2/offset"]
+    for g, filters in enumerate(stack):
+        tensors[f"layer2/g{g:04d}/filters"] = filters
+        tensors[f"layer2/g{g:04d}/zca_mean"] = np.zeros(len(filters))
+        tensors[f"layer2/g{g:04d}/zca_matrix"] = np.eye(len(filters))
 
 
 def _short_offset(tensors):
@@ -57,8 +86,10 @@ def _nan_offset(tensors):
     tensors["layer2/offset"][0, 1] = np.nan
 
 
-def _svm(path, config_text):
-    write_container(path, {"weights": np.ones((2, 3)), "biases": np.zeros(2)}, config_text)
+def _svm(path, config_text, **extra):
+    """An SVM of 2 classes and 3 features; extra tensors follow its own two."""
+    tensors = {"weights": np.ones((2, 3)), "biases": np.zeros(2), **extra}
+    write_container(path, tensors, config_text)
 
 
 def _descriptors(path, labels, ids="0\n1\n2"):
@@ -95,32 +126,56 @@ CASES = {
         read_container, "'utf-8' codec can't decode",
     ),
     "model_missing_tensor": (
-        "m.model", lambda p: _model(p, drop=("groups",)), load_model, "missing 'groups'",
+        "m.model", lambda p: _model(p, lambda t: t.pop("groups")), load_model,
+        "missing 'groups'",
     ),
     "model_offset_wrong_shape": (
-        "m.model", lambda p: _folded_model(p, _short_offset), load_model,
+        "m.model", lambda p: _model(p, _short_offset), load_model,
         "filter offset (3,) does not match filters (9, 4)",
     ),
     "model_offset_non_finite": (
-        "m.model", lambda p: _folded_model(p, _nan_offset), load_model,
+        "m.model", lambda p: _model(p, _nan_offset), load_model,
         "non-finite value nan in filter offset at (0, 1)",
     ),
     "model_layer1_stacked": (
-        "m.model", lambda p: _folded_model(p, _stacked_layer1), load_model,
+        "m.model", lambda p: _model(p, _stacked_layer1), load_model,
         "layer-1 filters (1, 9, 4) must be one bank",
     ),
     "model_offset_missing": (
-        "m.model", lambda p: _folded_model(p, lambda t: t.pop("layer1/offset")), load_model,
+        "m.model", lambda p: _model(p, lambda t: t.pop("layer1/offset")), load_model,
         "missing 'layer1/offset'",
     ),
     "model_config_repeated_key": (
         "m.model",
-        lambda p: _model(p, lambda t: t.replace("[layer2]\n", "[layer2]\nlcn_window = 3\n")),
+        lambda p: _model(
+            p, edit_text=lambda t: t.replace("[layer2]\n", "[layer2]\nlcn_window = 3\n")
+        ),
         load_model, "option 'lcn_window' in section 'layer2' already exists",
     ),
     "model_config_repeated_section": (
-        "m.model", lambda p: _model(p, lambda t: t + "[layer1]\n"), load_model,
+        "m.model", lambda p: _model(p, edit_text=lambda t: t + "[layer1]\n"), load_model,
         "section 'layer1' already exists",
+    ),
+    # earlier versions' layouts are refused before their config is read
+    "model_eight_tensor_layout": (
+        "m.model", lambda p: _model(p, _whitened), load_model,
+        "written by an earlier version (tensor 'layer1/zca_mean'); retrain it",
+    ),
+    "model_ten_tensor_layout": (
+        "m.model",
+        lambda p: _model(p, lambda t: _whitened(t, epsilon=True), _retired_keys),
+        load_model, "written by an earlier version (tensor 'layer1/zca_mean'); retrain it",
+    ),
+    "model_per_group_layout": (
+        "m.model", lambda p: _model(p, _per_group), load_model,
+        "written by an earlier version (tensor 'layer2/g0000/filters'); retrain it",
+    ),
+    "svm_standardized_layout": (
+        "s.svm",
+        lambda p: _svm(
+            p, "[svm]\nreg_c = 1.0\n", feature_mean=np.zeros(3), feature_std=np.ones(3)
+        ),
+        load_svm, "written by an earlier version (tensor 'feature_mean'); retrain it",
     ),
     "svm_reg_c_not_a_number": (
         "s.svm", lambda p: _svm(p, "[svm]\nreg_c = abc\n"), load_svm,
@@ -155,6 +210,10 @@ CASES = {
     "network_config_unknown_key": (
         "n.ini", lambda p: p.write_text("[network]\n[layer1]\nfilter = 3\n[layer2]\n"),
         load_network_config, "unknown key layer1.filter",
+    ),
+    "network_config_retired_key": (
+        "n.ini", lambda p: p.write_text(_retired_keys("[network]\n[layer1]\n[layer2]\n")),
+        load_network_config, "unknown key layer1.dense_preprocess",
     ),
     "network_config_bad_value": (
         "n.ini", lambda p: p.write_text("[network]\n[layer1]\nfilters = x\n[layer2]\n"),

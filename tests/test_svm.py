@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from cdfnet import svm as svm_mod
 from cdfnet.errors import DegenerateLabels, DimError, NonFiniteValue
 from cdfnet.svm import (
     DEFAULT_TOL, SvmModel, _dual_cd_l2svm, cross_validate_c, score_many, train_ova_svm,
@@ -381,3 +382,19 @@ class TestCrossValidate:
         labels = (x[:, 0] + 0.3 * rng.standard_normal(n) > 0).astype(int)
         best = cross_validate_c(_descs(x), labels, grid=(0.01, 1.0))
         assert best in (0.01, 1.0)
+
+    @pytest.mark.parametrize(
+        "grid, n_folds",
+        [((0.01, 1.0), 0), ((0.01, 1.0), 1), ((), 5)],
+        ids=["no_folds", "one_fold", "empty_grid"],
+    )
+    def test_refuses_what_cannot_be_cross_validated(self, grid, n_folds, monkeypatch):
+        # no folds would return the grid's first C unfitted, one fold trains on
+        # no rows, and an empty grid has no C to return
+        def never(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(svm_mod, "train_ova_svm", never)
+        descs, labels = _two_class_toy()
+        with pytest.raises(ValueError, match="non-empty grid and n_folds >= 2"):
+            cross_validate_c(descs, labels, grid=grid, n_folds=n_folds)
