@@ -324,6 +324,19 @@ class TestChain:
         assert err.count("\n") == 1
         assert not (ws / "short_filters.desc").exists()
 
+    @pytest.mark.parametrize("damage", ["short_filter_row"])
+    def test_bank_error_names_the_model_file(self, ws, trained_model, capsys, damage):
+        tensors, text = read_container(trained_model)
+        tensors["layer1/filters"] = tensors["layer1/filters"][:-1]
+        model = ws / f"{damage}.model"
+        write_container(model, tensors, text)
+        rc = run("extract", "--model", model, "--images", ws / "test_X.bin",
+                 "--out", ws / f"{damage}.desc")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and err.count("\n") == 1
+        assert not (ws / f"{damage}.desc").exists()
+
     @pytest.mark.parametrize("reg_c", ["0", "-1", "nan", "inf"])
     def test_svm_reg_c_rejected(self, ws, capsys, reg_c):
         x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 0.5]])
