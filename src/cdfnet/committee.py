@@ -52,10 +52,6 @@ class ScoreTable:
         object.__setattr__(self, "image_ids", image_ids)
 
     @property
-    def n_images(self) -> int:
-        return self.scores.shape[0]
-
-    @property
     def n_classes(self) -> int:
         return self.scores.shape[1]
 
@@ -142,8 +138,6 @@ def read_score_file(path) -> ScoreTable:
         rows = []
         for lineno, line in enumerate(fh, start=2):
             tokens = line.split()
-            if not tokens:
-                continue
             if len(tokens) != n_classes + 1:
                 raise FormatError(
                     f"line {lineno}: expected {n_classes + 1} tokens, got {len(tokens)}"

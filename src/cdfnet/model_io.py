@@ -47,7 +47,7 @@ def write_container(path, tensors: dict[str, np.ndarray], config_text: str = "")
             fh.write(struct.pack("<I", arr.ndim))
             for dim in arr.shape:
                 fh.write(struct.pack("<Q", dim))
-            fh.write(arr.tobytes())
+            fh.write(arr)
         config_bytes = config_text.encode("utf-8")
         fh.write(struct.pack("<Q", len(config_bytes)))
         fh.write(config_bytes)
@@ -91,10 +91,14 @@ def read_container(path) -> tuple[dict[str, np.ndarray], str]:
         for _ in range(count):
             name_len = _read_struct(fh, "<I")[0]
             name = _read_exact(fh, name_len).decode("utf-8")
+            if name in tensors:
+                raise FormatError(f"tensor {name!r} appears twice")
             ndim = _read_struct(fh, "<I")[0]
             shape = tuple(_read_struct(fh, "<Q")[0] for _ in range(ndim))
-            payload = _read_exact(fh, math.prod(shape) * 8)
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            _check_left(fh, math.prod(shape) * 8)
+            # read into the array itself: a bytes payload would be a second copy
+            tensors[name] = np.empty(shape, dtype="<f8")
+            fh.readinto(tensors[name])
         config_len = _read_struct(fh, "<Q")[0]
         config_text = _read_exact(fh, config_len).decode("utf-8")
         if fh.read(1):
@@ -102,12 +106,16 @@ def read_container(path) -> tuple[dict[str, np.ndarray], str]:
     return tensors, config_text
 
 
-def _read_exact(fh, n: int) -> bytes:
-    """The next n bytes; a size that a corrupt header declares is checked
-    against the bytes left in the file before any buffer is made for it."""
+def _check_left(fh, n: int) -> None:
+    """Refuse a size that a corrupt header declares before any buffer is
+    made for it: it must fit in the bytes left in the file."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
         raise FormatError(f"truncated container (wanted {n} bytes, {left} left)")
+
+
+def _read_exact(fh, n: int) -> bytes:
+    _check_left(fh, n)
     return fh.read(n)
 
 

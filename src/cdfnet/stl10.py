@@ -7,7 +7,6 @@ Labels are one byte per image, 1-based on disk and 0-based in memory.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ BYTES_PER_IMAGE = IMAGE_SIDE * IMAGE_SIDE * 3  # 27648
 LOAD_BLOCK = 64  # images converted to grayscale together by load_stl10
 NUM_CLASSES = 10
 NUM_FOLDS = 10
-TRAIN_SIZE = 5000
 
 
 @dataclass(frozen=True)
@@ -45,14 +43,13 @@ class LabeledImage:
 class FoldPlan:
     """Lists of training-image indices, one list per fold.
 
-    Indices must be unique within a fold and smaller than ``n_train``.
-    The STL-10 plan has 10 folds of 1000 indices into 5000 images;
-    :func:`load_fold_plan` enforces that shape, synthetic plans may be
-    smaller.
+    Indices must be non-negative and unique within a fold; :meth:`check_fold`
+    bounds them by the images loaded. The STL-10 plan has 10 folds of 1000
+    indices into 5000 images; :func:`load_fold_plan` enforces the fold count,
+    synthetic plans may be smaller.
     """
 
     folds: tuple[tuple[int, ...], ...]
-    n_train: int = TRAIN_SIZE
 
     def __post_init__(self):
         folds = tuple(tuple(int(i) for i in fold) for fold in self.folds)
@@ -61,11 +58,8 @@ class FoldPlan:
                 raise FormatError(f"fold {fi} is empty")
             if len(set(fold)) != len(fold):
                 raise FormatError(f"fold {fi} contains duplicate indices")
-            for i in fold:
-                if not 0 <= i < self.n_train:
-                    raise FormatError(
-                        f"fold {fi} index {i} outside [0, {self.n_train})"
-                    )
+            if min(fold) < 0:
+                raise FormatError(f"fold {fi} lists negative index {min(fold)}")
         object.__setattr__(self, "folds", folds)
 
     def check_fold(self, fold: int, n_images: int) -> None:
@@ -118,11 +112,6 @@ def load_stl10(images_path, labels_path=None) -> list[LabeledImage]:
     With no labels file every label reads as 0 — handy when only the pixels
     matter, e.g. descriptor extraction before unlabeled scoring.
     """
-    paths = (images_path,) if labels_path is None else (images_path, labels_path)
-    for p in paths:
-        with naming(p):
-            if not os.path.exists(p):
-                raise FormatError("no such file")
     rgb = read_stl10_images(images_path)
     if labels_path is None:
         labels = np.zeros(rgb.shape[0], dtype=np.int64)

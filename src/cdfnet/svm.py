@@ -28,8 +28,8 @@ from .tensor import SeededRng, assert_array_finite
 logger = logging.getLogger(__name__)
 
 STD_FLOOR = 1e-8
-DEFAULT_EPOCHS = 1000
-DEFAULT_TOL = 1e-4
+MAX_EPOCHS = 1000
+TOL = 1e-4
 DEFAULT_REG_C = 1.0  # C of train_ova_svm, NetworkConfig.svm_reg_c and cdfnet svm --reg-c
 # class c's solver visits the rows in orders drawn from SeededRng(ROW_ORDER_SEED).child(c)
 ROW_ORDER_SEED = 0
@@ -51,6 +51,8 @@ class SvmModel:
             raise DimError(f"need >= 2 classes and >= 1 feature, got {weights.shape}")
         if biases.shape != weights.shape[:1]:
             raise DimError(f"biases {biases.shape} do not match weights {weights.shape}")
+        assert_array_finite(weights, what="SVM weights")
+        assert_array_finite(biases, what="SVM biases")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
 
@@ -135,15 +137,14 @@ def train_ova_svm(
     descriptors: np.ndarray,
     labels,
     reg_c: float = DEFAULT_REG_C,
-    max_epochs: int = DEFAULT_EPOCHS,
-    tol: float = DEFAULT_TOL,
 ) -> SvmModel:
     """One binary L2 SVM per class over standardized descriptor features.
 
     `descriptors` is an (n_images, dim) matrix, one row per label. Class c's
     problem labels its images +1 and all others -1, and its solver visits
-    the rows in the order of ``SeededRng(ROW_ORDER_SEED).child(c)``.
-    Deterministic for a given row order.
+    the rows in the order of ``SeededRng(ROW_ORDER_SEED).child(c)`` until
+    its largest projected gradient is below ``TOL``, or for ``MAX_EPOCHS``
+    epochs with a warning. Deterministic for a given row order.
     """
     _check_reg_c(reg_c)
     values = _as_descriptors(descriptors)
@@ -174,13 +175,13 @@ def train_ova_svm(
     for cls in range(n_classes):
         y = np.where(labels == cls, 1.0, -1.0)
         w, _, max_pg = _dual_cd_l2svm(
-            x, y, c_eff, max_epochs, tol, SeededRng(ROW_ORDER_SEED).child(cls)
+            x, y, c_eff, MAX_EPOCHS, TOL, SeededRng(ROW_ORDER_SEED).child(cls)
         )
-        if max_pg >= tol:
+        if max_pg >= TOL:
             logger.warning(
                 "SVM class %d: dual CD ran %d epochs without reaching tol %g"
                 " (max projected gradient %.3g)",
-                cls, max_epochs, tol, max_pg,
+                cls, MAX_EPOCHS, TOL, max_pg,
             )
         weights[cls] = w[:-1]
         biases[cls] = w[-1]
@@ -206,8 +207,8 @@ def cross_validate_c(
     Folds are contiguous row ranges of the descriptor matrix, so the split
     depends only on the data order. Pass one row per image: ``expand_set``
     puts the originals first and then their copies, so with augmented
-    descriptors each held-out image's copies would stay in training. Each
-    fit uses ``train_ova_svm``'s defaults. Ties prefer the smaller reg_c.
+    descriptors each held-out image's copies would stay in training. Ties
+    prefer the smaller reg_c.
     """
     grid = tuple(grid)
     if not grid or n_folds < 2:

@@ -86,8 +86,16 @@ def _nan_offset(tensors):
     tensors["layer2/offset"][0, 1] = np.nan
 
 
+def _repeated_offset(path):
+    """MODEL listing layer1/offset twice. A dict holds each name once, so the
+    copy is written under another name of the same length, then renamed."""
+    _model(path, lambda t: t.update({"layer1/OFFSET": t["layer1/offset"]}))
+    path.write_bytes(path.read_bytes().replace(b"layer1/OFFSET", b"layer1/offset"))
+
+
 def _svm(path, config_text, **extra):
-    """An SVM of 2 classes and 3 features; extra tensors follow its own two."""
+    """An SVM of 2 classes and 3 features; extra tensors follow its own two,
+    and a weights or biases keyword replaces its own."""
     tensors = {"weights": np.ones((2, 3)), "biases": np.zeros(2), **extra}
     write_container(path, tensors, config_text)
 
@@ -124,6 +132,9 @@ CASES = {
     "container_name_not_utf8": (
         "m.bin", lambda p: p.write_bytes(MODEL.read_bytes().replace(b"groups", b"gr\xffups")),
         read_container, "'utf-8' codec can't decode",
+    ),
+    "container_repeated_tensor": (
+        "m.model", _repeated_offset, load_model, "tensor 'layer1/offset' appears twice",
     ),
     "model_missing_tensor": (
         "m.model", lambda p: _model(p, lambda t: t.pop("groups")), load_model,
@@ -190,6 +201,15 @@ CASES = {
         "reg_c must be finite and > 0, got -1.0",
     ),
     "svm_no_svm_section": ("s.svm", lambda p: _svm(p, ""), load_svm, "missing 'svm'"),
+    "svm_weight_non_finite": (
+        "s.svm",
+        lambda p: _svm(p, "[svm]\nreg_c = 1.0\n", weights=np.array([[1, np.nan, 1], [1, 1, 1]])),
+        load_svm, "non-finite value nan in SVM weights at (0, 1)",
+    ),
+    "svm_bias_non_finite": (
+        "s.svm", lambda p: _svm(p, "[svm]\nreg_c = 1.0\n", biases=np.array([0, -np.inf])),
+        load_svm, "non-finite value -inf in SVM biases at (1,)",
+    ),
     "descriptors_bad_id": (
         "d.desc", lambda p: _descriptors(p, [0.0, 1.0, 0.0], "0\nx\n2"), _read_descriptors,
         "invalid literal for int()",
@@ -266,6 +286,10 @@ CASES = {
         "s.txt", lambda p: p.write_text("scores v1 n1 2\n0 0.0 2.0\n"), read_score_file,
         "has scores outside [0, 1]",
     ),
+    "scores_blank_line": (
+        "s.txt", lambda p: p.write_text("scores v1 n1 2\n0 0.0 1.0\n\n1 1.0 0.0\n"),
+        read_score_file, "line 3: expected 3 tokens, got 0",
+    ),
     "scores_not_ascii": (
         "s.txt", lambda p: p.write_bytes(b"scores v1 n\xff 2\n0 0.0 1.0\n"), read_score_file,
         "'ascii' codec can't decode",
@@ -274,9 +298,10 @@ CASES = {
         "f.txt", lambda p: _folds(p, _ten_folds("0 1 1")), load_fold_plan,
         "fold 0 contains duplicate indices",
     ),
-    "fold_plan_index_out_of_range": (
-        "f.txt", lambda p: _folds(p, _ten_folds("0 9999")), load_fold_plan,
-        "fold 0 index 9999 outside [0, 5000)",
+    # the upper bound is the images loaded, which check_fold applies
+    "fold_plan_negative_index": (
+        "f.txt", lambda p: _folds(p, _ten_folds("0 -1")), load_fold_plan,
+        "fold 0 lists negative index -1",
     ),
     "fold_plan_fold_count": (
         "f.txt", lambda p: _folds(p, ["0 1"] * 9), load_fold_plan, "expected 10 folds, got 9",
@@ -295,9 +320,6 @@ CASES = {
     "stl10_labels_range": (
         "y.bin", lambda p: p.write_bytes(b"\x01\x0b"), read_stl10_labels,
         "labels must be 1..10 on disk",
-    ),
-    "stl10_missing_labels": (
-        "y.bin", lambda p: _images(p.with_name("x.bin"), 1), _load_stl10_pair, "no such file",
     ),
     "stl10_label_count": (
         "y.bin", lambda p: (_images(p.with_name("x.bin"), 3), p.write_bytes(b"\x01\x02")),
@@ -319,18 +341,26 @@ def test_refused_file_is_named_once_at_the_start(tmp_path, case):
     assert reason in message
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "stl10_labels_missing"])
 def test_unopenable_experiment_file_reports_the_system_error(tmp_path, capsys, kind):
     # the OSError already names the path, so it is not a FormatError
-    path = tmp_path / "e.ini"
+    config, images, absent = tmp_path / "e.ini", tmp_path / "x.bin", tmp_path / "absent.bin"
     if kind == "directory":
-        path.mkdir()
+        config.mkdir()
+    if kind == "stl10_labels_missing":
+        # found once the images are decoded
+        (tmp_path / "n.ini").write_text("[network]\n[layer1]\n[layer2]\n")
+        config.write_text("[experiment]\nnetworks = n.ini\n")
+        _images(images, 1)
+        path, load = absent, lambda: load_stl10(images, absent)
+    else:
+        path, load = config, lambda: load_experiment_config(config)
     with pytest.raises(OSError) as info:
-        load_experiment_config(path)
+        load()
     assert not isinstance(info.value, FormatError) and str(path) in str(info.value)
-    data = str(tmp_path / "absent.bin")
-    rc = main(["evaluate", "--config", str(path), "--train-x", data, "--train-y", data,
-               "--test-x", data, "--test-y", data, "--folds", data])
+    rc = main(["evaluate", "--config", str(config), "--train-x", str(images),
+               "--train-y", str(absent), "--test-x", str(images), "--test-y", str(absent),
+               "--folds", str(absent)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {info.value}\n"
 

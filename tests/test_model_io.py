@@ -8,7 +8,7 @@ import pytest
 from cdfnet.errors import FormatError
 from cdfnet.model_io import MAGIC, VERSION, atomic_open, read_container, write_container
 
-from helpers import container_declaring
+from helpers import container_declaring, traced_peak
 
 
 def _sample_tensors():
@@ -18,6 +18,7 @@ def _sample_tensors():
         "matrix": rng.standard_normal((3, 5)),
         "cube": rng.standard_normal((2, 3, 4)),
         "scalarish": np.array(3.75),
+        "empty": np.zeros((2, 0, 3)),
     }
 
 
@@ -60,6 +61,29 @@ class TestRoundTrip:
         write_container(path, {"v": values}, "")
         back, _ = read_container(path)
         assert back["v"].tobytes() == values.tobytes()
+
+
+class TestMemory:
+    """Container I/O holds one copy of each tensor: the array it reads into,
+    or the caller's array it writes from."""
+
+    def test_one_copy_of_each_tensor(self, tmp_path):
+        path = tmp_path / "big.bin"
+        rng = np.random.default_rng(1)
+        tensors = {"big": rng.standard_normal((1000, 1000)), "small": rng.standard_normal(7)}
+        big = tensors["big"].nbytes
+        _, added = traced_peak(write_container, path, tensors, "cfg")
+        assert added <= 0.1 * big
+        (back, text), peak = traced_peak(read_container, path)
+        assert peak <= 1.1 * big
+        assert text == "cfg" and all(np.array_equal(back[n], t) for n, t in tensors.items())
+        # the documented layout, packed by hand
+        layout = [MAGIC, struct.pack("<II", VERSION, 2)]
+        for name, t in tensors.items():
+            layout += [struct.pack("<I", len(name)), name.encode(), struct.pack("<I", t.ndim)]
+            layout += [struct.pack("<Q", n) for n in t.shape] + [t.astype("<f8").tobytes()]
+        layout += [struct.pack("<Q", 3), b"cfg"]
+        assert path.read_bytes() == b"".join(layout)
 
 
 class TestErrors:

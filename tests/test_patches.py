@@ -345,6 +345,13 @@ class TestZcaTransformValidation:
         with pytest.raises(ValueError):
             ZcaTransform(np.zeros(2), m)
 
+    @pytest.mark.parametrize(
+        "mean_shape, matrix_shape", [((), (1, 1)), ((3,), (2, 2)), ((2, 3), (3, 3, 3))]
+    )
+    def test_shapes_must_match(self, mean_shape, matrix_shape):
+        with pytest.raises(DimError, match="inconsistent ZCA shapes"):
+            ZcaTransform(np.zeros(mean_shape), np.zeros(matrix_shape))
+
     def test_epsilon_positive(self):
         # the transform holds no epsilon (it is folded into the matrix), so
         # the rule is checked where epsilon is used, in the fit

@@ -543,7 +543,7 @@ class TestProtocol:
         cfgs = [nano_config("na", Seeds(1, 2, 3, 4)), nano_config("nb", Seeds(5, 6, 7, 8))]
         train = stripe_dataset(14, side=32, seed=3)
         test = stripe_dataset(6, side=32, seed=21, first_id=500)
-        plan = FoldPlan(((0, 1, 2, 3, 4, 5, 6, 7), (6, 7, 8, 9, 10, 11, 12, 13)), n_train=14)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5, 6, 7), (6, 7, 8, 9, 10, 11, 12, 13)))
         out = tmp_path / "run"
         report = evaluate_protocol(cfgs, train, test, plan, out_dir=out)
 
@@ -567,14 +567,14 @@ class TestProtocol:
         cfgs = [nano_config("solo")]
         train = stripe_dataset(10, side=32, seed=3)
         test = stripe_dataset(4, side=32, seed=21, first_id=500)
-        plan = FoldPlan(((0, 1, 2, 3, 4, 5), (4, 5, 6, 7, 8, 9)), n_train=10)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5), (4, 5, 6, 7, 8, 9)))
         report = evaluate_protocol(cfgs, train, test, plan, fold_indices=(1,))
         assert report.networks[0].fold_indices == (1,)
         assert len(report.networks[0].accuracies) == 1
 
     def test_fold_out_of_range_rejected_before_training(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_train", _never)
-        plan = FoldPlan(((0, 1, 2, 3, 4, 5), (4, 5, 6, 7, 8, 9)), n_train=10)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5), (4, 5, 6, 7, 8, 9)))
         train = stripe_dataset(10, side=32, seed=3)
         for folds in ((0, 2), (0, -1)):
             with pytest.raises(ValueError, match=f"fold {folds[1]} out of range"):
@@ -583,7 +583,7 @@ class TestProtocol:
     def test_empty_or_repeated_folds_rejected_before_training(self, monkeypatch):
         # an empty list would report a NaN mean; a repeated fold would count twice
         monkeypatch.setattr(pipeline, "_train", _never)
-        plan = FoldPlan(((0, 1, 2, 3, 4, 5), (4, 5, 6, 7, 8, 9)), n_train=10)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5), (4, 5, 6, 7, 8, 9)))
         train = stripe_dataset(10, side=32, seed=3)
         for folds in ((), (1, 1), (0, 1, 0)):
             with pytest.raises(ValueError, match="non-empty and distinct"):
@@ -592,7 +592,7 @@ class TestProtocol:
     def test_member_named_committee_rejected_before_training(self, monkeypatch):
         # its report section and CSV rows would read as the committee's own
         monkeypatch.setattr(pipeline, "_train", _never)
-        plan = FoldPlan(((0, 1, 2, 3, 4, 5),), n_train=6)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5),))
         train = stripe_dataset(6, side=32, seed=3)
         test = stripe_dataset(4, side=32, seed=21, first_id=500)
         cfgs = [nano_config("na"), nano_config("committee", Seeds(5, 6, 7, 8))]
@@ -602,14 +602,14 @@ class TestProtocol:
     def test_empty_test_set_rejected_before_training(self, monkeypatch):
         # every member would train, then score nothing into NaN accuracies
         monkeypatch.setattr(pipeline, "_train", _never)
-        plan = FoldPlan(((0, 1, 2, 3, 4, 5),), n_train=6)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5),))
         train = stripe_dataset(6, side=32, seed=3)
         with pytest.raises(ValueError, match="the test set is empty"):
             evaluate_protocol([nano_config("solo")], train, [], plan)
 
     def test_fold_beyond_loaded_images_rejected_before_training(self, monkeypatch):
         monkeypatch.setattr(pipeline, "_train", _never)
-        plan = FoldPlan(((0, 1), (2, 3, 4, 5)), n_train=10)
+        plan = FoldPlan(((0, 1), (2, 3, 4, 5)))
         train = stripe_dataset(4, side=32, seed=3)
         with pytest.raises(ValueError, match="fold 1 lists image 4, but only 4 images"):
             evaluate_protocol([nano_config("solo")], train, [], plan, fold_indices=(0, 1))
@@ -623,7 +623,7 @@ class TestProtocol:
             return real(cfg, fold_images)
 
         monkeypatch.setattr(pipeline, "_train", counting)
-        plan = FoldPlan(((0, 1, 2, 3, 4, 5),), n_train=6)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5),))
         train = stripe_dataset(6, side=32, seed=3)
         test = stripe_dataset(4, side=32, seed=21, first_id=500)
         bad = nano_config("bad", layer2=dataclasses.replace(nano_config().layer2, lcn_window=99))
@@ -642,7 +642,7 @@ class TestProtocol:
         out.mkdir()
         (out / "report.csv").write_text("previous\n")
         monkeypatch.setattr(pipeline, "report_csv", broken)
-        plan = FoldPlan(((0, 1, 2, 3, 4, 5),), n_train=6)
+        plan = FoldPlan(((0, 1, 2, 3, 4, 5),))
         train = stripe_dataset(6, side=32, seed=3)
         test = stripe_dataset(4, side=32, seed=21, first_id=500)
         with pytest.raises(OSError, match="disk full"):
@@ -655,7 +655,7 @@ class TestProtocol:
     def test_duplicate_names_rejected(self):
         cfgs = [nano_config("same"), nano_config("same", Seeds(5, 6, 7, 8))]
         with pytest.raises(ValueError):
-            evaluate_protocol(cfgs, [], [], FoldPlan(((0,),), n_train=1))
+            evaluate_protocol(cfgs, [], [], FoldPlan(((0,),)))
 
 
 class TestStackedTraining:

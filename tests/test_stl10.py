@@ -147,7 +147,8 @@ class TestLoadStl10:
             load_stl10(tmp_path / "X.bin", tmp_path / "y.bin")
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FormatError):
+        # the system's error, which names the file
+        with pytest.raises(FileNotFoundError, match="nope.bin"):
             load_stl10(tmp_path / "nope.bin", tmp_path / "nope_y.bin")
 
     def test_labels_optional(self, tmp_path):
@@ -160,6 +161,11 @@ class TestLabeledImage:
     def test_rejects_negative_label(self):
         with pytest.raises(ValueError):
             LabeledImage(np.zeros((4, 4)), -1)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4, 1)])
+    def test_rejects_pixels_not_2d(self, shape):
+        with pytest.raises(ValueError, match=f"pixels must be 2D, got ndim={len(shape)}"):
+            LabeledImage(np.zeros(shape), 0)
 
     def test_pixels_read_only(self):
         img = LabeledImage(np.zeros((4, 4)), 0)
@@ -189,7 +195,7 @@ class TestFoldPlan:
     def test_empty_fold_rejected(self):
         # training on it would fail on its first image, after the folds before it
         with pytest.raises(FormatError, match="fold 0 is empty"):
-            FoldPlan(((), (0, 1)), n_train=2)
+            FoldPlan(((), (0, 1)))
 
     def test_duplicate_index(self, tmp_path):
         lines = self._plan_lines()
@@ -200,12 +206,15 @@ class TestFoldPlan:
             load_fold_plan(path)
 
     def test_index_at_bound_rejected(self, tmp_path):
+        # the bound is the number of images loaded, checked once per fold
         lines = self._plan_lines()
         lines[0] = "0 1 2 5000"
         path = tmp_path / "folds.txt"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError):
-            load_fold_plan(path)
+        plan = load_fold_plan(path)
+        with pytest.raises(ValueError, match="fold 0 lists image 5000, but only 5000 images"):
+            plan.check_fold(0, 5000)
+        plan.check_fold(0, 5001)
 
     def test_non_integer_token(self, tmp_path):
         lines = self._plan_lines()
@@ -222,6 +231,6 @@ class TestFoldPlan:
         assert load_fold_plan(path).folds == plan.folds
 
     def test_synthetic_plan_bounds(self):
-        with pytest.raises(FormatError):
-            FoldPlan(((0, 5),), n_train=5)
-        FoldPlan(((0, 4),), n_train=5)
+        with pytest.raises(FormatError, match="fold 1 lists negative index -1"):
+            FoldPlan(((0, 5), (3, -1)))
+        FoldPlan(((0, 9999),)).check_fold(0, 10000)

@@ -5,9 +5,7 @@ import pytest
 
 from cdfnet import svm as svm_mod
 from cdfnet.errors import DegenerateLabels, DimError, NonFiniteValue
-from cdfnet.svm import (
-    DEFAULT_TOL, SvmModel, _dual_cd_l2svm, cross_validate_c, score_many, train_ova_svm,
-)
+from cdfnet.svm import SvmModel, _dual_cd_l2svm, cross_validate_c, score_many, train_ova_svm
 from cdfnet.tensor import SeededRng
 
 from helpers import traced_peak
@@ -47,12 +45,18 @@ class TestTrain:
         with pytest.raises(DegenerateLabels):
             train_ova_svm(descs, [1] * len(descs), reg_c=1.0)
 
-    def test_duplication_invariance(self):
+    def test_negative_label_rejected(self):
+        descs, labels = _two_class_toy()
+        with pytest.raises(DegenerateLabels, match="labels must be non-negative"):
+            train_ova_svm(descs, [-1] + labels[1:], reg_c=1.0)
+
+    def test_duplication_invariance(self, monkeypatch):
         # the exact minimizer is identical because the per-point cost scales
         # as C/n; run the solver tight enough that we see that minimizer
+        monkeypatch.setattr(svm_mod, "TOL", 1e-9)
         descs, labels = _two_class_toy()
-        model_a = train_ova_svm(descs, labels, reg_c=4.0, tol=1e-9)
-        model_b = train_ova_svm(np.vstack([descs, descs]), labels + labels, reg_c=4.0, tol=1e-9)
+        model_a = train_ova_svm(descs, labels, reg_c=4.0)
+        model_b = train_ova_svm(np.vstack([descs, descs]), labels + labels, reg_c=4.0)
         probe = _descs([(0.5, 0.5), (-1.0, 2.0), (2.0, -2.0)])
         assert np.allclose(score_many(model_a, probe), score_many(model_b, probe), atol=1e-6)
 
@@ -135,10 +139,11 @@ class TestConvergenceWarning:
         labels = np.arange(30) % 3
         return rng.standard_normal((30, 4)) + labels[:, None], labels
 
-    def test_each_class_at_max_epochs_warns(self, caplog):
+    def test_each_class_at_max_epochs_warns(self, caplog, monkeypatch):
+        monkeypatch.setattr(svm_mod, "MAX_EPOCHS", 1)
         descs, labels = self._data()
         with caplog.at_level("WARNING", logger="cdfnet.svm"):
-            model = train_ova_svm(descs, labels, reg_c=1.0, max_epochs=1)
+            model = train_ova_svm(descs, labels, reg_c=1.0)
         messages = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         pattern = (
             r"SVM class (\d+): dual CD ran 1 epochs without reaching tol 0\.0001"
@@ -150,7 +155,7 @@ class TestConvergenceWarning:
         assert all(float(m[2]) >= 1e-4 for m in matches)
         # the warning changes nothing about the model
         caplog.clear()
-        again = train_ova_svm(descs, labels, reg_c=1.0, max_epochs=1)
+        again = train_ova_svm(descs, labels, reg_c=1.0)
         assert np.array_equal(model.weights, again.weights)
         assert np.array_equal(model.biases, again.biases)
 
@@ -333,11 +338,12 @@ class TestPrimalOracle:
     @pytest.mark.parametrize(
         "name, tol",
         [("two_class", 1e-6), ("three_class", 1e-6), ("standardized", 1e-6),
-         ("svm_fit_shaped", DEFAULT_TOL)],
+         ("svm_fit_shaped", svm_mod.TOL)],
     )
-    def test_scores_match_primal_optimum(self, name, tol):
+    def test_scores_match_primal_optimum(self, name, tol, monkeypatch):
+        monkeypatch.setattr(svm_mod, "TOL", tol)
         descs, labels, reg_c = _ORACLE_SETS[name]()
-        model = train_ova_svm(descs, labels, reg_c=reg_c, tol=tol)
+        model = train_ova_svm(descs, labels, reg_c=reg_c)
         want = standardized_scores(*primal_svm(descs, labels, reg_c)[:4], descs)
         got = score_many(model, descs)
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
@@ -398,3 +404,8 @@ class TestCrossValidate:
         descs, labels = _two_class_toy()
         with pytest.raises(ValueError, match="non-empty grid and n_folds >= 2"):
             cross_validate_c(descs, labels, grid=grid, n_folds=n_folds)
+
+    def test_fewer_rows_than_folds_refused(self):
+        descs, labels = _two_class_toy()
+        with pytest.raises(DimError, match="need >= 11 samples for 11-fold CV"):
+            cross_validate_c(descs, labels, n_folds=11)

@@ -46,12 +46,13 @@ from collections import namedtuple
 import numpy as np
 from scipy.optimize import minimize
 
+from cdfnet import svm
 from cdfnet.augment import expand_set, scale
 from cdfnet.kmeans import _BLOCK
 from cdfnet.layer import FilterBank, make_groups, run_layer
 from cdfnet.patches import EIGENVALUE_FLOOR, ZcaTransform, normalize_rows
 from cdfnet.pipeline import KMEANS_MAX_ITERS, NetworkModel
-from cdfnet.svm import DEFAULT_EPOCHS, DEFAULT_TOL, ROW_ORDER_SEED, STD_FLOOR, _dual_cd_l2svm
+from cdfnet.svm import ROW_ORDER_SEED, STD_FLOOR, _dual_cd_l2svm
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from forward_oracle import normalize_patch
@@ -289,7 +290,8 @@ def standardized_svm(descriptors, labels, reg_c: float):
     for cls in range(n_classes):
         y = np.where(labels == cls, 1.0, -1.0)
         rng = SeededRng(ROW_ORDER_SEED).child(cls)
-        w, _, _ = _dual_cd_l2svm(x, y, reg_c / len(x), DEFAULT_EPOCHS, DEFAULT_TOL, rng)
+        # read at call time, so a test that patches the stopping rule patches it here too
+        w, _, _ = _dual_cd_l2svm(x, y, reg_c / len(x), svm.MAX_EPOCHS, svm.TOL, rng)
         weights[cls], biases[cls] = w[:-1], w[-1]
     return weights, biases, mean, std
 
