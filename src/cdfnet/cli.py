@@ -28,7 +28,7 @@ from .config import (
     load_experiment_config,
     load_network_config,
 )
-from .errors import CdfnetError, DimError, FormatError, naming
+from .errors import AlignmentError, CdfnetError, DimError, FormatError, naming
 from .model_io import atomic_open, read_container, write_container
 from .pipeline import (
     evaluate_protocol,
@@ -58,13 +58,16 @@ def _apply_seed(cfg, seed):
     return replace(cfg, seeds=cfg.seeds.shifted(seed))
 
 
-def _select_fold(images: list[LabeledImage], args) -> list[LabeledImage]:
-    """The images of fold --fold in the --folds plan; all images without --fold."""
+def _load_fold(args, images_path, labels_path) -> list[LabeledImage]:
+    """The images of fold --fold in the --folds plan, all images without
+    --fold; the plan and the fold number are checked before any is decoded."""
     if args.fold is None:
-        return images
+        return load_stl10(images_path, labels_path)
     if args.folds is None:
         raise FormatError("--fold requires --folds")
     plan = load_fold_plan(args.folds)
+    plan.check_range(args.fold)
+    images = load_stl10(images_path, labels_path)
     plan.check_fold(args.fold, len(images))
     return [images[i] for i in plan.folds[args.fold]]
 
@@ -93,7 +96,7 @@ def _read_descriptors(path) -> tuple[np.ndarray, list[int], np.ndarray]:
 
 def _cmd_train(args) -> int:
     cfg = _apply_seed(load_network_config(args.config), args.seed)
-    fold_images = _select_fold(load_stl10(args.train_x, args.train_y), args)
+    fold_images = _load_fold(args, args.train_x, args.train_y)
     logger.info("training %s on %d images", cfg.name, len(fold_images))
     model = train_network(cfg, fold_images)
     save_model(args.out, model)
@@ -103,7 +106,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_extract(args) -> int:
     model = load_model(args.model)
-    images = _select_fold(load_stl10(args.images, args.labels), args)
+    images = _load_fold(args, args.images, args.labels)
     if args.augment:
         images = expand_set(images, model.config.augment)
     try:
@@ -151,6 +154,9 @@ def _cmd_committee(args) -> int:
     if args.labels is not None:
         labels = read_stl10_labels(args.labels)
         with naming(args.labels):
+            if tables[0].image_ids != tuple(range(len(predictions))):
+                raise AlignmentError("labels match score rows by position, so the rows must "
+                                     f"be images 0 to {len(predictions) - 1} in order")
             acc = accuracy(predictions, [int(v) for v in labels])
         print(f"committee accuracy {acc!r}")
     if args.out is not None:
@@ -170,17 +176,13 @@ def _cmd_evaluate(args) -> int:
     cfgs = [
         _apply_seed(load_network_config(p), args.seed) for p in exp.network_paths
     ]
-    train_images = load_stl10(args.train_x, args.train_y)
-    test_images = load_stl10(args.test_x, args.test_y)
     plan = load_fold_plan(args.folds)
     folds = exp.folds if args.fold is None else (args.fold,)
+    for fold in folds:
+        plan.check_range(fold)
     report = evaluate_protocol(
-        cfgs,
-        train_images,
-        test_images,
-        plan,
-        fold_indices=folds,
-        out_dir=args.out,
+        cfgs, load_stl10(args.train_x, args.train_y), load_stl10(args.test_x, args.test_y),
+        plan, fold_indices=folds, out_dir=args.out,
     )
     for section in report.networks + (report.committee,):
         print(f"{section.name} mean {section.mean!r} std {section.std!r}")

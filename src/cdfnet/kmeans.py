@@ -18,6 +18,8 @@ from .errors import DimError, InvalidK
 # Points are processed in blocks so the (block x k) distance matrix stays
 # small; the block order is fixed, keeping reductions deterministic.
 _BLOCK = 16384
+# the most Lloyd rounds a group runs; one still moving then stops unconverged
+MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ def _plusplus_init(points: np.ndarray, norms: np.ndarray, k: int, gens) -> np.nd
     D^2 to a new center c is ||x||^2 - 2 x.c + ||c||^2 from the precomputed
     norms, clamped at 0, so no (n, dim) difference buffer is made. x.c and the
     norms run through one einsum kernel, which makes D^2 exactly 0 for every
-    copy of a center, as the difference form did.
+    copy of a center.
     """
     n_groups, n, dim = points.shape
     rows = np.arange(n_groups)
@@ -119,13 +121,13 @@ def _cluster_sums(points: np.ndarray, labels: np.ndarray, k: int):
     return counts, sums.reshape(n_groups, k, dim)
 
 
-def kmeans_stack(points: np.ndarray, k: int, max_iters: int, rngs) -> KMeansResult:
+def kmeans_stack(points: np.ndarray, k: int, rngs) -> KMeansResult:
     """Lloyd iterations from a k-means++ start, for G groups of points at once.
 
     points is (G, n, dim), one group per leading index, and rngs holds one
     SeededRng per group. Each group draws from its own generator in the order
     a run on that group alone would, and stops on unchanged assignments or
-    after max_iters; a group that stops leaves the batch. Each round measures
+    after MAX_ITERS; a group that stops leaves the batch. Each round measures
     every point's squared distance to its centroid once: the SSE history sums
     it, and a cluster that empties out is re-seeded with the point farthest by
     it, taken from a cluster that keeps at least one member. Returns (G, dim, k)
@@ -141,8 +143,6 @@ def kmeans_stack(points: np.ndarray, k: int, max_iters: int, rngs) -> KMeansResu
         raise InvalidK(f"k must be >= 1, got {k}")
     if k > n:
         raise InvalidK(f"k={k} exceeds number of patches {n}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
     norms = np.einsum("gnd,gnd->gn", points, points)
     centroids = _plusplus_init(points, norms, k, [rng.generator() for rng in rngs])
@@ -153,7 +153,7 @@ def kmeans_stack(points: np.ndarray, k: int, max_iters: int, rngs) -> KMeansResu
     reseeds = np.zeros(n_groups, dtype=np.int64)
     active = np.arange(n_groups)  # groups still iterating; the arrays below hold only them
     labels = None
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         new_labels, dist = _assignments(points, centroids, norms)
         for g, value in zip(active, dist.sum(axis=1)):
             history[g].append(float(value))

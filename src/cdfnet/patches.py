@@ -157,16 +157,18 @@ def fit_zca(patches: np.ndarray, epsilon: float) -> ZcaTransform:
     return ZcaTransform(mean=mean, matrix=matrix)
 
 
-def apply_zca(transform: ZcaTransform, patches: np.ndarray) -> np.ndarray:
-    """Whiten (..., n, d) rows x into M (x - mu) as x M^T - mu M^T, so no
-    centered copy of the patches is made (as :meth:`ZcaTransform.fold` does
-    for filters). A stacked transform whitens each slice of a matching stack
-    with its own mean and matrix."""
+def apply_zca(transform: ZcaTransform, patches: np.ndarray) -> None:
+    """Whiten (..., n, d) rows x into M (x - mu) in place, _ROW_BLOCK rows at a
+    time, as x M^T - mu M^T, so no centered copy of the patches is made (as
+    :meth:`ZcaTransform.fold` does for filters). A stacked transform whitens
+    each slice of a matching stack with its own mean and matrix."""
     if patches.shape[-1] != transform.dim:
         raise DimError(
             f"patch dim {patches.shape[-1]} does not match transform dim {transform.dim}"
         )
     matrix_t = np.swapaxes(transform.matrix, -1, -2)
-    data = patches @ matrix_t
-    data -= transform.mean[..., None, :] @ matrix_t
-    return data
+    shift = transform.mean[..., None, :] @ matrix_t
+    for lo in range(0, patches.shape[-2], _ROW_BLOCK):
+        block = patches[..., lo : lo + _ROW_BLOCK, :]
+        block[...] = block @ matrix_t
+        block -= shift

@@ -28,22 +28,20 @@ from .committee import (
 from .config import Layer1Config, Layer2Config, NetworkConfig
 from .config import network_config_from_text, network_config_to_text
 from .errors import CdfnetError, DimError, FormatError, InvalidGrouping, naming
-from .kmeans import _BLOCK, kmeans_stack
+from .kmeans import kmeans_stack
 from .layer import FilterBank, layer_output_shape, make_groups, run_groups, run_layer
 from .model_io import atomic_open, read_container, write_container
-from .patches import _ROW_BLOCK, apply_zca, extract_patches, fit_zca, normalize_rows
+from .patches import apply_zca, extract_patches, fit_zca, normalize_rows
 from .stl10 import FoldPlan, LabeledImage
 from .svm import SvmModel, score_many, train_ova_svm
 from .tensor import FeatureMapSet, SeededRng
 
 logger = logging.getLogger(__name__)
 
-KMEANS_MAX_ITERS = 100
-
-# Groups are trained together in chunks of about this many patch rows, a
-# quarter of a k-means distance block; at paper scale a chunk is one group,
-# so memory stays that of training one group at a time.
-_CHUNK_ROWS = _BLOCK // 4
+# Groups are trained together in chunks of about this many patch rows; at
+# paper scale a chunk is one group, so memory stays that of training one
+# group at a time.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -116,38 +114,32 @@ def _learn_filters(
     stack with patch_rngs[g] and clusters them into k filters with
     kmeans_rngs[g]; layer 1 is the one group [[0]] of the image stack.
     Groups go a chunk of about _CHUNK_ROWS patch rows at a time: sampled into
-    one (chunk, n, d) array, normalized in place, whitened by one stacked ZCA
-    written back _ROW_BLOCK rows at a time, clustered by one
-    :func:`kmeans_stack` call, and the whitening folded into the centroids.
-    Returns the float64 (G, d, k) filters and (G, k) offsets, and logs one
-    INFO line of the k-means iterations and reseeds and a WARNING naming
-    what stopped at KMEANS_MAX_ITERS without converging.
+    one (chunk, n, d) array, normalized and whitened by one stacked ZCA in
+    place, clustered by one :func:`kmeans_stack` call, and the whitening
+    folded into the centroids. Returns the float64 (G, d, k) filters and
+    (G, k) offsets, and logs one INFO line of the k-means iterations and
+    reseeds and a WARNING naming what stopped at k-means' round cap without
+    converging.
     """
     n_groups, depth = groups.shape
     p, n = layer.patch_side, layer.n_patches
-    dim = p * p * depth
-    filters = np.empty((n_groups, dim, k))
+    filters = np.empty((n_groups, p * p * depth, k))
     offsets = np.empty((n_groups, k))
     n_iters = np.empty(n_groups, dtype=np.int64)
     converged = np.empty(n_groups, dtype=bool)
     reseeds = 0
     per_chunk = min(max(1, _CHUNK_ROWS // n), n_groups)
-    # chunks of several groups share one buffer; a one-group chunk's sample
-    # is its own, so that chunk holds one copy of its patch rows, not two
-    buffer = np.empty((per_chunk, n, dim)) if per_chunk > 1 else None
     for start in range(0, n_groups, per_chunk):
         span = slice(start, min(start + per_chunk, n_groups))
-        if buffer is None:
-            rows = extract_patches(maps, groups[start], p, n, patch_rngs[start])[None]
-        else:
-            rows = buffer[: span.stop - start]
-            for j, g in enumerate(range(start, span.stop)):
-                rows[j] = extract_patches(maps, groups[g], p, n, patch_rngs[g])
+        samples = [extract_patches(maps, groups[g], p, n, patch_rngs[g])
+                   for g in range(span.start, span.stop)]
+        # a one-group chunk is its sample, so it holds one copy of its rows
+        rows = samples[0][None] if len(samples) == 1 else np.stack(samples)
+        del samples
         normalize_rows(rows)
         zca = fit_zca(rows, layer.zca_epsilon)
-        for lo in range(0, n, _ROW_BLOCK):
-            rows[:, lo : lo + _ROW_BLOCK] = apply_zca(zca, rows[:, lo : lo + _ROW_BLOCK])
-        result = kmeans_stack(rows, k, KMEANS_MAX_ITERS, kmeans_rngs[span])
+        apply_zca(zca, rows)
+        result = kmeans_stack(rows, k, kmeans_rngs[span])
         filters[span], offsets[span] = zca.fold(result.centroids)
         n_iters[span], converged[span] = result.n_iters, result.converged
         reseeds += int(result.reseeds.sum())
@@ -159,9 +151,10 @@ def _learn_filters(
     stuck = np.flatnonzero(~converged)
     if stuck.size:
         where = f" in groups {', '.join(map(str, stuck))}" if layer_index == 2 else ""
+        # a group that never converged ran exactly the cap
         logger.warning(
             "%s: layer-%d k-means stopped at %d iterations without converging%s",
-            name, layer_index, KMEANS_MAX_ITERS, where,
+            name, layer_index, n_iters[stuck[0]], where,
         )
     return filters, offsets
 
@@ -355,7 +348,6 @@ class ReportSection:
 class ExperimentReport:
     networks: tuple[ReportSection, ...]
     committee: ReportSection
-    committee_members: tuple[str, ...]
 
 
 def train_and_score(
@@ -443,7 +435,6 @@ def evaluate_protocol(
             ReportSection(name, fold_indices, tuple(per_net_acc[name])) for name in names
         ),
         committee=ReportSection("committee", fold_indices, tuple(committee_acc)),
-        committee_members=tuple(names),
     )
     if out_dir is not None:
         with atomic_open(os.path.join(out_dir, "report.txt")) as fh:
@@ -458,7 +449,7 @@ def render_report(report: ExperimentReport) -> str:
     for section in report.networks + (report.committee,):
         lines.append(f"[{section.name}]")
         if section is report.committee:
-            lines.append("members " + " ".join(report.committee_members))
+            lines.append("members " + " ".join(s.name for s in report.networks))
         for fold, acc in zip(section.fold_indices, section.accuracies):
             lines.append(f"fold {fold} accuracy {acc!r}")
         lines.append(f"mean {section.mean!r}")

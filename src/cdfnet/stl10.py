@@ -62,11 +62,15 @@ class FoldPlan:
                 raise FormatError(f"fold {fi} lists negative index {min(fold)}")
         object.__setattr__(self, "folds", folds)
 
-    def check_fold(self, fold: int, n_images: int) -> None:
-        """Raise ValueError unless fold is in [0, number of folds) and all its
-        image indices are below n_images, the number of images loaded."""
+    def check_range(self, fold: int) -> None:
+        """Raise ValueError unless fold is in [0, number of folds)."""
         if not 0 <= fold < len(self.folds):
             raise ValueError(f"fold {fold} out of range: the plan has {len(self.folds)} folds")
+
+    def check_fold(self, fold: int, n_images: int) -> None:
+        """:meth:`check_range`, and raise ValueError unless all of fold's image
+        indices are below n_images, the number of images loaded."""
+        self.check_range(fold)
         for i in self.folds[fold]:
             if i >= n_images:
                 raise ValueError(

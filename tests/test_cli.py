@@ -434,12 +434,25 @@ class TestChain:
         assert preds.read_bytes() == b"0 1\n1 0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a_scores.txt", "preds.txt"]
 
+def _count_decodes(monkeypatch) -> list:
+    """The argument tuples of every load_stl10 call the CLI makes from now on."""
+    calls, real = [], cli.load_stl10
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "load_stl10", counting)
+    return calls
+
+
 class TestFoldRange:
-    """A fold index outside the plan exits 2, naming the fold, before any training."""
+    """A fold index outside the plan exits 2, naming the fold, before any image is decoded."""
 
     @pytest.mark.parametrize("fold", [-1, 10])
     @pytest.mark.parametrize("command", ["train", "extract", "evaluate"])
-    def test_out_of_range(self, ws, trained_model, capsys, command, fold):
+    def test_out_of_range(self, ws, trained_model, capsys, monkeypatch, command, fold):
+        decodes = _count_decodes(monkeypatch)
         out = ws / f"range_{command}_{fold}"
         args = {
             "train": ["--config", ws / "m1.ini", "--train-x", ws / "train_X.bin",
@@ -455,6 +468,20 @@ class TestFoldRange:
             f"error: fold {fold} out of range: the plan has 10 folds\n"
         )
         assert not out.exists()
+        assert decodes == []
+
+    def test_plan_read_before_any_decode(self, ws, capsys, monkeypatch):
+        decodes = _count_decodes(monkeypatch)
+        data = ["--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin"]
+        rc = run("train", "--config", ws / "m1.ini", *data, "--fold", 0, "--out", ws / "nf.model")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --fold requires --folds\n"
+        absent = ws / "absent_folds.txt"
+        rc = run("evaluate", "--config", ws / "exp.ini", *data, "--test-x", ws / "test_X.bin",
+                 "--test-y", ws / "test_y.bin", "--folds", absent, "--out", ws / "nf_run")
+        assert rc == 2
+        assert str(absent) in capsys.readouterr().err
+        assert decodes == []
 
     @pytest.mark.parametrize("command", ["train", "extract", "evaluate"])
     def test_indices_beyond_loaded_images(self, ws, trained_model, capsys, command):

@@ -345,6 +345,8 @@ def test_refused_file_is_named_once_at_the_start(tmp_path, case):
 def test_unopenable_experiment_file_reports_the_system_error(tmp_path, capsys, kind):
     # the OSError already names the path, so it is not a FormatError
     config, images, absent = tmp_path / "e.ini", tmp_path / "x.bin", tmp_path / "absent.bin"
+    folds = tmp_path / "folds.txt"
+    folds.write_text("0\n" * 10)
     if kind == "directory":
         config.mkdir()
     if kind == "stl10_labels_missing":
@@ -360,7 +362,7 @@ def test_unopenable_experiment_file_reports_the_system_error(tmp_path, capsys, k
     assert not isinstance(info.value, FormatError) and str(path) in str(info.value)
     rc = main(["evaluate", "--config", str(config), "--train-x", str(images),
                "--train-y", str(absent), "--test-x", str(images), "--test-y", str(absent),
-               "--folds", str(absent)])
+               "--folds", str(folds)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {info.value}\n"
 
@@ -386,12 +388,19 @@ def test_evaluate_names_the_bad_member_before_reading_images(tmp_path, capsys, m
 
 
 def test_committee_names_a_labels_file_of_another_length(tmp_path, capsys):
-    scores = tmp_path / "s.txt"
-    scores.write_text("scores v1 n1 2\n0 0.0 1.0\n1 1.0 0.0\n")
-    labels = tmp_path / "y.bin"
-    labels.write_bytes(b"\x01\x02\x01")
-    assert main(["committee", str(scores), "--labels", str(labels)]) == 2
-    assert capsys.readouterr().err == f"error: {labels}: 2 predictions but 3 labels\n"
+    # labels are matched to score rows by position, so rows that are not
+    # images 0 to N-1 in order are refused like a count that differs
+    scores, labels = tmp_path / "s.txt", tmp_path / "y.bin"
+    in_order = "labels match score rows by position, so the rows must be images 0 to 1 in order"
+    for ids, label_bytes, reason in [
+        ((0, 1), b"\x01\x02\x01", "2 predictions but 3 labels"),
+        ((0, 0), b"\x01\x02", in_order),  # a repeated image
+        ((1, 0), b"\x01\x02", in_order),  # swapped images
+    ]:
+        scores.write_text("scores v1 n1 2\n{} 0.0 1.0\n{} 1.0 0.0\n".format(*ids))
+        labels.write_bytes(label_bytes)
+        assert main(["committee", str(scores), "--labels", str(labels)]) == 2
+        assert capsys.readouterr().err == f"error: {labels}: {reason}\n"
 
 
 def test_score_names_descriptors_of_another_dim(tmp_path, capsys):

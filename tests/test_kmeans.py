@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cdfnet import kmeans
 from cdfnet.errors import DimError, InvalidK, NonFiniteValue
 from cdfnet.kmeans import _assignments, _plusplus_init, _reseed_empty, kmeans_stack
 from cdfnet.layer import FilterBank
@@ -16,10 +17,17 @@ def _pm(values):
     return np.asarray(values, dtype=np.float64)[:, None]
 
 
+def _capped_stack(points, k, max_iters, rngs):
+    """kmeans_stack with its round cap kmeans.MAX_ITERS set to max_iters."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kmeans, "MAX_ITERS", max_iters)
+        return kmeans_stack(points, k, rngs)
+
+
 def _one_run(points, k, max_iters, rng):
     """One run: the G = 1 call of kmeans_stack on (n, dim) rows, as the
     Run record of the oracle's single-group k-means."""
-    got = kmeans_stack(points[None], k, max_iters, [rng])
+    got = _capped_stack(points[None], k, max_iters, [rng])
     return train_oracle.Run(
         got.centroids[0], got.sse_history[0], int(got.n_iters[0]),
         bool(got.converged[0]), int(got.reseeds[0]),
@@ -116,10 +124,6 @@ class TestKmeans:
     def test_k_positive(self):
         with pytest.raises(InvalidK):
             _one_run(_pm([1.0, 2.0]), 0, 10, SeededRng(0))
-
-    def test_max_iters_positive(self):
-        with pytest.raises(ValueError):
-            _one_run(_pm([1.0, 2.0]), 1, 0, SeededRng(0))
 
     def test_duplicate_points_fewer_than_k(self):
         # more clusters than distinct values still terminates and stays finite
@@ -241,8 +245,8 @@ class TestReseed:
         # A reseed reads the round's assignment distances, so the run holds
         # per-point arrays and (block, k) distances, not an (n, dim) buffer.
         points = np.repeat(np.random.default_rng(7).standard_normal((4, 64)), 15_000, axis=0)[None]
-        kmeans_stack(points[:, :100], 8, 2, [SeededRng(1)])  # warm: scipy's lazy import
-        got, peak = traced_peak(kmeans_stack, points, 8, 10, [SeededRng(1)])
+        _capped_stack(points[:, :100], 8, 2, [SeededRng(1)])  # warm: scipy's lazy import
+        got, peak = traced_peak(_capped_stack, points, 8, 10, [SeededRng(1)])
         assert got.reseeds[0] == 40
         assert peak < 0.5 * points.nbytes
 
@@ -303,7 +307,7 @@ class TestKmeansStack:
 
     @staticmethod
     def _matches_oracle(points, k, max_iters, rngs):
-        got = kmeans_stack(points, k, max_iters, rngs)
+        got = _capped_stack(points, k, max_iters, rngs)
         n_groups, _, dim = points.shape
         assert got.centroids.shape == (n_groups, dim, k)
         wants = []
@@ -363,15 +367,13 @@ class TestKmeansStack:
         points = np.zeros((2, 3, 1))
         rngs = [SeededRng(0), SeededRng(1)]
         with pytest.raises(InvalidK, match="exceeds"):
-            kmeans_stack(points, 4, 10, rngs)
+            kmeans_stack(points, 4, rngs)
         with pytest.raises(InvalidK):
-            kmeans_stack(points, 0, 10, rngs)
-        with pytest.raises(ValueError, match="max_iters"):
-            kmeans_stack(points, 2, 0, rngs)
+            kmeans_stack(points, 0, rngs)
         with pytest.raises(ValueError, match="generators"):
-            kmeans_stack(points, 2, 10, rngs[:1])
+            kmeans_stack(points, 2, rngs[:1])
         with pytest.raises(DimError):
-            kmeans_stack(points[0], 2, 10, rngs)
+            kmeans_stack(points[0], 2, rngs)
 
 
 class TestPlusPlusFromNorms:

@@ -186,6 +186,13 @@ def _white_patches(n=5000, d=8, seed=0):
     return rng.standard_normal((n, d))
 
 
+def _whitened(transform, data):
+    """A copy of data, whitened in place by apply_zca."""
+    data = np.array(data, dtype=np.float64)
+    assert apply_zca(transform, data) is None
+    return data
+
+
 def _mixed_stack(n, d, n_slices=3):
     """(n_slices, n, d) rows, each slice mixed by its own matrix and offset."""
     rng = np.random.default_rng(n + d)
@@ -299,14 +306,14 @@ class TestApplyZca:
     def test_identity_transform(self):
         pm = _white_patches(n=50, d=3)
         t = ZcaTransform(np.zeros(3), np.eye(3))
-        assert np.array_equal(apply_zca(t, pm), pm)
+        assert np.array_equal(_whitened(t, pm), pm)
 
     def test_self_whitening_covariance(self):
         rng = np.random.default_rng(7)
         mix = rng.standard_normal((6, 6))
         data = rng.standard_normal((20000, 6)) @ mix
         t = fit_zca(data, 1e-8)
-        white = apply_zca(t, data)
+        white = _whitened(t, data)
         cov = white.T @ white / (white.shape[0] - 1)
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) < 1e-6
@@ -320,14 +327,14 @@ class TestApplyZca:
     def test_subtracts_mean(self):
         data = np.array([[1.0, 2.0], [3.0, 6.0]])
         t = ZcaTransform(np.array([1.0, 2.0]), np.eye(2))
-        assert np.array_equal(apply_zca(t, data), [[0.0, 0.0], [2.0, 4.0]])
+        assert np.array_equal(_whitened(t, data), [[0.0, 0.0], [2.0, 4.0]])
 
     def test_matches_column_form(self):
         rng = np.random.default_rng(8)
         data = rng.random((300, 8))
         t = fit_zca(data, 0.1)
         expect = t.matrix @ (data.T - t.mean[:, None])
-        assert np.allclose(apply_zca(t, data), expect.T, rtol=1e-12, atol=1e-12)
+        assert np.allclose(_whitened(t, data), expect.T, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n, d", [(1000, 36), (777, 18), (200, 9)])
     def test_stack_equals_oracle_per_slice(self, n, d):
@@ -335,7 +342,22 @@ class TestApplyZca:
         t = ZcaTransform(*_oracle_zcas(stack))
         want = [train_oracle.apply_zca(ZcaTransform(m, a), s)
                 for m, a, s in zip(t.mean, t.matrix, stack)]
-        assert np.array_equal(apply_zca(t, stack), want)
+        assert np.array_equal(_whitened(t, stack), want)
+
+    @pytest.mark.parametrize("shape", [(2 * _ROW_BLOCK + 77, 8), (2, _ROW_BLOCK + 5, 8)],
+                             ids=["rows", "stack"])
+    def test_row_blocks_match_one_product(self, shape):
+        # several row blocks and a short last one, against one product per slice
+        data = np.random.default_rng(11).random(shape) * 3.0 + 2.0
+        t = fit_zca(data, 0.1)
+        want = (data - t.mean[..., None, :]) @ np.swapaxes(t.matrix, -1, -2)
+        assert np.allclose(_whitened(t, data), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+    def test_holds_one_row_block_beside_its_input(self):
+        data = np.random.default_rng(12).random((40000, 64))
+        t = fit_zca(data, 0.1)
+        _, peak = traced_peak(apply_zca, t, data)
+        assert peak <= 0.15 * data.nbytes
 
 
 class TestZcaTransformValidation:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import glob
 import os
@@ -475,7 +476,6 @@ class TestReportSections:
         report = ExperimentReport(
             networks=(ReportSection("a", (0,), (0.5,)), ReportSection("b", (0,), (0.7,))),
             committee=ReportSection("committee", (0,), (0.8,)),
-            committee_members=("a", "b"),
         )
         text = render_report(report)
         assert "[committee]" in text
@@ -487,7 +487,6 @@ class TestReportSections:
         report = ExperimentReport(
             networks=(ReportSection("committee", (0,), (0.5,)),),
             committee=ReportSection("committee", (0,), (0.6,)),
-            committee_members=("committee",),
         )
         assert render_report(report).count("members") == 1
 
@@ -495,7 +494,6 @@ class TestReportSections:
         report = ExperimentReport(
             networks=(ReportSection("a", (0, 1), (0.5, 0.6)),),
             committee=ReportSection("committee", (0, 1), (0.55, 0.65)),
-            committee_members=("a",),
         )
         lines = report_csv(report).splitlines()
         assert lines[0] == "fold,network,accuracy"
@@ -548,7 +546,7 @@ class TestProtocol:
         report = evaluate_protocol(cfgs, train, test, plan, out_dir=out)
 
         assert [s.name for s in report.networks] == ["na", "nb"]
-        assert report.committee_members == ("na", "nb")
+        assert "members na nb" in (out / "report.txt").read_text()
         assert report.committee.fold_indices == (0, 1)
         assert (out / "report.txt").exists() and (out / "report.csv").exists()
 
@@ -702,8 +700,8 @@ class TestTrainBankRows:
                 pairs.append((filters[g], offsets[g], want))
             return filters, offsets
 
-        def recorded_stack(points, k, max_iters, rngs):
-            result = real_stack(points, k, max_iters, rngs)
+        def recorded_stack(points, k, rngs):
+            result = real_stack(points, k, rngs)
             runs.extend(zip(result.n_iters, result.converged))
             return result
 
@@ -733,7 +731,7 @@ class TestTrainBankRows:
             assert peak <= 2.2 * copy_bytes
 
     @staticmethod
-    def _no_kmeans(points, k, max_iters, rngs):
+    def _no_kmeans(points, k, rngs):
         """kmeans_stack's result shape, at no cost: k-means blocks are its own."""
         n_groups = len(points)
         return kmeans_mod.KMeansResult(
@@ -780,7 +778,7 @@ class TestBatchedKmeans:
         calls = {"groups": 0}
         real_stack = pipeline.kmeans_stack
 
-        def checked_stack(points, k, max_iters, rngs):
+        def checked_stack(points, k, rngs):
             norms = np.einsum("gnd,gnd->gn", points, points)
             got = kmeans_mod._plusplus_init(points, norms, k, [r.generator() for r in rngs])
             for g, rng in enumerate(rngs):
@@ -788,7 +786,7 @@ class TestBatchedKmeans:
                 train_oracle.plusplus_init(points[g], k, rng.generator(), drawn)
                 assert np.array_equal(got[g], points[g][drawn])
             calls["groups"] += len(rngs)
-            return real_stack(points, k, max_iters, rngs)
+            return real_stack(points, k, rngs)
 
         monkeypatch.setattr(pipeline, "kmeans_stack", checked_stack)
         return calls
@@ -817,7 +815,7 @@ class TestBatchedKmeans:
         assert calls["groups"] == 1 + descriptor_shape(cfg, 96, 96)[2]
 
     def test_convergence_is_logged(self, monkeypatch, caplog):
-        monkeypatch.setattr(pipeline, "KMEANS_MAX_ITERS", 1)
+        monkeypatch.setattr(kmeans_mod, "MAX_ITERS", 1)
         cfg = nano_config()
         with caplog.at_level("INFO", logger="cdfnet.pipeline"):
             train_network(cfg, stripe_dataset(6, side=32, seed=3))
@@ -976,3 +974,17 @@ class TestBatchedForward:
         test = stripe_dataset(4, side=32, seed=21, first_id=500)
         train_and_score(cfg, fold, test)
         assert calls == {"expand_set": 1, "layer1": 2 * len(fold) + len(test)}
+
+
+def test_filter_learning_imports_no_private_name_of_kmeans_or_patches():
+    # k-means owns its round cap and distance blocks and the whitening its row
+    # blocks: filter learning hands them data only
+    with open(pipeline.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ("cdfnet." if node.level else "") + (node.module or "")
+            if module in ("cdfnet.kmeans", "cdfnet.patches"):
+                private += [f"{module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []

@@ -46,12 +46,12 @@ from collections import namedtuple
 import numpy as np
 from scipy.optimize import minimize
 
-from cdfnet import svm
+from cdfnet import kmeans, svm
 from cdfnet.augment import expand_set, scale
 from cdfnet.kmeans import _BLOCK
 from cdfnet.layer import FilterBank, make_groups, run_layer
 from cdfnet.patches import EIGENVALUE_FLOOR, ZcaTransform, normalize_rows
-from cdfnet.pipeline import KMEANS_MAX_ITERS, NetworkModel
+from cdfnet.pipeline import NetworkModel
 from cdfnet.svm import ROW_ORDER_SEED, STD_FLOOR, _dual_cd_l2svm
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
@@ -206,14 +206,14 @@ def per_group_train_bank(maps, layer, k, patch_rng, kmeans_rng):
     normalize_rows(patches)
     zca = fit_zca(patches, layer.zca_epsilon)
     patches = apply_zca(zca, patches)
-    return per_group_kmeans(patches, k, KMEANS_MAX_ITERS, kmeans_rng).centroids, zca
+    return per_group_kmeans(patches, k, kmeans.MAX_ITERS, kmeans_rng).centroids, zca
 
 
 def _train_bank(maps_list, layer, k, patch_rng, kmeans_rng) -> FilterBank:
     patches = extract_patches(maps_list, layer.patch_side, layer.n_patches, patch_rng)
     normalize_rows(patches)
     zca = fit_zca(patches, layer.zca_epsilon)
-    result = per_group_kmeans(apply_zca(zca, patches), k, KMEANS_MAX_ITERS, kmeans_rng)
+    result = per_group_kmeans(apply_zca(zca, patches), k, kmeans.MAX_ITERS, kmeans_rng)
     return FilterBank(*zca.fold(result.centroids))
 
 
@@ -236,7 +236,7 @@ def column_train_bank(
     matrix = (eigvecs * (1.0 / np.sqrt(eigvals + layer.zca_epsilon))) @ eigvecs.T
     zca = ZcaTransform(mean, (matrix + matrix.T) / 2.0)
     white = zca.matrix @ (cols - zca.mean[:, None])
-    result = per_group_kmeans(np.ascontiguousarray(white.T), k, KMEANS_MAX_ITERS, kmeans_rng)
+    result = per_group_kmeans(np.ascontiguousarray(white.T), k, kmeans.MAX_ITERS, kmeans_rng)
     return result.centroids, zca, result
 
 
