@@ -26,7 +26,6 @@ from .config import (
     Layer1Config,
     Layer2Config,
     NetworkConfig,
-    Seeds,
     load_experiment_config,
     load_network_config,
     save_network_config,
@@ -84,7 +83,6 @@ __all__ = [
     "NetworkModel",
     "NonFiniteValue",
     "ScoreTable",
-    "Seeds",
     "SvmModel",
     "accuracy",
     "committee_predict",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .config import (
 from .errors import AlignmentError, CdfnetError, DimError, FormatError, naming
 from .model_io import atomic_open, read_container, write_container
 from .pipeline import (
+    _check_members,
     evaluate_protocol,
     extract_descriptors,
     load_model,
@@ -40,6 +42,7 @@ from .pipeline import (
     train_network,
 )
 from .stl10 import (
+    IMAGE_SIDE,
     LabeledImage,
     load_fold_plan,
     load_stl10,
@@ -50,12 +53,9 @@ from .svm import DEFAULT_REG_C, score_many, train_ova_svm
 logger = logging.getLogger(__name__)
 
 
-def _apply_seed(cfg, seed):
-    if seed is None:
-        return cfg
-    from dataclasses import replace
-
-    return replace(cfg, seeds=cfg.seeds.shifted(seed))
+def _apply_seed(cfg, base):
+    """--seed b sets seed = 4b, so bases b and b + 1 draw disjoint streams."""
+    return cfg if base is None else replace(cfg, seed=4 * base)
 
 
 def _load_fold(args, images_path, labels_path) -> list[LabeledImage]:
@@ -96,6 +96,7 @@ def _read_descriptors(path) -> tuple[np.ndarray, list[int], np.ndarray]:
 
 def _cmd_train(args) -> int:
     cfg = _apply_seed(load_network_config(args.config), args.seed)
+    _check_members([cfg], (IMAGE_SIDE, IMAGE_SIDE))
     fold_images = _load_fold(args, args.train_x, args.train_y)
     logger.info("training %s on %d images", cfg.name, len(fold_images))
     model = train_network(cfg, fold_images)
@@ -176,6 +177,7 @@ def _cmd_evaluate(args) -> int:
     cfgs = [
         _apply_seed(load_network_config(p), args.seed) for p in exp.network_paths
     ]
+    _check_members(cfgs, (IMAGE_SIDE, IMAGE_SIDE))
     plan = load_fold_plan(args.folds)
     folds = exp.folds if args.fold is None else (args.fold,)
     for fold in folds:
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-y", required=True, help="training labels (.bin)")
     p.add_argument("--folds", help="fold index file")
     p.add_argument("--fold", type=int, help="fold number (omit: all images)")
-    p.add_argument("--seed", type=int, help="override all seeds from one base")
+    p.add_argument("--seed", type=int, help="base b: sets the config's seed to 4b")
     p.add_argument("--out", required=True, help="model container path")
     p.set_defaults(func=_cmd_train)
 
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-y", required=True)
     p.add_argument("--folds", required=True, help="fold index file")
     p.add_argument("--fold", type=int, help="run a single fold")
-    p.add_argument("--seed", type=int, help="override all seeds from one base")
+    p.add_argument("--seed", type=int, help="base b: sets each config's seed to 4b")
     p.add_argument("--out", help="output directory for scores and reports")
     p.set_defaults(func=_cmd_evaluate)
     return parser

@@ -22,7 +22,6 @@ from .layer import RECTIFIERS
 from .model_io import atomic_open
 from .stl10 import NUM_FOLDS
 from .svm import DEFAULT_REG_C, _check_reg_c
-from .tensor import SeededRng
 
 
 def _signed_pool_alpha(alpha: float) -> bool:
@@ -90,49 +89,29 @@ class Layer2Config:
 
 
 @dataclass(frozen=True)
-class Seeds:
-    patches: int = 1
-    kmeans1: int = 2
-    kmeans2: int = 3
-    grouping: int = 4
-
-    def __post_init__(self):
-        for f in fields(self):
-            try:
-                SeededRng(getattr(self, f.name))
-            except ValueError as exc:
-                raise ValueError(f"seeds.{f.name} = {getattr(self, f.name)}: {exc}") from None
-
-    def shifted(self, base: int) -> "Seeds":
-        """Derive all four seeds from one base seed (CLI --seed override)."""
-        return Seeds(
-            patches=base * 4 + 0,
-            kmeans1=base * 4 + 1,
-            kmeans2=base * 4 + 2,
-            grouping=base * 4 + 3,
-        )
-
-
-@dataclass(frozen=True)
 class NetworkConfig:
     """Complete hyperparameter record for one committee member."""
 
     name: str = "net"
     rectifier: str = "abs"
-    scale_factor: float | None = None
+    scale_factor: float = 1.0  # working resolution over native; 1 is native
     layer1: Layer1Config = field(default_factory=Layer1Config)
     layer2: Layer2Config = field(default_factory=Layer2Config)
     augment: AugmentPlan = field(default_factory=AugmentPlan)
-    seeds: Seeds = field(default_factory=Seeds)
     svm_reg_c: float = DEFAULT_REG_C
+    # training draws patch sampling, layer-1 k-means, layer-2 k-means and
+    # the grouping from SeededRng(seed + i), i = 0 ... 3 in that order
+    seed: int = 1
 
     def __post_init__(self):
         _check_network_id(self.name, "network name")
         if self.rectifier not in RECTIFIERS:
             raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {self.rectifier!r}")
-        if self.scale_factor is not None and not 0.0 < self.scale_factor <= 1.0:
+        if not 0.0 < self.scale_factor <= 1.0:
             raise ValueError(f"scale_factor must be in (0, 1], got {self.scale_factor}")
         _check_reg_c(self.svm_reg_c, "svm_reg_c")
+        if not 0 <= self.seed <= 2**64 - 4:
+            raise ValueError(f"seed must be in 0 ... 2**64 - 4, got {self.seed}")
 
 
 def parse_fraction(text: str) -> float:
@@ -162,7 +141,7 @@ def _format_float(x: float) -> str:
 # INI keys that differ from their dataclass field names
 _RENAMED = {"k": "filters", "k_per_group": "filters_per_group", "n_patches": "patches",
             "network_paths": "networks"}
-_OPTIONAL_SECTIONS = ("augment", "seeds")
+_OPTIONAL_SECTIONS = ("augment",)
 
 # field type -> (parse INI text, format value as INI text)
 _CODECS = {
@@ -170,10 +149,6 @@ _CODECS = {
     float: (parse_fraction, _format_float),
     bool: (_parse_bool, lambda b: str(b).lower()),
     str: (str, str),
-    float | None: (
-        lambda t: parse_fraction(t) if t.strip() else None,
-        lambda x: "" if x is None else _format_float(x),
-    ),
     tuple[float, ...]: (
         lambda t: tuple(parse_fraction(tok) for tok in t.split(",") if tok.strip()),
         lambda xs: ", ".join(_format_float(x) for x in xs),

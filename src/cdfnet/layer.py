@@ -340,7 +340,8 @@ def layer_output_shape(
 
     Raises the errors :func:`run_layer` would raise for that input, so an
     impossible shape chain fails before any training; it is the one check
-    that a window fits its map and that the rectifier is known.
+    that a window fits its map. It also refuses an unknown rectifier, which
+    a NetworkConfig refuses when built but a direct caller may pass.
     """
     if rectifier not in RECTIFIERS:
         raise ValueError(f"rectifier must be one of {RECTIFIERS}, got {rectifier!r}")

@@ -3,8 +3,8 @@
 A trained network is a layer-1 bank (float32 filters with the ZCA whitening
 folded in, and an offset), a random (G, n_k) table of layer-1 map indices, one
 group a row, and the layer-2 banks of all groups stacked into one (G, d, K)
-bank. Everything downstream of the seeds is deterministic, so a NetworkConfig
-plus its seeds reproduces models, descriptors, and score files bit for bit.
+bank. Everything downstream of the config's seed is deterministic, so a
+NetworkConfig reproduces models, descriptors, and score files bit for bit.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _layer1_input(
 ) -> np.ndarray:
     """img's pixels as layer 1 reads them: rescaled to the working resolution,
     and refused if that is not input_shape. Training and the forward pass share it."""
-    pixels = img.pixels if cfg.scale_factor is None else scale(img, cfg.scale_factor).pixels
+    pixels = scale(img, cfg.scale_factor).pixels
     if pixels.shape != input_shape:
         raise DimError(
             f"image {img.image_id!r} is {pixels.shape} after rescaling, "
@@ -168,9 +168,13 @@ def _train(
         raise ValueError("no training images")
     # the shape chain and the grouping depend only on the config and the
     # image size, so settle them before the heavy work
-    input_shape = _working_shape(cfg, *fold_images[0].pixels.shape)
+    input_shape = _scaled_shape(*fold_images[0].pixels.shape, cfg.scale_factor)
     l1_shape = _layer_shapes(cfg, *input_shape)[0]
-    groups = make_groups(l1_shape[2], cfg.layer2.group_size, SeededRng(cfg.seeds.grouping))
+    # the config's four streams, in the order NetworkConfig.seed documents
+    patches_rng, kmeans1_rng, kmeans2_rng, grouping_rng = map(
+        SeededRng, range(cfg.seed, cfg.seed + 4)
+    )
+    groups = make_groups(l1_shape[2], cfg.layer2.group_size, grouping_rng)
     augmented = expand_set(fold_images, cfg.augment)
     images = np.empty((len(augmented), *input_shape, 1))
     for i, img in enumerate(augmented):
@@ -179,11 +183,10 @@ def _train(
     image_ids = [img.image_id for img in augmented]
     del augmented
 
-    patches_rng = SeededRng(cfg.seeds.patches)
     logger.info("%s: training layer-1 filters (K=%d)", cfg.name, cfg.layer1.k)
     filters1, offset1 = _learn_filters(
         cfg.name, 1, images, np.zeros((1, 1), dtype=np.intp), cfg.layer1, cfg.layer1.k,
-        [patches_rng.child(0)], [SeededRng(cfg.seeds.kmeans1)],
+        [patches_rng.child(0)], [kmeans1_rng],
     )
     bank1 = FilterBank(filters1[0], offset1[0])
 
@@ -197,7 +200,6 @@ def _train(
         "%s: layer-1 output %dx%dx%d, %d groups of %d", cfg.name, *l1_shape, *groups.shape
     )
 
-    kmeans2_rng = SeededRng(cfg.seeds.kmeans2)
     bank2 = FilterBank(*_learn_filters(
         cfg.name, 2, outputs1, groups, cfg.layer2, cfg.layer2.k_per_group,
         [patches_rng.child(1 + g) for g in range(len(groups))],
@@ -241,19 +243,27 @@ def extract_descriptors(model: NetworkModel, images: list[LabeledImage]) -> np.n
     return _descriptor_rows(model, outputs1, len(images))
 
 
-def _working_shape(cfg: NetworkConfig, height: int, width: int) -> tuple[int, int]:
-    """Image size after the network's rescaling, as :func:`cdfnet.augment.scale` makes it."""
-    if cfg.scale_factor is None:
-        return height, width
-    return _scaled_shape(height, width, cfg.scale_factor)
-
-
 def descriptor_shape(cfg: NetworkConfig, height: int, width: int):
     """Closed-form layer shapes and descriptor length for one native input size.
 
     Raises the errors training would raise for a shape chain that cannot run.
     """
-    return _layer_shapes(cfg, *_working_shape(cfg, height, width))
+    return _layer_shapes(cfg, *_scaled_shape(height, width, cfg.scale_factor))
+
+
+def _check_members(cfgs: list[NetworkConfig], image_shape: tuple[int, int]) -> None:
+    """Refuse a committee :func:`evaluate_protocol` cannot run on native
+    images of image_shape: repeated member names, a member named
+    ``committee`` (the committee's own report section), or a member whose
+    shape chain fails; a shape error names its member."""
+    names = [cfg.name for cfg in cfgs]
+    if len(set(names)) != len(names) or "committee" in names:
+        raise ValueError(f"network names must be unique and not 'committee', got {names}")
+    for cfg in cfgs:
+        try:
+            descriptor_shape(cfg, *image_shape)
+        except CdfnetError as exc:
+            raise type(exc)(f"network {cfg.name}: {exc}") from exc
 
 
 def _layer_shapes(cfg: NetworkConfig, height: int, width: int):
@@ -380,10 +390,6 @@ def evaluate_protocol(
     When out_dir is given, per-(fold, network) score files, the text report,
     and the accuracy CSV are persisted there.
     """
-    names = [cfg.name for cfg in cfgs]
-    # "committee" names the committee's own report section
-    if len(set(names)) != len(names) or "committee" in names:
-        raise ValueError(f"network names must be unique and not 'committee', got {names}")
     if fold_indices is None:
         fold_indices = tuple(range(len(fold_plan.folds)))
     fold_indices = tuple(int(f) for f in fold_indices)
@@ -393,24 +399,24 @@ def evaluate_protocol(
         fold_plan.check_fold(fold, len(train_images))
     if not test_images:
         raise ValueError("the test set is empty")
-    # a member whose shape chain cannot run, or that cannot score the test
-    # set, is refused before any member trains
+    # a member that cannot run, or that cannot score the test set, is
+    # refused before any member trains
     train_shape = train_images[0].pixels.shape
+    _check_members(cfgs, train_shape)
     test_shapes = {img.pixels.shape for img in test_images}
     for cfg in cfgs:
-        try:
-            descriptor_shape(cfg, *train_shape)
-            for shape in test_shapes:
-                if _working_shape(cfg, *shape) != _working_shape(cfg, *train_shape):
-                    raise DimError(f"test images are {shape}, training images {train_shape}")
-        except CdfnetError as exc:
-            raise type(exc)(f"network {cfg.name}: {exc}") from exc
+        working = _scaled_shape(*train_shape, cfg.scale_factor)
+        for shape in test_shapes:
+            if _scaled_shape(*shape, cfg.scale_factor) != working:
+                raise DimError(
+                    f"network {cfg.name}: test images are {shape}, training images {train_shape}"
+                )
     test_labels = [img.label for img in test_images]
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
-    per_net_acc: dict[str, list[float]] = {name: [] for name in names}
+    per_net_acc: dict[str, list[float]] = {cfg.name: [] for cfg in cfgs}
     committee_acc: list[float] = []
     for fold in fold_indices:
         fold_images = [train_images[i] for i in fold_plan.folds[fold]]
@@ -432,7 +438,7 @@ def evaluate_protocol(
 
     report = ExperimentReport(
         networks=tuple(
-            ReportSection(name, fold_indices, tuple(per_net_acc[name])) for name in names
+            ReportSection(name, fold_indices, tuple(accs)) for name, accs in per_net_acc.items()
         ),
         committee=ReportSection("committee", fold_indices, tuple(committee_acc)),
     )

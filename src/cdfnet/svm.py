@@ -71,20 +71,14 @@ def _check_reg_c(reg_c, name: str = "reg_c") -> None:
         raise ValueError(f"{name} must be finite and > 0, got {reg_c}")
 
 
-def _dual_cd_l2svm(
-    x: np.ndarray,
-    y: np.ndarray,
-    c_eff: float,
-    max_epochs: int,
-    tol: float,
-    rng: SeededRng,
-):
+def _dual_cd_l2svm(x: np.ndarray, y: np.ndarray, c_eff: float, rng: SeededRng):
     """Dual coordinate descent for the L2-loss SVM (LIBLINEAR-style).
 
     x is (n, d) with the bias feature already appended, y in {-1, +1}.
-    Each epoch visits the rows in a fresh permutation drawn from `rng`.
-    Returns (w, dual objective per epoch, the largest projected gradient of
-    the last epoch); training stopped early when that is below tol. Each
+    Each epoch visits the rows in a fresh permutation drawn from `rng`, for
+    at most MAX_EPOCHS epochs, both constants read at call time. Returns
+    (w, dual objective per epoch, the largest projected gradient of the
+    last epoch); training stopped early when that is below TOL. Each
     coordinate step exactly minimizes the dual along one alpha_i subject
     to alpha_i >= 0, so the dual objective never increases.
     """
@@ -100,7 +94,7 @@ def _dual_cd_l2svm(
     gen = rng.generator()
     objectives = []
     max_pg = np.inf
-    for _ in range(max_epochs):
+    for _ in range(MAX_EPOCHS):
         max_pg = 0.0
         for i in gen.permutation(n).tolist():
             a, y_i, row = alpha[i], signs[i], rows[i]
@@ -117,7 +111,7 @@ def _dual_cd_l2svm(
         objectives.append(
             0.5 * float(w @ w) + 0.5 * d_ii * float(alphas @ alphas) - float(alphas.sum())
         )
-        if max_pg < tol:
+        if max_pg < TOL:
             break
     return w, objectives, max_pg
 
@@ -174,9 +168,7 @@ def train_ova_svm(
     biases = np.zeros(n_classes, dtype=np.float64)
     for cls in range(n_classes):
         y = np.where(labels == cls, 1.0, -1.0)
-        w, _, max_pg = _dual_cd_l2svm(
-            x, y, c_eff, MAX_EPOCHS, TOL, SeededRng(ROW_ORDER_SEED).child(cls)
-        )
+        w, _, max_pg = _dual_cd_l2svm(x, y, c_eff, SeededRng(ROW_ORDER_SEED).child(cls))
         if max_pg >= TOL:
             logger.warning(
                 "SVM class %d: dual CD ran %d epochs without reaching tol %g"

@@ -110,7 +110,7 @@ def extract_descriptors(model, images, raw_banks=None):
     bank1, bank2 = raw_banks or (model.bank1, model.bank2)
     rows = []
     for img in images:
-        if cfg.scale_factor is not None and cfg.scale_factor != 1.0:
+        if cfg.scale_factor != 1.0:
             img = scale(img, cfg.scale_factor)
         out1 = run_layer(img.pixels[:, :, None], bank1, cfg.layer1, cfg.rectifier)
         rows.append(np.concatenate([

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 
 from cdfnet import AugmentPlan, LabeledImage
-from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds
+from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig
 from cdfnet.layer import FilterBank
 from cdfnet.model_io import MAGIC, VERSION
 from cdfnet.patches import ZcaTransform
@@ -59,7 +59,7 @@ def toy_config(
     pool1: tuple[int, int] = (8, 8),
     k2: int = 16,
     pool2: tuple[int, int] = (5, 5),
-    seeds: Seeds = Seeds(1, 2, 3, 4),
+    seed: int = 1,
     rectifier: str = "abs",
     mirror: bool = False,
     n_patches1: int = 20_000,
@@ -90,12 +90,12 @@ def toy_config(
             n_patches=n_patches2,
         ),
         augment=AugmentPlan(mirror=mirror),
-        seeds=seeds,
         svm_reg_c=svm_reg_c,
+        seed=seed,
     )
 
 
-def micro_config(name: str = "micro", seeds: Seeds = Seeds(1, 2, 3, 4)) -> NetworkConfig:
+def micro_config(name: str = "micro", seed: int = 1) -> NetworkConfig:
     """Tiny 96x96 network for fast CLI / protocol tests."""
     return NetworkConfig(
         name=name,
@@ -119,8 +119,8 @@ def micro_config(name: str = "micro", seeds: Seeds = Seeds(1, 2, 3, 4)) -> Netwo
             n_patches=500,
         ),
         augment=AugmentPlan(mirror=True),
-        seeds=seeds,
         svm_reg_c=16.0,
+        seed=seed,
     )
 
 

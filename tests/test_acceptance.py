@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cdfnet.committee import accuracy, committee_predict, table_predict
-from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, Seeds
+from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig
 from cdfnet.kmeans import kmeans_stack
 from cdfnet.layer import (
     _convolve,
@@ -238,8 +238,8 @@ def test_criterion_5_determinism(toy_run, tmp_path):
 # -- criterion 4: committee dominance --------------------------------------------
 
 
-def _committee_member(name, seeds, pool1, alpha=1.0):
-    """32x32 network; members differ in seeds and pooling geometry/order."""
+def _committee_member(name, seed, pool1, alpha=1.0):
+    """32x32 network; members differ in seed and pooling geometry/order."""
     return NetworkConfig(
         name=name,
         layer1=Layer1Config(
@@ -250,7 +250,7 @@ def _committee_member(name, seeds, pool1, alpha=1.0):
             k_per_group=6, patch_side=3, group_size=4, pool_side=3, pool_stride=3,
             lcn_window=3, lcn_sigma=0.75, n_patches=1500,
         ),
-        seeds=seeds,
+        seed=seed,
         svm_reg_c=16.0,
     )
 
@@ -259,11 +259,11 @@ def test_criterion_4_committee_dominance(caplog):
     caplog.set_level("WARNING", logger="cdfnet.svm")
     with _criterion(4, "committee >= best member in >= 9/10 runs"):
         members = [
-            _committee_member("c1", Seeds(11, 12, 13, 14), (8, 5)),
-            _committee_member("c2", Seeds(21, 22, 23, 24), (4, 4), alpha=2.0),
-            _committee_member("c3", Seeds(31, 32, 33, 34), (8, 4)),
-            _committee_member("c4", Seeds(41, 42, 43, 44), (6, 5), alpha=4.0),
-            _committee_member("c5", Seeds(51, 52, 53, 54), (10, 3), alpha=2.0),
+            _committee_member("c1", 11, (8, 5)),
+            _committee_member("c2", 21, (4, 4), alpha=2.0),
+            _committee_member("c3", 31, (8, 4)),
+            _committee_member("c4", 41, (6, 5), alpha=4.0),
+            _committee_member("c5", 51, (10, 3), alpha=2.0),
         ]
         wins = 0
         for rep in range(10):

@@ -11,7 +11,6 @@ from cdfnet import cli, pipeline
 from cdfnet.cli import main
 from cdfnet.committee import read_score_file
 from cdfnet.config import (
-    Seeds,
     network_config_from_text,
     network_config_to_text,
     save_network_config,
@@ -45,7 +44,7 @@ def ws(tmp_path_factory):
     (root / "folds.txt").write_text("\n".join(folds) + "\n")
 
     save_network_config(root / "m1.ini", micro_config("m1"))
-    save_network_config(root / "m2.ini", micro_config("m2", seeds=Seeds(5, 6, 7, 8)))
+    save_network_config(root / "m2.ini", micro_config("m2", seed=5))
     (root / "exp.ini").write_text(
         "[experiment]\nname = duo\nnetworks = m1.ini, m2.ini\nfolds = 0\n"
     )
@@ -88,6 +87,16 @@ class TestTrain:
         assert rc == 0
         assert out2.read_bytes() != trained_model.read_bytes()
 
+    def test_seed_flag_sets_four_times_its_base(self, ws, tmp_path):
+        data = ["--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin",
+                "--folds", ws / "folds.txt", "--fold", 0]
+        assert run("train", "--config", ws / "m1.ini", *data, "--seed", 2,
+                   "--out", tmp_path / "flag.model") == 0
+        save_network_config(tmp_path / "m1_seed8.ini", micro_config("m1", seed=8))
+        assert run("train", "--config", tmp_path / "m1_seed8.ini", *data,
+                   "--out", tmp_path / "config.model") == 0
+        assert (tmp_path / "flag.model").read_bytes() == (tmp_path / "config.model").read_bytes()
+
     def test_fold_without_plan(self, ws, capsys):
         rc = run("train", "--config", ws / "m1.ini", "--train-x", ws / "train_X.bin",
                  "--train-y", ws / "train_y.bin", "--fold", 0, "--out", ws / "x.model")
@@ -110,7 +119,7 @@ class TestTrain:
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_out_of_range_seed_base_fails_before_images(self, ws, capsys, monkeypatch,
                                                         command, seed):
-        # 2**62 * 4 + 3 is past the 64-bit seed range
+        # --seed b sets seed = 4b: -4 is below the range, 2**64 past it
         self._no_image_reads(monkeypatch)
         data = ["--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin"]
         if command == "train":
@@ -122,18 +131,18 @@ class TestTrain:
                      "--folds", ws / "folds.txt", "--seed", seed)
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: seeds.") and "64-bit" in err and err.count("\n") == 1
+        assert err == f"error: seed must be in 0 ... 2**64 - 4, got {4 * seed}\n"
 
     def test_out_of_range_config_seed_fails_at_load(self, ws, tmp_path, capsys, monkeypatch):
         self._no_image_reads(monkeypatch)
-        text = network_config_to_text(micro_config("m1")).replace("kmeans2 = 3", "kmeans2 = -3")
+        text = network_config_to_text(micro_config("m1")).replace("seed = 1\n", "seed = -3\n")
         (tmp_path / "bad.ini").write_text(text)
         rc = run("train", "--config", tmp_path / "bad.ini", "--train-x", ws / "train_X.bin",
                  "--train-y", ws / "train_y.bin", "--out", tmp_path / "x.model")
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {tmp_path / 'bad.ini'}: bad network config: seeds.kmeans2 = -3")
-        assert err.count("\n") == 1
+        assert err == (f"error: {tmp_path / 'bad.ini'}: bad network config: "
+                       "seed must be in 0 ... 2**64 - 4, got -3 (in [network])\n")
 
     @pytest.mark.parametrize("line, reason", [
         ("scale_factor = 1/0", "network.scale_factor: fraction '1/0' divides by zero"),
@@ -163,6 +172,39 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: bad network config: ") and reason in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, members, reason", [
+        ("evaluate", ("m1", "m1"), "network names must be unique and not 'committee', "
+                                   "got ['m1', 'm1']"),
+        ("evaluate", ("m1", "committee"), "network names must be unique and not 'committee', "
+                                          "got ['m1', 'committee']"),
+        ("evaluate", ("m1", "wide"), "network wide: pool window 90 exceeds map size 89x89"),
+        ("train", ("wide",), "network wide: pool window 90 exceeds map size 89x89"),
+    ], ids=["evaluate-repeated_name", "evaluate-committee", "evaluate-pool_window_90",
+            "train-pool_window_90"])
+    def test_member_error_fails_before_images(self, ws, tmp_path, capsys, monkeypatch,
+                                              command, members, reason):
+        # a committee that cannot run on STL-10's 96x96 images is refused
+        # before the images are decoded, with the message evaluate_protocol gives
+        self._no_image_reads(monkeypatch)
+        for name in set(members):
+            cfg = micro_config(name)
+            if name == "wide":  # the 96x96 image's 89x89 layer-1 maps hold no 90x90 window
+                cfg = replace(cfg, layer1=replace(cfg.layer1, pool_side=90))
+            save_network_config(tmp_path / f"{name}.ini", cfg)
+        data = ["--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin"]
+        if command == "train":
+            rc = run("train", "--config", tmp_path / "wide.ini", *data,
+                     "--out", tmp_path / "x.model")
+        else:
+            (tmp_path / "exp.ini").write_text(
+                "[experiment]\nnetworks = " + ", ".join(f"{m}.ini" for m in members) + "\n"
+            )
+            rc = run("evaluate", "--config", tmp_path / "exp.ini", *data,
+                     "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
+                     "--folds", ws / "folds.txt")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 class TestChain:

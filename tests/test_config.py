@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from cdfnet import cli
 from cdfnet import config as config_mod
 from cdfnet.augment import AugmentPlan
 from cdfnet.config import (
@@ -12,7 +13,6 @@ from cdfnet.config import (
     Layer1Config,
     Layer2Config,
     NetworkConfig,
-    Seeds,
     load_experiment_config,
     load_network_config,
     network_config_from_text,
@@ -21,6 +21,7 @@ from cdfnet.config import (
     save_network_config,
 )
 from cdfnet.errors import FormatError
+from cdfnet.tensor import SeededRng
 
 
 def _full_config():
@@ -36,8 +37,8 @@ def _full_config():
                             lcn_window=5, lcn_sigma=0.5, zca_epsilon=0.2,
                             n_patches=777),
         augment=AugmentPlan(mirror=True, rotations_deg=(-10.0, 10.0)),
-        seeds=Seeds(patches=11, kmeans1=22, kmeans2=33, grouping=44),
         svm_reg_c=32.0,
+        seed=11,
     )
 
 
@@ -87,8 +88,8 @@ class TestParseFraction:
 class TestRoundTrip:
     def test_full_round_trip(self):
         cfg = _full_config()
-        # each of the 29 scalar fields holds a non-default value
-        assert len(_scalar_diffs(cfg, NetworkConfig())) == 29
+        # each of the 26 scalar fields holds a non-default value
+        assert len(_scalar_diffs(cfg, NetworkConfig())) == 26
         assert network_config_from_text(network_config_to_text(cfg)) == cfg
 
     @pytest.mark.parametrize("text", _texts_missing_one_key(_full_config()))
@@ -183,6 +184,8 @@ class TestParsing:
             ("augment", "mirorr = true", "augment.mirorr"),
             ("augment", "scale_factor = 0.5", "augment.scale_factor"),
             ("sedes", "patches = 5", "sedes"),
+            # the four-seed section of earlier versions is unknown too
+            ("seeds", "patches = 11", "[seeds]"),
             # retired keys are unknown, also in the sections that held them
             ("network", "dense_preprocess = true", "network.dense_preprocess"),
             ("layer2", "descriptor_mode = layer2_only", "layer2.descriptor_mode"),
@@ -287,30 +290,42 @@ class TestValidation:
 
 
 class TestSeeds:
-    def test_shifted_distinct_streams(self):
-        s = Seeds().shifted(7)
-        assert s == Seeds(patches=28, kmeans1=29, kmeans2=30, grouping=31)
-        t = Seeds().shifted(8)
-        assert len({s.patches, s.kmeans1, s.kmeans2, s.grouping,
-                    t.patches, t.kmeans1, t.kmeans2, t.grouping}) == 8
+    """Training draws its four streams from seed ... seed + 3, and --seed b
+    sets seed = 4b, b shifted two bits left."""
 
-    @pytest.mark.parametrize("field, value", [("kmeans2", -3), ("patches", 2**64)])
-    def test_out_of_range_seed_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"seeds.{field}"):
-            Seeds(**{field: value})
-        with pytest.raises(FormatError, match=f"seeds.{field}"):
-            network_config_from_text(f"[network]\n[layer1]\n[layer2]\n[seeds]\n{field} = {value}\n")
+    @staticmethod
+    def _streams(cfg):
+        return set(range(cfg.seed, cfg.seed + 4))
+
+    def test_shifted_distinct_streams(self):
+        s, t = (cli._apply_seed(NetworkConfig(), base) for base in (7, 8))
+        assert (s.seed, t.seed) == (28, 32)
+        assert self._streams(s).isdisjoint(self._streams(t))
+
+    def test_shipped_stream_sets_are_disjoint(self):
+        sets = [self._streams(load_network_config(p)) for p in SHIPPED]
+        assert len(sets) == 5
+        assert len(set().union(*sets)) == 4 * len(sets)
+
+    @pytest.mark.parametrize("value", [-1, 2**64 - 3])
+    def test_out_of_range_seed_rejected(self, value):
+        message = re.escape(f"seed must be in 0 ... 2**64 - 4, got {value}")
+        with pytest.raises(ValueError, match=message):
+            NetworkConfig(seed=value)
+        with pytest.raises(FormatError, match=message + re.escape(" (in [network])")):
+            network_config_from_text(f"[network]\nseed = {value}\n[layer1]\n[layer2]\n")
 
     def test_largest_seeds_accepted(self):
-        top = 2**64 - 1
-        assert Seeds(top, top, top, top).grouping == top
-        assert Seeds().shifted((2**64 - 4) // 4).grouping == top
+        top = 2**64 - 4
+        assert NetworkConfig(seed=top).seed == top
+        assert cli._apply_seed(NetworkConfig(), top // 4).seed == top
+        assert SeededRng(top + 3).seed == 2**64 - 1  # the last stream is still a seed
 
     @pytest.mark.parametrize("base", [-1, 2**62])
     def test_shifted_out_of_range_rejected(self, base):
-        # 2**62 * 4 + 3 is past the 64-bit range; -1 * 4 is below it
-        with pytest.raises(ValueError, match="64-bit"):
-            Seeds().shifted(base)
+        # 4 * -1 is below the range, 4 * 2**62 = 2**64 past it
+        with pytest.raises(ValueError, match=re.escape(f"got {4 * base}")):
+            cli._apply_seed(NetworkConfig(), base)
 
 
 class TestExperiment:

@@ -243,6 +243,19 @@ CASES = {
         "n.ini", lambda p: p.write_text("[network]\nscale_factor = 1/0\n[layer1]\n[layer2]\n"),
         load_network_config, "network.scale_factor: fraction '1/0' divides by zero",
     ),
+    # config text of earlier versions: four seeds in their own section, and
+    # an empty scale_factor for native resolution
+    "model_seeds_section": (
+        "m.model",
+        lambda p: _model(p, edit_text=lambda t: t.replace("seed = 1\n", "") + (
+            "[seeds]\npatches = 1\nkmeans1 = 2\nkmeans2 = 3\ngrouping = 4\n"
+        )),
+        load_model, "bad network config: unknown section [seeds]",
+    ),
+    "network_config_empty_scale_factor": (
+        "n.ini", lambda p: p.write_text("[network]\nscale_factor = \n[layer1]\n[layer2]\n"),
+        load_network_config, "network.scale_factor: could not convert string to float: ''",
+    ),
     "network_config_repeated_key": (
         "n.ini", lambda p: p.write_text("[network]\nname = a\nname = b\n[layer1]\n[layer2]\n"),
         load_network_config, "option 'name' in section 'network' already exists",

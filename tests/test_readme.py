@@ -11,6 +11,7 @@ import pytest
 
 import cdfnet
 from cdfnet.cli import build_parser
+from cdfnet.config import network_config_to_text
 from cdfnet.layer import FilterBank
 from cdfnet.layer import make_groups
 from cdfnet.model_io import read_container
@@ -146,3 +147,12 @@ def test_svm_tensor_list_is_what_save_svm_writes(tmp_path):
     svm = cdfnet.SvmModel(weights=np.ones((2, 3)), biases=np.zeros(2), reg_c=1.0)
     cdfnet.save_svm(tmp_path / "m.svm", svm)
     assert names == list(read_container(tmp_path / "m.svm")[0])
+
+
+def test_config_section_list_is_what_the_writer_writes():
+    # README "Configs" names every section of a network config
+    listed = re.search(r"A config is a plain INI file\s+with (.*?) sections", README, flags=re.S)
+    assert listed, "README lists no config sections"
+    names = re.findall(r"`\[(\w+)\]`", listed.group(1))
+    text = network_config_to_text(cdfnet.NetworkConfig())
+    assert names == re.findall(r"^\[(\w+)\]$", text, flags=re.M)

@@ -12,6 +12,14 @@ from helpers import traced_peak
 from train_oracle import primal_objectives, primal_svm, standardized_scores, standardized_svm
 
 
+def _solve(x, y, c_eff, max_epochs, tol):
+    """_dual_cd_l2svm with its stopping rule svm.MAX_EPOCHS and svm.TOL set."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svm_mod, "MAX_EPOCHS", max_epochs)
+        mp.setattr(svm_mod, "TOL", tol)
+        return _dual_cd_l2svm(x, y, c_eff, SeededRng(0))
+
+
 def _descs(values):
     return np.asarray(values, dtype=np.float64)
 
@@ -120,14 +128,14 @@ class TestObjective:
         x = np.hstack([x, np.ones((60, 1))])
         y = np.where(rng.random(60) < 0.5, 1.0, -1.0)
         for c_eff in (0.01, 0.5, 10.0):
-            _, objectives, _ = _dual_cd_l2svm(x, y, c_eff, 50, 0.0, SeededRng(0))
+            _, objectives, _ = _solve(x, y, c_eff, 50, 0.0)
             diffs = np.diff(objectives)
             assert np.all(diffs <= 1e-9 * np.maximum(np.abs(objectives[:-1]), 1.0))
 
     def test_converges_on_easy_problem(self):
         x = np.array([[-1.0, 1.0], [1.0, 1.0]])
         y = np.array([-1.0, 1.0])
-        w, objectives, max_pg = _dual_cd_l2svm(x, y, 1.0, 1000, 1e-4, SeededRng(0))
+        w, objectives, max_pg = _solve(x, y, 1.0, 1000, 1e-4)
         assert max_pg < 1e-4 and len(objectives) < 1000  # stopped early on the gradient test
         assert w[0] > 0  # separates the two points
 

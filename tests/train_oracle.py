@@ -46,7 +46,7 @@ from collections import namedtuple
 import numpy as np
 from scipy.optimize import minimize
 
-from cdfnet import kmeans, svm
+from cdfnet import kmeans
 from cdfnet.augment import expand_set, scale
 from cdfnet.kmeans import _BLOCK
 from cdfnet.layer import FilterBank, make_groups, run_layer
@@ -243,20 +243,20 @@ def column_train_bank(
 def train_network(cfg, fold_images) -> NetworkModel:
     """Both layers' filters, trained image by image and group by group."""
     images = expand_set(fold_images, cfg.augment)
-    if cfg.scale_factor is not None and cfg.scale_factor != 1.0:
+    if cfg.scale_factor != 1.0:
         images = [scale(img, cfg.scale_factor) for img in images]
     maps1 = [img.pixels[:, :, np.newaxis] for img in images]
     k1 = cfg.layer1.k * (2 if cfg.rectifier == "on_off" else 1)
-    groups = make_groups(k1, cfg.layer2.group_size, SeededRng(cfg.seeds.grouping))
+    groups = make_groups(k1, cfg.layer2.group_size, SeededRng(cfg.seed + 3))
 
-    patches_rng = SeededRng(cfg.seeds.patches)
+    patches_rng = SeededRng(cfg.seed)
     bank1 = _train_bank(
-        maps1, cfg.layer1, cfg.layer1.k, patches_rng.child(0), SeededRng(cfg.seeds.kmeans1)
+        maps1, cfg.layer1, cfg.layer1.k, patches_rng.child(0), SeededRng(cfg.seed + 1)
     )
     outputs1 = [
         run_layer(FeatureMapSet(m), bank1, cfg.layer1, cfg.rectifier) for m in maps1
     ]
-    kmeans2_rng = SeededRng(cfg.seeds.kmeans2)
+    kmeans2_rng = SeededRng(cfg.seed + 2)
     banks2 = tuple(
         _train_bank(
             [out[:, :, list(group)] for out in outputs1],
@@ -290,8 +290,8 @@ def standardized_svm(descriptors, labels, reg_c: float):
     for cls in range(n_classes):
         y = np.where(labels == cls, 1.0, -1.0)
         rng = SeededRng(ROW_ORDER_SEED).child(cls)
-        # read at call time, so a test that patches the stopping rule patches it here too
-        w, _, _ = _dual_cd_l2svm(x, y, reg_c / len(x), svm.MAX_EPOCHS, svm.TOL, rng)
+        # the solver reads the stopping rule at call time, so a test's patch reaches it
+        w, _, _ = _dual_cd_l2svm(x, y, reg_c / len(x), rng)
         weights[cls], biases[cls] = w[:-1], w[-1]
     return weights, biases, mean, std
 
