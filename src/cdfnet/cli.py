@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -53,9 +53,11 @@ from .svm import DEFAULT_REG_C, score_many, train_ova_svm
 logger = logging.getLogger(__name__)
 
 
-def _apply_seed(cfg, base):
-    """--seed b sets seed = 4b, so bases b and b + 1 draw disjoint streams."""
-    return cfg if base is None else replace(cfg, seed=4 * base)
+def _out_file(path: str) -> str:
+    """An --out file path, refused before any work when its directory is missing."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"the directory of {path} does not exist")
+    return path
 
 
 def _load_fold(args, images_path, labels_path) -> list[LabeledImage]:
@@ -95,7 +97,7 @@ def _read_descriptors(path) -> tuple[np.ndarray, list[int], np.ndarray]:
 
 
 def _cmd_train(args) -> int:
-    cfg = _apply_seed(load_network_config(args.config), args.seed)
+    cfg = load_network_config(args.config)
     _check_members([cfg], (IMAGE_SIDE, IMAGE_SIDE))
     fold_images = _load_fold(args, args.train_x, args.train_y)
     logger.info("training %s on %d images", cfg.name, len(fold_images))
@@ -174,9 +176,7 @@ def _cmd_committee(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     exp = load_experiment_config(args.config)
-    cfgs = [
-        _apply_seed(load_network_config(p), args.seed) for p in exp.network_paths
-    ]
+    cfgs = [load_network_config(p) for p in exp.networks]
     _check_members(cfgs, (IMAGE_SIDE, IMAGE_SIDE))
     plan = load_fold_plan(args.folds)
     folds = exp.folds if args.fold is None else (args.fold,)
@@ -205,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-y", required=True, help="training labels (.bin)")
     p.add_argument("--folds", help="fold index file")
     p.add_argument("--fold", type=int, help="fold number (omit: all images)")
-    p.add_argument("--seed", type=int, help="base b: sets the config's seed to 4b")
-    p.add_argument("--out", required=True, help="model container path")
+    p.add_argument("--out", type=_out_file, required=True, help="model container path")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("extract", help="compute descriptors for an image file")
@@ -216,26 +215,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", help="fold index file")
     p.add_argument("--fold", type=int, help="restrict to one fold")
     p.add_argument("--augment", action="store_true", help="apply the training augment plan")
-    p.add_argument("--out", required=True, help="descriptor container path")
+    p.add_argument("--out", type=_out_file, required=True, help="descriptor container path")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("svm", help="train the one-vs-all linear SVM")
     p.add_argument("--descriptors", required=True, help="descriptor container")
     p.add_argument("--reg-c", type=float, default=DEFAULT_REG_C, help="SVM regularization C")
-    p.add_argument("--out", required=True, help="SVM container path")
+    p.add_argument("--out", type=_out_file, required=True, help="SVM container path")
     p.set_defaults(func=_cmd_svm)
 
     p = sub.add_parser("score", help="score descriptors and write a score table")
     p.add_argument("--svm", required=True, help="SVM container path")
     p.add_argument("--descriptors", required=True, help="descriptor container")
     p.add_argument("--network-id", required=True, help="network id for the table")
-    p.add_argument("--out", required=True, help="score file path")
+    p.add_argument("--out", type=_out_file, required=True, help="score file path")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("committee", help="fuse score tables and predict")
     p.add_argument("scores", nargs="+", help="score files to fuse")
     p.add_argument("--labels", help="labels (.bin) for accuracy")
-    p.add_argument("--out", help="predictions output path")
+    p.add_argument("--out", type=_out_file, help="predictions output path")
     p.set_defaults(func=_cmd_committee)
 
     p = sub.add_parser("evaluate", help="full fold protocol for a committee")
@@ -246,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-y", required=True)
     p.add_argument("--folds", required=True, help="fold index file")
     p.add_argument("--fold", type=int, help="run a single fold")
-    p.add_argument("--seed", type=int, help="base b: sets each config's seed to 4b")
     p.add_argument("--out", help="output directory for scores and reports")
     p.set_defaults(func=_cmd_evaluate)
     return parser

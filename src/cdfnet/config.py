@@ -11,7 +11,6 @@ import configparser
 import io
 import math
 import os
-import re
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -34,8 +33,8 @@ def _check_layer(layer, k_field: str) -> None:
     k = getattr(layer, k_field)
     if k < 1:
         raise InvalidK(f"{k_field} must be >= 1, got {k}")
-    if layer.n_patches < k:
-        raise InvalidK(f"n_patches {layer.n_patches} is below {k_field} = {k}")
+    if layer.patches < k:
+        raise InvalidK(f"patches {layer.patches} is below {k_field} = {k}")
     if layer.patch_side < 1:
         raise ValueError(f"patch_side must be >= 1, got {layer.patch_side}")
     if not (math.isfinite(layer.zca_epsilon) and layer.zca_epsilon > 0):
@@ -55,7 +54,7 @@ def _check_layer(layer, k_field: str) -> None:
 
 @dataclass(frozen=True)
 class Layer1Config:
-    k: int = 300
+    filters: int = 300
     patch_side: int = 16
     pool_side: int = 12
     pool_stride: int = 12
@@ -63,15 +62,15 @@ class Layer1Config:
     lcn_window: int = 9
     lcn_sigma: float = 2.25
     zca_epsilon: float = 0.01
-    n_patches: int = 400_000
+    patches: int = 400_000
 
     def __post_init__(self):
-        _check_layer(self, "k")
+        _check_layer(self, "filters")
 
 
 @dataclass(frozen=True)
 class Layer2Config:
-    k_per_group: int = 75
+    filters_per_group: int = 75
     patch_side: int = 3
     group_size: int = 4
     pool_side: int = 3
@@ -80,10 +79,10 @@ class Layer2Config:
     lcn_window: int = 3
     lcn_sigma: float = 0.75
     zca_epsilon: float = 0.1
-    n_patches: int = 200_000
+    patches: int = 200_000
 
     def __post_init__(self):
-        _check_layer(self, "k_per_group")
+        _check_layer(self, "filters_per_group")
         if self.group_size < 1:
             raise ValueError(f"group_size must be >= 1, got {self.group_size}")
 
@@ -138,9 +137,6 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-# INI keys that differ from their dataclass field names
-_RENAMED = {"k": "filters", "k_per_group": "filters_per_group", "n_patches": "patches",
-            "network_paths": "networks"}
 _OPTIONAL_SECTIONS = ("augment",)
 
 # field type -> (parse INI text, format value as INI text)
@@ -163,14 +159,10 @@ _CODECS = {
 }
 
 
-def _scalar_fields(cls) -> list[tuple[str, str, type]]:
-    """(field name, INI key, field type) for the fields of cls that are not records."""
+def _scalar_fields(cls) -> list[tuple[str, type]]:
+    """(name, type) of each field of cls that is not a record; the name is its INI key."""
     hints = typing.get_type_hints(cls)
-    return [
-        (f.name, _RENAMED.get(f.name, f.name), hints[f.name])
-        for f in fields(cls)
-        if not is_dataclass(hints[f.name])
-    ]
+    return [(f.name, hints[f.name]) for f in fields(cls) if not is_dataclass(hints[f.name])]
 
 
 # sub-record sections in file order after [network]: field name -> record class
@@ -180,14 +172,11 @@ _RECORDS = {
 
 
 def _section_text(record) -> dict[str, str]:
-    return {
-        key: _CODECS[tp][1](getattr(record, name))
-        for name, key, tp in _scalar_fields(type(record))
-    }
+    return {key: _CODECS[tp][1](getattr(record, key)) for key, tp in _scalar_fields(type(record))}
 
 
 def network_config_to_text(cfg: NetworkConfig) -> str:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["network"] = _section_text(cfg)
     for name in _RECORDS:
         cp[name] = _section_text(getattr(cfg, name))
@@ -204,10 +193,10 @@ def _read_section(cp: configparser.ConfigParser, section: str, cls) -> dict:
         raise FormatError(f"missing section [{section}]")
     given = dict(cp.items(section))
     values = {}
-    for name, key, tp in _scalar_fields(cls):
+    for key, tp in _scalar_fields(cls):
         if key in given:
             try:
-                values[name] = _CODECS[tp][0](given.pop(key))
+                values[key] = _CODECS[tp][0](given.pop(key))
             except ValueError as exc:
                 raise FormatError(f"{section}.{key}: {exc}") from exc
     if given:
@@ -217,7 +206,7 @@ def _read_section(cp: configparser.ConfigParser, section: str, cls) -> dict:
 
 def _parse(text: str, sections: set[str]) -> configparser.ConfigParser:
     """The INI text of a network or experiment file, whose sections must be among sections."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text)
     unknown = set(cp.sections()) - sections
     if unknown:
@@ -236,14 +225,12 @@ def network_config_from_text(text: str) -> NetworkConfig:
 
 def _build(cp: configparser.ConfigParser, section: str, cls, **records):
     """One section's record; a refused value names the section, as both layers
-    share keys, and the keys as the file spells them, not the field names."""
+    share keys."""
     values = _read_section(cp, section, cls)
     try:
         return cls(**values, **records)
     except (ValueError, InvalidK, InvalidWindow) as exc:
-        keys = {name: key for name, key, _ in _scalar_fields(cls)}
-        message = re.sub(r"\w+", lambda m: keys.get(m.group(), m.group()), str(exc))
-        raise FormatError(f"{message} (in [{section}])") from exc
+        raise FormatError(f"{exc} (in [{section}])") from exc
 
 
 def load_network_config(path) -> NetworkConfig:
@@ -262,11 +249,11 @@ class ExperimentConfig:
     """A committee experiment: member configs and which folds to run."""
 
     name: str = "experiment"
-    network_paths: tuple[str, ...] = ()
+    networks: tuple[str, ...] = ()
     folds: tuple[int, ...] = tuple(range(NUM_FOLDS))  # indices into the fold plan
 
     def __post_init__(self):
-        if not self.network_paths:
+        if not self.networks:
             raise ValueError("experiment lists no networks")
         if not self.folds or len(set(self.folds)) != len(self.folds):
             raise ValueError(f"experiment folds must be non-empty and distinct, got {self.folds}")
@@ -277,4 +264,4 @@ def load_experiment_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh, naming(path):
         exp = _build(_parse(fh.read(), {"experiment"}), "experiment", ExperimentConfig)
     base = os.path.dirname(os.path.abspath(path))
-    return replace(exp, network_paths=tuple(os.path.join(base, p) for p in exp.network_paths))
+    return replace(exp, networks=tuple(os.path.join(base, p) for p in exp.networks))

@@ -72,7 +72,8 @@ class NetworkModel:
         if not np.array_equal(np.sort(table, axis=None), np.arange(l1[2])):
             raise InvalidGrouping(f"groups must partition the {l1[2]} layer-1 maps exactly")
         c1, c2 = self.config.layer1, self.config.layer2
-        want = ((c1.patch_side**2, c1.k), (c2.patch_side**2 * c2.group_size, c2.k_per_group))
+        want = ((c1.patch_side**2, c1.filters),
+                (c2.patch_side**2 * c2.group_size, c2.filters_per_group))
         got = ((self.bank1.dim, self.bank1.k), (self.bank2.dim, self.bank2.k))
         if got != want:
             raise DimError(f"filters (d, K) of layers 1 and 2 are {got}, the config's are {want}")
@@ -122,7 +123,7 @@ def _learn_filters(
     converging.
     """
     n_groups, depth = groups.shape
-    p, n = layer.patch_side, layer.n_patches
+    p, n = layer.patch_side, layer.patches
     filters = np.empty((n_groups, p * p * depth, k))
     offsets = np.empty((n_groups, k))
     n_iters = np.empty(n_groups, dtype=np.int64)
@@ -183,9 +184,9 @@ def _train(
     image_ids = [img.image_id for img in augmented]
     del augmented
 
-    logger.info("%s: training layer-1 filters (K=%d)", cfg.name, cfg.layer1.k)
+    logger.info("%s: training layer-1 filters (K=%d)", cfg.name, cfg.layer1.filters)
     filters1, offset1 = _learn_filters(
-        cfg.name, 1, images, np.zeros((1, 1), dtype=np.intp), cfg.layer1, cfg.layer1.k,
+        cfg.name, 1, images, np.zeros((1, 1), dtype=np.intp), cfg.layer1, cfg.layer1.filters,
         [patches_rng.child(0)], [kmeans1_rng],
     )
     bank1 = FilterBank(filters1[0], offset1[0])
@@ -201,7 +202,7 @@ def _train(
     )
 
     bank2 = FilterBank(*_learn_filters(
-        cfg.name, 2, outputs1, groups, cfg.layer2, cfg.layer2.k_per_group,
+        cfg.name, 2, outputs1, groups, cfg.layer2, cfg.layer2.filters_per_group,
         [patches_rng.child(1 + g) for g in range(len(groups))],
         [kmeans2_rng.child(g) for g in range(len(groups))],
     ))
@@ -268,8 +269,8 @@ def _check_members(cfgs: list[NetworkConfig], image_shape: tuple[int, int]) -> N
 
 def _layer_shapes(cfg: NetworkConfig, height: int, width: int):
     """:func:`descriptor_shape` for an input already at the working resolution."""
-    l1 = layer_output_shape(height, width, cfg.layer1.k, cfg.layer1, cfg.rectifier)
-    l2 = layer_output_shape(l1[0], l1[1], cfg.layer2.k_per_group, cfg.layer2, cfg.rectifier)
+    l1 = layer_output_shape(height, width, cfg.layer1.filters, cfg.layer1, cfg.rectifier)
+    l2 = layer_output_shape(l1[0], l1[1], cfg.layer2.filters_per_group, cfg.layer2, cfg.rectifier)
     n_groups, rest = divmod(l1[2], cfg.layer2.group_size)
     if rest:
         raise InvalidGrouping(
@@ -325,7 +326,7 @@ def save_svm(path, model: SvmModel) -> None:
 def load_svm(path) -> SvmModel:
     """Inverse of :func:`save_svm`."""
     tensors, config_text = read_container(path)
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     with naming(path):
         _refuse_earlier_layouts(tensors, _SVM_TENSORS)
         cp.read_string(config_text)

@@ -71,23 +71,23 @@ def toy_config(
         name=name,
         rectifier=rectifier,
         layer1=Layer1Config(
-            k=k1,
+            filters=k1,
             patch_side=patch_side,
             pool_side=pool1[0],
             pool_stride=pool1[1],
             lcn_window=9,
             lcn_sigma=2.25,
-            n_patches=n_patches1,
+            patches=n_patches1,
         ),
         layer2=Layer2Config(
-            k_per_group=k2,
+            filters_per_group=k2,
             patch_side=3,
             group_size=4,
             pool_side=pool2[0],
             pool_stride=pool2[1],
             lcn_window=3,
             lcn_sigma=0.75,
-            n_patches=n_patches2,
+            patches=n_patches2,
         ),
         augment=AugmentPlan(mirror=mirror),
         svm_reg_c=svm_reg_c,
@@ -100,23 +100,23 @@ def micro_config(name: str = "micro", seed: int = 1) -> NetworkConfig:
     return NetworkConfig(
         name=name,
         layer1=Layer1Config(
-            k=4,
+            filters=4,
             patch_side=8,
             pool_side=16,
             pool_stride=16,
             lcn_window=3,
             lcn_sigma=0.75,
-            n_patches=500,
+            patches=500,
         ),
         layer2=Layer2Config(
-            k_per_group=4,
+            filters_per_group=4,
             patch_side=3,
             group_size=4,
             pool_side=3,
             pool_stride=3,
             lcn_window=3,
             lcn_sigma=0.75,
-            n_patches=500,
+            patches=500,
         ),
         augment=AugmentPlan(mirror=True),
         svm_reg_c=16.0,

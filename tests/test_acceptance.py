@@ -179,11 +179,11 @@ def test_criterion_2_shape_arithmetic():
         # one full-size single-image pass with random filters
         rng = np.random.default_rng(0)
         d1 = cfg.layer1.patch_side**2
-        bank1 = folded_bank(rng.standard_normal((d1, cfg.layer1.k)))
-        groups = make_groups(cfg.layer1.k, cfg.layer2.group_size, SeededRng(4))
+        bank1 = folded_bank(rng.standard_normal((d1, cfg.layer1.filters)))
+        groups = make_groups(cfg.layer1.filters, cfg.layer2.group_size, SeededRng(4))
         n_groups = len(groups)
         d2 = cfg.layer2.patch_side**2 * cfg.layer2.group_size
-        bank2 = folded_bank(rng.standard_normal((n_groups, d2, cfg.layer2.k_per_group)))
+        bank2 = folded_bank(rng.standard_normal((n_groups, d2, cfg.layer2.filters_per_group)))
         full = NetworkModel(cfg, bank1, groups, bank2, (96, 96))
         img = LabeledImage(rng.random((96, 96)), 0, image_id=0)
         conv = _convolve(img.pixels[:, :, None], bank1, cfg.layer1.patch_side)
@@ -243,12 +243,12 @@ def _committee_member(name, seed, pool1, alpha=1.0):
     return NetworkConfig(
         name=name,
         layer1=Layer1Config(
-            k=8, patch_side=5, pool_side=pool1[0], pool_stride=pool1[1],
-            pool_alpha=alpha, lcn_window=5, lcn_sigma=1.25, n_patches=2000,
+            filters=8, patch_side=5, pool_side=pool1[0], pool_stride=pool1[1],
+            pool_alpha=alpha, lcn_window=5, lcn_sigma=1.25, patches=2000,
         ),
         layer2=Layer2Config(
-            k_per_group=6, patch_side=3, group_size=4, pool_side=3, pool_stride=3,
-            lcn_window=3, lcn_sigma=0.75, n_patches=1500,
+            filters_per_group=6, patch_side=3, group_size=4, pool_side=3, pool_stride=3,
+            lcn_window=3, lcn_sigma=0.75, patches=1500,
         ),
         seed=seed,
         svm_reg_c=16.0,

@@ -79,23 +79,25 @@ class TestTrain:
         assert rc == 0
         assert out2.read_bytes() == trained_model.read_bytes()
 
-    def test_seed_override_changes_model(self, ws, trained_model):
-        out2 = ws / "m1_seed9.model"
-        rc = run("train", "--config", ws / "m1.ini", "--train-x", ws / "train_X.bin",
+    def test_seed_override_changes_model(self, ws, trained_model, tmp_path):
+        # a member's seed is set in one place, its config's [network] seed
+        save_network_config(tmp_path / "m1_seed9.ini", micro_config("m1", seed=9))
+        out2 = tmp_path / "m1_seed9.model"
+        rc = run("train", "--config", tmp_path / "m1_seed9.ini", "--train-x", ws / "train_X.bin",
                  "--train-y", ws / "train_y.bin", "--folds", ws / "folds.txt",
-                 "--fold", 0, "--seed", 9, "--out", out2)
+                 "--fold", 0, "--out", out2)
         assert rc == 0
         assert out2.read_bytes() != trained_model.read_bytes()
 
-    def test_seed_flag_sets_four_times_its_base(self, ws, tmp_path):
-        data = ["--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin",
-                "--folds", ws / "folds.txt", "--fold", 0]
-        assert run("train", "--config", ws / "m1.ini", *data, "--seed", 2,
-                   "--out", tmp_path / "flag.model") == 0
-        save_network_config(tmp_path / "m1_seed8.ini", micro_config("m1", seed=8))
-        assert run("train", "--config", tmp_path / "m1_seed8.ini", *data,
-                   "--out", tmp_path / "config.model") == 0
-        assert (tmp_path / "flag.model").read_bytes() == (tmp_path / "config.model").read_bytes()
+    def test_percent_in_name_is_literal(self, ws, tmp_path):
+        # config values are read literally, so a '%' is written and read back as is
+        save_network_config(tmp_path / "pct.ini", micro_config("a%b"))
+        out = tmp_path / "pct.model"
+        rc = run("train", "--config", tmp_path / "pct.ini", "--train-x", ws / "train_X.bin",
+                 "--train-y", ws / "train_y.bin", "--folds", ws / "folds.txt",
+                 "--fold", 0, "--out", out)
+        assert rc == 0
+        assert load_model(out).config == micro_config("a%b")
 
     def test_fold_without_plan(self, ws, capsys):
         rc = run("train", "--config", ws / "m1.ini", "--train-x", ws / "train_X.bin",
@@ -115,23 +117,24 @@ class TestTrain:
 
         monkeypatch.setattr(cli, "load_stl10", never)
 
-    @pytest.mark.parametrize("seed", [-1, 2**62])
+    @pytest.mark.parametrize("seed", [-1, 2, 2**62])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_out_of_range_seed_base_fails_before_images(self, ws, capsys, monkeypatch,
                                                         command, seed):
-        # --seed b sets seed = 4b: -4 is below the range, 2**64 past it
+        # there is no --seed flag, so any base, in range or not, is refused
+        # when the arguments are parsed
         self._no_image_reads(monkeypatch)
         data = ["--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin"]
-        if command == "train":
-            rc = run("train", "--config", ws / "m1.ini", *data, "--seed", seed,
-                     "--out", ws / "x.model")
-        else:
-            rc = run("evaluate", "--config", ws / "exp.ini", *data,
-                     "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
-                     "--folds", ws / "folds.txt", "--seed", seed)
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err == f"error: seed must be in 0 ... 2**64 - 4, got {4 * seed}\n"
+        with pytest.raises(SystemExit) as exc:
+            if command == "train":
+                run("train", "--config", ws / "m1.ini", *data, "--seed", seed,
+                    "--out", ws / "x.model")
+            else:
+                run("evaluate", "--config", ws / "exp.ini", *data,
+                    "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
+                    "--folds", ws / "folds.txt", "--seed", seed)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --seed {seed}" in capsys.readouterr().err
 
     def test_out_of_range_config_seed_fails_at_load(self, ws, tmp_path, capsys, monkeypatch):
         self._no_image_reads(monkeypatch)
@@ -409,7 +412,7 @@ class TestChain:
         # the config asks for 8 layer-1 maps, two groups of 4; table and stack hold one
         tensors, text = read_container(trained_model)
         cfg = network_config_from_text(text)
-        wider = replace(cfg, layer1=replace(cfg.layer1, k=8))
+        wider = replace(cfg, layer1=replace(cfg.layer1, filters=8))
         model = ws / "one_group.model"
         write_container(model, tensors, network_config_to_text(wider))
 
@@ -450,6 +453,30 @@ class TestChain:
             run(*argv, "--per-network")
         assert exc.value.code == 2
         assert "unrecognized arguments: --per-network" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "extract", "svm", "score", "committee"])
+    def test_out_in_missing_directory_refused_before_reads(self, ws, trained_model, capsys,
+                                                           monkeypatch, command):
+        # the output could not be saved, so it is refused before any input is read
+        reads = []
+        for module, name in [(cli, "load_stl10"), (cli, "load_model"), (cli, "load_svm"),
+                             (cli, "read_container"), (cli, "read_score_file"),
+                             (pipeline, "_train")]:
+            monkeypatch.setattr(module, name, lambda *args, name=name: reads.append(name))
+        inputs = {
+            "train": ["--config", ws / "m1.ini", "--train-x", ws / "train_X.bin",
+                      "--train-y", ws / "train_y.bin"],
+            "extract": ["--model", trained_model, "--images", ws / "test_X.bin"],
+            "svm": ["--descriptors", ws / "x.desc"],
+            "score": ["--svm", ws / "x.svm", "--descriptors", ws / "x.desc", "--network-id", "n"],
+            "committee": [ws / "a_scores.txt"],
+        }[command]
+        out = ws / "no_such_dir" / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(command, *inputs, "--out", out)
+        assert exc.value.code == 2
+        assert f"argument --out: the directory of {out} does not exist" in capsys.readouterr().err
+        assert reads == []
 
     def test_committee_without_out_prints_predictions(self, ws, capsys):
         a = ws / "a_scores.txt"

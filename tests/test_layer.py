@@ -668,7 +668,7 @@ class TestRunGroups:
             for _ in groups
         )
         cfg = Layer2Config(
-            k_per_group=5, patch_side=3, group_size=4, pool_side=2, pool_stride=2,
+            filters_per_group=5, patch_side=3, group_size=4, pool_side=2, pool_stride=2,
             lcn_window=3, lcn_sigma=0.75,
         )
         out = run_groups(maps, groups, _stack(banks), cfg, rectifier)
@@ -677,7 +677,7 @@ class TestRunGroups:
             assert np.allclose(out[g], one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
 
     def test_filter_dim_must_fit_groups(self):
-        cfg = Layer2Config(k_per_group=2, patch_side=3, group_size=4, lcn_window=3)
+        cfg = Layer2Config(filters_per_group=2, patch_side=3, group_size=4, lcn_window=3)
         bank = _bank(np.zeros((2, 27, 2)))  # 3x3 filters over 3 maps, groups hold 4
         with pytest.raises(DimError, match="filter dim 27"):
             run_groups(np.ones((6, 6, 8)), np.arange(8).reshape(2, 4), bank, cfg, "abs")

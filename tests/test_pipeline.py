@@ -54,12 +54,12 @@ def nano_config(name="nano", seed=1, **overrides):
     kwargs = dict(
         name=name,
         layer1=Layer1Config(
-            k=8, patch_side=5, pool_side=8, pool_stride=5,
-            lcn_window=5, lcn_sigma=1.25, n_patches=2000,
+            filters=8, patch_side=5, pool_side=8, pool_stride=5,
+            lcn_window=5, lcn_sigma=1.25, patches=2000,
         ),
         layer2=Layer2Config(
-            k_per_group=6, patch_side=3, group_size=4, pool_side=3, pool_stride=3,
-            lcn_window=3, lcn_sigma=0.75, n_patches=1500,
+            filters_per_group=6, patch_side=3, group_size=4, pool_side=3, pool_stride=3,
+            lcn_window=3, lcn_sigma=0.75, patches=1500,
         ),
         seed=seed,
         svm_reg_c=16.0,
@@ -128,8 +128,8 @@ class TestTrain:
 
     def test_bad_grouping_fails_before_training(self):
         cfg = nano_config(layer2=Layer2Config(
-            k_per_group=6, patch_side=3, group_size=3, pool_side=2, pool_stride=2,
-            lcn_window=3, lcn_sigma=0.75, n_patches=1500,
+            filters_per_group=6, patch_side=3, group_size=3, pool_side=2, pool_stride=2,
+            lcn_window=3, lcn_sigma=0.75, patches=1500,
         ))
         # 8 maps into groups of 3 cannot work; must raise without training
         with pytest.raises(InvalidGrouping):
@@ -257,7 +257,7 @@ class TestFailBeforeCompute:
         with pytest.raises(InvalidWindow, match="pool window 90"):
             descriptor_shape(self._n1_with_pool_90(), 96, 96)
         # 300 layer-1 maps cannot form groups of 7
-        cfg = nano_config(layer1=Layer1Config(k=300), layer2=Layer2Config(group_size=7))
+        cfg = nano_config(layer1=Layer1Config(filters=300), layer2=Layer2Config(group_size=7))
         with pytest.raises(InvalidGrouping, match="group size 7"):
             descriptor_shape(cfg, 96, 96)
 
@@ -271,12 +271,12 @@ class TestFailBeforeCompute:
     @pytest.mark.parametrize(
         "record, field, value, error",
         [
-            ("layer1", "k", 0, InvalidK),
-            ("layer2", "k_per_group", 0, InvalidK),
+            ("layer1", "filters", 0, InvalidK),
+            ("layer2", "filters_per_group", 0, InvalidK),
             ("layer1", "patch_side", 0, ValueError),
             ("layer2", "patch_side", 0, ValueError),
-            ("layer1", "n_patches", 15, InvalidK),  # below k = 16
-            ("layer2", "n_patches", 15, InvalidK),  # below k_per_group = 16
+            ("layer1", "patches", 15, InvalidK),  # below filters = 16
+            ("layer2", "patches", 15, InvalidK),  # below filters_per_group = 16
             ("layer1", "zca_epsilon", 0.0, ValueError),
             ("layer2", "zca_epsilon", -1.0, ValueError),
             ("layer1", "zca_epsilon", float("nan"), ValueError),
@@ -416,15 +416,15 @@ class TestModelPersistence:
         rng = np.random.default_rng(1)
         l1, l2 = cfg.layer1, cfg.layer2
         d1, d2 = l1.patch_side**2, l2.patch_side**2 * l2.group_size
-        groups = make_groups(l1.k, l2.group_size, SeededRng(cfg.seed + 3))
+        groups = make_groups(l1.filters, l2.group_size, SeededRng(cfg.seed + 3))
         g = len(groups)
         zca2 = fit_zca(rng.random((100, d2)), 0.1)
         model = NetworkModel(
             cfg,
-            folded_bank(rng.standard_normal((d1, l1.k))),
+            folded_bank(rng.standard_normal((d1, l1.filters))),
             groups,
             folded_bank(
-                rng.standard_normal((g, d2, l2.k_per_group)),
+                rng.standard_normal((g, d2, l2.filters_per_group)),
                 ZcaTransform(rng.standard_normal((g, d2)), np.tile(zca2.matrix, (g, 1, 1))),
             ),
             (96, 96),
@@ -710,7 +710,7 @@ class TestTrainBankRows:
         monkeypatch.setattr(pipeline, "kmeans_stack", recorded_stack)
         cfg = toy_config(seed=4 * base)
         train_network(cfg, stripe_dataset(8, side=64, seed=base))
-        assert len(pairs) == len(runs) == 1 + cfg.layer1.k // cfg.layer2.group_size
+        assert len(pairs) == len(runs) == 1 + cfg.layer1.filters // cfg.layer2.group_size
         for (filters, offset, (want_filters, want_zca, want)), run in zip(pairs, runs):
             for a, b in zip((filters, offset), want_zca.fold(want_filters)):
                 assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
@@ -720,13 +720,13 @@ class TestTrainBankRows:
         # 5000 patches of 16 x 16: a 10 MB patch matrix, sampled from a stack
         # smaller (0.1 MB) and larger (13 MB) than it; a copy of the stack or
         # of a channel of it would push the larger case past the bound
-        layer = dataclasses.replace(toy_config().layer1, patch_side=16, n_patches=5000)
-        copy_bytes = layer.n_patches * layer.patch_side**2 * 8
+        layer = dataclasses.replace(toy_config().layer1, patch_side=16, patches=5000)
+        copy_bytes = layer.patches * layer.patch_side**2 * 8
         for n_images in (4, 400):
             maps = np.random.default_rng(0).random((n_images, 64, 64, 1))
             (filters, _), peak = traced_peak(
                 pipeline._learn_filters, "x", 1, maps, np.zeros((1, 1), dtype=np.intp), layer,
-                layer.k, [SeededRng(1)], [SeededRng(2)],
+                layer.filters, [SeededRng(1)], [SeededRng(2)],
             )
             assert filters.shape == (1, 256, 16)
             assert peak <= 2.2 * copy_bytes
@@ -745,28 +745,28 @@ class TestTrainBankRows:
         # 40000 patches of 8 x 8, 20 MB: sampling, normalization, the ZCA fit
         # and whitening together hold the one patch matrix and a few row blocks
         monkeypatch.setattr(pipeline, "kmeans_stack", self._no_kmeans)
-        layer = dataclasses.replace(toy_config().layer1, patch_side=8, n_patches=40000)
+        layer = dataclasses.replace(toy_config().layer1, patch_side=8, patches=40000)
         maps = np.random.default_rng(0).random((8, 64, 64, 1))
         (filters, _), peak = traced_peak(
             pipeline._learn_filters, "x", 1, maps, np.zeros((1, 1), dtype=np.intp), layer,
-            layer.k, [SeededRng(1)], [SeededRng(2)],
+            layer.filters, [SeededRng(1)], [SeededRng(2)],
         )
         assert filters.shape == (1, 64, 16)
-        assert peak <= 1.3 * layer.n_patches * 64 * 8
+        assert peak <= 1.3 * layer.patches * 64 * 8
 
     def test_layer2_groups_sampled_one_at_a_time(self, monkeypatch):
         # groups of 60000 patches are chunks of one: each is sampled from the
         # float32 stack into its float64 rows, gathered a row block at a time,
         # after the previous group's rows are freed
         monkeypatch.setattr(pipeline, "kmeans_stack", self._no_kmeans)
-        layer = dataclasses.replace(toy_config().layer2, n_patches=60000)
+        layer = dataclasses.replace(toy_config().layer2, patches=60000)
         maps = np.random.default_rng(0).random((40, 20, 20, 8)).astype(np.float32)
         (filters, _), peak = traced_peak(
             pipeline._learn_filters, "x", 2, maps, np.arange(8).reshape(2, 4), layer,
-            layer.k_per_group, [SeededRng(1), SeededRng(2)], [SeededRng(3), SeededRng(4)],
+            layer.filters_per_group, [SeededRng(1), SeededRng(2)], [SeededRng(3), SeededRng(4)],
         )
         assert filters.shape == (2, 36, 16)
-        assert peak <= 1.3 * layer.n_patches * 36 * 8
+        assert peak <= 1.3 * layer.patches * 36 * 8
 
 
 class TestBatchedKmeans:
@@ -797,7 +797,7 @@ class TestBatchedKmeans:
         calls = self._record_inits(monkeypatch)
         cfg = toy_config(seed=4 * base)
         train_network(cfg, stripe_dataset(8, side=64, seed=base))
-        assert calls["groups"] == 1 + cfg.layer1.k // cfg.layer2.group_size
+        assert calls["groups"] == 1 + cfg.layer1.filters // cfg.layer2.group_size
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_same_plusplus_centers_on_benchmark_seeds(self, seed, monkeypatch, tmp_path):
@@ -838,8 +838,8 @@ class TestBatchedKmeans:
     @staticmethod
     def _layer2(n_patches, k):
         return Layer2Config(
-            k_per_group=k, patch_side=3, group_size=4, pool_side=3, pool_stride=3,
-            lcn_window=3, lcn_sigma=0.75, n_patches=n_patches,
+            filters_per_group=k, patch_side=3, group_size=4, pool_side=3, pool_stride=3,
+            lcn_window=3, lcn_sigma=0.75, patches=n_patches,
         )
 
     def test_chunk_of_one_group_peaks_as_one_group_did(self):
@@ -851,14 +851,14 @@ class TestBatchedKmeans:
         per_group = max(
             traced_peak(
                 lambda g=g: train_oracle.per_group_train_bank(
-                    outputs1[..., groups[g]], layer, layer.k_per_group,
+                    outputs1[..., groups[g]], layer, layer.filters_per_group,
                     prng.child(1 + g), krng.child(g),
                 )
             )[1]
             for g in range(len(groups))
         )
         (filters, _), peak = traced_peak(
-            pipeline._learn_filters, "x", 2, outputs1, groups, layer, layer.k_per_group,
+            pipeline._learn_filters, "x", 2, outputs1, groups, layer, layer.filters_per_group,
             [prng.child(1 + g) for g in range(len(groups))],
             [krng.child(g) for g in range(len(groups))],
         )
@@ -870,10 +870,10 @@ class TestBatchedKmeans:
         layer = self._layer2(200, 8)
         outputs1 = np.random.default_rng(1).random((4, 12, 12, 64))
         groups = make_groups(64, 4, SeededRng(4))
-        assert pipeline._CHUNK_ROWS // layer.n_patches >= len(groups)
-        chunk_bytes = len(groups) * layer.n_patches * 36 * 8
+        assert pipeline._CHUNK_ROWS // layer.patches >= len(groups)
+        chunk_bytes = len(groups) * layer.patches * 36 * 8
         (filters, _), peak = traced_peak(
-            pipeline._learn_filters, "x", 2, outputs1, groups, layer, layer.k_per_group,
+            pipeline._learn_filters, "x", 2, outputs1, groups, layer, layer.filters_per_group,
             [SeededRng(1).child(1 + g) for g in range(len(groups))],
             [SeededRng(3).child(g) for g in range(len(groups))],
         )

@@ -126,13 +126,13 @@ def test_model_tensor_list_is_what_save_model_writes(tmp_path):
     cfg = cdfnet.NetworkConfig()
     l1, l2 = cfg.layer1, cfg.layer2
     d1, d2 = l1.patch_side**2, l2.patch_side**2 * l2.group_size
-    groups = make_groups(l1.k, l2.group_size, SeededRng(0))
+    groups = make_groups(l1.filters, l2.group_size, SeededRng(0))
     g = len(groups)
     model = cdfnet.NetworkModel(
         cfg,
-        FilterBank(np.ones((d1, l1.k)), np.zeros(l1.k)),
+        FilterBank(np.ones((d1, l1.filters)), np.zeros(l1.filters)),
         groups,
-        FilterBank(np.ones((g, d2, l2.k_per_group)), np.zeros((g, l2.k_per_group))),
+        FilterBank(np.ones((g, d2, l2.filters_per_group)), np.zeros((g, l2.filters_per_group))),
         (96, 96),
     )
     cdfnet.save_model(tmp_path / "m.model", model)
@@ -156,3 +156,13 @@ def test_config_section_list_is_what_the_writer_writes():
     names = re.findall(r"`\[(\w+)\]`", listed.group(1))
     text = network_config_to_text(cdfnet.NetworkConfig())
     assert names == re.findall(r"^\[(\w+)\]$", text, flags=re.M)
+
+
+def test_checked_values_are_config_keys():
+    # README "Configs" names each checked setting by its INI key
+    bullet = re.search(r"^- Values are checked when the config is built(.*?)^- ", README,
+                       flags=re.M | re.S)
+    assert bullet, "README lists no checked values"
+    names = re.findall(r"`([a-z_]+)`", bullet.group(1))
+    keys = re.findall(r"^(\w+) = ", network_config_to_text(cdfnet.NetworkConfig()), flags=re.M)
+    assert names and not set(names) - set(keys)

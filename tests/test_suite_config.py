@@ -1,10 +1,14 @@
-"""The repository's pytest settings, exercised on a throwaway test file."""
+"""The repository's pytest settings, exercised on a throwaway test file, and
+the CI workflow's agreement with pyproject.toml."""
 
 import os
+import re
 import subprocess
 import sys
 
-PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PYPROJECT = os.path.join(ROOT, "pyproject.toml")
+WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tier1.yml")
 
 TWO_TESTS = '''
 from hypothesis import given, strategies as st
@@ -33,3 +37,20 @@ def test_failing_property_test_does_not_abort_the_run(tmp_path):
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "test_two.py::test_runs_after PASSED" in run.stdout
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_ci_floor_entry_mirrors_pyproject():
+    # both files are read as text: Python 3.10, the floor, has no tomllib
+    with open(PYPROJECT, encoding="utf-8") as fh:
+        project = fh.read()
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        workflow = fh.read()
+    # the floor entry pins every runtime dependency at its >= floor
+    block = re.search(r"^dependencies = \[(.*?)\]", project, flags=re.M | re.S).group(1)
+    floors = [re.fullmatch(r"([\w-]+)>=([\d.]+)", dep).groups()
+              for dep in re.findall(r'"([^"]+)"', block)]
+    pins = re.search(r'^\s+pins: "(.+)"$', workflow, flags=re.M).group(1).split()
+    assert pins == [f"{name}=={version}.*" for name, version in floors]
+    python = re.search(r'^requires-python = ">=([\d.]+)"$', project, flags=re.M).group(1)
+    matrix = re.search(r"^\s+python-version: \[(.*)\]$", workflow, flags=re.M).group(1)
+    assert f'"{python}"' in matrix.split(", ")

@@ -202,7 +202,7 @@ def per_group_train_bank(maps, layer, k, patch_rng, kmeans_rng):
     """One bank's (filters, whitening) as the package learned it before its
     groups were batched, from an (N, H, W, depth) stack: this module's
     sampling and whitening, then :func:`per_group_kmeans`."""
-    patches = extract_patches(list(maps), layer.patch_side, layer.n_patches, patch_rng)
+    patches = extract_patches(list(maps), layer.patch_side, layer.patches, patch_rng)
     normalize_rows(patches)
     zca = fit_zca(patches, layer.zca_epsilon)
     patches = apply_zca(zca, patches)
@@ -210,7 +210,7 @@ def per_group_train_bank(maps, layer, k, patch_rng, kmeans_rng):
 
 
 def _train_bank(maps_list, layer, k, patch_rng, kmeans_rng) -> FilterBank:
-    patches = extract_patches(maps_list, layer.patch_side, layer.n_patches, patch_rng)
+    patches = extract_patches(maps_list, layer.patch_side, layer.patches, patch_rng)
     normalize_rows(patches)
     zca = fit_zca(patches, layer.zca_epsilon)
     result = per_group_kmeans(apply_zca(zca, patches), k, kmeans.MAX_ITERS, kmeans_rng)
@@ -226,7 +226,7 @@ def column_train_bank(
     and hands k-means the whitened columns as contiguous rows, the copy it
     used to make of them itself.
     """
-    rows = extract_patches(list(maps), layer.patch_side, layer.n_patches, patch_rng)
+    rows = extract_patches(list(maps), layer.patch_side, layer.patches, patch_rng)
     cols = np.stack([normalize_patch(r) for r in rows], axis=1)  # (dim, n)
     mean = cols.mean(axis=1)
     centered = cols - mean[:, None]
@@ -246,12 +246,12 @@ def train_network(cfg, fold_images) -> NetworkModel:
     if cfg.scale_factor != 1.0:
         images = [scale(img, cfg.scale_factor) for img in images]
     maps1 = [img.pixels[:, :, np.newaxis] for img in images]
-    k1 = cfg.layer1.k * (2 if cfg.rectifier == "on_off" else 1)
+    k1 = cfg.layer1.filters * (2 if cfg.rectifier == "on_off" else 1)
     groups = make_groups(k1, cfg.layer2.group_size, SeededRng(cfg.seed + 3))
 
     patches_rng = SeededRng(cfg.seed)
     bank1 = _train_bank(
-        maps1, cfg.layer1, cfg.layer1.k, patches_rng.child(0), SeededRng(cfg.seed + 1)
+        maps1, cfg.layer1, cfg.layer1.filters, patches_rng.child(0), SeededRng(cfg.seed + 1)
     )
     outputs1 = [
         run_layer(FeatureMapSet(m), bank1, cfg.layer1, cfg.rectifier) for m in maps1
@@ -261,7 +261,7 @@ def train_network(cfg, fold_images) -> NetworkModel:
         _train_bank(
             [out[:, :, list(group)] for out in outputs1],
             cfg.layer2,
-            cfg.layer2.k_per_group,
+            cfg.layer2.filters_per_group,
             patches_rng.child(1 + g),
             kmeans2_rng.child(g),
         )
