@@ -25,14 +25,12 @@ from .committee import (
     table_predict,
     write_score_file,
 )
-from .config import (
-    load_experiment_config,
-    load_network_config,
-)
+from .config import load_experiment_config, load_network_config
 from .errors import AlignmentError, CdfnetError, DimError, FormatError, naming
 from .model_io import atomic_open, read_container, write_container
 from .pipeline import (
     _check_members,
+    _check_protocol,
     evaluate_protocol,
     extract_descriptors,
     load_model,
@@ -44,6 +42,7 @@ from .pipeline import (
 from .stl10 import (
     IMAGE_SIDE,
     LabeledImage,
+    count_stl10_images,
     load_fold_plan,
     load_stl10,
     read_stl10_labels,
@@ -54,31 +53,32 @@ logger = logging.getLogger(__name__)
 
 
 def _out_file(path: str) -> str:
-    """An --out file path, refused before any work when its directory is missing."""
+    """An --out file path, refused before any work if a directory or in a missing one."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise argparse.ArgumentTypeError(f"the directory of {path} does not exist")
     return path
 
 
+def _out_dir(path: str) -> str:
+    """evaluate's --out directory, refused before any work if a file is there."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} exists and is not a directory")
+    return path
+
+
 def _load_fold(args, images_path, labels_path) -> list[LabeledImage]:
     """The images of fold --fold in the --folds plan, all images without
-    --fold; the plan and the fold number are checked before any is decoded."""
+    --fold; the fold is checked against the image file's size before decoding."""
     if args.fold is None:
         return load_stl10(images_path, labels_path)
     if args.folds is None:
         raise FormatError("--fold requires --folds")
     plan = load_fold_plan(args.folds)
-    plan.check_range(args.fold)
+    plan.check_fold(args.fold, count_stl10_images(images_path))
     images = load_stl10(images_path, labels_path)
-    plan.check_fold(args.fold, len(images))
     return [images[i] for i in plan.folds[args.fold]]
-
-
-def _write_descriptors(path, descriptors: np.ndarray, image_ids, labels) -> None:
-    if labels is None:
-        labels = np.full(len(image_ids), -1.0)
-    tensors = {"descriptors": descriptors, "labels": np.asarray(labels, dtype=np.float64)}
-    write_container(path, tensors, "\n".join(str(i) for i in image_ids))
 
 
 def _read_descriptors(path) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -117,8 +117,9 @@ def _cmd_extract(args) -> int:
     except DimError as exc:  # images of a size the model was not trained at
         with naming(args.images):
             raise exc
-    labels = None if args.labels is None else [img.label for img in images]
-    _write_descriptors(args.out, descs, [img.image_id for img in images], labels)
+    labels = [-1 if args.labels is None else img.label for img in images]
+    tensors = {"descriptors": descs, "labels": np.asarray(labels, dtype=np.float64)}
+    write_container(args.out, tensors, "\n".join(str(img.image_id) for img in images))
     print(f"wrote {len(descs)} descriptors to {args.out}")
     return 0
 
@@ -177,14 +178,14 @@ def _cmd_committee(args) -> int:
 def _cmd_evaluate(args) -> int:
     exp = load_experiment_config(args.config)
     cfgs = [load_network_config(p) for p in exp.networks]
-    _check_members(cfgs, (IMAGE_SIDE, IMAGE_SIDE))
     plan = load_fold_plan(args.folds)
-    folds = exp.folds if args.fold is None else (args.fold,)
-    for fold in folds:
-        plan.check_range(fold)
+    # evaluate_protocol's checks, on the files' sizes and STL-10's 96x96, before any decode
+    side = (IMAGE_SIDE, IMAGE_SIDE)
+    count_stl10_images(args.test_x)
+    _check_protocol(cfgs, plan, exp.folds, count_stl10_images(args.train_x), side, {side})
     report = evaluate_protocol(
         cfgs, load_stl10(args.train_x, args.train_y), load_stl10(args.test_x, args.test_y),
-        plan, fold_indices=folds, out_dir=args.out,
+        plan, fold_indices=exp.folds, out_dir=args.out,
     )
     for section in report.networks + (report.committee,):
         print(f"{section.name} mean {section.mean!r} std {section.std!r}")
@@ -237,15 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_out_file, help="predictions output path")
     p.set_defaults(func=_cmd_committee)
 
-    p = sub.add_parser("evaluate", help="full fold protocol for a committee")
+    # options match in full, so train's --fold is not taken for --folds here
+    p = sub.add_parser("evaluate", help="full fold protocol for a committee", allow_abbrev=False)
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--train-x", required=True)
     p.add_argument("--train-y", required=True)
     p.add_argument("--test-x", required=True)
     p.add_argument("--test-y", required=True)
     p.add_argument("--folds", required=True, help="fold index file")
-    p.add_argument("--fold", type=int, help="run a single fold")
-    p.add_argument("--out", help="output directory for scores and reports")
+    p.add_argument("--out", type=_out_dir, help="output directory for scores and reports")
     p.set_defaults(func=_cmd_evaluate)
     return parser
 

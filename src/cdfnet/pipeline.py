@@ -252,17 +252,21 @@ def descriptor_shape(cfg: NetworkConfig, height: int, width: int):
     return _layer_shapes(cfg, *_scaled_shape(height, width, cfg.scale_factor))
 
 
-def _check_members(cfgs: list[NetworkConfig], image_shape: tuple[int, int]) -> None:
-    """Refuse a committee :func:`evaluate_protocol` cannot run on native
-    images of image_shape: repeated member names, a member named
-    ``committee`` (the committee's own report section), or a member whose
-    shape chain fails; a shape error names its member."""
+def _check_members(cfgs: list[NetworkConfig], image_shape: tuple[int, int], test_shapes=()):
+    """Refuse a committee :func:`evaluate_protocol` cannot run on native images
+    of image_shape: repeated names, a member named ``committee`` (the
+    committee's own report section), or, naming the member, a shape chain
+    that fails or a member that cannot score test images of test_shapes."""
     names = [cfg.name for cfg in cfgs]
     if len(set(names)) != len(names) or "committee" in names:
         raise ValueError(f"network names must be unique and not 'committee', got {names}")
     for cfg in cfgs:
         try:
             descriptor_shape(cfg, *image_shape)
+            working = _scaled_shape(*image_shape, cfg.scale_factor)
+            for shape in test_shapes:
+                if _scaled_shape(*shape, cfg.scale_factor) != working:
+                    raise DimError(f"test images are {shape}, training images {image_shape}")
         except CdfnetError as exc:
             raise type(exc)(f"network {cfg.name}: {exc}") from exc
 
@@ -283,17 +287,20 @@ def _layer_shapes(cfg: NetworkConfig, height: int, width: int):
 
 
 # a container's tensors in file order; a container that holds any other
-# tensor was written by an earlier version, and its model must be retrained
+# tensor is a file of another kind, or one an earlier version wrote
 _MODEL_TENSORS = (
     "input_shape", "layer1/filters", "layer1/offset", "groups", "layer2/filters", "layer2/offset"
 )
 _SVM_TENSORS = ("weights", "biases")
 
 
-def _refuse_earlier_layouts(tensors: dict[str, np.ndarray], names: tuple[str, ...]) -> None:
+def _refuse_other_tensors(tensors: dict[str, np.ndarray], names: tuple[str, ...], kind: str):
     extra = [name for name in tensors if name not in names]
     if extra:
-        raise FormatError(f"written by an earlier version (tensor {extra[0]!r}); retrain it")
+        raise FormatError(
+            f"holds tensor {extra[0]!r}, which {kind} does not: a file of another kind, "
+            "or one written by an earlier version (retrain it)"
+        )
 
 
 def save_model(path, model: NetworkModel) -> None:
@@ -307,7 +314,7 @@ def save_model(path, model: NetworkModel) -> None:
 def load_model(path) -> NetworkModel:
     tensors, config_text = read_container(path)
     with naming(path):
-        _refuse_earlier_layouts(tensors, _MODEL_TENSORS)
+        _refuse_other_tensors(tensors, _MODEL_TENSORS, "a model")
         cfg = network_config_from_text(config_text)
         bank1 = FilterBank(tensors["layer1/filters"], tensors["layer1/offset"])
         bank2 = FilterBank(tensors["layer2/filters"], tensors["layer2/offset"])
@@ -328,7 +335,7 @@ def load_svm(path) -> SvmModel:
     tensors, config_text = read_container(path)
     cp = configparser.ConfigParser(interpolation=None)
     with naming(path):
-        _refuse_earlier_layouts(tensors, _SVM_TENSORS)
+        _refuse_other_tensors(tensors, _SVM_TENSORS, "an SVM")
         cp.read_string(config_text)
         return SvmModel(tensors["weights"], tensors["biases"], float(cp["svm"]["reg_c"]))
 
@@ -350,9 +357,7 @@ class ReportSection:
 
     @property
     def std(self) -> float:
-        if len(self.accuracies) < 2:
-            return 0.0
-        return float(np.std(self.accuracies, ddof=1))
+        return float(np.std(self.accuracies, ddof=1)) if len(self.accuracies) > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -378,40 +383,36 @@ def train_and_score(
     return model, svm, table
 
 
+def _check_protocol(cfgs: list[NetworkConfig], fold_plan: FoldPlan, fold_indices: tuple,
+                    n_train: int, train_shape, test_shapes: set) -> None:
+    """Refuse, before any member trains, what :func:`evaluate_protocol` would:
+    fold_indices empty, repeated or not folds of n_train training images (of
+    train_shape, None for none), no test images, or what :func:`_check_members` refuses."""
+    if not fold_indices or len(set(fold_indices)) != len(fold_indices):
+        raise ValueError(f"fold indices must be non-empty and distinct, got {fold_indices}")
+    for fold in fold_indices:
+        fold_plan.check_fold(fold, n_train)
+    if not test_shapes:
+        raise ValueError("the test set is empty")
+    _check_members(cfgs, train_shape, test_shapes)
+
+
 def evaluate_protocol(
-    cfgs: list[NetworkConfig],
-    train_images: list[LabeledImage],
-    test_images: list[LabeledImage],
-    fold_plan: FoldPlan,
-    fold_indices=None,
-    out_dir=None,
+    cfgs: list[NetworkConfig], train_images: list[LabeledImage],
+    test_images: list[LabeledImage], fold_plan: FoldPlan, fold_indices=None, out_dir=None,
 ) -> ExperimentReport:
     """Train each network on each fold, score the test set, fuse, aggregate.
 
     When out_dir is given, per-(fold, network) score files, the text report,
     and the accuracy CSV are persisted there.
     """
-    if fold_indices is None:
-        fold_indices = tuple(range(len(fold_plan.folds)))
-    fold_indices = tuple(int(f) for f in fold_indices)
-    if not fold_indices or len(set(fold_indices)) != len(fold_indices):
-        raise ValueError(f"fold indices must be non-empty and distinct, got {fold_indices}")
-    for fold in fold_indices:
-        fold_plan.check_fold(fold, len(train_images))
-    if not test_images:
-        raise ValueError("the test set is empty")
-    # a member that cannot run, or that cannot score the test set, is
-    # refused before any member trains
-    train_shape = train_images[0].pixels.shape
-    _check_members(cfgs, train_shape)
-    test_shapes = {img.pixels.shape for img in test_images}
-    for cfg in cfgs:
-        working = _scaled_shape(*train_shape, cfg.scale_factor)
-        for shape in test_shapes:
-            if _scaled_shape(*shape, cfg.scale_factor) != working:
-                raise DimError(
-                    f"network {cfg.name}: test images are {shape}, training images {train_shape}"
-                )
+    all_folds = range(len(fold_plan.folds))
+    fold_indices = tuple(int(f) for f in (all_folds if fold_indices is None else fold_indices))
+    _check_protocol(
+        cfgs, fold_plan, fold_indices, len(train_images),
+        train_images[0].pixels.shape if train_images else None,
+        {img.pixels.shape for img in test_images},
+    )
     test_labels = [img.label for img in test_images]
 
     if out_dir is not None:
@@ -430,9 +431,8 @@ def evaluate_protocol(
             per_net_acc[cfg.name].append(acc)
             logger.info("fold %d: %s accuracy %.4f", fold, cfg.name, acc)
             if out_dir is not None:
-                write_score_file(
-                    os.path.join(out_dir, f"scores_fold{fold}_{cfg.name}.txt"), table
-                )
+                write_score_file(os.path.join(out_dir, f"scores_fold{fold}_{cfg.name}.txt"),
+                                 table)
         acc = accuracy(committee_predict(tables), test_labels)
         committee_acc.append(acc)
         logger.info("fold %d: committee accuracy %.4f", fold, acc)
@@ -444,10 +444,9 @@ def evaluate_protocol(
         committee=ReportSection("committee", fold_indices, tuple(committee_acc)),
     )
     if out_dir is not None:
-        with atomic_open(os.path.join(out_dir, "report.txt")) as fh:
-            fh.write(render_report(report))
-        with atomic_open(os.path.join(out_dir, "report.csv")) as fh:
-            fh.write(report_csv(report))
+        for name, render in ("report.txt", render_report), ("report.csv", report_csv):
+            with atomic_open(os.path.join(out_dir, name)) as fh:
+                fh.write(render(report))
     return report
 
 
@@ -459,9 +458,7 @@ def render_report(report: ExperimentReport) -> str:
             lines.append("members " + " ".join(s.name for s in report.networks))
         for fold, acc in zip(section.fold_indices, section.accuracies):
             lines.append(f"fold {fold} accuracy {acc!r}")
-        lines.append(f"mean {section.mean!r}")
-        lines.append(f"std {section.std!r}")
-        lines.append("")
+        lines += [f"mean {section.mean!r}", f"std {section.std!r}", ""]
     return "\n".join(lines)
 
 

@@ -7,6 +7,7 @@ Labels are one byte per image, 1-based on disk and 0-based in memory.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class FoldPlan:
     """Lists of training-image indices, one list per fold.
 
     Indices must be non-negative and unique within a fold; :meth:`check_fold`
-    bounds them by the images loaded. The STL-10 plan has 10 folds of 1000
+    bounds them by the number of images. The STL-10 plan has 10 folds of 1000
     indices into 5000 images; :func:`load_fold_plan` enforces the fold count,
     synthetic plans may be smaller.
     """
@@ -62,15 +63,11 @@ class FoldPlan:
                 raise FormatError(f"fold {fi} lists negative index {min(fold)}")
         object.__setattr__(self, "folds", folds)
 
-    def check_range(self, fold: int) -> None:
-        """Raise ValueError unless fold is in [0, number of folds)."""
+    def check_fold(self, fold: int, n_images: int) -> None:
+        """Raise ValueError unless fold is in [0, number of folds) and all of
+        its image indices are below n_images, the number of training images."""
         if not 0 <= fold < len(self.folds):
             raise ValueError(f"fold {fold} out of range: the plan has {len(self.folds)} folds")
-
-    def check_fold(self, fold: int, n_images: int) -> None:
-        """:meth:`check_range`, and raise ValueError unless all of fold's image
-        indices are below n_images, the number of images loaded."""
-        self.check_range(fold)
         for i in self.folds[fold]:
             if i >= n_images:
                 raise ValueError(
@@ -86,13 +83,20 @@ def to_grayscale(r, g, b):
     return r * 0.299 + (g * 0.587 + b * 0.114)
 
 
+def count_stl10_images(images_path) -> int:
+    """The number of images in an STL-10 image file, told by its size alone,
+    so that a fold can be checked against it before the file is decoded."""
+    with open(images_path, "rb") as fh, naming(images_path):
+        size = os.fstat(fh.fileno()).st_size
+        if size == 0 or size % BYTES_PER_IMAGE != 0:
+            raise FormatError(f"size {size} is not a positive multiple of {BYTES_PER_IMAGE}")
+        return size // BYTES_PER_IMAGE
+
+
 def read_stl10_images(images_path) -> np.ndarray:
     """Decode an STL-10 image file to a uint8 array (n, 96, 96, 3)."""
-    raw = np.fromfile(images_path, dtype=np.uint8)
-    with naming(images_path):
-        if raw.size == 0 or raw.size % BYTES_PER_IMAGE != 0:
-            raise FormatError(f"size {raw.size} is not a positive multiple of {BYTES_PER_IMAGE}")
-    n = raw.size // BYTES_PER_IMAGE
+    n = count_stl10_images(images_path)
+    raw = np.fromfile(images_path, dtype=np.uint8, count=n * BYTES_PER_IMAGE)
     # (n, channel, column, row) on disk; transpose to (n, row, column, channel)
     planes = raw.reshape(n, 3, IMAGE_SIDE, IMAGE_SIDE)
     return planes.transpose(0, 3, 2, 1)
@@ -132,10 +136,7 @@ def load_stl10(images_path, labels_path=None) -> list[LabeledImage]:
         gray[start : start + LOAD_BLOCK] = to_grayscale(
             scaled[..., 0], scaled[..., 1], scaled[..., 2]
         )
-    return [
-        LabeledImage(gray[i], int(labels[i]), image_id=i)
-        for i in range(gray.shape[0])
-    ]
+    return [LabeledImage(gray[i], int(labels[i]), image_id=i) for i in range(len(gray))]
 
 
 def load_fold_plan(path) -> FoldPlan:

@@ -183,12 +183,14 @@ class TestTrain:
                                           "got ['m1', 'committee']"),
         ("evaluate", ("m1", "wide"), "network wide: pool window 90 exceeds map size 89x89"),
         ("train", ("wide",), "network wide: pool window 90 exceeds map size 89x89"),
+        ("extract", ("wide",), "{model}: pool window 90 exceeds map size 89x89"),
     ], ids=["evaluate-repeated_name", "evaluate-committee", "evaluate-pool_window_90",
-            "train-pool_window_90"])
-    def test_member_error_fails_before_images(self, ws, tmp_path, capsys, monkeypatch,
-                                              command, members, reason):
+            "train-pool_window_90", "extract-pool_window_90"])
+    def test_member_error_fails_before_images(self, ws, trained_model, tmp_path, capsys,
+                                              monkeypatch, command, members, reason):
         # a committee that cannot run on STL-10's 96x96 images is refused
-        # before the images are decoded, with the message evaluate_protocol gives
+        # before the images are decoded, with the message evaluate_protocol gives;
+        # a model of such a member is refused when it loads
         self._no_image_reads(monkeypatch)
         for name in set(members):
             cfg = micro_config(name)
@@ -196,9 +198,15 @@ class TestTrain:
                 cfg = replace(cfg, layer1=replace(cfg.layer1, pool_side=90))
             save_network_config(tmp_path / f"{name}.ini", cfg)
         data = ["--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin"]
+        model = tmp_path / "wide.model"
         if command == "train":
             rc = run("train", "--config", tmp_path / "wide.ini", *data,
                      "--out", tmp_path / "x.model")
+        elif command == "extract":
+            tensors, _ = read_container(trained_model)
+            write_container(model, tensors, (tmp_path / "wide.ini").read_text())
+            rc = run("extract", "--model", model, "--images", ws / "train_X.bin",
+                     "--folds", ws / "folds.txt", "--fold", 0, "--out", tmp_path / "x.desc")
         else:
             (tmp_path / "exp.ini").write_text(
                 "[experiment]\nnetworks = " + ", ".join(f"{m}.ini" for m in members) + "\n"
@@ -207,7 +215,7 @@ class TestTrain:
                      "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
                      "--folds", ws / "folds.txt")
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert capsys.readouterr().err == f"error: {reason.format(model=model)}\n"
 
 
 class TestChain:
@@ -471,11 +479,13 @@ class TestChain:
             "score": ["--svm", ws / "x.svm", "--descriptors", ws / "x.desc", "--network-id", "n"],
             "committee": [ws / "a_scores.txt"],
         }[command]
-        out = ws / "no_such_dir" / "out"
-        with pytest.raises(SystemExit) as exc:
-            run(command, *inputs, "--out", out)
-        assert exc.value.code == 2
-        assert f"argument --out: the directory of {out} does not exist" in capsys.readouterr().err
+        (ws / "a_dir").mkdir(exist_ok=True)
+        for out, reason in [(ws / "no_such_dir" / "out", "the directory of {} does not exist"),
+                            (ws / "a_dir", "{} is a directory")]:
+            with pytest.raises(SystemExit) as exc:
+                run(command, *inputs, "--out", out)
+            assert exc.value.code == 2
+            assert f"argument --out: {reason.format(out)}" in capsys.readouterr().err
         assert reads == []
 
     def test_committee_without_out_prints_predictions(self, ws, capsys):
@@ -515,8 +525,16 @@ def _count_decodes(monkeypatch) -> list:
     return calls
 
 
+def _experiment(ws, folds):
+    """An experiment file running m1 and m2 on folds, the one place evaluate takes them from."""
+    path = ws / f"exp_folds_{folds}.ini"
+    path.write_text(f"[experiment]\nname = duo\nnetworks = m1.ini, m2.ini\nfolds = {folds}\n")
+    return path
+
+
 class TestFoldRange:
-    """A fold index outside the plan exits 2, naming the fold, before any image is decoded."""
+    """A fold outside the plan, or listing an image beyond the image file, exits 2
+    naming the fold before any image is decoded."""
 
     @pytest.mark.parametrize("fold", [-1, 10])
     @pytest.mark.parametrize("command", ["train", "extract", "evaluate"])
@@ -525,13 +543,14 @@ class TestFoldRange:
         out = ws / f"range_{command}_{fold}"
         args = {
             "train": ["--config", ws / "m1.ini", "--train-x", ws / "train_X.bin",
-                      "--train-y", ws / "train_y.bin"],
-            "extract": ["--model", trained_model, "--images", ws / "train_X.bin"],
-            "evaluate": ["--config", ws / "exp.ini", "--train-x", ws / "train_X.bin",
+                      "--train-y", ws / "train_y.bin", "--fold", fold],
+            "extract": ["--model", trained_model, "--images", ws / "train_X.bin",
+                        "--fold", fold],
+            "evaluate": ["--config", _experiment(ws, fold), "--train-x", ws / "train_X.bin",
                          "--train-y", ws / "train_y.bin", "--test-x", ws / "test_X.bin",
                          "--test-y", ws / "test_y.bin"],
         }[command]
-        rc = run(command, *args, "--folds", ws / "folds.txt", "--fold", fold, "--out", out)
+        rc = run(command, *args, "--folds", ws / "folds.txt", "--out", out)
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: fold {fold} out of range: the plan has 10 folds\n"
@@ -552,9 +571,21 @@ class TestFoldRange:
         assert str(absent) in capsys.readouterr().err
         assert decodes == []
 
+    def test_evaluate_has_no_fold_flag(self, ws, capsys, monkeypatch):
+        # [experiment] folds is the one place a run's folds are set
+        decodes = _count_decodes(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", "--config", ws / "exp.ini", "--train-x", ws / "train_X.bin",
+                "--train-y", ws / "train_y.bin", "--test-x", ws / "test_X.bin",
+                "--test-y", ws / "test_y.bin", "--folds", ws / "folds.txt", "--fold", 0)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fold 0" in capsys.readouterr().err
+        assert decodes == []
+
     @pytest.mark.parametrize("command", ["train", "extract", "evaluate"])
-    def test_indices_beyond_loaded_images(self, ws, trained_model, capsys, command):
-        # fold 0 lists images 0-7, the file holds 4
+    def test_indices_beyond_loaded_images(self, ws, trained_model, capsys, monkeypatch,
+                                          command):
+        # fold 0 lists images 0-7, the file holds 4; its size tells so before decoding
         few = ws / "train4_X.bin"
         if not few.exists():
             write_stl10_images(few, stl10_bytes(np.stack(
@@ -562,20 +593,22 @@ class TestFoldRange:
             )))
             write_stl10_labels(ws / "train4_y.bin", [0, 1, 0, 1])
         out = ws / f"few_{command}"
+        decodes = _count_decodes(monkeypatch)
         args = {
             "train": ["--config", ws / "m1.ini", "--train-x", few,
-                      "--train-y", ws / "train4_y.bin"],
-            "extract": ["--model", trained_model, "--images", few],
-            "evaluate": ["--config", ws / "exp.ini", "--train-x", few,
+                      "--train-y", ws / "train4_y.bin", "--fold", 0],
+            "extract": ["--model", trained_model, "--images", few, "--fold", 0],
+            "evaluate": ["--config", _experiment(ws, 0), "--train-x", few,
                          "--train-y", ws / "train4_y.bin", "--test-x", ws / "test_X.bin",
                          "--test-y", ws / "test_y.bin"],
         }[command]
-        rc = run(command, *args, "--folds", ws / "folds.txt", "--fold", 0, "--out", out)
+        rc = run(command, *args, "--folds", ws / "folds.txt", "--out", out)
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: fold 0 lists image 4, but only 4 images were loaded\n"
         )
         assert not out.exists()
+        assert decodes == []
 
 
 class TestEvaluate:
@@ -611,6 +644,48 @@ class TestEvaluate:
         assert err.startswith("error: network bad: ") and err.count("\n") == 1
         assert trained == []
         assert not out.exists()
+
+    def test_out_naming_a_file_refused_before_decodes(self, ws, capsys, monkeypatch):
+        decodes = _count_decodes(monkeypatch)
+        out = ws / "run_file"
+        out.write_text("not a directory\n")
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", "--config", ws / "exp.ini",
+                "--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin",
+                "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
+                "--folds", ws / "folds.txt", "--out", out)
+        assert exc.value.code == 2
+        assert f"argument --out: {out} exists and is not a directory" in capsys.readouterr().err
+        assert decodes == []
+        assert out.read_text() == "not a directory\n"
+
+    def test_chain_reproduces_evaluate(self, ws, trained_model, tmp_path):
+        # train -> extract --augment -> svm -> extract -> score on fold 0 writes
+        # the score file evaluate writes, once --reg-c repeats the config's svm_reg_c
+        exp = tmp_path / "m1_fold0.ini"
+        exp.write_text(f"[experiment]\nnetworks = {ws / 'm1.ini'}\nfolds = 0\n")
+        assert run("evaluate", "--config", exp,
+                   "--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin",
+                   "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
+                   "--folds", ws / "folds.txt", "--out", tmp_path / "run") == 0
+        want = (tmp_path / "run" / "scores_fold0_m1.txt").read_bytes()
+
+        train_d, test_d = tmp_path / "train.desc", tmp_path / "test.desc"
+        assert run("extract", "--model", trained_model, "--images", ws / "train_X.bin",
+                   "--labels", ws / "train_y.bin", "--folds", ws / "folds.txt",
+                   "--fold", 0, "--augment", "--out", train_d) == 0
+        assert run("extract", "--model", trained_model, "--images", ws / "test_X.bin",
+                   "--labels", ws / "test_y.bin", "--out", test_d) == 0
+        reg_c = micro_config("m1").svm_reg_c
+        got = {}
+        for c in (reg_c, 1.0):
+            assert run("svm", "--descriptors", train_d, "--reg-c", c,
+                       "--out", tmp_path / "m1.svm") == 0
+            assert run("score", "--svm", tmp_path / "m1.svm", "--descriptors", test_d,
+                       "--network-id", "m1", "--out", tmp_path / "scores.txt") == 0
+            got[c] = (tmp_path / "scores.txt").read_bytes()
+        assert got[reg_c] == want
+        assert got[1.0] != want  # the default C is not the config's
 
     def test_full_protocol(self, ws, capsys):
         out = ws / "run"

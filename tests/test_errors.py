@@ -116,6 +116,12 @@ def _images(path, n):
     path.write_bytes(bytes(n * BYTES_PER_IMAGE))
 
 
+def _other_tensor(name, kind):
+    """The refusal of a container holding tensor name, which kind does not hold."""
+    return (f"holds tensor {name!r}, which {kind} does not: a file of another kind, "
+            "or one written by an earlier version (retrain it)")
+
+
 def _load_stl10_pair(labels_path):
     return load_stl10(labels_path.with_name("x.bin"), labels_path)
 
@@ -170,23 +176,35 @@ CASES = {
     # earlier versions' layouts are refused before their config is read
     "model_eight_tensor_layout": (
         "m.model", lambda p: _model(p, _whitened), load_model,
-        "written by an earlier version (tensor 'layer1/zca_mean'); retrain it",
+        _other_tensor("layer1/zca_mean", "a model"),
     ),
     "model_ten_tensor_layout": (
         "m.model",
         lambda p: _model(p, lambda t: _whitened(t, epsilon=True), _retired_keys),
-        load_model, "written by an earlier version (tensor 'layer1/zca_mean'); retrain it",
+        load_model, _other_tensor("layer1/zca_mean", "a model"),
     ),
     "model_per_group_layout": (
         "m.model", lambda p: _model(p, _per_group), load_model,
-        "written by an earlier version (tensor 'layer2/g0000/filters'); retrain it",
+        _other_tensor("layer2/g0000/filters", "a model"),
     ),
     "svm_standardized_layout": (
         "s.svm",
         lambda p: _svm(
             p, "[svm]\nreg_c = 1.0\n", feature_mean=np.zeros(3), feature_std=np.ones(3)
         ),
-        load_svm, "written by an earlier version (tensor 'feature_mean'); retrain it",
+        load_svm, _other_tensor("feature_mean", "an SVM"),
+    ),
+    # a container of another kind is not called an earlier version
+    "model_given_an_svm": (
+        "x.svm", lambda p: _svm(p, "[svm]\nreg_c = 1.0\n"), load_model,
+        _other_tensor("weights", "a model"),
+    ),
+    "model_given_descriptors": (
+        "x.desc", lambda p: _descriptors(p, [0.0, 1.0, 0.0]), load_model,
+        _other_tensor("descriptors", "a model"),
+    ),
+    "svm_given_a_model": (
+        "x.model", lambda p: _model(p), load_svm, _other_tensor("input_shape", "an SVM"),
     ),
     "svm_reg_c_not_a_number": (
         "s.svm", lambda p: _svm(p, "[svm]\nreg_c = abc\n"), load_svm,

@@ -7,6 +7,7 @@ from cdfnet.stl10 import (
     FoldPlan,
     IMAGE_SIDE,
     LabeledImage,
+    count_stl10_images,
     load_fold_plan,
     LOAD_BLOCK,
     load_stl10,
@@ -74,6 +75,7 @@ class TestBinaryLayout:
         path = tmp_path / "imgs.bin"
         write_stl10_images(path, rgb)
         assert np.array_equal(read_stl10_images(path), rgb)
+        assert count_stl10_images(path) == 3  # from the size alone
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.bin"
