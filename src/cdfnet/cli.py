@@ -25,7 +25,8 @@ from .committee import (
     table_predict,
     write_score_file,
 )
-from .config import load_experiment_config, load_network_config
+from .config import NetworkConfig, load_experiment_config, load_network_config
+from .config import network_config_from_text, network_config_to_text
 from .errors import AlignmentError, CdfnetError, DimError, FormatError, naming
 from .model_io import atomic_open, read_container, write_container
 from .pipeline import (
@@ -47,7 +48,7 @@ from .stl10 import (
     load_stl10,
     read_stl10_labels,
 )
-from .svm import DEFAULT_REG_C, score_many, train_ova_svm
+from .svm import score_many, train_ova_svm
 
 logger = logging.getLogger(__name__)
 
@@ -62,38 +63,47 @@ def _out_file(path: str) -> str:
 
 
 def _out_dir(path: str) -> str:
-    """evaluate's --out directory, refused before any work if a file is there."""
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"{path} exists and is not a directory")
+    """evaluate's --out directory, refused before any work if it, or the
+    nearest of its ancestors that exists, is not a directory."""
+    existing = path
+    while not os.path.exists(existing):
+        existing = os.path.dirname(os.path.normpath(existing)) or os.curdir
+    if not os.path.isdir(existing):
+        raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
     return path
 
 
 def _load_fold(args, images_path, labels_path) -> list[LabeledImage]:
     """The images of fold --fold in the --folds plan, all images without
-    --fold; the fold is checked against the image file's size before decoding."""
-    if args.fold is None:
+    either; the fold is checked against the image file's size before decoding."""
+    if args.fold is None and args.folds is None:
         return load_stl10(images_path, labels_path)
     if args.folds is None:
         raise FormatError("--fold requires --folds")
+    if args.fold is None:
+        raise FormatError("--folds requires --fold")
     plan = load_fold_plan(args.folds)
     plan.check_fold(args.fold, count_stl10_images(images_path))
     images = load_stl10(images_path, labels_path)
-    return [images[i] for i in plan.folds[args.fold]]
+    # copies: a view would keep the whole split's pixels alive with the fold
+    return [LabeledImage(images[i].pixels.copy(), images[i].label, images[i].image_id)
+            for i in plan.folds[args.fold]]
 
 
-def _read_descriptors(path) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """The (n_images, dim) descriptor matrix, its integer image ids, and its
-    labels: integers >= 0, or -1 for an unlabelled row."""
-    tensors, ids_text = read_container(path)
+def _read_descriptors(path) -> tuple[np.ndarray, list[int], np.ndarray, NetworkConfig]:
+    """The (n_images, dim) descriptor matrix, its integer image ids, its labels
+    (integers >= 0, or -1 for an unlabelled row) and the extracting network's config."""
+    tensors, config_text = read_container(path)
     with naming(path):
-        data = tensors["descriptors"]
-        labels = tensors["labels"]
-        ids = [int(i) for i in ids_text.splitlines()]
-        if data.ndim != 2 or len(ids) != data.shape[0] or labels.shape != (data.shape[0],):
+        data, ids, labels = tensors["descriptors"], tensors["image_ids"], tensors["labels"]
+        cfg = network_config_from_text(config_text)
+        if data.ndim != 2 or ids.shape != (data.shape[0],) or labels.shape != ids.shape:
             raise FormatError("descriptors must be (n, dim), with n image ids and n labels")
+        if not all(v.is_integer() for v in ids.tolist()):
+            raise FormatError("image ids must be integers")
         if not all(v.is_integer() and v >= -1 for v in labels.tolist()):
             raise FormatError("labels must be integers >= 0, or -1 for none")
-    return data, ids, labels
+    return data, [int(v) for v in ids.tolist()], labels, cfg
 
 
 def _cmd_train(args) -> int:
@@ -117,19 +127,20 @@ def _cmd_extract(args) -> int:
     except DimError as exc:  # images of a size the model was not trained at
         with naming(args.images):
             raise exc
+    ids = [img.image_id for img in images]
     labels = [-1 if args.labels is None else img.label for img in images]
-    tensors = {"descriptors": descs, "labels": np.asarray(labels, dtype=np.float64)}
-    write_container(args.out, tensors, "\n".join(str(img.image_id) for img in images))
+    tensors = {"descriptors": descs, "image_ids": ids, "labels": labels}
+    write_container(args.out, tensors, network_config_to_text(model.config))
     print(f"wrote {len(descs)} descriptors to {args.out}")
     return 0
 
 
 def _cmd_svm(args) -> int:
-    descs, _, labels = _read_descriptors(args.descriptors)
+    descs, _, labels, cfg = _read_descriptors(args.descriptors)
     with naming(args.descriptors):
         if np.any(labels < 0):
             raise FormatError("labels missing, cannot train")
-    model = train_ova_svm(descs, [int(v) for v in labels], reg_c=args.reg_c)
+    model = train_ova_svm(descs, [int(v) for v in labels], reg_c=cfg.svm_reg_c)
     save_svm(args.out, model)
     print(f"wrote SVM {args.out}")
     return 0
@@ -137,7 +148,7 @@ def _cmd_svm(args) -> int:
 
 def _cmd_score(args) -> int:
     svm = load_svm(args.svm)
-    descs, image_ids, labels = _read_descriptors(args.descriptors)
+    descs, image_ids, labels, _ = _read_descriptors(args.descriptors)
     try:
         raw = score_many(svm, descs)
     except DimError as exc:  # descriptors of another dim than the model's
@@ -221,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("svm", help="train the one-vs-all linear SVM")
     p.add_argument("--descriptors", required=True, help="descriptor container")
-    p.add_argument("--reg-c", type=float, default=DEFAULT_REG_C, help="SVM regularization C")
     p.add_argument("--out", type=_out_file, required=True, help="SVM container path")
     p.set_defaults(func=_cmd_svm)
 

@@ -9,7 +9,6 @@ NetworkConfig reproduces models, descriptors, and score files bit for bit.
 
 from __future__ import annotations
 
-import configparser
 import logging
 import os
 from dataclasses import dataclass
@@ -326,18 +325,15 @@ def load_model(path) -> NetworkModel:
 
 
 def save_svm(path, model: SvmModel) -> None:
-    tensors = dict(zip(_SVM_TENSORS, (model.weights, model.biases)))
-    write_container(path, tensors, f"[svm]\nreg_c = {model.reg_c!r}\n")
+    write_container(path, dict(zip(_SVM_TENSORS, (model.weights, model.biases))))
 
 
 def load_svm(path) -> SvmModel:
-    """Inverse of :func:`save_svm`."""
-    tensors, config_text = read_container(path)
-    cp = configparser.ConfigParser(interpolation=None)
+    """Inverse of :func:`save_svm`; reads the tensors, not the config block."""
+    tensors, _ = read_container(path)
     with naming(path):
         _refuse_other_tensors(tensors, _SVM_TENSORS, "an SVM")
-        cp.read_string(config_text)
-        return SvmModel(tensors["weights"], tensors["biases"], float(cp["svm"]["reg_c"]))
+        return SvmModel(tensors["weights"], tensors["biases"])
 
 
 # -- fold protocol -------------------------------------------------------------

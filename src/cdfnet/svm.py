@@ -30,7 +30,7 @@ logger = logging.getLogger(__name__)
 STD_FLOOR = 1e-8
 MAX_EPOCHS = 1000
 TOL = 1e-4
-DEFAULT_REG_C = 1.0  # C of train_ova_svm, NetworkConfig.svm_reg_c and cdfnet svm --reg-c
+DEFAULT_REG_C = 1.0  # C of train_ova_svm and NetworkConfig.svm_reg_c
 # class c's solver visits the rows in orders drawn from SeededRng(ROW_ORDER_SEED).child(c)
 ROW_ORDER_SEED = 0
 
@@ -41,10 +41,8 @@ class SvmModel:
 
     weights: np.ndarray  # (C, d)
     biases: np.ndarray  # (C,)
-    reg_c: float
 
     def __post_init__(self):
-        _check_reg_c(self.reg_c)
         weights = np.asarray(self.weights, dtype=np.float64)
         biases = np.asarray(self.biases, dtype=np.float64)
         if weights.ndim != 2 or weights.shape[0] < 2 or weights.shape[1] < 1:
@@ -180,7 +178,7 @@ def train_ova_svm(
     # scores raw x as the trained classifier scores (x - mean) / std
     weights /= std
     biases -= weights @ mean
-    return SvmModel(weights=weights, biases=biases, reg_c=float(reg_c))
+    return SvmModel(weights=weights, biases=biases)
 
 
 def score_many(model: SvmModel, descriptors: np.ndarray) -> np.ndarray:

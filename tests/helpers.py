@@ -14,9 +14,9 @@ import tracemalloc
 import numpy as np
 
 from cdfnet import AugmentPlan, LabeledImage
-from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig
+from cdfnet.config import Layer1Config, Layer2Config, NetworkConfig, network_config_to_text
 from cdfnet.layer import FilterBank
-from cdfnet.model_io import MAGIC, VERSION
+from cdfnet.model_io import MAGIC, VERSION, write_container
 from cdfnet.patches import ZcaTransform
 from cdfnet.stl10 import IMAGE_SIDE
 
@@ -144,6 +144,16 @@ def container_declaring(dims) -> bytes:
     return header + b"".join(struct.pack("<Q", d) for d in dims)
 
 
+def write_descriptors(path, descriptors, labels, image_ids=None, config_text=None) -> None:
+    """A descriptor container as `cdfnet extract` writes it: image ids 0 to
+    n - 1 unless given, and the default NetworkConfig's text (C = 1) unless
+    config_text is given."""
+    ids = range(len(labels)) if image_ids is None else image_ids
+    text = network_config_to_text(NetworkConfig()) if config_text is None else config_text
+    tensors = {"descriptors": descriptors, "image_ids": list(ids), "labels": labels}
+    write_container(path, tensors, text)
+
+
 def write_fold_plan(path, plan) -> None:
     """A fold plan as load_fold_plan reads it: one line of image indices per fold."""
     with open(path, "w", encoding="ascii") as fh:
@@ -184,8 +194,9 @@ def assert_near_oracle(got, want, bound=FLOAT32_BOUND):
     assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
-def traced_peak(fn, *args, **kwargs):
-    """fn(*args, **kwargs) and the most bytes its allocations held at once.
+def traced(fn, *args, **kwargs):
+    """fn(*args, **kwargs), the most bytes its allocations held at once, and
+    the bytes they still hold once it has returned, its result's among them.
 
     Counts what tracemalloc sees allocated during the call, numpy array
     buffers included; memory held before the call is not counted.
@@ -197,8 +208,14 @@ def traced_peak(fn, *args, **kwargs):
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = fn(*args, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         if started:
             tracemalloc.stop()
+    return result, peak - base, held - base
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the most bytes its allocations held at once."""
+    result, peak, _ = traced(fn, *args, **kwargs)
     return result, peak

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -17,12 +18,15 @@ from cdfnet.config import (
 )
 from cdfnet.model_io import read_container, write_container
 from cdfnet.pipeline import load_model, save_svm
+from cdfnet.stl10 import BYTES_PER_IMAGE
 from cdfnet.svm import train_ova_svm
 from helpers import (
     container_declaring,
     micro_config,
     stl10_bytes,
     stripe_dataset,
+    traced,
+    write_descriptors,
     write_stl10_images,
     write_stl10_labels,
 )
@@ -227,7 +231,7 @@ class TestChain:
         assert rc == 0
 
         svm_path = ws / "m1.svm"
-        rc = run("svm", "--descriptors", train_d, "--reg-c", 16.0, "--out", svm_path)
+        rc = run("svm", "--descriptors", train_d, "--out", svm_path)
         assert rc == 0
 
         test_d = ws / "test.desc"
@@ -271,7 +275,7 @@ class TestChain:
         x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 0.5]])
         save_svm(ws / "tiny.svm", train_ova_svm(x, [0, 1, 0, 1]))
         desc = ws / "ids.desc"
-        write_container(desc, {"descriptors": x, "labels": np.full(4, -1.0)}, "40\n7\n9\n1")
+        write_descriptors(desc, x, np.full(4, -1.0), [40, 7, 9, 1])
         out = ws / "ids_scores.txt"
         assert run("score", "--svm", ws / "tiny.svm", "--descriptors", desc,
                    "--network-id", "t", "--out", out) == 0
@@ -280,13 +284,13 @@ class TestChain:
     @pytest.mark.parametrize(
         "labels, ids",
         [
-            ([0.0, 1.5, 0.0, 1.0], "0\n1\n2\n3"),  # would train as class 1
-            ([0.0, np.nan, 0.0, 1.0], "0\n1\n2\n3"),
-            ([0.0, 1.0, -2.0, 1.0], "0\n1\n2\n3"),  # -1 is the one unlabelled mark
-            ([0.0, 1.0, 0.0, 1.0], "0\n1\n2.5\n3"),
-            ([0.0, 1.0, 0.0, 1.0], "0\n1\nseven\n3"),
+            ([0.0, 1.5, 0.0, 1.0], [0, 1, 2, 3]),  # would train as class 1
+            ([0.0, np.nan, 0.0, 1.0], [0, 1, 2, 3]),
+            ([0.0, 1.0, -2.0, 1.0], [0, 1, 2, 3]),  # -1 is the one unlabelled mark
+            ([0.0, 1.0, 0.0, 1.0], [0, 1, 2.5, 3]),
+            ([0.0, 1.0, 0.0, 1.0], [0, 1, np.nan, 3]),
         ],
-        ids=["fractional_label", "nan_label", "label_below_-1", "fractional_id", "word_id"],
+        ids=["fractional_label", "nan_label", "label_below_-1", "fractional_id", "nan_id"],
     )
     @pytest.mark.parametrize("command", ["svm", "score"])
     def test_descriptor_labels_and_ids_must_be_integers(
@@ -295,7 +299,7 @@ class TestChain:
         x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 0.5]])
         save_svm(tmp_path / "tiny.svm", train_ova_svm(x, [0, 1, 0, 1]))
         desc = tmp_path / "bad.desc"
-        write_container(desc, {"descriptors": x, "labels": np.array(labels)}, ids)
+        write_descriptors(desc, x, labels, ids)
         out = tmp_path / "out"
         args = {"svm": ["--out", out],
                 "score": ["--svm", tmp_path / "tiny.svm", "--network-id", "t", "--out", out]}
@@ -310,32 +314,28 @@ class TestChain:
         save_svm(ws / "tiny.svm", train_ova_svm(x, [0, 1, 0, 1]))
         x[2, 1] = np.nan
         desc = ws / "nan.desc"
-        write_container(desc, {"descriptors": x, "labels": np.array([0.0, 1.0, 0.0, 1.0])},
-                        "0\n1\n2\n3")
+        write_descriptors(desc, x, [0.0, 1.0, 0.0, 1.0])
         args = {"svm": ["--out", ws / "nan.svm"],
                 "score": ["--svm", ws / "tiny.svm", "--network-id", "t", "--out", ws / "nan.txt"]}
         assert run(command, "--descriptors", desc, *args[command]) == 2
         err = capsys.readouterr().err
         assert err == "error: non-finite value nan in descriptors at (2, 1)\n"
 
-    def test_score_svm_config_parse_error(self, ws, capsys):
+    @pytest.mark.parametrize("command", ["svm", "score"])
+    def test_descriptor_config_parse_error(self, ws, capsys, command):
         x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 0.5]])
-        svm = train_ova_svm(x, [0, 1, 0, 1])
-        dup = ws / "dup.svm"
-        write_container(
-            dup,
-            {"weights": svm.weights, "biases": svm.biases},
-            "[svm]\nreg_c = 1.0\nreg_c = 2.0\n",
-        )
+        save_svm(ws / "tiny.svm", train_ova_svm(x, [0, 1, 0, 1]))
         desc = ws / "dup.desc"
-        write_container(desc, {"descriptors": x, "labels": np.full(4, -1.0)}, "0\n1\n2\n3")
-        out = ws / "dup_scores.txt"
-        rc = run("score", "--svm", dup, "--descriptors", desc, "--network-id", "t",
-                 "--out", out)
-        assert rc == 2
+        text = network_config_to_text(micro_config("m1"))
+        write_descriptors(desc, x, [0.0, 1.0, 0.0, 1.0], config_text=text.replace(
+            "svm_reg_c = 16.0\n", "svm_reg_c = 16.0\nsvm_reg_c = 2.0\n"))
+        out = ws / "dup_out"
+        args = {"svm": ["--out", out],
+                "score": ["--svm", ws / "tiny.svm", "--network-id", "t", "--out", out]}
+        assert run(command, "--descriptors", desc, *args[command]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {dup}: ")
-        assert "option 'reg_c' in section 'svm' already exists" in err
+        assert err.startswith(f"error: {desc}: ")
+        assert "option 'svm_reg_c' in section 'network' already exists" in err
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -392,14 +392,24 @@ class TestChain:
 
     @pytest.mark.parametrize("reg_c", ["0", "-1", "nan", "inf"])
     def test_svm_reg_c_rejected(self, ws, capsys, reg_c):
+        # C is the svm_reg_c of the config in the descriptor file, and only that
         x = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0], [-3.0, 0.5]])
         desc = ws / "reg_c.desc"
-        write_container(desc, {"descriptors": x, "labels": np.array([0.0, 1.0, 0.0, 1.0])},
-                        "0\n1\n2\n3")
+        write_descriptors(desc, x, [0.0, 1.0, 0.0, 1.0])
         out = ws / "reg_c.svm"
-        assert run("svm", "--descriptors", desc, f"--reg-c={reg_c}", "--out", out) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: reg_c must be finite and > 0") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:
+            run("svm", "--descriptors", desc, f"--reg-c={reg_c}", "--out", out)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --reg-c={reg_c}" in capsys.readouterr().err
+
+        text = network_config_to_text(micro_config("m1"))
+        write_descriptors(desc, x, [0.0, 1.0, 0.0, 1.0], config_text=text.replace(
+            "svm_reg_c = 16.0\n", f"svm_reg_c = {reg_c}\n"))
+        assert run("svm", "--descriptors", desc, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {desc}: bad network config: svm_reg_c must be finite and > 0, "
+            f"got {float(reg_c)} (in [network])\n"
+        )
         assert not out.exists()
 
     def test_fractional_group_index_rejected(self, ws, trained_model, capsys):
@@ -565,6 +575,10 @@ class TestFoldRange:
         assert rc == 2
         assert capsys.readouterr().err == "error: --fold requires --folds\n"
         absent = ws / "absent_folds.txt"
+        rc = run("train", "--config", ws / "m1.ini", *data, "--folds", absent,
+                 "--out", ws / "nf.model")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --folds requires --fold\n"
         rc = run("evaluate", "--config", ws / "exp.ini", *data, "--test-x", ws / "test_X.bin",
                  "--test-y", ws / "test_y.bin", "--folds", absent, "--out", ws / "nf_run")
         assert rc == 2
@@ -611,6 +625,16 @@ class TestFoldRange:
         assert decodes == []
 
 
+def test_fold_holds_only_its_own_pixels(tmp_path):
+    # fold 0 is 10 of the file's 100 images; the split they came from is freed
+    images, plan = tmp_path / "x.bin", tmp_path / "folds.txt"
+    images.write_bytes(bytes(100 * BYTES_PER_IMAGE))
+    plan.write_text("".join(" ".join(map(str, range(f, f + 10))) + "\n" for f in range(0, 100, 10)))
+    fold, _, held = traced(cli._load_fold, argparse.Namespace(fold=0, folds=plan), images, None)
+    assert [img.image_id for img in fold] == list(range(10))
+    assert held <= 2 * sum(img.pixels.nbytes for img in fold)
+
+
 class TestEvaluate:
     def test_experiment_parse_error(self, ws, capsys):
         exp = ws / "dup.ini"
@@ -646,22 +670,26 @@ class TestEvaluate:
         assert not out.exists()
 
     def test_out_naming_a_file_refused_before_decodes(self, ws, capsys, monkeypatch):
+        # a file at the path, or where a directory above it would be made
         decodes = _count_decodes(monkeypatch)
-        out = ws / "run_file"
-        out.write_text("not a directory\n")
-        with pytest.raises(SystemExit) as exc:
-            run("evaluate", "--config", ws / "exp.ini",
-                "--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin",
-                "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
-                "--folds", ws / "folds.txt", "--out", out)
-        assert exc.value.code == 2
-        assert f"argument --out: {out} exists and is not a directory" in capsys.readouterr().err
+        afile = ws / "run_file"
+        afile.write_text("not a directory\n")
+        for out in (afile, afile / "run"):
+            with pytest.raises(SystemExit) as exc:
+                run("evaluate", "--config", ws / "exp.ini",
+                    "--train-x", ws / "train_X.bin", "--train-y", ws / "train_y.bin",
+                    "--test-x", ws / "test_X.bin", "--test-y", ws / "test_y.bin",
+                    "--folds", ws / "folds.txt", "--out", out)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --out: {afile} exists and is not a directory" in err
         assert decodes == []
-        assert out.read_text() == "not a directory\n"
+        assert afile.read_text() == "not a directory\n"
 
     def test_chain_reproduces_evaluate(self, ws, trained_model, tmp_path):
         # train -> extract --augment -> svm -> extract -> score on fold 0 writes
-        # the score file evaluate writes, once --reg-c repeats the config's svm_reg_c
+        # the score file evaluate writes: svm takes C (16 here) from the config
+        # the descriptor file carries, as evaluate does
         exp = tmp_path / "m1_fold0.ini"
         exp.write_text(f"[experiment]\nnetworks = {ws / 'm1.ini'}\nfolds = 0\n")
         assert run("evaluate", "--config", exp,
@@ -676,16 +704,10 @@ class TestEvaluate:
                    "--fold", 0, "--augment", "--out", train_d) == 0
         assert run("extract", "--model", trained_model, "--images", ws / "test_X.bin",
                    "--labels", ws / "test_y.bin", "--out", test_d) == 0
-        reg_c = micro_config("m1").svm_reg_c
-        got = {}
-        for c in (reg_c, 1.0):
-            assert run("svm", "--descriptors", train_d, "--reg-c", c,
-                       "--out", tmp_path / "m1.svm") == 0
-            assert run("score", "--svm", tmp_path / "m1.svm", "--descriptors", test_d,
-                       "--network-id", "m1", "--out", tmp_path / "scores.txt") == 0
-            got[c] = (tmp_path / "scores.txt").read_bytes()
-        assert got[reg_c] == want
-        assert got[1.0] != want  # the default C is not the config's
+        assert run("svm", "--descriptors", train_d, "--out", tmp_path / "m1.svm") == 0
+        assert run("score", "--svm", tmp_path / "m1.svm", "--descriptors", test_d,
+                   "--network-id", "m1", "--out", tmp_path / "scores.txt") == 0
+        assert (tmp_path / "scores.txt").read_bytes() == want
 
     def test_full_protocol(self, ws, capsys):
         out = ws / "run"

@@ -14,7 +14,12 @@ import pytest
 from cdfnet import cli
 from cdfnet.cli import _read_descriptors, main
 from cdfnet.committee import read_score_file
-from cdfnet.config import load_experiment_config, load_network_config
+from cdfnet.config import (
+    NetworkConfig,
+    load_experiment_config,
+    load_network_config,
+    network_config_to_text,
+)
 from cdfnet.errors import FormatError, NonFiniteValue
 from cdfnet.model_io import read_container, write_container
 from cdfnet.pipeline import load_model, load_svm
@@ -25,6 +30,7 @@ from cdfnet.stl10 import (
     read_stl10_images,
     read_stl10_labels,
 )
+from helpers import write_descriptors
 
 MODEL = Path(__file__).resolve().parent / "data" / "tiny_on_off.model"
 SRC = Path(__file__).resolve().parent.parent / "src" / "cdfnet"
@@ -93,15 +99,18 @@ def _repeated_offset(path):
     path.write_bytes(path.read_bytes().replace(b"layer1/OFFSET", b"layer1/offset"))
 
 
-def _svm(path, config_text, **extra):
+def _svm(path, **extra):
     """An SVM of 2 classes and 3 features; extra tensors follow its own two,
     and a weights or biases keyword replaces its own."""
     tensors = {"weights": np.ones((2, 3)), "biases": np.zeros(2), **extra}
-    write_container(path, tensors, config_text)
+    write_container(path, tensors)
 
 
-def _descriptors(path, labels, ids="0\n1\n2"):
-    write_container(path, {"descriptors": np.ones((3, 4)), "labels": np.asarray(labels)}, ids)
+def _descriptors(path, labels, ids=(0, 1, 2), svm_reg_c="1.0"):
+    """Three descriptors of dim 4 from a default network, whose config gives svm_reg_c."""
+    text = network_config_to_text(NetworkConfig()).replace(
+        "svm_reg_c = 1.0\n", f"svm_reg_c = {svm_reg_c}\n")
+    write_descriptors(path, np.ones((3, 4)), labels, ids, text)
 
 
 def _folds(path, lines):
@@ -189,14 +198,12 @@ CASES = {
     ),
     "svm_standardized_layout": (
         "s.svm",
-        lambda p: _svm(
-            p, "[svm]\nreg_c = 1.0\n", feature_mean=np.zeros(3), feature_std=np.ones(3)
-        ),
+        lambda p: _svm(p, feature_mean=np.zeros(3), feature_std=np.ones(3)),
         load_svm, _other_tensor("feature_mean", "an SVM"),
     ),
     # a container of another kind is not called an earlier version
     "model_given_an_svm": (
-        "x.svm", lambda p: _svm(p, "[svm]\nreg_c = 1.0\n"), load_model,
+        "x.svm", lambda p: _svm(p), load_model,
         _other_tensor("weights", "a model"),
     ),
     "model_given_descriptors": (
@@ -206,31 +213,42 @@ CASES = {
     "svm_given_a_model": (
         "x.model", lambda p: _model(p), load_svm, _other_tensor("input_shape", "an SVM"),
     ),
-    "svm_reg_c_not_a_number": (
-        "s.svm", lambda p: _svm(p, "[svm]\nreg_c = abc\n"), load_svm,
-        "could not convert string to float: 'abc'",
-    ),
-    "svm_reg_c_nan": (
-        "s.svm", lambda p: _svm(p, "[svm]\nreg_c = nan\n"), load_svm,
-        "reg_c must be finite and > 0, got nan",
-    ),
-    "svm_reg_c_negative": (
-        "s.svm", lambda p: _svm(p, "[svm]\nreg_c = -1\n"), load_svm,
-        "reg_c must be finite and > 0, got -1.0",
-    ),
-    "svm_no_svm_section": ("s.svm", lambda p: _svm(p, ""), load_svm, "missing 'svm'"),
     "svm_weight_non_finite": (
-        "s.svm",
-        lambda p: _svm(p, "[svm]\nreg_c = 1.0\n", weights=np.array([[1, np.nan, 1], [1, 1, 1]])),
+        "s.svm", lambda p: _svm(p, weights=np.array([[1, np.nan, 1], [1, 1, 1]])),
         load_svm, "non-finite value nan in SVM weights at (0, 1)",
     ),
     "svm_bias_non_finite": (
-        "s.svm", lambda p: _svm(p, "[svm]\nreg_c = 1.0\n", biases=np.array([0, -np.inf])),
+        "s.svm", lambda p: _svm(p, biases=np.array([0, -np.inf])),
         load_svm, "non-finite value -inf in SVM biases at (1,)",
     ),
+    # an SVM is trained with the C of the config its descriptor file carries
+    "svm_reg_c_not_a_number": (
+        "d.desc", lambda p: _descriptors(p, [0.0, 1.0, 0.0], svm_reg_c="abc"),
+        _read_descriptors, "network.svm_reg_c: could not convert string to float: 'abc'",
+    ),
+    "svm_reg_c_nan": (
+        "d.desc", lambda p: _descriptors(p, [0.0, 1.0, 0.0], svm_reg_c="nan"),
+        _read_descriptors, "svm_reg_c must be finite and > 0, got nan (in [network])",
+    ),
+    "svm_reg_c_negative": (
+        "d.desc", lambda p: _descriptors(p, [0.0, 1.0, 0.0], svm_reg_c="-1"),
+        _read_descriptors, "svm_reg_c must be finite and > 0, got -1.0 (in [network])",
+    ),
+    "svm_reg_c_zero": (
+        "d.desc", lambda p: _descriptors(p, [0.0, 1.0, 0.0], svm_reg_c="0"),
+        _read_descriptors, "svm_reg_c must be finite and > 0, got 0.0 (in [network])",
+    ),
+    # an earlier version's descriptor file, its image ids the config block's lines
+    "descriptors_earlier_layout": (
+        "d.desc",
+        lambda p: write_container(
+            p, {"descriptors": np.ones((3, 4)), "labels": np.zeros(3)}, "0\n1\n2"
+        ),
+        _read_descriptors, "missing 'image_ids'",
+    ),
     "descriptors_bad_id": (
-        "d.desc", lambda p: _descriptors(p, [0.0, 1.0, 0.0], "0\nx\n2"), _read_descriptors,
-        "invalid literal for int()",
+        "d.desc", lambda p: _descriptors(p, [0.0, 1.0, 0.0], [0, 0.5, 2]), _read_descriptors,
+        "image ids must be integers",
     ),
     "descriptors_bad_label": (
         "d.desc", lambda p: _descriptors(p, [0.0, -2.0, 0.0]), _read_descriptors,
@@ -242,7 +260,7 @@ CASES = {
     ),
     "descriptors_scalar": (
         "d.desc",
-        lambda p: write_container(p, {"descriptors": np.ones(()), "labels": np.zeros(1)}, "0"),
+        lambda p: write_descriptors(p, np.ones(()), np.zeros(1)),
         _read_descriptors, "with n image ids and n labels",
     ),
     "network_config_unknown_key": (
@@ -436,7 +454,7 @@ def test_committee_names_a_labels_file_of_another_length(tmp_path, capsys):
 
 def test_score_names_descriptors_of_another_dim(tmp_path, capsys):
     svm, descs = tmp_path / "s.svm", tmp_path / "d.desc"
-    _svm(svm, "[svm]\nreg_c = 1.0\n")
+    _svm(svm)
     _descriptors(descs, [0, 1, 0])
     assert main(["score", "--svm", str(svm), "--descriptors", str(descs),
                  "--network-id", "n1", "--out", str(tmp_path / "t.txt")]) == 2

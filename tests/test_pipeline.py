@@ -442,16 +442,25 @@ class TestModelPersistence:
 
     def test_svm_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        svm = SvmModel(
-            weights=rng.standard_normal((3, 7)), biases=rng.standard_normal(3), reg_c=0.125
-        )
+        svm = SvmModel(weights=rng.standard_normal((3, 7)), biases=rng.standard_normal(3))
         path = tmp_path / "svm.bin"
         save_svm(path, svm)
-        assert list(read_container(path)[0]) == ["weights", "biases"]
+        tensors, text = read_container(path)
+        assert list(tensors) == ["weights", "biases"]
+        assert text == ""  # C is the member config's, so the file records none
         back = load_svm(path)
-        assert back.reg_c == svm.reg_c
         assert np.array_equal(back.weights, svm.weights)
         assert np.array_equal(back.biases, svm.biases)
+
+    @pytest.mark.parametrize("block", ["[svm]\nreg_c = 0.125\n", "[svm]\nreg_c = 0\n", "x"])
+    def test_svm_of_an_earlier_version_scores_the_same(self, tmp_path, block):
+        # earlier versions wrote C into the config block, which is not read
+        rng = np.random.default_rng(1)
+        x, labels = rng.standard_normal((12, 5)), [0, 1, 2] * 4
+        svm = train_ova_svm(x, labels)
+        path = tmp_path / "old.svm"
+        write_container(path, {"weights": svm.weights, "biases": svm.biases}, block)
+        assert score_many(load_svm(path), x).tobytes() == score_many(svm, x).tobytes()
 
     @pytest.mark.parametrize("damage", ["short_filter_row"])
     def test_bank_and_model_errors_name_the_file(self, tmp_path, damage):

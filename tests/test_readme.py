@@ -91,8 +91,27 @@ def test_sh_flag_is_an_option(command, flag):
 
 @pytest.mark.parametrize("flag", _prose_flags())
 def test_prose_flag_is_an_option(flag):
-    parsers = _parser_subcommands().values()
+    parsers = [build_parser(), *_parser_subcommands().values()]
     assert any(flag in parser._option_string_actions for parser in parsers), flag
+
+
+def _parser_options():
+    """(subcommand, option) for every option of every subcommand, help aside,
+    and ("", option) for those of cdfnet itself."""
+    parsers = {"": build_parser(), **_parser_subcommands()}
+    return sorted(
+        (command, option)
+        for command, parser in parsers.items()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    )
+
+
+@pytest.mark.parametrize("command, option", _parser_options())
+def test_option_is_documented(command, option):
+    # the reverse of the tests above: README names every option the CLI takes
+    assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", README), (command, option)
 
 
 @pytest.mark.parametrize("ref", sorted(set(re.findall(r"`cdfnet((?:\.\w+)+)", README))))
@@ -144,7 +163,7 @@ def test_svm_tensor_list_is_what_save_svm_writes(tmp_path):
     listed = re.search(r"An SVM holds \w+ tensors: (.*?)\.\s", README, flags=re.S)
     assert listed, "README lists no SVM tensors"
     names = re.findall(r"`([^`]+)`", listed.group(1))
-    svm = cdfnet.SvmModel(weights=np.ones((2, 3)), biases=np.zeros(2), reg_c=1.0)
+    svm = cdfnet.SvmModel(weights=np.ones((2, 3)), biases=np.zeros(2))
     cdfnet.save_svm(tmp_path / "m.svm", svm)
     assert names == list(read_container(tmp_path / "m.svm")[0])
 

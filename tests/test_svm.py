@@ -179,7 +179,6 @@ class TestScore:
         return SvmModel(
             weights=np.asarray(weights, dtype=np.float64),
             biases=np.asarray(biases, dtype=np.float64),
-            reg_c=1.0,
         )
 
     def test_zero_weights_gives_biases(self):
@@ -247,37 +246,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="reg_c"):
             train_ova_svm(descs, labels, reg_c=reg_c)
 
-    @pytest.mark.parametrize("reg_c", [0.0, -1.0, np.nan, np.inf])
-    def test_model_reg_c_positive_and_finite(self, reg_c):
-        with pytest.raises(ValueError, match="reg_c must be finite and > 0"):
-            SvmModel(weights=np.zeros((2, 3)), biases=np.zeros(2), reg_c=reg_c)
-
     def test_reg_c_default_is_one_constant(self):
-        # train_ova_svm, NetworkConfig.svm_reg_c and cdfnet svm --reg-c
+        # train_ova_svm and NetworkConfig.svm_reg_c; cdfnet svm takes the latter
         import inspect
 
-        from cdfnet.cli import build_parser
         from cdfnet.config import NetworkConfig
         from cdfnet.svm import DEFAULT_REG_C
 
-        args = build_parser().parse_args(["svm", "--descriptors", "d", "--out", "o"])
         defaults = (
             inspect.signature(train_ova_svm).parameters["reg_c"].default,
             NetworkConfig().svm_reg_c,
-            args.reg_c,
         )
-        assert defaults == (DEFAULT_REG_C,) * 3
+        assert defaults == (DEFAULT_REG_C,) * 2
 
     def test_model_needs_two_classes(self):
         with pytest.raises(DimError):
-            SvmModel(weights=np.zeros((1, 3)), biases=np.zeros(1), reg_c=1.0)
+            SvmModel(weights=np.zeros((1, 3)), biases=np.zeros(1))
 
     @pytest.mark.parametrize(
         "weights, biases", [(np.zeros(3), np.zeros(1)), (np.zeros((2, 3)), np.zeros(3))]
     )
     def test_model_shapes_checked(self, weights, biases):
         with pytest.raises(DimError):
-            SvmModel(weights=weights, biases=biases, reg_c=1.0)
+            SvmModel(weights=weights, biases=biases)
 
 
 class TestStandardizedOracle:
@@ -336,7 +327,7 @@ class TestPrimalOracle:
         descs, labels, reg_c = _ORACLE_SETS[name]()
         model = train_ova_svm(descs, labels, reg_c=reg_c)
         *oracle, optimum = primal_svm(descs, labels, reg_c)
-        gap = primal_objectives(model, descs, labels) - optimum
+        gap = primal_objectives(model, descs, labels, reg_c) - optimum
         assert np.all(np.abs(gap) <= 1e-7 * optimum), gap / optimum
         want = standardized_scores(*oracle, descs)
         assert np.array_equal(np.argmax(score_many(model, descs), axis=1), np.argmax(want, axis=1))

@@ -334,14 +334,15 @@ def primal_svm(descriptors, labels, reg_c: float):
     return weights, biases, mean, std, objectives
 
 
-def primal_objectives(model, descriptors, labels) -> np.ndarray:
-    """Each class's primal objective at a raw-descriptor model's weights,
-    unfolded onto the standardized design matrix of the training rows."""
+def primal_objectives(model, descriptors, labels, reg_c: float) -> np.ndarray:
+    """Each class's primal objective, of C = reg_c, at a raw-descriptor
+    model's weights, unfolded onto the standardized design matrix of the
+    training rows."""
     labels = np.asarray(labels)
     x, mean, std = _design(descriptors)
     objectives = np.zeros(model.n_classes)
     for cls in range(model.n_classes):
         w = np.append(model.weights[cls] * std, model.biases[cls] + model.weights[cls] @ mean)
         y = np.where(labels == cls, 1.0, -1.0)
-        objectives[cls] = _primal(w, x, y, model.reg_c / len(x))[0]
+        objectives[cls] = _primal(w, x, y, reg_c / len(x))[0]
     return objectives
