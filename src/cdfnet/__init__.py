@@ -57,7 +57,7 @@ from .pipeline import (
     train_network,
 )
 from .stl10 import FoldPlan, LabeledImage, load_fold_plan, load_stl10
-from .svm import SvmModel, cross_validate_c, score_many, train_ova_svm
+from .svm import SvmModel, score_many, train_ova_svm
 
 __version__ = "0.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "SvmModel",
     "accuracy",
     "committee_predict",
-    "cross_validate_c",
     "descriptor_shape",
     "evaluate_protocol",
     "expand_set",

@@ -13,6 +13,12 @@ back onto raw descriptors, so scoring is one matrix product. Each epoch
 visits the rows in a fresh permutation (Hsieh et al., ICML 2008, section
 3.1), drawn from a fixed stream per class, so training is deterministic for
 a given data order.
+
+The solver works on the (n, n) Gram matrix of the design matrix, formed
+once for all classes, so a coordinate step costs O(n) whatever the
+descriptor dimension; each class's weights are the combination of the
+design matrix's rows that its dual variables give. Every protocol job has
+fewer rows than dimensions, so the Gram matrix is the smaller of the two.
 """
 
 from __future__ import annotations
@@ -69,49 +75,57 @@ def _check_reg_c(reg_c, name: str = "reg_c") -> None:
         raise ValueError(f"{name} must be finite and > 0, got {reg_c}")
 
 
-def _dual_cd_l2svm(x: np.ndarray, y: np.ndarray, c_eff: float, rng: SeededRng):
-    """Dual coordinate descent for the L2-loss SVM (LIBLINEAR-style).
+def _dual_cd_l2svm(q: np.ndarray, y: np.ndarray, c_eff: float, rng: SeededRng):
+    """Dual coordinate descent for the L2-loss SVM (LIBLINEAR-style), on the
+    Gram matrix of the design matrix.
 
-    x is (n, d) with the bias feature already appended, y in {-1, +1}.
-    Each epoch visits the rows in a fresh permutation drawn from `rng`, for
-    at most MAX_EPOCHS epochs, both constants read at call time. Returns
-    (w, dual objective per epoch, the largest projected gradient of the
-    last epoch); training stopped early when that is below TOL. Each
-    coordinate step exactly minimizes the dual along one alpha_i subject
-    to alpha_i >= 0, so the dual objective never increases.
+    q is the (n, n) Gram matrix x x^T of the (n, d + 1) design matrix x,
+    whose bias feature is already appended, and y is in {-1, +1}. The
+    solver never sees x: it keeps u = x w as an n-vector, so a step reads
+    u_i for its gradient, and an update adds delta y_i q_i to u, O(n) work
+    instead of a dot product and an axpy over d + 1. Row i of q is read as
+    its column i, so q must be exactly symmetric. Each epoch visits the
+    rows in a fresh permutation drawn from `rng`, for at most MAX_EPOCHS
+    epochs, both constants read at call time. Returns (coefficients
+    alpha * y, whose product with x is w; dual objective per epoch, with
+    w.w = (alpha * y).u; the largest projected gradient of the last
+    epoch); training stopped early when that is below TOL. Each coordinate
+    step exactly minimizes the dual along one alpha_i subject to
+    alpha_i >= 0, so the dual objective never increases.
     """
-    n = x.shape[0]
+    n = q.shape[0]
     d_ii = 1.0 / (2.0 * c_eff)
     # per-row Python floats and row views: indexing numpy arrays in the
     # inner loop costs more than a step's scalar arithmetic
-    q_ii = (np.einsum("nd,nd->n", x, x) + d_ii).tolist()
+    q_ii = (np.diagonal(q) + d_ii).tolist()
     signs = y.tolist()
-    rows = list(x)
+    rows = list(q)
     alpha = [0.0] * n
-    w = np.zeros(x.shape[1], dtype=np.float64)
+    u = np.zeros(n, dtype=np.float64)
     gen = rng.generator()
     objectives = []
     max_pg = np.inf
     for _ in range(MAX_EPOCHS):
         max_pg = 0.0
         for i in gen.permutation(n).tolist():
-            a, y_i, row = alpha[i], signs[i], rows[i]
-            g = y_i * float(w @ row) - 1.0 + d_ii * a
+            a, y_i = alpha[i], signs[i]
+            g = y_i * u.item(i) - 1.0 + d_ii * a
             pg = min(g, 0.0) if a == 0.0 else g
             if pg != 0.0:
                 max_pg = max(max_pg, abs(pg))
                 new_alpha = max(a - g / q_ii[i], 0.0)
                 delta = new_alpha - a
                 if delta != 0.0:
-                    w += (delta * y_i) * row
+                    u += (delta * y_i) * rows[i]
                     alpha[i] = new_alpha
         alphas = np.array(alpha)
+        coef = alphas * y
         objectives.append(
-            0.5 * float(w @ w) + 0.5 * d_ii * float(alphas @ alphas) - float(alphas.sum())
+            0.5 * float(coef @ u) + 0.5 * d_ii * float(alphas @ alphas) - float(alphas.sum())
         )
         if max_pg < TOL:
             break
-    return w, objectives, max_pg
+    return coef, objectives, max_pg
 
 
 def _as_descriptors(descriptors, dim: int | None = None) -> np.ndarray:
@@ -137,6 +151,10 @@ def train_ova_svm(
     the rows in the order of ``SeededRng(ROW_ORDER_SEED).child(c)`` until
     its largest projected gradient is below ``TOL``, or for ``MAX_EPOCHS``
     epochs with a warning. Deterministic for a given row order.
+
+    All classes share one Gram matrix of the design matrix, n^2 * 8 bytes
+    (128 MB at 4000 rows), and their weights come from one (C, n) @
+    (n, d + 1) product of the solvers' coefficients with the design matrix.
     """
     _check_reg_c(reg_c)
     values = _as_descriptors(descriptors)
@@ -161,67 +179,25 @@ def train_ova_svm(
     x[:, np.flatnonzero(std == STD_FLOOR)] = 0.0
     x[:, d] = 1.0
 
+    q = x @ x.T
     c_eff = reg_c / n
-    weights = np.zeros((n_classes, d), dtype=np.float64)
-    biases = np.zeros(n_classes, dtype=np.float64)
+    coefs = np.zeros((n_classes, n), dtype=np.float64)
     for cls in range(n_classes):
         y = np.where(labels == cls, 1.0, -1.0)
-        w, _, max_pg = _dual_cd_l2svm(x, y, c_eff, SeededRng(ROW_ORDER_SEED).child(cls))
+        coefs[cls], _, max_pg = _dual_cd_l2svm(q, y, c_eff, SeededRng(ROW_ORDER_SEED).child(cls))
         if max_pg >= TOL:
             logger.warning(
                 "SVM class %d: dual CD ran %d epochs without reaching tol %g"
                 " (max projected gradient %.3g)",
                 cls, MAX_EPOCHS, TOL, max_pg,
             )
-        weights[cls] = w[:-1]
-        biases[cls] = w[-1]
+    w = coefs @ x
     # scores raw x as the trained classifier scores (x - mean) / std
-    weights /= std
-    biases -= weights @ mean
+    weights = w[:, :d] / std
+    biases = w[:, d] - weights @ mean
     return SvmModel(weights=weights, biases=biases)
 
 
 def score_many(model: SvmModel, descriptors: np.ndarray) -> np.ndarray:
     """Raw scores w_c . x + b_c as an (n_images, n_classes) matrix."""
     return _as_descriptors(descriptors, model.dim) @ model.weights.T + model.biases
-
-
-def cross_validate_c(
-    descriptors: np.ndarray,
-    labels,
-    grid=(0.01, 0.1, 1.0, 10.0),
-    n_folds: int = 5,
-) -> float:
-    """Pick reg_c from the grid by deterministic k-fold accuracy.
-
-    Folds are contiguous row ranges of the descriptor matrix, so the split
-    depends only on the data order. Pass one row per image: ``expand_set``
-    puts the originals first and then their copies, so with augmented
-    descriptors each held-out image's copies would stay in training. Ties
-    prefer the smaller reg_c.
-    """
-    grid = tuple(grid)
-    if not grid or n_folds < 2:
-        raise ValueError(f"need a non-empty grid and n_folds >= 2, got {grid} and {n_folds}")
-    values = _as_descriptors(descriptors)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = values.shape[0]
-    if n < n_folds:
-        raise DimError(f"need >= {n_folds} samples for {n_folds}-fold CV")
-    bounds = np.linspace(0, n, n_folds + 1, dtype=int)
-    best_c, best_acc = None, -1.0
-    for c in grid:
-        hits = 0
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            held_out = slice(lo, hi)
-            model = train_ova_svm(
-                np.delete(values, held_out, axis=0),
-                np.delete(labels, held_out),
-                reg_c=c,
-            )
-            predictions = np.argmax(score_many(model, values[held_out]), axis=1)
-            hits += int(np.sum(predictions == labels[held_out]))
-        acc = hits / n
-        if acc > best_acc:
-            best_c, best_acc = c, acc
-    return float(best_c)

@@ -1,6 +1,7 @@
 """The repository's pytest settings, exercised on a throwaway test file, and
 the CI workflow's agreement with pyproject.toml."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ import sys
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 PYPROJECT = os.path.join(ROOT, "pyproject.toml")
 WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tier1.yml")
+CI_SCRIPT = os.path.join(ROOT, "tools", "ci.py")
 
 TWO_TESTS = '''
 from hypothesis import given, strategies as st
@@ -54,3 +56,29 @@ def test_ci_floor_entry_mirrors_pyproject():
     python = re.search(r'^requires-python = ">=([\d.]+)"$', project, flags=re.M).group(1)
     matrix = re.search(r"^\s+python-version: \[(.*)\]$", workflow, flags=re.M).group(1)
     assert f'"{python}"' in matrix.split(", ")
+
+
+def _ci_steps():
+    spec = importlib.util.spec_from_file_location("ci", CI_SCRIPT)
+    ci = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ci)
+    return ci.STEPS
+
+
+def test_every_workflow_step_of_ci_script_exists():
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        workflow = fh.read()
+    runs = re.findall(r"^\s+run: (.*)$", workflow, flags=re.M)
+    calls = [run.split() for run in runs if "tools/ci.py" in run]
+    assert [call[:2] for call in calls] == [["python", "tools/ci.py"]] * len(calls)
+    assert sorted(call[2] for call in calls) == sorted(_ci_steps())
+    # the step bodies live in the script, not in inline one-liners
+    assert not re.search(r"python3? -c\b", workflow)
+    assert all(len(call) == 3 for call in calls)
+
+
+def test_ci_script_refuses_an_unknown_step():
+    run = subprocess.run([sys.executable, CI_SCRIPT, "no-such-step"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert "usage: python tools/ci.py {tier1,bench-smoke,bench-trace-smoke,tree-clean}" in run.stderr

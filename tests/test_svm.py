@@ -5,19 +5,40 @@ import pytest
 
 from cdfnet import svm as svm_mod
 from cdfnet.errors import DegenerateLabels, DimError, NonFiniteValue
-from cdfnet.svm import SvmModel, _dual_cd_l2svm, cross_validate_c, score_many, train_ova_svm
+from cdfnet.svm import SvmModel, _dual_cd_l2svm, score_many, train_ova_svm
 from cdfnet.tensor import SeededRng
 
 from helpers import traced_peak
-from train_oracle import primal_objectives, primal_svm, standardized_scores, standardized_svm
+from train_oracle import (
+    dual_cd_l2svm,
+    primal_objectives,
+    primal_svm,
+    standardized_scores,
+    standardized_svm,
+)
 
 
 def _solve(x, y, c_eff, max_epochs, tol):
-    """_dual_cd_l2svm with its stopping rule svm.MAX_EPOCHS and svm.TOL set."""
+    """_dual_cd_l2svm on x's Gram matrix with its stopping rule svm.MAX_EPOCHS
+    and svm.TOL set, returning (w, objectives, max_pg) with w = coef @ x."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(svm_mod, "MAX_EPOCHS", max_epochs)
         mp.setattr(svm_mod, "TOL", tol)
-        return _dual_cd_l2svm(x, y, c_eff, SeededRng(0))
+        coef, objectives, max_pg = _dual_cd_l2svm(x @ x.T, y, c_eff, SeededRng(0))
+    return coef @ x, objectives, max_pg
+
+
+def _recorded_solves(monkeypatch):
+    """A list that collects (q, epochs) of every solve train_ova_svm runs."""
+    solves = []
+
+    def recording(q, *args):
+        coef, objectives, max_pg = _dual_cd_l2svm(q, *args)
+        solves.append((q, len(objectives)))
+        return coef, objectives, max_pg
+
+    monkeypatch.setattr(svm_mod, "_dual_cd_l2svm", recording)
+    return solves
 
 
 def _descs(values):
@@ -69,11 +90,12 @@ class TestTrain:
         assert np.allclose(score_many(model_a, probe), score_many(model_b, probe), atol=1e-6)
 
     def test_deterministic(self):
-        descs, labels = _two_class_toy()
-        a = train_ova_svm(descs, labels, reg_c=2.0)
-        b = train_ova_svm(descs, labels, reg_c=2.0)
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.biases, b.biases)
+        # the svm_fit-shaped set runs the Gram and weight products through BLAS
+        for descs, labels in (_two_class_toy(), _svm_fit_shaped()):
+            a = train_ova_svm(descs, labels, reg_c=2.0)
+            b = train_ova_svm(descs, labels, reg_c=2.0)
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.biases, b.biases)
 
     def test_three_classes(self):
         descs, labels = _three_class_toy()
@@ -131,6 +153,19 @@ class TestObjective:
             _, objectives, _ = _solve(x, y, c_eff, 50, 0.0)
             diffs = np.diff(objectives)
             assert np.all(diffs <= 1e-9 * np.maximum(np.abs(objectives[:-1]), 1.0))
+
+    def test_objectives_match_design_matrix_solver(self, monkeypatch):
+        # w.w = (alpha * y).u is the oracle's w.w, epoch by epoch
+        rng = np.random.default_rng(4)
+        x = np.hstack([rng.standard_normal((50, 30)), np.ones((50, 1))])
+        y = np.where(rng.random(50) < 0.5, 1.0, -1.0)
+        w, objectives, max_pg = _solve(x, y, 0.05, 1000, 1e-6)
+        monkeypatch.setattr(svm_mod, "TOL", 1e-6)
+        want_w, want, want_pg = dual_cd_l2svm(x, y, 0.05, SeededRng(0))
+        assert len(objectives) == len(want)
+        assert np.allclose(objectives, want, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(w - want_w)) <= 1e-12 * np.max(np.abs(want_w))
+        assert max_pg < 1e-6 and want_pg < 1e-6
 
     def test_converges_on_easy_problem(self):
         x = np.array([[-1.0, 1.0], [1.0, 1.0]])
@@ -293,20 +328,57 @@ class TestStandardizedOracle:
     def test_scores_match_standardized_oracle(self, seed, reg_c):
         descs, labels, probe = self._data(seed)
         model = train_ova_svm(descs, labels, reg_c=reg_c)
-        want = standardized_scores(*standardized_svm(descs, labels, reg_c), probe)
+        want = standardized_scores(*standardized_svm(descs, labels, reg_c)[:4], probe)
         got = score_many(model, probe)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
 
 
+def _class_means(n, dim, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % n_classes
+    means = rng.standard_normal((n_classes, dim))
+    return means[labels] + rng.standard_normal((n, dim)), labels
+
+
 def _svm_fit_shaped():
     # as many rows and dims as one svm_fit fold: class means plus noise;
     # visiting the rows in fixed order stops over 1e-7 short on this set
-    rng = np.random.default_rng(0)
-    labels = np.arange(100) % 10
-    means = rng.standard_normal((10, 5625))
-    return means[labels] + rng.standard_normal((100, 5625)), labels
+    return _class_means(100, 5625, 10, 0)
+
+
+def _wide():
+    # the descriptor dimension of n2, n3 and n5, far above the row count
+    return _class_means(40, 22500, 4, 1)
+
+
+class TestGramOracle:
+    """The Gram-matrix solver takes the iterates of the solver that works
+    on the design matrix itself; only rounding differs."""
+
+    @pytest.mark.parametrize("make", [_svm_fit_shaped, _wide], ids=["svm_fit_shaped", "wide"])
+    def test_matches_design_matrix_solver(self, make, monkeypatch):
+        descs, labels = make()
+        solves = _recorded_solves(monkeypatch)
+        model = train_ova_svm(descs, labels)
+        weights, biases, mean, std, epochs = standardized_svm(descs, labels, 1.0)
+        assert [e for _, e in solves] == epochs
+        want = weights / std
+        assert np.max(np.abs(model.weights - want)) <= 1e-12 * np.max(np.abs(want))
+        got_scores = score_many(model, descs)
+        want_scores = standardized_scores(weights, biases, mean, std, descs)
+        assert np.array_equal(np.argmax(got_scores, axis=1), np.argmax(want_scores, axis=1))
+
+    def test_gram_matrix_is_exactly_symmetric(self, monkeypatch):
+        # the solver reads row i of q as its column i
+        descs, labels = _svm_fit_shaped()
+        solves = _recorded_solves(monkeypatch)
+        train_ova_svm(descs, labels)
+        q = solves[0][0]
+        assert q.shape == (100, 100)
+        assert all(other is q for other, _ in solves)
+        assert np.array_equal(q, q.T)
 
 
 _ORACLE_SETS = {
@@ -367,44 +439,3 @@ class TestMemory:
         assert scores.shape == (800, 3)
         # the finiteness check's boolean mask is an eighth of the matrix
         assert peak <= 0.25 * descs.nbytes
-
-
-class TestCrossValidate:
-    def test_returns_grid_member_and_prefers_small_on_tie(self):
-        rng = np.random.default_rng(5)
-        pts = np.concatenate([rng.normal(-4, 0.3, (20, 2)), rng.normal(4, 0.3, (20, 2))])
-        order = rng.permutation(40)
-        labels = (np.array([0] * 20 + [1] * 20))[order]
-        descs = _descs(pts[order])
-        best = cross_validate_c(descs, labels, grid=(0.01, 0.1, 1.0))
-        # trivially separable at every C: the tie goes to the smallest
-        assert best == 0.01
-
-    def test_selects_better_c_when_it_matters(self):
-        rng = np.random.default_rng(6)
-        n = 60
-        x = rng.standard_normal((n, 2)) * 0.8
-        labels = (x[:, 0] + 0.3 * rng.standard_normal(n) > 0).astype(int)
-        best = cross_validate_c(_descs(x), labels, grid=(0.01, 1.0))
-        assert best in (0.01, 1.0)
-
-    @pytest.mark.parametrize(
-        "grid, n_folds",
-        [((0.01, 1.0), 0), ((0.01, 1.0), 1), ((), 5)],
-        ids=["no_folds", "one_fold", "empty_grid"],
-    )
-    def test_refuses_what_cannot_be_cross_validated(self, grid, n_folds, monkeypatch):
-        # no folds would return the grid's first C unfitted, one fold trains on
-        # no rows, and an empty grid has no C to return
-        def never(*args, **kwargs):
-            raise AssertionError("trained")
-
-        monkeypatch.setattr(svm_mod, "train_ova_svm", never)
-        descs, labels = _two_class_toy()
-        with pytest.raises(ValueError, match="non-empty grid and n_folds >= 2"):
-            cross_validate_c(descs, labels, grid=grid, n_folds=n_folds)
-
-    def test_fewer_rows_than_folds_refused(self):
-        descs, labels = _two_class_toy()
-        with pytest.raises(DimError, match="need >= 11 samples for 11-fold CV"):
-            cross_validate_c(descs, labels, n_folds=11)

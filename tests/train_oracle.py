@@ -26,9 +26,13 @@ training oracles cluster with it.
 
 :func:`standardized_svm` is the classifier the package trained before its
 SVM was stored on raw descriptors: standardized features stacked with a
-bias column, :func:`cdfnet.svm._dual_cd_l2svm` per class on the package's
-per-class row-order stream, and the weights kept on the standardized
-features with the per-feature mean and std beside them.
+bias column, :func:`dual_cd_l2svm` per class on the package's per-class
+row-order stream, and the weights kept on the standardized features with
+the per-feature mean and std beside them. :func:`dual_cd_l2svm` is the
+solver the package ran before it worked on the Gram matrix: the same
+coordinate steps, each reading a row of the design matrix for its dot
+product with w and adding a multiple of it to w, so in exact arithmetic
+it takes the package's iterates and only rounding differs.
 :func:`standardized_scores` scores with them as ((x - mean) / std) w + b.
 
 :func:`primal_svm` solves the same per-class objective without the
@@ -46,13 +50,13 @@ from collections import namedtuple
 import numpy as np
 from scipy.optimize import minimize
 
-from cdfnet import kmeans
+from cdfnet import kmeans, svm
 from cdfnet.augment import expand_set, scale
 from cdfnet.kmeans import _BLOCK
 from cdfnet.layer import FilterBank, make_groups, run_layer
 from cdfnet.patches import EIGENVALUE_FLOOR, ZcaTransform, normalize_rows
 from cdfnet.pipeline import NetworkModel
-from cdfnet.svm import ROW_ORDER_SEED, STD_FLOOR, _dual_cd_l2svm
+from cdfnet.svm import ROW_ORDER_SEED, STD_FLOOR
 from cdfnet.tensor import FeatureMapSet, SeededRng
 
 from forward_oracle import normalize_patch
@@ -280,20 +284,61 @@ def _design(descriptors):
     return np.hstack([x, np.ones((x.shape[0], 1))]), mean, std
 
 
+def dual_cd_l2svm(x: np.ndarray, y: np.ndarray, c_eff: float, rng: SeededRng):
+    """Dual coordinate descent on the (n, d + 1) design matrix x itself.
+
+    Returns (w, dual objective per epoch, the largest projected gradient of
+    the last epoch). It stops by ``cdfnet.svm.MAX_EPOCHS`` and
+    ``cdfnet.svm.TOL``, read at call time, so a test's patch reaches it.
+    """
+    n = x.shape[0]
+    d_ii = 1.0 / (2.0 * c_eff)
+    q_ii = (np.einsum("nd,nd->n", x, x) + d_ii).tolist()
+    signs = y.tolist()
+    rows = list(x)
+    alpha = [0.0] * n
+    w = np.zeros(x.shape[1], dtype=np.float64)
+    gen = rng.generator()
+    objectives = []
+    max_pg = np.inf
+    for _ in range(svm.MAX_EPOCHS):
+        max_pg = 0.0
+        for i in gen.permutation(n).tolist():
+            a, y_i, row = alpha[i], signs[i], rows[i]
+            g = y_i * float(w @ row) - 1.0 + d_ii * a
+            pg = min(g, 0.0) if a == 0.0 else g
+            if pg != 0.0:
+                max_pg = max(max_pg, abs(pg))
+                new_alpha = max(a - g / q_ii[i], 0.0)
+                delta = new_alpha - a
+                if delta != 0.0:
+                    w += (delta * y_i) * row
+                    alpha[i] = new_alpha
+        alphas = np.array(alpha)
+        objectives.append(
+            0.5 * float(w @ w) + 0.5 * d_ii * float(alphas @ alphas) - float(alphas.sum())
+        )
+        if max_pg < svm.TOL:
+            break
+    return w, objectives, max_pg
+
+
 def standardized_svm(descriptors, labels, reg_c: float):
-    """(weights, biases, mean, std), the weights acting on standardized descriptors."""
+    """(weights, biases, mean, std, epochs), the weights acting on
+    standardized descriptors, and epochs the number each class's solver ran."""
     labels = np.asarray(labels)
     x, mean, std = _design(descriptors)
     n_classes = int(labels.max()) + 1
     weights = np.zeros((n_classes, x.shape[1] - 1))
     biases = np.zeros(n_classes)
+    epochs = []
     for cls in range(n_classes):
         y = np.where(labels == cls, 1.0, -1.0)
         rng = SeededRng(ROW_ORDER_SEED).child(cls)
-        # the solver reads the stopping rule at call time, so a test's patch reaches it
-        w, _, _ = _dual_cd_l2svm(x, y, reg_c / len(x), rng)
+        w, objectives, _ = dual_cd_l2svm(x, y, reg_c / len(x), rng)
         weights[cls], biases[cls] = w[:-1], w[-1]
-    return weights, biases, mean, std
+        epochs.append(len(objectives))
+    return weights, biases, mean, std, epochs
 
 
 def standardized_scores(weights, biases, mean, std, descriptors) -> np.ndarray:
